@@ -35,7 +35,7 @@ class AnalysisConfig:
     #: inside a run whose metrics end up digested.  Matched by terminal name.
     entry_points: FrozenSet[str] = _fs(
         "run", "replay", "run_cell", "run_matrix", "run_matrix_parallel",
-        "run_scenario", "replay_trace", "_run_shard", "expand",
+        "run_scenario", "replay_trace", "run_shard", "expand",
     )
 
     #: Modules (by dotted prefix) declared as wall-clock zones: phase
@@ -94,9 +94,9 @@ class AnalysisConfig:
     #: (shard payloads outbound; spools and kept results inbound) — plus
     #: the report types built from them.  PKL001 checks their fields.
     boundary_classes: FrozenSet[str] = _fs(
-        "MatrixCell", "IndexedCell", "Shard", "ScenarioSpec", "ArrivalSpec",
-        "PopularitySpec", "ChurnSpec", "FaultRegimeSpec", "CellResult",
-        "WorkloadResult", "WorkloadMetrics", "Trace", "TraceOp",
+        "MatrixCell", "IndexedCell", "Shard", "ShardPayload", "ScenarioSpec",
+        "ArrivalSpec", "PopularitySpec", "ChurnSpec", "FaultRegimeSpec",
+        "CellResult", "WorkloadResult", "WorkloadMetrics", "Trace", "TraceOp",
         "MetricsRegistry", "Counter", "Gauge", "Histogram", "CounterMap",
         "HopHistogram", "LatencyHistogram", "PhaseProfile", "MatrixReport",
         "CellCache", "TimeModelSpec", "LinkTiming", "Timeline", "SloSpec",

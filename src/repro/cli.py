@@ -47,14 +47,8 @@ from .analysis.static import (
 )
 from .core.exceptions import MatchMakingError
 from .exec.progress import ProgressReporter
-from .obs import (
-    SpanRecorder,
-    cell_span_path,
-    dump_metrics_line,
-    export_dir,
-    metrics_path,
-)
-from .obs.export import timeline_path, write_timelines
+from .obs import SpanRecorder, export_dir, metrics_path
+from .obs.export import write_cell_export
 from .obs.tools import (
     diff_exports,
     render_diff,
@@ -101,19 +95,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run_scenario(spec, tracer=tracer)
     if args.obs:
         obs_path = export_dir(args.obs)
-        tracer.to_path(cell_span_path(obs_path, 0))
         with open(metrics_path(obs_path), "w", encoding="utf-8") as fp:
-            fp.write(dump_metrics_line(
+            write_cell_export(
+                obs_path,
                 0,
                 {
                     "name": spec.name,
                     "topology": spec.topology,
                     "strategy": spec.strategy,
                 },
-                result.metrics.registry,
-            ))
-        if result.exemplars:
-            write_timelines(timeline_path(obs_path, 0), result.exemplars)
+                tracer,
+                result,
+                fp,
+            )
         _note(f"observability export ({len(tracer)} spans) -> {args.obs}")
     if args.trace:
         result.trace.to_path(args.trace)

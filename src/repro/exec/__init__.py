@@ -1,4 +1,4 @@
-"""The parallel execution engine: sharded multi-process matrix runs.
+"""The execution engine: one cell loop behind every matrix sweep.
 
 A scenario-matrix grid is embarrassingly parallel per cell — every cell's
 random streams derive from a stable hash of its grid coordinates, so no
@@ -8,15 +8,18 @@ routing tables and delivery-plan caches) through ``reset_for_reuse``, which
 leaves per-cell *metrics* untouched but makes the warm-cache *counters*
 depend on which same-topology cells ran before.
 
-:class:`ExecutionPlan` therefore shards cells across worker processes with
-**topology affinity**: a topology's cells never split across shards and
-stay in grid expansion order, so each worker replays exactly the warm-up
-sequence the sequential engine would — which is what makes the merged
-:class:`~repro.workload.matrix.MatrixReport` byte-identical
-(:meth:`~repro.workload.matrix.MatrixReport.digest`) to a sequential run at
-any worker count.  Workers stream per-cell results into JSONL spool files;
-the parent polls the spools for progress/ETA and merges them by grid
-position.  ``python -m repro`` exposes the engine on the command line.
+:class:`ExecutionPlan` therefore shards cells with **topology affinity**:
+a topology's cells never split across shards and stay in grid expansion
+order, so its network sees the same warm-up sequence under every plan —
+which is what makes the :class:`~repro.workload.matrix.MatrixReport`
+byte-identical (:meth:`~repro.workload.matrix.MatrixReport.digest`) at any
+worker count.  Every shard of every plan executes through
+:func:`repro.exec.runner.run_shard`: the default sweep is one shard run in
+the calling process (no worker processes, no spool files); with more
+workers each shard's worker process streams per-cell results into a JSONL
+spool that the parent polls for progress/ETA.  Either way the results
+merge by grid position.  ``python -m repro`` exposes the engine on the
+command line.
 
 Two layers make repeated sweeps cheap without bending any of the above:
 the content-addressed :class:`~repro.exec.cache.CellCache` serves

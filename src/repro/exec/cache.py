@@ -17,7 +17,7 @@ cell spec on its topology, so a cached entry is only served when the
 entire warm-up prefix is identical too.  When a mid-group cell misses,
 :class:`IncrementalRunner` replays the cache-served predecessors first
 (cheap cells, no I/O), so the recomputed cell sees exactly the planner
-state the sequential cold run would have given it.  With
+state a cold run would have given it.  With
 ``share_networks=False`` the chain is empty and keys are pure per-cell
 content addresses.
 
@@ -31,7 +31,6 @@ report's digest-excluded ``cache`` section and the ``--obs`` export.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -40,7 +39,8 @@ from typing import Dict, List, Optional, Tuple
 from ..network.simulator import Network
 from ..obs.profile import CACHE_WARMUP, phase
 from ..obs.registry import Counter, MetricsRegistry
-from ..workload.matrix import CellResult, MatrixCell
+from ..workload.matrix import CellResult, MatrixCell, run_cell
+from ..workload.trace import canonical_digest
 
 #: Bump on any change to the cached payload's meaning: the CellResult
 #: schema, the driver's semantics, the chain construction.  Part of every
@@ -62,16 +62,14 @@ def spec_fingerprint(cell: MatrixCell) -> str:
     along explicitly so a change to the derivation itself also moves every
     fingerprint.
     """
-    payload = {
+    return canonical_digest({
         "spec": cell.spec.to_dict(),
         "topology": cell.topology,
         "strategy": cell.strategy,
         "regime": cell.regime,
         "key": cell.key,
         "seed": cell.spec.seed,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    })
 
 
 def cell_cache_key(
@@ -85,21 +83,19 @@ def cell_cache_key(
     predecessors (empty without shared networks); ``schema_version``
     participates so format bumps can never serve old payloads.
     """
-    payload = {
+    return canonical_digest({
         "schema": schema_version,
         "cell": spec_fingerprint(cell),
         "chain": chain,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    })
 
 
 class CellKeyer:
     """Derives chained cache keys for cells visited in execution order.
 
-    Feed it every cell of a grid (or of one topology-affine shard — the
-    per-topology subsequences are identical, which is why sequential and
-    sharded runs share cache entries) and it returns each cell's key while
+    Feed it every cell of a topology-affine shard — per-topology
+    subsequences are identical under every plan, which is why runs at any
+    worker count share cache entries — and it returns each cell's key while
     advancing that topology's chain.  The chain advances on every cell,
     hit or miss: warm planner state moves whenever a cell runs, whether or
     not this particular pass actually executed it.
@@ -119,10 +115,9 @@ class CellKeyer:
         chain = self._chains.get(cell.topology, "") if self._share else ""
         key = cell_cache_key(cell, chain=chain, schema_version=self._schema)
         if self._share:
-            advanced = chain + spec_fingerprint(cell)
-            self._chains[cell.topology] = hashlib.sha256(
-                advanced.encode("utf-8")
-            ).hexdigest()
+            self._chains[cell.topology] = canonical_digest(
+                chain + spec_fingerprint(cell)
+            )
         return key
 
 
@@ -229,14 +224,14 @@ def canonical_cell_payload(cell_result: CellResult) -> Dict[str, object]:
 
 
 class IncrementalRunner:
-    """Drives cache consultation for one in-order pass over a grid.
+    """Drives cache consultation for one in-order pass over a shard.
 
-    Both execution loops — the sequential engine and each parallel shard —
-    visit their cells in grid expansion order and ask, per cell:
-    :meth:`lookup` (may serve a cached result), :meth:`warmup` (before
-    executing a miss, replay the cache-served same-topology predecessors so
-    the shared network's planner state matches the cold sequential run),
-    and :meth:`record` (store what just ran).
+    The cell loop (:func:`repro.exec.runner.run_shard`) visits a shard's
+    cells in order and asks, per cell: :meth:`lookup` (may serve a cached
+    result), :meth:`warmup` (before executing a miss, replay the
+    cache-served same-topology predecessors so the shared network's
+    planner state matches a cold run), and :meth:`record` (store what
+    just ran).
 
     ``reads=False`` keeps the cache write-through only: runs that must
     produce per-cell artifacts (kept results, traces, the obs export)
@@ -281,8 +276,6 @@ class IncrementalRunner:
         """
         if network is None:
             return
-        from ..workload.matrix import run_cell  # local: avoids import cycle
-
         for earlier, served in self._pending.pop(cell.topology, []):
             with phase(CACHE_WARMUP):
                 replayed, _ = run_cell(earlier, network=network)

@@ -2,14 +2,16 @@
 
 The plan is a pure function of ``(matrix, workers)``: expansion assigns
 every runnable cell a *position* (its index in grid expansion order, which
-is the order the sequential engine runs and reports cells in), consecutive
-same-topology cells form *groups*, and groups are distributed over shards
-by longest-processing-time-first so shard loads balance.  Two invariants
+is the order reports list cells in), a topology's cells form a *group*,
+and groups are distributed over shards by longest-processing-time-first
+so shard loads balance.  A one-worker plan is a single shard holding
+every group — that is the default, in-process sweep.  Two invariants
 carry the engine's determinism guarantee:
 
-* a topology's cells all land in one shard, in expansion order — each
-  worker warms its shared network exactly as the sequential loop would, so
-  plan-cache counters (which are part of the report) reproduce exactly;
+* a topology's cells all land in one shard, in expansion order — its
+  shared network is warmed by the same cells in the same order under
+  every plan, so plan-cache counters (which are part of the report)
+  reproduce exactly;
 * shard composition and order depend only on the grid and the worker
   count, never on timing.
 
@@ -31,8 +33,8 @@ from ..workload.matrix import MatrixCell, MatrixSpec
 class IndexedCell:
     """A runnable cell tagged with its grid expansion position.
 
-    ``position`` is the cell's index in the *sequential* execution order;
-    the merge sorts spooled results by it, which is the whole merge.
+    ``position`` is the cell's index in grid expansion (= report) order;
+    the merge sorts emitted results by it, which is the whole merge.
     """
 
     position: int

@@ -1,9 +1,9 @@
 """Warm worker pools: persistent processes and per-topology networks.
 
-``run_matrix_parallel`` normally pays two fixed costs per call: spinning
-up a fresh ``ProcessPoolExecutor`` (process forks, imports) and building
-every topology's network from scratch inside each worker (the O(n²)
-routing-table construction).  For one-shot runs that is correct; for
+A multi-worker ``run_matrix_parallel`` normally pays two fixed costs per
+call: spinning up a fresh ``ProcessPoolExecutor`` (process forks, imports)
+and building every topology's network from scratch inside each worker (the
+O(n²) routing-table construction).  For one-shot runs that is correct; for
 sweep drivers, benchmarks and the CLI ``--repeat`` path that run grid
 after grid in one process, it is the whole reason E18 measured a
 parallel "speedup" below 1x.
@@ -12,11 +12,13 @@ parallel "speedup" below 1x.
 
 * **processes** — one lazily created executor survives across
   ``run_matrix_parallel(..., pool=...)`` calls until :meth:`close` (or the
-  ``with`` block) shuts it down;
-* **networks** — each worker process keeps the networks it has built in a
-  module-level store keyed by ``(topology, delivery_mode)``.  On the next
-  run that lands a shard with the same topology on that worker,
-  :func:`checkout_network` recycles the stored network through
+  ``with`` block) shuts it down; every plan given a pool runs there, a
+  one-shard plan included;
+* **networks** — :func:`checkout_network` is where the cell loop gets a
+  cell's shared network, pooled or not.  Under a pool each worker process
+  keeps the networks it has built in a module-level store keyed by
+  ``(topology, delivery_mode)``; on the next run that lands a shard with
+  the same topology on that worker, the stored network is recycled through
   :meth:`~repro.network.Network.reset_to_cold`, which keeps the graph and
   static routing table (the expensive part, and counter-neutral: the
   fault-free fast path records no plan events) while clearing the
@@ -38,8 +40,8 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Optional, Tuple
 
 from ..network.simulator import Network
-from ..workload.matrix import shared_network_for
-from ..workload.spec import ScenarioSpec
+from ..obs.profile import TOPOLOGY_BUILD, phase
+from ..workload.spec import ScenarioSpec, build_topology
 from .plan import resolve_workers
 
 #: Worker-process-global network store: ``(topology, delivery_mode)`` ->
@@ -61,15 +63,16 @@ def checkout_network(
     generation: Optional[int],
     stats: Optional[Dict[str, int]] = None,
 ) -> Network:
-    """The shared network for ``spec``, preferring the worker's warm store.
+    """The per-topology shared network for ``spec``, built on first use.
 
-    ``networks`` is the shard-task-local dict (reuse *within* one run —
-    the planner caches deliberately stay warm across same-topology cells,
-    exactly like the sequential engine).  ``generation`` is the warm
-    pool's token, or ``None`` when pooling is off, in which case this is
-    plain :func:`~repro.workload.matrix.shared_network_for`.  A warm
-    network found in the store is recycled through ``reset_to_cold`` so
-    its planner counters restart from zero.
+    ``networks`` is the shard-local dict: the driver resets a network
+    before every run, so sharing never changes a cell's metrics — it only
+    amortizes the O(n²) routing construction and keeps fault-free
+    delivery-plan caches warm across a shard's same-topology cells.
+    ``generation`` is the warm pool's token, or ``None`` when pooling is
+    off; with one, this process's warm store is consulted before building,
+    and a network found there is recycled through ``reset_to_cold`` so its
+    planner counters restart from zero.
     """
     network = networks.get(spec.topology)
     if network is not None:
@@ -85,7 +88,11 @@ def checkout_network(
             networks[spec.topology] = warm
             _bump(stats, "pool_network_reuses")
             return warm
-    network = shared_network_for(networks, spec)
+    with phase(TOPOLOGY_BUILD):
+        network = build_topology(spec.topology).build_network(
+            delivery_mode=spec.delivery_mode
+        )
+    networks[spec.topology] = network
     if generation is not None:
         _WORKER_NETWORKS[(spec.topology, spec.delivery_mode)] = network
         _bump(stats, "pool_network_builds")

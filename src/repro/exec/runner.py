@@ -1,18 +1,25 @@
-"""The process-pool matrix runner and its deterministic merge.
+"""The one cell loop, and the deterministic merge of what it emits.
 
-Each shard runs in its own worker process (real parallelism — no GIL
-sharing) through :func:`_run_shard`, which is deliberately a thin loop
-around :func:`repro.workload.matrix.run_cell` and the same per-topology
-shared-network helper the sequential engine uses.  Workers stream each
-finished cell into their JSONL spool; the parent polls the spools while
-the pool drains (that is the progress/ETA feed) and then merges all spool
-records by grid position into a :class:`~repro.workload.matrix.MatrixReport`
-whose canonical JSON is byte-identical to the sequential run's.
+Every matrix sweep — sequential, sharded across fresh worker processes,
+or submitted to a :class:`~repro.exec.pool.WarmPool` — is an
+:class:`~repro.exec.plan.ExecutionPlan` whose shards execute through
+:func:`run_shard`, the only caller of
+:func:`repro.workload.matrix.run_cell` outside the cache's warm-up
+replay.  It hands each finished cell to an ``emit`` callback, and where a
+shard runs changes only that callback.  A one-shard plan without a pool
+runs in this process: ``emit`` appends to a list and ticks ``progress``,
+so a plain sweep starts no process and writes no spool.  Any other plan
+runs each shard in a worker process whose ``emit`` writes and flushes one
+JSONL spool line; the parent polls the spools while the pool drains (that
+is the progress/ETA feed) and loads them afterwards.  Either way the
+records merge by grid position into a
+:class:`~repro.workload.matrix.MatrixReport`, so its canonical JSON does
+not depend on the worker count.
 
-Payloads crossing the process boundary are plain picklable data:
-``(position, MatrixCell)`` pairs outbound, and — only when callers ask to
-keep full results — ``WorkloadResult`` objects inbound, which pickle
-cleanly because results never reference a live ``Network`` or planner.
+Payloads crossing the process boundary are plain picklable data: a
+:class:`ShardPayload` outbound, and — only when callers ask to keep full
+results — ``WorkloadResult`` objects inbound, which pickle cleanly
+because results never reference a live ``Network`` or planner.
 """
 
 from __future__ import annotations
@@ -22,8 +29,9 @@ import os
 import shutil
 import tempfile
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..network.simulator import Network
 from ..obs import export as _obs_export
@@ -32,7 +40,6 @@ from ..obs.spans import SpanRecorder
 from ..workload.driver import WorkloadResult
 from ..workload.matrix import (
     CellResult,
-    MatrixCell,
     MatrixReport,
     MatrixSpec,
     run_cell,
@@ -44,7 +51,7 @@ from .cache import (
     canonical_cell_payload,
     merge_cache_stats,
 )
-from .plan import ExecutionPlan
+from .plan import ExecutionPlan, IndexedCell, Shard
 from .pool import WarmPool, checkout_network
 from .spool import SpoolCursor, SpoolError, dump_spool_line, load_spool, \
     shard_spool_path
@@ -52,23 +59,40 @@ from .spool import SpoolCursor, SpoolError, dump_spool_line, load_spool, \
 #: How often the parent polls spool files for progress while workers run.
 POLL_SECONDS = 0.2
 
-#: One shard's payload: everything a worker needs, all picklable.
-ShardPayload = Tuple[
-    int,                                # shard index
-    str,                                # spool file path
-    bool,                               # share_networks
-    bool,                               # keep_results
-    Optional[str],                      # trace_dir
-    Optional[str],                      # obs export dir
-    bool,                               # profile (wall-clock phase timing)
-    Optional[str],                      # cell-cache dir
-    Optional[int],                      # warm-pool generation (None = no pool)
-    Tuple[Tuple[int, MatrixCell], ...], # (position, cell) pairs
+#: Receives each cell of a shard as it finishes: ``emit(position, result)``.
+Emit = Callable[[int, CellResult], None]
+
+#: What a shard hands back: kept ``(position, result)`` pairs, its
+#: wall-clock phase profile (as a dict) or ``None``, and its
+#: cache/warm-pool counter snapshot or ``None`` when neither is in play.
+ShardOutcome = Tuple[
+    List[Tuple[int, WorkloadResult]],
+    Optional[Dict[str, object]],
+    Optional[Dict[str, int]],
 ]
 
 
+@dataclass(frozen=True)
+class ShardPayload:
+    """One shard's work order: all the cell loop needs, all picklable."""
+
+    index: int
+    cells: Tuple[IndexedCell, ...]
+    share_networks: bool
+    keep_results: bool
+    trace_dir: Optional[str]
+    obs_dir: Optional[str]
+    #: Label of the wall-clock phase profile to collect (``None`` = off).
+    profile: Optional[str]
+    cache_dir: Optional[str]
+    #: Warm-pool generation (``None`` = no pool).
+    generation: Optional[int]
+    #: The spool file this shard streams into (``None`` = no spool).
+    spool_path: Optional[str]
+
+
 def _shard_metrics_path(obs_path: Path, shard_index: int) -> Path:
-    """The worker-private metrics part file the parent merges and removes.
+    """The shard-private metrics part file the parent merges and removes.
 
     Workers must never append to the shared ``metrics.jsonl`` concurrently;
     each writes its own part, exactly like the result spools.
@@ -76,80 +100,63 @@ def _shard_metrics_path(obs_path: Path, shard_index: int) -> Path:
     return obs_path / f"metrics-shard-{shard_index:03d}.jsonl"
 
 
-def _run_shard(
-    payload: ShardPayload,
-) -> Tuple[
-    int,
-    List[Tuple[int, WorkloadResult]],
-    Optional[Dict[str, object]],
-    Optional[Dict[str, int]],
-]:
-    """Worker entry point: run one shard's cells, spooling as they finish.
+def run_shard(payload: ShardPayload, emit: Emit) -> ShardOutcome:
+    """Run one shard's cells in the given order, emitting each as it
+    finishes.
 
-    Top-level (not a closure) so it pickles under the ``spawn`` start
-    method as well as ``fork``.  Cells execute in the given order over
-    per-topology shared networks — the exact warm-up sequence the
-    sequential engine produces for these cells.
+    Cells execute over per-topology shared networks
+    (:func:`~repro.exec.pool.checkout_network`), so plan-cache counters
+    (which are part of the report) depend only on a topology's own cells
+    and their order — never on which shard, process or sweep ran them.
+    With a cache dir, unchanged cells are served from the chain-keyed
+    store instead (:mod:`repro.exec.cache`).
 
-    With an obs dir the worker writes exactly the cell-level files a
-    sequential run would (``spans-cell-NNNN.jsonl`` keyed on grid position)
+    With an obs dir the shard writes the cell-level files keyed on grid
+    position (``spans-cell-NNNN.jsonl``, ``timelines-cell-NNNN.jsonl``)
     plus its own ``shard`` span file and a private metrics part the parent
-    folds into ``metrics.jsonl``.  The third return element is the worker's
-    wall-clock phase profile (as a dict), or ``None``; the fourth is its
-    cache/warm-pool counter snapshot, or ``None`` when neither is in play.
-
-    With a cache dir the shard serves unchanged cells straight from the
-    content-addressed store (chain-keyed, so hits agree with the
-    sequential engine — see :mod:`repro.exec.cache`); with a warm-pool
-    generation it checks this worker process's persistent network store
-    before building a topology from scratch.
+    folds into ``metrics.jsonl``.
     """
-    (
-        shard_index, spool_path, share_networks, keep_results, trace_dir,
-        obs_dir, profile, cache_dir, generation, cells,
-    ) = payload
-    obs_path = Path(obs_dir) if obs_dir is not None else None
+    obs_path = Path(payload.obs_dir) if payload.obs_dir is not None else None
     shard_tracer = SpanRecorder() if obs_path is not None else None
-    shard_profile = PhaseProfile(f"shard-{shard_index}") if profile else None
+    shard_profile = PhaseProfile(payload.profile) if payload.profile else None
     networks: Dict[str, Network] = {}
     kept: List[Tuple[int, WorkloadResult]] = []
     stats: Dict[str, int] = {}
     cache = runner = None
-    if cache_dir is not None:
-        cache = CellCache(cache_dir)
+    if payload.cache_dir is not None:
+        cache = CellCache(payload.cache_dir)
         runner = IncrementalRunner(
             cache,
-            share_networks=share_networks,
+            share_networks=payload.share_networks,
             reads=not (
-                keep_results or trace_dir is not None or obs_path is not None
+                payload.keep_results or payload.trace_dir is not None
+                or obs_path is not None
             ),
         )
     metrics_fp = None
     try:
         if obs_path is not None:
             metrics_fp = open(
-                _shard_metrics_path(obs_path, shard_index), "w",
+                _shard_metrics_path(obs_path, payload.index), "w",
                 encoding="utf-8",
             )
-        with profiling(shard_profile), open(
-            spool_path, "w", encoding="utf-8"
-        ) as fp:
+        with profiling(shard_profile):
             shard_span = None
             if shard_tracer is not None:
                 shard_span = shard_tracer.begin(
-                    "shard", shard=shard_index, cells=len(cells)
+                    "shard", shard=payload.index, cells=len(payload.cells)
                 )
-            for position, cell in cells:
+            for indexed in payload.cells:
+                position, cell = indexed.position, indexed.cell
                 if runner is not None:
                     cached = runner.lookup(cell)
                     if cached is not None:
-                        fp.write(dump_spool_line(position, cached))
-                        fp.flush()
+                        emit(position, cached)
                         continue
                 network: Optional[Network] = None
-                if share_networks:
+                if payload.share_networks:
                     network = checkout_network(
-                        networks, cell.spec, generation, stats
+                        networks, cell.spec, payload.generation, stats
                     )
                     if runner is not None:
                         runner.warmup(cell, network)
@@ -160,13 +167,10 @@ def _run_shard(
                     )
                 if runner is not None:
                     runner.record(cell_result)
-                fp.write(dump_spool_line(position, cell_result))
-                fp.flush()  # stream: the parent polls for progress
+                emit(position, cell_result)
                 if obs_path is not None:
-                    cell_tracer.to_path(
-                        _obs_export.cell_span_path(obs_path, position)
-                    )
-                    metrics_fp.write(_obs_export.dump_metrics_line(
+                    _obs_export.write_cell_export(
+                        obs_path,
                         position,
                         {
                             "name": cell.spec.name,
@@ -174,25 +178,22 @@ def _run_shard(
                             "strategy": cell.strategy,
                             "regime": cell.regime,
                         },
-                        result.metrics.registry,
-                    ))
-                    if result.exemplars:
-                        _obs_export.write_timelines(
-                            _obs_export.timeline_path(obs_path, position),
-                            result.exemplars,
-                        )
+                        cell_tracer,
+                        result,
+                        metrics_fp,
+                    )
                     shard_tracer.set_clock(float(position))
                     shard_tracer.event(
                         "cell-run", position=position, cell=cell.spec.name
                     )
-                if trace_dir is not None:
-                    write_cell_trace(trace_dir, position, result)
-                if keep_results:
+                if payload.trace_dir is not None:
+                    write_cell_trace(payload.trace_dir, position, result)
+                if payload.keep_results:
                     kept.append((position, result))
             if shard_tracer is not None:
-                shard_tracer.end(shard_span, cells=len(cells))
+                shard_tracer.end(shard_span, cells=len(payload.cells))
                 shard_tracer.to_path(
-                    _obs_export.shard_span_path(obs_path, shard_index)
+                    _obs_export.shard_span_path(obs_path, payload.index)
                 )
     finally:
         if metrics_fp is not None:
@@ -202,7 +203,28 @@ def _run_shard(
     )
     if cache is not None:
         merge_cache_stats(stats, cache.stats())
-    return shard_index, kept, profile_dict, (stats or None)
+    return kept, profile_dict, (stats or None)
+
+
+def _spool_shard(
+    payload: ShardPayload, then: Optional[Emit] = None
+) -> ShardOutcome:
+    """:func:`run_shard` with an ``emit`` that streams each cell into the
+    payload's spool file (when it names one) and then on to ``then``.
+
+    The worker-process entry point; top-level (not a closure) so it
+    pickles under the ``spawn`` start method as well as ``fork``.
+    """
+    if payload.spool_path is None:
+        return run_shard(payload, then)
+    with open(payload.spool_path, "w", encoding="utf-8") as fp:
+        def emit(position: int, cell_result: CellResult) -> None:
+            fp.write(dump_spool_line(position, cell_result))
+            fp.flush()  # stream: the parent polls for progress
+            if then is not None:
+                then(position, cell_result)
+
+        return run_shard(payload, emit)
 
 
 def run_matrix_parallel(
@@ -218,197 +240,193 @@ def run_matrix_parallel(
     cache_dir=None,
     pool: Optional[WarmPool] = None,
 ) -> Tuple[MatrixReport, List[WorkloadResult]]:
-    """Run ``matrix`` across worker processes; merge deterministically.
+    """Plan ``matrix`` into shards, run them, merge by grid position.
 
-    The report is byte-identical (:meth:`MatrixReport.digest`) to
-    ``run_matrix(matrix, share_networks=share_networks)`` at any worker
-    count.  ``workers=0``/``None`` means one per CPU; grids that plan to a
-    single shard run sequentially in-process (no pool overhead).  Pass
-    ``spool_dir`` to keep the JSONL spool files; by default they live in a
-    temporary directory removed after the merge.
+    :func:`~repro.workload.matrix.run_matrix` forwards here and documents
+    the shared parameters.  Two differ: ``workers=None`` means one per CPU
+    (like 0), and ``spool_dir`` keeps the JSONL spool files, which
+    otherwise live in a temporary directory removed after the merge.
 
-    ``obs_dir``/``profile`` mirror :func:`~repro.workload.matrix.run_matrix`:
-    workers write per-cell span and metrics files keyed on grid position
-    (the same file set a sequential run produces), the parent stitches the
-    per-shard metrics parts into one position-sorted ``metrics.jsonl``,
-    records its own ``merge`` span, and the report gains a per-worker
-    ``profile`` section that never enters the digest.
-
-    ``cache_dir`` names a content-addressed cell cache
-    (:class:`~repro.exec.cache.CellCache`): unchanged cells are served
-    from it instead of executed, and every executed cell is stored.
-    ``pool`` is a live :class:`~repro.exec.pool.WarmPool` whose worker
-    processes (and their per-topology networks) persist across calls; it
-    overrides ``workers`` and is not shut down here.  Both are
-    digest-neutral; their counters land in the report's digest-excluded
-    ``cache`` section.
+    A plan of one shard runs in this process — no executor, no spool
+    unless ``spool_dir`` asks for one, its profile labelled
+    ``sequential``.  Any other plan, and every plan given a ``pool``
+    (which overrides ``workers`` and is not shut down here), runs in
+    worker processes: the profile section is ``parent`` plus one
+    ``shard-N`` per worker, and an obs export also records the parent's
+    ``merge`` span.  The report is byte-identical
+    (:meth:`MatrixReport.digest`) either way.
     """
-    from ..workload.matrix import run_matrix  # local: avoids import cycle
-
     if pool is not None:
         workers = pool.workers
     plan = ExecutionPlan.from_matrix(matrix, workers or 0)
-    if len(plan.shards) <= 1:
-        report, results = run_matrix(
-            matrix,
-            share_networks=share_networks,
-            keep_results=keep_results,
-            progress=progress,
-            trace_dir=trace_dir,
-            obs_dir=obs_dir,
-            profile=profile,
-            cache_dir=cache_dir,
-        )
-        if spool_dir is not None:
-            # Honour the requested artifact even when the grid collapsed to
-            # one in-process shard: same file name, same line format, and —
-            # critically — the *planned* grid positions, exactly as the
-            # multi-shard path spools them.
-            spool_root = Path(spool_dir)
-            spool_root.mkdir(parents=True, exist_ok=True)
-            positions = [
-                indexed.position
-                for shard in plan.shards for indexed in shard.cells
-            ]
-            with open(
-                shard_spool_path(spool_root, 0), "w", encoding="utf-8"
-            ) as fp:
-                for position, cell_result in zip(positions, report.cells):
-                    fp.write(dump_spool_line(position, cell_result))
-        return report, results
+    # A grid with no runnable cell still runs (and exports) as one empty
+    # shard.
+    shards = plan.shards or (Shard(index=0, cells=()),)
+    in_process = pool is None and len(shards) == 1
+    total = plan.cell_count
     own_spool = spool_dir is None
-    spool_root = Path(
-        tempfile.mkdtemp(prefix="repro-spool-") if own_spool else spool_dir
-    )
-    spool_root.mkdir(parents=True, exist_ok=True)
-    spool_paths = [
-        shard_spool_path(spool_root, shard.index) for shard in plan.shards
-    ]
+    spool_root = None
+    if not (in_process and own_spool):
+        spool_root = Path(
+            tempfile.mkdtemp(prefix="repro-spool-") if own_spool else spool_dir
+        )
+        spool_root.mkdir(parents=True, exist_ok=True)
     obs_path = (
         _obs_export.export_dir(obs_dir) if obs_dir is not None else None
     )
-    parent_profile = PhaseProfile("parent") if profile else None
     generation = pool.generation if pool is not None and share_networks \
         else None
-    payloads: List[ShardPayload] = [
-        (
-            shard.index,
-            str(shard_spool_path(spool_root, shard.index)),
-            share_networks,
-            keep_results,
-            str(trace_dir) if trace_dir is not None else None,
-            str(obs_path) if obs_path is not None else None,
-            profile,
-            str(cache_dir) if cache_dir is not None else None,
-            generation,
-            tuple((indexed.position, indexed.cell) for indexed in shard.cells),
+    payloads = [
+        ShardPayload(
+            index=shard.index,
+            cells=shard.cells,
+            share_networks=share_networks,
+            keep_results=keep_results,
+            trace_dir=str(trace_dir) if trace_dir is not None else None,
+            obs_dir=str(obs_path) if obs_path is not None else None,
+            profile=(
+                None if not profile
+                else "sequential" if in_process else f"shard-{shard.index}"
+            ),
+            cache_dir=str(cache_dir) if cache_dir is not None else None,
+            generation=generation,
+            spool_path=(
+                str(shard_spool_path(spool_root, shard.index))
+                if spool_root is not None else None
+            ),
         )
-        for shard in plan.shards
+        for shard in shards
     ]
-    total = plan.cell_count
-    kept: Dict[int, WorkloadResult] = {}
-    shard_profiles: Dict[int, Dict[str, object]] = {}
-    exec_stats: Dict[str, int] = {}
+    parent_profile = PhaseProfile("parent") if profile and not in_process \
+        else None
+    merge_tracer = None
     try:
-        own_executor = pool is None
-        executor = (
-            ProcessPoolExecutor(max_workers=len(plan.shards))
-            if own_executor else pool.executor
-        )
-        try:
-            pending = {
-                executor.submit(_run_shard, payload) for payload in payloads
-            }
-            cursor = SpoolCursor(spool_paths)
-            while pending:
-                done, pending = wait(
-                    pending, timeout=POLL_SECONDS, return_when=FIRST_COMPLETED
-                )
+        if in_process:
+            collected: List[Tuple[int, CellResult]] = []
+
+            def collect(position: int, cell_result: CellResult) -> None:
+                collected.append((position, cell_result))
                 if progress is not None:
-                    progress(min(cursor.count(), total), total)
-                for future in done:
-                    # Reraise worker errors here.
-                    shard_index, shard_kept, shard_profile, shard_stats = \
-                        future.result()
-                    kept.update(shard_kept)
-                    if shard_profile is not None:
-                        shard_profiles[shard_index] = shard_profile
-                    if shard_stats:
-                        merge_cache_stats(exec_stats, shard_stats)
-        finally:
-            if own_executor:
-                executor.shutdown(wait=True)
-        if progress is not None:
-            progress(total, total)
-        merge_tracer = SpanRecorder() if obs_path is not None else None
-        merge_span = None
-        if merge_tracer is not None:
-            merge_span = merge_tracer.begin(
-                "merge", shards=len(plan.shards), cells=total
-            )
-        merged: Dict[int, CellResult] = {}
-        sources: Dict[int, str] = {}
-        with profiling(parent_profile), phase(SPOOL_MERGE):
-            for path in spool_paths:
-                for position, cell_result in load_spool(path):
-                    existing = merged.get(position)
-                    if existing is None:
-                        merged[position] = cell_result
-                        sources[position] = str(path)
-                        continue
-                    # Duplicates are legal only when byte-equal (an
-                    # idempotent re-spool); disagreeing records mean two
-                    # different cells claimed one grid position — the
-                    # old silent last-write-wins masked exactly that.
-                    if canonical_cell_payload(existing) != \
-                            canonical_cell_payload(cell_result):
-                        raise SpoolError(
-                            f"conflicting spool records for cell "
-                            f"{position}: {sources[position]} and {path} "
-                            f"disagree"
-                        )
-            if sorted(merged) != list(range(total)):
-                missing = sorted(set(range(total)) - set(merged))
-                raise RuntimeError(
-                    f"parallel merge incomplete: spool is missing cells "
-                    f"{missing}"
-                )
-            cells = [merged[position] for position in range(total)]
+                    progress(len(collected), total)
+
+            outcomes = [_spool_shard(payloads[0], collect)]
+            sources = [("this process", collected)]
+        else:
+            outcomes = _run_in_workers(payloads, pool, progress, total)
             if obs_path is not None:
-                _merge_shard_metrics(obs_path, plan)
+                merge_tracer = SpanRecorder()
+                merge_span = merge_tracer.begin(
+                    "merge", shards=len(shards), cells=total
+                )
+            sources = (
+                (payload.spool_path, load_spool(payload.spool_path))
+                for payload in payloads
+            )
+        with profiling(parent_profile), phase(SPOOL_MERGE):
+            cells = _merge_records(sources, total)
+            if obs_path is not None:
+                _merge_shard_metrics(obs_path, shards)
         if merge_tracer is not None:
             merge_tracer.end(merge_span)
             merge_tracer.to_path(obs_path / _obs_export.MERGE_SPANS_FILE)
     finally:
-        if own_spool:
+        if own_spool and spool_root is not None:
             shutil.rmtree(spool_root, ignore_errors=True)
-    results = [kept[position] for position in sorted(kept)] if keep_results \
-        else []
-    report = MatrixReport(matrix.to_dict(), cells, plan.skipped)
-    if cache_dir is not None or pool is not None:
-        if cache_dir is not None:
-            # Every counter appears even when zero, so cold and warm runs
-            # report the same key set.
-            merge_cache_stats(exec_stats, CellCache(cache_dir).stats())
-        report.attach_cache_stats(exec_stats)
-        if obs_path is not None:
-            _obs_export.write_cache_stats(
-                _obs_export.cache_stats_path(obs_path), exec_stats
-            )
-    if profile:
-        profiles = [parent_profile] + [
-            PhaseProfile.from_dict(shard_profiles[index])
-            for index in sorted(shard_profiles)
+    kept: Dict[int, WorkloadResult] = {}
+    exec_stats: Dict[str, int] = {}
+    profiles = [parent_profile] if parent_profile is not None else []
+    for shard_kept, shard_profile, shard_stats in outcomes:
+        kept.update(shard_kept)
+        if shard_profile is not None:
+            profiles.append(PhaseProfile.from_dict(shard_profile))
+        if shard_stats:
+            merge_cache_stats(exec_stats, shard_stats)
+    report = MatrixReport(
+        matrix.to_dict(),
+        cells,
+        plan.skipped,
+        profile=_obs_export.profiles_dict(profiles) if profile else None,
+        cache=exec_stats if cache_dir is not None or pool is not None else None,
+    )
+    if obs_path is not None and report.cache_stats is not None:
+        _obs_export.write_cache_stats(
+            _obs_export.cache_stats_path(obs_path), exec_stats
+        )
+    if obs_path is not None and profile:
+        _obs_export.write_profiles(_obs_export.profile_path(obs_path), profiles)
+    return report, [kept[position] for position in sorted(kept)]
+
+
+def _run_in_workers(
+    payloads: List[ShardPayload],
+    pool: Optional[WarmPool],
+    progress: Optional[Callable[[int, int], None]],
+    total: int,
+) -> List[ShardOutcome]:
+    """Run every payload in its own worker process — the pool's, or a
+    fresh executor's — polling the spools for progress while they drain;
+    outcomes come back in payload order."""
+    executor = (
+        ProcessPoolExecutor(max_workers=len(payloads))
+        if pool is None else pool.executor
+    )
+    try:
+        futures = [
+            executor.submit(_spool_shard, payload) for payload in payloads
         ]
-        if obs_path is not None:
-            _obs_export.write_profiles(
-                _obs_export.profile_path(obs_path), profiles
+        pending = set(futures)
+        cursor = SpoolCursor(payload.spool_path for payload in payloads)
+        while pending:
+            done, pending = wait(
+                pending, timeout=POLL_SECONDS, return_when=FIRST_COMPLETED
             )
-        report.attach_profile(_obs_export.profiles_dict(profiles))
-    return report, results
+            if progress is not None:
+                progress(min(cursor.count(), total), total)
+            for future in done:
+                future.result()  # reraise worker errors here
+    finally:
+        if pool is None:
+            executor.shutdown(wait=True)
+    if progress is not None:
+        progress(total, total)
+    return [future.result() for future in futures]
 
 
-def _merge_shard_metrics(obs_path: Path, plan: ExecutionPlan) -> None:
+def _merge_records(
+    sources: Iterable[Tuple[str, List[Tuple[int, CellResult]]]], total: int
+) -> List[CellResult]:
+    """Every emitted ``(position, result)`` record, as one list in grid
+    position order; raises unless exactly positions ``0..total-1`` are
+    covered."""
+    merged: Dict[int, CellResult] = {}
+    origins: Dict[int, str] = {}
+    for origin, records in sources:
+        for position, cell_result in records:
+            existing = merged.get(position)
+            if existing is None:
+                merged[position] = cell_result
+                origins[position] = origin
+                continue
+            # Duplicates are legal only when byte-equal (an idempotent
+            # re-spool); disagreeing records mean two different cells
+            # claimed one grid position.
+            if canonical_cell_payload(existing) != \
+                    canonical_cell_payload(cell_result):
+                raise SpoolError(
+                    f"conflicting spool records for cell "
+                    f"{position}: {origins[position]} and {origin} "
+                    f"disagree"
+                )
+    if sorted(merged) != list(range(total)):
+        missing = sorted(set(range(total)) - set(merged))
+        raise RuntimeError(
+            f"parallel merge incomplete: spool is missing cells "
+            f"{missing}"
+        )
+    return [merged[position] for position in range(total)]
+
+
+def _merge_shard_metrics(obs_path: Path, shards: Iterable[Shard]) -> None:
     """Fold the workers' metrics part files into one position-sorted
     ``metrics.jsonl`` — byte-identical to the file a sequential run writes —
     then delete the parts.
@@ -421,7 +439,7 @@ def _merge_shard_metrics(obs_path: Path, plan: ExecutionPlan) -> None:
     """
     lines: List[Tuple[int, str]] = []
     parts: List[Path] = []
-    for shard in plan.shards:
+    for shard in shards:
         part = _shard_metrics_path(obs_path, shard.index)
         if not part.exists():
             continue

@@ -234,8 +234,13 @@ class Network:
             raise ValueError(f"unknown fault event kind {event.kind!r}")
 
     def node_is_up(self, node_id: Hashable) -> bool:
-        """Whether ``node_id`` is currently up."""
-        return self.node(node_id).alive and self._faults.node_is_up(node_id)
+        """Whether ``node_id`` is currently up, by the one liveness record:
+        the fault plan's ``crashed_nodes`` (:meth:`crash_node`,
+        :meth:`recover_node` and :meth:`reset_for_reuse` keep every
+        ``Node.alive`` equal to it)."""
+        if node_id not in self._nodes:
+            raise UnknownNodeError(node_id)
+        return node_id not in self._faults.crashed_nodes
 
     def up_nodes(self) -> List[Hashable]:
         """Identifiers of all currently-up nodes."""
@@ -317,8 +322,6 @@ class Network:
         ``category`` in :attr:`stats`.  Crashed destinations and destinations
         cut off by failed links count as unreachable.
         """
-        if source not in self._graph:
-            raise UnknownNodeError(source)
         if not self.node_is_up(source):
             raise NodeDownError(source)
         mode = mode or self._delivery_mode
@@ -341,15 +344,6 @@ class Network:
                 # per-message delivery would (plans dedup, so bypass them).
                 outcome = self._deliver_with_duplicates(source, destinations, mode)
 
-        # Drop destinations whose node object crashed without a fault-plan
-        # entry (defensive; crash_node keeps them in sync).
-        dead = frozenset(
-            d for d in outcome.reached if d != source and not self.node_is_up(d)
-        )
-        if dead:
-            outcome = DeliveryOutcome(
-                outcome.reached - dead, outcome.hops, outcome.unreachable | dead
-            )
         self._stats.record(category, outcome.hops, message_count=message_count)
         if message_count == len(targets):
             delivered = len(outcome.reached)
@@ -397,8 +391,6 @@ class Network:
                 reached.add(destination)
                 continue
             if mode == "ideal":
-                if destination not in self._graph:
-                    raise UnknownNodeError(destination)
                 if self.node_is_up(destination):
                     reached.add(destination)
                     hops += 1

@@ -141,6 +141,20 @@ def dump_metrics_line(
     return json.dumps(record, sort_keys=True) + "\n"
 
 
+def write_cell_export(
+    directory, position: int, meta: Dict[str, str], tracer, result, metrics_fp
+) -> None:
+    """Write one executed cell's share of an export directory: its span
+    tree, its line of the open metrics JSONL ``metrics_fp`` and — for a
+    timed cell — its exemplar timelines, all keyed on ``position``."""
+    tracer.to_path(cell_span_path(directory, position))
+    metrics_fp.write(
+        dump_metrics_line(position, meta, result.metrics.registry)
+    )
+    if result.exemplars:
+        write_timelines(timeline_path(directory, position), result.exemplars)
+
+
 def load_metrics(path) -> List[Tuple[Dict[str, object], MetricsRegistry]]:
     """Read a metrics JSONL file: ``(meta, registry)`` per line, by
     position."""

@@ -11,11 +11,23 @@ Concrete strategies fall into two groups:
 
 from __future__ import annotations
 
+import hashlib
 from typing import FrozenSet, Hashable, Iterable, Optional
 
 from ..core.exceptions import StrategyError
 from ..core.strategy import MatchMakingStrategy
 from ..topologies.base import Topology
+
+
+def stable_digest(*parts: str) -> int:
+    """A deterministic integer digest of the given string parts.
+
+    Python's built-in ``hash`` is randomised per process, so the hashing
+    strategies place replicas with SHA-256 instead; only determinism and
+    spread matter here, not cryptographic strength.
+    """
+    joined = "\x1f".join(parts)
+    return int.from_bytes(hashlib.sha256(joined.encode("utf-8")).digest()[:8], "big")
 
 
 class UniverseStrategy(MatchMakingStrategy):

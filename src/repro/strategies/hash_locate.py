@@ -15,23 +15,11 @@ provides a backup rendezvous node).
 
 from __future__ import annotations
 
-import hashlib
 from typing import FrozenSet, Hashable, Iterable, List, Optional, Sequence
 
 from ..core.exceptions import StrategyError
 from ..core.types import Port
-from .base import UniverseStrategy
-
-
-def _stable_digest(*parts: str) -> int:
-    """A deterministic integer digest of the given string parts.
-
-    Python's built-in ``hash`` is randomised per process, so experiments use
-    SHA-256 instead; only determinism and spread matter here, not
-    cryptographic strength.
-    """
-    joined = "\x1f".join(parts)
-    return int.from_bytes(hashlib.sha256(joined.encode("utf-8")).digest()[:8], "big")
+from .base import UniverseStrategy, stable_digest
 
 
 class HashLocateStrategy(UniverseStrategy):
@@ -83,7 +71,7 @@ class HashLocateStrategy(UniverseStrategy):
                 "Hash Locate is port-dependent: a port must be supplied"
             )
         n = len(self._ordered)
-        start = _stable_digest(self._salt, port.name) % n
+        start = stable_digest(self._salt, port.name) % n
         # Successive replicas walk the node ring from the hashed start with a
         # port-dependent stride (coprime strides would be overkill; linear
         # probing suffices to produce distinct nodes).

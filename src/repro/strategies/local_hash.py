@@ -26,18 +26,13 @@ network*, so
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional
 
 from ..core.exceptions import StrategyError
 from ..core.strategy import MatchMakingStrategy
 from ..core.types import Port
 from ..topologies.hierarchical import HierarchicalTopology, HierNode
-
-
-def _digest(*parts: str) -> int:
-    joined = "\x1f".join(parts)
-    return int.from_bytes(hashlib.sha256(joined.encode("utf-8")).digest()[:8], "big")
+from .base import stable_digest
 
 
 class ScopedHashStrategy(MatchMakingStrategy):
@@ -143,7 +138,7 @@ class ScopedHashStrategy(MatchMakingStrategy):
         # but independently across neighbourhoods (load spreading).
         scope = self.scope_of(port)
         prefix = self._topology.cluster_prefix(node, scope)
-        start = _digest(port.name, repr(prefix)) % len(candidates)
+        start = stable_digest(port.name, repr(prefix)) % len(candidates)
         chosen = []
         position = start
         while len(chosen) < self._replicas:

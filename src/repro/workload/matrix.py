@@ -21,9 +21,11 @@ fresh network (and to a replay of its recorded trace).
 Every cell's seed derives from a stable hash of its grid coordinates
 (:func:`~repro.workload.spec.stable_seed`), never from draw order, so a
 cell's random streams are identical no matter which order — or which worker
-process — runs it.  ``run_matrix(..., workers=N)`` hands the grid to the
-parallel execution engine (:mod:`repro.exec`), whose merged report is
-byte-identical to the sequential run (:meth:`MatrixReport.digest`).
+process — runs it.  :func:`run_matrix` holds no loop over cells: it hands
+the grid to the execution engine (:mod:`repro.exec`), whose one cell loop
+runs it as a single in-process shard by default and across worker
+processes for ``workers=N``, with a byte-identical report
+(:meth:`MatrixReport.digest`) either way.
 
 The per-cell results aggregate into a :class:`MatrixReport`: hop
 percentiles, cache hit rate, plan-cache hit rate and availability under
@@ -41,8 +43,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.exceptions import StrategyError
 from ..network.delivery import plan_hit_rates
 from ..network.simulator import Network
-from ..obs import export as _obs_export
-from ..obs.profile import CELL_RUN, TOPOLOGY_BUILD, PhaseProfile, phase, profiling
 from ..obs.registry import CounterMap
 from ..obs.spans import SpanRecorder
 from ..simtime.model import TimeModelSpec
@@ -332,7 +332,10 @@ class MatrixReport:
         self._cells = list(cells)
         self._skipped = [dict(entry) for entry in skipped]
         self._profile = dict(profile) if profile else None
-        self._cache = dict(cache) if cache is not None else None
+        self._cache = (
+            {key: int(cache[key]) for key in sorted(cache)}
+            if cache is not None else None
+        )
 
     @property
     def profile(self) -> Optional[Dict[str, object]]:
@@ -343,10 +346,6 @@ class MatrixReport:
         :meth:`digest` — profiling a run never changes its identity.
         """
         return dict(self._profile) if self._profile else None
-
-    def attach_profile(self, profile: Dict[str, object]) -> None:
-        """Install the run's wall-clock profile section."""
-        self._profile = dict(profile)
 
     @property
     def cache_stats(self) -> Optional[Dict[str, int]]:
@@ -359,10 +358,6 @@ class MatrixReport:
         :meth:`canonical_dict`, exactly like ``profile``.
         """
         return dict(self._cache) if self._cache is not None else None
-
-    def attach_cache_stats(self, stats: Dict[str, int]) -> None:
-        """Install the run's cache/pool counter section."""
-        self._cache = {key: int(stats[key]) for key in sorted(stats)}
 
     @property
     def grid(self) -> Dict[str, object]:
@@ -564,8 +559,8 @@ def run_cell(
     network: Optional[Network] = None,
     tracer: Optional[SpanRecorder] = None,
 ) -> Tuple[CellResult, WorkloadResult]:
-    """Execute one expanded cell (the sequential loop and every parallel
-    worker both land here, so the two paths cannot drift).
+    """Execute one expanded cell (the execution engine's cell loop lands
+    here for every cell, whichever process runs it).
 
     ``tracer`` collects the driver's span tree for this cell; spans are
     logical-clock stamped, so tracing never changes the cell's results.
@@ -596,25 +591,6 @@ def write_cell_trace(trace_dir, position: int, result: WorkloadResult) -> Path:
     return path
 
 
-def shared_network_for(
-    networks: Dict[str, Network], spec: ScenarioSpec
-) -> Network:
-    """The per-topology shared network for ``spec``, built on first use.
-
-    The driver resets it before every run, so sharing never changes a
-    cell's metrics — it only amortizes the O(n²) routing construction and
-    keeps fault-free delivery-plan caches warm across same-topology cells.
-    """
-    network = networks.get(spec.topology)
-    if network is None:
-        with phase(TOPOLOGY_BUILD):
-            network = build_topology(spec.topology).build_network(
-                delivery_mode=spec.delivery_mode
-            )
-        networks[spec.topology] = network
-    return network
-
-
 def run_matrix(
     matrix: MatrixSpec,
     share_networks: bool = True,
@@ -635,12 +611,13 @@ def run_matrix(
     only retained when ``keep_results`` is set — a large grid's traces can
     dwarf the report.
 
-    ``workers`` > 1 dispatches the grid through the parallel execution
-    engine (:mod:`repro.exec`): cells shard across worker processes with
-    topology affinity and the merged report is byte-identical (see
-    :meth:`MatrixReport.digest`) to this function's sequential output;
-    ``workers=0`` means one worker per CPU.  ``progress`` is called as
-    ``progress(done_cells, total_cells)`` while the grid runs, and
+    The grid runs through the execution engine (:mod:`repro.exec`).  By
+    default (``workers`` ``None`` or 1) that is one shard executed in this
+    process — no worker processes, no spool files.  ``workers`` > 1 shards
+    the cells across worker processes with topology affinity and merges a
+    report byte-identical (see :meth:`MatrixReport.digest`) to the default
+    run's; ``workers=0`` means one worker per CPU.  ``progress`` is called
+    as ``progress(done_cells, total_cells)`` while the grid runs, and
     ``trace_dir`` spools every cell's trace as a replayable JSONL file.
 
     ``obs_dir`` enables the observability export (per-cell span trees,
@@ -654,123 +631,24 @@ def run_matrix(
     (:mod:`repro.exec.cache`): unchanged cells are served from disk
     instead of executed (runs that must produce per-cell artifacts —
     kept results, traces, the obs export — still execute everything but
-    populate the cache for later plain runs).  Sequential and parallel
-    runs share entries, and the report digest is byte-identical with the
+    populate the cache for later plain runs).  Runs at any worker count
+    share entries, and the report digest is byte-identical with the
     cache cold, warm or absent; the counters land in the digest-excluded
     ``cache`` section.  ``pool`` is a live
-    :class:`~repro.exec.pool.WarmPool` and implies parallel dispatch.
+    :class:`~repro.exec.pool.WarmPool` and runs every shard in its
+    worker processes.
     """
-    if pool is not None or (workers is not None and workers != 1):
-        from ..exec.runner import run_matrix_parallel
+    from ..exec.runner import run_matrix_parallel  # local: import cycle
 
-        return run_matrix_parallel(
-            matrix,
-            workers=workers,
-            share_networks=share_networks,
-            keep_results=keep_results,
-            progress=progress,
-            trace_dir=trace_dir,
-            obs_dir=obs_dir,
-            profile=profile,
-            cache_dir=cache_dir,
-            pool=pool,
-        )
-    cells, skipped = matrix.expand()
-    run_profile = PhaseProfile("sequential") if profile else None
-    obs_path = _obs_export.export_dir(obs_dir) if obs_dir is not None else None
-    shard_tracer = SpanRecorder() if obs_path is not None else None
-    networks: Dict[str, Network] = {}
-    cell_results: List[CellResult] = []
-    results: List[WorkloadResult] = []
-    cache = runner = None
-    if cache_dir is not None:
-        from ..exec.cache import CellCache, IncrementalRunner
-
-        cache = CellCache(cache_dir)
-        runner = IncrementalRunner(
-            cache,
-            share_networks=share_networks,
-            reads=not (
-                keep_results or trace_dir is not None or obs_path is not None
-            ),
-        )
-    metrics_fp = None
-    try:
-        if obs_path is not None:
-            metrics_fp = open(
-                _obs_export.metrics_path(obs_path), "w", encoding="utf-8"
-            )
-        with profiling(run_profile):
-            shard_span = None
-            if shard_tracer is not None:
-                shard_span = shard_tracer.begin("shard", shard=0, cells=len(cells))
-            for position, cell in enumerate(cells):
-                if runner is not None:
-                    cached = runner.lookup(cell)
-                    if cached is not None:
-                        cell_results.append(cached)
-                        if progress is not None:
-                            progress(position + 1, len(cells))
-                        continue
-                network: Optional[Network] = None
-                if share_networks:
-                    network = shared_network_for(networks, cell.spec)
-                    if runner is not None:
-                        runner.warmup(cell, network)
-                cell_tracer = SpanRecorder() if obs_path is not None else None
-                with phase(CELL_RUN):
-                    cell_result, result = run_cell(
-                        cell, network=network, tracer=cell_tracer
-                    )
-                if runner is not None:
-                    runner.record(cell_result)
-                cell_results.append(cell_result)
-                if obs_path is not None:
-                    cell_tracer.to_path(
-                        _obs_export.cell_span_path(obs_path, position)
-                    )
-                    metrics_fp.write(_obs_export.dump_metrics_line(
-                        position,
-                        {
-                            "name": cell.spec.name,
-                            "topology": cell.topology,
-                            "strategy": cell.strategy,
-                            "regime": cell.regime,
-                        },
-                        result.metrics.registry,
-                    ))
-                    if result.exemplars:
-                        _obs_export.write_timelines(
-                            _obs_export.timeline_path(obs_path, position),
-                            result.exemplars,
-                        )
-                    shard_tracer.set_clock(float(position))
-                    shard_tracer.event(
-                        "cell-run", position=position, cell=cell.spec.name
-                    )
-                if trace_dir is not None:
-                    write_cell_trace(trace_dir, position, result)
-                if keep_results:
-                    results.append(result)
-                if progress is not None:
-                    progress(position + 1, len(cells))
-            if shard_tracer is not None:
-                shard_tracer.end(shard_span, cells=len(cells))
-                shard_tracer.to_path(_obs_export.shard_span_path(obs_path, 0))
-    finally:
-        if metrics_fp is not None:
-            metrics_fp.close()
-    report = MatrixReport(matrix.to_dict(), cell_results, skipped)
-    if cache is not None:
-        report.attach_cache_stats(cache.stats())
-        if obs_path is not None:
-            _obs_export.write_cache_stats(
-                _obs_export.cache_stats_path(obs_path), cache.stats()
-            )
-    if run_profile is not None:
-        if obs_path is not None:
-            _obs_export.write_profiles(
-                _obs_export.profile_path(obs_path), [run_profile]
-            )
-        report.attach_profile(_obs_export.profiles_dict([run_profile]))
-    return report, results
+    return run_matrix_parallel(
+        matrix,
+        workers=1 if workers is None else workers,
+        share_networks=share_networks,
+        keep_results=keep_results,
+        progress=progress,
+        trace_dir=trace_dir,
+        obs_dir=obs_dir,
+        profile=profile,
+        cache_dir=cache_dir,
+        pool=pool,
+    )

@@ -90,3 +90,27 @@ class TestSortedFixIsGuarded:
             f.path.endswith("core/strategy.py") and "validate" in f.symbol
             for f in det004
         )
+
+
+class TestShardPayloadIsGuarded:
+    def test_unpicklable_payload_field_trips_pkl001(self, tmp_path):
+        # The shard payload is what crosses into worker processes; PKL001
+        # must read its named fields.
+        scratch = tmp_path / "repro"
+        shutil.copytree(
+            PACKAGE_DIR, scratch,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        runner = scratch / "exec" / "runner.py"
+        source = runner.read_text()
+        field = "    spool_path: Optional[str]\n"
+        assert source.count(field) == 1
+        runner.write_text(source.replace(
+            field, field + "    on_cell: Optional[Callable] = None\n"
+        ))
+        pkl001 = [
+            f for f in analyze_paths([scratch]).new if f.rule == "PKL001"
+        ]
+        assert len(pkl001) == 1, pkl001
+        assert pkl001[0].path.endswith("exec/runner.py")
+        assert "on_cell" in pkl001[0].snippet

@@ -220,6 +220,21 @@ class TestWarmPool:
         assert second_stats.get("pool_network_reuses", 0) + \
             second_stats.get("pool_network_builds", 0) == 3
 
+    def test_one_shard_plan_still_runs_in_the_pool(self):
+        # A one-topology grid plans to a single shard; given a pool it must
+        # run there like any other plan, not fall back to an in-process
+        # run that ignores the pool (cache_stats None, network rebuilt on
+        # every call).  One worker makes the reuse deterministic.
+        one = grid(topologies=("manhattan:4",))
+        plain, _ = run_matrix(one)
+        assert plain.cache_stats is None
+        with WarmPool(workers=1) as pool:
+            first, _ = run_matrix(one, pool=pool)
+            second, _ = run_matrix_parallel(one, pool=pool)
+        assert first.digest() == second.digest() == plain.digest()
+        assert first.cache_stats == {"pool_network_builds": 1}
+        assert second.cache_stats == {"pool_network_reuses": 1}
+
     def test_invalidate_forces_rebuilds(self):
         with WarmPool(workers=2) as pool:
             run_matrix_parallel(grid(), pool=pool)

@@ -9,12 +9,18 @@ the process boundary is pinned here too — that is what lets results (with
 traces) travel back from workers at all.
 """
 
+import ast
+import dataclasses
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.exec import ExecutionPlan, WarmPool, load_spool
 from repro.exec.runner import run_matrix_parallel
+from repro.simtime import LinkTiming, TimeModelSpec
 from repro.workload import (
     ArrivalSpec,
     ChurnSpec,
@@ -207,3 +213,204 @@ class TestProcessBoundaryPayloads:
         assert seen[-1] == (18, 18)
         counts = [done for done, _ in seen]
         assert counts == sorted(counts)
+
+
+# -- the execution-invariance contract ---------------------------------------------
+
+TIME_MODEL = TimeModelSpec(
+    default_link=LinkTiming(latency=0.0005, jitter=0.0001),
+    node_service=0.0008,
+)
+
+
+def contract_matrix(
+    topologies=("complete:16", "manhattan:4", "hypercube:4"),
+) -> MatrixSpec:
+    """Timed and untimed cells, faulted and fault-free, three topologies."""
+    return MatrixSpec(
+        name="contract",
+        topologies=topologies,
+        strategies=("checkerboard", "centralized"),
+        fault_regimes=REGIMES[:2],
+        base=dataclasses.replace(BASE, operations=40),
+        time_models=(None, TIME_MODEL),
+    )
+
+
+def run_everything_on(matrix, root: Path, workers, pool=None):
+    """One sweep with every optional section enabled at once."""
+    return run_matrix_parallel(
+        matrix, workers=workers, pool=pool, keep_results=True, profile=True,
+        obs_dir=root / "obs", trace_dir=root / "traces",
+        spool_dir=root / "spool", cache_dir=root / "cache",
+    )
+
+
+def cell_files(root: Path) -> dict:
+    """Bytes of every file that must not depend on how the grid executed."""
+    patterns = (
+        "obs/spans-cell-*.jsonl", "obs/timelines-cell-*.jsonl",
+        "obs/metrics.jsonl", "traces/cell-*.jsonl",
+    )
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for pattern in patterns for path in sorted(root.glob(pattern))
+    }
+
+
+@pytest.fixture(scope="module")
+def contract_reference(tmp_path_factory):
+    """The default sweep — ``run_matrix(m)``, one in-process shard — with
+    every section on."""
+    root = tmp_path_factory.mktemp("contract-reference")
+    report, results = run_everything_on(contract_matrix(), root, workers=1)
+    return root, report, results
+
+
+class TestExecutionInvarianceContract:
+    """Where and how a grid executes changes nothing it reports or writes."""
+
+    def test_reference_covers_every_section(self, contract_reference):
+        root, report, results = contract_reference
+        assert report.digest() == run_matrix(contract_matrix())[0].digest()
+        files = cell_files(root)
+        assert len(report) == len(results) == 24
+        for kind in ("obs/spans-cell-", "traces/cell-"):
+            assert sum(name.startswith(kind) for name in files) == 24
+        # Only the timed half of the grid writes exemplar timelines.
+        assert sum(n.startswith("obs/timelines-cell-") for n in files) == 12
+        assert list(report.profile) == ["sequential"]
+        assert (root / "obs" / "spans-shard-000.jsonl").exists()
+        assert not (root / "obs" / "spans-merge.jsonl").exists()
+        assert not list((root / "obs").glob("metrics-shard-*.jsonl"))
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["fresh", "pooled"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_section_on_at_once(
+        self, contract_reference, tmp_path, workers, pooled
+    ):
+        reference_root, reference, reference_results = contract_reference
+        matrix = contract_matrix()
+        pool = WarmPool(workers) if pooled else None
+        try:
+            report, results = run_everything_on(
+                matrix, tmp_path, workers, pool
+            )
+            # Artifact runs keep the cache write-through; a plain re-run
+            # over the same directory is then served entirely from it.
+            warm, _ = run_matrix_parallel(
+                matrix, workers=workers, pool=pool,
+                cache_dir=tmp_path / "cache",
+            )
+        finally:
+            if pool is not None:
+                pool.close()
+        assert report.digest() == warm.digest() == reference.digest()
+        assert report.cache_stats["stored"] == len(report)
+        assert report.cache_stats["hits"] == 0
+        assert warm.cache_stats["hits"] == len(report)
+        assert warm.cache_stats["misses"] == 0
+        assert cell_files(tmp_path) == cell_files(reference_root)
+        # Kept results come back in grid position order.
+        assert [result.spec for result in results] == \
+            [result.spec for result in reference_results]
+        assert [result.digest() for result in results] == \
+            [result.digest() for result in reference_results]
+        # Each shard's spool holds exactly its planned positions.
+        plan = ExecutionPlan.from_matrix(matrix, workers)
+        assert len(plan.shards) == workers
+        spools = sorted((tmp_path / "spool").iterdir())
+        assert len(spools) == workers
+        for shard, spool in zip(plan.shards, spools):
+            assert [position for position, _ in load_spool(spool)] == \
+                [indexed.position for indexed in shard.cells]
+        in_process = workers == 1 and not pooled
+        assert list(report.profile) == (
+            ["sequential"] if in_process
+            else ["parent"] + [f"shard-{i}" for i in range(workers)]
+        )
+        assert (tmp_path / "obs" / "spans-merge.jsonl").exists() != in_process
+
+    def test_repeated_topology_runs_its_cells_together(self, tmp_path):
+        """A topology named twice on the axis is one group: the one-shard
+        plan runs its cells back to back (not in expansion order), which
+        must be as invisible as any other sharding."""
+        matrix = contract_matrix(
+            topologies=("complete:16", "manhattan:4", "complete:16")
+        )
+        plan = ExecutionPlan.from_matrix(matrix, 1)
+        order = [indexed.position for indexed in plan.shards[0].cells]
+        assert sorted(order) == list(range(24)) and order != sorted(order)
+        one, kept_one = run_everything_on(matrix, tmp_path / "one", workers=1)
+        two, kept_two = run_everything_on(matrix, tmp_path / "two", workers=2)
+        assert one.digest() == two.digest()
+        assert cell_files(tmp_path / "one") == cell_files(tmp_path / "two")
+        assert [result.digest() for result in kept_one] == \
+            [result.digest() for result in kept_two]
+
+    def test_plain_sweeps_stay_in_process_and_file_free(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.exec.runner as runner_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a plain sweep must not spool or spawn")
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", forbidden)
+        monkeypatch.setattr(runner_module, "shard_spool_path", forbidden)
+        monkeypatch.setattr(runner_module.tempfile, "mkdtemp", forbidden)
+        monkeypatch.chdir(tmp_path)
+        matrix = parallel_matrix()
+        plain, _ = run_matrix(matrix)
+        cold, _ = run_matrix(matrix, cache_dir=tmp_path / "cache")
+        warm, _ = run_matrix(matrix, cache_dir=tmp_path / "cache")
+        assert plain.digest() == cold.digest() == warm.digest()
+        assert warm.cache_stats["hits"] == len(warm) == 18
+        assert [path.name for path in tmp_path.iterdir()] == ["cache"]
+
+
+class TestOneCellLoop:
+    """The structure the contract above relies on, pinned at the AST."""
+
+    @staticmethod
+    def _functions_calling(name: str) -> list:
+        callers = []
+        root = Path(repro.__file__).parent
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for scope in ast.walk(tree):
+                if not isinstance(scope, ast.FunctionDef):
+                    continue
+                for node in ast.walk(scope):
+                    called = getattr(node, "func", None)
+                    if isinstance(node, ast.Call) and name in (
+                        getattr(called, "id", None),
+                        getattr(called, "attr", None),
+                    ):
+                        callers.append(
+                            f"{path.relative_to(root)}:{scope.name}"
+                        )
+        return callers
+
+    def test_run_cell_has_one_caller_besides_the_warmup_replay(self):
+        assert self._functions_calling("run_cell") == [
+            "exec/cache.py:warmup", "exec/runner.py:run_shard",
+        ]
+
+    def test_run_matrix_has_no_loop(self):
+        path = Path(repro.__file__).parent / "workload" / "matrix.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        run_matrix_def = next(
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "run_matrix"
+        )
+        loops = (
+            ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+            ast.GeneratorExp,
+        )
+        assert not [
+            node for node in ast.walk(run_matrix_def)
+            if isinstance(node, loops)
+        ]
+        assert "exec/runner.py:run_matrix_parallel" not in \
+            self._functions_calling("run_matrix")

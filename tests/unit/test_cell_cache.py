@@ -53,6 +53,27 @@ class TestKeySensitivity:
     def test_key_is_stable_for_identical_cells(self):
         assert cell_cache_key(cell()) == cell_cache_key(cell())
 
+    def test_keys_are_pinned_so_existing_cache_dirs_stay_valid(self):
+        # Literal values from the commit that introduced schema version 1:
+        # any change to how keys are hashed must either reproduce them or
+        # bump CACHE_SCHEMA_VERSION.
+        assert CACHE_SCHEMA_VERSION == 1
+        first = cell()
+        second = cell(
+            strategy="centralized", key="complete:9/centralized/none"
+        )
+        assert spec_fingerprint(first) == (
+            "c9c248928aa91264246ea3e9c4b459a53a4dfea0bb63bb943da488b94b8244ef"
+        )
+        assert cell_cache_key(first) == (
+            "47b456bfb1634235a07cac70be2b57fff02adde48bfc8237e7b5f5f6b521eb63"
+        )
+        keyer = CellKeyer()
+        assert keyer.key(first) == cell_cache_key(first)
+        assert keyer.key(second) == (
+            "029210af553985f7da1c747ae6c4b127ef11354bb24456b6ef5ce92ea8b1b5a0"
+        )
+
     @pytest.mark.parametrize("field_name,value", [
         ("operations", 51),
         ("clients", 4),

@@ -223,6 +223,38 @@ class TestApplyFault:
             network.apply_fault(event)
         assert network.faults.revision == before + 3
 
+    def test_node_objects_track_the_fault_plan(self, grid, rng):
+        # Network.node_is_up asks only FaultPlan.crashed_nodes; this is the
+        # promise that lets it: every Node.alive equals that record after
+        # each crash/recover event and after a reset with nodes down.
+        network = Network(grid, delivery_mode="unicast")
+
+        def in_sync():
+            return all(
+                node.alive == (node.node_id not in network.faults.crashed_nodes)
+                and node.alive == network.node_is_up(node.node_id)
+                for node in network.nodes()
+            )
+
+        timeline = crash_recover_waves(
+            grid, rng, waves=4, wave_size=3, start=0.0, period=1.0,
+            downtime=2.5,
+        )
+        assert timeline.event_counts()[CRASH_NODE] >= 4
+        down_at_some_point = False
+        for index, event in enumerate(timeline):
+            network.apply_fault(event)
+            assert in_sync(), f"out of sync after event {index}: {event}"
+            down_at_some_point |= bool(network.faults.crashed_nodes)
+        assert down_at_some_point
+        network.crash_node((0, 0))
+        network.crash_node((3, 3))
+        network.reset_for_reuse()
+        assert in_sync() and network.node_is_up((0, 0))
+        network.crash_node((1, 2))
+        network.reset_to_cold()
+        assert in_sync() and network.node_is_up((1, 2))
+
 
 class TestFaultPlanClear:
     def test_clear_empty_plan_keeps_revision(self):

@@ -36,6 +36,17 @@ class TestHashLocateStrategy:
         b = HashLocateStrategy(UNIVERSE)
         assert a.rendezvous_nodes(port) == b.rendezvous_nodes(port)
 
+    def test_replica_placement_is_pinned(self):
+        # The hash both strategies share (strategies.base.stable_digest)
+        # decides where every posting lives; moving it moves every digest.
+        strategy = HashLocateStrategy(
+            [f"n{i}" for i in range(16)], replicas=3, salt="s1"
+        )
+        assert strategy.rendezvous_nodes(Port("print-service")) == \
+            {"n10", "n11", "n12"}
+        assert strategy.rendezvous_nodes(Port("file-service")) == \
+            {"n0", "n1", "n10"}
+
     def test_different_ports_usually_different_nodes(self):
         strategy = HashLocateStrategy(UNIVERSE)
         nodes = {

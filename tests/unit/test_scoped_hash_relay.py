@@ -118,6 +118,15 @@ class TestScopedHashStrategy:
         with pytest.raises(StrategyError):
             too_many.post_set((0, 0, 0), LOCAL)
 
+    def test_replica_placement_is_pinned(self, hierarchy):
+        strategy = ScopedHashStrategy(
+            hierarchy, scopes={LOCAL: 1, CAMPUS: 2}, replicas=2
+        )
+        assert strategy.rendezvous_nodes((0, 0, 0), LOCAL) == \
+            {(0, 0, 0), (0, 0, 2)}
+        assert strategy.rendezvous_nodes((0, 0, 0), CAMPUS) == \
+            {(0, 2, 0), (0, 2, 1)}
+
     def test_invalid_replicas(self, hierarchy):
         with pytest.raises(StrategyError):
             ScopedHashStrategy(hierarchy, replicas=0)
