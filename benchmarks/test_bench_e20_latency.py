@@ -96,6 +96,11 @@ def test_bench_e20_latency(benchmark, record):
                 "mean_us": latency["mean"],
                 "queue_wait_p99_us": queues["wait_us"]["p99"],
                 "virtual_seconds": queues["virtual_us"] / 1e6,
+                # Program-owned work counts: how many stations the pricing
+                # loop visited and how many messages it dropped.  Unlike
+                # profiler call counts they are the same on every Python.
+                "queue_visits": queues["depth"]["count"],
+                "message_timeouts": queues["message_timeouts"],
             }
 
     # The headline: same traffic, same links — the centralized server's

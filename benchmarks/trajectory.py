@@ -45,7 +45,8 @@ WALL_CLOCK_TOLERANCE = 0.70
 #: Every gated metric: dotted path into BENCH_workload.json, the direction
 #: that counts as *better*, and the relative tolerance before a worse value
 #: fails.  ``lower`` fails when value > baseline * (1 + tol); ``higher``
-#: fails when value < baseline * (1 - tol).
+#: fails when value < baseline * (1 - tol); ``equal`` (a count with no
+#: better direction) fails when value leaves baseline * (1 +/- tol).
 TRACKED: Tuple[Tuple[str, str, float], ...] = (
     # E15 — the workload engine under production traffic.
     ("strategies.checkerboard.p95_locate_hops", "lower", 0.0),
@@ -76,6 +77,11 @@ TRACKED: Tuple[Tuple[str, str, float], ...] = (
     ("latency.checkerboard.poisson.p99_us", "lower", 0.0),
     ("latency.checkerboard.burst.p99_us", "lower", 0.0),
     ("latency.p99_ratio_poisson", "higher", 0.0),
+    # The pricing loop's own work counts on the burst scenario: a rewrite
+    # of the overlay must visit exactly as many stations and drop exactly
+    # as many messages as before — on any Python version.
+    ("latency.checkerboard.burst.queue_visits", "equal", 0.0),
+    ("latency.checkerboard.burst.message_timeouts", "equal", 0.0),
     # E21 — tail-latency attribution.  The dominant contributor's share of
     # the critical path is a structural fact of the burst workload and
     # fully deterministic; the rendezvous bottleneck may sharpen but must
@@ -121,7 +127,13 @@ def check_trajectory(
                 f"{path}: tracked metric missing (baseline recorded {base})"
             )
             continue
-        if direction == "lower":
+        note = f"{direction} is better"
+        if direction == "equal":
+            slack = abs(base) * tolerance
+            ok = abs(value - base) <= slack
+            band = f"within {slack:g} of {base:g}"
+            note = "must not move"
+        elif direction == "lower":
             limit = base * (1 + tolerance)
             ok = value <= limit
             band = f"<= {limit:g}"
@@ -129,10 +141,7 @@ def check_trajectory(
             limit = base * (1 - tolerance)
             ok = value >= limit
             band = f">= {limit:g}"
-        line = (
-            f"{path}: {value:g} (baseline {base:g}, band {band}, "
-            f"{direction} is better)"
-        )
+        line = f"{path}: {value:g} (baseline {base:g}, band {band}, {note})"
         (passes if ok else failures).append(line)
     return failures, passes, skips
 

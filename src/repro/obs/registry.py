@@ -18,7 +18,8 @@ working while merge/diff/snapshot stop being hand-rolled loops.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_left
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .timeline import Timeline
 
@@ -100,13 +101,12 @@ class Histogram:
 
     def _slot(self, value: int) -> int:
         """The bucket key a sample of ``value`` is counted under."""
-        if self._buckets is None:
+        buckets = self._buckets
+        if not buckets:  # exact mode (or no bounds at all)
             return value
-        for bound in self._buckets:
-            if value <= bound:
-                return bound
+        index = bisect_left(buckets, value)
         # Overflow bucket: one past the last bound marks "beyond all bounds".
-        return self._buckets[-1] + 1 if self._buckets else value
+        return buckets[index] if index < len(buckets) else buckets[-1] + 1
 
     def add(self, value: int, count: int = 1) -> None:
         """Record ``count`` samples of ``value``."""
@@ -116,6 +116,20 @@ class Histogram:
         self._counts[slot] = self._counts.get(slot, 0) + count
         self._total += count
         self._sum += value * count
+
+    def add_many(self, values: Sequence[int]) -> None:
+        """Record one sample of each of ``values`` — ``add`` in bulk, for
+        owners that tally locally and flush once.  All-or-nothing: a
+        negative sample raises before anything is recorded."""
+        if not values:
+            return
+        if min(values) < 0:
+            raise ValueError("value must be >= 0")
+        counts = self._counts
+        for slot in map(self._slot, values) if self._buckets else values:
+            counts[slot] = counts.get(slot, 0) + 1
+        self._total += len(values)
+        self._sum += sum(values)
 
     @property
     def count(self) -> int:

@@ -11,18 +11,25 @@ overlay prices the batches on the discrete-event kernel:
 1. batch ``k`` starts when batch ``k - 1`` finished (the synchronous
    execution already established the causal order: replies follow queries,
    the payload follows the locate);
-2. each message walks its shortest path hop by hop — every link is a
-   :class:`~repro.simtime.queueing.FifoResource` with the model's latency,
-   seeded jitter and capacity, every node a FIFO server with the model's
-   service time;
+2. a message is a flat record and a kernel event is data — *this message
+   reaches hop i of its path at time t*.  One handler prices every event:
+   it looks the hop ``(u, v)`` up in the **station table** (the link's
+   :class:`~repro.simtime.queueing.FifoResource`, latency and jitter, the
+   far node's FIFO server and service time — resolved once per directed
+   pair per run, both directions of a link sharing one queue), draws the
+   seeded jitter, admits the message to the two queues and schedules its
+   arrival at hop ``i + 1``;
 3. queue state persists across requests, so an open-loop arrival stream
    genuinely contends: a hot centralized node's queue grows while
    checkerboard traffic spreads — hop counts become p50/p99 latency.
 
 Request latency is the virtual time from the op's arrival to its last
-batch completion, recorded in integer microseconds.  Everything is a pure
-function of (trace, model, seed): replaying a trace reproduces every
-histogram bucket exactly.
+batch completion, recorded in integer microseconds.  What the queue visits
+observe on the way — waits, depths, per-window admissions and drops, link
+busy time — is tallied while the request is priced and reaches the metrics
+registry in **one flush per request**.  Everything is a pure function of
+(trace, model, seed): replaying a trace reproduces every histogram bucket
+exactly.
 
 Beyond the latency number, the overlay keeps each request's **causal
 timeline**: every priced message records its timed segments —
@@ -42,6 +49,7 @@ consumers ride on it:
 * **exemplars**: the slowest-``k`` requests per run keep their full
   timeline (seed-deterministic, excluded from result digests), exported
   as ``timelines-cell-NNNN.jsonl`` for ``python -m repro obs attribute``.
+  The JSON form is built lazily — only for a request the reservoir keeps.
 """
 
 from __future__ import annotations
@@ -58,6 +66,16 @@ from .queueing import FifoResource
 #: One captured message: (source, destination).
 _Message = Tuple[Hashable, Hashable]
 
+#: One message being priced: ``[source, destination, path, segments,
+#: completed]`` — raw node ids, ``(kind, where, start, end)`` float-second
+#: segments, the arrival time (``None`` = dropped by a queue-wait timeout).
+_Priced = List[object]
+_PATH, _SEGMENTS, _COMPLETED = 2, 3, 4
+
+#: What the hop ``u -> v`` contends on and costs: ``(link_key, link queue,
+#: latency, jitter, repr(v), v's service queue or None, service time)``.
+_Station = Tuple[str, FifoResource, float, float, str, Optional[FifoResource], float]
+
 #: Microseconds per virtual second (latency histograms are integer-valued).
 _US = 1_000_000
 
@@ -68,13 +86,8 @@ SLOWEST_K = 8
 def _to_us(seconds: float) -> int:
     """Virtual seconds as integer microseconds (histograms are
     integer-valued; one microsecond of quantization is far below any
-    modeled latency)."""
-    return int(round(seconds * _US))
-
-
-def contributor_key(phase: str, kind: str, where: str) -> str:
-    """The ``critical_path_us`` label for one blamed segment."""
-    return f"{phase}:{kind}:{where}"
+    modeled latency).  The per-visit paths spell this out inline."""
+    return round(seconds * _US)
 
 
 class TimedOverlay:
@@ -99,18 +112,29 @@ class TimedOverlay:
         self._network = network
         self._model = model
         self._metrics = metrics
+        self._window_us = metrics.timeline.width_us
         self._kernel = SimKernel()
         #: Jitter stream: consumed in kernel event order, so run and replay
         #: draw identically.
         self._jitter = random.Random(f"{seed}/simtime")
+        #: Queues by undirected link key / node repr, and the stations
+        #: (one per directed pair) that point into them.
         self._links: Dict[str, FifoResource] = {}
         self._nodes: Dict[str, FifoResource] = {}
+        self._stations: Dict[Tuple[Hashable, Hashable], _Station] = {}
         #: Captured batches of the in-flight request: (phase, messages).
         self._batches: List[Tuple[str, List[_Message]]] = []
         self._capturing = False
         self._arrival = 0.0
         self._horizon = 0.0
         self._sequence = 0
+        #: Tallies of the request being priced: per-visit waits and depths,
+        #: per-window ``[admitted, dropped, depth_peak]``, link busy, drops.
+        self._waits_us: List[int] = []
+        self._depths: List[int] = []
+        self._windows: Dict[int, List[int]] = {}
+        self._busy_us: Dict[str, int] = {}
+        self._timeouts = 0
         self._exemplar_k = exemplar_k
         #: Min-heap of (latency_us, -sequence, record): the smallest entry
         #: is evicted first, so ties on latency keep the *earlier* request
@@ -179,65 +203,78 @@ class TimedOverlay:
         span tree and outcome.
         """
         self._capturing = False
+        kernel = self._kernel
         clock = self._arrival
-        batch_records: List[Dict[str, object]] = []
+        priced: List[Tuple[str, List[_Priced]]] = []
         critical: List[Tuple[str, str, str, int]] = []
+        critical_us: Dict[str, int] = {}
         for phase, batch in self._batches:
-            records: List[Dict[str, object]] = []
+            messages: List[_Priced] = []
             for source, destination in batch:
-                records.append(
-                    self._launch(clock, source, destination)
-                )
-            self._kernel.run()
-            batch_records.append({"phase": phase, "messages": records})
-            survivors = [r for r in records if r["completed"] is not None]
-            if not survivors:
-                break
+                message = [
+                    source, destination, self._path(source, destination),
+                    [], None,
+                ]
+                messages.append(message)
+                kernel.schedule(clock, message)
+            kernel.run(self._visit)
+            priced.append((phase, messages))
             # The barrier-defining message: latest completion; ties keep
-            # the earliest launch index (records preserve batch order).
-            barrier = survivors[0]
-            for record in survivors[1:]:
-                if record["completed"] > barrier["completed"]:
-                    barrier = record
-            for kind, where, start, end in barrier["segments"]:
+            # the earliest launch index (messages preserve batch order).
+            barrier = None
+            for message in messages:
+                completed = message[_COMPLETED]
+                if completed is not None and (
+                    barrier is None or completed > barrier[_COMPLETED]
+                ):
+                    barrier = message
+            if barrier is None:
+                break
+            for kind, where, start, end in barrier[_SEGMENTS]:
                 # Microseconds as a difference of rounded endpoints, so the
                 # blamed segments telescope exactly: per batch they sum to
                 # completion - launch, across batches to the request's
                 # latency (each batch launches at its predecessor's
                 # completion).
-                segment_us = _to_us(end) - _to_us(start)
+                segment_us = round(end * _US) - round(start * _US)
                 if segment_us:
-                    self._metrics.observe_critical(
-                        contributor_key(phase, kind, where), segment_us
-                    )
+                    key = f"{phase}:{kind}:{where}"
+                    critical_us[key] = critical_us.get(key, 0) + segment_us
                     critical.append((phase, kind, where, segment_us))
-            clock = max(clock, barrier["completed"])
+            clock = max(clock, barrier[_COMPLETED])
         self._batches = []
         if clock > self._horizon:
             self._horizon = clock
         latency_us = _to_us(clock - self._arrival)
-        self._metrics.observe_latency(
-            latency_us, at_us=_to_us(clock), ok=ok
+        self._metrics.observe_priced_request(
+            latency_us, _to_us(clock), ok, self._waits_us, self._depths,
+            self._windows, self._busy_us, self._timeouts, critical_us,
         )
-        self._keep_exemplar(
-            latency_us, clock, span_id, ok, batch_records, critical
-        )
+        self._waits_us, self._depths = [], []
+        self._windows, self._busy_us, self._timeouts = {}, {}, 0
+        # Lazy exemplars: the record is built only for a request the
+        # reservoir keeps — exactly the set an eager push-then-pop-the-
+        # minimum would retain.
+        rank = (latency_us, -self._sequence)
+        reservoir = self._exemplars
+        full = len(reservoir) >= self._exemplar_k
+        if not full or (reservoir and rank > reservoir[0][:2]):
+            entry = rank + (self._exemplar(
+                latency_us, clock, span_id, ok, priced, critical
+            ),)
+            heapq.heappush(reservoir, entry)
+            if full:
+                heapq.heappop(reservoir)
         self._sequence += 1
         return latency_us, clock
 
-    def _keep_exemplar(
-        self,
-        latency_us: int,
-        completed: float,
-        span_id: Optional[int],
-        ok: bool,
-        batch_records: List[Dict[str, object]],
+    def _exemplar(
+        self, latency_us: int, completed: float, span_id: Optional[int],
+        ok: bool, priced: List[Tuple[str, List[_Priced]]],
         critical: List[Tuple[str, str, str, int]],
-    ) -> None:
-        """Offer this request to the slowest-``k`` exemplar reservoir."""
-        if self._exemplar_k < 1:
-            return
-        record = {
+    ) -> Dict[str, object]:
+        """This request's JSON-safe timeline record."""
+        return {
             "request": self._sequence,
             "span": span_id,
             "ok": ok,
@@ -246,30 +283,25 @@ class TimedOverlay:
             "latency_us": latency_us,
             "batches": [
                 {
-                    "phase": batch["phase"],
+                    "phase": phase,
                     "messages": [
                         {
-                            "source": message["source"],
-                            "destination": message["destination"],
-                            "dropped": message["completed"] is None,
+                            "source": repr(source),
+                            "destination": repr(destination),
+                            "dropped": arrived is None,
                             "segments": [
                                 [kind, where, _to_us(start), _to_us(end)]
-                                for kind, where, start, end
-                                in message["segments"]
+                                for kind, where, start, end in segments
                             ],
                         }
-                        for message in batch["messages"]
+                        for source, destination, _, segments, arrived
+                        in messages
                     ],
                 }
-                for batch in batch_records
+                for phase, messages in priced
             ],
             "critical_path": [list(entry) for entry in critical],
         }
-        heapq.heappush(
-            self._exemplars, (latency_us, -self._sequence, record)
-        )
-        if len(self._exemplars) > self._exemplar_k:
-            heapq.heappop(self._exemplars)
 
     def exemplars(self) -> List[Dict[str, object]]:
         """The slowest-``k`` request timelines, slowest first (ties by
@@ -299,81 +331,86 @@ class TimedOverlay:
         except (NoRouteError, UnknownNodeError):
             return [source, destination]
 
-    def _launch(
-        self, at: float, source: Hashable, destination: Hashable
-    ) -> Dict[str, object]:
-        """Schedule one message's hop-by-hop walk on the kernel.
+    def _station(self, u: Hashable, v: Hashable) -> _Station:
+        """Resolve (once per directed pair per run) what the hop ``u -> v``
+        contends on and costs: the undirected link's queue and timing, and
+        ``v``'s service queue (``None`` when its service time is zero)."""
+        key = link_key(u, v)
+        timing = self._model.link_timing(key)
+        link = self._links.setdefault(key, FifoResource(timing.capacity))
+        node_repr = repr(v)
+        service = self._model.service_time(node_repr)
+        node = None
+        if service > 0.0:
+            node = self._nodes.setdefault(node_repr, FifoResource(1))
+        station = self._stations[(u, v)] = (
+            key, link, timing.latency, timing.jitter, node_repr, node, service
+        )
+        return station
 
-        Returns the message's record; its ``segments`` fill in as kernel
-        events fire and ``completed`` is set on arrival (``None`` = the
-        message was dropped by a queue-wait timeout).  Zero-length
-        segments are omitted — they carry no blame and the remaining
-        segments stay contiguous from launch to completion.
+    def _visit(self, time: float, message: _Priced, hop: int) -> None:
+        """The kernel's event handler: ``message`` reaches node ``hop`` of
+        its path at ``time`` — completing there, or crossing the next link
+        and the far node's service queue and scheduling its next arrival.
+        A queue-wait timeout drops it: nothing further is scheduled and
+        ``completed`` stays ``None``.
         """
-        path = self._path(source, destination)
-        model = self._model
-        metrics = self._metrics
-        record: Dict[str, object] = {
-            "source": repr(source),
-            "destination": repr(destination),
-            "segments": [],
-            "completed": None,
-        }
-        segments: List[Tuple[str, str, float, float]] = record["segments"]
-
-        def hop(index: int, time: float) -> None:
-            if index >= len(path) - 1:
-                record["completed"] = time
-                return
-            u, v = path[index], path[index + 1]
-            key = link_key(u, v)
-            timing = model.link_timing(key)
-            link = self._links.get(key)
-            if link is None:
-                link = self._links[key] = FifoResource(timing.capacity)
-            hold = timing.latency
-            if timing.jitter:
-                hold += self._jitter.uniform(0.0, timing.jitter)
-            depth = link.depth(time)
-            metrics.observe_queue_depth(depth)
-            start, end, wait, dropped = link.acquire(
-                time, hold, model.timeout, watermark=self._arrival
+        path = message[_PATH]
+        if hop >= len(path) - 1:
+            message[_COMPLETED] = time
+            return
+        pair = (path[hop], path[hop + 1])
+        station = self._stations.get(pair) or self._station(*pair)
+        key, link, hold, jitter, node_repr, node, service = station
+        if jitter:
+            hold += self._jitter.uniform(0.0, jitter)
+        segments = message[_SEGMENTS]
+        end = self._admit(
+            link, time, hold, segments, "link_wait", "link_xfer", key
+        )
+        if end is None:
+            return
+        busy_us = self._busy_us
+        busy_us[key] = busy_us.get(key, 0) + round(hold * _US)
+        if node is not None:
+            end = self._admit(
+                node, end, service, segments, "node_wait", "node_service",
+                node_repr,
             )
-            metrics.observe_queue_wait(_to_us(wait))
-            metrics.observe_admission(_to_us(time), dropped, depth)
-            if dropped:
-                metrics.observe_timeout()
+            if end is None:
                 return
-            if wait > 0.0:
-                segments.append(("link_wait", key, time, start))
-            if end > start:
-                segments.append(("link_xfer", key, start, end))
-            metrics.add_link_busy(key, _to_us(hold))
-            service = model.service_time(repr(v))
-            if service > 0.0:
-                node_repr = repr(v)
-                node = self._nodes.get(node_repr)
-                if node is None:
-                    node = self._nodes[node_repr] = FifoResource(1)
-                depth = node.depth(end)
-                metrics.observe_queue_depth(depth)
-                arrived = end
-                start, end, wait, dropped = node.acquire(
-                    arrived, service, model.timeout, watermark=self._arrival
-                )
-                metrics.observe_queue_wait(_to_us(wait))
-                metrics.observe_admission(_to_us(arrived), dropped, depth)
-                if dropped:
-                    metrics.observe_timeout()
-                    return
-                if wait > 0.0:
-                    segments.append(("node_wait", node_repr, arrived, start))
-                if end > start:
-                    segments.append(("node_service", node_repr, start, end))
-            self._kernel.schedule(end, lambda t, i=index: hop(i + 1, t))
+        self._kernel.schedule(end, message, hop + 1)
 
-        self._kernel.schedule(at, lambda t: hop(0, t))
-        return record
+    def _admit(
+        self, resource: FifoResource, at: float, hold: float,
+        segments: List[Tuple[str, str, float, float]],
+        wait_kind: str, service_kind: str, where: str,
+    ) -> Optional[float]:
+        """One queue visit, tallied for the per-request flush; returns when
+        service ended, or ``None`` for a message the timeout dropped.
+        Zero-length segments are omitted — they carry no blame and the
+        rest stay contiguous from launch to completion."""
+        start, end, wait, dropped, depth = resource.acquire(
+            at, hold, self._model.timeout, self._arrival
+        )
+        self._waits_us.append(round(wait * _US))
+        self._depths.append(depth)
+        index = round(at * _US) // self._window_us
+        window = self._windows.get(index)
+        if window is None:
+            window = self._windows[index] = [0, 0, 0]
+        if depth > window[2]:
+            window[2] = depth
+        if dropped:
+            window[1] += 1
+            self._timeouts += 1
+            return None
+        window[0] += 1
+        if wait > 0.0:
+            segments.append((wait_kind, where, at, start))
+        if end > start:
+            segments.append((service_kind, where, start, end))
+        return end
 
     # -- end of run -----------------------------------------------------------
 

@@ -1,12 +1,15 @@
-"""The discrete-event kernel: a heap of timed callbacks on a virtual clock.
+"""The discrete-event kernel: a heap of timed data events on a virtual clock.
 
 The kernel is the package's only scheduler and the reason ``repro.simtime``
 stays deterministic: time is a plain float that moves only when an event is
 popped, never a reading of any OS clock (DET001 has nothing to find here).
-Events scheduled for the same instant fire in scheduling order — a
-monotonically increasing sequence number breaks heap ties, so two messages
-entering a queue "simultaneously" are served in the order the simulation
-issued them, not in callback-address order.
+An event is plain data — the tuple ``(time, seq, message, hop)`` on the heap:
+*which* message reaches *which* hop of its path *when*.  Nothing callable is
+stored; :meth:`SimKernel.run` hands every popped event to the one handler
+its caller passes.  Events scheduled for the same instant fire in
+scheduling order — a monotonically increasing sequence number breaks heap
+ties, so two messages entering a queue "simultaneously" are served in the
+order the simulation issued them (and the heap never compares messages).
 
 The workload driver runs the kernel in *batches*: each executed request
 schedules its message events and drains the heap before the next op
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 import heapq
 from typing import Callable, List, Tuple
+
+_INFINITY = float("inf")
 
 
 class SimKernel:
@@ -33,7 +38,7 @@ class SimKernel:
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Callable[[float], None]]] = []
+        self._heap: List[Tuple[float, int, object, int]] = []
         self._seq = 0
         self._now = 0.0
         self._fired = 0
@@ -53,32 +58,31 @@ class SimKernel:
         """Total events fired over the kernel's lifetime."""
         return self._fired
 
-    def schedule(self, at: float, callback: Callable[[float], None]) -> None:
-        """Fire ``callback(at)`` when the clock reaches ``at``.
+    def schedule(self, at: float, message: object, hop: int = 0) -> None:
+        """Record that ``message`` reaches hop ``hop`` of its path at ``at``.
 
-        ``at`` must be finite and non-negative; the callback receives the
-        event's own time (which may trail :attr:`now` for late-scheduled
-        but early-arriving events).
+        ``at`` must be finite and non-negative (it may trail :attr:`now`
+        for late-scheduled but early-arriving events).  ``message`` is
+        opaque to the kernel: it is stored, never called or compared.
         """
-        if not at >= 0.0:  # also rejects NaN
-            raise ValueError(f"event time must be >= 0, got {at!r}")
-        if at == float("inf"):
-            raise ValueError("cannot schedule at infinity")
-        heapq.heappush(self._heap, (at, self._seq, callback))
+        if not 0.0 <= at < _INFINITY:  # also rejects NaN
+            raise ValueError(f"event time must be finite and >= 0, got {at!r}")
+        heapq.heappush(self._heap, (at, self._seq, message, hop))
         self._seq += 1
 
-    def run(self) -> float:
-        """Fire every pending event (including ones events schedule).
+    def run(self, handler: Callable[[float, object, int], None]) -> float:
+        """Fire every pending event (including ones the handler schedules)
+        as ``handler(time, message, hop)``.
 
-        Returns the clock after the batch.  Callbacks may call
+        Returns the clock after the batch.  The handler may call
         :meth:`schedule`; the heap keeps global ``(time, seq)`` order, so a
         hop event scheduling the next hop interleaves correctly with every
         other in-flight message.
         """
         while self._heap:
-            at, _, callback = heapq.heappop(self._heap)
+            at, _, message, hop = heapq.heappop(self._heap)
             if at > self._now:
                 self._now = at
             self._fired += 1
-            callback(at)
+            handler(at, message, hop)
         return self._now

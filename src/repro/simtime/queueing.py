@@ -26,6 +26,7 @@ seconds (utilization), admissions and timeout drops.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -110,9 +111,8 @@ class FifoResource:
     def _insert(timeline: List[List[float]], start: float, end: float) -> None:
         """Insert busy interval ``[start, end]``, merging exact neighbours
         (a queued message starts exactly where its predecessor ends)."""
-        index = 0
-        while index < len(timeline) and timeline[index][0] < start:
-            index += 1
+        # ``[start]`` sorts just before every ``[start, ...]`` interval.
+        index = bisect_left(timeline, [start])
         before = timeline[index - 1] if index > 0 else None
         after = timeline[index] if index < len(timeline) else None
         if before is not None and before[1] == start:
@@ -145,17 +145,20 @@ class FifoResource:
         hold: float,
         timeout: float = 0.0,
         watermark: float = 0.0,
-    ) -> Tuple[float, float, float, bool]:
+    ) -> Tuple[float, float, float, bool, int]:
         """Admit one message at ``now`` for ``hold`` seconds of service.
 
-        Returns ``(start, end, wait, dropped)``.  When ``dropped`` is true
-        the message never got a server: ``wait`` is the wait it refused to
-        suffer and ``start``/``end`` equal ``now``.
+        Returns ``(start, end, wait, dropped, depth)``; ``depth`` is the
+        queue depth the message saw on arrival (:meth:`depth` at ``now``,
+        before its own admission).  When ``dropped`` is true the message
+        never got a server: ``wait`` is the wait it refused to suffer and
+        ``start``/``end`` equal ``now``.
         """
         if hold < 0:
             raise ValueError("hold must be non-negative")
         if watermark > 0.0:
             self.prune(watermark)
+        depth = self.depth(now)
         best_server = 0
         best_start = None
         for index, timeline in enumerate(self._timelines):
@@ -169,17 +172,16 @@ class FifoResource:
         wait = start - now
         if timeout > 0.0 and wait > timeout:
             self._dropped += 1
-            return now, now, wait, True
+            return now, now, wait, True, depth
         end = start + hold
         if hold > 0.0:
             self._insert(self._timelines[best_server], start, end)
         self._admitted += 1
         self._busy_seconds += hold
-        depth = self.depth(now)
         heapq.heappush(self._in_flight, end)
         if depth + 1 > self._peak_depth:
             self._peak_depth = depth + 1
-        return start, end, wait, False
+        return start, end, wait, False, depth
 
     def stats(self) -> QueueStats:
         """The cumulative congestion record."""

@@ -568,17 +568,20 @@ class WorkloadDriver:
                         trace.append(op)
                         self._exec_op(state, metrics, op)
 
-        with tracing(tracer):
-            for now, client_index in requests:
-                _drain(now)
-                port_index = popularity_model.pick(popularity_rng, now)
-                op = TraceOp(REQUEST, now, (client_index, port_index))
-                trace.append(op)
-                self._exec_op(state, metrics, op)
-            _drain(float("inf"))
-
-        wall = wall_clock() - started
-        exemplars = self._detach_overlay(state)
+        try:
+            with tracing(tracer):
+                for now, client_index in requests:
+                    _drain(now)
+                    port_index = popularity_model.pick(popularity_rng, now)
+                    op = TraceOp(REQUEST, now, (client_index, port_index))
+                    trace.append(op)
+                    self._exec_op(state, metrics, op)
+                _drain(float("inf"))
+            wall = wall_clock() - started
+        finally:
+            # Also when an op raised: the caller's network must not keep a
+            # capturing tap it never installed.
+            exemplars = self._detach_overlay(state)
         merge_node_load(metrics, state.network.stats.node_load, load_baseline)
         return WorkloadResult(
             spec=spec,
@@ -600,11 +603,13 @@ class WorkloadDriver:
         plan_baseline = dict(state.network.stats.plan_events)
         self._attach_overlay(state, metrics)
         started = wall_clock()  # feeds wall_seconds, which canonical_dict zeroes
-        with tracing(tracer):
-            for op in trace:
-                self._exec_op(state, metrics, op)
-        wall = wall_clock() - started
-        exemplars = self._detach_overlay(state)
+        try:
+            with tracing(tracer):
+                for op in trace:
+                    self._exec_op(state, metrics, op)
+            wall = wall_clock() - started
+        finally:
+            exemplars = self._detach_overlay(state)
         merge_node_load(metrics, state.network.stats.node_load, load_baseline)
         return WorkloadResult(
             spec=self.spec,

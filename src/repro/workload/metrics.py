@@ -271,38 +271,34 @@ class WorkloadMetrics:
         )
         self.timeline.mark(at_us, latency_us_max=latency_us)
 
-    def observe_admission(
-        self, at_us: int, dropped: bool, depth: int
+    def observe_priced_request(
+        self, latency_us: int, at_us: int, ok: bool,
+        waits_us: List[int], depths: List[int],
+        windows: Dict[int, List[int]], link_busy_us: Dict[str, int],
+        timeouts: int, critical_us: Dict[str, int],
     ) -> None:
-        """Stream one queue-admission event into its telemetry window."""
-        if self.timeline is None:
-            return
-        self.timeline.bump(
-            at_us, admitted=0 if dropped else 1, dropped=1 if dropped else 0
-        )
-        self.timeline.mark(at_us, depth_peak=depth)
+        """Flush the tallies one request accumulated while it was priced.
 
-    def observe_critical(self, contributor: str, segment_us: int) -> None:
-        """Blame ``segment_us`` critical-path microseconds on a
-        ``phase:kind:where`` contributor."""
-        if self.critical_path is not None and segment_us:
-            self.critical_path.bump(contributor, segment_us)
-
-    def observe_queue_wait(self, wait_us: int) -> None:
-        """Record the wait one message suffered at one queue."""
-        self.queue_wait.add(wait_us)
-
-    def observe_queue_depth(self, depth: int) -> None:
-        """Record the queue depth one message saw on arrival."""
-        self.queue_depth.add(depth)
-
-    def observe_timeout(self) -> None:
-        """Count one message dropped by a queue-wait timeout."""
-        self._message_timeouts.inc()
-
-    def add_link_busy(self, key: str, busy_us: int) -> None:
-        """Accumulate service time carried by the link ``key``."""
-        self.link_busy.bump(key, busy_us)
+        ``waits_us``/``depths`` hold one sample per queue visit (the wait
+        suffered, the depth seen on arrival); ``windows`` maps a telemetry
+        window index to the ``[admitted, dropped, depth_peak]`` of the
+        visits that fell into it; ``link_busy_us`` is service time carried
+        per link key, ``timeouts`` the messages a queue-wait timeout
+        dropped, ``critical_us`` critical-path microseconds per
+        ``phase:kind:where`` contributor.  The latency itself lands as
+        :meth:`observe_latency` records it.
+        """
+        self.queue_wait.add_many(waits_us)
+        self.queue_depth.add_many(depths)
+        timeline = self.timeline
+        for index, (admitted, dropped, depth_peak) in windows.items():
+            at = index * timeline.width_us
+            timeline.bump(at, admitted=admitted, dropped=dropped)
+            timeline.mark(at, depth_peak=depth_peak)
+        self.link_busy.merge(link_busy_us)
+        self._message_timeouts.inc(timeouts)
+        self.critical_path.merge(critical_us)
+        self.observe_latency(latency_us, at_us=at_us, ok=ok)
 
     def set_virtual_horizon(self, horizon_us: int) -> None:
         """Install the run's virtual end-of-time (drives utilization)."""

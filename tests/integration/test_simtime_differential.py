@@ -24,10 +24,12 @@ from repro.workload import (
     MatrixSpec,
     PopularitySpec,
     ScenarioSpec,
+    SloSpec,
     replay_trace,
     run_matrix,
     run_scenario,
 )
+from repro.workload.trace import canonical_digest
 
 #: Captured on the tree as of PR 8, before repro.simtime existed.  These
 #: move only when the simulator's observable behavior deliberately changes.
@@ -136,3 +138,77 @@ class TestTimedRunsStayDeterministic:
         payload = spec.to_dict()
         assert payload["time_model"] == self.MODEL.to_dict()
         assert ScenarioSpec.from_dict(payload) == spec
+
+
+#: Captured on the tree as of PR 13, before the overlay's pricing loop was
+#: rewritten around flat event records.  Rerun/replay/worker parity only
+#: check the timed path against itself; these literals pin it against the
+#: closure-per-hop implementation, bucket for bucket.
+GOLDEN_RESULT_DIGEST = (
+    "199f230cdf0a6741c4e350fb543b5f55465016ef5db0e740dcd18973c56dbb62"
+)
+GOLDEN_EXEMPLARS_SHA256 = (
+    "082bbeacd23fb0b0dca414af720d49c184bc2aefb70f86557c5431ee953feb80"
+)
+GOLDEN_REGISTRY_SHA256 = (
+    "fae72693920005086d8490cd0fafb7a595c16fa9b1119062431d337d638abe8b"
+)
+GOLDEN_MESSAGE_TIMEOUTS = 513
+
+
+class TestTimedGoldenPins:
+    """Every pricing branch ``timed_burst`` does not take, pinned by literal:
+    multi-hop surviving paths (unicast, rerouted by two crash waves mid-run),
+    a capacity-2 default link, a jitter-free slow link override, a
+    zero-service node override, hundreds of queue-wait timeout drops,
+    all-dropped batches that end a request's pipeline, and an armed SLO."""
+
+    MODEL = TimeModelSpec(
+        default_link=LinkTiming(0.0005, 0.0002, capacity=2),
+        node_service=0.0006,
+        timeout=0.002,
+        link_overrides=(("(0, 0)<->(0, 1)", LinkTiming(0.003, 0.0, 1)),),
+        node_overrides=(("(1, 1)", 0.0),),
+    )
+
+    def _golden_spec(self) -> ScenarioSpec:
+        return replace(
+            pinned_scenario(),
+            operations=600,
+            arrival=ArrivalSpec(kind="burst", burst_size=40, burst_gap=0.05),
+            time_model=self.MODEL,
+            slo=SloSpec(latency_objective=0.005, window=0.05),
+        )
+
+    def test_result_exemplars_and_registry_are_pinned(self):
+        result = run_scenario(self._golden_spec())
+        assert result.metrics.message_timeouts == GOLDEN_MESSAGE_TIMEOUTS
+        assert result.digest() == GOLDEN_RESULT_DIGEST
+        assert canonical_digest(result.exemplars) == GOLDEN_EXEMPLARS_SHA256
+        # Every histogram bucket, every timeline window (the explicit
+        # ``admitted: 0`` / ``dropped: 0`` keys included), critical_path_us
+        # and link_busy_us.
+        assert (
+            canonical_digest(result.metrics.registry.to_dict())
+            == GOLDEN_REGISTRY_SHA256
+        )
+
+    def test_the_scenario_takes_the_branches_it_claims(self):
+        result = run_scenario(self._golden_spec())
+        registry = result.metrics.registry.to_dict()
+        assert "(0, 0)<->(0, 1)" in registry["link_busy_us"]["counts"]
+        windows = registry["timeline"]["windows"]
+        assert any(fields.get("dropped") for _, fields in windows)
+        assert all("admitted" in fields and "dropped" in fields
+                   for _, fields in windows if "depth_peak" in fields)
+        kinds = {key.split(":")[1]
+                 for key in registry["critical_path_us"]["counts"]}
+        assert kinds == {"link_wait", "link_xfer", "node_wait", "node_service"}
+        # A first batch that lost every message ends the pipeline at the
+        # arrival instant: those requests sit in the lowest latency bucket.
+        buckets = dict(
+            map(tuple, registry["request_latency_us"]["buckets"])
+        )
+        assert buckets[1] > 100
+        assert len(windows) == 15
+        assert result.metrics.summary()["slo"]["served"] == 600

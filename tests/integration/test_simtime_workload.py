@@ -18,6 +18,10 @@ from repro.workload import (
     MatrixSpec,
     PopularitySpec,
     ScenarioSpec,
+    Trace,
+    TraceOp,
+    WorkloadDriver,
+    build_topology,
     replay_trace,
     run_matrix,
     run_scenario,
@@ -98,6 +102,68 @@ class TestRecordReplay:
         dropping = replace(CONGESTED, timeout=0.0005)
         result = run_scenario(timed_spec(time_model=dropping))
         assert result.metrics.summary()["queues"]["message_timeouts"] > 0
+
+
+class _RecordingTap:
+    """A bare message tap: remembers that it was called."""
+
+    def __init__(self):
+        self.deliveries = 0
+
+    def on_delivery(self, source, reached, category, mode):
+        self.deliveries += 1
+
+    def on_replies(self, responders, client, mode):
+        pass
+
+    def on_payload(self, source, destination):
+        pass
+
+
+class TestOverlayIsDetachedWhenAnOpRaises:
+    def _shared(self):
+        spec = timed_spec()
+        network = build_topology(spec.topology).build_network(
+            delivery_mode=spec.delivery_mode
+        )
+        return spec, network
+
+    def test_failed_replay_leaves_the_shared_network_tap_free(self):
+        spec, network = self._shared()
+        recorded = WorkloadDriver(spec, network=network).run()
+        malformed = Trace(recorded.trace.scenario)
+        for op in list(recorded.trace)[:20]:
+            malformed.append(op)
+        # A request from a client the scenario never created.
+        malformed.append(TraceOp("request", 1.0, (spec.clients + 5, 0)))
+        with pytest.raises(IndexError):
+            WorkloadDriver(spec, network=network).replay(malformed)
+        # The caller's network is theirs again: a fresh tap attaches (it
+        # used to raise "a message tap is already attached") and no stale
+        # overlay keeps capturing the caller's traffic.
+        tap = _RecordingTap()
+        network.attach_tap(tap)
+        network.detach_tap()
+        # ... and the same driver inputs still replay cleanly afterwards.
+        replayed = WorkloadDriver(spec, network=network).replay(recorded.trace)
+        assert replayed.digest() == recorded.digest()
+
+    def test_failed_run_leaves_the_shared_network_tap_free(self, monkeypatch):
+        spec, network = self._shared()
+        driver = WorkloadDriver(spec, network=network)
+        executed = []
+        original = WorkloadDriver._exec_op
+
+        def exec_then_fail(self, state, metrics, op):
+            if len(executed) == 10:
+                raise KeyboardInterrupt
+            executed.append(op)
+            return original(self, state, metrics, op)
+
+        monkeypatch.setattr(WorkloadDriver, "_exec_op", exec_then_fail)
+        with pytest.raises(KeyboardInterrupt):
+            driver.run()
+        network.attach_tap(_RecordingTap())
 
 
 def timed_grid() -> MatrixSpec:

@@ -153,6 +153,55 @@ class TestHistogramPercentiles:
             Histogram((3, 1, 2))
 
 
+class TestHistogramAddMany:
+    """``add_many(xs)`` is ``for x in xs: add(x)`` — the bulk form the
+    timed overlay's per-request flush uses."""
+
+    @pytest.mark.parametrize("buckets", [None, (1, 2, 4, 8, 16, 32)])
+    def test_equals_repeated_add(self, buckets):
+        for samples in (s for seed in range(5) for s in sample_sets(seed)):
+            bulk = Histogram(buckets)
+            bulk.add_many(samples)
+            assert bulk.dump() == histogram_of(samples, buckets).dump()
+            assert bulk.to_dict() == histogram_of(samples, buckets).to_dict()
+
+    def test_overflow_and_boundary_samples_land_like_add(self):
+        samples = [0, 1, 2, 3, 8, 9, 500, 500]
+        bulk = Histogram((1, 2, 8))
+        bulk.add_many(samples)
+        assert bulk.dump() == histogram_of(samples, (1, 2, 8)).dump()
+        assert dict(bulk.buckets())[9] == 3  # the overflow bucket
+        assert bulk.mean == pytest.approx(sum(samples) / len(samples))
+
+    def test_accepts_any_sequence_and_empty_input_is_a_no_op(self):
+        histogram = Histogram()
+        histogram.add_many([])
+        histogram.add_many(())
+        assert histogram.dump() == Histogram().dump()
+        histogram.add_many((3, 3, 5))
+        assert histogram.buckets() == [(3, 2), (5, 1)]
+
+    @pytest.mark.parametrize("buckets", [None, (1, 2, 4)])
+    def test_negative_sample_raises_and_records_nothing(self, buckets):
+        histogram = Histogram(buckets)
+        histogram.add_many([1, 2])
+        before = histogram.dump()
+        with pytest.raises(ValueError):
+            histogram.add_many([3, -1, 4])
+        assert histogram.dump() == before
+
+    @pytest.mark.parametrize("buckets", [None, (1, 2, 4, 8, 16, 32)])
+    def test_composes_with_merge(self, buckets):
+        a, b, c = sample_sets(11)
+        left = Histogram(buckets)
+        left.add_many(a)
+        right = Histogram(buckets)
+        right.add_many(b)
+        right.add_many(c)
+        left.merge(right)
+        assert left.dump() == histogram_of(a + b + c, buckets).dump()
+
+
 class TestScalarInstruments:
     def test_counter_only_increases_and_merges_by_addition(self):
         counter = Counter()

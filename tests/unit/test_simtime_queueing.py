@@ -13,13 +13,13 @@ from repro.simtime import FifoResource, QueueStats
 class TestAcquire:
     def test_idle_server_starts_immediately(self):
         resource = FifoResource()
-        start, end, wait, dropped = resource.acquire(now=1.0, hold=0.5)
-        assert (start, end, wait, dropped) == (1.0, 1.5, 0.0, False)
+        start, end, wait, dropped, depth = resource.acquire(now=1.0, hold=0.5)
+        assert (start, end, wait, dropped, depth) == (1.0, 1.5, 0.0, False, 0)
 
     def test_busy_server_imposes_fifo_wait(self):
         resource = FifoResource()
         resource.acquire(now=0.0, hold=1.0)
-        start, end, wait, dropped = resource.acquire(now=0.2, hold=1.0)
+        start, end, wait, dropped, _ = resource.acquire(now=0.2, hold=1.0)
         assert start == 1.0
         assert end == 2.0
         assert wait == pytest.approx(0.8)
@@ -42,7 +42,7 @@ class TestAcquire:
     def test_late_arrival_after_drain_starts_immediately(self):
         resource = FifoResource()
         resource.acquire(now=0.0, hold=1.0)
-        start, _, wait, _ = resource.acquire(now=5.0, hold=1.0)
+        start, _, wait, _, _ = resource.acquire(now=5.0, hold=1.0)
         assert start == 5.0
         assert wait == 0.0
 
@@ -62,7 +62,7 @@ class TestGapScheduling:
         # arrived yet — it claims the idle gap.
         resource = FifoResource()
         resource.acquire(now=5.0, hold=1.0)  # busy [5, 6]
-        start, end, wait, dropped = resource.acquire(now=1.0, hold=1.0)
+        start, end, wait, dropped, _ = resource.acquire(now=1.0, hold=1.0)
         assert (start, end, wait, dropped) == (1.0, 2.0, 0.0, False)
 
     def test_gap_too_small_pushes_past_the_block(self):
@@ -115,7 +115,7 @@ class TestTimeoutDrops:
     def test_wait_beyond_timeout_drops(self):
         resource = FifoResource()
         resource.acquire(now=0.0, hold=2.0)
-        start, end, wait, dropped = resource.acquire(
+        start, end, wait, dropped, _ = resource.acquire(
             now=0.0, hold=1.0, timeout=0.5
         )
         assert dropped
@@ -128,20 +128,20 @@ class TestTimeoutDrops:
         resource.acquire(now=0.0, hold=1.0, timeout=0.5)  # dropped
         # The next message waits only for the original holder, not for the
         # dropped one.
-        _, _, wait, dropped = resource.acquire(now=0.0, hold=1.0)
+        _, _, wait, dropped, _ = resource.acquire(now=0.0, hold=1.0)
         assert not dropped
         assert wait == 2.0
 
     def test_zero_timeout_never_drops(self):
         resource = FifoResource()
         resource.acquire(now=0.0, hold=10.0)
-        *_, dropped = resource.acquire(now=0.0, hold=1.0, timeout=0.0)
+        *_, dropped, _ = resource.acquire(now=0.0, hold=1.0, timeout=0.0)
         assert not dropped
 
     def test_wait_equal_to_timeout_is_admitted(self):
         resource = FifoResource()
         resource.acquire(now=0.0, hold=1.0)
-        *_, dropped = resource.acquire(now=0.0, hold=1.0, timeout=1.0)
+        *_, dropped, _ = resource.acquire(now=0.0, hold=1.0, timeout=1.0)
         assert not dropped
 
 
@@ -153,6 +153,16 @@ class TestDepthAndStats:
         assert resource.depth(0.5) == 2
         assert resource.depth(1.5) == 1
         assert resource.depth(2.5) == 0
+
+    def test_acquire_hands_back_the_depth_seen_on_arrival(self):
+        # The depth a message saw is depth(now) *before* its own admission
+        # — for admitted and dropped messages alike.
+        resource = FifoResource()
+        depths = [resource.acquire(now=0.0, hold=1.0)[4] for _ in range(3)]
+        assert depths == [0, 1, 2]
+        *_, dropped, depth = resource.acquire(now=0.5, hold=1.0, timeout=0.1)
+        assert dropped and depth == 3
+        assert resource.acquire(now=1.5, hold=1.0)[4] == resource.depth(1.5) - 1
 
     def test_stats_record_admissions_drops_and_busy_time(self):
         resource = FifoResource()

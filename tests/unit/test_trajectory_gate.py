@@ -124,6 +124,28 @@ class TestCheckTrajectory:
         assert ok == []
         assert len(bad) == 1 and "cache_hit_rate" in bad[0]
 
+    def test_equal_direction_fails_on_any_move_either_way(self):
+        # queue_visits has no better direction: the pricing loop must do
+        # exactly the baseline's work.
+        path = "latency.checkerboard.burst.queue_visits"
+        baseline = trajectory.build_baseline(bench_document(**{path: 69_742}))
+        same, _, _ = trajectory.check_trajectory(
+            bench_document(**{path: 69_742}), baseline
+        )
+        assert same == []
+        for moved in (69_741, 69_743):
+            failures, _, _ = trajectory.check_trajectory(
+                bench_document(**{path: moved}), baseline
+            )
+            assert len(failures) == 1 and "queue_visits" in failures[0]
+        # A zero baseline gates too (lookup keeps 0, it is not "absent").
+        drops = "latency.checkerboard.burst.message_timeouts"
+        baseline = trajectory.build_baseline(bench_document(**{drops: 0}))
+        failures, _, _ = trajectory.check_trajectory(
+            bench_document(**{drops: 1}), baseline
+        )
+        assert len(failures) == 1 and "message_timeouts" in failures[0]
+
     def test_unbaselined_metric_skips_lost_metric_fails(self):
         bench = bench_document()
         baseline = trajectory.build_baseline(bench)
