@@ -4,21 +4,19 @@ The paper compares name servers by per-instance message counts; this
 benchmark compares them the way a production operator would — identical
 high-volume traffic (fixed seed, shared arrival/popularity/churn programs)
 through each strategy, reporting tail percentiles, cache hit rates and
-per-node load.  It also measures the MatchMaker's memoized P/Q fast path
-against the unmemoized engine, and persists the headline numbers to
-``BENCH_workload.json`` so later PRs have a performance trajectory.
+per-node load, and persists the headline numbers to ``BENCH_workload.json``
+so later PRs have a performance trajectory.
+
+Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI) runs the same scenarios
+but leaves ``BENCH_workload.json`` alone, so the tier-1 job can assert a
+clean work tree afterwards.
 """
 
 import json
-import time
+import os
 from pathlib import Path
 
-from repro.core.matchmaker import MatchMaker
-from repro.core.types import Port
 from repro.obs import host_metadata
-from repro.network.simulator import Network
-from repro.strategies import CheckerboardStrategy
-from repro.topologies import CompleteTopology
 from repro.workload import (
     ArrivalSpec,
     ChurnSpec,
@@ -29,6 +27,8 @@ from repro.workload import (
 )
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_workload.json"
+
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 #: Strategies driven with the identical traffic program.
 STRATEGIES = ("checkerboard", "hash-locate", "centralized")
@@ -68,53 +68,6 @@ def soak_spec() -> ScenarioSpec:
         popularity=PopularitySpec(kind="hotspot", hotspot_fraction=0.7),
         churn=ChurnSpec(kind="mixed", rate=2.0),
     )
-
-
-class _CountingCheckerboard(CheckerboardStrategy):
-    """Checkerboard that counts how often the engine re-runs P/Q."""
-
-    def __init__(self, universe):
-        super().__init__(universe)
-        self.calls = 0
-
-    def post_set(self, node, port=None):
-        self.calls += 1
-        return super().post_set(node, port)
-
-    def query_set(self, node, port=None):
-        self.calls += 1
-        return super().query_set(node, port)
-
-
-def measure_memo_speedup(locates: int = 6_000) -> dict:
-    """Run ``locates`` repeated locates with and without P/Q memoization.
-
-    Wall-clock numbers go to ``BENCH_workload.json`` for the perf
-    trajectory; the strategy-invocation counts are the deterministic proof
-    of the fast path (assertable without timing flakiness).
-    """
-    timings = {}
-    calls = {}
-    for memoize in (True, False):
-        topology = CompleteTopology(64)
-        network = Network(topology.graph, delivery_mode="ideal")
-        strategy = _CountingCheckerboard(topology.nodes())
-        matchmaker = MatchMaker(network, strategy, memoize=memoize)
-        port = Port("memo-bench")
-        matchmaker.register_server(5, port)
-        started = time.perf_counter()
-        for i in range(locates):
-            matchmaker.locate(i % 64, port)
-        timings[memoize] = time.perf_counter() - started
-        calls[memoize] = strategy.calls
-    return {
-        "locates": locates,
-        "memoized_seconds": round(timings[True], 4),
-        "unmemoized_seconds": round(timings[False], 4),
-        "speedup": round(timings[False] / timings[True], 3),
-        "strategy_calls_memoized": calls[True],
-        "strategy_calls_unmemoized": calls[False],
-    }
 
 
 def run_workload_experiment():
@@ -174,45 +127,38 @@ def test_bench_e15_workload(benchmark, record):
     assert soak.metrics.churn_events
     assert soak.metrics.success_rate > 0.9
 
-    # -- memoized P/Q fast path ----------------------------------------------
-    memo = measure_memo_speedup()
-    # Deterministic proof: without the memo every locate re-runs the
-    # strategy; with it only the 64 distinct query sets (plus the one post
-    # set) are ever computed.
-    assert memo["strategy_calls_unmemoized"] == memo["locates"] + 1
-    assert memo["strategy_calls_memoized"] == 64 + 1
-
-    # -- persist the perf trajectory (merge: other experiments own their
-    # own top-level sections of the same file) -------------------------------
-    payload = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
-    payload.update({
-        "experiment": "e15-workload",
-        "host": host_metadata(),
-        "scenario": scale_spec().to_dict(),
-        "strategies": {
-            result.spec.strategy: {
-                "ops_per_second": int(result.ops_per_second),
-                "locates": result.metrics.locates,
-                "p50_locate_hops": result.metrics.locate_hops.percentile(50),
-                "p95_locate_hops": result.metrics.locate_hops.percentile(95),
-                "p99_locate_hops": result.metrics.locate_hops.percentile(99),
-                "cache_hit_rate": round(result.metrics.cache_hit_rate, 4),
-                "load_imbalance": result.metrics.load_balance()["imbalance"],
-                "stale_retries": result.metrics.stale_retries,
-            }
-            for result in results
-        },
-        "soak": {
-            "cache_hit_rate": round(soak.metrics.cache_hit_rate, 4),
-            "stale_retries": soak.metrics.stale_retries,
-            "churn_events": soak.metrics.churn_events,
-        },
-        "memoization": memo,
-    })
-    BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # -- persist the perf trajectory (full-size runs only; merge: other
+    # experiments own their own top-level sections of the same file) ---------
+    if not SMOKE:
+        payload = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
+        payload.update({
+            "experiment": "e15-workload",
+            "host": host_metadata(),
+            "scenario": scale_spec().to_dict(),
+            "strategies": {
+                result.spec.strategy: {
+                    "ops_per_second": int(result.ops_per_second),
+                    "locates": result.metrics.locates,
+                    "p50_locate_hops": result.metrics.locate_hops.percentile(50),
+                    "p95_locate_hops": result.metrics.locate_hops.percentile(95),
+                    "p99_locate_hops": result.metrics.locate_hops.percentile(99),
+                    "cache_hit_rate": round(result.metrics.cache_hit_rate, 4),
+                    "load_imbalance": result.metrics.load_balance()["imbalance"],
+                    "stale_retries": result.metrics.stale_retries,
+                }
+                for result in results
+            },
+            "soak": {
+                "cache_hit_rate": round(soak.metrics.cache_hit_rate, 4),
+                "stale_retries": soak.metrics.stale_retries,
+                "churn_events": soak.metrics.churn_events,
+            },
+        })
+        BENCH_JSON.write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
 
     record(
         total_locates=total_locates,
         ops_per_second_checkerboard=int(by_name["checkerboard"].ops_per_second),
-        memo_speedup=memo["speedup"],
     )

@@ -14,6 +14,7 @@ tolerance.
 """
 
 import json
+import os
 from pathlib import Path
 
 from repro.obs import host_metadata
@@ -26,6 +27,9 @@ from repro.workload import (
 )
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_workload.json"
+
+#: ``REPRO_BENCH_SMOKE=1`` (CI's tier-1 job) leaves the tracked file alone.
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 STRATEGIES = ("checkerboard", "centralized")
 
@@ -145,10 +149,13 @@ def test_bench_e20_latency(benchmark, record):
 
     # Persist to the shared trajectory file (merge: other experiments own
     # their own top-level sections).
-    payload = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
-    payload["latency"] = section
-    payload.setdefault("host", host_metadata())
-    BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if not SMOKE:
+        payload = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
+        payload["latency"] = section
+        payload.setdefault("host", host_metadata())
+        BENCH_JSON.write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
 
     record(
         checkerboard_p99_us=section["checkerboard"]["poisson"]["p99_us"],

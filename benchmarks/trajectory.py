@@ -57,7 +57,6 @@ TRACKED: Tuple[Tuple[str, str, float], ...] = (
     ("strategies.hash-locate.p95_locate_hops", "lower", 0.0),
     ("soak.cache_hit_rate", "higher", 0.02),
     ("soak.stale_retries", "lower", 0.10),
-    ("memoization.speedup", "higher", WALL_CLOCK_TOLERANCE),
     # E16 — the delivery planner on a faulted unicast stream.
     ("delivery_planner.stream.speedup", "higher", WALL_CLOCK_TOLERANCE),
     ("delivery_planner.workload.success_rate", "higher", 0.01),

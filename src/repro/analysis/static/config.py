@@ -98,8 +98,8 @@ class AnalysisConfig:
         "ArrivalSpec", "PopularitySpec", "ChurnSpec", "FaultRegimeSpec",
         "CellResult", "WorkloadResult", "WorkloadMetrics", "Trace", "TraceOp",
         "MetricsRegistry", "Counter", "Gauge", "Histogram", "CounterMap",
-        "HopHistogram", "LatencyHistogram", "PhaseProfile", "MatrixReport",
-        "CellCache", "TimeModelSpec", "LinkTiming", "Timeline", "SloSpec",
+        "PhaseProfile", "MatrixReport", "CellCache", "TimeModelSpec",
+        "LinkTiming", "Timeline", "SloSpec",
     )
 
     #: Type names that must never appear on a boundary-class field: live

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..network.simulator import Network
-from ..network.stats import POST, QUERY
 from ..obs.spans import active_tracer
 from .exceptions import ServiceNotFoundError
 from .strategy import MatchMakingStrategy
@@ -54,12 +53,12 @@ class MatchMaker:
         Override of the network's default delivery mode for posts/queries
         (``"ideal"`` reproduces the complete-network accounting of the
         theory; ``"unicast"``/``"multicast"`` include routing overhead).
-    memoize:
-        Cache the strategy's P/Q sets per node (and per port, for
-        port-dependent strategies).  P and Q are total *functions* (section
-        2.1), so repeated posts/locates for the same node need not re-run the
-        strategy; high-throughput workloads rely on this fast path.
-        Automatically disabled when ``strategy.deterministic`` is false.
+
+    The strategy's P/Q sets are cached per node (and per port, for
+    port-dependent strategies): P and Q are total *functions* (section 2.1),
+    so repeated posts/locates for the same node need not re-run the
+    strategy.  A strategy whose ``deterministic`` attribute is false is
+    asked every time.
     """
 
     def __init__(
@@ -67,14 +66,13 @@ class MatchMaker:
         network: Network,
         strategy: MatchMakingStrategy,
         delivery_mode: Optional[str] = None,
-        memoize: bool = True,
     ) -> None:
         self._network = network
         self._strategy = strategy
         self._mode = delivery_mode
         self._registrations: Dict[str, ServerRegistration] = {}
         self._server_counter = itertools.count()
-        self._memoize = memoize and getattr(strategy, "deterministic", True)
+        self._memoize = getattr(strategy, "deterministic", True)
         self._post_cache: Dict[Tuple[Hashable, Optional[Port]], frozenset] = {}
         self._query_cache: Dict[Tuple[Hashable, Optional[Port]], frozenset] = {}
         self._pq_hits = 0
@@ -97,38 +95,31 @@ class MatchMaker:
 
     # -- memoized P/Q ----------------------------------------------------------
 
-    def _pq_key(
-        self, node: Hashable, port: Optional[Port]
-    ) -> Tuple[Hashable, Optional[Port]]:
-        return (node, port if self._strategy.port_dependent else None)
+    def _memoized(self, cache: Dict, compute, node: Hashable, port: Optional[Port]):
+        """``compute(node, port)`` — one of the strategy's two set functions
+        — through ``cache`` (bypassed for non-deterministic strategies)."""
+        if not self._memoize:
+            return compute(node, port)
+        key = (node, port if self._strategy.port_dependent else None)
+        cached = cache.get(key)
+        if cached is not None:
+            self._pq_hits += 1
+            return cached
+        self._pq_misses += 1
+        result = cache[key] = compute(node, port)
+        return result
 
     def post_set(self, node: Hashable, port: Optional[Port] = None) -> frozenset:
         """``P(node)``, served from the memo cache when possible."""
-        if not self._memoize:
-            return self._strategy.post_set(node, port)
-        key = self._pq_key(node, port)
-        cached = self._post_cache.get(key)
-        if cached is not None:
-            self._pq_hits += 1
-            return cached
-        self._pq_misses += 1
-        result = self._strategy.post_set(node, port)
-        self._post_cache[key] = result
-        return result
+        return self._memoized(
+            self._post_cache, self._strategy.post_set, node, port
+        )
 
     def query_set(self, node: Hashable, port: Optional[Port] = None) -> frozenset:
         """``Q(node)``, served from the memo cache when possible."""
-        if not self._memoize:
-            return self._strategy.query_set(node, port)
-        key = self._pq_key(node, port)
-        cached = self._query_cache.get(key)
-        if cached is not None:
-            self._pq_hits += 1
-            return cached
-        self._pq_misses += 1
-        result = self._strategy.query_set(node, port)
-        self._query_cache[key] = result
-        return result
+        return self._memoized(
+            self._query_cache, self._strategy.query_set, node, port
+        )
 
     def pq_cache_info(self) -> Dict[str, int]:
         """Hit/miss/size counters of the P/Q memo cache."""
@@ -156,17 +147,15 @@ class MatchMaker:
         """
         server_id = server_id or f"server-{next(self._server_counter)}@{node}"
         targets = self.post_set(node, port)
-        before = self._network.stats.hops_for(POST)
         outcome = self._network.post(
             node, port, targets, server_id=server_id, mode=self._mode
         )
-        post_hops = self._network.stats.hops_for(POST) - before
         registration = ServerRegistration(
             server_id=server_id,
             port=port,
             node=node,
             posted_at=tuple(sorted(outcome.reached, key=repr)),
-            post_hops=post_hops,
+            post_hops=outcome.hops,
         )
         self._registrations[server_id] = registration
         return registration
@@ -215,7 +204,9 @@ class MatchMaker:
 
         Returns a :class:`~repro.core.types.MatchResult`; ``found`` is False
         when no queried node knew an address (e.g. no server registered, or
-        all rendezvous nodes crashed).
+        all rendezvous nodes crashed).  ``query_messages``/``reply_messages``
+        are the hop counts the network returned for this very query — the
+        one place a caller learns what the locate cost.
         """
         tracer = active_tracer()
         locate_span = None
@@ -226,25 +217,23 @@ class MatchMaker:
             # The rendezvous resolution itself: Q(j) materialized against
             # the strategy (memoized after first use).
             tracer.event("rendezvous-resolve", nodes=len(targets))
-        before_query = self._network.stats.hops_for(QUERY)
         outcome = self._network.query(
             client_node, port, targets, mode=self._mode, collect_all=collect_all
         )
-        query_hops = self._network.stats.hops_for(QUERY) - before_query
         freshest = outcome.freshest()
         if tracer is not None:
             tracer.end(
                 locate_span,
                 nodes_queried=len(targets),
                 found=freshest is not None,
-                hops=query_hops + outcome.reply_hops,
+                hops=outcome.query_hops + outcome.reply_hops,
             )
         return MatchResult(
             found=freshest is not None,
             address=freshest.address if freshest else None,
             rendezvous_nodes=outcome.responding_nodes,
             post_messages=0,
-            query_messages=query_hops,
+            query_messages=outcome.query_hops,
             reply_messages=outcome.reply_hops,
             nodes_posted=0,
             nodes_queried=len(targets),
@@ -286,12 +275,7 @@ class MatchMaker:
         # Clean up without charging the instance (snapshot/restore counters).
         snapshot = self._network.stats.snapshot()
         self.deregister_server(registration)
-        self._network.stats.hops.clear()
-        self._network.stats.hops.update(snapshot.hops)
-        self._network.stats.messages.clear()
-        self._network.stats.messages.update(snapshot.messages)
-        self._network.stats.node_load.clear()
-        self._network.stats.node_load.update(snapshot.node_load)
+        self._network.stats.restore(snapshot)
         return result
 
     def average_cost(

@@ -60,9 +60,9 @@ PLAN_EVENT_FAMILIES = {
 def plan_hit_rates(events: Dict[str, int]) -> Dict[str, float]:
     """Per-cache-family hit rates from a plan-event counter dict.
 
-    Accepts either :attr:`MessageStats.plan_events` or the baselined
-    ``plan_cache`` dict a workload run reports; families with no traffic
-    report a rate of 0.0.
+    Accepts either :attr:`MessageStats.plan_events` or the ``plan_cache``
+    copy of it a workload run reports; families with no traffic report a
+    rate of 0.0.
     """
     rates = {}
     for family, (hit, miss) in PLAN_EVENT_FAMILIES.items():

@@ -302,13 +302,6 @@ class Network:
 
     # -- message delivery -----------------------------------------------------
 
-    def _active_faults(self) -> Optional[FaultPlan]:
-        return self._faults if self._faults.fault_count else None
-
-    def _surviving_routing(self) -> RoutingTable:
-        """Routing tables honouring the current fault plan (cached)."""
-        return self._planner.routing_table()
-
     def deliver(
         self,
         source: Hashable,
@@ -344,14 +337,15 @@ class Network:
                 # per-message delivery would (plans dedup, so bypass them).
                 outcome = self._deliver_with_duplicates(source, destinations, mode)
 
-        self._stats.record(category, outcome.hops, message_count=message_count)
         if message_count == len(targets):
             delivered = len(outcome.reached)
         else:
             # Duplicate destinations: every occurrence counts separately, so
             # the conservation law sent == delivered + dropped still holds.
             delivered = sum(1 for d in destinations if d in outcome.reached)
-        self._stats.record_delivery(category, delivered, message_count - delivered)
+        self._stats.record(
+            category, outcome.hops, message_count=message_count, delivered=delivered
+        )
         self._stats.record_load(outcome.reached)
         if self._tap is not None:
             self._tap.on_delivery(source, outcome.reached, category, mode)
@@ -409,7 +403,8 @@ class Network:
         """Flood the whole (surviving) network from ``source``."""
         if not self.node_is_up(source):
             raise NodeDownError(source)
-        outcome = flood(self._graph, source, self._active_faults())
+        faults = self._faults if self._faults.fault_count else None
+        outcome = flood(self._graph, source, faults)
         self._stats.record(category, outcome.hops, message_count=1)
         return outcome
 
@@ -475,7 +470,7 @@ class Network:
         reply_hops = 0
         lost_replies = 0
         mode = mode or self._delivery_mode
-        reply_table = self._surviving_routing() if mode != "ideal" else None
+        reply_table = self._planner.routing_table() if mode != "ideal" else None
         for target in outcome.reached:
             node = self._nodes[target]
             if collect_all:
@@ -500,9 +495,11 @@ class Network:
             records.extend(found)
             responders.append(target)
         self._stats.record(
-            REPLY, reply_hops, message_count=len(responders) + lost_replies
+            REPLY,
+            reply_hops,
+            message_count=len(responders) + lost_replies,
+            delivered=len(responders),
         )
-        self._stats.record_delivery(REPLY, len(responders), lost_replies)
         if self._tap is not None:
             self._tap.on_replies(responders, client_node, mode)
         tracer = active_tracer()
@@ -533,10 +530,9 @@ class Network:
             raise NodeDownError(source)
         if not self.node_is_up(destination):
             raise NodeDownError(destination)
-        table = self._surviving_routing()
+        table = self._planner.routing_table()
         hops = 0 if source == destination else table.distance(source, destination)
-        self._stats.record(PAYLOAD, hops, message_count=1)
-        self._stats.record_delivery(PAYLOAD, 1, 0)
+        self._stats.record(PAYLOAD, hops, message_count=1, delivered=1)
         if self._tap is not None:
             self._tap.on_payload(source, destination)
         return hops

@@ -7,14 +7,22 @@ experiments can separate posting, querying, replying and payload traffic.
 
 Each counter family is a :class:`~repro.obs.registry.CounterMap` — a dict
 subclass, so every existing read pattern (``stats.hops.get(...)``, direct
-indexing, ``dict(...)`` copies) still works, while merge/snapshot/diff
-delegate to the one shared implementation instead of six hand-rolled loops.
+indexing, ``dict(...)`` copies) still works, while merge/snapshot/diff/
+restore delegate to the one shared implementation instead of six
+hand-rolled loops.
+
+The counters are the network's *ledger*, written once per message by
+:meth:`MessageStats.record`.  What one call cost is not read back from
+here: the simulator returns it (``DeliveryOutcome.hops``,
+``QueryOutcome.query_hops``/``reply_hops``, the ``int`` from
+``send_payload``) and every layer above — match-maker, system, workload
+driver — hands that number up as a return value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, Optional, Tuple
 
 from ..obs.registry import CounterMap
 
@@ -57,11 +65,7 @@ class MessageStats:
     def __post_init__(self) -> None:
         # Plain dicts passed to the constructor (snapshots built from
         # literals, test fixtures) are adopted as counter maps.
-        for name in (
-            "hops", "messages", "node_load", "plan_events", "delivered",
-            "dropped",
-        ):
-            value = getattr(self, name)
+        for name, value in self._families():
             if not isinstance(value, CounterMap):
                 setattr(self, name, CounterMap(value))
 
@@ -75,24 +79,33 @@ class MessageStats:
             ("dropped", self.dropped),
         )
 
-    def record(self, category: str, hop_count: int, message_count: int = 1) -> None:
+    def record(
+        self,
+        category: str,
+        hop_count: int,
+        message_count: int = 1,
+        delivered: Optional[int] = None,
+    ) -> None:
         """Charge ``hop_count`` hops and ``message_count`` messages to
-        ``category``."""
+        ``category``.
+
+        Per-destination traffic also says how many of those messages were
+        ``delivered``; the rest are counted dropped, so ``sent = delivered +
+        dropped`` holds by construction.  Flood-style traffic (one message,
+        many receivers) leaves ``delivered`` out.
+        """
         if hop_count < 0 or message_count < 0:
             raise ValueError("counts must be non-negative")
         self.hops.bump(category, hop_count)
         self.messages.bump(category, message_count)
-
-    def record_delivery(
-        self, category: str, delivered: int, dropped: int
-    ) -> None:
-        """Record per-destination delivery outcomes for ``category``."""
-        if delivered < 0 or dropped < 0:
-            raise ValueError("counts must be non-negative")
+        if delivered is None:
+            return
+        if not 0 <= delivered <= message_count:
+            raise ValueError("delivered must be between 0 and message_count")
         if delivered:
             self.delivered.bump(category, delivered)
-        if dropped:
-            self.dropped.bump(category, dropped)
+        if delivered < message_count:
+            self.dropped.bump(category, message_count - delivered)
 
     def record_load(self, nodes: Iterable[Hashable]) -> None:
         """Count one delivered message against each addressed node."""
@@ -188,6 +201,12 @@ class MessageStats:
     def items(self) -> Iterator[Tuple[str, int]]:
         """Iterate ``(category, hops)`` pairs."""
         return iter(self.hops.items())
+
+    def restore(self, snapshot: "MessageStats") -> None:
+        """Put every counter family back to what ``snapshot`` recorded."""
+        for name, family in self._families():
+            family.clear()
+            family.update(getattr(snapshot, name))
 
     def reset(self) -> None:
         """Zero every counter."""

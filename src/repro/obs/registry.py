@@ -205,8 +205,12 @@ class Histogram:
         return sorted(self._counts.items())
 
     def to_dict(self) -> Dict[str, object]:
-        """Mean, tail percentiles and max — the summary a dashboard shows."""
-        return {
+        """Mean, tail percentiles and max — the summary a dashboard shows.
+
+        Fixed-bucket histograms hold continuous-ish samples (latencies)
+        whose tail is the point, so they add a p99.9.
+        """
+        data: Dict[str, object] = {
             "count": self._total,
             "mean": round(self.mean, 3),
             "p50": self.percentile(50),
@@ -214,6 +218,9 @@ class Histogram:
             "p99": self.percentile(99),
             "max": self.max,
         }
+        if self._buckets is not None:
+            data["p999"] = self.percentile(99.9)
+        return data
 
     def dump(self) -> Dict[str, object]:
         """Full-fidelity form: buckets included, so a reader re-derives any
@@ -317,9 +324,8 @@ class MetricsRegistry:
         return self._get(name, Timeline, lambda: Timeline(width_us))
 
     def register(self, name: str, instrument):
-        """Adopt a pre-built instrument under ``name`` (e.g. a
-        :class:`Histogram` subclass an owner wants to keep a typed handle
-        to).  The name must be free."""
+        """Adopt an instrument its owner built itself under ``name``.  The
+        name must be free."""
         if name in self._instruments:
             raise ValueError(f"metric {name!r} is already registered")
         if not isinstance(

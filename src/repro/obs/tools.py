@@ -86,26 +86,10 @@ def _latency_section(
     was attached)."""
     if "request_latency_us" not in serialized:
         return None
-    out: Dict[str, object] = {}
-    for name in _TIMED_INSTRUMENTS:
-        payload = serialized.get(name)
-        if payload is None:
-            continue
-        kind = payload.get("type")
-        if kind == "histogram":
-            histogram = Histogram.from_dump(payload)
-            data = histogram.to_dict()
-            if name.endswith("_us"):
-                data["p999"] = histogram.percentile(99.9)
-            out[name] = data
-        elif kind == "counter_map":
-            counts = payload.get("counts", {})
-            out[name] = {"total": sum(counts.values()), "keys": len(counts)}
-        elif kind == "timeline":
-            out[name] = _timeline_summary(payload)
-        else:
-            out[name] = payload.get("value")
-    return out
+    return _registry_summary({
+        name: serialized[name]
+        for name in _TIMED_INSTRUMENTS if name in serialized
+    })
 
 
 def summarize_export(directory) -> Dict[str, object]:

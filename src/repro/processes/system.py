@@ -32,7 +32,7 @@ from ..core.exceptions import (
 )
 from ..core.matchmaker import MatchMaker, ServerRegistration
 from ..core.strategy import MatchMakingStrategy
-from ..core.types import Address, Port
+from ..core.types import MatchResult, Port
 from ..network.simulator import Network
 from .client import ClientProcess
 from .server import RequestHandler, ServerProcess
@@ -41,7 +41,13 @@ from .service import ServiceDirectory
 
 @dataclass(frozen=True)
 class RequestOutcome:
-    """Result of one client request through the system."""
+    """Result of one client request through the system.
+
+    ``locate_hops`` (query + reply) and ``payload_hops`` are what the
+    request spent, summed from the hop counts the match-maker and the
+    network returned for each attempt — failed and retried requests
+    included — so callers never re-read them from the network's counters.
+    """
 
     ok: bool
     reply: object = None
@@ -50,6 +56,8 @@ class RequestOutcome:
     retries: int = 0
     used_cached_address: bool = False
     error: str = ""
+    locate_hops: int = 0
+    payload_hops: int = 0
 
 
 @dataclass
@@ -265,13 +273,10 @@ class DistributedSystem:
                 return server
         return None
 
-    def _locate(self, client: ClientProcess, port: Port) -> Optional[Address]:
+    def _locate(self, client: ClientProcess, port: Port) -> MatchResult:
         self._stats.locates += 1
         client.stats.locates += 1
-        result = self._matchmaker.locate(client.node, port)
-        if not result.found:
-            return None
-        return result.address  # type: ignore[return-value]
+        return self._matchmaker.locate(client.node, port)
 
     def request(
         self, client: ClientProcess, port: Port, payload: object
@@ -285,31 +290,46 @@ class DistributedSystem:
         self._stats.requests += 1
         client.stats.requests += 1
 
-        locates = 0
-        retries = 0
-        used_cache = False
-        # A cached address only *counts* as a hit once it is validated: the
-        # request must complete without any locate.  Counting here would
-        # inflate per-client stats relative to WorkloadMetrics.cache_hits
-        # (which requires ``locates == 0``) whenever the address is stale.
+        locates = retries = locate_hops = payload_hops = 0
         address = client.cached_address(port)
-        if address is not None:
-            used_cache = True
+        used_cache = address is not None
+
+        def finish(
+            error: Optional[str],
+            reply: object = None,
+            server: Optional[ServerProcess] = None,
+        ) -> RequestOutcome:
+            """Every exit: settle the counters, report what was spent."""
+            if error is None:
+                self._stats.successful_requests += 1
+            else:
+                client.stats.failures += 1
+            # A cached address only *counts* as a hit once it is validated:
+            # the request must complete without any locate — the exact
+            # predicate WorkloadMetrics.observe_request uses, so per-client
+            # counters sum to the workload-level counter.
+            if used_cache and locates == 0:
+                client.stats.cache_hits += 1
+            return RequestOutcome(
+                ok=error is None,
+                reply=reply,
+                server=server,
+                locates=locates,
+                retries=retries,
+                used_cached_address=used_cache,
+                error=error or "",
+                locate_hops=locate_hops,
+                payload_hops=payload_hops,
+            )
 
         for attempt in range(self._max_retries + 1):
             if address is None:
                 located = self._locate(client, port)
                 locates += 1
-                if located is None:
-                    self._record_failure(client)
-                    return RequestOutcome(
-                        ok=False,
-                        locates=locates,
-                        retries=retries,
-                        used_cached_address=used_cache,
-                        error=f"no server found for {port}",
-                    )
-                address = located
+                locate_hops += located.query_messages + located.reply_messages
+                if not located.found:
+                    return finish(f"no server found for {port}")
+                address = located.address
                 client.remember_address(port, address)
 
             target_node = address.node
@@ -329,45 +349,24 @@ class DistributedSystem:
                 continue
 
             try:
-                self._network.send_payload(client.node, target_node)
+                payload_hops += self._network.send_payload(
+                    client.node, target_node
+                )
                 reply = server.handle(payload)
-                self._network.send_payload(target_node, client.node)
+                payload_hops += self._network.send_payload(
+                    target_node, client.node
+                )
             except (NoRouteError, NodeDownError) as exc:
                 client.forget_address(port)
                 address = None
                 retries += 1
                 if attempt == self._max_retries:
-                    self._record_failure(client)
-                    self._count_cache_hit(client, used_cache, locates)
-                    return RequestOutcome(
-                        ok=False,
-                        locates=locates,
-                        retries=retries,
-                        used_cached_address=used_cache,
-                        error=str(exc),
-                    )
+                    return finish(str(exc))
                 continue
 
-            self._stats.successful_requests += 1
-            self._count_cache_hit(client, used_cache, locates)
-            return RequestOutcome(
-                ok=True,
-                reply=reply,
-                server=server,
-                locates=locates,
-                retries=retries,
-                used_cached_address=used_cache,
-            )
+            return finish(None, reply, server)
 
-        self._record_failure(client)
-        self._count_cache_hit(client, used_cache, locates)
-        return RequestOutcome(
-            ok=False,
-            locates=locates,
-            retries=retries,
-            used_cached_address=used_cache,
-            error=f"retry budget exhausted for {port}",
-        )
+        return finish(f"retry budget exhausted for {port}")
 
     def request_batch(
         self, operations: Iterable[Tuple[ClientProcess, Port, object]]
@@ -395,17 +394,3 @@ class DistributedSystem:
         if "no server found" in outcome.error:
             raise ServiceNotFoundError(port)
         raise ServiceError(outcome.error)
-
-    def _record_failure(self, client: ClientProcess) -> None:
-        client.stats.failures += 1
-
-    @staticmethod
-    def _count_cache_hit(
-        client: ClientProcess, used_cache: bool, locates: int
-    ) -> None:
-        """Count a validated cache hit, with the exact predicate
-        :meth:`~repro.workload.metrics.WorkloadMetrics.observe_request`
-        uses (``from_cache and locates == 0``), so per-client counters sum
-        to the workload-level counter."""
-        if used_cache and locates == 0:
-            client.stats.cache_hits += 1

@@ -72,7 +72,7 @@ from .matrix import (
     run_matrix,
     write_cell_trace,
 )
-from .metrics import HopHistogram, WorkloadMetrics
+from .metrics import WorkloadMetrics
 from .popularity import (
     MovingHotspotPopularity,
     PopularityModel,
@@ -105,7 +105,6 @@ __all__ = [
     "ClosedLoopArrivals",
     "FailoverChurn",
     "FaultRegimeSpec",
-    "HopHistogram",
     "MatrixCell",
     "MatrixReport",
     "MatrixSpec",

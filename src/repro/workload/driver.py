@@ -12,12 +12,19 @@ into tens of thousands of executed operations against a freshly built
    node, which nodes a storm wipes) and executed through a single op
    interpreter — the same interpreter replays recorded traces, which is what
    makes replays exact;
-3. hop deltas are read per-operation from the network's counters (integer
-   reads, no snapshots on the hot path), and the matchmaker's memoized P/Q
-   sets plus the clients' private address caches keep repeated locates off
-   the slow path.
+3. what a request cost arrives as a return value: the network returns
+   each message's hops, the match-maker and the system sum them into
+   ``RequestOutcome.locate_hops``/``payload_hops``, and the interpreter
+   records those two numbers — nothing is re-derived from the network's
+   counters.  Those counters are zeroed once placement is done, so at the
+   end of a run they *are* the run's per-node load and planner-cache
+   events.
 
-Run and replay of the same scenario produce identical
+:meth:`WorkloadDriver.run` feeds that interpreter a generator of freshly
+resolved ops (recording each), :meth:`WorkloadDriver.replay` a recorded
+trace; everything around the loop — building the system, the timed overlay,
+tracing, result assembly — exists once.  Run and replay of the same
+scenario produce identical
 :meth:`~repro.workload.metrics.WorkloadMetrics.summary` dictionaries.
 """
 
@@ -26,12 +33,12 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List
+from typing import Optional, Sequence
 
 from ..core.types import Port
 from ..network import faults as _faults
 from ..network.simulator import Network
-from ..network.stats import PAYLOAD, QUERY, REPLY
 from ..obs.profile import TOPOLOGY_BUILD, phase, wall_clock
 from ..obs.spans import SpanRecorder, active_tracer, tracing
 from ..simtime.binding import TimedOverlay
@@ -41,7 +48,7 @@ from ..processes.system import DistributedSystem
 from . import arrivals as _arrivals
 from . import churn as _churn
 from . import popularity as _popularity
-from .metrics import WorkloadMetrics, merge_node_load
+from .metrics import WorkloadMetrics
 from .spec import (
     ScenarioSpec,
     build_fault_timeline,
@@ -75,7 +82,7 @@ class WorkloadResult:
     wall_seconds: float
     #: Delivery-planner cache events over the measured run (plan/tree/route
     #: hit-miss counters from :class:`~repro.network.stats.MessageStats`,
-    #: baselined past system construction just like per-node load).
+    #: which the driver zeroes once the system is placed).
     #: Deterministic — a replay reproduces the exact same counts — but kept
     #: out of :meth:`summary` so summaries compare across planner versions.
     plan_cache: Dict[str, int] = field(default_factory=dict)
@@ -123,6 +130,18 @@ class WorkloadResult:
         --expect`` and the cross-process replay tests make.
         """
         return canonical_digest(self.to_dict())
+
+
+#: Fault-timeline event kind -> the trace op kind that executes it.
+_FAULT_OP_KINDS = {
+    _faults.CRASH_NODE: FAULT_CRASH,
+    _faults.RECOVER_NODE: FAULT_RECOVER,
+    _faults.LINK_DOWN: LINK_DOWN,
+    _faults.LINK_UP: LINK_UP,
+}
+
+#: Tie order of :meth:`WorkloadDriver._generate`'s queue at equal times.
+_RECOVERY, _FAULT, _CHURN = range(3)
 
 
 class _RunState:
@@ -228,6 +247,9 @@ class WorkloadDriver:
             system.create_client(placement.choice(self._nodes), name=f"cli-{i}")
             for i in range(spec.clients)
         ]
+        # Placement traffic is not the workload: from here on the network's
+        # counters hold the measured run and nothing else.
+        network.reset_stats()
         return _RunState(system, clients, slots)
 
     def _attach_overlay(
@@ -264,8 +286,8 @@ class WorkloadDriver:
     def _exec_op(
         self, state: _RunState, metrics: WorkloadMetrics, op: TraceOp
     ) -> None:
-        """Execute one fully-resolved operation (run and replay both land
-        here).
+        """Execute one fully-resolved operation (:meth:`_execute` is the
+        only caller, for run and replay alike).
 
         When a tracer is active, the op's trace time becomes the logical
         clock every span begun during this op is stamped with — the reason
@@ -285,10 +307,6 @@ class WorkloadDriver:
             port = self._ports[port_index]
             if not self.spec.cache_addresses:
                 client.forget_address(port)
-            hops = state.network.stats.hops
-            query0 = hops.get(QUERY, 0)
-            reply0 = hops.get(REPLY, 0)
-            payload0 = hops.get(PAYLOAD, 0)
             request_span = None
             if tracer is not None:
                 request_span = tracer.begin(
@@ -298,10 +316,8 @@ class WorkloadDriver:
             if overlay is not None:
                 overlay.begin_request(op.time)
             outcome = system.request(client, port, payload=None)
-            locate_hops = (
-                hops.get(QUERY, 0) - query0 + hops.get(REPLY, 0) - reply0
-            )
-            total_hops = locate_hops + hops.get(PAYLOAD, 0) - payload0
+            locate_hops = outcome.locate_hops
+            total_hops = locate_hops + outcome.payload_hops
             timing_attrs: Dict[str, object] = {}
             if overlay is not None:
                 latency_us, completed_at = overlay.finish_request(
@@ -386,26 +402,11 @@ class WorkloadDriver:
         re-advertisement) but are metered as fault events, so the
         churn-versus-fault split in the metrics survives replay.
         """
-        if event.kind == _faults.CRASH_NODE:
-            return TraceOp(
-                FAULT_CRASH, event.time, (self._node_index[event.subject[0]],)
-            )
-        if event.kind == _faults.RECOVER_NODE:
-            return TraceOp(
-                FAULT_RECOVER, event.time,
-                (self._node_index[event.subject[0]],),
-            )
-        if event.kind == _faults.LINK_DOWN:
-            u, v = event.subject
-            return TraceOp(
-                LINK_DOWN, event.time, (self._node_index[u], self._node_index[v])
-            )
-        if event.kind == _faults.LINK_UP:
-            u, v = event.subject
-            return TraceOp(
-                LINK_UP, event.time, (self._node_index[u], self._node_index[v])
-            )
-        raise ValueError(f"unknown fault event kind {event.kind!r}")
+        return TraceOp(
+            _FAULT_OP_KINDS[event.kind],
+            event.time,
+            tuple(self._node_index[node] for node in event.subject),
+        )
 
     # -- churn resolution ------------------------------------------------------
 
@@ -420,13 +421,14 @@ class WorkloadDriver:
         state: _RunState,
         event: _churn.ChurnEvent,
         rng: random.Random,
-        pending_recoveries: List[Tuple[float, int]],
+        queue: List[tuple],
     ) -> List[TraceOp]:
         """Turn an abstract churn event into concrete trace ops.
 
         Resolution consults live state (who is alive, what is up), draws any
-        random choices from ``rng``, and may schedule a recovery; the
-        returned ops are ready for :meth:`_exec_op`.
+        random choices from ``rng``, and may push a recovery onto
+        :meth:`_generate`'s ``queue``; the returned ops are ready for
+        :meth:`_exec_op`.
         """
         if event.kind == _churn.MIGRATE:
             candidates = [
@@ -465,7 +467,8 @@ class WorkloadDriver:
                 if ups:
                     ops.append(TraceOp(RESPAWN, event.time, (slot, rng.choice(ups))))
             heapq.heappush(
-                pending_recoveries, (event.time + self.spec.churn.downtime, victim)
+                queue,
+                (event.time + self.spec.churn.downtime, _RECOVERY, victim, None),
             )
             return ops
 
@@ -481,13 +484,11 @@ class WorkloadDriver:
 
     # -- run / replay ----------------------------------------------------------
 
-    def run(self, tracer: Optional[SpanRecorder] = None) -> WorkloadResult:
-        """Generate and execute the scenario, recording a replayable trace.
+    def _generate(self, state: _RunState) -> Iterator[TraceOp]:
+        """The scenario as a stream of resolved ops, in execution order.
 
-        ``tracer`` collects the run's span tree (``request`` → ``locate`` →
-        ``rendezvous-resolve`` → ``route``/``deliver``).  Spans are stamped
-        with each op's trace time, never wall clock, so tracing a run
-        changes nothing about its results.
+        Lazy on purpose: churn is resolved against live state, so each op
+        must have been executed before the next one is asked for.
         """
         spec = self.spec
         arrival_process = _arrivals.from_spec(spec.arrival)
@@ -505,9 +506,6 @@ class WorkloadDriver:
             arrival_process.arrivals(arrival_rng, spec.operations, spec.clients)
         )
         horizon = requests[-1][0] + 1e-9 if requests else 0.0
-        churn_events = churn_model.schedule(churn_rng, horizon)
-
-        state = self._build_state()
         # The fault timeline is materialized against the static graph with
         # its own generator; client hosts are protected (their death would
         # abort the request stream, which is the workload, not the subject).
@@ -516,120 +514,91 @@ class WorkloadDriver:
             spec.faults, self._topology.graph, fault_rng,
             protected=state.client_nodes,
         )
-        fault_ops = [self._fault_op(event) for event in timeline]
-        trace = Trace(spec.to_dict())
+        # Everything that is not a request waits in one time-ordered queue
+        # of ``(time, rank, order, item)``: ties execute recoveries first,
+        # then fault events, then churn, each in schedule order.
+        queue: List[tuple] = [
+            (event.time, _FAULT, order, self._fault_op(event))
+            for order, event in enumerate(timeline)
+        ] + [
+            (event.time, _CHURN, order, event)
+            for order, event in enumerate(churn_model.schedule(churn_rng, horizon))
+        ]
+        heapq.heapify(queue)
+
+        def due(until: float) -> Iterator[TraceOp]:
+            while queue and queue[0][0] <= until:
+                time, rank, order, item = heapq.heappop(queue)
+                if rank == _RECOVERY:
+                    yield TraceOp(RECOVER, time, (order,))
+                elif rank == _FAULT:
+                    yield item
+                else:
+                    yield from self._resolve_churn(
+                        state, item, resolve_rng, queue
+                    )
+
+        for now, client_index in requests:
+            yield from due(now)
+            port_index = popularity_model.pick(popularity_rng, now)
+            yield TraceOp(REQUEST, now, (client_index, port_index))
+        yield from due(float("inf"))
+
+    def _execute(
+        self,
+        program: Callable[[_RunState], Iterable[TraceOp]],
+        trace: Trace,
+        tracer: Optional[SpanRecorder],
+    ) -> WorkloadResult:
+        """Build a fresh system, execute ``program``'s ops, assemble the
+        result — the one op loop behind :meth:`run` and :meth:`replay`."""
+        state = self._build_state()
         metrics = WorkloadMetrics(universe_size=len(self._nodes))
-        load_baseline = dict(state.network.stats.node_load)
-        plan_baseline = dict(state.network.stats.plan_events)
-        pending_recoveries: List[Tuple[float, int]] = []
-        churn_cursor = 0
-        fault_cursor = 0
         self._attach_overlay(state, metrics)
         started = wall_clock()  # feeds wall_seconds, which canonical_dict zeroes
-
-        def _drain(until: float) -> None:
-            """Execute recoveries, fault events and churn due at or before
-            ``until``; ties execute recoveries first, then faults, then
-            churn."""
-            nonlocal churn_cursor, fault_cursor
-            while True:
-                recovery_due = (
-                    pending_recoveries[0][0] if pending_recoveries else float("inf")
-                )
-                fault_due = (
-                    fault_ops[fault_cursor].time
-                    if fault_cursor < len(fault_ops)
-                    else float("inf")
-                )
-                churn_due = (
-                    churn_events[churn_cursor].time
-                    if churn_cursor < len(churn_events)
-                    else float("inf")
-                )
-                due = min(recovery_due, fault_due, churn_due)
-                if due == float("inf") or due > until:
-                    return
-                if recovery_due == due:
-                    due_time, node_index = heapq.heappop(pending_recoveries)
-                    op = TraceOp(RECOVER, due_time, (node_index,))
-                    trace.append(op)
-                    self._exec_op(state, metrics, op)
-                elif fault_due == due:
-                    op = fault_ops[fault_cursor]
-                    fault_cursor += 1
-                    trace.append(op)
-                    self._exec_op(state, metrics, op)
-                else:
-                    event = churn_events[churn_cursor]
-                    churn_cursor += 1
-                    for op in self._resolve_churn(
-                        state, event, resolve_rng, pending_recoveries
-                    ):
-                        trace.append(op)
-                        self._exec_op(state, metrics, op)
-
         try:
             with tracing(tracer):
-                for now, client_index in requests:
-                    _drain(now)
-                    port_index = popularity_model.pick(popularity_rng, now)
-                    op = TraceOp(REQUEST, now, (client_index, port_index))
-                    trace.append(op)
+                for op in program(state):
                     self._exec_op(state, metrics, op)
-                _drain(float("inf"))
             wall = wall_clock() - started
         finally:
             # Also when an op raised: the caller's network must not keep a
             # capturing tap it never installed.
             exemplars = self._detach_overlay(state)
-        merge_node_load(metrics, state.network.stats.node_load, load_baseline)
+        stats = state.network.stats
+        metrics.node_load.update(stats.node_load)
         return WorkloadResult(
-            spec=spec,
+            spec=self.spec,
             metrics=metrics,
             trace=trace,
             wall_seconds=wall,
-            plan_cache=_plan_cache_delta(state, plan_baseline),
+            plan_cache=dict(stats.plan_events),
             exemplars=exemplars,
         )
+
+    def run(self, tracer: Optional[SpanRecorder] = None) -> WorkloadResult:
+        """Generate and execute the scenario, recording a replayable trace.
+
+        ``tracer`` collects the run's span tree (``request`` → ``locate`` →
+        ``rendezvous-resolve`` → ``route``/``deliver``).  Spans are stamped
+        with each op's trace time, never wall clock, so tracing a run
+        changes nothing about its results.
+        """
+        trace = Trace(self.spec.to_dict())
+
+        def recorded(state: _RunState) -> Iterator[TraceOp]:
+            for op in self._generate(state):
+                trace.append(op)
+                yield op
+
+        return self._execute(recorded, trace, tracer)
 
     def replay(
         self, trace: Trace, tracer: Optional[SpanRecorder] = None
     ) -> WorkloadResult:
         """Execute a recorded trace exactly; metrics match the original
         run — and so does the span stream, when ``tracer`` is given."""
-        state = self._build_state()
-        metrics = WorkloadMetrics(universe_size=len(self._nodes))
-        load_baseline = dict(state.network.stats.node_load)
-        plan_baseline = dict(state.network.stats.plan_events)
-        self._attach_overlay(state, metrics)
-        started = wall_clock()  # feeds wall_seconds, which canonical_dict zeroes
-        try:
-            with tracing(tracer):
-                for op in trace:
-                    self._exec_op(state, metrics, op)
-            wall = wall_clock() - started
-        finally:
-            exemplars = self._detach_overlay(state)
-        merge_node_load(metrics, state.network.stats.node_load, load_baseline)
-        return WorkloadResult(
-            spec=self.spec,
-            metrics=metrics,
-            trace=trace,
-            wall_seconds=wall,
-            plan_cache=_plan_cache_delta(state, plan_baseline),
-            exemplars=exemplars,
-        )
-
-
-def _plan_cache_delta(
-    state: _RunState, baseline: Dict[str, int]
-) -> Dict[str, int]:
-    """Planner cache events accumulated since ``baseline`` was taken."""
-    return {
-        kind: count - baseline.get(kind, 0)
-        for kind, count in state.network.stats.plan_events.items()
-        if count - baseline.get(kind, 0)
-    }
+        return self._execute(lambda state: trace, trace, tracer)
 
 
 def run_scenario(

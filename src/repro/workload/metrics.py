@@ -5,15 +5,15 @@ production service is judged by distributions — tail percentiles, hit
 rates, hotspots.  Every measurement here is an instrument in a
 :class:`~repro.obs.registry.MetricsRegistry`: counters for the request
 stream, counter families for churn/fault activity and per-node load, exact
-integer histograms (:class:`HopHistogram`) for hop distributions.  Because
-registry merges are associative, two runs' metrics — or one matrix's
-per-cell metrics — fold together exactly like matrix cells do, and the
-merged percentiles equal the ones a single combined run would report.
+integer histograms for hop distributions.  Because registry merges are
+associative, two runs' metrics — or one matrix's per-cell metrics — fold
+together exactly like matrix cells do, and the merged percentiles equal the
+ones a single combined run would report.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -23,21 +23,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .spec import SloSpec
 
 
-class HopHistogram(Histogram):
-    """An exact histogram of small non-negative integer hop samples.
-
-    A thin name over :class:`~repro.obs.registry.Histogram` in exact mode:
-    hop counts are small integers, so percentiles cost O(distinct values),
-    not O(samples), and ``merge`` adds bucket counts exactly.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(buckets=None)
-
-
 #: Log-spaced microsecond bounds (1-2-5 per decade, 1us .. 500s) shared by
 #: every latency-shaped histogram, so merges across runs and matrix cells
-#: always see an identical bucket layout.
+#: always see an identical bucket layout.  Latencies are continuous-ish
+#: (jitter, queueing): an exact histogram would grow one bucket per distinct
+#: value, the fixed grid keeps summaries small.
 LATENCY_BUCKETS_US: Tuple[int, ...] = tuple(
     mantissa * 10 ** exponent for exponent in range(9) for mantissa in (1, 2, 5)
 )
@@ -49,33 +39,14 @@ LATENCY_BUCKETS_US: Tuple[int, ...] = tuple(
 DEFAULT_WINDOW_US = 500_000
 
 
-class LatencyHistogram(Histogram):
-    """A fixed log-bucket histogram of integer-microsecond samples.
-
-    Latencies are continuous-ish (jitter, queueing), so the exact-mode
-    histogram would grow one bucket per distinct value; the fixed 1-2-5
-    decade grid keeps summaries small and merges layout-compatible.  Tail
-    behaviour is the whole point of a time model, so the summary adds a
-    p99.9 to the registry histogram's standard p50/p95/p99.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(buckets=LATENCY_BUCKETS_US)
-
-    def to_dict(self) -> Dict[str, object]:
-        data = super().to_dict()
-        data["p999"] = self.percentile(99.9)
-        return data
-
-
 class WorkloadMetrics:
     """Aggregated measurements of one workload run, registry-backed.
 
     The public shape is unchanged from the pre-registry implementation —
     integer properties (``requests``, ``cache_hits``...), dict-shaped
     counter families (``churn_events``, ``fault_events``, ``node_load``)
-    and :class:`HopHistogram` handles — but every instrument now lives in
-    one :class:`~repro.obs.registry.MetricsRegistry`, so whole-run metrics
+    and exact hop :class:`Histogram` handles — but every instrument lives
+    in one :class:`~repro.obs.registry.MetricsRegistry`, so whole-run metrics
     :meth:`merge` associatively and export losslessly (histogram buckets
     included) for ``python -m repro obs``.
     """
@@ -98,13 +69,9 @@ class WorkloadMetrics:
         #: from ``churn_events``, which counts population churn.
         self.fault_events: CounterMap = registry.counter_map("fault_events")
         #: Hops spent on match-making (query + reply) per request.
-        self.locate_hops: HopHistogram = registry.register(
-            "locate_hops", HopHistogram()
-        )
+        self.locate_hops: Histogram = registry.histogram("locate_hops")
         #: Total hops (match-making + payload round trip) per request.
-        self.request_hops: HopHistogram = registry.register(
-            "request_hops", HopHistogram()
-        )
+        self.request_hops: Histogram = registry.histogram("request_hops")
         #: Delivered messages per node over the run (load balance).
         self.node_load: CounterMap = registry.counter_map("node_load")
         #: Total nodes in the network (so unloaded nodes count toward
@@ -114,9 +81,9 @@ class WorkloadMetrics:
         #: Timed-run instruments (see :meth:`enable_timing`): ``None`` until
         #: a time model attaches, so an untimed run's registry, export and
         #: summary never mention them.
-        self.request_latency: Optional[LatencyHistogram] = None
-        self.queue_wait: Optional[LatencyHistogram] = None
-        self.queue_depth: Optional[HopHistogram] = None
+        self.request_latency: Optional[Histogram] = None
+        self.queue_wait: Optional[Histogram] = None
+        self.queue_depth: Optional[Histogram] = None
         self._message_timeouts = None
         self.link_busy: Optional[CounterMap] = None
         self._virtual_horizon = None
@@ -215,15 +182,13 @@ class WorkloadMetrics:
             return
         registry = self._registry
         #: Virtual request latency: op arrival to last message delivered.
-        self.request_latency = registry.register(
-            "request_latency_us", LatencyHistogram()
+        self.request_latency = registry.histogram(
+            "request_latency_us", LATENCY_BUCKETS_US
         )
         #: Wait suffered at each queue visit (0 = no contention).
-        self.queue_wait = registry.register(
-            "queue_wait_us", LatencyHistogram()
-        )
+        self.queue_wait = registry.histogram("queue_wait_us", LATENCY_BUCKETS_US)
         #: Queue depth sampled at each message arrival (small exact ints).
-        self.queue_depth = registry.register("queue_depth", HopHistogram())
+        self.queue_depth = registry.histogram("queue_depth")
         self._message_timeouts = registry.counter("message_timeouts")
         #: Busy microseconds per link (keyed by simtime ``link_key``).
         self.link_busy = registry.counter_map("link_busy_us")
@@ -466,14 +431,3 @@ class WorkloadMetrics:
             if slo is not None:
                 data["slo"] = slo
         return data
-
-
-def merge_node_load(
-    metrics: WorkloadMetrics, node_load: Dict[Hashable, int], baseline: Optional[Dict[Hashable, int]] = None
-) -> None:
-    """Install a run's per-node load (``end - baseline``) into ``metrics``."""
-    base = baseline or {}
-    for node, load in node_load.items():
-        delta = load - base.get(node, 0)
-        if delta:
-            metrics.node_load[node] = delta

@@ -12,8 +12,14 @@ topology) and the shared invariants are pinned:
 * measured rendezvous cost respects the paper's Proposition 2 lower bound
   (``core/bounds.py``) — no strategy can beat ``(2/n)·Σ sqrt(k_i)``;
 * identical scenarios produce identical results (determinism), faults and
-  churn included.
+  churn included;
+* the hops a request *reports* (``RequestOutcome.locate_hops`` /
+  ``payload_hops``, handed up from the network's return values) equal the
+  hops the network's ledger *charged* across the call, in every delivery
+  mode and on every exit of the request path.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -22,8 +28,11 @@ from repro.core.exceptions import NodeDownError
 from repro.core.matchmaker import MatchMaker
 from repro.core.rendezvous import RendezvousMatrix
 from repro.core.types import Port
+from repro.network.simulator import Network
 from repro.network.stats import PAYLOAD, POST, QUERY, REPLY
-from repro.strategies import default_registry
+from repro.processes.system import DistributedSystem
+from repro.strategies import CheckerboardStrategy, default_registry
+from repro.topologies import RingTopology
 from repro.workload import (
     ArrivalSpec,
     ChurnSpec,
@@ -148,3 +157,140 @@ class TestSharedContract:
         second = WorkloadDriver(spec).run()
         assert first.to_dict() == second.to_dict()
         assert first.plan_cache == second.plan_cache
+
+
+# -- returned hops versus charged hops ---------------------------------------
+
+
+def charged_hops(network, call):
+    """Run ``call``; returns ``(result, locate, payload, post)`` hop deltas.
+
+    This is the derivation the request path used to do in ``src`` —
+    counters read before and after — kept here as the oracle for the
+    numbers that are now handed up as return values.
+    """
+    hops = network.stats.hops
+    before = {c: hops.get(c, 0) for c in (QUERY, REPLY, PAYLOAD, POST)}
+    result = call()
+    delta = {c: hops.get(c, 0) - before[c] for c in before}
+    return result, delta[QUERY] + delta[REPLY], delta[PAYLOAD], delta[POST]
+
+
+@pytest.fixture
+def audited_requests(monkeypatch):
+    """Check every ``DistributedSystem.request`` and every
+    ``MatchMaker.register_server`` against the ledger; returns the list of
+    audited request outcomes."""
+    outcomes = []
+    real_request = DistributedSystem.request
+    real_register = MatchMaker.register_server
+
+    def request(self, client, port, payload):
+        outcome, locate, payload_hops, post = charged_hops(
+            self.network, lambda: real_request(self, client, port, payload)
+        )
+        assert (outcome.locate_hops, outcome.payload_hops) == (
+            locate, payload_hops,
+        ), outcome
+        assert post == 0
+        outcomes.append(outcome)
+        return outcome
+
+    def register_server(self, node, port, server_id=None):
+        registration, locate, payload_hops, post = charged_hops(
+            self.network,
+            lambda: real_register(self, node, port, server_id=server_id),
+        )
+        assert (registration.post_hops, locate, payload_hops) == (post, 0, 0)
+        return registration
+
+    monkeypatch.setattr(DistributedSystem, "request", request)
+    monkeypatch.setattr(MatchMaker, "register_server", register_server)
+    return outcomes
+
+
+@pytest.mark.parametrize("mode", ["ideal", "unicast", "multicast"])
+@pytest.mark.parametrize("strategy,topology", STRATEGY_TOPOLOGIES, ids=IDS)
+def test_reported_hops_equal_charged_hops(
+    strategy, topology, mode, audited_requests
+):
+    spec = replace(cell_spec(strategy, topology), delivery_mode=mode)
+    result = WorkloadDriver(spec).run()
+    assert len(audited_requests) == spec.operations
+    metrics = result.metrics
+    # The driver recorded exactly what the outcomes reported.
+    assert metrics.locate_hops.count == spec.operations
+    assert round(metrics.locate_hops.mean * spec.operations) == sum(
+        outcome.locate_hops for outcome in audited_requests
+    )
+    assert round(metrics.request_hops.mean * spec.operations) == sum(
+        outcome.locate_hops + outcome.payload_hops
+        for outcome in audited_requests
+    )
+    assert metrics.stale_retries == sum(o.retries for o in audited_requests)
+
+
+class TestReportedHopsOnEveryExit:
+    """The exits a healthy sweep rarely takes, each forced on a 6-ring
+    (unicast, so a cut link really loses routes)."""
+
+    @staticmethod
+    def ring_system(max_retries):
+        topology = RingTopology(6)
+        network = Network(topology.graph, delivery_mode="unicast")
+        return DistributedSystem(
+            network, CheckerboardStrategy(topology.nodes()),
+            max_retries=max_retries,
+        )
+
+    @pytest.fixture
+    def system(self):
+        return self.ring_system(max_retries=1)
+
+    def test_not_found(self, system, audited_requests):
+        client = system.create_client(0)
+        outcome = system.request(client, Port("nobody-serves-this"), None)
+        assert not outcome.ok and "no server found" in outcome.error
+        assert outcome.locate_hops > 0 and outcome.payload_hops == 0
+
+    def test_stale_address_then_retry(self, system, audited_requests):
+        port = Port("svc")
+        server = system.create_server(3, port)
+        client = system.create_client(0)
+        first = system.request(client, port, None)
+        system.migrate_server(server, 4)
+        second = system.request(client, port, None)
+        assert first.ok and second.ok
+        assert (second.used_cached_address, second.retries) == (True, 1)
+        assert second.locate_hops > 0 and second.payload_hops > 0
+        third = system.request(client, port, None)  # validated cache hit
+        assert (third.locates, third.locate_hops) == (0, 0)
+        # Round trips on the ring: 0 <-> 3 is 2 x 3 hops, 0 <-> 4 is 2 x 2.
+        assert (first.payload_hops, third.payload_hops) == (6, 4)
+
+    def test_route_lost_on_the_last_attempt(self, audited_requests):
+        system = self.ring_system(max_retries=0)
+        port = Port("svc")
+        system.create_server(3, port)
+        client = system.create_client(0)
+        assert system.request(client, port, None).ok
+        # Cut node 3 off (its host stays up, so the address is not stale).
+        system.network.fail_link(2, 3)
+        system.network.fail_link(3, 4)
+        outcome = system.request(client, port, None)
+        assert not outcome.ok and "no route" in outcome.error.lower()
+        assert (outcome.locates, outcome.retries) == (0, 1)
+        assert (outcome.locate_hops, outcome.payload_hops) == (0, 0)
+
+    def test_retry_budget_exhausted(self, audited_requests):
+        system = self.ring_system(max_retries=0)
+        port = Port("svc")
+        server = system.create_server(3, port)
+        client = system.create_client(0)
+        first = system.request(client, port, None)
+        system.migrate_server(server, 4)
+        outcome = system.request(client, port, None)  # stale, no retry left
+        assert not outcome.ok and "retry budget exhausted" in outcome.error
+        assert (outcome.locate_hops, outcome.payload_hops) == (0, 0)
+        assert first.locate_hops > 0
+        assert [o.ok for o in audited_requests] == [True, False]

@@ -414,3 +414,57 @@ class TestOneCellLoop:
         ]
         assert "exec/runner.py:run_matrix_parallel" not in \
             self._functions_calling("run_matrix")
+
+
+class TestOneOpLoop:
+    """The request path says each fact once, pinned at the AST: one loop
+    executes ops, and hop counts are handed up, never re-read."""
+
+    SRC = Path(repro.__file__).parent
+
+    def test_exec_op_has_exactly_one_call_site(self):
+        # One entry per call node: a second call inside _execute would
+        # list it twice.
+        assert TestOneCellLoop._functions_calling("_exec_op") == [
+            "workload/driver.py:_execute",
+        ]
+
+    def test_driver_never_reads_hop_counters_or_keeps_baselines(self):
+        tree = ast.parse((self.SRC / "workload/driver.py").read_text("utf-8"))
+        attributes = {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+        }
+        names = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+        }
+        assert not attributes & {"hops", "hops_for", "snapshot", "diff"}
+        assert not names & {
+            "load_baseline", "plan_baseline", "merge_node_load",
+            "_plan_cache_delta", "QUERY", "REPLY", "PAYLOAD",
+        }
+
+    def test_matchmaker_takes_hops_from_outcomes(self):
+        tree = ast.parse((self.SRC / "core/matchmaker.py").read_text("utf-8"))
+        assert "hops_for" not in {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+        }
+
+    def test_network_charges_the_ledger_once_per_message(self):
+        tree = ast.parse((self.SRC / "network/simulator.py").read_text("utf-8"))
+        charges = {}
+        for scope in ast.walk(tree):
+            if not isinstance(scope, ast.FunctionDef):
+                continue
+            for node in ast.walk(scope):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None)
+                    in ("record", "record_delivery")
+                ):
+                    charges.setdefault(scope.name, []).append(node.func.attr)
+        assert charges == {
+            "deliver": ["record"], "query": ["record"],
+            "send_payload": ["record"], "broadcast": ["record"],
+        }

@@ -12,9 +12,12 @@ from dataclasses import replace
 
 import pytest
 
+from repro.obs import SpanRecorder
 from repro.simtime import LinkTiming, TimeModelSpec, link_key
 from repro.workload import (
     ArrivalSpec,
+    ChurnSpec,
+    FaultRegimeSpec,
     MatrixSpec,
     PopularitySpec,
     ScenarioSpec,
@@ -57,6 +60,34 @@ def timed_spec(**overrides) -> ScenarioSpec:
 
 
 class TestRecordReplay:
+    def test_run_and_replay_share_one_loop_spans_and_counters_included(self):
+        # Timed, churned and faulted at once: every kind of op the generator
+        # resolves goes through the same interpreter the replay feeds.
+        spec = timed_spec(
+            churn=ChurnSpec(kind="mixed", rate=60.0, downtime=0.05),
+            faults=FaultRegimeSpec(kind="waves", events=2, size=1, start=0.05,
+                                   period=0.1, downtime=0.06),
+        )
+        driver = WorkloadDriver(spec)
+        run_spans, replay_spans = SpanRecorder(), SpanRecorder()
+        recorded = driver.run(tracer=run_spans)
+        replayed = driver.replay(recorded.trace, tracer=replay_spans)
+        kinds = recorded.trace.operation_counts()
+        assert {"request", "migrate", "crash", "respawn", "recover", "storm",
+                "fault_crash", "fault_recover"} <= set(kinds)
+        assert replayed.digest() == recorded.digest()
+        assert [s.to_dict() for s in replay_spans.spans] == [
+            s.to_dict() for s in run_spans.spans
+        ]
+        assert replayed.plan_cache == recorded.plan_cache != {}
+        assert replayed.metrics.node_load == recorded.metrics.node_load != {}
+        assert replayed.exemplars == recorded.exemplars
+        # The counters are the run's own: placement traffic is not in them.
+        assert sum(recorded.metrics.node_load.values()) == sum(
+            span.attrs["reached"] for span in run_spans.spans
+            if span.name == "deliver"
+        )
+
     def test_replay_is_byte_exact_with_equal_latency_buckets(self):
         recorded = run_scenario(timed_spec())
         replayed = replay_trace(recorded.trace)

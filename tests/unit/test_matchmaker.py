@@ -6,6 +6,7 @@ from repro.core.exceptions import ServiceNotFoundError
 from repro.core.matchmaker import MatchMaker
 from repro.core.types import Address, Port
 from repro.network.simulator import Network
+from repro.network.stats import PAYLOAD, POST, QUERY, REPLY
 from repro.strategies import CheckerboardStrategy, ManhattanStrategy
 from repro.topologies import CompleteTopology, ManhattanTopology
 
@@ -126,6 +127,32 @@ class TestMatchInstance:
         _, _, matchmaker = complete_setup
         matchmaker.match_instance(2, 13, port)
         assert not matchmaker.locate(13, port).found
+
+    def test_instance_cleanup_is_invisible_in_every_counter_family(self, port):
+        # The withdrawal used to be "un-charged" by restoring hops, messages
+        # and node_load only, leaving its deliveries and planner events
+        # behind: sent 4, delivered 8 for POST on this very grid.
+        topology = ManhattanTopology.square(4)
+        network = Network(topology.graph, delivery_mode="multicast")
+        matchmaker = MatchMaker(network, ManhattanStrategy(topology))
+        stats = network.stats
+        matchmaker.match_instance((0, 0), (3, 3), port)  # warms the planner
+        assert stats.conservation_violations(
+            (POST, QUERY, REPLY, PAYLOAD)
+        ) == {}
+        # What one instance should be charged: its post and its locate.
+        mark = stats.snapshot()
+        registration = matchmaker.register_server((0, 0), port)
+        matchmaker.locate((3, 3), port)
+        charged = stats.diff(mark)
+        matchmaker.deregister_server(registration)
+        mark = stats.snapshot()
+        matchmaker.match_instance((0, 0), (3, 3), port)
+        assert stats.diff(mark) == charged
+        assert stats.diff(mark).plan_events == charged.plan_events != {}
+        assert stats.conservation_violations(
+            (POST, QUERY, REPLY, PAYLOAD)
+        ) == {}
 
     def test_grid_instance_includes_routing_overhead(self, grid_setup, port):
         _, strategy, matchmaker = grid_setup

@@ -54,14 +54,20 @@ class TestMemoization:
             matchmaker.locate(client, port)
         assert strategy.query_calls == 2
 
-    def test_memo_can_be_disabled(self, network, port):
+    def test_six_thousand_locates_cost_sixty_five_strategy_calls(self, port):
+        # The deterministic proof of the fast path (formerly E15's timed
+        # A/B): on complete:64 only the 64 distinct query sets plus the one
+        # post set are ever computed, however many locates run.
+        network = Network(CompleteTopology(64).graph, delivery_mode="ideal")
         strategy = CountingStrategy(network.node_ids())
-        matchmaker = MatchMaker(network, strategy, memoize=False)
-        matchmaker.register_server(3, port)
-        for _ in range(5):
-            matchmaker.locate(9, port)
-        assert strategy.query_calls == 5
-        assert matchmaker.pq_cache_info()["entries"] == 0
+        matchmaker = MatchMaker(network, strategy)
+        matchmaker.register_server(5, port)
+        for i in range(6_000):
+            assert matchmaker.locate(i % 64, port).found
+        assert strategy.post_calls + strategy.query_calls == 64 + 1
+        assert matchmaker.pq_cache_info() == {
+            "hits": 6_000 - 64, "misses": 64 + 1, "entries": 64 + 1,
+        }
 
     def test_nondeterministic_strategy_never_memoized(self, network, port):
         universe = network.node_ids()
@@ -81,6 +87,7 @@ class TestMemoization:
         matchmaker.register_server(3, port)
         matchmaker.register_server(3, port)
         assert len(calls) == 2  # both posts re-ran the strategy
+        assert matchmaker.pq_cache_info()["entries"] == 0
 
     def test_port_dependent_strategy_keyed_by_port(self, network):
         strategy = HashLocateStrategy(network.node_ids(), replicas=1)

@@ -126,6 +126,20 @@ class TestHistogramPercentiles:
         # Mean stays exact: the raw sum is accumulated before bucketing.
         assert histogram.mean == pytest.approx((0 + 1 + 2 + 3 + 5) / 5)
 
+    def test_fixed_bucket_summaries_carry_p999_through_a_dump(self):
+        exact, bucketed = Histogram(), Histogram((10, 100, 1000))
+        for value in range(1, 2001):
+            exact.add(value % 7)
+            bucketed.add(value % 900)
+        assert "p999" not in exact.to_dict()
+        summary = bucketed.to_dict()
+        assert summary["p999"] == bucketed.percentile(99.9)
+        assert list(summary)[-1] == "p999"  # appended after the shared keys
+        # ``obs summarize`` re-derives summaries from dumps: same dict, so
+        # no reader has to patch the tail back in.
+        assert Histogram.from_dump(bucketed.dump()).to_dict() == summary
+        assert Histogram.from_dump(exact.dump()).to_dict() == exact.to_dict()
+
     def test_overflow_bucket_catches_samples_beyond_the_last_bound(self):
         histogram = Histogram((2, 4))
         histogram.add(100)

@@ -70,7 +70,7 @@ class TestUnreachableReplyEviction:
             has_route=lambda s, d: s != lost_responder and real.has_route(s, d),
             distance=real.distance,
         )
-        monkeypatch.setattr(net, "_surviving_routing", lambda: stub)
+        monkeypatch.setattr(net.planner, "routing_table", lambda: stub)
 
     def test_equal_record_of_other_responder_survives(
         self, net, port, monkeypatch

@@ -32,6 +32,43 @@ class TestMessageStats:
         with pytest.raises(ValueError):
             MessageStats().record(POST, -1)
 
+    def test_record_derives_dropped_from_delivered(self):
+        stats = MessageStats()
+        stats.record(QUERY, 7, message_count=5, delivered=3)
+        stats.record(REPLY, 2, message_count=2, delivered=2)
+        stats.record(POST, 0, message_count=1, delivered=0)
+        assert (stats.delivered_for(QUERY), stats.dropped_for(QUERY)) == (3, 2)
+        # Only non-zero outcomes create keys (dumps stay minimal).
+        assert stats.delivered == {QUERY: 3, REPLY: 2}
+        assert stats.dropped == {QUERY: 2, POST: 1}
+        assert stats.conservation_violations((POST, QUERY, REPLY)) == {}
+        # Flood-style traffic leaves ``delivered`` out: hops and messages only.
+        stats.record("control", 9)
+        assert "control" not in stats.delivered
+        assert "control" not in stats.dropped
+
+    @pytest.mark.parametrize("delivered", [-1, 3])
+    def test_record_rejects_impossible_delivery_counts(self, delivered):
+        with pytest.raises(ValueError):
+            MessageStats().record(QUERY, 1, message_count=2, delivered=delivered)
+
+    def test_restore_rewinds_all_six_families(self):
+        stats = MessageStats()
+        stats.record(POST, 2, message_count=2, delivered=1)
+        stats.record_load([1, 2])
+        stats.record_plan_event("plan_miss")
+        snap = stats.snapshot()
+        stats.record(POST, 3, message_count=4, delivered=1)
+        stats.record(QUERY, 1, message_count=1, delivered=1)
+        stats.record_load([2, 3])
+        stats.record_plan_event("plan_hit")
+        hops = stats.hops
+        stats.restore(snap)
+        assert stats == snap
+        assert stats.hops is hops  # in place: the planner keeps its handle
+        stats.record(POST, 1)
+        assert snap.hops_for(POST) == 2  # the snapshot stays independent
+
     def test_merge(self):
         a = MessageStats()
         a.record(POST, 2)

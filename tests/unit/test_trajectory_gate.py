@@ -149,9 +149,9 @@ class TestCheckTrajectory:
     def test_unbaselined_metric_skips_lost_metric_fails(self):
         bench = bench_document()
         baseline = trajectory.build_baseline(bench)
-        # memoization.speedup is tracked but absent from both: a skip.
+        # incremental.warm_speedup is tracked but absent from both: a skip.
         _, _, skips = trajectory.check_trajectory(bench, baseline)
-        assert any("memoization.speedup" in line for line in skips)
+        assert any("incremental.warm_speedup" in line for line in skips)
         # A metric the baseline recorded but the bench file lost: a failure.
         lost = bench_document()
         del lost["parallel"]

@@ -4,10 +4,10 @@ import io
 
 import pytest
 
+from repro.obs import Histogram
 from repro.workload import (
     ArrivalSpec,
     ChurnSpec,
-    HopHistogram,
     PopularitySpec,
     ScenarioSpec,
     Trace,
@@ -36,8 +36,10 @@ def small_spec(**overrides):
 
 
 class TestHopHistogram:
+    """Hop distributions are plain exact-mode ``Histogram()``s."""
+
     def test_percentiles_exact(self):
-        histogram = HopHistogram()
+        histogram = Histogram()
         for value in range(1, 101):  # 1..100 once each
             histogram.add(value)
         assert histogram.percentile(50) == 50
@@ -49,13 +51,13 @@ class TestHopHistogram:
         assert histogram.count == 100
 
     def test_empty_histogram(self):
-        histogram = HopHistogram()
+        histogram = Histogram()
         assert histogram.percentile(95) == 0
         assert histogram.mean == 0.0
         assert histogram.to_dict()["count"] == 0
 
     def test_rejects_bad_samples(self):
-        histogram = HopHistogram()
+        histogram = Histogram()
         with pytest.raises(ValueError):
             histogram.add(-1)
         with pytest.raises(ValueError):
