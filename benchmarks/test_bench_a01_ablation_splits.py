@@ -1,6 +1,6 @@
 """Ablation A1 — the post/query split and the frequency weighting (M3').
 
-DESIGN.md calls out two tunables the paper discusses but does not tabulate:
+Two tunables the paper discusses but does not tabulate:
 
 * the split parameter of the hypercube strategy (ε·d vs (1−ε)·d bits), which
   the paper suggests adapting "to take advantage of relative immobility of
@@ -55,8 +55,8 @@ def run_split_ablation():
     return {"rows": rows, "balanced_cost": balanced, "n": n}
 
 
-def test_bench_a01_split_and_weighting(benchmark, record):
-    results = benchmark.pedantic(run_split_ablation, rounds=1, iterations=1)
+def test_bench_a01_split_and_weighting():
+    results = run_split_ablation()
     n = results["n"]
 
     assert results["balanced_cost"] == 2 * n**0.5
@@ -76,5 +76,3 @@ def test_bench_a01_split_and_weighting(benchmark, record):
     # More skew never helps the balanced case: the ratio=1 optimum is 2*sqrt(n).
     balanced_row = next(r for r in results["rows"] if r["ratio"] == 1.0)
     assert balanced_row["best_split"]["weighted"] == 2 * n**0.5
-
-    record(n=n, ratios=[row["ratio"] for row in results["rows"]])

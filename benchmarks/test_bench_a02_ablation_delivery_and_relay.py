@@ -53,8 +53,8 @@ def run_delivery_ablation():
     return results
 
 
-def test_bench_a02_delivery_modes_and_relay(benchmark, record):
-    results = benchmark.pedantic(run_delivery_ablation, rounds=1, iterations=1)
+def test_bench_a02_delivery_modes_and_relay():
+    results = run_delivery_ablation()
 
     delivery = results["delivery"]
     # Ideal (complete-network accounting) is the cheapest; spanning-tree
@@ -72,5 +72,3 @@ def test_bench_a02_delivery_modes_and_relay(benchmark, record):
     # ... but removes the funnel hotspot next to the common destination.
     assert relay["relay"]["hotspot_ratio"] <= relay["direct"]["hotspot_ratio"]
     assert relay["relay"]["max_node_load"] <= relay["direct"]["max_node_load"]
-
-    record(grid_side=SIDE, modes=list(delivery))

@@ -75,8 +75,8 @@ def run_scoped_hash_ablation():
     return results
 
 
-def test_bench_a03_scoped_vs_flat_hash(benchmark, record):
-    results = benchmark.pedantic(run_scoped_hash_ablation, rounds=1, iterations=1)
+def test_bench_a03_scoped_vs_flat_hash():
+    results = run_scoped_hash_ablation()
 
     flat, scoped = results["flat"], results["scoped"]
     # Scoping keeps local traffic local: locates travel fewer hops on
@@ -87,5 +87,3 @@ def test_bench_a03_scoped_vs_flat_hash(benchmark, record):
     # rendezvous nodes.
     assert scoped["nonzero_caches"] >= flat["nonzero_caches"]
     assert scoped["max_cache"] <= flat["max_cache"] + 2
-
-    record(arity=ARITY, levels=LEVELS)

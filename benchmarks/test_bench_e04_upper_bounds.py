@@ -37,8 +37,8 @@ def run_upper_bound_experiment():
     return rows, lift_row
 
 
-def test_bench_e04_proposition_3_and_4(benchmark, record):
-    rows, lift_row = benchmark.pedantic(run_upper_bound_experiment, rounds=1, iterations=1)
+def test_bench_e04_proposition_3_and_4():
+    rows, lift_row = run_upper_bound_experiment()
 
     for row in rows:
         assert row["total"]
@@ -50,5 +50,3 @@ def test_bench_e04_proposition_3_and_4(benchmark, record):
     # Proposition 4: 4n nodes, exactly twice the average cost.
     assert lift_row["lift_n"] == 4 * lift_row["base_n"]
     assert lift_row["lift_cost"] == 2 * lift_row["base_cost"]
-
-    record(sizes=list(SIZES), lift=lift_row)

@@ -76,8 +76,8 @@ def run_manhattan_experiment():
     return results
 
 
-def test_bench_e05_manhattan_networks(benchmark, record):
-    results = benchmark.pedantic(run_manhattan_experiment, rounds=1, iterations=1)
+def test_bench_e05_manhattan_networks():
+    results = run_manhattan_experiment()
 
     # m(n) = 2*sqrt(n) on square grids, and the cost scales as n^0.5.
     for row in results["square_scaling"]:
@@ -99,9 +99,3 @@ def test_bench_e05_manhattan_networks(benchmark, record):
     # d-dimensional meshes hit 2*n^((d-1)/d) exactly for equal sides.
     for row in results["meshes"]:
         assert abs(row["m(n)"] - row["expected"]) < 1e-9
-
-    record(**{
-        "square_sizes": [row["n"] for row in results["square_scaling"]],
-        "mesh_dims": [row["d"] for row in results["meshes"]],
-        "scaling_exponent": 0.5,
-    })

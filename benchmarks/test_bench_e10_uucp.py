@@ -80,8 +80,8 @@ def run_uucp_experiment():
     return results
 
 
-def test_bench_e10_uucp_and_trees(benchmark, record):
-    results = benchmark.pedantic(run_uucp_experiment, rounds=1, iterations=1)
+def test_bench_e10_uucp_and_trees():
+    results = run_uucp_experiment()
 
     paper = results["paper"]
     # The legible table rows cover nearly all of the 1916 sites / 3848 edges.
@@ -110,5 +110,3 @@ def test_bench_e10_uucp_and_trees(benchmark, record):
     assert service["m(n)_addressed"] <= 2 * (service["max_depth"] + 1)
     assert service["core_cache"] >= service["median_cache"]
     assert service["core_cache"] >= 10
-
-    record(synthetic_sites=SYNTHETIC_SITES, paper_sites=PAPER_TOTAL_SITES)

@@ -99,8 +99,8 @@ def run_robustness_experiment():
     return results
 
 
-def test_bench_e13_robustness(benchmark, record):
-    results = benchmark.pedantic(run_robustness_experiment, rounds=1, iterations=1)
+def test_bench_e13_robustness():
+    results = run_robustness_experiment()
 
     classification = results["classification"]
     # The centralized server and single-replica Hash Locate are the
@@ -139,5 +139,3 @@ def test_bench_e13_robustness(benchmark, record):
 
     # Ring: no strategy beats the broadcast order of magnitude.
     assert results["ring"]["hops"] >= results["ring"]["broadcast_hops"] / 4
-
-    record(n=N, crash_count=3)

@@ -3,20 +3,12 @@
 The paper compares name servers by per-instance message counts; this
 benchmark compares them the way a production operator would — identical
 high-volume traffic (fixed seed, shared arrival/popularity/churn programs)
-through each strategy, reporting tail percentiles, cache hit rates and
-per-node load, and persists the headline numbers to ``BENCH_workload.json``
-so later PRs have a performance trajectory.
-
-Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI) runs the same scenarios
-but leaves ``BENCH_workload.json`` alone, so the tier-1 job can assert a
-clean work tree afterwards.
+through each strategy, and asserts the tail percentiles, cache hit rates
+and per-node load it measures.  Every run is deterministic, so the
+headline numbers are literals here; throughput is the ledger's
+``locate_flood`` workload (``benchmarks/ledger``).
 """
 
-import json
-import os
-from pathlib import Path
-
-from repro.obs import host_metadata
 from repro.workload import (
     ArrivalSpec,
     ChurnSpec,
@@ -25,10 +17,6 @@ from repro.workload import (
     compare_under_load,
     run_scenario,
 )
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_workload.json"
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 #: Strategies driven with the identical traffic program.
 STRATEGIES = ("checkerboard", "hash-locate", "centralized")
@@ -76,10 +64,8 @@ def run_workload_experiment():
     return results, soak
 
 
-def test_bench_e15_workload(benchmark, record):
-    results, soak = benchmark.pedantic(
-        run_workload_experiment, rounds=1, iterations=1
-    )
+def test_bench_e15_workload():
+    results, soak = run_workload_experiment()
 
     # -- scale: >= 50,000 locate operations across >= 3 strategies ----------
     total_locates = sum(result.metrics.locates for result in results)
@@ -109,56 +95,25 @@ def test_bench_e15_workload(benchmark, record):
         "checkerboard"
     ]
     assert imbalance["centralized"] >= 50  # ~n on the 64-node network
+    assert imbalance["checkerboard"] <= 1.366 * 1.05  # measured; 5% slack
     p95 = {
         name: result.metrics.locate_hops.percentile(95)
         for name, result in by_name.items()
     }
-    assert p95["centralized"] <= 2
-    assert p95["hash-locate"] <= 2
-    assert 8 <= p95["checkerboard"] <= 24  # Theta(sqrt 64) + reply traffic
+    assert p95["centralized"] == 2
+    assert p95["hash-locate"] == 2
+    assert p95["checkerboard"] == 9  # Theta(sqrt 64) + reply traffic
+    assert by_name["checkerboard"].metrics.locate_hops.percentile(99) == 9
 
     # -- reproducibility: identical metrics across two runs ------------------
     repeat = run_scenario(scale_spec().with_strategy(STRATEGIES[0]))
     assert repeat.summary() == by_name[STRATEGIES[0]].summary()
 
     # -- the cached soak exercises the cache + churn machinery ---------------
-    assert soak.metrics.cache_hit_rate > 0.5
-    assert soak.metrics.stale_retries > 0
+    # Measured 0.9313 and 310; either may improve, neither may slip past
+    # its band.
+    assert soak.metrics.cache_hit_rate >= 0.9313 * 0.98
+    assert 0 < soak.metrics.stale_retries <= 310 * 1.10
     assert soak.metrics.churn_events
     assert soak.metrics.success_rate > 0.9
 
-    # -- persist the perf trajectory (full-size runs only; merge: other
-    # experiments own their own top-level sections of the same file) ---------
-    if not SMOKE:
-        payload = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
-        payload.update({
-            "experiment": "e15-workload",
-            "host": host_metadata(),
-            "scenario": scale_spec().to_dict(),
-            "strategies": {
-                result.spec.strategy: {
-                    "ops_per_second": int(result.ops_per_second),
-                    "locates": result.metrics.locates,
-                    "p50_locate_hops": result.metrics.locate_hops.percentile(50),
-                    "p95_locate_hops": result.metrics.locate_hops.percentile(95),
-                    "p99_locate_hops": result.metrics.locate_hops.percentile(99),
-                    "cache_hit_rate": round(result.metrics.cache_hit_rate, 4),
-                    "load_imbalance": result.metrics.load_balance()["imbalance"],
-                    "stale_retries": result.metrics.stale_retries,
-                }
-                for result in results
-            },
-            "soak": {
-                "cache_hit_rate": round(soak.metrics.cache_hit_rate, 4),
-                "stale_retries": soak.metrics.stale_retries,
-                "churn_events": soak.metrics.churn_events,
-            },
-        })
-        BENCH_JSON.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-
-    record(
-        total_locates=total_locates,
-        ops_per_second_checkerboard=int(by_name["checkerboard"].ops_per_second),
-    )

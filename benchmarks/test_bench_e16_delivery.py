@@ -1,4 +1,4 @@
-"""E16 — the delivery planner: faulted-workload throughput.
+"""E16 — the delivery planner on a faulted unicast workload.
 
 The headline bugfix of the planner PR: unicast delivery under faults used
 to construct a fresh ``RoutingTable`` over the surviving subgraph *per
@@ -6,24 +6,18 @@ message* — an O(n²) Python cost to account for a single message on the
 dominant post/query traffic class.  This benchmark drives the identical
 faulted message stream through the pre-planner code path (per-call table
 rebuild, still available as ``broadcast.unicast`` without a prebuilt
-table) and through the planner, asserts hop-for-hop parity plus a >= 10x
-throughput win, and exercises a churny unicast workload end-to-end
-(plan-cache effectiveness, byte-identical run/replay).  Headline numbers
-are persisted into ``BENCH_workload.json`` under ``delivery_planner``.
-
-Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI) shrinks the stream and
-relaxes the speedup floor so plan-cache regressions fail fast without
-timing flakiness; smoke runs do not touch ``BENCH_workload.json``.
+table) and through the planner, asserts hop-for-hop parity and that the
+planner serves the stream from its caches, and exercises a churny unicast
+workload end-to-end (exact headline numbers, plan-cache effectiveness,
+byte-identical run/replay).  Nothing is timed: what faulted unicast
+delivery costs is the ledger's ``faulted_churn`` workload
+(``benchmarks/ledger``).
 """
 
 import json
-import os
 import random
-import time
-from pathlib import Path
 
 from repro.network.broadcast import unicast
-from repro.obs import host_metadata
 from repro.network.simulator import Network
 from repro.network.stats import POST
 from repro.strategies import ManhattanStrategy
@@ -37,15 +31,10 @@ from repro.workload import (
 )
 from repro.workload.driver import WorkloadDriver
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_workload.json"
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-#: Messages in the naive-vs-planner stream (>= 5k requests full-size).
-MESSAGES = 1_000 if SMOKE else 6_000
-#: Required planner speedup over per-message table rebuilds.
-MIN_SPEEDUP = 3.0 if SMOKE else 10.0
+#: Messages in the naive-vs-planner parity stream.
+MESSAGES = 1_000
 #: Requests in the end-to-end faulted workload.
-OPERATIONS = 1_000 if SMOKE else 6_000
+OPERATIONS = 6_000
 
 
 def faulted_message_stream():
@@ -85,11 +74,10 @@ def run_naive(topology, stream, crashed):
         for source, targets in stream
         if network.node_is_up(source)
     ]
-    started = time.perf_counter()
     hops = 0
     for source, targets in alive:
         hops += unicast(graph, table, source, targets, faults).hops
-    return time.perf_counter() - started, hops, len(alive)
+    return hops, len(alive)
 
 
 def run_planned(topology, stream, crashed):
@@ -102,12 +90,10 @@ def run_planned(topology, stream, crashed):
         for source, targets in stream
         if network.node_is_up(source)
     ]
-    started = time.perf_counter()
     hops = 0
     for source, targets in alive:
         hops += network.deliver(source, targets, POST, mode="unicast").hops
-    elapsed = time.perf_counter() - started
-    return elapsed, hops, len(alive), dict(network.stats.plan_events)
+    return hops, len(alive), dict(network.stats.plan_events)
 
 
 def faulted_workload_spec() -> ScenarioSpec:
@@ -131,44 +117,32 @@ def faulted_workload_spec() -> ScenarioSpec:
 
 def run_delivery_experiment():
     topology, stream, crashed = faulted_message_stream()
-    naive_seconds, naive_hops, count = run_naive(topology, stream, crashed)
-    planned_seconds, planned_hops, planned_count, plan_events = run_planned(
+    naive_hops, count = run_naive(topology, stream, crashed)
+    planned_hops, planned_count, plan_events = run_planned(
         topology, stream, crashed
     )
-    driver = WorkloadDriver(faulted_workload_spec())
-    workload = driver.run()
+    workload = WorkloadDriver(faulted_workload_spec()).run()
     return {
         "stream": {
             "messages": count,
-            "naive_seconds": naive_seconds,
-            "planned_seconds": planned_seconds,
             "naive_hops": naive_hops,
             "planned_hops": planned_hops,
             "planned_count": planned_count,
             "plan_events": plan_events,
         },
         "workload": workload,
-        "driver": driver,
     }
 
 
-def test_bench_e16_delivery(benchmark, record):
-    results = benchmark.pedantic(run_delivery_experiment, rounds=1, iterations=1)
+def test_bench_e16_delivery():
+    results = run_delivery_experiment()
     stream = results["stream"]
     workload = results["workload"]
 
     # -- parity: the planner changes the cost of planning, never the plan --
     assert stream["planned_hops"] == stream["naive_hops"]
     assert stream["planned_count"] == stream["messages"]
-    assert stream["messages"] >= (900 if SMOKE else 5_000)
-
-    # -- the headline: >= 10x faulted unicast throughput ---------------------
-    speedup = stream["naive_seconds"] / stream["planned_seconds"]
-    assert speedup >= MIN_SPEEDUP, (
-        f"planner speedup {speedup:.1f}x under the {MIN_SPEEDUP}x floor "
-        f"(naive {stream['naive_seconds']:.3f}s, "
-        f"planned {stream['planned_seconds']:.3f}s)"
-    )
+    assert stream["messages"] >= 900
 
     # -- plan-cache effectiveness on the stream ------------------------------
     events = stream["plan_events"]
@@ -180,7 +154,9 @@ def test_bench_e16_delivery(benchmark, record):
     metrics = workload.metrics
     assert metrics.requests == OPERATIONS
     assert metrics.churn_events.get("crash", 0) >= 1  # faults actually active
-    assert metrics.success_rate > 0.9
+    # Measured 0.9928; may improve, may not slip more than 1%.
+    assert metrics.success_rate >= 0.9928 * 0.99
+    assert metrics.locate_hops.percentile(95) == 35
     cache = workload.plan_cache
     assert cache["plan_hit"] > cache["plan_miss"]
 
@@ -191,42 +167,3 @@ def test_bench_e16_delivery(benchmark, record):
     )
     assert replayed.plan_cache == workload.plan_cache
 
-    # -- persist the perf trajectory (full-size runs only) -------------------
-    ops_per_second = int(workload.ops_per_second)
-    if not SMOKE:
-        existing = (
-            json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
-        )
-        existing["delivery_planner"] = {
-            "experiment": "e16-delivery",
-            "host": host_metadata(),
-            "scenario": faulted_workload_spec().to_dict(),
-            "stream": {
-                "messages": stream["messages"],
-                "naive_seconds": round(stream["naive_seconds"], 4),
-                "planned_seconds": round(stream["planned_seconds"], 4),
-                "speedup": round(speedup, 1),
-                "hops": stream["planned_hops"],
-                "plan_events": events,
-            },
-            "workload": {
-                "ops_per_second": ops_per_second,
-                "requests": metrics.requests,
-                "success_rate": round(metrics.success_rate, 4),
-                "crashes": metrics.churn_events.get("crash", 0),
-                "p95_locate_hops": metrics.locate_hops.percentile(95),
-                "plan_cache": cache,
-            },
-        }
-        BENCH_JSON.write_text(
-            json.dumps(existing, indent=2, sort_keys=True) + "\n"
-        )
-
-    record(
-        speedup=round(speedup, 1),
-        stream_messages=stream["messages"],
-        workload_ops_per_second=ops_per_second,
-        plan_hit_rate=round(
-            events["plan_hit"] / (events["plan_hit"] + events["plan_miss"]), 4
-        ),
-    )

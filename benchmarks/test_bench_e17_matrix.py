@@ -7,25 +7,13 @@ benchmark runs a 3-topology × 3-strategy × 3-fault-regime grid (fault-free,
 crash/recover waves, link flaps) through the matrix engine, checks the
 shared contract on every cell, proves the shared-network amortization
 deterministically (a warm planner serves strictly more plans from cache
-than 27 cold networks would) and persists the full ``MatrixReport`` into
-``BENCH_workload.json`` under ``matrix``.
-
-Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI) shrinks the per-cell
-operation count; smoke runs do not touch ``BENCH_workload.json``.
-
-The shared-network grid runs through the parallel execution engine when
-``REPRO_BENCH_WORKERS`` is set above 1 (CI runs the smoke twice, sequential
-and 2-worker, and fails if the two report digests differ — set
-``REPRO_MATRIX_DIGEST_OUT`` to capture the digest for that comparison).
-Every assertion below holds identically in both modes, because the
-parallel merge is byte-identical.
+than 27 cold networks would) and asserts the grid's headline numbers.
+That the same grid merges byte-identically across worker processes is
+``tests/integration/test_parallel_matrix.py``'s job.
 """
 
 import json
-import os
-from pathlib import Path
 
-from repro.obs import host_metadata
 from repro.workload import (
     ArrivalSpec,
     FaultRegimeSpec,
@@ -36,17 +24,9 @@ from repro.workload import (
     run_matrix,
 )
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_workload.json"
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 #: Requests per matrix cell (27 cells; the grid is run twice — shared and
 #: unshared networks — for the amortization proof).
-OPERATIONS = 250 if SMOKE else 900
-#: Worker processes for the shared-network grid (1 = sequential engine).
-WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-#: Optional path to write the shared report's canonical digest to, so CI
-#: can diff a sequential smoke against a parallel one.
-DIGEST_OUT = os.environ.get("REPRO_MATRIX_DIGEST_OUT")
+OPERATIONS = 900
 
 TOPOLOGIES = ("complete:36", "manhattan:6", "hypercube:5")
 STRATEGIES = ("checkerboard", "hash-locate", "centralized")
@@ -81,19 +61,13 @@ def bench_matrix() -> MatrixSpec:
 
 
 def run_matrix_experiment():
-    # keep_results crosses the process boundary when WORKERS > 1: full
-    # WorkloadResults (traces included) pickle back from the workers.
-    shared_report, results = run_matrix(
-        bench_matrix(), keep_results=True, workers=WORKERS
-    )
+    shared_report, results = run_matrix(bench_matrix(), keep_results=True)
     cold_report, _ = run_matrix(bench_matrix(), share_networks=False)
     return shared_report, cold_report, results
 
 
-def test_bench_e17_matrix(benchmark, record):
-    shared_report, cold_report, results = benchmark.pedantic(
-        run_matrix_experiment, rounds=1, iterations=1
-    )
+def test_bench_e17_matrix():
+    shared_report, cold_report, results = run_matrix_experiment()
 
     # -- the full grid ran: 3 x 3 x 3, nothing skipped -----------------------
     assert len(shared_report) == 27
@@ -117,7 +91,8 @@ def test_bench_e17_matrix(benchmark, record):
             assert aggregate["availability"] <= 1.0
             # Faults are disruptive but not fatal: the rendezvous recovers.
             assert aggregate["availability"] > 0.5
-    assert shared_report.availability_floor() > 0.5
+    # Measured 0.9278; may improve, may not slip more than 1%.
+    assert shared_report.availability_floor() >= 0.9278 * 0.99
 
     # -- the paper's load story still holds, cell by cell --------------------
     by_strategy = shared_report.by_strategy()
@@ -136,6 +111,8 @@ def test_bench_e17_matrix(benchmark, record):
         f"warm shared networks should save plan misses "
         f"(shared={shared_misses}, cold={cold_misses})"
     )
+    # Measured 1015; may improve, may not grow more than 10%.
+    assert shared_misses <= 1015 * 1.10
     shared_hits = shared_report.plan_cache_events().get("plan_hit", 0)
     # With address caching on, most requests never even consult the planner;
     # of the lookups that do happen, more are served warm than cold even
@@ -143,8 +120,6 @@ def test_bench_e17_matrix(benchmark, record):
     assert shared_hits > shared_misses
 
     # -- a faulted cell replays byte-for-byte (link ops included) ------------
-    # With WORKERS > 1 the trace was recorded inside a worker process and
-    # pickled back; replaying it here is the cross-process replay check.
     faulted = next(
         result for result in results
         if result.spec.faults.kind == "flaps" and result.metrics.fault_events
@@ -153,28 +128,3 @@ def test_bench_e17_matrix(benchmark, record):
     assert json.dumps(replayed.to_dict(), sort_keys=True) == \
         json.dumps(faulted.to_dict(), sort_keys=True)
 
-    # -- digest for the CI sequential-vs-parallel parity check ---------------
-    if DIGEST_OUT:
-        Path(DIGEST_OUT).write_text(shared_report.digest() + "\n")
-
-    # -- persist the matrix report (full-size runs only) ---------------------
-    if not SMOKE:
-        payload = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
-        payload["matrix"] = {
-            "experiment": "e17-matrix",
-            "host": host_metadata(),
-            "report": shared_report.to_dict(),
-            "report_digest": shared_report.digest(),
-            "plan_misses_shared": shared_misses,
-            "plan_misses_cold": cold_misses,
-        }
-        BENCH_JSON.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-
-    record(
-        cells=len(shared_report),
-        availability_floor=shared_report.availability_floor(),
-        plan_misses_shared=shared_misses,
-        plan_misses_cold=cold_misses,
-    )

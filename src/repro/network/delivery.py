@@ -88,8 +88,8 @@ class DeliveryPlanner:
         Where plan-cache hit/miss events are recorded.
     node_is_up:
         Liveness oracle for ``ideal``-mode plans (the network's
-        :meth:`~repro.network.Network.node_is_up`, which also covers the
-        node object's own liveness flag).
+        :meth:`~repro.network.Network.node_is_up`, which reads the fault
+        plan's ``crashed_nodes`` — the one liveness record).
     """
 
     def __init__(

@@ -1,9 +1,9 @@
-"""Host metadata stamped onto persisted benchmark entries.
+"""Host metadata stamped onto persisted benchmark reports.
 
 Wall-clock benchmark numbers are only interpretable next to the machine
-that produced them; every ``BENCH_workload.json`` section carries this
-record so a trajectory reader can tell a real regression from a slower
-host.  Entries written before this existed carry ``"host": null``.
+that produced them; the perf ledger (``benchmarks/ledger/run.py``) puts
+this record under ``"host"`` in every report it writes, so a reader can
+tell a real regression from a slower host.
 """
 
 from __future__ import annotations

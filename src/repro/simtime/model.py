@@ -19,8 +19,25 @@ complete topology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Dict, Hashable, Tuple
+
+
+def require_finite(spec: object) -> None:
+    """Reject NaN and infinities in the float fields of dataclass ``spec``.
+
+    Every spec validator calls this first: ``nan <= 0`` is false, so a
+    range check alone lets NaN through, and the run then reports successes
+    at ``time = nan``.  The ``ValueError`` names the offending field.
+    """
+    for spec_field in fields(spec):
+        value = getattr(spec, spec_field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(
+                f"{type(spec).__name__}.{spec_field.name} must be finite, "
+                f"got {value!r}"
+            )
 
 
 def link_key(u: Hashable, v: Hashable) -> str:
@@ -50,6 +67,7 @@ class LinkTiming:
     capacity: int = 1
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.latency <= 0:
             raise ValueError("link latency must be positive")
         if self.jitter < 0:
@@ -102,6 +120,7 @@ class TimeModelSpec:
     timeout: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.node_service < 0:
             raise ValueError("node_service must be non-negative")
         if self.timeout < 0:
@@ -110,8 +129,10 @@ class TimeModelSpec:
             if not isinstance(timing, LinkTiming):
                 raise TypeError(f"link override {key!r} is not a LinkTiming")
         for key, seconds in self.node_overrides:
-            if seconds < 0:
-                raise ValueError(f"node override {key!r} must be non-negative")
+            if not 0 <= seconds < math.inf:
+                raise ValueError(
+                    f"node override {key!r} must be finite and non-negative"
+                )
 
     @property
     def label(self) -> str:

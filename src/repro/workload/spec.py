@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Hashable, Iterable, List, Optional
 
 from ..core.exceptions import StrategyError
@@ -29,7 +29,7 @@ from ..network.faults import (
     region_partition,
 )
 from ..network.graph import Graph
-from ..simtime.model import TimeModelSpec
+from ..simtime.model import TimeModelSpec, require_finite
 from ..strategies import (
     CubeConnectedCyclesStrategy,
     HierarchicalGatewayStrategy,
@@ -86,6 +86,7 @@ class ArrivalSpec:
     burst_gap: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.kind not in ARRIVAL_KINDS:
             raise ValueError(
                 f"unknown arrival kind {self.kind!r}; expected one of {ARRIVAL_KINDS}"
@@ -119,6 +120,7 @@ class PopularitySpec:
     hotspot_interval: float = 5.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.kind not in POPULARITY_KINDS:
             raise ValueError(
                 f"unknown popularity kind {self.kind!r}; "
@@ -150,6 +152,7 @@ class ChurnSpec:
     storm_fraction: float = 0.25
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.kind not in CHURN_KINDS:
             raise ValueError(
                 f"unknown churn kind {self.kind!r}; expected one of {CHURN_KINDS}"
@@ -197,6 +200,7 @@ class FaultRegimeSpec:
     downtime: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.kind not in FAULT_REGIME_KINDS:
             raise ValueError(
                 f"unknown fault regime kind {self.kind!r}; "
@@ -247,6 +251,7 @@ class SloSpec:
     window: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.latency_objective <= 0:
             raise ValueError("latency_objective must be positive")
         if not 0.0 < self.latency_target < 1.0:
@@ -329,7 +334,19 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        Unknown keys are rejected by name, as :meth:`MatrixSpec.from_dict`
+        does — a typoed field must not surface as a ``TypeError`` about
+        ``__init__``.
+        """
+        known = {spec_field.name for spec_field in fields(cls)}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ValueError(
+                f"unknown ScenarioSpec key(s) {unknown}; "
+                f"expected a subset of {sorted(known)}"
+            )
         payload = dict(data)
         payload["arrival"] = ArrivalSpec(**payload.get("arrival", {}))
         payload["popularity"] = PopularitySpec(**payload.get("popularity", {}))

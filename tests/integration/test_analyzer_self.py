@@ -13,6 +13,8 @@ Two halves:
 import shutil
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.analysis.static import analyze_paths
 
@@ -29,25 +31,29 @@ UNSORTED_ORIGINAL = (
 )
 
 
+@pytest.fixture(scope="module")
+def session():
+    """One analysis of the committed tree, shared by the clean-tree tests
+    (they only read it; the mutation tests below analyze their own copy)."""
+    return analyze_paths([PACKAGE_DIR])
+
+
 class TestSelfAnalysis:
-    def test_repo_has_zero_unsuppressed_findings(self):
-        session = analyze_paths([PACKAGE_DIR])
+    def test_repo_has_zero_unsuppressed_findings(self, session):
         rendered = "\n".join(f.render() for f in session.findings)
         assert session.findings == [], (
             f"the committed tree must analyze clean:\n{rendered}"
         )
         assert session.files > 50, "self-run should cover the whole package"
 
-    def test_every_suppression_carries_a_reason(self):
-        session = analyze_paths([PACKAGE_DIR])
+    def test_every_suppression_carries_a_reason(self, session):
         for finding, reason in session.suppressed:
             assert reason.strip(), f"reasonless suppression: {finding.render()}"
 
-    def test_driver_needs_no_wall_clock_pragmas(self):
+    def test_driver_needs_no_wall_clock_pragmas(self, session):
         # The driver reads the clock only through the declared
         # ``repro.obs.profile.wall_clock`` doorway, so DET001 neither fires
         # nor needs pragma suppressions there anymore.
-        session = analyze_paths([PACKAGE_DIR])
         driver_hits = [
             finding
             for finding in session.findings

@@ -65,7 +65,7 @@ def sequential():
 
 
 class TestByteIdenticalMerge:
-    @pytest.mark.parametrize("workers", [2, 3, 0])
+    @pytest.mark.parametrize("workers", [2, 3, 4, 0])
     def test_digest_matches_sequential_at_any_worker_count(
         self, sequential, workers
     ):

@@ -246,6 +246,13 @@ class TestErrors:
         bad.write_text(json.dumps({"operations": 0}))
         assert main(["run", str(bad)]) == 2
 
+    def test_non_finite_rate_exits_two_naming_the_field(self, tmp_path, capsys):
+        # ``json`` reads the bare token NaN; the spec validator must not.
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"arrival": {"kind": "poisson", "rate": NaN}}')
+        assert main(["run", str(bad)]) == 2
+        assert "ArrivalSpec.rate must be finite" in capsys.readouterr().err
+
     def test_unknown_strategy_exits_two_not_traceback(self, tmp_path):
         # StrategyError is a MatchMakingError, not a ValueError; the CLI
         # must still classify it as bad input (exit 2, not a traceback, and

@@ -8,16 +8,19 @@ import pytest
 from repro.core.exceptions import StrategyError
 from repro.strategies import CheckerboardStrategy, ManhattanStrategy
 from repro.topologies import CompleteTopology, HypercubeTopology, ManhattanTopology
+from repro.simtime import LinkTiming, TimeModelSpec
 from repro.workload import (
     ArrivalSpec,
     BurstArrivals,
     ChurnSpec,
     ClosedLoopArrivals,
+    FaultRegimeSpec,
     MovingHotspotPopularity,
     NoChurn,
     PoissonArrivals,
     PopularitySpec,
     ScenarioSpec,
+    SloSpec,
     UniformPopularity,
     ZipfPopularity,
     build_strategy,
@@ -82,6 +85,30 @@ class TestSpecs:
             ChurnSpec(kind="nope")
         with pytest.raises(ValueError):
             ChurnSpec(kind="migration", rate=0.0)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "spec_class, field, kwargs",
+        [
+            (ArrivalSpec, "rate", {"kind": "poisson"}),
+            (PopularitySpec, "zipf_exponent", {"kind": "zipf"}),
+            (ChurnSpec, "rate", {"kind": "migration"}),
+            (FaultRegimeSpec, "period", {"kind": "waves"}),
+            (SloSpec, "window", {}),
+            (LinkTiming, "jitter", {}),
+            (TimeModelSpec, "node_service", {}),
+        ],
+    )
+    def test_non_finite_numbers_are_rejected_by_field_name(
+        self, spec_class, field, kwargs, value
+    ):
+        # ``nan <= 0`` is false, so range checks alone let NaN through.
+        with pytest.raises(ValueError, match=rf"{spec_class.__name__}\.{field}"):
+            spec_class(**kwargs, **{field: float(value)})
+
+    def test_from_dict_names_unknown_keys(self):
+        with pytest.raises(ValueError, match="operatons"):
+            ScenarioSpec.from_dict({"operatons": 10})
 
 
 class TestResolvers:
