@@ -228,15 +228,13 @@ class MatchMaker:
                 found=freshest is not None,
                 hops=outcome.query_hops + outcome.reply_hops,
             )
+        # Positional, in MatchResult field order; a locate posts nothing.
         return MatchResult(
-            found=freshest is not None,
-            address=freshest.address if freshest else None,
-            rendezvous_nodes=outcome.responding_nodes,
-            post_messages=0,
-            query_messages=outcome.query_hops,
-            reply_messages=outcome.reply_hops,
-            nodes_posted=0,
-            nodes_queried=len(targets),
+            freshest is not None,
+            freshest.address if freshest else None,
+            outcome.responding_nodes,
+            0, outcome.query_hops, outcome.reply_hops,  # post/query/reply hops
+            0, len(targets),  # nodes posted / queried
         )
 
     def locate_or_raise(self, client_node: Hashable, port: Port) -> Address:

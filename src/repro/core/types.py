@@ -9,13 +9,21 @@ server process currently offering it.
 The types in this module are deliberately small and immutable: node
 identifiers, ports, addresses, and the ``(port, address)`` records that servers
 post at rendezvous nodes.
+
+Two things here sit on the request path and are shaped by it.
+:class:`MatchResult` is built once per locate, so it is a
+:class:`~typing.NamedTuple` — a frozen dataclass pays one
+``object.__setattr__`` per field on every construction, a tuple is filled
+in one step — and :func:`freshest` is the one place the "newest posting
+wins" order of section 2.1 is decided, for the node caches and for query
+results alike.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, NamedTuple, Optional, Tuple
 
 #: A node identifier.  Topology generators may use plain integers (complete
 #: graphs, rings), tuples of coordinates (meshes, cube-connected cycles) or
@@ -36,6 +44,11 @@ class Port:
     """
 
     name: str
+
+    def __hash__(self) -> int:
+        # A str caches its hash; the generated one builds a 1-tuple per call,
+        # and a locate hashes its port once per queried node.
+        return hash(self.name)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"port:{self.name}"
@@ -87,6 +100,32 @@ class PostRecord:
         return repr(self.address) > repr(other.address)
 
 
+def freshness_key(record: PostRecord) -> Tuple[int, str]:
+    """The total order postings are ranked by — ``is_newer_than`` as a sort
+    key: newer timestamps first, ties broken by ``repr(address)``."""
+    return (record.timestamp, repr(record.address))
+
+
+def freshest(records: Iterable[PostRecord]) -> Optional[PostRecord]:
+    """The freshest of ``records``, or ``None`` when there are none.
+
+    ``max(records, key=freshness_key)`` — on a full tie the first record
+    met wins — without building a key per record: a lone record is
+    returned as it is, and ``repr`` is only taken when two timestamps are
+    equal.
+    """
+    best = None
+    for record in records:
+        if best is None:
+            best = record
+        elif record.timestamp > best.timestamp or (
+            record.timestamp == best.timestamp
+            and repr(record.address) > repr(best.address)
+        ):
+            best = record
+    return best
+
+
 class PortFactory:
     """Deterministic factory of fresh, unique ports.
 
@@ -109,9 +148,11 @@ class PortFactory:
         return tuple(self.new_port() for _ in range(count))
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     """Outcome of a single match-making instance between a client and a port.
+
+    An immutable tuple record: construct it by keyword or, on the hot path,
+    positionally in field order.
 
     Attributes
     ----------
@@ -135,7 +176,7 @@ class MatchResult:
 
     found: bool
     address: object = None
-    rendezvous_nodes: FrozenSet = field(default_factory=frozenset)
+    rendezvous_nodes: FrozenSet = frozenset()
     post_messages: int = 0
     query_messages: int = 0
     reply_messages: int = 0

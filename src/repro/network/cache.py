@@ -17,7 +17,7 @@ from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.exceptions import CacheOverflowError
-from ..core.types import Address, Port, PostRecord
+from ..core.types import Address, Port, PostRecord, freshest, freshness_key
 
 
 class NodeCache:
@@ -79,17 +79,13 @@ class NodeCache:
         per_port = self._records.get(port)
         if not per_port:
             return None
-        return max(per_port.values(), key=lambda r: (r.timestamp, repr(r.address)))
+        return freshest(per_port.values())
 
     def lookup_all(self, port: Port) -> List[PostRecord]:
         """All postings for ``port`` (all equivalent servers), freshest
         first."""
         per_port = self._records.get(port, {})
-        return sorted(
-            per_port.values(),
-            key=lambda r: (r.timestamp, repr(r.address)),
-            reverse=True,
-        )
+        return sorted(per_port.values(), key=freshness_key, reverse=True)
 
     def __contains__(self, port: Port) -> bool:
         return port in self._records and bool(self._records[port])

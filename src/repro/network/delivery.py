@@ -31,7 +31,7 @@ event on the owning network's :class:`~repro.network.stats.MessageStats`
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Hashable, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Optional, Tuple
 
 from ..core.exceptions import UnknownNodeError
 from ..obs.profile import PLAN_CACHE_WARM, phase
@@ -86,10 +86,6 @@ class DeliveryPlanner:
         cache in this planner.
     stats:
         Where plan-cache hit/miss events are recorded.
-    node_is_up:
-        Liveness oracle for ``ideal``-mode plans (the network's
-        :meth:`~repro.network.Network.node_is_up`, which reads the fault
-        plan's ``crashed_nodes`` — the one liveness record).
     """
 
     def __init__(
@@ -98,13 +94,11 @@ class DeliveryPlanner:
         routing: RoutingTable,
         faults: FaultPlan,
         stats: MessageStats,
-        node_is_up: Callable[[Hashable], bool],
     ) -> None:
         self._graph = graph
         self._routing = routing
         self._faults = faults
         self._stats = stats
-        self._node_is_up = node_is_up
         self._revision = faults.revision
         self._surviving_graph: Optional[Graph] = None
         self._surviving_table: Optional[RoutingTable] = None
@@ -182,8 +176,10 @@ class DeliveryPlanner:
         are only recorded under active faults: the fault-free fast path
         serves the network's static table, which is not a cache.
         """
-        self._sync()
-        if self._faults.fault_count == 0:
+        faults = self._faults
+        if faults.revision != self._revision:
+            self._sync()
+        if not faults.crashed_nodes and not faults.failed_links:
             return self._routing
         if self._surviving_table is None:
             self._stats.record_plan_event(ROUTE_MISS)
@@ -224,14 +220,21 @@ class DeliveryPlanner:
         The returned :class:`DeliveryOutcome` is immutable and shared
         between calls; callers must not assume a fresh object.  The
         caller is responsible for having verified that ``source`` is up.
+        A target outside the graph is an addressing error in every mode,
+        not packet loss: it raises :class:`UnknownNodeError` when the plan
+        is first made (a hit was checked when it was a miss).
         """
-        self._sync()
+        if self._faults.revision != self._revision:
+            self._sync()
         key = (source, targets, mode)
         cached = self._plans.get(key)
         if cached is not None:
             self._stats.record_plan_event(PLAN_HIT)
             return cached
         self._stats.record_plan_event(PLAN_MISS)
+        for destination in targets:
+            if destination not in self._graph:
+                raise UnknownNodeError(destination)
         if mode == "ideal":
             outcome = self._plan_ideal(source, targets)
         elif mode == "unicast":
@@ -246,15 +249,14 @@ class DeliveryPlanner:
     def _plan_ideal(
         self, source: Hashable, targets: FrozenSet[Hashable]
     ) -> DeliveryOutcome:
+        crashed = self._faults.crashed_nodes
         reached = set()
         unreachable = set()
         hops = 0
         for destination in targets:
-            if destination not in self._graph:
-                raise UnknownNodeError(destination)
             if destination == source:
                 reached.add(destination)
-            elif self._node_is_up(destination):
+            elif destination not in crashed:
                 reached.add(destination)
                 hops += 1
             else:

@@ -80,7 +80,8 @@ class Node:
 
     def answer_query(self, port: Port) -> Optional[PostRecord]:
         """Answer a query for ``port`` from the local cache."""
-        self._require_alive()
+        if not self._alive:  # inline: once per queried node of every locate
+            raise NodeDownError(self._id)
         return self._cache.lookup(port)
 
     def answer_query_all(self, port: Port) -> List[PostRecord]:

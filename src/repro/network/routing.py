@@ -9,6 +9,13 @@ The module also implements *reverse-path forwarding* beams (section 4): a
 message of a given hop budget is forwarded along arcs that the routing tables
 would use in the reverse direction, simulating "sending messages along a
 straight line" in an arbitrary point-to-point network.
+
+Two costs are paid once instead of per use.  Breadth-first search visits a
+node's neighbours in ``repr`` order (so tables do not depend on set
+iteration order); that order is static incidence structure, so a table
+sorts each node's neighbours on first visit and every later search from
+another source reuses the tuple.  And :meth:`RoutingTable.distance`, asked
+once per routed message, is one ``dict.get`` per table level on a hit.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from types import MappingProxyType
-from typing import Dict, Hashable, List, Mapping, Sequence
+from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 from ..core.exceptions import NoRouteError, UnknownNodeError
 from .graph import Graph
@@ -33,6 +40,8 @@ class RoutingTable:
         self._graph = graph
         self._next_hop: Dict[Hashable, Dict[Hashable, Hashable]] = {}
         self._distance: Dict[Hashable, Dict[Hashable, int]] = {}
+        # node -> its neighbours in repr order, shared by every search.
+        self._ordered: Dict[Hashable, Tuple[Hashable, ...]] = {}
 
     @property
     def graph(self) -> Graph:
@@ -43,6 +52,7 @@ class RoutingTable:
         """Drop all cached tables (call after the graph changes)."""
         self._next_hop.clear()
         self._distance.clear()
+        self._ordered.clear()
 
     def _build(self, source: Hashable) -> None:
         if source not in self._graph:
@@ -50,9 +60,17 @@ class RoutingTable:
         next_hop: Dict[Hashable, Hashable] = {source: source}
         distance: Dict[Hashable, int] = {source: 0}
         queue = deque([source])
+        ordered = self._ordered
         while queue:
             node = queue.popleft()
-            for neighbour in sorted(self._graph.neighbours(node), key=repr):
+            try:
+                neighbours = ordered[node]
+            except KeyError:
+                # First visit by any search of this table: sort once, keep.
+                neighbours = ordered[node] = tuple(
+                    sorted(self._graph.neighbours(node), key=repr)
+                )
+            for neighbour in neighbours:
                 if neighbour not in distance:
                     distance[neighbour] = distance[node] + 1
                     # First hop from `source` towards `neighbour`:
@@ -80,12 +98,15 @@ class RoutingTable:
 
     def distance(self, source: Hashable, destination: Hashable) -> int:
         """Hop distance between ``source`` and ``destination``."""
-        _, dist = self._tables_for(source)
-        if destination not in dist:
+        table = self._distance.get(source)
+        if table is None:
+            table = self._tables_for(source)[1]
+        hops = table.get(destination)
+        if hops is None:
             if destination not in self._graph:
                 raise UnknownNodeError(destination)
             raise NoRouteError(source, destination)
-        return dist[destination]
+        return hops
 
     def distance_map(self, source: Hashable) -> Mapping[Hashable, int]:
         """The full distance table from ``source``.

@@ -25,11 +25,20 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.exceptions import NodeDownError, UnknownNodeError
-from ..core.types import Address, Port, PostRecord
+from ..core.types import Address, Port, PostRecord, freshest
 from .broadcast import DeliveryOutcome, flood
 from .cache import NodeCache
 from .delivery import DeliveryPlanner
@@ -46,9 +55,12 @@ from .stats import POST, QUERY, REPLY, PAYLOAD, MessageStats
 DELIVERY_MODES = ("unicast", "multicast", "ideal")
 
 
-@dataclass(frozen=True)
-class QueryOutcome:
-    """Result of querying a set of nodes for a port."""
+class QueryOutcome(NamedTuple):
+    """Result of querying a set of nodes for a port.
+
+    An immutable tuple record (one is built per locate): construct it by
+    keyword or, on the hot path, positionally in field order.
+    """
 
     records: Tuple[PostRecord, ...]
     responding_nodes: FrozenSet[Hashable]
@@ -63,9 +75,7 @@ class QueryOutcome:
 
     def freshest(self) -> Optional[PostRecord]:
         """The freshest record found, or ``None``."""
-        if not self.records:
-            return None
-        return max(self.records, key=lambda r: (r.timestamp, repr(r.address)))
+        return freshest(self.records)
 
 
 class Network:
@@ -115,7 +125,6 @@ class Network:
             self._routing,
             self._faults,
             self._stats,
-            self.node_is_up,
         )
         self._clock = EventLoop()
         self._rng = random.Random(seed)
@@ -315,7 +324,11 @@ class Network:
         ``category`` in :attr:`stats`.  Crashed destinations and destinations
         cut off by failed links count as unreachable.
         """
-        if not self.node_is_up(source):
+        # Liveness is the fault plan's ``crashed_nodes`` (see node_is_up),
+        # tested in place: this runs once per message.
+        if source not in self._nodes:
+            raise UnknownNodeError(source)
+        if source in self._faults.crashed_nodes:
             raise NodeDownError(source)
         mode = mode or self._delivery_mode
         if mode not in DELIVERY_MODES:  # pragma: no cover - guarded in ctor
@@ -343,9 +356,7 @@ class Network:
             # Duplicate destinations: every occurrence counts separately, so
             # the conservation law sent == delivered + dropped still holds.
             delivered = sum(1 for d in destinations if d in outcome.reached)
-        self._stats.record(
-            category, outcome.hops, message_count=message_count, delivered=delivered
-        )
+        self._stats.record(category, outcome.hops, message_count, delivered)
         self._stats.record_load(outcome.reached)
         if self._tap is not None:
             self._tap.on_delivery(source, outcome.reached, category, mode)
@@ -372,6 +383,9 @@ class Network:
         """
         if mode == "multicast":
             return self._planner.plan(source, frozenset(destinations), mode)
+        for destination in destinations:
+            if destination not in self._nodes:
+                raise UnknownNodeError(destination)
         distances = (
             self._planner.routing_table().distance_map(source)
             if mode == "unicast"
@@ -385,7 +399,7 @@ class Network:
                 reached.add(destination)
                 continue
             if mode == "ideal":
-                if self.node_is_up(destination):
+                if destination not in self._faults.crashed_nodes:
                     reached.add(destination)
                     hops += 1
                 else:
@@ -470,18 +484,21 @@ class Network:
         reply_hops = 0
         lost_replies = 0
         mode = mode or self._delivery_mode
-        reply_table = self._planner.routing_table() if mode != "ideal" else None
+        ideal = mode == "ideal"
+        reply_table = None if ideal else self._planner.routing_table()
+        nodes = self._nodes
+        found: Sequence[PostRecord]
         for target in outcome.reached:
-            node = self._nodes[target]
+            node = nodes[target]
             if collect_all:
                 found = node.answer_query_all(port)
             else:
                 record = node.answer_query(port)
-                found = [record] if record else []
+                found = () if record is None else (record,)
             if not found:
                 continue
             if target != client_node:
-                if mode == "ideal":
+                if ideal:
                     reply_hops += 1
                 elif reply_table.has_route(target, client_node):
                     reply_hops += reply_table.distance(target, client_node)
@@ -495,10 +512,7 @@ class Network:
             records.extend(found)
             responders.append(target)
         self._stats.record(
-            REPLY,
-            reply_hops,
-            message_count=len(responders) + lost_replies,
-            delivered=len(responders),
+            REPLY, reply_hops, len(responders) + lost_replies, len(responders)
         )
         if self._tap is not None:
             self._tap.on_replies(responders, client_node, mode)
@@ -511,12 +525,10 @@ class Network:
                 responders=len(responders),
                 lost=lost_replies,
             )
+        # Positional, in QueryOutcome field order; ``reached`` is a frozenset.
         return QueryOutcome(
-            records=tuple(records),
-            responding_nodes=frozenset(responders),
-            queried_nodes=frozenset(outcome.reached),
-            query_hops=outcome.hops,
-            reply_hops=reply_hops,
+            tuple(records), frozenset(responders), outcome.reached,
+            outcome.hops, reply_hops,
         )
 
     def send_payload(self, source: Hashable, destination: Hashable) -> int:
@@ -526,13 +538,21 @@ class Network:
         :class:`NoRouteError` via the routing table when the destination is
         unreachable.
         """
-        if not self.node_is_up(source):
+        nodes = self._nodes
+        crashed = self._faults.crashed_nodes
+        if source not in nodes:
+            raise UnknownNodeError(source)
+        if source in crashed:
             raise NodeDownError(source)
-        if not self.node_is_up(destination):
+        if destination not in nodes:
+            raise UnknownNodeError(destination)
+        if destination in crashed:
             raise NodeDownError(destination)
+        # Asked once per payload even when it goes nowhere: under faults
+        # the question is a route event, and route events are reported.
         table = self._planner.routing_table()
         hops = 0 if source == destination else table.distance(source, destination)
-        self._stats.record(PAYLOAD, hops, message_count=1, delivered=1)
+        self._stats.record(PAYLOAD, hops, 1, 1)
         if self._tap is not None:
             self._tap.on_payload(source, destination)
         return hops

@@ -12,8 +12,12 @@ restore delegate to the one shared implementation instead of six
 hand-rolled loops.
 
 The counters are the network's *ledger*, written once per message by
-:meth:`MessageStats.record`.  What one call cost is not read back from
-here: the simulator returns it (``DeliveryOutcome.hops``,
+:meth:`MessageStats.record`: one call validates every argument first and
+then adds to ``hops``/``messages``/``delivered``/``dropped`` in place, so a
+rejected call leaves the ledger untouched and an accepted one costs no
+further call per family (:meth:`~repro.obs.registry.CounterMap.bump` is
+for the colder churn/fault families).  What one call cost is not read back
+from here: the simulator returns it (``DeliveryOutcome.hops``,
 ``QueryOutcome.query_hops``/``reply_hops``, the ``int`` from
 ``send_payload``) and every layer above — match-maker, system, workload
 driver — hands that number up as a return value.
@@ -92,29 +96,39 @@ class MessageStats:
         Per-destination traffic also says how many of those messages were
         ``delivered``; the rest are counted dropped, so ``sent = delivered +
         dropped`` holds by construction.  Flood-style traffic (one message,
-        many receivers) leaves ``delivered`` out.
+        many receivers) leaves ``delivered`` out.  All-or-nothing: a
+        rejected argument raises before anything is charged.
         """
         if hop_count < 0 or message_count < 0:
             raise ValueError("counts must be non-negative")
-        self.hops.bump(category, hop_count)
-        self.messages.bump(category, message_count)
+        if delivered is not None and not 0 <= delivered <= message_count:
+            raise ValueError("delivered must be between 0 and message_count")
+        family = self.hops
+        family[category] = family.get(category, 0) + hop_count
+        family = self.messages
+        family[category] = family.get(category, 0) + message_count
         if delivered is None:
             return
-        if not 0 <= delivered <= message_count:
-            raise ValueError("delivered must be between 0 and message_count")
         if delivered:
-            self.delivered.bump(category, delivered)
+            family = self.delivered
+            family[category] = family.get(category, 0) + delivered
         if delivered < message_count:
-            self.dropped.bump(category, message_count - delivered)
+            family = self.dropped
+            family[category] = (
+                family.get(category, 0) + message_count - delivered
+            )
 
     def record_load(self, nodes: Iterable[Hashable]) -> None:
         """Count one delivered message against each addressed node."""
+        load = self.node_load
         for node in nodes:
-            self.node_load.bump(node)
+            load[node] = load.get(node, 0) + 1
 
     def record_plan_event(self, kind: str, count: int = 1) -> None:
-        """Count ``count`` delivery-planner cache events of ``kind``."""
-        self.plan_events.bump(kind, count)
+        """Count ``count`` delivery-planner cache events of ``kind`` — the
+        one way the planner counts an event."""
+        events = self.plan_events
+        events[kind] = events.get(kind, 0) + count
 
     def plan_events_for(self, kind: str) -> int:
         """Planner cache events of ``kind`` recorded so far."""

@@ -112,7 +112,7 @@ class Histogram:
         """Record ``count`` samples of ``value``."""
         if value < 0 or count < 1:
             raise ValueError("value must be >= 0 and count >= 1")
-        slot = self._slot(value)
+        slot = self._slot(value) if self._buckets else value
         self._counts[slot] = self._counts.get(slot, 0) + count
         self._total += count
         self._sum += value * count

@@ -22,7 +22,7 @@ The request path is:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..core.exceptions import (
     NoRouteError,
@@ -39,14 +39,18 @@ from .server import RequestHandler, ServerProcess
 from .service import ServiceDirectory
 
 
-@dataclass(frozen=True)
-class RequestOutcome:
+class RequestOutcome(NamedTuple):
     """Result of one client request through the system.
 
     ``locate_hops`` (query + reply) and ``payload_hops`` are what the
     request spent, summed from the hop counts the match-maker and the
     network returned for each attempt — failed and retried requests
     included — so callers never re-read them from the network's counters.
+
+    An immutable tuple record, like the ``MatchResult`` and
+    ``QueryOutcome`` under it: one is built per request, and a tuple is
+    filled in one step where a frozen dataclass pays one
+    ``object.__setattr__`` per field.
     """
 
     ok: bool
@@ -287,40 +291,16 @@ class DistributedSystem:
         service could not be located or reached within the retry budget.
         """
         client.require_alive()
-        self._stats.requests += 1
+        stats = self._stats
+        stats.requests += 1
         client.stats.requests += 1
 
         locates = retries = locate_hops = payload_hops = 0
         address = client.cached_address(port)
         used_cache = address is not None
-
-        def finish(
-            error: Optional[str],
-            reply: object = None,
-            server: Optional[ServerProcess] = None,
-        ) -> RequestOutcome:
-            """Every exit: settle the counters, report what was spent."""
-            if error is None:
-                self._stats.successful_requests += 1
-            else:
-                client.stats.failures += 1
-            # A cached address only *counts* as a hit once it is validated:
-            # the request must complete without any locate — the exact
-            # predicate WorkloadMetrics.observe_request uses, so per-client
-            # counters sum to the workload-level counter.
-            if used_cache and locates == 0:
-                client.stats.cache_hits += 1
-            return RequestOutcome(
-                ok=error is None,
-                reply=reply,
-                server=server,
-                locates=locates,
-                retries=retries,
-                used_cached_address=used_cache,
-                error=error or "",
-                locate_hops=locate_hops,
-                payload_hops=payload_hops,
-            )
+        ok = False
+        reply = served_by = None
+        error = ""
 
         for attempt in range(self._max_retries + 1):
             if address is None:
@@ -328,7 +308,8 @@ class DistributedSystem:
                 locates += 1
                 locate_hops += located.query_messages + located.reply_messages
                 if not located.found:
-                    return finish(f"no server found for {port}")
+                    error = f"no server found for {port}"
+                    break
                 address = located.address
                 client.remember_address(port, address)
 
@@ -343,7 +324,7 @@ class DistributedSystem:
                 # down.  Forget it and locate again.
                 client.forget_address(port)
                 client.stats.stale_addresses += 1
-                self._stats.stale_addresses += 1
+                stats.stale_addresses += 1
                 address = None
                 retries += 1
                 continue
@@ -352,7 +333,7 @@ class DistributedSystem:
                 payload_hops += self._network.send_payload(
                     client.node, target_node
                 )
-                reply = server.handle(payload)
+                answer = server.handle(payload)
                 payload_hops += self._network.send_payload(
                     target_node, client.node
                 )
@@ -361,12 +342,31 @@ class DistributedSystem:
                 address = None
                 retries += 1
                 if attempt == self._max_retries:
-                    return finish(str(exc))
+                    error = str(exc)
+                    break
                 continue
 
-            return finish(None, reply, server)
+            ok, reply, served_by = True, answer, server
+            break
+        else:
+            error = f"retry budget exhausted for {port}"
 
-        return finish(f"retry budget exhausted for {port}")
+        # Every exit: settle the counters, report what was spent.
+        if ok:
+            stats.successful_requests += 1
+        else:
+            client.stats.failures += 1
+        # A cached address only *counts* as a hit once it is validated: the
+        # request must complete without any locate — the exact predicate
+        # WorkloadMetrics.observe_request uses, so per-client counters sum
+        # to the workload-level counter.
+        if used_cache and locates == 0:
+            client.stats.cache_hits += 1
+        # Positional, in RequestOutcome field order.
+        return RequestOutcome(
+            ok, reply, served_by, locates, retries, used_cache, error,
+            locate_hops, payload_hops,
+        )
 
     def request_batch(
         self, operations: Iterable[Tuple[ClientProcess, Port, object]]

@@ -141,16 +141,23 @@ class WorkloadMetrics:
         self, ok: bool, locates: int, retries: int, from_cache: bool,
         locate_hops: int, total_hops: int,
     ) -> None:
-        """Fold one request's outcome into the aggregates."""
-        self._requests.inc()
+        """Fold one request's outcome into the aggregates.
+
+        Once per request, so the six instruments are added to directly;
+        the guard below is :meth:`Counter.inc`'s, checked before anything
+        is recorded.
+        """
+        if locates < 0 or retries < 0:
+            raise ValueError("counters only increase")
+        self._requests.value += 1
         if ok:
-            self._successes.inc()
+            self._successes.value += 1
         else:
-            self._failures.inc()
+            self._failures.value += 1
         if from_cache and locates == 0:
-            self._cache_hits.inc()
-        self._locates.inc(locates)
-        self._stale_retries.inc(retries)
+            self._cache_hits.value += 1
+        self._locates.value += locates
+        self._stale_retries.value += retries
         self.locate_hops.add(locate_hops)
         self.request_hops.add(total_hops)
 

@@ -93,6 +93,13 @@ class TestUntimedBytesNeverMove:
         assert result.digest() == PINNED_RESULT_DIGEST
         assert result.trace.digest() == PINNED_TRACE_DIGEST
 
+    def test_untimed_planner_events_are_pinned(self):
+        # WorkloadResult.digest() leaves plan_cache out, so the planner's
+        # hit/miss events of a scenario run are pinned here as literals.
+        assert run_scenario(pinned_scenario()).plan_cache == {
+            "plan_hit": 99, "plan_miss": 40, "route_hit": 435, "route_miss": 5,
+        }
+
     def test_untimed_summary_has_no_latency_sections(self):
         result = run_scenario(pinned_scenario())
         summary = result.metrics.summary()

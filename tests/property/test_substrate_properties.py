@@ -6,7 +6,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.types import Address, Port, PostRecord
+from repro.core.types import Address, Port, PostRecord, freshest, freshness_key
 from repro.network.cache import BoundedCache, NodeCache
 from repro.network.graph import Graph, complete_graph
 from repro.network.routing import RoutingTable
@@ -132,6 +132,45 @@ class TestCacheProperties:
                 best[name] = record
         for name, record in best.items():
             assert cache.lookup(Port(name)) == record
+
+    # Tie-heavy on purpose: three timestamps and five addresses over up to
+    # twelve records, so equal timestamps, equal reprs (the same address
+    # drawn twice) and the full-tie "first wins" rule all occur; 1 and 1.0
+    # are equal addresses that repr differently.
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),
+                st.sampled_from([1, 1.0, "1", 2, (0, 1)]),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_freshest_is_max_by_identity(self, entries):
+        records = [
+            PostRecord(Port("p"), Address(node), timestamp=ts, server_id=str(i))
+            for i, (ts, node) in enumerate(entries)
+        ]
+        expected = max(
+            records, key=lambda r: (r.timestamp, repr(r.address)), default=None
+        )
+        assert freshest(records) is expected
+        assert freshest(iter(records)) is expected
+        by_server = {record.server_id: record for record in records}
+        assert freshest(by_server.values()) is expected
+        ranked = sorted(
+            records, key=lambda r: (r.timestamp, repr(r.address)), reverse=True
+        )
+        by_key = sorted(records, key=freshness_key, reverse=True)
+        assert [id(r) for r in by_key] == [id(r) for r in ranked]
+
+    def test_freshest_of_nothing_and_of_one(self):
+        assert freshest(()) is None
+        assert freshest([]) is None
+        assert freshest({}.values()) is None
+        lone = PostRecord(Port("p"), Address(1))
+        assert freshest([lone]) is lone
 
     @given(
         capacity=st.integers(min_value=1, max_value=10),

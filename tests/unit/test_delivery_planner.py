@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.core.types import Port
 from repro.network.broadcast import multicast, unicast
 from repro.network.delivery import (
     PLAN_HIT,
@@ -313,3 +314,72 @@ class TestInvalidationAcrossFaultTimelines:
             net.send_payload((0, 0), (4, 4))
         assert net.stats.plan_events[ROUTE_MISS] == 1
         assert net.stats.plan_events[ROUTE_HIT] == 2
+
+
+class TestPayloadRouteEvents:
+    """Under an active fault every payload asks the planner for the shared
+    table exactly once — same-node payloads included — and that question
+    is a route event, which ``MatrixReport.digest()`` covers."""
+
+    LINK = ((2, 2), (2, 3))
+
+    @staticmethod
+    def _route_events(net):
+        events = net.stats.plan_events
+        return events.get(ROUTE_HIT, 0) + events.get(ROUTE_MISS, 0)
+
+    def test_same_node_payload_is_one_route_event(self, grid_network):
+        net = grid_network
+        net.fail_link(*self.LINK)
+        before = self._route_events(net)
+        assert net.send_payload((1, 1), (1, 1)) == 0
+        assert self._route_events(net) == before + 1
+
+    def test_distinct_node_payload_is_one_route_event(self, grid_network):
+        net = grid_network
+        net.fail_link(*self.LINK)
+        net.planner.routing_table()  # the revision's one route_miss
+        before = self._route_events(net)
+        assert net.send_payload((0, 0), (0, 1)) == 1
+        assert self._route_events(net) == before + 1
+        assert net.stats.plan_events[ROUTE_MISS] == 1
+
+    def test_fault_free_payloads_record_no_route_event(self, grid_network):
+        net = grid_network
+        net.send_payload((1, 1), (1, 1))
+        net.send_payload((0, 0), (0, 1))
+        assert self._route_events(net) == 0
+
+
+def test_message_stats_families_pinned_for_a_short_script():
+    """Post, fail a link, query, two payloads (neighbour, self), crash a
+    rendezvous node, query again — all six ``MessageStats`` families as
+    literals, so a planner event or a dropped message that moves shows in
+    tier-1 and not only in the ledger grid's digest."""
+    net = Network(ManhattanTopology.square(4).graph, delivery_mode="unicast")
+    port = Port("svc")
+    row = frozenset((1, c) for c in range(4))
+    column = frozenset((r, 2) for r in range(4))
+    net.post((1, 0), port, row)
+    net.fail_link((1, 1), (1, 2))
+    first = net.query((3, 2), port, column)
+    assert (first.found, first.query_hops, first.reply_hops) == (True, 6, 2)
+    assert first.responding_nodes == {(1, 2)}
+    assert net.send_payload((3, 2), (2, 2)) == 1
+    assert net.send_payload((3, 2), (3, 2)) == 0
+    net.crash_node((1, 2))
+    second = net.query((3, 2), port, column)
+    assert (second.found, second.query_hops, second.reply_hops) == (False, 6, 0)
+    assert second.queried_nodes == {(0, 2), (2, 2), (3, 2)}
+    stats = net.stats
+    assert stats.hops == {"post": 6, "query": 12, "reply": 2, "payload": 1}
+    assert stats.messages == {"post": 4, "query": 8, "reply": 1, "payload": 2}
+    assert stats.delivered == {"post": 4, "query": 7, "reply": 1, "payload": 2}
+    assert stats.dropped == {"query": 1}
+    assert stats.node_load == {
+        (1, 0): 1, (1, 1): 1, (1, 2): 2, (1, 3): 1,
+        (0, 2): 2, (2, 2): 2, (3, 2): 2,
+    }
+    assert stats.plan_events == {
+        "plan_miss": 3, "route_miss": 2, "route_hit": 4,
+    }

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.exceptions import NoRouteError, UnknownNodeError
+from repro.network.faults import FaultPlan, surviving_graph
 from repro.network.graph import Graph, complete_graph
 from repro.network.routing import (
     RoutingTable,
@@ -12,6 +13,7 @@ from repro.network.routing import (
     path_cost,
     route_cost,
 )
+from repro.workload import build_topology
 
 
 @pytest.fixture
@@ -164,3 +166,74 @@ class TestReversePathBeam:
         beam_a = table.reverse_path_beam((2, 2), 4, random.Random(5))
         beam_b = table.reverse_path_beam((2, 2), 4, random.Random(5))
         assert beam_a == beam_b
+
+
+def _reference_tables(graph, source):
+    """Breadth-first search that sorts a node's neighbours at every visit —
+    what ``RoutingTable._build`` did before it kept the order per node."""
+    next_hop = {source: source}
+    distance = {source: 0}
+    queue = [source]
+    while queue:
+        node = queue.pop(0)
+        for neighbour in sorted(graph.neighbours(node), key=repr):
+            if neighbour not in distance:
+                distance[neighbour] = distance[node] + 1
+                next_hop[neighbour] = (
+                    neighbour if node == source else next_hop[node]
+                )
+                queue.append(neighbour)
+    return next_hop, distance
+
+
+def _assert_tables_match_reference(table, graph):
+    for source in graph.nodes:
+        next_hop, distance = _reference_tables(graph, source)
+        assert dict(table.distance_map(source)) == distance
+        # Insertion order is the visit order: it must not move either.
+        assert list(table.distance_map(source)) == list(distance)
+        for destination in graph.nodes:
+            if destination in next_hop:
+                assert table.next_hop(source, destination) == next_hop[destination]
+                assert table.distance(source, destination) == distance[destination]
+            else:
+                assert not table.has_route(source, destination)
+                with pytest.raises(NoRouteError):
+                    table.next_hop(source, destination)
+
+
+class TestOnceSortedNeighbours:
+    """A table sorts each node's neighbours once; every table it serves is
+    the one a per-visit sort would have built."""
+
+    # The ledger grid's three topologies plus faulted_churn's.
+    TOPOLOGIES = ("complete:36", "manhattan:6", "hypercube:5", "manhattan:8")
+
+    @pytest.mark.parametrize("name", TOPOLOGIES)
+    def test_tables_equal_reference_bfs(self, name):
+        graph = build_topology(name).graph
+        table = RoutingTable(graph)
+        _assert_tables_match_reference(table, graph)
+        table.invalidate()
+        _assert_tables_match_reference(table, graph)
+
+    @pytest.mark.parametrize("name", TOPOLOGIES)
+    def test_tables_equal_reference_bfs_over_a_surviving_graph(self, name):
+        graph = build_topology(name).graph
+        rng = random.Random(name)
+        plan = FaultPlan()
+        for node in rng.sample(graph.nodes, 3):
+            plan.crash_node(node)
+        for u, v in rng.sample(sorted(graph.edges, key=repr), 6):
+            plan.fail_link(u, v)
+        survivors = surviving_graph(graph, plan)
+        _assert_tables_match_reference(RoutingTable(survivors), survivors)
+
+    def test_invalidate_forgets_the_neighbour_order(self):
+        graph = Graph(nodes=range(4), edges=[(0, 1), (1, 2), (2, 3)])
+        table = RoutingTable(graph)
+        assert table.distance(0, 3) == 3
+        graph.add_edge(0, 3)
+        table.invalidate()
+        assert table.distance(0, 3) == 1
+        _assert_tables_match_reference(table, graph)

@@ -5,7 +5,7 @@ import pytest
 from repro.core.exceptions import NodeDownError, UnknownNodeError
 from repro.core.types import Address, Port
 from repro.network.cache import BoundedCache
-from repro.network.simulator import Network
+from repro.network.simulator import DELIVERY_MODES, Network
 from repro.network.stats import PAYLOAD, POST, QUERY, REPLY
 from repro.topologies import CompleteTopology, ManhattanTopology
 
@@ -79,9 +79,25 @@ class TestDelivery:
         assert outcome.reached == frozenset({4})
         assert outcome.unreachable == frozenset({5})
 
-    def test_unknown_destination_raises(self, complete_net):
+    @pytest.mark.parametrize("mode", DELIVERY_MODES)
+    @pytest.mark.parametrize(
+        "destinations",
+        [[77], frozenset({1, 99}), [1, 99], [1, 99, 99], [1, 1, 99]],
+        ids=["alone", "frozenset", "list", "duplicated", "beside-duplicates"],
+    )
+    def test_unknown_destination_raises(self, ring12, mode, destinations):
+        # Addressing a node outside the graph is an error in every mode,
+        # never packet loss: nothing is charged, nothing counts as dropped.
+        net = Network(ring12.graph, delivery_mode=mode)
         with pytest.raises(UnknownNodeError):
-            complete_net.deliver(0, [77], POST)
+            net.deliver(0, destinations, POST)
+        assert net.stats.messages == {}
+        assert net.stats.dropped == {}
+        # Under an active fault too (the surviving-table paths).
+        net.fail_link(3, 4)
+        with pytest.raises(UnknownNodeError):
+            net.deliver(0, destinations, POST)
+        assert net.stats.dropped == {}
 
     def test_broadcast_floods_survivors(self, complete_net):
         complete_net.crash_node(8)

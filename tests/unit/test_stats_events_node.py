@@ -52,6 +52,27 @@ class TestMessageStats:
         with pytest.raises(ValueError):
             MessageStats().record(QUERY, 1, message_count=2, delivered=delivered)
 
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            dict(hop_count=3, message_count=2, delivered=5),
+            dict(hop_count=3, message_count=2, delivered=-1),
+            dict(hop_count=-1, message_count=2, delivered=1),
+            dict(hop_count=3, message_count=-2),
+        ],
+    )
+    def test_rejected_record_charges_nothing(self, arguments):
+        # All-or-nothing: a call that raises leaves every family empty
+        # (it used to charge hops and messages before checking delivered).
+        stats = MessageStats()
+        with pytest.raises(ValueError):
+            stats.record(QUERY, **arguments)
+        assert stats == MessageStats()
+        for family in ("hops", "messages", "node_load", "plan_events",
+                       "delivered", "dropped"):
+            assert getattr(stats, family) == {}
+        assert stats.conservation_violations((QUERY,)) == {}
+
     def test_restore_rewinds_all_six_families(self):
         stats = MessageStats()
         stats.record(POST, 2, message_count=2, delivered=1)
@@ -197,6 +218,27 @@ class TestNode:
         node.recover()
         assert node.alive
         assert node.answer_query(port) is None  # cache was lost
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda node, port: node.answer_query(port),
+            lambda node, port: node.answer_query_all(port),
+            lambda node, port: node.accept_post(PostRecord(port, Address(2))),
+            lambda node, port: node.forget_port(port),
+            lambda node, port: node.forget_server(port, "s"),
+        ],
+        ids=["answer_query", "answer_query_all", "accept_post", "forget_port",
+             "forget_server"],
+    )
+    def test_every_cache_operation_on_a_crashed_node_names_it(
+        self, port, operation
+    ):
+        node = Node((3, 1))
+        node.crash()
+        with pytest.raises(NodeDownError) as caught:
+            operation(node, port)
+        assert caught.value.node == (3, 1)
 
     def test_cache_size(self, port, ports):
         node = Node(1)

@@ -13,6 +13,7 @@ from repro.workload import (
     Trace,
     TraceOp,
     WorkloadDriver,
+    WorkloadMetrics,
     compare_under_load,
     replay_trace,
     run_scenario,
@@ -62,6 +63,43 @@ class TestHopHistogram:
             histogram.add(-1)
         with pytest.raises(ValueError):
             histogram.percentile(0)
+
+
+class TestObserveRequest:
+    """``observe_request`` adds to its instruments directly; the counter
+    guard it used to get from ``Counter.inc`` still holds, up front."""
+
+    def test_outcomes_land_in_all_six_instruments(self):
+        metrics = WorkloadMetrics()
+        metrics.observe_request(
+            ok=True, locates=1, retries=0, from_cache=False,
+            locate_hops=9, total_hops=11,
+        )
+        metrics.observe_request(
+            ok=False, locates=3, retries=2, from_cache=True,
+            locate_hops=27, total_hops=27,
+        )
+        metrics.observe_request(
+            ok=True, locates=0, retries=0, from_cache=True,
+            locate_hops=0, total_hops=2,
+        )
+        assert (metrics.requests, metrics.successes, metrics.failures) == (3, 2, 1)
+        assert (metrics.locates, metrics.stale_retries) == (4, 2)
+        assert metrics.cache_hits == 1  # cached *and* no locate needed
+        assert metrics.locate_hops.buckets() == [(0, 1), (9, 1), (27, 1)]
+        assert metrics.request_hops.buckets() == [(2, 1), (11, 1), (27, 1)]
+
+    @pytest.mark.parametrize("bad", [dict(locates=-1), dict(retries=-1)])
+    def test_negative_counts_raise_and_record_nothing(self, bad):
+        metrics = WorkloadMetrics()
+        arguments = dict(
+            ok=True, locates=1, retries=0, from_cache=True,
+            locate_hops=4, total_hops=6,
+        )
+        arguments.update(bad)
+        with pytest.raises(ValueError, match="counters only increase"):
+            metrics.observe_request(**arguments)
+        assert metrics.registry.to_dict() == WorkloadMetrics().registry.to_dict()
 
 
 class TestDriverBasics:
