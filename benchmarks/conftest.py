@@ -1,4 +1,4 @@
-"""Shared fixtures for the benchmark suite.
+"""About the benchmark suite (its modules share no fixtures).
 
 Every benchmark module regenerates one of the paper's tables/figures
 (``python -m repro.analysis.report`` prints the paper-vs-measured record for
@@ -7,13 +7,3 @@ checks the result against the paper's claims — for E15–E21 against the exact
 headline numbers, written as literals next to the computation.  Nothing is
 timed here and nothing is written; speed is measured by ``benchmarks/ledger``.
 """
-
-import pytest
-
-from repro.core.types import Port
-
-
-@pytest.fixture
-def port():
-    """The service port used by all benchmark workloads."""
-    return Port("bench-service")

@@ -126,8 +126,16 @@ class Histogram:
         if min(values) < 0:
             raise ValueError("value must be >= 0")
         counts = self._counts
-        for slot in map(self._slot, values) if self._buckets else values:
-            counts[slot] = counts.get(slot, 0) + 1
+        buckets = self._buckets
+        if buckets:  # ``_slot`` spelled out: one bisect per sample, no call
+            size, overflow = len(buckets), buckets[-1] + 1
+            for value in values:
+                index = bisect_left(buckets, value)
+                slot = buckets[index] if index < size else overflow
+                counts[slot] = counts.get(slot, 0) + 1
+        else:
+            for slot in values:
+                counts[slot] = counts.get(slot, 0) + 1
         self._total += len(values)
         self._sum += sum(values)
 

@@ -21,7 +21,7 @@ bucket-for-bucket.
 from .binding import TimedOverlay
 from .kernel import SimKernel
 from .model import LinkTiming, TimeModelSpec, link_key
-from .queueing import FifoResource, QueueStats
+from .queueing import FifoResource
 
 __all__ = [
     "SimKernel",
@@ -29,6 +29,5 @@ __all__ = [
     "TimeModelSpec",
     "TimedOverlay",
     "FifoResource",
-    "QueueStats",
     "link_key",
 ]

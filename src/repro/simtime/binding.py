@@ -6,20 +6,26 @@ trace and differential test pins its results.  So the time model does not
 the network's message tap: while a REQUEST op executes, every delivery the
 op makes (query fan-out, replies, payload round trip) is captured as a
 *batch* of ``(source, destination)`` messages.  When the op completes, the
-overlay prices the batches on the discrete-event kernel:
+overlay prices the batches:
 
 1. batch ``k`` starts when batch ``k - 1`` finished (the synchronous
    execution already established the causal order: replies follow queries,
    the payload follows the locate);
-2. a message is a flat record and a kernel event is data — *this message
-   reaches hop i of its path at time t*.  One handler prices every event:
-   it looks the hop ``(u, v)`` up in the **station table** (the link's
-   :class:`~repro.simtime.queueing.FifoResource`, latency and jitter, the
-   far node's FIFO server and service time — resolved once per directed
-   pair per run, both directions of a link sharing one queue), draws the
-   seeded jitter, admits the message to the two queues and schedules its
-   arrival at hop ``i + 1``;
-3. queue state persists across requests, so an open-loop arrival stream
+2. a message is a flat record that walks its **route program**:
+   ``(source, destination)`` is compiled once into a tuple of hops, each
+   hop one or two queue records — the link's
+   :class:`~repro.simtime.queueing.FifoResource`, latency and jitter, then
+   the far node's FIFO server and service time, both directions of a link
+   sharing one queue.  Pricing a hop is one loop body around one
+   ``acquire``: draw the seeded jitter, admit, tally.  Outside ``ideal``
+   delivery the programs live as long as the planner's routing table: a
+   different table object (a fault, a recovery) drops them all;
+3. the event kernel orders only what has no order yet.  A batch's
+   launches share one instant and fire in launch order, so they are
+   priced directly, and a message's last hop writes its completion time;
+   only a multi-hop path's arrivals at its next link are kernel events,
+   interleaving by ``(time, seq)`` with the batch's other messages;
+4. queue state persists across requests, so an open-loop arrival stream
    genuinely contends: a hot centralized node's queue grows while
    checkerboard traffic spreads — hop counts become p50/p99 latency.
 
@@ -56,7 +62,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Dict, Hashable, List, Optional, Tuple
+from math import inf
+from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from ..core.exceptions import NoRouteError, UnknownNodeError
 from .kernel import SimKernel
@@ -66,28 +73,29 @@ from .queueing import FifoResource
 #: One captured message: (source, destination).
 _Message = Tuple[Hashable, Hashable]
 
-#: One message being priced: ``[source, destination, path, segments,
-#: completed]`` — raw node ids, ``(kind, where, start, end)`` float-second
-#: segments, the arrival time (``None`` = dropped by a queue-wait timeout).
+#: One queue visit: ``(resource, hold, jitter, wait_kind, service_kind,
+#: where, is_link)`` — the queue, its service seconds and maximum jitter,
+#: the segment kinds a visit records, the link key or node repr it happens
+#: on, and whether ``hold`` counts as link busy time.
+_Queue = Tuple[FifoResource, float, float, str, str, str, bool]
+#: One hop ``u -> v``: the link's queue, then ``v``'s service queue unless
+#: its service time is zero.  A route program is a tuple of hops.
+_Hop = Tuple[_Queue, ...]
+
+#: One message being priced: ``[pair, program, segments, completed]`` — the
+#: captured ``(source, destination)``, its route program, ``(kind, where,
+#: start, end)`` float-second segments, the arrival time (``None`` =
+#: dropped by a queue-wait timeout).
 _Priced = List[object]
-_PATH, _SEGMENTS, _COMPLETED = 2, 3, 4
+_PROGRAM, _SEGMENTS, _COMPLETED = 1, 2, 3
 
-#: What the hop ``u -> v`` contends on and costs: ``(link_key, link queue,
-#: latency, jitter, repr(v), v's service queue or None, service time)``.
-_Station = Tuple[str, FifoResource, float, float, str, Optional[FifoResource], float]
-
-#: Microseconds per virtual second (latency histograms are integer-valued).
+#: Microseconds per virtual second: latencies are recorded as
+#: ``round(seconds * _US)`` — histograms are integer-valued, and one
+#: microsecond of quantization is far below any modeled latency.
 _US = 1_000_000
 
 #: How many slowest requests keep their full timeline per run.
 SLOWEST_K = 8
-
-
-def _to_us(seconds: float) -> int:
-    """Virtual seconds as integer microseconds (histograms are
-    integer-valued; one microsecond of quantization is far below any
-    modeled latency).  The per-visit paths spell this out inline."""
-    return round(seconds * _US)
 
 
 class TimedOverlay:
@@ -109,19 +117,29 @@ class TimedOverlay:
         metrics,
         exemplar_k: int = SLOWEST_K,
     ) -> None:
-        self._network = network
         self._model = model
         self._metrics = metrics
         self._window_us = metrics.timeline.width_us
         self._kernel = SimKernel()
-        #: Jitter stream: consumed in kernel event order, so run and replay
+        #: Jitter stream: consumed in pricing order (launches in launch
+        #: order, later hops in kernel event order), so run and replay
         #: draw identically.
-        self._jitter = random.Random(f"{seed}/simtime")
-        #: Queues by undirected link key / node repr, and the stations
-        #: (one per directed pair) that point into them.
+        self._jitter = random.Random(f"{seed}/simtime").random
+        #: Who routes the messages: the planner the delivery itself used,
+        #: or in ``ideal`` mode nobody (see :meth:`_compile`).
+        ideal = network.delivery_mode == "ideal"
+        self._planner = None if ideal else network.planner
+        #: Queues by undirected link key / node repr, the hops (one per
+        #: directed pair per run) that point into them, and the route
+        #: programs (one per message pair per routing table) built of hops.
         self._links: Dict[str, FifoResource] = {}
         self._nodes: Dict[str, FifoResource] = {}
-        self._stations: Dict[Tuple[Hashable, Hashable], _Station] = {}
+        self._hops: Dict[_Message, _Hop] = {}
+        self._programs: Dict[_Message, Tuple[_Hop, ...]] = {}
+        self._table = None
+        #: ``reached`` frozenset -> its members in repr order (the planner
+        #: hands the same few sets back request after request).
+        self._ordered: Dict[FrozenSet[Hashable], List[Hashable]] = {}
         #: Captured batches of the in-flight request: (phase, messages).
         self._batches: List[Tuple[str, List[_Message]]] = []
         self._capturing = False
@@ -149,23 +167,26 @@ class TimedOverlay:
         """One delivery fan-out: ``source`` to every reached destination."""
         if not self._capturing:
             return
+        ordered = self._ordered.get(reached)
+        if ordered is None:
+            ordered = self._ordered[reached] = sorted(reached, key=repr)
         pairs = [
             (source, destination)
-            for destination in sorted(reached, key=repr)
+            for destination in ordered
             if destination != source
         ]
         if pairs:
             self._batches.append((category, pairs))
 
-    def on_replies(
-        self, responders, client: Hashable, mode: str
-    ) -> None:
+    def on_replies(self, responders, client: Hashable, mode: str) -> None:
         """Reply messages: each responder back to the querying client."""
         if not self._capturing:
             return
+        if len(responders) > 1:
+            responders = sorted(responders, key=repr)
         pairs = [
             (responder, client)
-            for responder in sorted(responders, key=repr)
+            for responder in responders
             if responder != client
         ]
         if pairs:
@@ -203,21 +224,33 @@ class TimedOverlay:
         span tree and outcome.
         """
         self._capturing = False
-        kernel = self._kernel
+        planner = self._planner
+        programs = self._programs
+        visit = self._visit
         clock = self._arrival
         priced: List[Tuple[str, List[_Priced]]] = []
         critical: List[Tuple[str, str, str, int]] = []
         critical_us: Dict[str, int] = {}
         for phase, batch in self._batches:
+            if not 0.0 <= clock < inf:  # also rejects NaN
+                raise ValueError(f"launch time {clock!r} is not finite and >= 0")
             messages: List[_Priced] = []
-            for source, destination in batch:
-                message = [
-                    source, destination, self._path(source, destination),
-                    [], None,
-                ]
+            for pair in batch:
+                if planner is not None:
+                    # Asked once per message even when the program is
+                    # compiled: under faults the question is a route
+                    # event, and route events are reported.
+                    table = planner.routing_table()
+                    if table is not self._table:
+                        self._table = table
+                        programs = self._programs = {}
+                program = programs.get(pair) or self._compile(pair)
+                message = [pair, program, [], None]
                 messages.append(message)
-                kernel.schedule(clock, message)
-            kernel.run(self._visit)
+                # Launches share one instant and fire in launch order:
+                # no heap needed to find out which comes next.
+                visit(clock, message, 0)
+            self._kernel.run(visit)
             priced.append((phase, messages))
             # The barrier-defining message: latest completion; ties keep
             # the earliest launch index (messages preserve batch order).
@@ -230,24 +263,27 @@ class TimedOverlay:
                     barrier = message
             if barrier is None:
                 break
-            for kind, where, start, end in barrier[_SEGMENTS]:
-                # Microseconds as a difference of rounded endpoints, so the
-                # blamed segments telescope exactly: per batch they sum to
-                # completion - launch, across batches to the request's
-                # latency (each batch launches at its predecessor's
-                # completion).
-                segment_us = round(end * _US) - round(start * _US)
+            # Microseconds as a difference of rounded endpoints, so the
+            # blamed segments telescope exactly: per batch they sum to
+            # completion - launch, across batches to the request's latency
+            # (each batch launches at its predecessor's completion).  The
+            # segments are contiguous: each starts where the last ended.
+            start_us = round(clock * _US)
+            for kind, where, _, end in barrier[_SEGMENTS]:
+                end_us = round(end * _US)
+                segment_us = end_us - start_us
                 if segment_us:
                     key = f"{phase}:{kind}:{where}"
                     critical_us[key] = critical_us.get(key, 0) + segment_us
                     critical.append((phase, kind, where, segment_us))
+                    start_us = end_us
             clock = max(clock, barrier[_COMPLETED])
         self._batches = []
         if clock > self._horizon:
             self._horizon = clock
-        latency_us = _to_us(clock - self._arrival)
+        latency_us = round((clock - self._arrival) * _US)
         self._metrics.observe_priced_request(
-            latency_us, _to_us(clock), ok, self._waits_us, self._depths,
+            latency_us, round(clock * _US), ok, self._waits_us, self._depths,
             self._windows, self._busy_us, self._timeouts, critical_us,
         )
         self._waits_us, self._depths = [], []
@@ -278,8 +314,8 @@ class TimedOverlay:
             "request": self._sequence,
             "span": span_id,
             "ok": ok,
-            "arrival_us": _to_us(self._arrival),
-            "completed_us": _to_us(completed),
+            "arrival_us": round(self._arrival * _US),
+            "completed_us": round(completed * _US),
             "latency_us": latency_us,
             "batches": [
                 {
@@ -290,11 +326,12 @@ class TimedOverlay:
                             "destination": repr(destination),
                             "dropped": arrived is None,
                             "segments": [
-                                [kind, where, _to_us(start), _to_us(end)]
+                                [kind, where, round(start * _US),
+                                 round(end * _US)]
                                 for kind, where, start, end in segments
                             ],
                         }
-                        for source, destination, _, segments, arrived
+                        for (source, destination), _, segments, arrived
                         in messages
                     ],
                 }
@@ -311,110 +348,104 @@ class TimedOverlay:
         )
         return [record for _, _, record in ranked]
 
-    def _path(self, source: Hashable, destination: Hashable) -> List[Hashable]:
-        """The node sequence a message traverses.
+    def _compile(self, pair: _Message) -> Tuple[_Hop, ...]:
+        """Compile (once per pair per routing table) a message's route
+        program: one hop per link of the node sequence it traverses.
 
         ``ideal`` delivery models the complete network of section 2: one
         virtual link straight to the destination (overrides keyed on that
         pair still price it).  Other modes walk the *surviving* shortest
-        path — the same tables the synchronous delivery used, so fault ops
+        path — the tables the synchronous delivery used, so fault ops
         replayed from a trace reroute the overlay identically.  A
         destination the synchronous run reached but the surviving table
-        cannot route (multicast tree edge cases) falls back to the direct
-        virtual link.
+        cannot route (multicast tree edge cases) gets the direct link too.
         """
-        if self._network.delivery_mode == "ideal":
-            return [source, destination]
-        table = self._network.planner.routing_table()
-        try:
-            return table.shortest_path(source, destination)
-        except (NoRouteError, UnknownNodeError):
-            return [source, destination]
+        path: List[Hashable] = list(pair)
+        if self._table is not None:
+            try:
+                path = self._table.shortest_path(*pair)
+            except (NoRouteError, UnknownNodeError):
+                pass
+        program = self._programs[pair] = tuple(
+            self._hops.get(step) or self._hop(*step)
+            for step in zip(path, path[1:])
+        )
+        return program
 
-    def _station(self, u: Hashable, v: Hashable) -> _Station:
+    def _hop(self, u: Hashable, v: Hashable) -> _Hop:
         """Resolve (once per directed pair per run) what the hop ``u -> v``
-        contends on and costs: the undirected link's queue and timing, and
-        ``v``'s service queue (``None`` when its service time is zero)."""
+        contends on and costs: the undirected link's queue and timing,
+        then ``v``'s service queue unless its service time is zero."""
         key = link_key(u, v)
         timing = self._model.link_timing(key)
         link = self._links.setdefault(key, FifoResource(timing.capacity))
+        queues: List[_Queue] = [(
+            link, timing.latency, timing.jitter,
+            "link_wait", "link_xfer", key, True,
+        )]
         node_repr = repr(v)
         service = self._model.service_time(node_repr)
-        node = None
         if service > 0.0:
             node = self._nodes.setdefault(node_repr, FifoResource(1))
-        station = self._stations[(u, v)] = (
-            key, link, timing.latency, timing.jitter, node_repr, node, service
-        )
-        return station
+            queues.append((
+                node, service, 0.0, "node_wait", "node_service", node_repr,
+                False,
+            ))
+        hop = self._hops[(u, v)] = tuple(queues)
+        return hop
 
     def _visit(self, time: float, message: _Priced, hop: int) -> None:
-        """The kernel's event handler: ``message`` reaches node ``hop`` of
-        its path at ``time`` — completing there, or crossing the next link
-        and the far node's service queue and scheduling its next arrival.
-        A queue-wait timeout drops it: nothing further is scheduled and
-        ``completed`` stays ``None``.
+        """Price one hop: ``message`` enters hop ``hop`` of its program at
+        ``time`` and visits the hop's queues in order — one ``acquire``
+        each, tallied for the per-request flush.  After the last hop it
+        has arrived and ``completed`` is written; otherwise the kernel,
+        whose event handler this is, learns when it enters the next hop.
+        A queue-wait timeout drops it: nothing further happens and
+        ``completed`` stays ``None``.  Zero-length segments are omitted —
+        they carry no blame and the rest stay contiguous.
         """
-        path = message[_PATH]
-        if hop >= len(path) - 1:
-            message[_COMPLETED] = time
-            return
-        pair = (path[hop], path[hop + 1])
-        station = self._stations.get(pair) or self._station(*pair)
-        key, link, hold, jitter, node_repr, node, service = station
-        if jitter:
-            hold += self._jitter.uniform(0.0, jitter)
+        program = message[_PROGRAM]
         segments = message[_SEGMENTS]
-        end = self._admit(
-            link, time, hold, segments, "link_wait", "link_xfer", key
-        )
-        if end is None:
-            return
-        busy_us = self._busy_us
-        busy_us[key] = busy_us.get(key, 0) + round(hold * _US)
-        if node is not None:
-            end = self._admit(
-                node, end, service, segments, "node_wait", "node_service",
-                node_repr,
+        timeout = self._model.timeout
+        arrival = self._arrival
+        windows = self._windows
+        for resource, hold, jitter, wait_kind, service_kind, where, is_link \
+                in program[hop]:
+            if jitter:
+                hold += jitter * self._jitter()  # = uniform(0.0, jitter)
+            start, end, wait, dropped, depth = resource.acquire(
+                time, hold, timeout, arrival
             )
-            if end is None:
+            self._waits_us.append(round(wait * _US) if wait else 0)
+            self._depths.append(depth)
+            index = round(time * _US) // self._window_us
+            window = windows.get(index)
+            if window is None:
+                window = windows[index] = [0, 0, 0]
+            if depth > window[2]:
+                window[2] = depth
+            if dropped:
+                window[1] += 1
+                self._timeouts += 1
                 return
-        self._kernel.schedule(end, message, hop + 1)
-
-    def _admit(
-        self, resource: FifoResource, at: float, hold: float,
-        segments: List[Tuple[str, str, float, float]],
-        wait_kind: str, service_kind: str, where: str,
-    ) -> Optional[float]:
-        """One queue visit, tallied for the per-request flush; returns when
-        service ended, or ``None`` for a message the timeout dropped.
-        Zero-length segments are omitted — they carry no blame and the
-        rest stay contiguous from launch to completion."""
-        start, end, wait, dropped, depth = resource.acquire(
-            at, hold, self._model.timeout, self._arrival
-        )
-        self._waits_us.append(round(wait * _US))
-        self._depths.append(depth)
-        index = round(at * _US) // self._window_us
-        window = self._windows.get(index)
-        if window is None:
-            window = self._windows[index] = [0, 0, 0]
-        if depth > window[2]:
-            window[2] = depth
-        if dropped:
-            window[1] += 1
-            self._timeouts += 1
-            return None
-        window[0] += 1
-        if wait > 0.0:
-            segments.append((wait_kind, where, at, start))
-        if end > start:
-            segments.append((service_kind, where, start, end))
-        return end
+            window[0] += 1
+            if wait > 0.0:
+                segments.append((wait_kind, where, time, start))
+            if end > start:
+                segments.append((service_kind, where, start, end))
+            if is_link:
+                busy_us = self._busy_us
+                busy_us[where] = busy_us.get(where, 0) + round(hold * _US)
+            time = end
+        hop += 1
+        if hop == len(program):
+            message[_COMPLETED] = time
+        else:
+            self._kernel.schedule(time, message, hop)
 
     # -- end of run -----------------------------------------------------------
 
     def finalize(self) -> None:
         """Close out the run: record link busy-time and the virtual
         horizon, so summaries can derive per-link utilization."""
-        self._metrics.set_virtual_horizon(_to_us(self._horizon))
+        self._metrics.set_virtual_horizon(round(self._horizon * _US))

@@ -4,18 +4,21 @@ The kernel is the package's only scheduler and the reason ``repro.simtime``
 stays deterministic: time is a plain float that moves only when an event is
 popped, never a reading of any OS clock (DET001 has nothing to find here).
 An event is plain data — the tuple ``(time, seq, message, hop)`` on the heap:
-*which* message reaches *which* hop of its path *when*.  Nothing callable is
+*which* message enters *which* hop of its route *when*.  Nothing callable is
 stored; :meth:`SimKernel.run` hands every popped event to the one handler
 its caller passes.  Events scheduled for the same instant fire in
 scheduling order — a monotonically increasing sequence number breaks heap
 ties, so two messages entering a queue "simultaneously" are served in the
 order the simulation issued them (and the heap never compares messages).
 
-The workload driver runs the kernel in *batches*: each executed request
-schedules its message events and drains the heap before the next op
-executes.  Queueing state (see :mod:`.queueing`) persists across batches,
-which is how requests that overlap in virtual time contend for the same
-links even though the synchronous simulation executes them one at a time.
+The timed overlay brings the kernel only the events whose order is not
+already known: a batch's launches (one instant, launch order) and a
+message's arrival at its destination never touch the heap; a multi-hop
+message's entry into each later hop does, and the heap is drained before
+the next batch launches.  Queueing state (see :mod:`.queueing`) persists
+across batches and requests, which is how requests that overlap in virtual
+time contend for the same links even though the synchronous simulation
+executes them one at a time.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class SimKernel:
         return self._fired
 
     def schedule(self, at: float, message: object, hop: int = 0) -> None:
-        """Record that ``message`` reaches hop ``hop`` of its path at ``at``.
+        """Record that ``message`` enters hop ``hop`` of its route at ``at``.
 
         ``at`` must be finite and non-negative (it may trail :attr:`now`
         for late-scheduled but early-arriving events).  ``message`` is

@@ -40,6 +40,19 @@ def require_finite(spec: object) -> None:
             )
 
 
+def reject_unknown_keys(cls: type, data: Dict[str, object]) -> None:
+    """Reject, by name, keys of ``data`` that are not fields of ``cls``:
+    where every field defaults, a misspelled key would otherwise run with
+    the default — for a time model a confident, wrong latency report."""
+    known = {spec_field.name for spec_field in fields(cls)}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown {cls.__name__} key(s) {unknown}; "
+            f"expected a subset of {sorted(known)}"
+        )
+
+
 def link_key(u: Hashable, v: Hashable) -> str:
     """The canonical, JSON-safe identity of the (undirected) link
     ``{u, v}``: endpoint reprs sorted, joined with ``<->``."""
@@ -85,7 +98,8 @@ class LinkTiming:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "LinkTiming":
-        """Rebuild from :meth:`to_dict` output."""
+        """Rebuild from :meth:`to_dict` output; unknown keys are rejected."""
+        reject_unknown_keys(cls, data)
         return cls(
             latency=float(data.get("latency", 0.001)),
             jitter=float(data.get("jitter", 0.0)),
@@ -182,7 +196,9 @@ class TimeModelSpec:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TimeModelSpec":
         """Rebuild a model from :meth:`to_dict` output (every field
-        defaults, so hand-written JSON can stay minimal)."""
+        defaults, so hand-written JSON can stay minimal; unknown keys are
+        rejected, in nested link timings too)."""
+        reject_unknown_keys(cls, data)
         return cls(
             default_link=LinkTiming.from_dict(dict(data.get("default_link", {}))),
             link_overrides=tuple(

@@ -18,31 +18,39 @@ the width of the busy intervals: a resource under its capacity has gaps
 and stays fast, an overloaded one consolidates into one solid busy block
 and queues grow without bound — exactly real queueing behavior.
 
-The resource accumulates the congestion record the metrics layer reports:
-per-message queue wait, queue depth sampled at arrival, total busy
-seconds (utilization), admissions and timeout drops.
+Admission is one flat function, :meth:`FifoResource.acquire` — a priced hop
+is one call of it per queue — and the common shapes never search: a
+drained server starts the message at once, an interval at the end of the
+timeline is appended or merged into the last block without a ``bisect``.
+What a visit observed is what the call returns; the overlay tallies it and
+the metrics layer reports it (``queue_wait``, ``queue_depth``,
+``message_timeouts``, ``link_busy_us``).
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
-from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import List, Tuple
 
 
-@dataclass(frozen=True)
-class QueueStats:
-    """A resource's cumulative congestion record."""
-
-    admitted: int
-    dropped: int
-    busy_seconds: float
-    peak_depth: int
-    #: Busy intervals discarded by :meth:`FifoResource.prune` — how much
-    #: timeline the watermark actually reclaimed (0 means pruning never
-    #: fired or never found a dead interval).
-    pruned_intervals: int = 0
+def _fill_gap(timeline: List[List[float]], start: float, end: float) -> None:
+    """Insert busy interval ``[start, end]`` ahead of the timeline's last
+    block, merging exact neighbours (a queued message starts exactly where
+    its predecessor ends)."""
+    # ``[start]`` sorts just before every ``[start, ...]`` interval.
+    index = bisect_left(timeline, [start])
+    before = timeline[index - 1] if index > 0 else None
+    after = timeline[index]
+    if before is not None and before[1] == start:
+        before[1] = end
+        if after[0] == end:
+            before[1] = after[1]
+            del timeline[index]
+    elif after[0] == end:
+        after[0] = start
+    else:
+        timeline.insert(index, [start, end])
 
 
 class FifoResource:
@@ -56,17 +64,16 @@ class FifoResource:
     occupies a server).
 
     Passing a ``watermark`` — a lower bound on every *future* arrival the
-    caller will ever submit — lets the resource discard busy intervals
-    that can no longer constrain anything, keeping the timelines short.
+    caller will ever submit — lets the resource first discard the busy
+    intervals ending at or before it: they can neither delay a future
+    message nor host one, and the timelines stay short.
     """
 
-    __slots__ = ("_capacity", "_timelines", "_in_flight", "_admitted",
-                 "_dropped", "_busy_seconds", "_peak_depth", "_pruned")
+    __slots__ = ("_timelines", "_in_flight")
 
     def __init__(self, capacity: int = 1) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        self._capacity = capacity
         #: Per-server sorted, non-overlapping ``[start, end]`` busy
         #: intervals (exactly-adjacent intervals are merged on insert, so
         #: a saturated server is one long block).
@@ -76,68 +83,6 @@ class FifoResource:
         #: Completion times of admitted messages (a min-heap) for depth
         #: sampling, pruned as the clock passes them.
         self._in_flight: List[float] = []
-        self._admitted = 0
-        self._dropped = 0
-        self._busy_seconds = 0.0
-        self._peak_depth = 0
-        self._pruned = 0
-
-    @property
-    def capacity(self) -> int:
-        """Number of parallel servers."""
-        return self._capacity
-
-    def depth(self, now: float) -> int:
-        """Messages still queued or in service at ``now``."""
-        in_flight = self._in_flight
-        while in_flight and in_flight[0] <= now:
-            heapq.heappop(in_flight)
-        return len(in_flight)
-
-    @staticmethod
-    def _earliest_start(
-        timeline: List[List[float]], now: float, hold: float
-    ) -> float:
-        """The earliest time >= ``now`` where ``hold`` seconds fit."""
-        candidate = now
-        for start, end in timeline:
-            if candidate + hold <= start:
-                break
-            if end > candidate:
-                candidate = end
-        return candidate
-
-    @staticmethod
-    def _insert(timeline: List[List[float]], start: float, end: float) -> None:
-        """Insert busy interval ``[start, end]``, merging exact neighbours
-        (a queued message starts exactly where its predecessor ends)."""
-        # ``[start]`` sorts just before every ``[start, ...]`` interval.
-        index = bisect_left(timeline, [start])
-        before = timeline[index - 1] if index > 0 else None
-        after = timeline[index] if index < len(timeline) else None
-        if before is not None and before[1] == start:
-            before[1] = end
-            if after is not None and after[0] == end:
-                before[1] = after[1]
-                del timeline[index]
-        elif after is not None and after[0] == end:
-            after[0] = start
-        else:
-            timeline.insert(index, [start, end])
-
-    def prune(self, watermark: float) -> None:
-        """Drop busy intervals ending at or before ``watermark``.
-
-        Safe when every future :meth:`acquire` uses ``now >= watermark``:
-        such intervals can neither delay a future message nor host one.
-        """
-        for timeline in self._timelines:
-            keep = 0
-            while keep < len(timeline) and timeline[keep][1] <= watermark:
-                keep += 1
-            if keep:
-                del timeline[:keep]
-                self._pruned += keep
 
     def acquire(
         self,
@@ -149,46 +94,51 @@ class FifoResource:
         """Admit one message at ``now`` for ``hold`` seconds of service.
 
         Returns ``(start, end, wait, dropped, depth)``; ``depth`` is the
-        queue depth the message saw on arrival (:meth:`depth` at ``now``,
-        before its own admission).  When ``dropped`` is true the message
-        never got a server: ``wait`` is the wait it refused to suffer and
-        ``start``/``end`` equal ``now``.
+        queue depth the message saw on arrival: the messages admitted
+        before it that are still queued or in service at ``now``.  When
+        ``dropped`` is true the message never got a server: ``wait`` is
+        the wait it refused to suffer and ``start``/``end`` equal ``now``.
         """
         if hold < 0:
             raise ValueError("hold must be non-negative")
+        timelines = self._timelines
         if watermark > 0.0:
-            self.prune(watermark)
-        depth = self.depth(now)
-        best_server = 0
-        best_start = None
-        for index, timeline in enumerate(self._timelines):
-            start = self._earliest_start(timeline, now, hold)
-            if best_start is None or start < best_start:
-                best_server = index
-                best_start = start
-                if start == now:
+            for timeline in timelines:
+                dead = 0
+                for interval in timeline:
+                    if interval[1] > watermark:
+                        break
+                    dead += 1
+                if dead:
+                    del timeline[:dead]
+        in_flight = self._in_flight
+        while in_flight and in_flight[0] <= now:
+            heappop(in_flight)
+        depth = len(in_flight)
+        # The earliest time >= now where ``hold`` seconds fit, over servers.
+        server, start = None, now
+        for timeline in timelines:
+            candidate = now
+            if timeline and timeline[-1][1] > now:  # else: drained, no scan
+                for busy_start, busy_end in timeline:
+                    if candidate + hold <= busy_start:
+                        break
+                    if busy_end > candidate:
+                        candidate = busy_end
+            if server is None or candidate < start:
+                server, start = timeline, candidate
+                if candidate == now:
                     break
-        start = best_start if best_start is not None else now
         wait = start - now
         if timeout > 0.0 and wait > timeout:
-            self._dropped += 1
             return now, now, wait, True, depth
         end = start + hold
         if hold > 0.0:
-            self._insert(self._timelines[best_server], start, end)
-        self._admitted += 1
-        self._busy_seconds += hold
-        heapq.heappush(self._in_flight, end)
-        if depth + 1 > self._peak_depth:
-            self._peak_depth = depth + 1
+            if server and start <= server[-1][0]:
+                _fill_gap(server, start, end)
+            elif server and server[-1][1] == start:
+                server[-1][1] = end
+            else:
+                server.append([start, end])
+        heappush(in_flight, end)
         return start, end, wait, False, depth
-
-    def stats(self) -> QueueStats:
-        """The cumulative congestion record."""
-        return QueueStats(
-            admitted=self._admitted,
-            dropped=self._dropped,
-            busy_seconds=self._busy_seconds,
-            peak_depth=self._peak_depth,
-            pruned_intervals=self._pruned,
-        )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Hashable, Iterable, List, Optional
 
 from ..core.exceptions import StrategyError
@@ -29,7 +29,7 @@ from ..network.faults import (
     region_partition,
 )
 from ..network.graph import Graph
-from ..simtime.model import TimeModelSpec, require_finite
+from ..simtime.model import TimeModelSpec, reject_unknown_keys, require_finite
 from ..strategies import (
     CubeConnectedCyclesStrategy,
     HierarchicalGatewayStrategy,
@@ -340,13 +340,7 @@ class ScenarioSpec:
         does — a typoed field must not surface as a ``TypeError`` about
         ``__init__``.
         """
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown ScenarioSpec key(s) {unknown}; "
-                f"expected a subset of {sorted(known)}"
-            )
+        reject_unknown_keys(cls, data)
         payload = dict(data)
         payload["arrival"] = ArrivalSpec(**payload.get("arrival", {}))
         payload["popularity"] = PopularitySpec(**payload.get("popularity", {}))

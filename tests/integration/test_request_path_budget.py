@@ -1,32 +1,50 @@
-"""A deterministic call budget for the untimed request path.
+"""A deterministic call budget for the request path, untimed and timed.
 
 The perf ledger (``benchmarks/ledger``) measures what a request costs the
 host; this guard keeps the part of that measurement that repeats exactly —
 Python/C function calls per request under ``cProfile`` — inside tier-1, so
-a refactor that re-adds a per-node call or a per-message ``bump`` fails the
-push and not the next ledger run.
+a refactor that re-adds a per-node call, a per-message ``bump`` or a
+per-hop helper fails the push and not the next ledger run.
 
 The cost is *marginal*: the same scenario at 500 and at 1 500 requests, the
 difference divided by 1 000, so set-up (topology, routing tables, placement)
 cancels out.  Measured this way (Python 3.11) the parent of the PR that
-added this file cost 222.9 calls/request, 21 of them ``CounterMap.bump``
-and 6 ``Network.node_is_up``; the PR 161.9, 0 and 1.  The budget's
-head-room covers the spread between Python 3.10 and 3.12.
+added the untimed guard cost 222.9 calls/request, 21 of them
+``CounterMap.bump`` and 6 ``Network.node_is_up``; the PR 161.9, 0 and 1.
+The parent of the PR that added the timed guard cost 882.1 calls per
+``timed_burst`` request — 17.3 ``SimKernel.schedule``, 17.3 each of
+``prune``/``depth``/``_earliest_start``/``_insert`` under ``acquire``, 18.4
+``Histogram._slot`` — and the PR 600.2, 0, 4.4 (the true gap fills) and 1.0.
+The budgets' head-room covers the spread between Python 3.10 and 3.12; they
+are ``<=``, never ``==``: once any Hypothesis test has run in the process
+its ``gc`` callback is counted by ``cProfile`` too.
 """
 
 import cProfile
+from collections import Counter
 from pathlib import PurePath
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
+from repro.simtime import LinkTiming, TimeModelSpec
 from repro.workload import ArrivalSpec, PopularitySpec, ScenarioSpec, WorkloadDriver
 
-#: Calls one more request may cost, set-up excluded.
+#: Calls one more untimed request may cost, set-up excluded.
 CALLS_PER_REQUEST_BUDGET = 180
 #: ``(file, function) -> calls`` one more request may spend there.
 FUNCTION_BUDGETS = {
     ("obs/registry.py", "bump"): 1,
     ("network/simulator.py", "node_is_up"): 2,
 }
+
+#: The same for one more timed request: measured + ~8%, and never above 690.
+TIMED_CALLS_PER_REQUEST_BUDGET = 650
+TIMED_FUNCTION_BUDGETS = {
+    # ``ideal`` mode is all single-hop routes: nothing is left to order.
+    ("simtime/kernel.py", "schedule"): 0,
+    ("obs/registry.py", "_slot"): 1.5,
+}
+#: ``simtime/queueing.py`` outside ``acquire`` itself: the true gap fills.
+QUEUEING_HELPER_BUDGET = 6
 
 
 def locate_flood(operations: int) -> ScenarioSpec:
@@ -48,38 +66,94 @@ def locate_flood(operations: int) -> ScenarioSpec:
     )
 
 
-def profiled_calls(operations: int) -> Tuple[int, Dict[Tuple[str, str], int]]:
+def timed_burst(operations: int) -> ScenarioSpec:
+    """The ledger's ``timed_burst`` workload as a literal (master seed 22):
+    the E20 shape, bursts of 80 priced by the time model."""
+    return ScenarioSpec(
+        name="timed_burst",
+        topology="complete:36",
+        strategy="checkerboard",
+        operations=operations,
+        clients=36,
+        servers=6,
+        ports=6,
+        delivery_mode="ideal",
+        seed=7198299542289471375,
+        cache_addresses=False,
+        arrival=ArrivalSpec(kind="burst", burst_size=80, burst_gap=0.05),
+        popularity=PopularitySpec(kind="zipf", zipf_exponent=1.1),
+        time_model=TimeModelSpec(
+            default_link=LinkTiming(latency=0.0005, jitter=0.0001),
+            node_service=0.0008,
+        ),
+    )
+
+
+def profiled_calls(spec: ScenarioSpec) -> Tuple[int, Dict[Tuple[str, str], int]]:
     """Total calls of one ``WorkloadDriver(spec).run()`` and the calls of
-    each budgeted function."""
-    spec = locate_flood(operations)
+    each Python function, keyed ``(package/file, function)``."""
     profiler = cProfile.Profile()
     result = profiler.runcall(lambda: WorkloadDriver(spec).run())
-    assert result.metrics.requests == operations
-    assert result.metrics.locates == operations  # every request locates
+    assert result.metrics.requests == spec.operations
+    assert result.metrics.locates == spec.operations  # every request locates
     total = 0
-    per_function = dict.fromkeys(FUNCTION_BUDGETS, 0)
+    per_function: Dict[Tuple[str, str], int] = Counter()
     for entry in profiler.getstats():
         total += entry.callcount
         code = entry.code
         if isinstance(code, str):  # a C function
             continue
         key = ("/".join(PurePath(code.co_filename).parts[-2:]), code.co_name)
-        if key in per_function:
-            per_function[key] += entry.callcount
+        per_function[key] += entry.callcount
     return total, per_function
 
 
-def test_marginal_request_cost_stays_inside_the_call_budget():
-    small_total, small = profiled_calls(500)
-    large_total, large = profiled_calls(1_500)
-    per_request = (large_total - small_total) / 1_000
-    assert per_request <= CALLS_PER_REQUEST_BUDGET, (
-        f"one more locate_flood request costs {per_request:.1f} calls "
-        f"(budget {CALLS_PER_REQUEST_BUDGET})"
+def marginal_calls(
+    scenario: Callable[[int], ScenarioSpec]
+) -> Tuple[float, Dict[Tuple[str, str], float]]:
+    """What one more request of ``scenario`` costs: in total and per
+    Python function."""
+    small_total, small = profiled_calls(scenario(500))
+    large_total, large = profiled_calls(scenario(1_500))
+    return (large_total - small_total) / 1_000, {
+        key: (large[key] - small[key]) / 1_000 for key in large
+    }
+
+
+def assert_inside(name, per_request, per_function, budget, function_budgets):
+    assert per_request <= budget, (
+        f"one more {name} request costs {per_request:.1f} calls "
+        f"(budget {budget})"
     )
-    for key, budget in FUNCTION_BUDGETS.items():
-        spent = (large[key] - small[key]) / 1_000
-        assert spent <= budget, (
+    for key, allowed in function_budgets.items():
+        spent = per_function.get(key, 0.0)
+        assert spent <= allowed, (
             f"{key[0]}:{key[1]} is called {spent:.2f} times per request "
-            f"(budget {budget})"
+            f"(budget {allowed})"
         )
+
+
+def test_marginal_request_cost_stays_inside_the_call_budget():
+    per_request, per_function = marginal_calls(locate_flood)
+    assert_inside(
+        "locate_flood", per_request, per_function,
+        CALLS_PER_REQUEST_BUDGET, FUNCTION_BUDGETS,
+    )
+
+
+def test_marginal_timed_request_cost_stays_inside_the_call_budget():
+    per_request, per_function = marginal_calls(timed_burst)
+    assert_inside(
+        "timed_burst", per_request, per_function,
+        TIMED_CALLS_PER_REQUEST_BUDGET, TIMED_FUNCTION_BUDGETS,
+    )
+    # One ``acquire`` per queue visit and nothing under it but a gap fill.
+    assert per_function[("simtime/queueing.py", "acquire")] > 10
+    helpers = sum(
+        spent for (path, function), spent in per_function.items()
+        if path == "simtime/queueing.py" and function != "acquire"
+    )
+    assert helpers <= QUEUEING_HELPER_BUDGET, (
+        f"simtime/queueing.py spends {helpers:.2f} calls per request outside "
+        f"acquire (budget {QUEUEING_HELPER_BUDGET})"
+    )

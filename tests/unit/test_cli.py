@@ -262,3 +262,17 @@ class TestErrors:
             {**SPEC.to_dict(), "strategy": "no-such-strategy"}
         ))
         assert main(["run", str(bad)]) == 2
+
+    def test_misspelled_time_model_key_exits_two_naming_the_key(
+        self, spec_file, tmp_path, capsys
+    ):
+        # Every time-model field defaults: without the check this run would
+        # price with the default link and report it with a straight face.
+        model = tmp_path / "tm.json"
+        model.write_text(json.dumps(
+            {"default_link": {"latncy": 0.5}, "node_service": 0.001}
+        ))
+        assert main(["run", str(spec_file), "--time-model", str(model)]) == 2
+        error = capsys.readouterr().err
+        assert "unknown LinkTiming key(s) ['latncy']" in error
+        assert "'latency'" in error  # ... and what would have been accepted

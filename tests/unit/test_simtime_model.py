@@ -107,6 +107,27 @@ class TestTimeModelSpec:
     def test_from_dict_of_empty_payload_is_default(self):
         assert TimeModelSpec.from_dict({}) == TimeModelSpec()
 
+    @pytest.mark.parametrize("payload,owner,key", [
+        ({"node_servce": 3}, "TimeModelSpec", "node_servce"),
+        ({"default_link": {"latncy": 0.5}}, "LinkTiming", "latncy"),
+        ({"link_overrides": [["a<->b", {"latency": 0.5, "capcity": 2}]]},
+         "LinkTiming", "capcity"),
+    ])
+    def test_from_dict_rejects_a_misspelled_key_by_name(
+        self, payload, owner, key
+    ):
+        # Every field defaults, so a typo used to price with the default.
+        with pytest.raises(ValueError) as raised:
+            TimeModelSpec.from_dict(payload)
+        message = str(raised.value)
+        assert f"unknown {owner} key(s) ['{key}']" in message
+        accepted = "latency" if owner == "LinkTiming" else "node_service"
+        assert accepted in message  # the accepted set is spelled out
+
+    def test_link_timing_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match=r"unknown LinkTiming key\(s\)"):
+            LinkTiming.from_dict({"latency": 0.5, "jiter": 0.1})
+
     def test_to_dict_is_json_safe(self):
         import json
 

@@ -1,13 +1,18 @@
-"""FifoResource: waits, capacity, timeout drops, depth and stats.
+"""FifoResource: waits, capacity, timeout drops, depth and pruning.
 
 The resource is the congestion mechanism — a lazy capacity-server FIFO
 queue whose admission order is kernel event order.  These tests walk the
-service-window arithmetic directly, without a kernel.
+service-window arithmetic directly, without a kernel, and then drive the
+flat ``acquire`` against the helper-composed admission it replaced.
 """
+
+import heapq
+import random
+from bisect import bisect_left
 
 import pytest
 
-from repro.simtime import FifoResource, QueueStats
+from repro.simtime import FifoResource
 
 
 class TestAcquire:
@@ -90,12 +95,24 @@ class TestGapScheduling:
         resource = FifoResource()
         resource.acquire(now=0.0, hold=1.0)   # [0, 1] — prunable
         resource.acquire(now=5.0, hold=1.0)   # [5, 6] — alive
-        resource.prune(2.0)
-        assert resource._timelines[0] == [[5.0, 6.0]]
         # The reclaimed region is genuinely gone: an arrival inside it
         # starts immediately.
-        start, *_ = resource.acquire(now=2.0, hold=1.0)
+        start, *_ = resource.acquire(now=2.0, hold=1.0, watermark=2.0)
         assert start == 2.0
+        assert resource._timelines[0] == [[2.0, 3.0], [5.0, 6.0]]
+        # A repeated watermark finds nothing new, and an interval ending
+        # exactly on it is dead too.
+        resource.acquire(now=9.0, hold=0.0, watermark=2.0)
+        assert resource._timelines[0] == [[2.0, 3.0], [5.0, 6.0]]
+        resource.acquire(now=9.0, hold=0.0, watermark=3.0)
+        assert resource._timelines[0] == [[5.0, 6.0]]
+
+    def test_every_server_is_pruned_not_only_the_one_that_serves(self):
+        resource = FifoResource(capacity=2)
+        resource.acquire(now=0.0, hold=1.0)
+        resource.acquire(now=0.0, hold=2.0)
+        resource.acquire(now=4.0, hold=1.0, watermark=3.0)
+        assert resource._timelines == [[[4.0, 5.0]], []]
 
     def test_acquire_watermark_prunes(self):
         resource = FifoResource()
@@ -145,38 +162,190 @@ class TestTimeoutDrops:
         assert not dropped
 
 
-class TestDepthAndStats:
+class TestDepth:
     def test_depth_counts_in_flight_messages(self):
-        resource = FifoResource()
-        resource.acquire(now=0.0, hold=1.0)  # completes at 1.0
-        resource.acquire(now=0.0, hold=1.0)  # completes at 2.0
-        assert resource.depth(0.5) == 2
-        assert resource.depth(1.5) == 1
-        assert resource.depth(2.5) == 0
+        def depth_seen_at(now):
+            resource = FifoResource()
+            resource.acquire(now=0.0, hold=1.0)  # completes at 1.0
+            resource.acquire(now=0.0, hold=1.0)  # completes at 2.0
+            return resource.acquire(now=now, hold=1.0)[4]
+
+        assert [depth_seen_at(now) for now in (0.5, 1.5, 2.5)] == [2, 1, 0]
 
     def test_acquire_hands_back_the_depth_seen_on_arrival(self):
-        # The depth a message saw is depth(now) *before* its own admission
-        # — for admitted and dropped messages alike.
+        # The depth a message saw is the messages in flight at ``now``
+        # *before* its own admission — for admitted and dropped alike.
         resource = FifoResource()
         depths = [resource.acquire(now=0.0, hold=1.0)[4] for _ in range(3)]
         assert depths == [0, 1, 2]
         *_, dropped, depth = resource.acquire(now=0.5, hold=1.0, timeout=0.1)
         assert dropped and depth == 3
-        assert resource.acquire(now=1.5, hold=1.0)[4] == resource.depth(1.5) - 1
+        assert resource.acquire(now=1.5, hold=1.0)[4] == 2  # ends 2.0, 3.0
 
-    def test_stats_record_admissions_drops_and_busy_time(self):
+    def test_admissions_drops_and_busy_time_are_what_acquire_returns(self):
         resource = FifoResource()
-        resource.acquire(now=0.0, hold=2.0)
-        resource.acquire(now=0.0, hold=1.5)
-        resource.acquire(now=0.0, hold=1.0, timeout=0.1)  # dropped
-        stats = resource.stats()
-        assert stats == QueueStats(
-            admitted=2, dropped=1, busy_seconds=3.5, peak_depth=2
+        assert resource.acquire(now=0.0, hold=2.0) == (0.0, 2.0, 0.0, False, 0)
+        assert resource.acquire(now=0.0, hold=1.5) == (2.0, 3.5, 2.0, False, 1)
+        assert resource.acquire(now=0.0, hold=1.0, timeout=0.1) == (
+            0.0, 0.0, 3.5, True, 2
         )
+        # Two admissions, 3.5 busy seconds, nothing left by the drop.
+        assert resource._timelines == [[[0.0, 3.5]]]
 
-    def test_peak_depth_tracks_the_high_water_mark(self):
+    def test_a_drained_queue_reports_depth_zero_again(self):
         resource = FifoResource()
-        for _ in range(3):
-            resource.acquire(now=0.0, hold=1.0)
-        resource.acquire(now=10.0, hold=1.0)  # queue long drained
-        assert resource.stats().peak_depth == 3
+        depths = [resource.acquire(now=0.0, hold=1.0)[4] for _ in range(3)]
+        assert depths == [0, 1, 2]
+        assert resource.acquire(now=10.0, hold=1.0)[4] == 0
+
+
+class HelperComposedFifo:
+    """The admission ``FifoResource.acquire`` replaced, kept as its
+    reference: four helpers — ``prune``, ``depth``, ``_earliest_start``,
+    ``_insert`` — composed per message, every insert a ``bisect``."""
+
+    def __init__(self, capacity=1):
+        self._timelines = [[] for _ in range(capacity)]
+        self._in_flight = []
+
+    def depth(self, now):
+        in_flight = self._in_flight
+        while in_flight and in_flight[0] <= now:
+            heapq.heappop(in_flight)
+        return len(in_flight)
+
+    @staticmethod
+    def _earliest_start(timeline, now, hold):
+        candidate = now
+        for start, end in timeline:
+            if candidate + hold <= start:
+                break
+            if end > candidate:
+                candidate = end
+        return candidate
+
+    @staticmethod
+    def _insert(timeline, start, end):
+        index = bisect_left(timeline, [start])
+        before = timeline[index - 1] if index > 0 else None
+        after = timeline[index] if index < len(timeline) else None
+        if before is not None and before[1] == start:
+            before[1] = end
+            if after is not None and after[0] == end:
+                before[1] = after[1]
+                del timeline[index]
+        elif after is not None and after[0] == end:
+            after[0] = start
+        else:
+            timeline.insert(index, [start, end])
+
+    def prune(self, watermark):
+        for timeline in self._timelines:
+            keep = 0
+            while keep < len(timeline) and timeline[keep][1] <= watermark:
+                keep += 1
+            if keep:
+                del timeline[:keep]
+
+    def acquire(self, now, hold, timeout=0.0, watermark=0.0):
+        if hold < 0:
+            raise ValueError("hold must be non-negative")
+        if watermark > 0.0:
+            self.prune(watermark)
+        depth = self.depth(now)
+        best_server = 0
+        best_start = None
+        for index, timeline in enumerate(self._timelines):
+            start = self._earliest_start(timeline, now, hold)
+            if best_start is None or start < best_start:
+                best_server = index
+                best_start = start
+                if start == now:
+                    break
+        start = best_start
+        wait = start - now
+        if timeout > 0.0 and wait > timeout:
+            return now, now, wait, True, depth
+        end = start + hold
+        if hold > 0.0:
+            self._insert(self._timelines[best_server], start, end)
+        heapq.heappush(self._in_flight, end)
+        return start, end, wait, False, depth
+
+
+class TestFlatAcquireAgainstTheHelpers:
+    """Seeded random streams the goldens only sample.  Times, holds and
+    timeouts live on a quarter-second grid, so exact adjacency (merges on
+    either side of a gap), exact ``wait == timeout`` and intervals ending
+    exactly on the watermark all happen constantly."""
+
+    def test_identical_returns_and_timelines_after_every_call(self):
+        seen = set()
+        for capacity in (1, 2, 3):
+            for seed in range(8):
+                seen |= self.drive(seed, capacity)
+        # The streams really reached drops, admissions at exactly the
+        # timeout, waits, immediate starts, and every shape of insert.
+        assert seen == {
+            "dropped", "admitted-at-the-timeout", "waited", "immediate",
+            "zero-hold", "bridged-two-blocks", "extended-a-block",
+            "new-block-in-a-gap", "new-block-at-the-tail", "pruned",
+        }
+
+    @staticmethod
+    def drive(seed, capacity):
+        rng = random.Random(f"{seed}/{capacity}")
+        flat, reference = FifoResource(capacity), HelperComposedFifo(capacity)
+        horizon = rng.choice((6, 12, 40))  # crowded .. sparse
+        watermark = 0.0
+        seen = set()
+        for _ in range(400):
+            now = rng.randrange(4 * horizon) / 4  # non-monotone
+            hold = rng.choice((0.0, 0.25, 0.25, 0.5, 1.0, 2.5))
+            timeout = rng.choice((0.0, 0.0, 0.25, 0.5, 1.0))
+            if rng.random() < 0.3:  # the watermark moves, both ways
+                watermark = rng.choice((0.0, now, now - 1.0, watermark + 0.5))
+            call = (now, hold, timeout, watermark)
+            if watermark > 0.0:
+                blocks = sum(map(len, reference._timelines))
+                reference.prune(watermark)  # as its acquire is about to
+                if sum(map(len, reference._timelines)) < blocks:
+                    seen.add("pruned")
+            blocks = sum(map(len, reference._timelines))
+            tail = max(
+                (line[-1][0] for line in reference._timelines if line),
+                default=-1.0,
+            )
+            got = flat.acquire(*call)
+            context = (seed, capacity, call)
+            assert got == reference.acquire(*call), context
+            assert flat._timelines == reference._timelines, context
+            start, _, wait, dropped, _ = got
+            grown = sum(map(len, reference._timelines)) - blocks
+            if dropped:
+                seen.add("dropped")
+            elif hold == 0.0:
+                seen.add("zero-hold")
+            elif grown < 1:
+                seen.add(("extended-a-block", "bridged-two-blocks")[-grown])
+            else:
+                seen.add("new-block-in-a-gap" if start < tail
+                         else "new-block-at-the-tail")
+            if not dropped:
+                seen.add("waited" if wait else "immediate")
+                if wait and wait == timeout:
+                    seen.add("admitted-at-the-timeout")
+        return seen
+
+    def test_monotone_arrivals_under_a_trailing_watermark(self):
+        # The overlay's shape: arrivals mostly advance, the watermark is
+        # the current request's arrival, holds carry jitter.
+        rng = random.Random(7)
+        flat, reference = FifoResource(), HelperComposedFifo()
+        clock = 0.0
+        for _ in range(1500):
+            clock += rng.choice((0.0, 0.0, 0.0004, 0.003))
+            call = (clock + rng.random() * 0.004, 0.0008 + rng.random() * 1e-4,
+                    rng.choice((0.0, 0.002)), clock)
+            assert flat.acquire(*call) == reference.acquire(*call)
+            assert flat._timelines == reference._timelines

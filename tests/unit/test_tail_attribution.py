@@ -5,7 +5,7 @@ instrument's windowing and merge algebra, ``SloSpec`` validation and
 serialization (including the untimed-digest contract: no ``slo`` key when
 unset), the metrics facade's SLO burn accounting, in-bucket percentile
 interpolation for fixed histograms (with the exact-mode behavior pinned),
-queue-prune accounting, and the attribution ranking/diff arithmetic.
+and the attribution ranking/diff arithmetic.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from repro.obs.attr import (
 )
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.timeline import Timeline
-from repro.simtime.queueing import FifoResource
 from repro.workload import ScenarioSpec, SloSpec
 from repro.workload.metrics import WorkloadMetrics
 
@@ -257,27 +256,6 @@ class TestHistogramInterpolation:
         a.merge(b)
         assert a.percentile(50) == whole.percentile(50)
         assert a.percentile(99) == whole.percentile(99)
-
-
-class TestPruneAccounting:
-    def test_prune_counts_discarded_intervals(self):
-        resource = FifoResource(capacity=1)
-        resource.acquire(0.0, 1.0)
-        resource.acquire(5.0, 1.0)
-        assert resource.stats().pruned_intervals == 0
-        resource.prune(2.0)
-        assert resource.stats().pruned_intervals == 1
-        # Repeat prunes find nothing new.
-        resource.prune(2.0)
-        assert resource.stats().pruned_intervals == 1
-
-    def test_watermarked_acquire_accumulates_prunes(self):
-        resource = FifoResource(capacity=1)
-        resource.acquire(0.0, 1.0)
-        resource.acquire(10.0, 1.0, watermark=5.0)
-        stats = resource.stats()
-        assert stats.pruned_intervals == 1
-        assert stats.admitted == 2
 
 
 class TestAttributionArithmetic:
