@@ -13,7 +13,6 @@ match-making.
 
 from . import bounds, probabilistic, robustness
 from .exceptions import (
-    CacheOverflowError,
     MatchMakingError,
     NetworkError,
     NoRouteError,
@@ -39,7 +38,6 @@ from .types import (
 
 __all__ = [
     "Address",
-    "CacheOverflowError",
     "FunctionalStrategy",
     "MatchMaker",
     "MatchMakingError",

@@ -55,16 +55,6 @@ class StrategyError(MatchMakingError):
     """A match-making strategy is ill-defined for the given network."""
 
 
-class CacheOverflowError(MatchMakingError):
-    """A bounded cache would have to discard a live posting.
-
-    Shotgun Locate assumes caches "are large enough to hold so many
-    (port, address) pairs that they never have to discard one for a server
-    that is still active" (paper, section 2.1).  Bounded caches raise this in
-    strict mode; Lighthouse Locate instead allows silent eviction.
-    """
-
-
 class ServiceError(MatchMakingError):
     """Base class for errors in the service/process model."""
 

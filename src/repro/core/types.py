@@ -47,7 +47,7 @@ class Port:
 
     def __hash__(self) -> int:
         # A str caches its hash; the generated one builds a 1-tuple per call,
-        # and a locate hashes its port once per queried node.
+        # and every locate, post and memo lookup hashes its port.
         return hash(self.name)
 
     def __str__(self) -> str:  # pragma: no cover - trivial

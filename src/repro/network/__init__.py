@@ -1,13 +1,14 @@
 """Store-and-forward network simulation substrate.
 
 This subpackage implements everything the paper assumes of the underlying
-network: an undirected communication graph, per-node routing tables, per-node
-posting caches, spanning-tree broadcast, message-pass (hop) accounting, a
-logical clock, and fault injection.
+network: an undirected communication graph, per-node routing tables, the
+nodes' posting caches (one store, keyed by node and by port), spanning-tree
+broadcast, message-pass (hop) accounting, a logical clock, and fault
+injection.
 """
 
 from .broadcast import DeliveryOutcome, flood, multicast, unicast
-from .cache import BoundedCache, ExpiringCache, NodeCache
+from .cache import PostingStore
 from .delivery import DeliveryPlanner, plan_hit_rates
 from .events import EventLoop
 from .faults import (
@@ -23,7 +24,6 @@ from .faults import (
     surviving_graph,
 )
 from .graph import Graph, complete_graph
-from .node import Node
 from .relay import (
     LoadReport,
     RelayRoute,
@@ -37,12 +37,10 @@ from .simulator import Network, QueryOutcome
 from .stats import CONTROL, PAYLOAD, POST, QUERY, REPLY, MessageStats
 
 __all__ = [
-    "BoundedCache",
     "CONTROL",
     "DeliveryOutcome",
     "DeliveryPlanner",
     "EventLoop",
-    "ExpiringCache",
     "FaultEvent",
     "FaultPlan",
     "FaultTimeline",
@@ -50,10 +48,9 @@ __all__ = [
     "LoadReport",
     "MessageStats",
     "Network",
-    "Node",
-    "NodeCache",
     "PAYLOAD",
     "POST",
+    "PostingStore",
     "QUERY",
     "QueryOutcome",
     "REPLY",

@@ -71,28 +71,23 @@ def unicast(
         targets = frozenset(d for d in destinations if d != source)
         return DeliveryOutcome(frozenset(), 0, targets)
     if faults is None or faults.fault_count == 0:
-        effective = graph
         live_table = table
     elif surviving_table is not None:
-        effective = surviving_table.graph
         live_table = surviving_table
     else:
-        effective = surviving_graph(graph, faults)
-        live_table = RoutingTable(effective)
+        live_table = RoutingTable(surviving_graph(graph, faults))
+    # The source's one row prices every destination: in it iff routable.
+    distances = live_table.distance_map(source)
     reached: Set[Hashable] = set()
     unreachable: Set[Hashable] = set()
     hops = 0
     for destination in destinations:
-        if destination == source:
-            reached.add(destination)
-            continue
-        if destination not in effective or not live_table.has_route(
-            source, destination
-        ):
+        distance = distances.get(destination)
+        if distance is None:
             unreachable.add(destination)
-            continue
-        hops += live_table.distance(source, destination)
-        reached.add(destination)
+        else:
+            hops += distance
+            reached.add(destination)
     return DeliveryOutcome(frozenset(reached), hops, frozenset(unreachable))
 
 

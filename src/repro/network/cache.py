@@ -1,214 +1,169 @@
-"""Per-node caches of posted ``(port, address)`` pairs.
+"""The network's one store of posted ``(port, address)`` pairs.
 
 Section 2.1 of the paper assumes every node has a cache "large enough to
 store all (port, address) pairs associated with addresses i such that
 j ∈ P(i)" and that entries are "made or updated whenever a message is received
-from a server process with its address".  :class:`NodeCache` implements that
-unbounded, timestamp-reconciled cache.
+from a server process with its address".  A match is then ``P(i) ∩ Q(j) ≠ ∅``:
+some node queried by the client holds a posting of the server.
 
-Lighthouse Locate (section 4) explicitly relaxes this: "too-small caches can
-discard (port, address) pairs" and postings expire after ``d`` time units.
-:class:`ExpiringCache` and :class:`BoundedCache` provide those behaviours.
+:class:`PostingStore` keeps all of those unbounded, timestamp-reconciled
+caches as one incidence structure with two keys onto the same per-server
+dicts:
+
+``node → port → {server_id: record}``
+    one node's cache, in that node's own insertion order (what the paper's
+    cache-size measure counts);
+``port → node → {server_id: record}``
+    :meth:`PostingStore.holders` — the nodes currently holding a posting
+    for a port, so a locate is ``holders(port) ∩ reached`` instead of a
+    lookup at every node of ``Q(j)``.
+
+The store is the only writer: every mutation — a post, a withdrawal, a
+node's crash, Lighthouse Locate's expiry of trails older than ``d`` time
+units (section 4) — goes through a method here that keeps both keys in
+step, and a slice that becomes empty leaves both at once, so
+``holders(port)`` is exactly the set of nodes with a non-empty slice.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional
 
-from ..core.exceptions import CacheOverflowError
 from ..core.types import Address, Port, PostRecord, freshest, freshness_key
 
+#: One node's postings for one port, by server (several equivalent servers
+#: of a service may be registered at once — section 1.3).
+Slice = Dict[str, PostRecord]
 
-class NodeCache:
-    """Unbounded cache mapping ports to their freshest posting.
+#: What a missing key reads as (never written to).
+_EMPTY: Mapping = {}
 
-    The cache keeps one record per ``(port, server_id)`` pair so that several
-    equivalent servers of the same service can be registered simultaneously
-    (section 1.3: "a specific service may be offered by ... more than one
-    server process").  Lookups return the freshest record.
+
+class PostingStore:
+    """Every node's posting cache, also indexed by port.
+
+    ``nodes`` fixes the node set; an operation on any other node raises
+    ``KeyError`` (the network checks identifiers before it gets here).
     """
 
-    def __init__(self) -> None:
-        self._records: Dict[Port, Dict[str, PostRecord]] = {}
-        self._writes = 0
+    def __init__(self, nodes: Iterable[Hashable]) -> None:
+        self._by_node: Dict[Hashable, Dict[Port, Slice]] = {
+            node: {} for node in nodes
+        }
+        self._by_port: Dict[Port, Dict[Hashable, Slice]] = {}
+        self._writes: Dict[Hashable, int] = dict.fromkeys(self._by_node, 0)
 
     # -- mutation ----------------------------------------------------------
 
-    def post(self, record: PostRecord) -> None:
-        """Insert or refresh a posting (newer timestamps win)."""
-        per_port = self._records.setdefault(record.port, {})
-        existing = per_port.get(record.server_id)
-        if existing is None or record.is_newer_than(existing):
-            per_port[record.server_id] = record
-        self._writes += 1
+    def post(self, record: PostRecord, nodes: Iterable[Hashable]) -> None:
+        """Insert or refresh ``record`` at each of ``nodes`` (newer
+        timestamps win)."""
+        port = record.port
+        server_id = record.server_id
+        by_node = self._by_node
+        writes = self._writes
+        for node in nodes:
+            cache = by_node[node]
+            held = cache.get(port)
+            if held is None:
+                held = cache[port] = {}
+                self._by_port.setdefault(port, {})[node] = held
+            existing = held.get(server_id)
+            if existing is None or record.is_newer_than(existing):
+                held[server_id] = record
+            writes[node] += 1
 
-    def remove_port(self, port: Port) -> None:
-        """Drop all postings for ``port``."""
-        self._records.pop(port, None)
+    def forget_server(
+        self, port: Port, server_id: str, nodes: Iterable[Hashable]
+    ) -> None:
+        """Drop the posting of one particular server for ``port`` at each
+        of ``nodes``."""
+        by_node = self._by_node
+        for node in nodes:
+            held = by_node[node].get(port)
+            if held is not None:
+                held.pop(server_id, None)
+                if not held:
+                    self._drop_slice(node, port)
 
-    def remove_server(self, port: Port, server_id: str) -> None:
-        """Drop the posting of one particular server for ``port``."""
-        per_port = self._records.get(port)
-        if per_port is not None:
-            per_port.pop(server_id, None)
-            if not per_port:
-                del self._records[port]
+    def forget_port(self, node: Hashable, port: Port) -> None:
+        """Drop all of ``node``'s postings for ``port``."""
+        if port in self._by_node[node]:
+            self._drop_slice(node, port)
 
-    def remove_address(self, address: Address) -> None:
-        """Drop every posting that points at ``address``.
+    def forget_address(self, node: Hashable, address: Address) -> None:
+        """Drop every posting at ``node`` that points at ``address``."""
+        self._discard(node, lambda record: record.address == address)
 
-        Used when the simulator learns that the node at ``address`` crashed.
-        """
-        for port in list(self._records):
-            per_port = self._records[port]
-            for server_id in list(per_port):
-                if per_port[server_id].address == address:
-                    del per_port[server_id]
-            if not per_port:
-                del self._records[port]
+    def expire(self, node: Hashable, cutoff: int) -> int:
+        """Drop ``node``'s postings stamped ``cutoff`` or earlier; return
+        how many went."""
+        return self._discard(node, lambda record: record.timestamp <= cutoff)
 
-    def clear(self) -> None:
-        """Drop everything (e.g. the node itself crashed and restarted)."""
-        self._records.clear()
+    def clear(self, node: Hashable) -> None:
+        """Drop everything ``node`` holds (it crashed, or was invalidated)."""
+        for port in list(self._by_node[node]):
+            self._drop_slice(node, port)
+
+    def reset(self) -> None:
+        """Empty every node's cache."""
+        for cache in self._by_node.values():
+            cache.clear()
+        self._by_port.clear()
+
+    def _drop_slice(self, node: Hashable, port: Port) -> None:
+        """Take ``node``'s slice for ``port`` out of both keys."""
+        del self._by_node[node][port]
+        holders = self._by_port[port]
+        del holders[node]
+        if not holders:
+            del self._by_port[port]
+
+    def _discard(
+        self, node: Hashable, doomed: Callable[[PostRecord], bool]
+    ) -> int:
+        dropped = 0
+        cache = self._by_node[node]
+        for port in list(cache):
+            held = cache[port]
+            for server_id in [sid for sid, rec in held.items() if doomed(rec)]:
+                del held[server_id]
+                dropped += 1
+            if not held:
+                self._drop_slice(node, port)
+        return dropped
 
     # -- queries -----------------------------------------------------------
 
-    def lookup(self, port: Port) -> Optional[PostRecord]:
-        """The freshest posting for ``port``, or ``None``."""
-        per_port = self._records.get(port)
-        if not per_port:
-            return None
-        return freshest(per_port.values())
+    def holders(self, port: Port) -> Mapping[Hashable, Slice]:
+        """The nodes holding a posting for ``port``, each with its
+        (non-empty) slice.  Read-only by contract: it is the live index."""
+        return self._by_port.get(port, _EMPTY)
 
-    def lookup_all(self, port: Port) -> List[PostRecord]:
-        """All postings for ``port`` (all equivalent servers), freshest
-        first."""
-        per_port = self._records.get(port, {})
-        return sorted(per_port.values(), key=freshness_key, reverse=True)
+    def lookup(self, node: Hashable, port: Port) -> Optional[PostRecord]:
+        """``node``'s freshest posting for ``port``, or ``None``."""
+        return freshest(self._by_node[node].get(port, _EMPTY).values())
 
-    def __contains__(self, port: Port) -> bool:
-        return port in self._records and bool(self._records[port])
+    def lookup_all(self, node: Hashable, port: Port) -> List[PostRecord]:
+        """All of ``node``'s postings for ``port`` (all equivalent servers),
+        freshest first."""
+        held = self._by_node[node].get(port, _EMPTY)
+        return sorted(held.values(), key=freshness_key, reverse=True)
 
-    def __len__(self) -> int:
-        """Number of stored ``(port, server)`` records — the paper's cache
-        size measure."""
-        return sum(len(per_port) for per_port in self._records.values())
+    def size(self, node: Hashable) -> int:
+        """Number of ``(port, server)`` records ``node`` stores — the
+        paper's cache size measure."""
+        return sum(len(held) for held in self._by_node[node].values())
 
-    def ports(self) -> List[Port]:
-        """All ports with at least one posting."""
-        return [port for port, per_port in self._records.items() if per_port]
+    def ports(self, node: Hashable) -> List[Port]:
+        """All ports ``node`` holds at least one posting for."""
+        return list(self._by_node[node])
 
-    def records(self) -> Iterator[PostRecord]:
-        """Iterate over every stored record."""
-        for per_port in self._records.values():
-            yield from per_port.values()
+    def records(self, node: Hashable) -> Iterator[PostRecord]:
+        """Iterate over every record ``node`` stores."""
+        for held in self._by_node[node].values():
+            yield from held.values()
 
-    @property
-    def write_count(self) -> int:
-        """Number of post operations ever applied (monitoring aid)."""
-        return self._writes
-
-
-class BoundedCache(NodeCache):
-    """A cache with at most ``capacity`` records.
-
-    In strict mode an insertion that would exceed the capacity raises
-    :class:`CacheOverflowError` — this is how tests verify the paper's cache
-    size claims (e.g. size ``sqrt(n)`` suffices for the Manhattan method).
-    In non-strict mode the least recently written record is evicted, turning
-    the cache into the "too-small" cache of Lighthouse Locate.
-    """
-
-    def __init__(self, capacity: int, strict: bool = True) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        super().__init__()
-        self._capacity = capacity
-        self._strict = strict
-        self._insertion_order: "OrderedDict[Tuple[Port, str], None]" = OrderedDict()
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of records the cache may hold."""
-        return self._capacity
-
-    def post(self, record: PostRecord) -> None:
-        key = (record.port, record.server_id)
-        is_new = key not in self._insertion_order
-        if is_new and len(self._insertion_order) >= self._capacity:
-            if self._strict:
-                raise CacheOverflowError(
-                    f"cache of capacity {self._capacity} cannot hold a new "
-                    f"posting for {record.port}"
-                )
-            # Evict the oldest record (Lighthouse-style best effort).
-            oldest_key, _ = self._insertion_order.popitem(last=False)
-            super().remove_server(*oldest_key)
-        super().post(record)
-        self._insertion_order[key] = None
-        self._insertion_order.move_to_end(key)
-
-    def remove_server(self, port: Port, server_id: str) -> None:
-        super().remove_server(port, server_id)
-        self._insertion_order.pop((port, server_id), None)
-
-    def remove_port(self, port: Port) -> None:
-        super().remove_port(port)
-        for key in [k for k in self._insertion_order if k[0] == port]:
-            del self._insertion_order[key]
-
-    def remove_address(self, address: Address) -> None:
-        doomed = [
-            (record.port, record.server_id)
-            for record in self.records()
-            if record.address == address
-        ]
-        super().remove_address(address)
-        for key in doomed:
-            self._insertion_order.pop(key, None)
-
-    def clear(self) -> None:
-        super().clear()
-        self._insertion_order.clear()
-
-
-class ExpiringCache(NodeCache):
-    """A cache whose postings expire ``ttl`` time units after their
-    timestamp.
-
-    Implements the Lighthouse Locate rule that "a node discards a
-    (port, address) posting after d time units" (section 4).  The cache is
-    passive: expired entries are filtered out at lookup time against the
-    clock value supplied by the caller.
-    """
-
-    def __init__(self, ttl: int) -> None:
-        if ttl <= 0:
-            raise ValueError("ttl must be positive")
-        super().__init__()
-        self._ttl = ttl
-
-    @property
-    def ttl(self) -> int:
-        """Time units a posting stays valid."""
-        return self._ttl
-
-    def expire(self, now: int) -> int:
-        """Remove postings older than ``now - ttl``; return how many were
-        dropped."""
-        dropped = 0
-        for port in list(self._records):
-            per_port = self._records[port]
-            for server_id in list(per_port):
-                if per_port[server_id].timestamp + self._ttl <= now:
-                    del per_port[server_id]
-                    dropped += 1
-            if not per_port:
-                del self._records[port]
-        return dropped
-
-    def lookup_at(self, port: Port, now: int) -> Optional[PostRecord]:
-        """Freshest unexpired posting for ``port`` at time ``now``."""
-        self.expire(now)
-        return self.lookup(port)
+    def write_count(self, node: Hashable) -> int:
+        """Number of posts ever applied at ``node`` (monitoring aid)."""
+        return self._writes[node]

@@ -16,6 +16,13 @@ iteration order); that order is static incidence structure, so a table
 sorts each node's neighbours on first visit and every later search from
 another source reuses the tuple.  And :meth:`RoutingTable.distance`, asked
 once per routed message, is one ``dict.get`` per table level on a hit.
+
+Distances are symmetric — the paper's channels are "bidirectional" and
+every graph here is undirected — so a row built from one end of a pair
+answers for both: :meth:`RoutingTable.distance` reads ``destination``'s
+row when ``source`` has none yet, and a query prices every reply from the
+one row of the client (:meth:`RoutingTable.distance_map`) instead of
+searching from each responder.
 """
 
 from __future__ import annotations
@@ -97,14 +104,26 @@ class RoutingTable:
         return hops[destination]
 
     def distance(self, source: Hashable, destination: Hashable) -> int:
-        """Hop distance between ``source`` and ``destination``."""
-        table = self._distance.get(source)
-        if table is None:
-            table = self._tables_for(source)[1]
-        hops = table.get(destination)
+        """Hop distance between ``source`` and ``destination``.
+
+        Channels are undirected, so when only ``destination``'s row has
+        been built it answers (no second search); the errors name the ends
+        in the caller's order either way.
+        """
+        rows = self._distance
+        row = rows.get(source)
+        if row is not None:
+            hops = row.get(destination)
+        else:
+            row = rows.get(destination)
+            if row is not None:
+                hops = row.get(source)
+            else:
+                hops = self._tables_for(source)[1].get(destination)
         if hops is None:
-            if destination not in self._graph:
-                raise UnknownNodeError(destination)
+            for end in (source, destination):
+                if end not in self._graph:
+                    raise UnknownNodeError(end)
             raise NoRouteError(source, destination)
         return hops
 

@@ -1,10 +1,11 @@
 """The store-and-forward network simulator.
 
-:class:`Network` binds together the communication graph, per-node caches,
-routing tables, the logical clock, fault injection and message-pass
-accounting.  Match-making strategies and the service model run *on top of* a
-``Network``: they decide which nodes to address; the network delivers the
-messages and charges the hops.
+:class:`Network` binds together the communication graph, the nodes' posting
+caches (one :class:`~repro.network.cache.PostingStore`), routing tables, the
+logical clock, fault injection and message-pass accounting.  Match-making
+strategies and the service model run *on top of* a ``Network``: they decide
+which nodes to address; the network delivers the messages and charges the
+hops.
 
 Delivery modes
 --------------
@@ -19,6 +20,18 @@ Delivery modes
     network of section 2 regardless of the underlying topology.  This mode is
     what the lower-bound experiments use, because the paper's ``m(i,j) =
     #P(i) + #Q(j)`` applies to complete networks.
+
+Locate is an intersection
+-------------------------
+The paper's match is ``P(i) ∩ Q(j) ≠ ∅`` and :meth:`Network.query` computes
+it as one: every posting lives in the network's
+:class:`~repro.network.cache.PostingStore`, which knows the holders of a
+port, so the answering nodes are ``holders(port) ∩ reached`` — walked in
+``reached``'s own order, which fixes the order of records, responders, tap
+calls and tracer events.  Every reply is then priced from the one routing
+row of the client (distances are symmetric), the row the unicast plan of
+the same query already built; no node of ``Q(j)`` that holds nothing is
+visited, and no responder starts a search of its own.
 """
 
 from __future__ import annotations
@@ -33,19 +46,17 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Tuple,
 )
 
 from ..core.exceptions import NodeDownError, UnknownNodeError
-from ..core.types import Address, Port, PostRecord, freshest
+from ..core.types import Address, Port, PostRecord, freshest, freshness_key
 from .broadcast import DeliveryOutcome, flood
-from .cache import NodeCache
+from .cache import PostingStore
 from .delivery import DeliveryPlanner
 from .events import EventLoop
 from .faults import CRASH_NODE, LINK_DOWN, LINK_UP, RECOVER_NODE, FaultEvent, FaultPlan
 from .graph import Graph
-from .node import Node
 from ..obs.profile import ROUTING_TABLE, phase
 from ..obs.spans import active_tracer
 from .routing import RoutingTable
@@ -88,9 +99,6 @@ class Network:
         of the argument does not affect the simulator.
     delivery_mode:
         Default delivery mode for post/query traffic (see module docstring).
-    cache_factory:
-        Callable producing the cache for each node; defaults to unbounded
-        :class:`NodeCache`.
     seed:
         Seed of the network's private random generator (used only by
         randomised helpers such as random node selection).
@@ -100,7 +108,6 @@ class Network:
         self,
         graph: Graph,
         delivery_mode: str = "multicast",
-        cache_factory=NodeCache,
         seed: int = 0,
     ) -> None:
         if delivery_mode not in DELIVERY_MODES:
@@ -111,9 +118,9 @@ class Network:
         self._graph = graph.copy()
         self._delivery_mode = delivery_mode
         self._seed = seed
-        self._nodes: Dict[Hashable, Node] = {
-            node_id: Node(node_id, cache_factory()) for node_id in self._graph.nodes
-        }
+        # The node identifiers in graph order (a dict for O(1) membership).
+        self._nodes: Dict[Hashable, None] = dict.fromkeys(self._graph.nodes)
+        self._postings = PostingStore(self._nodes)
         with phase(ROUTING_TABLE):
             self._routing = RoutingTable(self._graph)
         self._faults = FaultPlan()
@@ -182,16 +189,10 @@ class Network:
         """Number of nodes ``n``."""
         return self._graph.node_count
 
-    def node(self, node_id: Hashable) -> Node:
-        """The :class:`Node` object for ``node_id``."""
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise UnknownNodeError(node_id) from None
-
-    def nodes(self) -> List[Node]:
-        """All node objects."""
-        return list(self._nodes.values())
+    @property
+    def postings(self) -> PostingStore:
+        """Every node's posting cache: the one store, and its only writer."""
+        return self._postings
 
     def node_ids(self) -> List[Hashable]:
         """All node identifiers."""
@@ -205,12 +206,15 @@ class Network:
 
     def crash_node(self, node_id: Hashable) -> None:
         """Crash a node: it loses its cache and stops handling messages."""
-        self.node(node_id).crash()
+        if node_id not in self._nodes:
+            raise UnknownNodeError(node_id)
+        self._postings.clear(node_id)
         self._faults.crash_node(node_id)
 
     def recover_node(self, node_id: Hashable) -> None:
         """Recover a crashed node (with an empty cache)."""
-        self.node(node_id).recover()
+        if node_id not in self._nodes:
+            raise UnknownNodeError(node_id)
         self._faults.recover_node(node_id)
 
     def fail_link(self, u: Hashable, v: Hashable) -> None:
@@ -244,9 +248,7 @@ class Network:
 
     def node_is_up(self, node_id: Hashable) -> bool:
         """Whether ``node_id`` is currently up, by the one liveness record:
-        the fault plan's ``crashed_nodes`` (:meth:`crash_node`,
-        :meth:`recover_node` and :meth:`reset_for_reuse` keep every
-        ``Node.alive`` equal to it)."""
+        the fault plan's ``crashed_nodes``."""
         if node_id not in self._nodes:
             raise UnknownNodeError(node_id)
         return node_id not in self._faults.crashed_nodes
@@ -268,10 +270,7 @@ class Network:
         A reset network is indistinguishable from a freshly built one to the
         workload driver, which is what keeps shared-network runs replayable.
         """
-        for node in self._nodes.values():
-            if not node.alive:
-                node.recover()
-            node.cache.clear()
+        self._postings.reset()
         self._faults.clear()  # no revision bump when already fault-free
         self._stats.reset()
         self._clock = EventLoop()
@@ -445,8 +444,8 @@ class Network:
             server_id=server_id or f"server@{server_node}",
         )
         outcome = self.deliver(server_node, targets, POST, mode=mode)
-        for target in outcome.reached:
-            self._nodes[target].accept_post(record)
+        self._require_up(outcome.reached)
+        self._postings.post(record, outcome.reached)
         return outcome
 
     def unpost(
@@ -459,10 +458,18 @@ class Network:
     ) -> DeliveryOutcome:
         """Withdraw a posting from each reachable target node."""
         outcome = self.deliver(server_node, targets, POST, mode=mode)
-        sid = server_id or f"server@{server_node}"
-        for target in outcome.reached:
-            self._nodes[target].forget_server(port, sid)
+        self._require_up(outcome.reached)
+        self._postings.forget_server(
+            port, server_id or f"server@{server_node}", outcome.reached
+        )
         return outcome
+
+    def _require_up(self, reached: FrozenSet[Hashable]) -> None:
+        """A delivery plan never reaches a crashed node; a node that is
+        asked to store or answer while down raises as it always has."""
+        crashed = self._faults.crashed_nodes
+        if not crashed.isdisjoint(reached):
+            raise NodeDownError(next(n for n in reached if n in crashed))
 
     def query(
         self,
@@ -474,43 +481,56 @@ class Network:
     ) -> QueryOutcome:
         """Query each target node for ``port`` and collect replies.
 
-        Reply hops are charged separately (category ``reply``): each node that
-        has a matching record sends one reply routed back to the client (one
-        hop in ``ideal`` mode, shortest-path distance otherwise).
+        The answering nodes are ``holders(port) ∩ reached`` — the rendezvous
+        set itself — taken in ``reached``'s own order.  Reply hops are
+        charged separately (category ``reply``): each node that has a
+        matching record sends one reply routed back to the client (one hop
+        in ``ideal`` mode, shortest-path distance otherwise, read from the
+        client's own routing row: channels are undirected).
         """
         outcome = self.deliver(client_node, targets, QUERY, mode=mode)
+        reached = outcome.reached
+        crashed = self._faults.crashed_nodes
+        if crashed and not crashed.isdisjoint(reached):  # never, by the plan
+            self._require_up(reached)
         records: List[PostRecord] = []
         responders: List[Hashable] = []
         reply_hops = 0
         lost_replies = 0
         mode = mode or self._delivery_mode
         ideal = mode == "ideal"
+        # Asked once per routed query even when nobody answers: under
+        # faults the question is a route event, and route events are
+        # reported.
         reply_table = None if ideal else self._planner.routing_table()
-        nodes = self._nodes
-        found: Sequence[PostRecord]
-        for target in outcome.reached:
-            node = nodes[target]
-            if collect_all:
-                found = node.answer_query_all(port)
-            else:
-                record = node.answer_query(port)
-                found = () if record is None else (record,)
-            if not found:
-                continue
-            if target != client_node:
-                if ideal:
-                    reply_hops += 1
-                elif reply_table.has_route(target, client_node):
-                    reply_hops += reply_table.distance(target, client_node)
-                else:
-                    # The reply cannot come back; this responder contributes
-                    # nothing (its records stay out — other responders may
-                    # hold equal records, which must survive).  The reply was
-                    # still sent, so it counts as sent-and-dropped.
-                    lost_replies += 1
+        distances = None
+        holders = self._postings.holders(port)
+        if holders:
+            for target in reached:
+                if target not in holders:
                     continue
-            records.extend(found)
-            responders.append(target)
+                if target != client_node:
+                    if ideal:
+                        reply_hops += 1
+                    else:
+                        if distances is None:
+                            distances = reply_table.distance_map(client_node)
+                        hops = distances.get(target)
+                        if hops is None:
+                            # The reply cannot come back; this responder
+                            # contributes nothing (its records stay out —
+                            # other responders may hold equal records, which
+                            # must survive).  The reply was still sent, so it
+                            # counts as sent-and-dropped.
+                            lost_replies += 1
+                            continue
+                        reply_hops += hops
+                held = holders[target].values()
+                if collect_all:
+                    records.extend(sorted(held, key=freshness_key, reverse=True))
+                else:
+                    records.append(freshest(held))
+                responders.append(target)
         self._stats.record(
             REPLY, reply_hops, len(responders) + lost_replies, len(responders)
         )
@@ -559,7 +579,7 @@ class Network:
 
     def cache_sizes(self) -> Dict[Hashable, int]:
         """Current cache size of every node."""
-        return {node_id: node.cache_size() for node_id, node in self._nodes.items()}
+        return {node_id: self._postings.size(node_id) for node_id in self._nodes}
 
     def max_cache_size(self) -> int:
         """The largest cache in the network (the paper's cache-size metric)."""

@@ -229,9 +229,8 @@ class DistributedSystem:
         cleared = 0
         targets = list(nodes) if nodes is not None else self._network.node_ids()
         for node_id in targets:
-            node = self._network.node(node_id)
-            if node.alive:
-                node.cache.clear()
+            if self._network.node_is_up(node_id):
+                self._network.postings.clear(node_id)
                 cleared += 1
         self._stats.invalidation_storms += 1
         return cleared

@@ -18,16 +18,22 @@ On point-to-point networks a beam is simulated by reverse-path forwarding
 (the paper's own suggestion): the message is repeatedly forwarded along arcs
 leading away from the beam's origin — see
 :meth:`repro.network.routing.RoutingTable.reverse_path_beam`.
+
+A trail is a posting like any other: the server's beam writes it through
+the network's :class:`~repro.network.cache.PostingStore` stamped with the
+time it was laid, and "disappears after d time units" is the store's
+:meth:`~repro.network.cache.PostingStore.expire`, applied at each node a
+client beam visits before it looks.  Nothing here holds a cache of its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Hashable, List, Optional, Tuple
 
 from ..core.types import Address, Port, PostRecord
-from ..network.cache import ExpiringCache
 from ..network.routing import RoutingTable
 from ..network.simulator import Network
 from ..network.stats import POST, QUERY
@@ -122,9 +128,10 @@ class LighthouseLocate:
     Parameters
     ----------
     network:
-        The network to run on.  Node caches are replaced by
-        :class:`~repro.network.cache.ExpiringCache` instances with the given
-        ``trail_ttl`` so that beam trails evaporate as the paper requires.
+        The network to run on.  Trails are ordinary postings in its
+        :class:`~repro.network.cache.PostingStore`, stamped with the clock
+        time they were laid; a node a client beam visits first expires what
+        is ``trail_ttl`` old, so trails evaporate as the paper requires.
     server_beam_length:
         Length ``l`` of the server's beams.
     server_period:
@@ -162,8 +169,6 @@ class LighthouseLocate:
         self._servers: List[Tuple[Hashable, Port, str]] = []
         self._routing = network.routing
         self._last_server_time = -1
-        for node in network.nodes():
-            node.replace_cache(ExpiringCache(ttl=trail_ttl))
 
     @property
     def network(self) -> Network:
@@ -196,14 +201,10 @@ class LighthouseLocate:
         record = PostRecord(
             port=port, address=Address(node), timestamp=now, server_id=server_id
         )
-        hops = 0
-        for distance, target in enumerate(targets, start=1):
-            if not self._network.node_is_up(target):
-                break
-            self._network.node(target).cache.post(record)
-            hops += 1
-        self._network.stats.record(POST, hops, message_count=1)
-        return hops
+        trail = list(itertools.takewhile(self._network.node_is_up, targets))
+        self._network.postings.post(record, trail)
+        self._network.stats.record(POST, len(trail), message_count=1)
+        return len(trail)
 
     def run_servers_until(self, deadline: int) -> int:
         """Let every registered server beam on its period up to
@@ -241,6 +242,7 @@ class LighthouseLocate:
         if max_trials < 1:
             raise ValueError("max_trials must be at least 1")
         clock = self._network.clock
+        postings = self._network.postings
         client_hops_total = 0
         server_hops_total = 0
         start_time = clock.now
@@ -255,12 +257,8 @@ class LighthouseLocate:
                 if not self._network.node_is_up(target):
                     break
                 trial_hops += 1
-                cache = self._network.node(target).cache
-                record = (
-                    cache.lookup_at(port, now)
-                    if isinstance(cache, ExpiringCache)
-                    else cache.lookup(port)
-                )
+                postings.expire(target, now - self._ttl)
+                record = postings.lookup(target, port)
                 if record is not None:
                     found_record = record
                     break

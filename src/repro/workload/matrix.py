@@ -55,6 +55,7 @@ from .spec import (
     ScenarioSpec,
     build_strategy,
     build_topology,
+    part_from_dict,
     stable_seed,
 )
 from .trace import canonical_digest
@@ -257,18 +258,21 @@ class MatrixSpec:
             topologies=tuple(data.get("topologies", ("complete:16",))),
             strategies=tuple(data.get("strategies", ("checkerboard",))),
             fault_regimes=tuple(
-                FaultRegimeSpec(**regime)
+                part_from_dict(FaultRegimeSpec, regime)
                 for regime in data.get("fault_regimes", ({},))
             ),
             base=ScenarioSpec.from_dict(dict(data.get("base", {}))),
             arrivals=tuple(
-                ArrivalSpec(**arrival) for arrival in data.get("arrivals", ())
+                part_from_dict(ArrivalSpec, arrival)
+                for arrival in data.get("arrivals", ())
             ),
             popularities=tuple(
-                PopularitySpec(**pop) for pop in data.get("popularities", ())
+                part_from_dict(PopularitySpec, pop)
+                for pop in data.get("popularities", ())
             ),
             churns=tuple(
-                ChurnSpec(**churn) for churn in data.get("churns", ())
+                part_from_dict(ChurnSpec, churn)
+                for churn in data.get("churns", ())
             ),
             time_models=tuple(
                 TimeModelSpec.from_dict(dict(model)) if model else None

@@ -64,6 +64,14 @@ CHURN_KINDS = ("none", "migration", "failover", "storm", "mixed")
 FAULT_REGIME_KINDS = ("none", "waves", "flaps", "partition", "correlated")
 
 
+def part_from_dict(cls: type, data: Dict[str, object]):
+    """One nested spec (arrival, popularity, churn, faults, slo) from its
+    dict, an unknown key rejected by name like a top-level one — not as a
+    ``TypeError`` about ``__init__``."""
+    reject_unknown_keys(cls, data)
+    return cls(**data)
+
+
 @dataclass(frozen=True)
 class ArrivalSpec:
     """How request operations arrive over simulated time.
@@ -342,18 +350,19 @@ class ScenarioSpec:
         """
         reject_unknown_keys(cls, data)
         payload = dict(data)
-        payload["arrival"] = ArrivalSpec(**payload.get("arrival", {}))
-        payload["popularity"] = PopularitySpec(**payload.get("popularity", {}))
-        payload["churn"] = ChurnSpec(**payload.get("churn", {}))
         # Traces recorded before fault regimes existed have no "faults" key.
-        payload["faults"] = FaultRegimeSpec(**payload.get("faults", {}))
+        for key, part in (
+            ("arrival", ArrivalSpec), ("popularity", PopularitySpec),
+            ("churn", ChurnSpec), ("faults", FaultRegimeSpec),
+        ):
+            payload[key] = part_from_dict(part, payload.get(key, {}))
         time_model = payload.get("time_model")
         if time_model and not isinstance(time_model, TimeModelSpec):
             time_model = TimeModelSpec.from_dict(time_model)
         payload["time_model"] = time_model or None
         slo = payload.get("slo")
         if slo and not isinstance(slo, SloSpec):
-            slo = SloSpec(**slo)
+            slo = part_from_dict(SloSpec, slo)
         payload["slo"] = slo or None
         return cls(**payload)
 

@@ -6,7 +6,9 @@ set or leans on ``hash()`` produces different bytes under different
 seeds.  This test runs the same seeded workload in fresh subprocesses
 under ``PYTHONHASHSEED=0``, ``1``, ``31337`` and ``random``, and requires
 the result digest, trace digest and a rendezvous load distribution to be
-identical everywhere.  The pinned constants additionally freeze today's
+identical everywhere — for a small healthy run and for a
+``faulted_churn``-shaped unicast run over string-bearing node ids, where a
+locate's responders come out of a set intersection.  The pinned constants additionally freeze today's
 digests so *any* future nondeterminism — not just cross-seed drift —
 fails loudly.
 """
@@ -28,12 +30,21 @@ PINNED_RESULT_DIGEST = (
 PINNED_TRACE_DIGEST = (
     "a272ff32a7a7f884f9859ceb8a71e775bb79c5893c97a91c812b6f5fbc03c8b1"
 )
+PINNED_FAULTED_RESULT_DIGEST = (
+    "487f2521a17e942b96b2442267264403b15ad5b3aea7d6abf78e84fef0b95ae6"
+)
+PINNED_FAULTED_TRACE_DIGEST = (
+    "2f054ecfd2449d94b1dde24248f5d06037d82f0c4b50478176e1187b4a2a0d67"
+)
 
 WORKLOAD = """
 import json, sys
 from repro.core.types import Port
 from repro.strategies.hash_locate import HashLocateStrategy
-from repro.workload import ArrivalSpec, ScenarioSpec, run_scenario
+from repro.workload import (
+    ArrivalSpec, ChurnSpec, FaultRegimeSpec, PopularitySpec, ScenarioSpec,
+    run_scenario,
+)
 
 spec = ScenarioSpec(
     name="hashseed-diff", topology="manhattan:3", strategy="manhattan",
@@ -42,11 +53,28 @@ spec = ScenarioSpec(
     arrival=ArrivalSpec(kind="poisson", rate=300.0),
 )
 result = run_scenario(spec)
+# The ledger's faulted_churn shape on node ids that hash by seed (tuples
+# holding strings): a locate answers from holders(port) & reached in
+# reached's own order, and several rendezvous nodes answer at once.
+faulted = run_scenario(ScenarioSpec(
+    name="hashseed-faulted", topology="ccc:3", strategy="ccc",
+    operations=150, clients=6, servers=6, ports=2,
+    delivery_mode="unicast", seed=23, cache_addresses=False,
+    arrival=ArrivalSpec(kind="poisson", rate=300.0),
+    popularity=PopularitySpec(kind="hotspot", hotspot_fraction=0.7),
+    churn=ChurnSpec(kind="mixed", rate=6.0),
+    faults=FaultRegimeSpec(
+        kind="flaps", events=4, start=0.05, period=0.1, downtime=0.06
+    ),
+))
 strategy = HashLocateStrategy([f"n{i}" for i in range(5)], replicas=2)
 load = strategy.load_distribution([Port(f"p{i}") for i in range(4)])
 print(json.dumps({
     "result_digest": result.digest(),
     "trace_digest": result.trace.digest(),
+    "faulted_result_digest": faulted.digest(),
+    "faulted_trace_digest": faulted.trace.digest(),
+    "faulted_plan_cache": faulted.plan_cache,
     "load": {str(node): count for node, count in sorted(load.items())},
 }, sort_keys=True))
 """
@@ -81,3 +109,8 @@ class TestHashSeedDifferential:
         outcome = run_under_seed("0")
         assert outcome["result_digest"] == PINNED_RESULT_DIGEST
         assert outcome["trace_digest"] == PINNED_TRACE_DIGEST
+        assert outcome["faulted_result_digest"] == PINNED_FAULTED_RESULT_DIGEST
+        assert outcome["faulted_trace_digest"] == PINNED_FAULTED_TRACE_DIGEST
+        assert outcome["faulted_plan_cache"] == {
+            "plan_hit": 102, "plan_miss": 60, "route_hit": 323, "route_miss": 4,
+        }

@@ -468,3 +468,41 @@ class TestOneOpLoop:
             "deliver": ["record"], "query": ["record"],
             "send_payload": ["record"], "broadcast": ["record"],
         }
+
+
+class TestOnePostingWriter:
+    """Postings have one owner, pinned at the AST: nothing in ``src/``
+    outside ``PostingStore`` reaches into a node's cache or the store's
+    two keys, and no second cache implementation can be plugged in."""
+
+    SRC = Path(repro.__file__).parent
+
+    def test_only_the_store_touches_the_postings(self):
+        offenders = []
+        for path in sorted(self.SRC.rglob("*.py")):
+            module = path.relative_to(self.SRC).as_posix()
+            if module == "network/cache.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Attribute) and (
+                    node.attr in ("_by_node", "_by_port", "replace_cache")
+                    # ``<anything>.cache.post(...)`` / ``.cache.clear()``
+                    or (node.attr in ("post", "clear")
+                        and getattr(node.value, "attr", None) == "cache")
+                ):
+                    offenders.append(f"{module}:{node.lineno}")
+                elif isinstance(node, (ast.arg, ast.keyword)) and \
+                        node.arg == "cache_factory":
+                    offenders.append(f"{module}:{node.lineno}")
+        assert offenders == []
+
+    def test_a_network_takes_no_cache_factory_and_has_no_node_objects(self):
+        import inspect
+
+        from repro.network.simulator import Network
+
+        assert list(inspect.signature(Network.__init__).parameters) == [
+            "self", "graph", "delivery_mode", "seed",
+        ]
+        assert not (self.SRC / "network/node.py").exists()
+        assert not hasattr(Network, "node") and not hasattr(Network, "nodes")

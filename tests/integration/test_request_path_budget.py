@@ -1,4 +1,4 @@
-"""A deterministic call budget for the request path, untimed and timed.
+"""A deterministic call budget for the request path: untimed, faulted, timed.
 
 The perf ledger (``benchmarks/ledger``) measures what a request costs the
 host; this guard keeps the part of that measurement that repeats exactly —
@@ -15,6 +15,12 @@ The parent of the PR that added the timed guard cost 882.1 calls per
 ``timed_burst`` request — 17.3 ``SimKernel.schedule``, 17.3 each of
 ``prune``/``depth``/``_earliest_start``/``_insert`` under ``acquire``, 18.4
 ``Histogram._slot`` — and the PR 600.2, 0, 4.4 (the true gap fills) and 1.0.
+The parent of the PR that put every posting in one store cost 161.9 calls
+per ``locate_flood`` request, 8 ``answer_query`` and 8 ``lookup`` among them
+(one per node of Q(j)), and 237.6 per ``faulted_churn`` request with 0.221
+BFS rows (``RoutingTable._build``: one per *responder* per fault revision);
+the PR 126.1 with one ``holders`` question, and 172.3 with 0.101 rows (one
+per client per revision).
 The budgets' head-room covers the spread between Python 3.10 and 3.12; they
 are ``<=``, never ``==``: once any Hypothesis test has run in the process
 its ``gc`` callback is counted by ``cProfile`` too.
@@ -26,14 +32,32 @@ from pathlib import PurePath
 from typing import Callable, Dict, Tuple
 
 from repro.simtime import LinkTiming, TimeModelSpec
-from repro.workload import ArrivalSpec, PopularitySpec, ScenarioSpec, WorkloadDriver
+from repro.workload import (
+    ArrivalSpec,
+    ChurnSpec,
+    FaultRegimeSpec,
+    PopularitySpec,
+    ScenarioSpec,
+    WorkloadDriver,
+)
 
 #: Calls one more untimed request may cost, set-up excluded.
-CALLS_PER_REQUEST_BUDGET = 180
+CALLS_PER_REQUEST_BUDGET = 150
 #: ``(file, function) -> calls`` one more request may spend there.
 FUNCTION_BUDGETS = {
     ("obs/registry.py", "bump"): 1,
     ("network/simulator.py", "node_is_up"): 2,
+    # A locate is holders(port) ∩ reached: one question to the store, not
+    # one lookup per node of Q(j) (eight before the store existed).
+    ("network/cache.py", "holders"): 1,
+    ("network/cache.py", "lookup"): 1,
+}
+
+#: The same for one more multi-hop request under link flaps and churn.
+FAULTED_CALLS_PER_REQUEST_BUDGET = 205
+FAULTED_FUNCTION_BUDGETS = {
+    # One BFS row per client per fault revision, none per responder.
+    ("network/routing.py", "_build"): 0.13,
 }
 
 #: The same for one more timed request: measured + ~8%, and never above 690.
@@ -63,6 +87,30 @@ def locate_flood(operations: int) -> ScenarioSpec:
         cache_addresses=False,
         arrival=ArrivalSpec(kind="poisson", rate=2000.0),
         popularity=PopularitySpec(kind="zipf", zipf_exponent=1.1),
+    )
+
+
+def faulted_churn(operations: int) -> ScenarioSpec:
+    """The ledger's ``faulted_churn`` workload as a literal (master seed
+    22): multi-hop unicast on ``manhattan:8`` under link flaps and mixed
+    churn."""
+    return ScenarioSpec(
+        name="faulted_churn",
+        topology="manhattan:8",
+        strategy="manhattan",
+        operations=operations,
+        clients=24,
+        servers=8,
+        ports=4,
+        delivery_mode="unicast",
+        seed=1235423883733042150,
+        cache_addresses=False,
+        arrival=ArrivalSpec(kind="poisson", rate=1000.0),
+        popularity=PopularitySpec(kind="hotspot", hotspot_fraction=0.7),
+        churn=ChurnSpec(kind="mixed", rate=6.0),
+        faults=FaultRegimeSpec(
+            kind="flaps", events=10, start=0.3, period=0.5, downtime=0.3
+        ),
     )
 
 
@@ -138,6 +186,14 @@ def test_marginal_request_cost_stays_inside_the_call_budget():
     assert_inside(
         "locate_flood", per_request, per_function,
         CALLS_PER_REQUEST_BUDGET, FUNCTION_BUDGETS,
+    )
+
+
+def test_marginal_faulted_request_cost_stays_inside_the_call_budget():
+    per_request, per_function = marginal_calls(faulted_churn)
+    assert_inside(
+        "faulted_churn", per_request, per_function,
+        FAULTED_CALLS_PER_REQUEST_BUDGET, FAULTED_FUNCTION_BUDGETS,
     )
 
 

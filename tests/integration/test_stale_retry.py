@@ -125,7 +125,7 @@ class TestRecoveryAndStorms:
         system.crash_node(3)
         system.recover_node(3)
         assert system.network.node_is_up(3)
-        assert system.network.node(3).cache_size() == 0
+        assert system.network.cache_sizes()[3] == 0
         assert system.stats.recoveries == 1
         # The server process died with the crash; a replacement serves again.
         replacement = system.create_server(3, port)

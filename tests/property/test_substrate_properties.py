@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.types import Address, Port, PostRecord, freshest, freshness_key
-from repro.network.cache import BoundedCache, NodeCache
+from repro.network.cache import PostingStore
 from repro.network.graph import Graph, complete_graph
 from repro.network.routing import RoutingTable
 from repro.topologies import (
@@ -122,16 +122,17 @@ class TestCacheProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_lookup_returns_freshest_posting(self, postings):
-        cache = NodeCache()
+        store = PostingStore(["n"])
         best = {}
         for name, node, ts in postings:
             record = PostRecord(Port(name), Address(node), timestamp=ts, server_id="s")
-            cache.post(record)
+            store.post(record, ["n"])
             current = best.get(name)
             if current is None or record.is_newer_than(current):
                 best[name] = record
         for name, record in best.items():
-            assert cache.lookup(Port(name)) == record
+            assert store.lookup("n", Port(name)) == record
+            assert store.holders(Port(name)) == {"n": {"s": record}}
 
     # Tie-heavy on purpose: three timestamps and five addresses over up to
     # twelve records, so equal timestamps, equal reprs (the same address
@@ -171,19 +172,6 @@ class TestCacheProperties:
         assert freshest({}.values()) is None
         lone = PostRecord(Port("p"), Address(1))
         assert freshest([lone]) is lone
-
-    @given(
-        capacity=st.integers(min_value=1, max_value=10),
-        names=st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=30),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_bounded_cache_never_exceeds_capacity(self, capacity, names):
-        cache = BoundedCache(capacity=capacity, strict=False)
-        for index, name in enumerate(names):
-            cache.post(
-                PostRecord(Port(name), Address(index), timestamp=index, server_id="s")
-            )
-            assert len(cache) <= capacity
 
 
 class TestTopologyGeneratorProperties:

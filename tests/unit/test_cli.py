@@ -253,6 +253,16 @@ class TestErrors:
         assert main(["run", str(bad)]) == 2
         assert "ArrivalSpec.rate must be finite" in capsys.readouterr().err
 
+    def test_unknown_nested_key_exits_two_naming_the_key(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(
+            {**SPEC.to_dict(), "faults": {"kind": "flaps", "perod": 0.5}}
+        ))
+        assert main(["run", str(bad)]) == 2
+        error = capsys.readouterr().err
+        assert "unknown FaultRegimeSpec key(s) ['perod']" in error
+        assert "'period'" in error
+
     def test_unknown_strategy_exits_two_not_traceback(self, tmp_path):
         # StrategyError is a MatchMakingError, not a ValueError; the CLI
         # must still classify it as bad input (exit 2, not a traceback, and

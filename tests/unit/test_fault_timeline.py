@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.core.types import Port
 from repro.network.faults import (
     CRASH_NODE,
     LINK_DOWN,
@@ -223,37 +224,44 @@ class TestApplyFault:
             network.apply_fault(event)
         assert network.faults.revision == before + 3
 
-    def test_node_objects_track_the_fault_plan(self, grid, rng):
-        # Network.node_is_up asks only FaultPlan.crashed_nodes; this is the
-        # promise that lets it: every Node.alive equals that record after
-        # each crash/recover event and after a reset with nodes down.
+    def test_a_crash_empties_the_node_and_liveness_is_the_fault_plan(
+        self, grid, rng
+    ):
+        # There is one liveness record, FaultPlan.crashed_nodes, and one
+        # posting store: after every crash/recover event the store holds
+        # nothing at a node that has been down, and a reset with nodes down
+        # brings everything back up and empty.
         network = Network(grid, delivery_mode="unicast")
-
-        def in_sync():
-            return all(
-                node.alive == (node.node_id not in network.faults.crashed_nodes)
-                and node.alive == network.node_is_up(node.node_id)
-                for node in network.nodes()
-            )
-
+        port = Port("svc")
+        network.post((0, 0), port, frozenset(network.node_ids()))
+        assert set(network.cache_sizes().values()) == {1}
         timeline = crash_recover_waves(
             grid, rng, waves=4, wave_size=3, start=0.0, period=1.0,
             downtime=2.5,
         )
         assert timeline.event_counts()[CRASH_NODE] >= 4
-        down_at_some_point = False
+        ever_down = set()
         for index, event in enumerate(timeline):
             network.apply_fault(event)
-            assert in_sync(), f"out of sync after event {index}: {event}"
-            down_at_some_point |= bool(network.faults.crashed_nodes)
-        assert down_at_some_point
+            crashed = network.faults.crashed_nodes
+            ever_down |= crashed
+            assert set(network.up_nodes()) == set(network.node_ids()) - crashed
+            assert network.cache_sizes() == {
+                node: int(node not in ever_down) for node in network.node_ids()
+            }, f"after event {index}: {event}"
+            assert set(network.postings.holders(port)) == (
+                set(network.node_ids()) - ever_down
+            )
+        assert ever_down
         network.crash_node((0, 0))
         network.crash_node((3, 3))
         network.reset_for_reuse()
-        assert in_sync() and network.node_is_up((0, 0))
+        assert network.up_nodes() == network.node_ids()
+        assert not network.postings.holders(port)
         network.crash_node((1, 2))
         network.reset_to_cold()
-        assert in_sync() and network.node_is_up((1, 2))
+        assert network.node_is_up((1, 2))
+        assert network.max_cache_size() == 0
 
 
 class TestFaultPlanClear:

@@ -145,6 +145,12 @@ class TestMatrixExpansion:
         with pytest.raises(ValueError, match="unknown MatrixSpec key"):
             MatrixSpec.from_dict(payload)
 
+    def test_matrix_spec_names_unknown_keys_inside_an_axis_entry(self):
+        payload = small_matrix().to_dict()
+        payload["fault_regimes"] = [{"kind": "flaps", "perod": 0.5}]
+        with pytest.raises(ValueError, match=r"FaultRegimeSpec key\(s\) \['perod'\]"):
+            MatrixSpec.from_dict(payload)
+
     def test_cell_seeds_derive_from_coordinates(self):
         cells, _ = small_matrix().expand()
         seeds = {cell.spec.seed for cell in cells}

@@ -1,8 +1,8 @@
 """Regression tests for the query-path and deregistration fixes.
 
-- ``Network.query`` must consult each responding node's cache exactly once
-  per query (it used to call ``answer_query`` twice in non-collect_all
-  mode);
+- ``Network.query`` reports each holder of the port among the reached
+  nodes exactly once (it used to ask a responder's cache twice in
+  non-collect_all mode), and nobody else;
 - when a responder's reply route is severed, only *that responder's*
   records are dropped — equal records held by other responders survive
   (eviction used to remove by value equality, hitting the wrong record);
@@ -17,7 +17,6 @@ import pytest
 from repro.core.matchmaker import MatchMaker
 from repro.core.types import Port
 from repro.network.graph import complete_graph
-from repro.network.node import Node
 from repro.network.simulator import Network
 from repro.strategies import CheckerboardStrategy
 
@@ -32,33 +31,27 @@ def net():
     return Network(complete_graph(6), delivery_mode="unicast")
 
 
-class TestSingleCacheLookup:
-    def test_answer_query_called_once_per_responder(self, net, port, monkeypatch):
+class TestEachHolderAnswersOnce:
+    def test_every_reached_holder_answers_exactly_once(self, net, port):
         net.post(0, port, frozenset({1, 2, 3}))
-        calls = []
-        original = Node.answer_query
-
-        def counting(self, queried_port):
-            calls.append(self.node_id)
-            return original(self, queried_port)
-
-        monkeypatch.setattr(Node, "answer_query", counting)
+        before = net.stats.snapshot()
         outcome = net.query(5, port, frozenset({1, 2, 3}))
         assert outcome.responding_nodes == {1, 2, 3}
-        assert sorted(calls) == [1, 2, 3]  # exactly once each
+        # One posting, three holders: one (equal) record and one reply each.
+        assert len(outcome.records) == 3 and len(set(outcome.records)) == 1
+        spent = net.stats.diff(before)
+        assert spent.messages_for("reply") == spent.delivered_for("reply") == 3
+        assert outcome.reply_hops == spent.hops_for("reply") == 3
 
-    def test_non_responders_also_checked_once(self, net, port, monkeypatch):
-        net.post(0, port, frozenset({1}))
-        calls = []
-        original = Node.answer_query
-
-        def counting(self, queried_port):
-            calls.append(self.node_id)
-            return original(self, queried_port)
-
-        monkeypatch.setattr(Node, "answer_query", counting)
-        net.query(5, port, frozenset({1, 2}))
-        assert sorted(calls) == [1, 2]
+    def test_reached_nodes_without_the_port_stay_silent(self, net, port):
+        net.post(0, port, frozenset({1, 4}))  # 4 holds it but is not asked
+        net.post(0, Port("another-service"), frozenset({2}))
+        before = net.stats.snapshot()
+        outcome = net.query(5, port, frozenset({1, 2, 3}))
+        assert outcome.queried_nodes == {1, 2, 3}
+        assert outcome.responding_nodes == {1}
+        assert len(outcome.records) == 1
+        assert net.stats.diff(before).messages_for("reply") == 1
 
 
 class TestUnreachableReplyEviction:
@@ -66,10 +59,13 @@ class TestUnreachableReplyEviction:
         """Make replies from ``lost_responder`` undeliverable without
         touching forward delivery (simulates asymmetric loss)."""
         real = net.planner.routing_table()
-        stub = SimpleNamespace(
-            has_route=lambda s, d: s != lost_responder and real.has_route(s, d),
-            distance=real.distance,
-        )
+
+        def distance_map(source):
+            row = dict(real.distance_map(source))
+            del row[lost_responder]
+            return row
+
+        stub = SimpleNamespace(distance_map=distance_map)
         monkeypatch.setattr(net.planner, "routing_table", lambda: stub)
 
     def test_equal_record_of_other_responder_survives(

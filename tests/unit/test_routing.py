@@ -237,3 +237,75 @@ class TestOnceSortedNeighbours:
         table.invalidate()
         assert table.distance(0, 3) == 1
         _assert_tables_match_reference(table, graph)
+
+
+def _partitioned_graph():
+    """``manhattan:5`` with a crashed node and its middle column's links
+    cut: two components and one survivor with no channel at all."""
+    graph = build_topology("manhattan:5").graph
+    plan = FaultPlan()
+    plan.crash_node((4, 4))
+    for row in range(5):
+        plan.fail_link((row, 1), (row, 2))
+    plan.fail_link((0, 0), (0, 1))
+    plan.fail_link((0, 0), (1, 0))
+    return surviving_graph(graph, plan)
+
+
+def _answer(table, source, destination):
+    """What ``distance`` says, errors included, as a comparable value."""
+    try:
+        return table.distance(source, destination)
+    except (NoRouteError, UnknownNodeError) as error:
+        return type(error), error.args
+
+
+class TestDistanceFromEitherRow:
+    """Channels are undirected, so ``distance(a, b)`` may answer from
+    ``b``'s row.  Whichever rows happen to exist, every pair — unknown and
+    unreachable ends included — gets the answer, or the very error, that a
+    table with only ``a``'s row built would give."""
+
+    GRAPHS = {
+        "manhattan:6": lambda: build_topology("manhattan:6").graph,
+        "hypercube:5": lambda: build_topology("hypercube:5").graph,
+        "partitioned": _partitioned_graph,
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_symmetric_and_error_identical_whichever_rows_exist(self, name):
+        graph = self.GRAPHS[name]()
+        ends = sorted(graph.nodes, key=repr) + ["nowhere", (4, 4)]
+        expected = {}
+        for source in ends:  # only the source's row ever exists here
+            for destination in ends:
+                expected[source, destination] = _answer(
+                    RoutingTable(graph), source, destination
+                )
+        rng = random.Random(name)
+        for built in (0, 1, len(graph.nodes) // 2, len(graph.nodes)):
+            table = RoutingTable(graph)
+            for source in rng.sample(graph.nodes, built):
+                table.distance_map(source)
+            rows_before = len(table._distance)
+            for (source, destination), answer in expected.items():
+                assert _answer(table, source, destination) == answer
+                if isinstance(answer, int):
+                    assert expected[destination, source] == answer
+            if built == len(graph.nodes):
+                assert len(table._distance) == rows_before  # nothing new
+
+    def test_the_other_ends_row_saves_the_search(self, monkeypatch):
+        graph = build_topology("manhattan:6").graph
+        table = RoutingTable(graph)
+        table.distance_map((0, 0))
+        built = []
+        real = RoutingTable._build
+        monkeypatch.setattr(
+            RoutingTable, "_build",
+            lambda self, source: built.append(source) or real(self, source),
+        )
+        assert table.distance((5, 5), (0, 0)) == 10  # read from (0, 0)'s row
+        assert built == []
+        assert table.distance((5, 5), (3, 3)) == 4  # neither row exists
+        assert built == [(5, 5)]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.exceptions import NodeDownError, UnknownNodeError
 from repro.core.types import Address, Port
-from repro.network.cache import BoundedCache
+from repro.network.routing import RoutingTable
 from repro.network.simulator import DELIVERY_MODES, Network
 from repro.network.stats import PAYLOAD, POST, QUERY, REPLY
 from repro.topologies import CompleteTopology, ManhattanTopology
@@ -31,17 +31,13 @@ class TestConstruction:
         graph.remove_node(0)
         assert 0 in network.graph
 
-    def test_custom_cache_factory(self, small_complete):
-        network = Network(
-            small_complete.graph, cache_factory=lambda: BoundedCache(capacity=2)
-        )
-        assert isinstance(network.node(0).cache, BoundedCache)
-
-    def test_size_and_node_access(self, complete_net):
+    def test_size_and_node_ids(self, complete_net):
         assert complete_net.size == 9
-        assert complete_net.node(3).node_id == 3
-        with pytest.raises(UnknownNodeError):
-            complete_net.node(42)
+        assert complete_net.node_ids() == list(range(9))
+        for ask in (complete_net.node_is_up, complete_net.crash_node,
+                    complete_net.recover_node):
+            with pytest.raises(UnknownNodeError):
+                ask(42)
 
     def test_timestamps_increase(self, complete_net):
         assert complete_net.next_timestamp() < complete_net.next_timestamp()
@@ -161,6 +157,65 @@ class TestPostAndQuery:
         assert complete_net.stats.hops_for(POST) == 2
         assert complete_net.stats.hops_for(QUERY) == 1
         assert complete_net.stats.hops_for(REPLY) == 1
+
+
+class TestOneStoreOneRow:
+    """The nodes' caches are one store and a query's routing one row."""
+
+    def test_faulted_query_builds_only_the_clients_row(
+        self, grid_net, port, monkeypatch
+    ):
+        holders = [(0, 4), (2, 2), (4, 0)]
+        grid_net.post((4, 4), port, targets=holders)
+        grid_net.fail_link((0, 0), (0, 1))  # a fresh surviving table
+        built = []
+        real = RoutingTable._build
+        monkeypatch.setattr(
+            RoutingTable, "_build",
+            lambda self, source: built.append(source) or real(self, source),
+        )
+        outcome = grid_net.query((1, 1), port, targets=holders + [(3, 3)])
+        assert outcome.responding_nodes == set(holders)
+        assert outcome.reply_hops == 4 + 2 + 4
+        assert built == [(1, 1)]  # none per responder
+        # The request and its reply both read that row, too.
+        assert grid_net.send_payload((1, 1), (4, 4)) == 6
+        assert grid_net.send_payload((4, 4), (1, 1)) == 6
+        assert built == [(1, 1)]
+
+    @pytest.mark.parametrize("collect_all", [False, True])
+    def test_a_plan_that_reaches_a_crashed_node_names_it(
+        self, complete_net, port, monkeypatch, collect_all
+    ):
+        # Plans never reach a crashed node; if one did, storing at it or
+        # asking it raises, as each node's own liveness check used to.
+        complete_net.post(0, port, targets=[3, 4])
+        stale = complete_net.planner.plan(1, frozenset({3, 4}), "ideal")
+        complete_net.crash_node(4)
+        monkeypatch.setattr(
+            complete_net.planner, "plan", lambda *args: stale
+        )
+        before = complete_net.cache_sizes()
+        for operation in (
+            lambda: complete_net.query(1, port, [3, 4], collect_all=collect_all),
+            lambda: complete_net.post(1, port, [3, 4]),
+            lambda: complete_net.unpost(0, port, [3, 4]),
+        ):
+            with pytest.raises(NodeDownError) as caught:
+                operation()
+            assert caught.value.node == 4
+        assert complete_net.cache_sizes() == before  # all or nothing
+
+    def test_postings_are_readable_per_node_and_per_port(
+        self, complete_net, port
+    ):
+        complete_net.post(1, port, targets=[3, 4], server_id="s")
+        store = complete_net.postings
+        assert set(store.holders(port)) == {3, 4}
+        assert store.lookup(3, port).address == Address(1)
+        assert store.ports(4) == [port] and store.ports(5) == []
+        complete_net.unpost(1, port, targets=[3], server_id="s")
+        assert set(store.holders(port)) == {4}
 
 
 class TestFaultsAndPayload:

@@ -1,12 +1,8 @@
-"""Unit tests for MessageStats, EventLoop and Node."""
+"""Unit tests for MessageStats and EventLoop."""
 
 import pytest
 
-from repro.core.exceptions import NodeDownError
-from repro.core.types import Address, Port, PostRecord
-from repro.network.cache import BoundedCache
 from repro.network.events import EventLoop
-from repro.network.node import Node
 from repro.network.stats import POST, QUERY, REPLY, MessageStats
 
 
@@ -196,71 +192,3 @@ class TestEventLoop:
         loop.schedule_at(2, lambda: None)
         loop.run_until_idle()
         assert loop.processed == 2
-
-
-class TestNode:
-    def test_accept_post_and_answer_query(self, port):
-        node = Node(7)
-        node.accept_post(PostRecord(port, Address(3), timestamp=1))
-        answer = node.answer_query(port)
-        assert answer.address == Address(3)
-
-    def test_answer_query_unknown_port(self, port):
-        assert Node(1).answer_query(port) is None
-
-    def test_crash_clears_cache_and_blocks_operations(self, port):
-        node = Node(1)
-        node.accept_post(PostRecord(port, Address(2), timestamp=1))
-        node.crash()
-        assert not node.alive
-        with pytest.raises(NodeDownError):
-            node.answer_query(port)
-        node.recover()
-        assert node.alive
-        assert node.answer_query(port) is None  # cache was lost
-
-    @pytest.mark.parametrize(
-        "operation",
-        [
-            lambda node, port: node.answer_query(port),
-            lambda node, port: node.answer_query_all(port),
-            lambda node, port: node.accept_post(PostRecord(port, Address(2))),
-            lambda node, port: node.forget_port(port),
-            lambda node, port: node.forget_server(port, "s"),
-        ],
-        ids=["answer_query", "answer_query_all", "accept_post", "forget_port",
-             "forget_server"],
-    )
-    def test_every_cache_operation_on_a_crashed_node_names_it(
-        self, port, operation
-    ):
-        node = Node((3, 1))
-        node.crash()
-        with pytest.raises(NodeDownError) as caught:
-            operation(node, port)
-        assert caught.value.node == (3, 1)
-
-    def test_cache_size(self, port, ports):
-        node = Node(1)
-        for i in range(4):
-            node.accept_post(PostRecord(ports.new_port(), Address(i), timestamp=i))
-        assert node.cache_size() == 4
-
-    def test_forget_port_and_server(self, port):
-        node = Node(1)
-        node.accept_post(PostRecord(port, Address(1), timestamp=1, server_id="a"))
-        node.accept_post(PostRecord(port, Address(2), timestamp=2, server_id="b"))
-        node.forget_server(port, "a")
-        assert len(node.answer_query_all(port)) == 1
-        node.forget_port(port)
-        assert node.answer_query(port) is None
-
-    def test_replace_cache(self, port):
-        node = Node(1)
-        node.replace_cache(BoundedCache(capacity=1))
-        node.accept_post(PostRecord(port, Address(1), timestamp=1))
-        assert node.cache_size() == 1
-        assert isinstance(node.cache, BoundedCache)
-
-    def test_address(self):
-        assert Node((2, 3)).address == Address((2, 3))

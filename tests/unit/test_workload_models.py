@@ -110,6 +110,27 @@ class TestSpecs:
         with pytest.raises(ValueError, match="operatons"):
             ScenarioSpec.from_dict({"operatons": 10})
 
+    @pytest.mark.parametrize(
+        "section,spec_class,accepted",
+        [
+            ("arrival", ArrivalSpec, "'burst_gap'"),
+            ("popularity", PopularitySpec, "'zipf_exponent'"),
+            ("churn", ChurnSpec, "'downtime'"),
+            ("faults", FaultRegimeSpec, "'period'"),
+            ("slo", SloSpec, "'latency_target'"),
+        ],
+    )
+    def test_from_dict_names_unknown_nested_keys(
+        self, section, spec_class, accepted
+    ):
+        # Used to die as "TypeError: ArrivalSpec.__init__() got an
+        # unexpected keyword argument 'bogus'".
+        with pytest.raises(ValueError) as caught:
+            ScenarioSpec.from_dict({section: {"bogus": 1}})
+        message = str(caught.value)
+        assert f"unknown {spec_class.__name__} key(s) ['bogus']" in message
+        assert accepted in message  # ... and what would have been accepted
+
 
 class TestResolvers:
     def test_build_topology_families(self):
