@@ -12,10 +12,11 @@ revision*, not once per *message*:
 
 ``routing_table()``
     the single shared :class:`RoutingTable` over the surviving subgraph
-    (the fault-free table when no faults are active);
+    (the fault-free table when no faults are active; under faults a mask
+    over it, :meth:`~repro.network.routing.RoutingTable.masked`);
 ``spanning_tree(source)``
-    the memoized BFS tree used by multicast, one per ``(source,
-    revision)``;
+    the BFS tree used by multicast, one per ``(source, revision)``: that
+    table's row for ``source``;
 ``plan(source, targets, mode)``
     a fully memoized :class:`~repro.network.broadcast.DeliveryOutcome`
     per ``(source, frozenset(targets), mode, revision)``.  Because the
@@ -31,12 +32,12 @@ event on the owning network's :class:`~repro.network.stats.MessageStats`
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Tuple
 
 from ..core.exceptions import UnknownNodeError
 from ..obs.profile import PLAN_CACHE_WARM, phase
 from .broadcast import DeliveryOutcome, multicast, unicast
-from .faults import FaultPlan, surviving_graph
+from .faults import FaultPlan
 from .graph import Graph
 from .routing import RoutingTable
 from .stats import MessageStats
@@ -99,30 +100,13 @@ class DeliveryPlanner:
         self._routing = routing
         self._faults = faults
         self._stats = stats
-        self._revision = faults.revision
-        self._surviving_graph: Optional[Graph] = None
-        self._surviving_table: Optional[RoutingTable] = None
         self._trees: Dict[Hashable, Dict[Hashable, Hashable]] = {}
         self._plans: Dict[
             Tuple[Hashable, FrozenSet[Hashable], str], DeliveryOutcome
         ] = {}
+        self.clear_caches()
 
     # -- revision tracking ---------------------------------------------------
-
-    def _sync(self) -> None:
-        """Drop every cache when the fault plan has moved on.
-
-        Revisions are monotonic, so entries keyed under an older revision
-        can never be served again — pruning keeps memory bounded by the
-        traffic diversity of the *current* fault epoch.
-        """
-        revision = self._faults.revision
-        if revision != self._revision:
-            self._revision = revision
-            self._surviving_graph = None
-            self._surviving_table = None
-            self._trees.clear()
-            self._plans.clear()
 
     @property
     def revision(self) -> int:
@@ -132,24 +116,38 @@ class DeliveryPlanner:
     def clear_caches(self) -> None:
         """Forget every memoized plan, tree and surviving table.
 
-        ``reset_for_reuse`` deliberately keeps these caches warm — plans
-        are pure functions of the (static) graph and the fault revision,
-        so same-topology cells in one sweep share them.  A *warm worker
-        pool* reusing a network across separate ``run_matrix`` calls needs
-        the opposite: the plan-cache hit/miss counters are part of every
-        cell's reported results, so a recycled network must start exactly
-        as cold as a freshly built one.  Hit/miss counters themselves live
-        on :class:`MessageStats` and are untouched here.
+        Called whenever the fault plan has moved on: revisions are
+        monotonic, so entries keyed under an older revision can never be
+        served again — pruning keeps memory bounded by the traffic
+        diversity of the *current* fault epoch.  ``reset_for_reuse``
+        deliberately keeps these caches warm — plans are pure functions of
+        the (static) graph and the fault revision, so same-topology cells
+        in one sweep share them.  A *warm worker pool* reusing a network
+        across separate ``run_matrix`` calls needs the opposite: the
+        plan-cache hit/miss counters are part of every cell's reported
+        results, so a recycled network must start exactly as cold as a
+        freshly built one.  Hit/miss counters live on :class:`MessageStats`
+        and are untouched here.
         """
-        self._revision = self._faults.revision
-        self._surviving_graph = None
-        self._surviving_table = None
+        faults = self._faults
+        self._revision = faults.revision
+        # The revision's table (the static one or a cheap mask over it) and
+        # whether routing_table() served it yet: a multicast tree is one of
+        # its rows, so the first ask, not the first use, is the route miss.
+        self._table = self._routing
+        if faults.crashed_nodes or faults.failed_links:
+            with phase(PLAN_CACHE_WARM):
+                self._table = self._routing.masked(
+                    faults.crashed_nodes, faults.failed_links
+                )
+        self._routed = False
         self._trees.clear()
         self._plans.clear()
 
     def cache_info(self) -> Dict[str, int]:
         """Sizes of the plan caches (hit/miss counters live on stats)."""
-        self._sync()
+        if self._faults.revision != self._revision:
+            self.clear_caches()
         return {
             "plans": len(self._plans),
             "trees": len(self._trees),
@@ -158,50 +156,41 @@ class DeliveryPlanner:
 
     # -- shared routing state ------------------------------------------------
 
-    def effective_graph(self) -> Graph:
-        """The surviving subgraph (the full graph when fault-free)."""
-        self._sync()
-        if self._faults.fault_count == 0:
-            return self._graph
-        if self._surviving_graph is None:
-            self._surviving_graph = surviving_graph(self._graph, self._faults)
-        return self._surviving_graph
-
     def routing_table(self) -> RoutingTable:
         """The shared routing table over the surviving subgraph.
 
         This is the table ``unicast`` delivery, reply routing and payload
-        routing all share; it is rebuilt at most once per fault revision
+        routing all share; it is made at most once per fault revision
         — the headline fix over rebuilding one per message.  Route events
         are only recorded under active faults: the fault-free fast path
         serves the network's static table, which is not a cache.
         """
-        faults = self._faults
-        if faults.revision != self._revision:
-            self._sync()
-        if not faults.crashed_nodes and not faults.failed_links:
-            return self._routing
-        if self._surviving_table is None:
-            self._stats.record_plan_event(ROUTE_MISS)
-            with phase(PLAN_CACHE_WARM):
-                self._surviving_table = RoutingTable(self.effective_graph())
-        else:
-            self._stats.record_plan_event(ROUTE_HIT)
-        return self._surviving_table
+        if self._faults.revision != self._revision:
+            self.clear_caches()
+        table = self._table
+        if table is not self._routing:
+            if self._routed:
+                self._stats.record_plan_event(ROUTE_HIT)
+            else:
+                self._routed = True
+                self._stats.record_plan_event(ROUTE_MISS)
+        return table
 
     def spanning_tree(self, source: Hashable) -> Dict[Hashable, Hashable]:
-        """The memoized BFS parent tree rooted at ``source``.
+        """The BFS parent tree rooted at ``source``: the revision's table
+        row for ``source`` (:meth:`RoutingTable.spanning_tree`), shared.
 
         Empty when ``source`` is not in the surviving subgraph.
         """
-        self._sync()
+        if self._faults.revision != self._revision:
+            self.clear_caches()
         tree = self._trees.get(source)
         if tree is None:
             self._stats.record_plan_event(TREE_MISS)
-            effective = self.effective_graph()
-            tree = (
-                effective.spanning_tree(source) if source in effective else {}
-            )
+            try:
+                tree = self._table.spanning_tree(source)
+            except UnknownNodeError:
+                tree = {}
             self._trees[source] = tree
         else:
             self._stats.record_plan_event(TREE_HIT)
@@ -225,7 +214,7 @@ class DeliveryPlanner:
         is first made (a hit was checked when it was a miss).
         """
         if self._faults.revision != self._revision:
-            self._sync()
+            self.clear_caches()
         key = (source, targets, mode)
         cached = self._plans.get(key)
         if cached is not None:
@@ -266,8 +255,6 @@ class DeliveryPlanner:
     def _plan_unicast(
         self, source: Hashable, targets: FrozenSet[Hashable]
     ) -> DeliveryOutcome:
-        if self._faults.fault_count == 0:
-            return unicast(self._graph, self._routing, source, targets)
         return unicast(
             self._graph,
             self._routing,

@@ -3,9 +3,9 @@
 Section 2.4 of the paper discusses robustness: a distributed name server
 should keep matching surviving clients with surviving servers "no matter how
 many node crashes occur, as long as a surviving network remains".  The
-:class:`FaultPlan` describes which nodes/links fail; the simulator consults it
-and analysis code uses :func:`surviving_graph` to reason about the surviving
-subnetwork.
+:class:`FaultPlan` describes which nodes/links fail; the delivery planner
+masks its static routing table with it, and :func:`surviving_graph` copies
+the surviving subnetwork for analysis code and as the mask's reference.
 
 A static fault *set* only captures one instant.  :class:`FaultTimeline`
 extends the model to time: an ordered program of :class:`FaultEvent`\\ s

@@ -85,16 +85,15 @@ class Graph:
 
     @property
     def edges(self) -> List[Tuple[Hashable, Hashable]]:
-        """All edges, each reported once."""
-        seen = set()
-        result = []
-        for u, nbrs in self._adjacency.items():
-            for v in nbrs:
-                key = frozenset((u, v))
-                if key not in seen:
-                    seen.add(key)
-                    result.append((u, v))
-        return result
+        """All edges, each reported once: as ``(u, v)`` from the end that
+        comes first in node order."""
+        position = {node: i for i, node in enumerate(self._adjacency)}
+        return [(u, v) for u, nbrs in self._adjacency.items() for v in nbrs
+                if position[v] > position[u]]
+
+    def same_edges(self, other: "Graph") -> bool:
+        """Whether ``other`` has the same node set and the same edge set."""
+        return self._adjacency == other._adjacency
 
     def __contains__(self, node: Hashable) -> bool:
         return node in self._adjacency

@@ -13,8 +13,11 @@ straight line" in an arbitrary point-to-point network.
 Two costs are paid once instead of per use.  Breadth-first search visits a
 node's neighbours in ``repr`` order (so tables do not depend on set
 iteration order); that order is static incidence structure, so a table
-sorts each node's neighbours on first visit and every later search from
-another source reuses the tuple.  And :meth:`RoutingTable.distance`, asked
+sorts each node's neighbours on first visit and every later search reuses
+the tuple.  A fault does not make a new network either: the table over
+what survives (:meth:`RoutingTable.masked`) filters the static tuple
+through the crashed nodes and failed links — a filtered sorted tuple is
+the survivors' sorted tuple.  And :meth:`RoutingTable.distance`, asked
 once per routed message, is one ``dict.get`` per table level on a hit.
 
 Distances are symmetric — the paper's channels are "bidirectional" and
@@ -30,41 +33,73 @@ from __future__ import annotations
 import random
 from collections import deque
 from types import MappingProxyType
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, Hashable, Iterable, List,
+                    Mapping, Optional, Sequence, Tuple)
 
 from ..core.exceptions import NoRouteError, UnknownNodeError
 from .graph import Graph
 
 
 class RoutingTable:
-    """Per-source next-hop and distance tables for a graph.
+    """Per-source distance and BFS-parent rows for a graph (or a mask): a
+    parent row is also the source's multicast tree and what ``next_hop``
+    walks.
 
-    The table is computed lazily per source node and cached; building it for
+    Rows are computed lazily per source node and cached; building one for
     every node of an ``n``-node graph costs ``O(n * (n + e))`` time overall.
     """
 
     def __init__(self, graph: Graph) -> None:
         self._graph = graph
-        self._next_hop: Dict[Hashable, Dict[Hashable, Hashable]] = {}
+        self._parent: Dict[Hashable, Dict[Hashable, Hashable]] = {}
         self._distance: Dict[Hashable, Dict[Hashable, int]] = {}
-        # node -> its neighbours in repr order, shared by every search.
+        # node -> its (surviving) neighbours in repr order, for every search.
         self._ordered: Dict[Hashable, Tuple[Hashable, ...]] = {}
+        # A mask filters `_static`'s order by `_cut[node]` (else `_crashed`).
+        self._static: Optional[RoutingTable] = None
+        self._crashed: FrozenSet[Hashable] = frozenset()
+        self._cut: Dict[Hashable, FrozenSet[Hashable]] = {}
 
     @property
     def graph(self) -> Graph:
-        """The graph this table routes over."""
+        """The graph this table routes over (before any mask)."""
         return self._graph
+
+    def masked(self, crashed_nodes: AbstractSet[Hashable],
+               failed_links: Iterable[FrozenSet[Hashable]]) -> "RoutingTable":
+        """The table over what survives ``crashed_nodes`` and ``failed_links``
+        now, answering (and raising) as one over ``surviving_graph`` would."""
+        table = RoutingTable(self._graph)
+        table._static = self
+        crashed = table._crashed = self._crashed | frozenset(crashed_nodes)
+        for link in failed_links:
+            for end in link:
+                table._cut[end] = table._cut.get(end, crashed) | link
+        return table
 
     def invalidate(self) -> None:
         """Drop all cached tables (call after the graph changes)."""
-        self._next_hop.clear()
+        self._parent.clear()
         self._distance.clear()
         self._ordered.clear()
 
+    def _neighbours(self, node: Hashable) -> Tuple[Hashable, ...]:
+        """Surviving neighbours of ``node`` in ``repr`` order (made once)."""
+        ordered = self._ordered.get(node)
+        if ordered is None:
+            if self._static is None:
+                ordered = tuple(sorted(self._graph.neighbours(node), key=repr))
+            else:
+                drop = self._cut.get(node, self._crashed)
+                ordered = tuple([v for v in self._static._neighbours(node)
+                                 if v not in drop])
+            self._ordered[node] = ordered
+        return ordered
+
     def _build(self, source: Hashable) -> None:
-        if source not in self._graph:
+        if source not in self._graph or source in self._crashed:
             raise UnknownNodeError(source)
-        next_hop: Dict[Hashable, Hashable] = {source: source}
+        parent: Dict[Hashable, Hashable] = {source: source}
         distance: Dict[Hashable, int] = {source: 0}
         queue = deque([source])
         ordered = self._ordered
@@ -72,36 +107,43 @@ class RoutingTable:
             node = queue.popleft()
             try:
                 neighbours = ordered[node]
-            except KeyError:
-                # First visit by any search of this table: sort once, keep.
-                neighbours = ordered[node] = tuple(
-                    sorted(self._graph.neighbours(node), key=repr)
+            except KeyError:  # first visit by any search: order once, keep
+                neighbours = ordered[node] = (
+                    tuple(sorted(self._graph.neighbours(node), key=repr))
+                    if self._static is None else self._neighbours(node)
                 )
             for neighbour in neighbours:
                 if neighbour not in distance:
                     distance[neighbour] = distance[node] + 1
-                    # First hop from `source` towards `neighbour`:
-                    next_hop[neighbour] = (
-                        neighbour if node == source else next_hop[node]
-                    )
+                    parent[neighbour] = node
                     queue.append(neighbour)
-        self._next_hop[source] = next_hop
+        self._parent[source] = parent
         self._distance[source] = distance
 
-    def _tables_for(self, source: Hashable):
-        if source not in self._next_hop:
+    def _rows(self, source: Hashable):
+        if source not in self._distance:
             self._build(source)
-        return self._next_hop[source], self._distance[source]
+        return self._parent[source], self._distance[source]
+
+    def _unroutable(self, source: Hashable, destination: Hashable):
+        """Raise for a missing route: an unknown or crashed end, else none."""
+        for end in (source, destination):
+            if end not in self._graph or end in self._crashed:
+                raise UnknownNodeError(end)
+        raise NoRouteError(source, destination)
 
     def next_hop(self, source: Hashable, destination: Hashable) -> Hashable:
         """The neighbour of ``source`` on a shortest path to
-        ``destination``."""
-        hops, _ = self._tables_for(source)
-        if destination not in hops:
-            if destination not in self._graph:
-                raise UnknownNodeError(destination)
-            raise NoRouteError(source, destination)
-        return hops[destination]
+        ``destination`` (walking ``source``'s BFS tree up from it)."""
+        parent, _ = self._rows(source)
+        if destination not in parent:
+            self._unroutable(source, destination)
+        node = destination
+        up = parent[node]
+        while up != source:
+            node = up
+            up = parent[node]
+        return node
 
     def distance(self, source: Hashable, destination: Hashable) -> int:
         """Hop distance between ``source`` and ``destination``.
@@ -119,12 +161,9 @@ class RoutingTable:
             if row is not None:
                 hops = row.get(source)
             else:
-                hops = self._tables_for(source)[1].get(destination)
+                hops = self._rows(source)[1].get(destination)
         if hops is None:
-            for end in (source, destination):
-                if end not in self._graph:
-                    raise UnknownNodeError(end)
-            raise NoRouteError(source, destination)
+            self._unroutable(source, destination)
         return hops
 
     def distance_map(self, source: Hashable) -> Mapping[Hashable, int]:
@@ -136,8 +175,12 @@ class RoutingTable:
         set with one dict lookup per destination instead of one
         exception-guarded :meth:`distance` call each.
         """
-        _, dist = self._tables_for(source)
-        return MappingProxyType(dist)
+        return MappingProxyType(self._rows(source)[1])
+
+    def spanning_tree(self, source: Hashable) -> Dict[Hashable, Hashable]:
+        """``source``'s BFS tree (``child -> parent``, root to itself) as the
+        surviving graph's :meth:`Graph.spanning_tree` — shared, not a copy."""
+        return self._rows(source)[0]
 
     def has_route(self, source: Hashable, destination: Hashable) -> bool:
         """Whether a route exists."""
@@ -162,8 +205,7 @@ class RoutingTable:
 
     def eccentricity(self, source: Hashable) -> int:
         """Maximum distance from ``source`` to any other node."""
-        _, dist = self._tables_for(source)
-        return max(dist.values(), default=0)
+        return max(self._rows(source)[1].values(), default=0)
 
     def reverse_path_beam(
         self,
@@ -183,14 +225,14 @@ class RoutingTable:
 
         Returns the list of nodes visited, excluding the origin.
         """
-        if origin not in self._graph:
+        if origin not in self._graph or origin in self._crashed:
             raise UnknownNodeError(origin)
         if length < 0:
             raise ValueError("beam length must be non-negative")
         visited: List[Hashable] = []
         current = origin
         for _ in range(length):
-            neighbours = sorted(self._graph.neighbours(current), key=repr)
+            neighbours = self._neighbours(current)
             if not neighbours:
                 break
             origin_distance = self.distance(origin, current)
@@ -205,14 +247,7 @@ class RoutingTable:
                 for v in neighbours
                 if self.distance(origin, v) == origin_distance and v != current
             ]
-            pool: Sequence[Hashable]
-            if away:
-                pool = away
-            elif level:
-                pool = level
-            else:
-                pool = neighbours
-            current = rng.choice(list(pool))
+            current = rng.choice(away or level or neighbours)
             visited.append(current)
         return visited
 

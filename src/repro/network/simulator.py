@@ -225,6 +225,8 @@ class Network:
 
     def restore_link(self, u: Hashable, v: Hashable) -> None:
         """Restore a failed link."""
+        if not self._graph.has_edge(u, v):
+            raise UnknownNodeError((u, v))
         self._faults.restore_link(u, v)
 
     def apply_fault(self, event: FaultEvent) -> None:

@@ -130,10 +130,6 @@ class MessageStats:
         events = self.plan_events
         events[kind] = events.get(kind, 0) + count
 
-    def plan_events_for(self, kind: str) -> int:
-        """Planner cache events of ``kind`` recorded so far."""
-        return self.plan_events.get(kind, 0)
-
     def delivered_for(self, category: str) -> int:
         """Message occurrences delivered to their destination."""
         return self.delivered.get(category, 0)
@@ -161,10 +157,6 @@ class MessageStats:
             if sent != delivered + dropped:
                 violations[category] = (sent, delivered, dropped)
         return violations
-
-    def load_for(self, node: Hashable) -> int:
-        """Delivered messages that addressed ``node``."""
-        return self.node_load.get(node, 0)
 
     def merge(self, other: "MessageStats") -> None:
         """Add another stats object into this one."""

@@ -64,10 +64,6 @@ class CubeConnectedCyclesTopology(Topology):
             raise ValueError(f"invalid corner address {corner!r}")
         return [(position, corner) for position in range(self._dimensions)]
 
-    def corner_of(self, node: CCCNode) -> str:
-        """The cube corner a CCC node belongs to."""
-        return node[1]
-
     def corners_with_suffix(self, suffix: str) -> List[str]:
         """All cube corners whose address ends with ``suffix``."""
         free = self._dimensions - len(suffix)

@@ -49,12 +49,6 @@ class UUCPTopology(Topology):
         self._extra_edge_count = extra_edge_count
 
     @property
-    def parent_map(self) -> Dict[int, int]:
-        """The underlying spanning tree as a ``child -> parent`` map (the
-        root maps to itself)."""
-        return dict(self._parent)
-
-    @property
     def tree_edge_count(self) -> int:
         """Number of tree edges (``n - 1``)."""
         return self._tree_edge_count

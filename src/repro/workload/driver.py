@@ -180,20 +180,15 @@ class WorkloadDriver:
         self.spec = spec
         self._topology = build_topology(spec.topology)
         self._strategy = build_strategy(spec.strategy, self._topology)
-        if network is not None:
-            graph = self._topology.graph
-            same_nodes = network.graph.node_set == graph.node_set
-            # Node ids alone are not identity: ring:16 and complete:16 share
-            # {0..15} but route completely differently.
-            same_edges = same_nodes and (
-                {frozenset(edge) for edge in network.graph.edges}
-                == {frozenset(edge) for edge in graph.edges}
+        # Node ids alone are not identity: ring:16 and complete:16 share
+        # {0..15} but route completely differently.
+        if network is not None and not network.graph.same_edges(
+            self._topology.graph
+        ):
+            raise ValueError(
+                f"shared network (n={network.size}) does not match "
+                f"topology {spec.topology!r}"
             )
-            if not same_edges:
-                raise ValueError(
-                    f"shared network (n={network.size}) does not match "
-                    f"topology {spec.topology!r}"
-                )
         self._shared_network = network
         # A canonical node order gives every node a stable integer index;
         # traces store indices, never raw (possibly tuple-valued) node ids.

@@ -506,3 +506,42 @@ class TestOnePostingWriter:
         ]
         assert not (self.SRC / "network/node.py").exists()
         assert not hasattr(Network, "node") and not hasattr(Network, "nodes")
+
+
+class TestOneRoutingStructure:
+    """A fault revision is a mask over the network's static routing table,
+    pinned at the AST: nothing in ``src/repro/network/`` copies the graph
+    with ``surviving_graph(...)`` but ``faults.py`` (which defines it for
+    analysis and as the mask's reference) and the no-planner delivery
+    functions of ``broadcast.py`` (the reference the planner is compared
+    against)."""
+
+    SRC = Path(repro.__file__).parent / "network"
+    ALLOWED = {
+        "faults.py": None,  # anywhere
+        "broadcast.py": {"_effective_graph", "unicast"},
+    }
+
+    def test_only_the_references_copy_the_surviving_graph(self):
+        offenders = []
+        for path in sorted(self.SRC.rglob("*.py")):
+            module = path.relative_to(self.SRC).as_posix()
+            allowed = self.ALLOWED.get(module, set())
+            if allowed is None:
+                continue
+            tree = ast.parse(path.read_text("utf-8"))
+            excused = {
+                id(node)
+                for function in ast.walk(tree)
+                if isinstance(function, ast.FunctionDef)
+                and function.name in allowed
+                for node in ast.walk(function)
+            }
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call) or id(node) in excused:
+                    continue
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == \
+                        "surviving_graph":
+                    offenders.append(f"{module}:{node.lineno}")
+        assert offenders == []

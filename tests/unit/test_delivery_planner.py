@@ -36,15 +36,23 @@ def grid_network():
 
 
 def _count_routing_table_builds(monkeypatch):
-    """Instrument RoutingTable construction; returns the counter list."""
-    built = []
-    original = RoutingTable.__init__
+    """Every RoutingTable made from now on, by its constructor or as a
+    fault mask (``RoutingTable.masked``, however it builds the table):
+    distinct objects, keyed by ``id`` and kept alive."""
+    built = {}
+    init, masked = RoutingTable.__init__, RoutingTable.masked
 
     def counting_init(self, graph):
-        built.append(graph)
-        original(self, graph)
+        init(self, graph)
+        built[id(self)] = self
+
+    def counting_masked(self, *args):
+        table = masked(self, *args)
+        built[id(table)] = table
+        return table
 
     monkeypatch.setattr(RoutingTable, "__init__", counting_init)
+    monkeypatch.setattr(RoutingTable, "masked", counting_masked)
     return built
 
 
@@ -117,6 +125,8 @@ class TestUnicastUnderFaults:
         for _ in range(50):
             net.deliver((0, 0), frozenset({(4, 4)}), POST, mode="unicast")
         assert len(built) == 2
+        assert net.planner.routing_table() is net.routing
+        assert net.routing not in built.values()
 
     def test_unicast_traffic_hits_plan_cache(self, grid_network):
         """Repeated posts/queries with the same target set are O(1): one
@@ -168,6 +178,22 @@ class TestPlannerCaches:
         for _ in range(5):
             net.planner.routing_table()
         assert net.stats.plan_events[ROUTE_MISS] == 1
+
+    def test_a_tree_made_first_leaves_the_revision_its_route_miss(
+        self, grid_network
+    ):
+        """A multicast tree is a row of the revision's surviving table, so
+        the table may exist before anyone asks for it; the first ask is
+        still the revision's one ``route_miss``."""
+        net = grid_network
+        net.crash_node((2, 2))
+        tree = net.planner.spanning_tree((0, 0))
+        table = net.planner.routing_table()
+        assert net.planner.routing_table() is table
+        assert table.spanning_tree((0, 0)) is tree
+        assert net.stats.plan_events == {
+            TREE_MISS: 1, ROUTE_MISS: 1, ROUTE_HIT: 1,
+        }
 
     def test_ideal_plans_track_liveness(self, grid_network):
         net = grid_network

@@ -1,9 +1,12 @@
 """Unit tests for repro.network.graph."""
 
+import random
+
 import pytest
 
 from repro.core.exceptions import DisconnectedGraphError, UnknownNodeError
 from repro.network.graph import Graph, complete_graph
+from repro.workload import build_topology
 
 
 class TestConstruction:
@@ -181,3 +184,39 @@ class TestCompleteGraph:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             complete_graph(-1)
+
+
+def _frozenset_dedup_edges(graph):
+    """``Graph.edges`` as it was: one frozenset per adjacency entry."""
+    seen, result = set(), []
+    for u in graph.nodes:
+        for v in graph._adjacency[u]:
+            if frozenset((u, v)) not in seen:
+                seen.add(frozenset((u, v)))
+                result.append((u, v))
+    return result
+
+
+class TestEdgesOrder:
+    """The flap and partition builders sort ``edges`` by ``repr``, so the
+    orientation of each pair is part of its contract, not only the set."""
+
+    @pytest.mark.parametrize(
+        "name", ["manhattan:6", "hypercube:5", "ccc:3", "tree:2x4", "ring:12"]
+    )
+    def test_edges_equal_the_frozenset_dedup_list_in_any_build_order(
+        self, name
+    ):
+        source = build_topology(name).graph
+        rng = random.Random(name)
+        for _ in range(4):
+            nodes = source.nodes
+            rng.shuffle(nodes)
+            links = [
+                (u, v) if rng.random() < 0.5 else (v, u)
+                for u, v in source.edges
+            ]
+            rng.shuffle(links)
+            graph = Graph(nodes=nodes[: len(nodes) // 2], edges=links)
+            assert graph.edges == _frozenset_dedup_edges(graph)
+            assert graph.same_edges(source)

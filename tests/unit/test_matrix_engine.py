@@ -8,6 +8,7 @@ fresh networks, and a recorded matrix cell replays to the exact same
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -176,6 +177,20 @@ class TestSharedNetworks:
         ring = build_topology("ring:16").build_network()
         with pytest.raises(ValueError, match="does not match"):
             WorkloadDriver(spec, network=ring)
+
+    def test_a_used_then_reset_network_of_the_topology_is_accepted(self):
+        spec = replace(BASE, topology="ring:16", faults=REGIMES[2])
+        shared = build_topology("ring:16").build_network()
+        WorkloadDriver(spec, network=shared).run()
+        shared.reset_for_reuse()
+        rerun = WorkloadDriver(spec, network=shared).run()
+        assert rerun.to_dict() == run_scenario(spec).to_dict()
+        complete = build_topology("complete:16").build_network()
+        with pytest.raises(ValueError) as raised:
+            WorkloadDriver(spec, network=complete)
+        assert str(raised.value) == (
+            "shared network (n=16) does not match topology 'ring:16'"
+        )
 
     def test_reset_for_reuse_restores_pristine_state(self):
         network = Network(ManhattanTopology.square(3).graph,

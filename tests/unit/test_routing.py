@@ -13,6 +13,7 @@ from repro.network.routing import (
     path_cost,
     route_cost,
 )
+from repro.network.simulator import Network
 from repro.workload import build_topology
 
 
@@ -309,3 +310,122 @@ class TestDistanceFromEitherRow:
         assert built == []
         assert table.distance((5, 5), (3, 3)) == 4  # neither row exists
         assert built == [(5, 5)]
+
+
+def _fault_plans(graph, seed):
+    """Seeded crash and link-failure sets over ``graph``: mixed, crashes
+    only, links only, and a partition — every link around a BFS region
+    cut, one node inside it crashed."""
+    rng = random.Random(seed)
+    nodes = sorted(graph.nodes, key=repr)
+    edges = sorted(graph.edges, key=repr)
+    plans = []
+    for crashes, cuts in ((2, 4), (3, 0), (0, 6)):
+        plan = FaultPlan()
+        for node in rng.sample(nodes, crashes):
+            plan.crash_node(node)
+        for u, v in rng.sample(edges, cuts):
+            plan.fail_link(u, v)
+        plans.append(plan)
+    region = set(graph.bfs_order(rng.choice(nodes))[: len(nodes) // 3])
+    partition = FaultPlan()
+    for u, v in edges:
+        if (u in region) != (v in region):
+            partition.fail_link(u, v)
+    partition.crash_node(sorted(region, key=repr)[-1])
+    plans.append(partition)
+    return plans
+
+
+def _outcome(call, *args):
+    """A call's value, or its error as ``(type, args)``."""
+    try:
+        return call(*args)
+    except (NoRouteError, UnknownNodeError) as error:
+        return type(error), error.args
+
+
+class TestSurvivingMask:
+    """The planner's surviving table is a mask over the static table, not
+    a table over a copied graph.  Every answer — rows in insertion order,
+    next hops, paths, distances, errors and multicast trees — must be the
+    one a table over ``surviving_graph`` gives, and the rows must be the
+    surviving graph's own BFS trees."""
+
+    TOPOLOGIES = (
+        "manhattan:6", "hypercube:5", "complete:16", "ccc:3", "tree:2x4",
+        "projective:3",
+    )
+
+    @pytest.mark.parametrize("name", TOPOLOGIES)
+    def test_mask_answers_as_a_table_over_the_surviving_graph(self, name):
+        graph = build_topology(name).graph
+        for plan in _fault_plans(graph, name):
+            net = Network(graph, delivery_mode="unicast")
+            for node in plan.crashed_nodes:
+                net.crash_node(node)
+            for u, v in plan.failed_links:
+                net.fail_link(u, v)
+            masked = net.planner.routing_table()
+            survivors = surviving_graph(graph, plan)
+            reference = RoutingTable(survivors)
+            ends = list(graph.nodes) + ["nowhere"]
+            for source in ends:
+                known = source in survivors
+                if known:
+                    tree = survivors.spanning_tree(source)
+                    hops, distance = _reference_tables(survivors, source)
+                    row = masked.distance_map(source)
+                    assert dict(row) == distance
+                    assert list(row) == list(tree) == list(distance)
+                    assert list(masked.spanning_tree(source).items()) == \
+                        list(tree.items())
+                    assert net.planner.spanning_tree(source) == tree
+                else:
+                    assert _outcome(masked.distance_map, source) == \
+                        _outcome(reference.distance_map, source)
+                    if source in graph:
+                        assert net.planner.spanning_tree(source) == {}
+                for destination in ends:
+                    for method in ("next_hop", "shortest_path", "distance"):
+                        assert _outcome(
+                            getattr(masked, method), source, destination
+                        ) == _outcome(
+                            getattr(reference, method), source, destination
+                        ), (method, source, destination)
+                    if known and destination in hops:
+                        assert masked.next_hop(source, destination) == \
+                            hops[destination]
+
+    def test_the_partition_leaves_unreachable_pairs(self):
+        graph = build_topology("manhattan:6").graph
+        partition = _fault_plans(graph, "manhattan:6")[-1]
+        table = RoutingTable(graph).masked(
+            partition.crashed_nodes, partition.failed_links
+        )
+        survivors = surviving_graph(graph, partition)
+        assert not survivors.is_connected()
+        cut = [
+            (a, b) for a in survivors for b in survivors
+            if not table.has_route(a, b)
+        ]
+        assert cut and all(
+            _outcome(table.distance, a, b)
+            == (NoRouteError, NoRouteError(a, b).args)
+            for a, b in cut
+        )
+
+    def test_a_mask_is_a_snapshot_and_leaves_the_static_table_alone(self):
+        graph = build_topology("manhattan:6").graph
+        static = RoutingTable(graph)
+        before = dict(static.distance_map((0, 0)))
+        plan = FaultPlan()
+        plan.crash_node((0, 1))
+        plan.fail_link((0, 0), (1, 0))
+        masked = static.masked(plan.crashed_nodes, plan.failed_links)
+        plan.clear()  # later revisions do not reach into the mask
+        assert not masked.has_route((0, 0), (5, 5))
+        assert _outcome(masked.distance, (0, 1), (0, 0)) == \
+            (UnknownNodeError, UnknownNodeError((0, 1)).args)
+        assert dict(static.distance_map((0, 0))) == before
+        assert static.distance((0, 0), (0, 1)) == 1

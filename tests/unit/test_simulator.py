@@ -259,3 +259,34 @@ class TestFaultsAndPayload:
         complete_net.post(0, port, targets=[1])
         complete_net.reset_stats()
         assert complete_net.stats.total_hops == 0
+
+
+class TestLinkValidation:
+    """``restore_link`` checks its link the way ``fail_link`` does, before
+    the fault revision — which keys every planner cache — moves."""
+
+    @pytest.fixture
+    def net(self):
+        return Network(ManhattanTopology.square(4).graph, delivery_mode="unicast")
+
+    @pytest.mark.parametrize(
+        "link", [((0, 0), (3, 3)), ("nope", 42)], ids=["non-edge", "unknown"]
+    )
+    @pytest.mark.parametrize("action", ["fail_link", "restore_link"])
+    def test_a_link_that_is_not_an_edge_raises_and_moves_nothing(
+        self, net, action, link
+    ):
+        with pytest.raises(UnknownNodeError) as raised:
+            getattr(net, action)(*link)
+        assert raised.value.args == UnknownNodeError(link).args
+        assert net.faults.revision == net.planner.revision == 0
+        assert not net.faults.failed_links
+
+    def test_restoring_a_failed_edge_moves_the_revision(self, net):
+        net.fail_link((0, 0), (0, 1))
+        net.planner.routing_table()
+        assert net.planner.revision == 1
+        net.restore_link((0, 1), (0, 0))
+        assert not net.faults.failed_links
+        net.planner.routing_table()
+        assert net.planner.revision == 2
