@@ -14,6 +14,10 @@ The per-regime slice is the paper's robustness story in one table:
 availability degrades as the fault regime sharpens, and degrades least for
 the strategies that spread rendezvous widely.
 
+The sweep then runs twice more through one ``WarmPool``: once warm, and
+once after ``pool.invalidate()`` has made every worker rebuild its networks
+from scratch.  Both must reproduce the printed report's digest.
+
 Run with::
 
     PYTHONPATH=src python examples/matrix_sweep.py            # one worker/CPU
@@ -23,7 +27,7 @@ Run with::
 import argparse
 
 from repro.analysis import render_matrix_report
-from repro.exec import ProgressReporter
+from repro.exec import ProgressReporter, WarmPool
 from repro.workload import (
     ArrivalSpec,
     FaultRegimeSpec,
@@ -71,6 +75,12 @@ def main() -> None:
         sweep_matrix(), workers=args.workers, progress=ProgressReporter()
     )
     print(render_matrix_report(report))
+
+    with WarmPool(workers=args.workers) as pool:
+        warm, _ = run_matrix(sweep_matrix(), pool=pool)
+        pool.invalidate()
+        rebuilt, _ = run_matrix(sweep_matrix(), pool=pool)
+    assert warm.digest() == rebuilt.digest() == report.digest()
 
 
 if __name__ == "__main__":

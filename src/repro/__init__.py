@@ -31,10 +31,8 @@ from .core import (
     MatchMakingStrategy,
     MatchResult,
     Port,
-    PortFactory,
     PostRecord,
     RendezvousMatrix,
-    ServiceNotFoundError,
     StrategyError,
     bounds,
     probabilistic,
@@ -124,7 +122,6 @@ __all__ = [
     "Network",
     "PopularitySpec",
     "Port",
-    "PortFactory",
     "PostRecord",
     "ProjectivePlaneStrategy",
     "ProjectivePlaneTopology",
@@ -134,7 +131,6 @@ __all__ = [
     "ScopedHashStrategy",
     "ServerProcess",
     "Service",
-    "ServiceNotFoundError",
     "StarTopology",
     "StrategyError",
     "SubgraphDecompositionStrategy",

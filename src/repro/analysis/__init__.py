@@ -14,15 +14,13 @@ from .comparison import (
     sample_pairs,
 )
 from .experiment import (
-    fit_logarithmic,
     fit_power_law,
     format_table,
     render_matrix_report,
-    geometric_sizes,
     relative_error,
 )
 from .matrix_stats import MatrixSummary, summarize, summary_as_dict
-from .tradeoff import WeightedSplit, balanced_cost, coverage_curve, optimal_split, sweep_ratios
+from .tradeoff import WeightedSplit, balanced_cost, optimal_split
 from .tree_models import (
     DepthObservation,
     depth_halving_ratio,
@@ -37,7 +35,6 @@ from .uucp import (
     PAPER_TOTAL_EDGES,
     PAPER_TOTAL_SITES,
     DegreeProfile,
-    format_degree_table,
     graph_profile,
     paper_profile,
     profile_from_histogram,
@@ -59,14 +56,10 @@ __all__ = [
     "balanced_cost",
     "compare_strategies",
     "comparison_table",
-    "coverage_curve",
     "depth_halving_ratio",
-    "fit_logarithmic",
     "fit_power_law",
-    "format_degree_table",
     "format_table",
     "render_matrix_report",
-    "geometric_sizes",
     "graph_profile",
     "measure_strategy",
     "observe_exponential_trees",
@@ -79,5 +72,4 @@ __all__ = [
     "shape_similarity",
     "summarize",
     "summary_as_dict",
-    "sweep_ratios",
 ]

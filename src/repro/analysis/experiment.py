@@ -9,7 +9,7 @@ used to check asymptotic claims (e.g. that measured cost grows like
 from __future__ import annotations
 
 import math
-from typing import List, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 
 def format_table(rows: Sequence[Mapping[str, object]], title: str = "") -> str:
@@ -85,50 +85,9 @@ def fit_power_law(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
     return a, b
 
 
-def fit_logarithmic(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
-    """Least-squares fit ``y = a + b·log2(x)``; returns ``(a, b)``.
-
-    Used for the hierarchical / tree strategies whose cost should grow
-    logarithmically in ``n``.
-    """
-    filtered = [(x, y) for x, y in points if x > 0]
-    if len(filtered) < 2:
-        raise ValueError("need at least two points with positive x to fit")
-    transformed = [(math.log2(x), y) for x, y in filtered]
-    mean_x = sum(tx for tx, _ in transformed) / len(transformed)
-    mean_y = sum(ty for _, ty in transformed) / len(transformed)
-    numerator = sum((tx - mean_x) * (ty - mean_y) for tx, ty in transformed)
-    denominator = sum((tx - mean_x) ** 2 for tx, _ in transformed)
-    if denominator == 0:
-        raise ValueError("all x values are identical")
-    b = numerator / denominator
-    a = mean_y - b * mean_x
-    return a, b
-
-
 def relative_error(measured: float, expected: float) -> float:
     """``|measured − expected| / |expected|`` (``inf`` when expected is
     0)."""
     if expected == 0:
         return float("inf") if measured != 0 else 0.0
     return abs(measured - expected) / abs(expected)
-
-
-def geometric_sizes(start: int, stop: int, factor: float = 2.0) -> List[int]:
-    """Geometrically spaced integer sizes in ``[start, stop]`` (inclusive-ish).
-
-    Handy for scaling sweeps: ``geometric_sizes(16, 1024)`` gives
-    ``[16, 32, 64, ..., 1024]``.
-    """
-    if start <= 0 or stop < start:
-        raise ValueError("need 0 < start <= stop")
-    if factor <= 1.0:
-        raise ValueError("factor must exceed 1")
-    sizes = []
-    value = float(start)
-    while value <= stop:
-        size = int(round(value))
-        if not sizes or size != sizes[-1]:
-            sizes.append(size)
-        value *= factor
-    return sizes

@@ -9,7 +9,6 @@ experiments print.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -41,12 +40,6 @@ class MatrixSummary:
         if self.lower_bound == 0:
             return float("inf")
         return self.average_cost / self.lower_bound
-
-    @property
-    def normalized_cost(self) -> float:
-        """Average cost divided by ``2·sqrt(n)`` (1.0 = truly-distributed
-        optimum)."""
-        return self.average_cost / (2.0 * math.sqrt(self.n))
 
 
 def summarize(matrix: RendezvousMatrix, name: Optional[str] = None) -> MatrixSummary:

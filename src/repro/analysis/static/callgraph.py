@@ -279,9 +279,6 @@ class ProjectIndex:
     def callees(self, qualname: str) -> FrozenSet[str]:
         return frozenset(self._edges.get(qualname, ()))
 
-    def callers(self, qualname: str) -> FrozenSet[str]:
-        return frozenset(self._reverse.get(qualname, ()))
-
     def _closure(
         self, seeds: Set[str], edges: Dict[str, Set[str]]
     ) -> Set[str]:

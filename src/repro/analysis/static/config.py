@@ -9,8 +9,8 @@ rules themselves stay generic AST machinery.  Tests inject a custom
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Mapping
+from dataclasses import dataclass
+from typing import FrozenSet
 
 
 def _fs(*names: str) -> FrozenSet[str]:
@@ -134,9 +134,6 @@ class AnalysisConfig:
 
     #: Rule ids disabled wholesale (handy for tests and scoped runs).
     disabled_rules: FrozenSet[str] = frozenset()
-
-    #: Extra per-rule options reserved for forward compatibility.
-    options: Mapping[str, object] = field(default_factory=dict)
 
     def zone_allows_wall_clock(self, module: str) -> bool:
         """Whether ``module`` is inside a declared wall-clock zone."""

@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-from ..core.bounds import tradeoff_curve
 
 
 @dataclass(frozen=True)
@@ -59,22 +56,8 @@ def optimal_split(n: int, ratio: float = 1.0) -> WeightedSplit:
     return WeightedSplit(ratio=ratio, post_size=p, query_size=q)
 
 
-def sweep_ratios(n: int, ratios: Sequence[float]) -> List[WeightedSplit]:
-    """The optimal split for each frequency ratio."""
-    return [optimal_split(n, ratio) for ratio in ratios]
-
-
 def balanced_cost(n: int) -> float:
     """The balanced optimum ``2·sqrt(n)``."""
     if n <= 0:
         raise ValueError("n must be positive")
     return 2.0 * math.sqrt(n)
-
-
-def coverage_curve(n: int, points: int = 20) -> List[Tuple[int, int, int]]:
-    """The ``(p, q, p+q)`` samples of the coverage constraint ``p·q ≥ n``.
-
-    Re-exported from :mod:`repro.core.bounds` for convenience of the
-    experiment scripts.
-    """
-    return tradeoff_curve(n, points)

@@ -158,12 +158,3 @@ def shape_similarity(
             - math.log10(max(reference.max_degree, 1))
         ),
     }
-
-
-def format_degree_table(histogram: Mapping[int, int]) -> str:
-    """Render a histogram as the two-column "#sites degree" table of the
-    paper."""
-    lines = ["#sites  degree"]
-    for degree in sorted(histogram):
-        lines.append(f"{histogram[degree]:>6}  {degree}")
-    return "\n".join(lines)

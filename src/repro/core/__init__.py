@@ -19,7 +19,6 @@ from .exceptions import (
     NodeDownError,
     ProcessLifecycleError,
     ServiceError,
-    ServiceNotFoundError,
     StrategyError,
     TopologyError,
     UnknownNodeError,
@@ -31,9 +30,7 @@ from .types import (
     Address,
     MatchResult,
     Port,
-    PortFactory,
     PostRecord,
-    as_node_set,
 )
 
 __all__ = [
@@ -47,17 +44,14 @@ __all__ = [
     "NoRouteError",
     "NodeDownError",
     "Port",
-    "PortFactory",
     "PostRecord",
     "ProcessLifecycleError",
     "RendezvousMatrix",
     "ServerRegistration",
     "ServiceError",
-    "ServiceNotFoundError",
     "StrategyError",
     "TopologyError",
     "UnknownNodeError",
-    "as_node_set",
     "bounds",
     "probabilistic",
     "robustness",

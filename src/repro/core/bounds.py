@@ -24,7 +24,6 @@ import math
 from typing import Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 from .rendezvous import RendezvousMatrix
-from .strategy import FunctionalStrategy
 
 
 # ---------------------------------------------------------------------------
@@ -54,18 +53,6 @@ def proposition2_bound(multiplicities: Iterable[int], n: int) -> float:
     if n <= 0:
         raise ValueError("n must be positive")
     return (2.0 / n) * sum_sqrt_multiplicities(multiplicities)
-
-
-def truly_distributed_bound(n: int) -> float:
-    """Corollary for ``k_i = n`` for all ``i``: ``m(n) ≥ 2·sqrt(n)``."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return 2.0 * math.sqrt(n)
-
-
-def centralized_bound() -> float:
-    """Corollary for a single central rendezvous node: ``m(n) ≥ 2``."""
-    return 2.0
 
 
 def average_product_bound(multiplicities: Iterable[int], n: int) -> float:
@@ -143,29 +130,6 @@ def checkerboard_matrix(nodes: Sequence[Hashable]) -> RendezvousMatrix:
     )
 
 
-def checkerboard_strategy(nodes: Sequence[Hashable]) -> FunctionalStrategy:
-    """A :class:`FunctionalStrategy` whose matrix is the checkerboard.
-
-    ``P(i)`` is the set of block representatives of row ``i`` (one per block
-    column) and ``Q(j)`` the representatives of column ``j`` (one per block
-    row); their intersection is the representative of the block containing
-    ``(i, j)``.
-    """
-    nodes = list(nodes)
-    grid = checkerboard_grid(nodes)
-    index = {node: position for position, node in enumerate(nodes)}
-
-    def post(node: Hashable):
-        i = index[node]
-        return frozenset(grid[i][j] for j in range(len(nodes)))
-
-    def query(node: Hashable):
-        j = index[node]
-        return frozenset(grid[i][j] for i in range(len(nodes)))
-
-    return FunctionalStrategy(post, query, name="checkerboard", universe=nodes)
-
-
 def lift_grid(
     grid: Sequence[Sequence[Hashable]],
     node_copies: Mapping[Hashable, Sequence[Hashable]],
@@ -229,21 +193,3 @@ def lift_matrix(matrix: RendezvousMatrix) -> RendezvousMatrix:
     return RendezvousMatrix.from_singleton_grid(
         lifted_grid, nodes=row_nodes, strategy_name=f"lift({matrix.strategy_name})"
     )
-
-
-def tradeoff_curve(n: int, points: int = 20) -> List[Tuple[int, int, int]]:
-    """Sample the ``#P · #Q ≥ n`` trade-off curve.
-
-    Returns tuples ``(p, q, p + q)`` where ``q`` is the least integer with
-    ``p·q ≥ n``; the minimum of ``p + q`` over the curve is ``≈ 2·sqrt(n)``,
-    illustrating the post/query trade-off of section 2.3.2.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    samples: List[Tuple[int, int, int]] = []
-    step = max(1, n // points)
-    values = sorted(set(list(range(1, n + 1, step)) + [int(round(math.sqrt(n))), n]))
-    for p in values:
-        q = math.ceil(n / p)
-        samples.append((p, q, p + q))
-    return samples

@@ -59,14 +59,6 @@ class ServiceError(MatchMakingError):
     """Base class for errors in the service/process model."""
 
 
-class ServiceNotFoundError(ServiceError):
-    """A locate operation failed to find any server for a port."""
-
-    def __init__(self, port: object) -> None:
-        super().__init__(f"no server found for {port}")
-        self.port = port
-
-
 class ProcessLifecycleError(ServiceError):
     """A process was used in a way inconsistent with its lifecycle state
     (e.g. sending a request from a dead client)."""

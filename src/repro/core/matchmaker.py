@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from ..network.simulator import Network
 from ..obs.spans import active_tracer
-from .exceptions import ServiceNotFoundError
 from .strategy import MatchMakingStrategy
-from .types import Address, MatchResult, Port
+from .types import MatchResult, Port
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,6 @@ class MatchMaker:
         self._network = network
         self._strategy = strategy
         self._mode = delivery_mode
-        self._registrations: Dict[str, ServerRegistration] = {}
         self._server_counter = itertools.count()
         self._memoize = getattr(strategy, "deterministic", True)
         self._post_cache: Dict[Tuple[Hashable, Optional[Port]], frozenset] = {}
@@ -87,11 +85,6 @@ class MatchMaker:
     def strategy(self) -> MatchMakingStrategy:
         """The strategy in use."""
         return self._strategy
-
-    @property
-    def registrations(self) -> List[ServerRegistration]:
-        """All currently registered servers."""
-        return list(self._registrations.values())
 
     # -- memoized P/Q ----------------------------------------------------------
 
@@ -129,11 +122,6 @@ class MatchMaker:
             "entries": len(self._post_cache) + len(self._query_cache),
         }
 
-    def clear_pq_cache(self) -> None:
-        """Drop all memoized P/Q sets (e.g. after swapping strategy state)."""
-        self._post_cache.clear()
-        self._query_cache.clear()
-
     # -- server side -----------------------------------------------------------
 
     def register_server(
@@ -150,15 +138,13 @@ class MatchMaker:
         outcome = self._network.post(
             node, port, targets, server_id=server_id, mode=self._mode
         )
-        registration = ServerRegistration(
+        return ServerRegistration(
             server_id=server_id,
             port=port,
             node=node,
             posted_at=tuple(sorted(outcome.reached, key=repr)),
             post_hops=outcome.hops,
         )
-        self._registrations[server_id] = registration
-        return registration
 
     def deregister_server(self, registration: ServerRegistration) -> None:
         """Withdraw a server's postings (the server stops offering the
@@ -179,7 +165,6 @@ class MatchMaker:
                 server_id=registration.server_id,
                 mode=self._mode,
             )
-        self._registrations.pop(registration.server_id, None)
 
     def migrate_server(
         self, registration: ServerRegistration, new_node: Hashable
@@ -236,14 +221,6 @@ class MatchMaker:
             0, outcome.query_hops, outcome.reply_hops,  # post/query/reply hops
             0, len(targets),  # nodes posted / queried
         )
-
-    def locate_or_raise(self, client_node: Hashable, port: Port) -> Address:
-        """Like :meth:`locate` but raise :class:`ServiceNotFoundError` on
-        failure."""
-        result = self.locate(client_node, port)
-        if not result.found:
-            raise ServiceNotFoundError(port)
-        return result.address  # type: ignore[return-value]
 
     # -- whole match-making instances ----------------------------------------------
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence, Tuple
 
 
 def expected_intersection(p: int, q: int, n: int) -> float:
@@ -56,18 +55,6 @@ class MonteCarloResult:
     expected_intersection: float
     predicted_hit_probability: float
 
-    @property
-    def intersection_error(self) -> float:
-        """Absolute difference between measured and predicted mean
-        intersection."""
-        return abs(self.mean_intersection - self.expected_intersection)
-
-    @property
-    def hit_error(self) -> float:
-        """Absolute difference between measured and predicted hit
-        probability."""
-        return abs(self.hit_fraction - self.predicted_hit_probability)
-
 
 def monte_carlo(
     p: int, q: int, n: int, trials: int, rng: random.Random
@@ -93,35 +80,6 @@ def monte_carlo(
         expected_intersection=expected_intersection(p, q, n),
         predicted_hit_probability=match_probability(p, q, n),
     )
-
-
-def balanced_split(n: int) -> Tuple[int, int]:
-    """The cheapest (p, q) with ``p·q ≥ n`` and ``p + q`` minimal.
-
-    Both are ``ceil(sqrt(n))`` possibly with the second reduced while the
-    product still covers ``n``.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    p = math.ceil(math.sqrt(n))
-    q = math.ceil(n / p)
-    return p, q
-
-
-def sweep_expected_intersection(
-    n: int, sums: Sequence[int]
-) -> Sequence[Tuple[int, int, float]]:
-    """For each total budget ``s`` in ``sums``, split it evenly into
-    ``p + q = s`` and report ``(p, q, E|P∩Q|)``.
-
-    Shows the crossing of the ``E = 1`` threshold at ``s = 2·sqrt(n)``.
-    """
-    results = []
-    for s in sums:
-        p = max(1, min(n, s // 2))
-        q = max(1, min(n, s - p))
-        results.append((p, q, expected_intersection(p, q, n)))
-    return results
 
 
 def _validate(p: int, q: int, n: int) -> None:

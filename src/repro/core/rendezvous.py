@@ -178,14 +178,6 @@ class RendezvousMatrix:
                 counts[member] = counts.get(member, 0) + 1
         return counts
 
-    def total_entry_size(self) -> int:
-        """``Σ_i k_i`` — total rendezvous-node occurrences.
-
-        Equals ``n²`` exactly when every entry is a singleton; constraint (M2)
-        requires ``Σ k_i ≥ n²`` for totally successful strategies.
-        """
-        return sum(len(entry) for entry in self._entries.values())
-
     def pair_cost(self, server: Hashable, client: Hashable) -> int:
         """``m(i,j) = #P(i) + #Q(j)``."""
         return len(self._post_sets[server]) + len(self._query_sets[client])
@@ -214,24 +206,6 @@ class RendezvousMatrix:
             for server in self._nodes
             for client in self._nodes
         )
-
-    def weighted_average_cost(
-        self, weights: Mapping[Tuple[Hashable, Hashable], float]
-    ) -> float:
-        """Average of ``#P(i) + a_ij·#Q(j)`` (the paper's (M3') variant).
-
-        ``weights[(i, j)]`` is ``a_ij``, the relative frequency with which a
-        client at ``j`` calls a service at ``i`` compared to the posting
-        frequency; missing pairs default to 1.
-        """
-        total = 0.0
-        for server in self._nodes:
-            for client in self._nodes:
-                a = weights.get((server, client), 1.0)
-                total += len(self._post_sets[server]) + a * len(
-                    self._query_sets[client]
-                )
-        return total / (self.n * self.n)
 
     def average_product(self) -> float:
         """``(1/n²)·ΣΣ #P(i)·#Q(j)`` — the quantity bounded by
@@ -263,61 +237,10 @@ class RendezvousMatrix:
             "unused_nodes": float(unused),
         }
 
-    def verify_m1(self) -> None:
-        """Check constraint (M1): every row's union ⊆ P(i) and every
-        column's union ⊆ Q(j)."""
-        for server in self._nodes:
-            row_union = frozenset().union(
-                *(self.entry(server, client) for client in self._nodes)
-            )
-            if not row_union <= self._post_sets[server]:
-                raise StrategyError(
-                    f"(M1) violated: row union of {server!r} exceeds P({server!r})"
-                )
-        for client in self._nodes:
-            column_union = frozenset().union(
-                *(self.entry(server, client) for server in self._nodes)
-            )
-            if not column_union <= self._query_sets[client]:
-                raise StrategyError(
-                    f"(M1) violated: column union of {client!r} exceeds Q({client!r})"
-                )
-
-    def is_wasteful(self) -> bool:
-        """Whether some posted/queried node is never a rendezvous node for
-        that row/column.
-
-        The paper notes the inclusions of (M1) can be made equalities "to
-        prevent waste in message passes"; a wasteful strategy addresses nodes
-        that can never produce a match for the pair at hand.
-        """
-        for server in self._nodes:
-            row_union = frozenset().union(
-                *(self.entry(server, client) for client in self._nodes)
-            )
-            if row_union != self._post_sets[server]:
-                return True
-        for client in self._nodes:
-            column_union = frozenset().union(
-                *(self.entry(server, client) for server in self._nodes)
-            )
-            if column_union != self._query_sets[client]:
-                return True
-        return False
-
     def min_redundancy(self) -> int:
         """The smallest entry size — ``f+1`` fault tolerance per
         section 2.4."""
         return min(len(entry) for entry in self._entries.values())
-
-    def format_grid(self) -> str:
-        """Render singleton matrices the way the paper prints them."""
-        grid = self.singleton_grid()
-        width = max(len(str(cell)) for row in grid for cell in row)
-        lines = []
-        for row in grid:
-            lines.append(" ".join(str(cell).rjust(width) for cell in row))
-        return "\n".join(lines)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RendezvousMatrix):

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Set
 
 from .rendezvous import RendezvousMatrix
-from .strategy import MatchMakingStrategy
-from .types import Port
 
 
 @dataclass(frozen=True)
@@ -35,11 +33,6 @@ class RobustnessReport:
     max_rendezvous_size: int
     critical_nodes: FrozenSet[Hashable]
     is_distributed: bool
-
-    @property
-    def has_single_point_of_failure(self) -> bool:
-        """Whether a single node crash can break some (or all) pairs."""
-        return self.fault_tolerance == 0
 
 
 def fault_tolerance(matrix: RendezvousMatrix) -> int:
@@ -156,24 +149,6 @@ def surviving_pairs_fraction(
             if pair_survives(matrix, server, client, down):
                 matched += 1
     return matched / total if total else 0.0
-
-
-def strategy_redundancy(
-    strategy: MatchMakingStrategy,
-    nodes: Iterable[Hashable],
-    port: Optional[Port] = None,
-) -> int:
-    """The ``f`` such that every pair of ``nodes`` has ``≥ f+1`` rendezvous
-    nodes."""
-    nodes = list(nodes)
-    smallest = None
-    for server in nodes:
-        for client in nodes:
-            size = len(strategy.rendezvous_set(server, client, port))
-            smallest = size if smallest is None else min(smallest, size)
-    if smallest is None:
-        return 0
-    return max(smallest - 1, 0)
 
 
 def redundancy_price(matrix: RendezvousMatrix) -> Dict[str, float]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import abc
 from typing import Callable, FrozenSet, Hashable, Iterable, Optional
 
-from .exceptions import StrategyError
 from .types import Port
 
 
@@ -86,45 +85,6 @@ class MatchMakingStrategy(abc.ABC):
     ) -> int:
         """The paper's ``m(i, j) = #P(i) + #Q(j)`` (equation M3)."""
         return self.post_cost(server_node, port) + self.query_cost(client_node, port)
-
-    def guarantees_match(
-        self,
-        server_node: Hashable,
-        client_node: Hashable,
-        port: Optional[Port] = None,
-    ) -> bool:
-        """Whether the pair is guaranteed a rendezvous (non-empty
-        intersection)."""
-        return bool(self.rendezvous_set(server_node, client_node, port))
-
-    def validate(
-        self, nodes: Iterable[Hashable], port: Optional[Port] = None
-    ) -> None:
-        """Check the strategy is total and deterministic over ``nodes``.
-
-        Raises :class:`StrategyError` when any pair of nodes has an empty
-        rendezvous set, i.e. when a client at some node could never find a
-        server at some other node.
-        """
-        nodes = list(nodes)
-        node_set = set(nodes)
-        for node in nodes:
-            # Sorted so the *first* out-of-universe member reported (and
-            # thus the error text) is the same on every run and hash seed.
-            members = self.post_set(node, port) | self.query_set(node, port)
-            for member in sorted(members, key=repr):
-                if member not in node_set:
-                    raise StrategyError(
-                        f"{self.name}: P/Q of {node!r} addresses {member!r}, "
-                        f"which is outside the universe"
-                    )
-        for server in nodes:
-            for client in nodes:
-                if not self.guarantees_match(server, client, port):
-                    raise StrategyError(
-                        f"{self.name}: no rendezvous node for server at "
-                        f"{server!r} and client at {client!r}"
-                    )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

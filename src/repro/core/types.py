@@ -6,9 +6,11 @@ on; services are addressed by *ports* which carry no location information
 (paper, section 1.3).  Match-making associates a port with the address of a
 server process currently offering it.
 
-The types in this module are deliberately small and immutable: node
-identifiers, ports, addresses, and the ``(port, address)`` records that servers
-post at rendezvous nodes.
+The types in this module are deliberately small and immutable: ports,
+addresses, and the ``(port, address)`` records that servers post at
+rendezvous nodes.  A node identifier is any hashable value: plain integers
+(complete graphs, rings), tuples of coordinates (meshes, cube-connected
+cycles) or strings of bits (hypercubes).
 
 Two things here sit on the request path and are shaped by it.
 :class:`MatchResult` is built once per locate, so it is a
@@ -21,17 +23,8 @@ results alike.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, NamedTuple, Optional, Tuple
-
-#: A node identifier.  Topology generators may use plain integers (complete
-#: graphs, rings), tuples of coordinates (meshes, cube-connected cycles) or
-#: strings of bits (hypercubes); anything hashable and orderable works.
-NodeId = object
-
-#: Set-of-nodes type alias used in strategy signatures ``P, Q: U -> 2^U``.
-NodeSet = FrozenSet
 
 
 @dataclass(frozen=True, order=True)
@@ -111,8 +104,9 @@ def freshest(records: Iterable[PostRecord]) -> Optional[PostRecord]:
 
     ``max(records, key=freshness_key)`` — on a full tie the first record
     met wins — without building a key per record: a lone record is
-    returned as it is, and ``repr`` is only taken when two timestamps are
-    equal.
+    returned as it is, and ``repr`` is only taken when two distinct records
+    have equal timestamps (one posting answered by several rendezvous
+    nodes is one record object, met again).
     """
     best = None
     for record in records:
@@ -120,32 +114,11 @@ def freshest(records: Iterable[PostRecord]) -> Optional[PostRecord]:
             best = record
         elif record.timestamp > best.timestamp or (
             record.timestamp == best.timestamp
+            and record is not best
             and repr(record.address) > repr(best.address)
         ):
             best = record
     return best
-
-
-class PortFactory:
-    """Deterministic factory of fresh, unique ports.
-
-    Useful in simulations and tests that need many distinct services without
-    caring about their names.
-    """
-
-    def __init__(self, prefix: str = "svc") -> None:
-        self._prefix = prefix
-        self._counter = itertools.count()
-
-    def new_port(self) -> Port:
-        """Create a new unique port."""
-        return Port(f"{self._prefix}-{next(self._counter)}")
-
-    def new_ports(self, count: int) -> Tuple[Port, ...]:
-        """Create ``count`` new unique ports."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return tuple(self.new_port() for _ in range(count))
 
 
 class MatchResult(NamedTuple):
@@ -184,11 +157,6 @@ class MatchResult(NamedTuple):
     nodes_queried: int = 0
 
     @property
-    def total_messages(self) -> int:
-        """All message passes including replies."""
-        return self.post_messages + self.query_messages + self.reply_messages
-
-    @property
     def match_messages(self) -> int:
         """The paper's ``m(i,j)``: post plus query message passes (M3)."""
         return self.post_messages + self.query_messages
@@ -197,8 +165,3 @@ class MatchResult(NamedTuple):
     def addressed_nodes(self) -> int:
         """``#P(i) + #Q(j)``: the complete-network cost (section 2.3.2)."""
         return self.nodes_posted + self.nodes_queried
-
-
-def as_node_set(nodes: Iterable) -> FrozenSet:
-    """Normalise an iterable of node identifiers to a frozen set."""
-    return frozenset(nodes)

@@ -46,7 +46,6 @@ from .runner import run_matrix_parallel
 from .spool import (
     SpoolCursor,
     SpoolError,
-    count_spooled,
     dump_spool_line,
     load_spool,
     shard_spool_path,
@@ -66,7 +65,6 @@ __all__ = [
     "SpoolError",
     "WarmPool",
     "cell_cache_key",
-    "count_spooled",
     "dump_spool_line",
     "load_spool",
     "run_matrix_parallel",

@@ -126,17 +126,6 @@ class ExecutionPlan:
             shards.append(Shard(index=index, cells=flat))
         return cls(matrix, tuple(shards), skipped)
 
-    def describe(self) -> List[Dict[str, object]]:
-        """One row per shard (cells and topologies) for logs and the CLI."""
-        return [
-            {
-                "shard": shard.index,
-                "cells": len(shard),
-                "topologies": list(shard.topologies),
-            }
-            for shard in self.shards
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = [len(shard) for shard in self.shards]
         return f"ExecutionPlan(shards={sizes}, skipped={len(self.skipped)})"

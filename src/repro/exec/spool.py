@@ -106,12 +106,3 @@ class SpoolCursor:
                 self._counts[path] += chunk.count(b"\n", 0, complete)
                 self._offsets[path] += complete
         return sum(self._counts.values())
-
-
-def count_spooled(paths: Iterable) -> int:
-    """Complete records across ``paths``, counted in one shot.
-
-    One-off convenience over :class:`SpoolCursor`; pollers should hold a
-    cursor so repeated counts only read appended bytes.
-    """
-    return SpoolCursor(paths).count()

@@ -10,7 +10,6 @@ injection.
 from .broadcast import DeliveryOutcome, flood, multicast, unicast
 from .cache import PostingStore
 from .delivery import DeliveryPlanner, plan_hit_rates
-from .events import EventLoop
 from .faults import (
     FaultEvent,
     FaultPlan,
@@ -18,8 +17,6 @@ from .faults import (
     correlated_failures,
     crash_recover_waves,
     link_flaps,
-    max_tolerated_faults,
-    random_fault_plan,
     region_partition,
     surviving_graph,
 )
@@ -32,7 +29,7 @@ from .relay import (
     measure_load,
     two_phase_route,
 )
-from .routing import RoutingTable, multicast_tree_cost, route_cost
+from .routing import RoutingTable
 from .simulator import Network, QueryOutcome
 from .stats import CONTROL, PAYLOAD, POST, QUERY, REPLY, MessageStats
 
@@ -40,7 +37,6 @@ __all__ = [
     "CONTROL",
     "DeliveryOutcome",
     "DeliveryPlanner",
-    "EventLoop",
     "FaultEvent",
     "FaultPlan",
     "FaultTimeline",
@@ -64,13 +60,9 @@ __all__ = [
     "flood",
     "link_flaps",
     "measure_load",
-    "max_tolerated_faults",
     "multicast",
-    "multicast_tree_cost",
     "plan_hit_rates",
-    "random_fault_plan",
     "region_partition",
-    "route_cost",
     "surviving_graph",
     "two_phase_route",
     "unicast",

@@ -36,11 +36,6 @@ class DeliveryOutcome:
     hops: int
     unreachable: FrozenSet[Hashable]
 
-    @property
-    def fully_delivered(self) -> bool:
-        """Whether every requested destination was reached."""
-        return not self.unreachable
-
 
 def _effective_graph(graph: Graph, faults: Optional[FaultPlan]) -> Graph:
     if faults is None or faults.fault_count == 0:
@@ -155,15 +150,3 @@ def flood(
     component = effective.connected_component(source)
     unreachable = frozenset(all_nodes - set(component))
     return DeliveryOutcome(frozenset(component), max(len(component) - 1, 0), unreachable)
-
-
-def delivery_cost_lower_bound(destination_count: int) -> int:
-    """Minimum hops to inform ``destination_count`` other nodes.
-
-    Every newly informed node requires at least one message pass, so the cost
-    of addressing ``k`` other nodes is at least ``k``.  This is the bound that
-    makes #P + #Q a lower bound on message passes in complete networks.
-    """
-    if destination_count < 0:
-        raise ValueError("destination_count must be non-negative")
-    return destination_count

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional
 
-from ..core.types import Address, Port, PostRecord, freshest, freshness_key
+from ..core.types import Address, Port, PostRecord, freshest
 
 #: One node's postings for one port, by server (several equivalent servers
 #: of a service may be registered at once — section 1.3).
@@ -51,7 +51,6 @@ class PostingStore:
             node: {} for node in nodes
         }
         self._by_port: Dict[Port, Dict[Hashable, Slice]] = {}
-        self._writes: Dict[Hashable, int] = dict.fromkeys(self._by_node, 0)
 
     # -- mutation ----------------------------------------------------------
 
@@ -61,7 +60,6 @@ class PostingStore:
         port = record.port
         server_id = record.server_id
         by_node = self._by_node
-        writes = self._writes
         for node in nodes:
             cache = by_node[node]
             held = cache.get(port)
@@ -71,7 +69,6 @@ class PostingStore:
             existing = held.get(server_id)
             if existing is None or record.is_newer_than(existing):
                 held[server_id] = record
-            writes[node] += 1
 
     def forget_server(
         self, port: Port, server_id: str, nodes: Iterable[Hashable]
@@ -85,11 +82,6 @@ class PostingStore:
                 held.pop(server_id, None)
                 if not held:
                     self._drop_slice(node, port)
-
-    def forget_port(self, node: Hashable, port: Port) -> None:
-        """Drop all of ``node``'s postings for ``port``."""
-        if port in self._by_node[node]:
-            self._drop_slice(node, port)
 
     def forget_address(self, node: Hashable, address: Address) -> None:
         """Drop every posting at ``node`` that points at ``address``."""
@@ -144,12 +136,6 @@ class PostingStore:
         """``node``'s freshest posting for ``port``, or ``None``."""
         return freshest(self._by_node[node].get(port, _EMPTY).values())
 
-    def lookup_all(self, node: Hashable, port: Port) -> List[PostRecord]:
-        """All of ``node``'s postings for ``port`` (all equivalent servers),
-        freshest first."""
-        held = self._by_node[node].get(port, _EMPTY)
-        return sorted(held.values(), key=freshness_key, reverse=True)
-
     def size(self, node: Hashable) -> int:
         """Number of ``(port, server)`` records ``node`` stores — the
         paper's cache size measure."""
@@ -163,7 +149,3 @@ class PostingStore:
         """Iterate over every record ``node`` stores."""
         for held in self._by_node[node].values():
             yield from held.values()
-
-    def write_count(self, node: Hashable) -> int:
-        """Number of posts ever applied at ``node`` (monitoring aid)."""
-        return self._writes[node]

@@ -144,16 +144,6 @@ class DeliveryPlanner:
         self._trees.clear()
         self._plans.clear()
 
-    def cache_info(self) -> Dict[str, int]:
-        """Sizes of the plan caches (hit/miss counters live on stats)."""
-        if self._faults.revision != self._revision:
-            self.clear_caches()
-        return {
-            "plans": len(self._plans),
-            "trees": len(self._trees),
-            "revision": self._revision,
-        }
-
     # -- shared routing state ------------------------------------------------
 
     def routing_table(self) -> RoutingTable:

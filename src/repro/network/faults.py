@@ -19,7 +19,6 @@ regimes from a graph and a seeded generator.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -109,69 +108,6 @@ def surviving_graph(graph: Graph, plan: FaultPlan) -> Graph:
     return surviving
 
 
-def random_fault_plan(
-    graph: Graph,
-    node_failures: int,
-    rng: random.Random,
-    protected: Iterable[Hashable] = (),
-    rendezvous_size: Optional[int] = None,
-    strict: bool = False,
-    at_time: Optional[float] = None,
-):
-    """Crash ``node_failures`` uniformly random nodes, never the protected
-    ones.
-
-    Used by robustness experiments: crash ``f`` random nodes (excluding the
-    client and server hosts) and check whether the match still succeeds.
-
-    When ``rendezvous_size`` is given, the request is checked against the
-    section-2.4 guarantee: a rendezvous of size ``s`` only tolerates
-    ``s - 1`` crashes (:func:`max_tolerated_faults`).  Asking for more is a
-    mistake in the experiment setup — with ``strict=True`` it raises
-    :class:`ValueError`; by default the count is clamped to the tolerated
-    maximum with a :class:`UserWarning`, so a sweep keeps running but the
-    over-ask is visible.
-
-    By default the crashes are instantaneous state — a :class:`FaultPlan`.
-    Pass ``at_time`` to get the same crash *set* as a scheduled
-    :class:`FaultTimeline` instead (every victim crashes at that virtual
-    time, no recoveries), ready to merge into a timed run's fault program.
-    The victims come from one ``rng.sample`` draw either way, so the same
-    seed fells the same nodes in both shapes.
-    """
-    # The rendezvous clamp runs first: a non-strict over-ask the clamp can
-    # satisfy must keep the sweep running even when the raw count exceeds
-    # the unprotected population.
-    if rendezvous_size is not None:
-        tolerated = max_tolerated_faults(rendezvous_size)
-        if node_failures > tolerated:
-            message = (
-                f"{node_failures} crashes exceed the {tolerated} tolerated by "
-                f"a rendezvous of size {rendezvous_size}"
-            )
-            if strict:
-                raise ValueError(message)
-            warnings.warn(f"{message}; clamping to {tolerated}", UserWarning,
-                          stacklevel=2)
-            node_failures = tolerated
-    protected_set = set(protected)
-    candidates = [node for node in graph.nodes if node not in protected_set]
-    if node_failures > len(candidates):
-        raise ValueError(
-            f"cannot crash {node_failures} nodes; only {len(candidates)} "
-            f"unprotected nodes exist"
-        )
-    struck = rng.sample(candidates, node_failures)
-    if at_time is not None:
-        return FaultTimeline(
-            FaultEvent(at_time, CRASH_NODE, (node,)) for node in struck
-        )
-    plan = FaultPlan()
-    for node in struck:
-        plan.crash_node(node)
-    return plan
-
-
 # ---------------------------------------------------------------------------
 # Fault timelines: scheduled fault programs
 # ---------------------------------------------------------------------------
@@ -243,25 +179,6 @@ class FaultTimeline:
     def merged(self, other: "FaultTimeline") -> "FaultTimeline":
         """A new timeline interleaving this one with ``other`` by time."""
         return FaultTimeline(self._events + other._events)
-
-    def shifted(self, offset: float) -> "FaultTimeline":
-        """A copy with every event moved ``offset`` seconds later.
-
-        Lets a canned fault program (e.g. a :func:`random_fault_plan`
-        rendered with ``at_time``) be replayed at different points of a
-        run's virtual clock without regenerating its random choices.
-        """
-        return FaultTimeline(
-            FaultEvent(event.time + offset, event.kind, event.subject)
-            for event in self._events
-        )
-
-    def event_counts(self) -> Dict[str, int]:
-        """How many events of each kind the timeline holds."""
-        counts: Dict[str, int] = {}
-        for event in self._events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
 
     def horizon(self) -> float:
         """The time of the last scheduled event (0.0 when empty)."""
@@ -415,16 +332,3 @@ def correlated_failures(
             events.append(FaultEvent(at + downtime, RECOVER_NODE, (node,)))
             down_until[node] = at + downtime
     return FaultTimeline(events)
-
-
-def max_tolerated_faults(rendezvous_size: int) -> int:
-    """How many arbitrary node crashes a rendezvous of the given size
-    tolerates.
-
-    Section 2.4: choosing ``#(P(i) ∩ Q(j)) ≥ f + 1`` tolerates ``f`` faults,
-    so a rendezvous set of size ``s`` tolerates ``s - 1`` crashes of
-    rendezvous nodes.
-    """
-    if rendezvous_size < 0:
-        raise ValueError("rendezvous_size must be non-negative")
-    return max(rendezvous_size - 1, 0)

@@ -49,22 +49,6 @@ class Graph:
         self._adjacency[u].add(v)
         self._adjacency[v].add(u)
 
-    def remove_node(self, node: Hashable) -> None:
-        """Remove a node and all its incident edges."""
-        if node not in self._adjacency:
-            raise UnknownNodeError(node)
-        for neighbour in self._adjacency.pop(node):
-            self._adjacency[neighbour].discard(node)
-
-    def remove_edge(self, u: Hashable, v: Hashable) -> None:
-        """Remove the edge between ``u`` and ``v`` if present."""
-        if u not in self._adjacency:
-            raise UnknownNodeError(u)
-        if v not in self._adjacency:
-            raise UnknownNodeError(v)
-        self._adjacency[u].discard(v)
-        self._adjacency[v].discard(u)
-
     def copy(self) -> "Graph":
         """Return a deep copy of the graph."""
         clone = Graph()
@@ -224,29 +208,6 @@ class Graph:
                     parent[neighbour] = node
                     queue.append(neighbour)
         return parent
-
-    def diameter(self) -> int:
-        """The diameter (longest shortest path) of a connected graph."""
-        self.require_connected()
-        best = 0
-        for source in self._adjacency:
-            distances = self.single_source_distances(source)
-            best = max(best, max(distances.values(), default=0))
-        return best
-
-    def single_source_distances(self, source: Hashable) -> Dict[Hashable, int]:
-        """Hop distances from ``source`` to every reachable node."""
-        if source not in self._adjacency:
-            raise UnknownNodeError(source)
-        distances = {source: 0}
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            for neighbour in self._adjacency[node]:
-                if neighbour not in distances:
-                    distances[neighbour] = distances[node] + 1
-                    queue.append(neighbour)
-        return distances
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"

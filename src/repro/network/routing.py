@@ -34,7 +34,7 @@ import random
 from collections import deque
 from types import MappingProxyType
 from typing import (AbstractSet, Dict, FrozenSet, Hashable, Iterable, List,
-                    Mapping, Optional, Sequence, Tuple)
+                    Mapping, Optional, Tuple)
 
 from ..core.exceptions import NoRouteError, UnknownNodeError
 from .graph import Graph
@@ -76,12 +76,6 @@ class RoutingTable:
             for end in link:
                 table._cut[end] = table._cut.get(end, crashed) | link
         return table
-
-    def invalidate(self) -> None:
-        """Drop all cached tables (call after the graph changes)."""
-        self._parent.clear()
-        self._distance.clear()
-        self._ordered.clear()
 
     def _neighbours(self, node: Hashable) -> Tuple[Hashable, ...]:
         """Surviving neighbours of ``node`` in ``repr`` order (made once)."""
@@ -182,14 +176,6 @@ class RoutingTable:
         surviving graph's :meth:`Graph.spanning_tree` — shared, not a copy."""
         return self._rows(source)[0]
 
-    def has_route(self, source: Hashable, destination: Hashable) -> bool:
-        """Whether a route exists."""
-        try:
-            self.distance(source, destination)
-            return True
-        except (NoRouteError, UnknownNodeError):
-            return False
-
     def shortest_path(
         self, source: Hashable, destination: Hashable
     ) -> List[Hashable]:
@@ -202,10 +188,6 @@ class RoutingTable:
             current = self.next_hop(current, destination)
             path.append(current)
         return path
-
-    def eccentricity(self, source: Hashable) -> int:
-        """Maximum distance from ``source`` to any other node."""
-        return max(self._rows(source)[1].values(), default=0)
 
     def reverse_path_beam(
         self,
@@ -250,50 +232,3 @@ class RoutingTable:
             current = rng.choice(away or level or neighbours)
             visited.append(current)
         return visited
-
-
-def path_cost(table: RoutingTable, path: Sequence[Hashable]) -> int:
-    """Number of message passes needed to walk ``path`` (``len(path) - 1``)."""
-    if not path:
-        return 0
-    return len(path) - 1
-
-
-def route_cost(
-    table: RoutingTable, source: Hashable, destinations: Sequence[Hashable]
-) -> int:
-    """Total hops to send one point-to-point message from ``source`` to each
-    destination individually (no multicast sharing).
-    """
-    total = 0
-    for destination in destinations:
-        if destination == source:
-            continue
-        total += table.distance(source, destination)
-    return total
-
-
-def multicast_tree_cost(
-    graph: Graph, source: Hashable, destinations: Sequence[Hashable]
-) -> int:
-    """Hops to reach ``destinations`` from ``source`` along a BFS tree.
-
-    When the addressed set induces a connected subgraph containing the source,
-    this equals ``#destinations`` minus (1 if the source is a destination),
-    matching the paper's claim that broadcasting over spanning trees makes
-    ``m(i,j)`` equal to the number of addressed nodes (section 2.3.5).  In
-    general it is the number of tree edges that must carry the message.
-    """
-    targets = {d for d in destinations if d != source}
-    if not targets:
-        return 0
-    parent = graph.spanning_tree(source)
-    needed_edges = set()
-    for target in targets:
-        if target not in parent:
-            raise NoRouteError(source, target)
-        node = target
-        while node != source:
-            needed_edges.add(frozenset((node, parent[node])))
-            node = parent[node]
-    return len(needed_edges)

@@ -1,11 +1,10 @@
 """The store-and-forward network simulator.
 
 :class:`Network` binds together the communication graph, the nodes' posting
-caches (one :class:`~repro.network.cache.PostingStore`), routing tables, the
-logical clock, fault injection and message-pass accounting.  Match-making
-strategies and the service model run *on top of* a ``Network``: they decide
-which nodes to address; the network delivers the messages and charges the
-hops.
+caches (one :class:`~repro.network.cache.PostingStore`), routing tables,
+fault injection and message-pass accounting.  Match-making strategies and
+the service model run *on top of* a ``Network``: they decide which nodes to
+address; the network delivers the messages and charges the hops.
 
 Delivery modes
 --------------
@@ -27,11 +26,12 @@ The paper's match is ``P(i) ∩ Q(j) ≠ ∅`` and :meth:`Network.query` compute
 it as one: every posting lives in the network's
 :class:`~repro.network.cache.PostingStore`, which knows the holders of a
 port, so the answering nodes are ``holders(port) ∩ reached`` — walked in
-``reached``'s own order, which fixes the order of records, responders, tap
-calls and tracer events.  Every reply is then priced from the one routing
-row of the client (distances are symmetric), the row the unicast plan of
-the same query already built; no node of ``Q(j)`` that holds nothing is
-visited, and no responder starts a search of its own.
+``repr`` order of ``reached`` (sorted once per distinct set), which fixes
+the order of records, responders, tap calls and tracer events whatever the
+hash seed.  Every reply is then priced from the one routing row of the
+client (distances are symmetric), the row the unicast plan of the same
+query already built; no node of ``Q(j)`` that holds nothing is visited,
+and no responder starts a search of its own.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ from ..core.types import Address, Port, PostRecord, freshest, freshness_key
 from .broadcast import DeliveryOutcome, flood
 from .cache import PostingStore
 from .delivery import DeliveryPlanner
-from .events import EventLoop
-from .faults import CRASH_NODE, LINK_DOWN, LINK_UP, RECOVER_NODE, FaultEvent, FaultPlan
+from .faults import FaultPlan
 from .graph import Graph
 from ..obs.profile import ROUTING_TABLE, phase
 from ..obs.spans import active_tracer
@@ -133,9 +132,13 @@ class Network:
             self._faults,
             self._stats,
         )
-        self._clock = EventLoop()
         self._rng = random.Random(seed)
         self._timestamps = itertools.count(1)
+        # Each reached set a query has answered over, in ``repr`` order: a
+        # function of the node ids alone, so it outlives fault revisions and
+        # resets (one entry per distinct set, never more than the planner
+        # has made plans).
+        self._ordered: Dict[FrozenSet[Hashable], Tuple[Hashable, ...]] = {}
         #: Optional message tap (repro.simtime's timed overlay).  The tap
         #: only *observes* deliveries; it never changes what is delivered,
         #: which is the digest-neutrality contract of timed runs.
@@ -163,11 +166,6 @@ class Network:
     def stats(self) -> MessageStats:
         """Cumulative message-pass statistics."""
         return self._stats
-
-    @property
-    def clock(self) -> EventLoop:
-        """The logical clock / event loop."""
-        return self._clock
 
     @property
     def faults(self) -> FaultPlan:
@@ -229,35 +227,12 @@ class Network:
             raise UnknownNodeError((u, v))
         self._faults.restore_link(u, v)
 
-    def apply_fault(self, event: FaultEvent) -> None:
-        """Apply one :class:`~repro.network.faults.FaultEvent` to this
-        network.
-
-        The execution primitive for fault timelines: each event moves the
-        fault plan (and so the planner revision) exactly as the equivalent
-        direct call would.
-        """
-        if event.kind == CRASH_NODE:
-            self.crash_node(event.subject[0])
-        elif event.kind == RECOVER_NODE:
-            self.recover_node(event.subject[0])
-        elif event.kind == LINK_DOWN:
-            self.fail_link(*event.subject)
-        elif event.kind == LINK_UP:
-            self.restore_link(*event.subject)
-        else:  # pragma: no cover - FaultEvent validates kinds
-            raise ValueError(f"unknown fault event kind {event.kind!r}")
-
     def node_is_up(self, node_id: Hashable) -> bool:
         """Whether ``node_id`` is currently up, by the one liveness record:
         the fault plan's ``crashed_nodes``."""
         if node_id not in self._nodes:
             raise UnknownNodeError(node_id)
         return node_id not in self._faults.crashed_nodes
-
-    def up_nodes(self) -> List[Hashable]:
-        """Identifiers of all currently-up nodes."""
-        return [node_id for node_id in self._nodes if self.node_is_up(node_id)]
 
     def reset_for_reuse(self) -> None:
         """Restore pristine state so another run can share this network.
@@ -268,14 +243,13 @@ class Network:
         table and the delivery planner (whose fault-free caches stay warm —
         plans are pure functions of graph + fault revision) while restoring
         everything a run observes: node liveness and caches, the fault plan,
-        message statistics, timestamps, the clock and the private generator.
-        A reset network is indistinguishable from a freshly built one to the
+        message statistics, timestamps and the private generator.  A reset
+        network is indistinguishable from a freshly built one to the
         workload driver, which is what keeps shared-network runs replayable.
         """
         self._postings.reset()
         self._faults.clear()  # no revision bump when already fault-free
         self._stats.reset()
-        self._clock = EventLoop()
         self._rng = random.Random(self._seed)
         self._timestamps = itertools.count(1)
         self._tap = None
@@ -484,7 +458,7 @@ class Network:
         """Query each target node for ``port`` and collect replies.
 
         The answering nodes are ``holders(port) ∩ reached`` — the rendezvous
-        set itself — taken in ``reached``'s own order.  Reply hops are
+        set itself — taken in ``repr`` order of ``reached``.  Reply hops are
         charged separately (category ``reply``): each node that has a
         matching record sends one reply routed back to the client (one hop
         in ``ideal`` mode, shortest-path distance otherwise, read from the
@@ -508,7 +482,11 @@ class Network:
         distances = None
         holders = self._postings.holders(port)
         if holders:
-            for target in reached:
+            try:
+                ordered = self._ordered[reached]
+            except KeyError:  # the first query answered over this set
+                ordered = self._ordered[reached] = tuple(sorted(reached, key=repr))
+            for target in ordered:
                 if target not in holders:
                     continue
                 if target != client_node:

@@ -26,7 +26,7 @@ driver — hands that number up as a return value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, Optional, Tuple
+from typing import Hashable, Iterable, Iterator, Optional, Tuple
 
 from ..obs.registry import CounterMap
 
@@ -130,64 +130,15 @@ class MessageStats:
         events = self.plan_events
         events[kind] = events.get(kind, 0) + count
 
-    def delivered_for(self, category: str) -> int:
-        """Message occurrences delivered to their destination."""
-        return self.delivered.get(category, 0)
-
-    def dropped_for(self, category: str) -> int:
-        """Message occurrences that never reached their destination."""
-        return self.dropped.get(category, 0)
-
-    def conservation_violations(
-        self, categories: Iterable[str] = (POST, QUERY)
-    ) -> Dict[str, Tuple[int, int, int]]:
-        """Categories where ``sent != delivered + dropped``.
-
-        Returns ``{category: (sent, delivered, dropped)}`` for every
-        violating category — empty means the conservation law holds.  Only
-        meaningful for per-destination delivery traffic (post/query by
-        default); flood-style broadcast sends one message to many nodes and
-        is deliberately out of scope.
-        """
-        violations = {}
-        for category in categories:
-            sent = self.messages.get(category, 0)
-            delivered = self.delivered.get(category, 0)
-            dropped = self.dropped.get(category, 0)
-            if sent != delivered + dropped:
-                violations[category] = (sent, delivered, dropped)
-        return violations
-
     def merge(self, other: "MessageStats") -> None:
         """Add another stats object into this one."""
         for name, family in self._families():
             family.merge(getattr(other, name))
 
-    def hops_for(self, category: str) -> int:
-        """Hops charged to ``category``."""
-        return self.hops.get(category, 0)
-
-    def messages_for(self, category: str) -> int:
-        """Messages charged to ``category``."""
-        return self.messages.get(category, 0)
-
     @property
     def total_hops(self) -> int:
         """All hops across categories."""
         return sum(self.hops.values())
-
-    @property
-    def total_messages(self) -> int:
-        """All messages across categories."""
-        return sum(self.messages.values())
-
-    @property
-    def match_making_hops(self) -> int:
-        """Hops attributable to match-making proper: posting plus querying.
-
-        This is the quantity the paper's ``m(i, j)`` measures (M3).
-        """
-        return self.hops_for(POST) + self.hops_for(QUERY)
 
     def snapshot(self) -> "MessageStats":
         """An independent copy of the current counters."""

@@ -44,7 +44,6 @@ from .profile import (
     SPOOL_MERGE,
     TOPOLOGY_BUILD,
     PhaseProfile,
-    active_profile,
     phase,
     profiling,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "SpanRecorder",
     "TOPOLOGY_BUILD",
     "Timeline",
-    "active_profile",
     "active_tracer",
     "cell_span_path",
     "dump_metrics_line",

@@ -117,11 +117,6 @@ def wall_clock() -> float:
 _ACTIVE: Optional[PhaseProfile] = None
 
 
-def active_profile() -> Optional[PhaseProfile]:
-    """The currently installed profile, or ``None`` (the common case)."""
-    return _ACTIVE
-
-
 @contextmanager
 def profiling(profile: Optional[PhaseProfile]):
     """Install ``profile`` for the ``with`` body (``None`` = no-op)."""

@@ -94,10 +94,6 @@ class Timeline:
             for index in sorted(self._windows)
         ]
 
-    def window_at(self, at_us: int) -> Dict[str, int]:
-        """The (possibly empty) field dict of ``at_us``'s window."""
-        return dict(self._windows.get(at_us // self._width_us, {}))
-
     def total(self, field: str) -> int:
         """``field`` summed (or maxed, per its suffix) over all windows."""
         values = [w[field] for w in self._windows.values() if field in w]

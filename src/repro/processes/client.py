@@ -54,7 +54,3 @@ class ClientProcess(Process):
     def forget_address(self, port: Port) -> None:
         """Drop a (presumably stale) cached address."""
         self._address_cache.pop(port, None)
-
-    def clear_cache(self) -> None:
-        """Drop every cached address (e.g. after migrating)."""
-        self._address_cache.clear()

@@ -37,42 +37,13 @@ class ServerProcess(Process):
         super().__init__(node, name or f"server[{port.name}]@{node}")
         self._port = port
         self._handler = handler or echo_handler
-        self._requests_handled = 0
-        self._accepting = True
 
     @property
     def port(self) -> Port:
         """The port this server serves."""
         return self._port
 
-    @property
-    def requests_handled(self) -> int:
-        """How many requests this server has processed."""
-        return self._requests_handled
-
-    @property
-    def accepting(self) -> bool:
-        """Whether the server currently accepts requests.
-
-        The paper notes a service can be removed "by making [its servers]
-        stop behaving like a server, i.e., by telling them to stop receiving
-        requests" — that is exactly what :meth:`stop_accepting` does.
-        """
-        return self._alive and self._accepting
-
-    def stop_accepting(self) -> None:
-        """Stop accepting new requests without killing the process."""
-        self._accepting = False
-
-    def resume_accepting(self) -> None:
-        """Start accepting requests again."""
-        self.require_alive()
-        self._accepting = True
-
     def handle(self, payload: object) -> object:
         """Process one request and produce the reply."""
         self.require_alive()
-        if not self._accepting:
-            raise RuntimeError(f"{self.name} is not accepting requests")
-        self._requests_handled += 1
         return self._handler(payload)

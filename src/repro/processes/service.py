@@ -40,8 +40,8 @@ class Service:
         return list(self._servers)
 
     def live_servers(self) -> List[ServerProcess]:
-        """Servers that are alive and accepting requests."""
-        return [server for server in self._servers if server.accepting]
+        """Servers that are alive."""
+        return [server for server in self._servers if server.alive]
 
     def attach(self, server: ServerProcess) -> None:
         """Attach an existing server process to this service."""
@@ -50,10 +50,6 @@ class Service:
                 f"server serves {server.port}, not this service's {self._port}"
             )
         self._servers.append(server)
-
-    def is_available(self) -> bool:
-        """Whether at least one server currently accepts requests."""
-        return bool(self.live_servers())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -12,8 +12,8 @@ The request path is:
 1. the client consults its private address cache; on a miss (or after a
    stale address) it runs a locate through the match-maker;
 2. the request payload is routed point-to-point to the located address;
-3. if no accepting server is at that address any more (it migrated, died or
-   stopped accepting), the address is stale: the client forgets it, re-runs
+3. if no live server is at that address any more (it migrated or died, or
+   its host is down), the address is stale: the client forgets it, re-runs
    the locate and retries — timestamped postings make the freshest address
    win (section 2.1, assumption 3);
 4. the reply is routed back.
@@ -24,12 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
-from ..core.exceptions import (
-    NoRouteError,
-    NodeDownError,
-    ServiceError,
-    ServiceNotFoundError,
-)
+from ..core.exceptions import NoRouteError, NodeDownError
 from ..core.matchmaker import MatchMaker, ServerRegistration
 from ..core.strategy import MatchMakingStrategy
 from ..core.types import MatchResult, Port
@@ -167,14 +162,6 @@ class DistributedSystem:
         self._clients[client.pid] = client
         return client
 
-    def retire_server(self, server: ServerProcess) -> None:
-        """Stop a server and withdraw its postings."""
-        registration = self._registrations.pop(server.pid, None)
-        if registration is not None and self._network.node_is_up(server.node):
-            self._matchmaker.deregister_server(registration)
-        self._index_remove(server)
-        server.kill()
-
     def migrate_server(self, server: ServerProcess, new_node: Hashable) -> None:
         """Move a server process to another node and re-advertise it.
 
@@ -248,14 +235,6 @@ class DistributedSystem:
         )
         self._stats.reposts += 1
 
-    def servers_for(self, port: Port) -> List[ServerProcess]:
-        """All live, accepting servers currently offering ``port``."""
-        return [
-            server
-            for server in self._servers.values()
-            if server.port == port and server.accepting
-        ]
-
     # -- the request path -----------------------------------------------------------
 
     def _index_add(self, server: ServerProcess) -> None:
@@ -268,11 +247,11 @@ class DistributedSystem:
             if not bucket:
                 del self._by_location[(server.node, server.port)]
 
-    def _accepting_server_at(
+    def _live_server_at(
         self, node: Hashable, port: Port
     ) -> Optional[ServerProcess]:
         for server in self._by_location.get((node, port), ()):
-            if server.accepting:
+            if server.alive:
                 return server
         return None
 
@@ -314,7 +293,7 @@ class DistributedSystem:
 
             target_node = address.node
             server = (
-                self._accepting_server_at(target_node, port)
+                self._live_server_at(target_node, port)
                 if self._network.node_is_up(target_node)
                 else None
             )
@@ -366,30 +345,3 @@ class DistributedSystem:
             ok, reply, served_by, locates, retries, used_cache, error,
             locate_hops, payload_hops,
         )
-
-    def request_batch(
-        self, operations: Iterable[Tuple[ClientProcess, Port, object]]
-    ) -> List[RequestOutcome]:
-        """Run a batch of ``(client, port, payload)`` requests back-to-back.
-
-        A convenience entry point for callers that want many operations per
-        call without per-request instrumentation (callers that meter each
-        request, like the workload driver, call :meth:`request` directly).
-        The returned outcomes line up with the input order.
-        """
-        return [
-            self.request(client, port, payload)
-            for client, port, payload in operations
-        ]
-
-    def request_or_raise(
-        self, client: ClientProcess, port: Port, payload: object
-    ) -> object:
-        """Like :meth:`request` but raise :class:`ServiceNotFoundError` /
-        :class:`ServiceError` on failure and return the reply directly."""
-        outcome = self.request(client, port, payload)
-        if outcome.ok:
-            return outcome.reply
-        if "no server found" in outcome.error:
-            raise ServiceNotFoundError(port)
-        raise ServiceError(outcome.error)

@@ -44,7 +44,6 @@ class SimKernel:
         self._heap: List[Tuple[float, int, object, int]] = []
         self._seq = 0
         self._now = 0.0
-        self._fired = 0
 
     @property
     def now(self) -> float:
@@ -55,11 +54,6 @@ class SimKernel:
     def pending(self) -> int:
         """Events scheduled but not yet fired."""
         return len(self._heap)
-
-    @property
-    def fired(self) -> int:
-        """Total events fired over the kernel's lifetime."""
-        return self._fired
 
     def schedule(self, at: float, message: object, hop: int = 0) -> None:
         """Record that ``message`` enters hop ``hop`` of its route at ``at``.
@@ -86,6 +80,5 @@ class SimKernel:
             at, _, message, hop = heapq.heappop(self._heap)
             if at > self._now:
                 self._now = at
-            self._fired += 1
             handler(at, message, hop)
         return self._now

@@ -45,11 +45,6 @@ class CubeConnectedCyclesStrategy(TopologyStrategy):
         self._prefix_bits = d - self._suffix_bits
 
     @property
-    def suffix_bits(self) -> int:
-        """Corner-address bits fixed by the server."""
-        return self._suffix_bits
-
-    @property
     def prefix_bits(self) -> int:
         """Corner-address bits fixed by the client."""
         return self._prefix_bits
@@ -70,18 +65,6 @@ class CubeConnectedCyclesStrategy(TopologyStrategy):
         for target in corners:
             targets.update(self.topology.cycle_of(target))
         return frozenset(targets)
-
-    def rendezvous_node(
-        self, server: Tuple[int, str], client: Tuple[int, str]
-    ) -> Tuple[int, str]:
-        """The rendezvous node: the server's cycle position at the corner
-        mixing the client's prefix with the server's suffix."""
-        self._require_member(server)
-        self._require_member(client)
-        position, server_corner = server
-        _, client_corner = client
-        corner = client_corner[: self._prefix_bits] + server_corner[self._prefix_bits :]
-        return (position, corner)
 
     def expected_costs(self) -> Tuple[int, int]:
         """``(#P, #Q)`` — the same for every node."""

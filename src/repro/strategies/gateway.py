@@ -23,7 +23,7 @@ traffic is local.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Optional, Tuple
 
 from ..core.types import Port
 from ..topologies.hierarchical import HierarchicalTopology, HierNode
@@ -69,26 +69,3 @@ class HierarchicalGatewayStrategy(TopologyStrategy):
             board = self._checkerboard_for(node, level)
             targets.update(board.query_set(entry))
         return frozenset(targets)
-
-    def matching_level(self, server: HierNode, client: HierNode) -> int:
-        """The lowest hierarchy level whose network contains both nodes."""
-        self._require_member(server)
-        self._require_member(client)
-        for level in range(1, self.topology.levels + 1):
-            if self.topology.cluster_prefix(
-                server, level
-            ) == self.topology.cluster_prefix(client, level):
-                return level
-        raise AssertionError("the top level contains every node")  # pragma: no cover
-
-    def per_level_costs(self, node: HierNode) -> List[Tuple[int, int, int]]:
-        """``(level, #post targets, #query targets)`` contributed by each
-        level."""
-        costs = []
-        for level in range(1, self.topology.levels + 1):
-            entry = self.topology.entry_point(node, level)
-            board = self._checkerboard_for(node, level)
-            costs.append(
-                (level, len(board.post_set(entry)), len(board.query_set(entry)))
-            )
-        return costs

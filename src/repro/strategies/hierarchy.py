@@ -137,13 +137,3 @@ class TreePathStrategy(TopologyStrategy):
 
     def query_set(self, node: Hashable, port: Optional[Port] = None) -> FrozenSet:
         return frozenset(self.path_to_root(node))
-
-    def lowest_common_ancestor(self, server: Hashable, client: Hashable) -> Hashable:
-        """The deepest tree node on both paths to the root."""
-        client_path = set(self.path_to_root(client))
-        for candidate in self.path_to_root(server):
-            if candidate in client_path:
-                return candidate
-        raise StrategyError(
-            f"nodes {server!r} and {client!r} share no ancestor"
-        )  # pragma: no cover - impossible in a rooted tree

@@ -73,13 +73,6 @@ class HypercubeStrategy(TopologyStrategy):
         suffix = node[self._prefix_bits :]
         return frozenset(self.topology.subcube(fixed_suffix=suffix))
 
-    def rendezvous_node(self, server: str, client: str) -> str:
-        """The single rendezvous node: server prefix followed by client
-        suffix."""
-        self._require_member(server)
-        self._require_member(client)
-        return server[: self._prefix_bits] + client[self._prefix_bits :]
-
     def addressed_nodes(self) -> int:
         """``#P + #Q`` for this split (the same for every pair)."""
         return self.topology.expected_match_cost(self.client_suffix_bits)

@@ -115,11 +115,6 @@ class LighthouseResult:
     elapsed_time: int
     address: Optional[Address] = None
 
-    @property
-    def total_messages(self) -> int:
-        """Client plus server message passes spent during the locate."""
-        return self.client_messages + self.server_messages
-
 
 class LighthouseLocate:
     """Probabilistic locate by beaming on an arbitrary point-to-point
@@ -129,9 +124,9 @@ class LighthouseLocate:
     ----------
     network:
         The network to run on.  Trails are ordinary postings in its
-        :class:`~repro.network.cache.PostingStore`, stamped with the clock
-        time they were laid; a node a client beam visits first expires what
-        is ``trail_ttl`` old, so trails evaporate as the paper requires.
+        :class:`~repro.network.cache.PostingStore`, stamped with the time
+        they were laid; a node a client beam visits first expires what is
+        ``trail_ttl`` old, so trails evaporate as the paper requires.
     server_beam_length:
         Length ``l`` of the server's beams.
     server_period:
@@ -143,6 +138,10 @@ class LighthouseLocate:
         :class:`RulerSchedule`).
     seed:
         Seed for beam directions.
+
+    Time is this object's own integer, starting at 0: server beams bring it
+    up to their deadline and each unsuccessful client trial adds
+    ``trial_interval``.  The network keeps no clock.
     """
 
     def __init__(
@@ -168,6 +167,7 @@ class LighthouseLocate:
         self._rng = random.Random(seed)
         self._servers: List[Tuple[Hashable, Port, str]] = []
         self._routing = network.routing
+        self._now = 0
         self._last_server_time = -1
 
     @property
@@ -215,13 +215,12 @@ class LighthouseLocate:
         the client schedules its trials.
         """
         hops = 0
-        clock = self._network.clock
         for time in range(self._last_server_time + 1, deadline + 1):
             if time % self._period == 0:
                 for node, port, server_id in self._servers:
                     hops += self._server_beam(node, port, server_id, time)
         self._last_server_time = max(self._last_server_time, deadline)
-        clock.run_until(max(clock.now, deadline))
+        self._now = max(self._now, deadline)
         return hops
 
     # -- clients ---------------------------------------------------------------
@@ -241,13 +240,14 @@ class LighthouseLocate:
         """
         if max_trials < 1:
             raise ValueError("max_trials must be at least 1")
-        clock = self._network.clock
+        if trial_interval < 0:
+            raise ValueError("trial_interval must be non-negative")
         postings = self._network.postings
         client_hops_total = 0
         server_hops_total = 0
-        start_time = clock.now
+        start_time = self._now
         for trial in range(1, max_trials + 1):
-            now = clock.now
+            now = self._now
             server_hops_total += self.run_servers_until(now)
             length = self._schedule.length_for_trial(trial)
             targets = self._beam_targets(client_node, length)
@@ -270,14 +270,14 @@ class LighthouseLocate:
                     trials=trial,
                     client_messages=client_hops_total,
                     server_messages=server_hops_total,
-                    elapsed_time=clock.now - start_time,
+                    elapsed_time=self._now - start_time,
                     address=found_record.address,
                 )
-            clock.run_until(clock.now + trial_interval)
+            self._now += trial_interval
         return LighthouseResult(
             found=False,
             trials=max_trials,
             client_messages=client_hops_total,
             server_messages=server_hops_total,
-            elapsed_time=clock.now - start_time,
+            elapsed_time=self._now - start_time,
         )

@@ -105,14 +105,6 @@ class ScopedHashStrategy(MatchMakingStrategy):
             )
         return self._scopes.get(port, self._default_scope)
 
-    def set_scope(self, port: Port, level: int) -> None:
-        """Register or change a port's visibility scope."""
-        if not 1 <= level <= self._topology.levels:
-            raise StrategyError(
-                f"scope level {level} out of range 1..{self._topology.levels}"
-            )
-        self._scopes[port] = level
-
     def neighbourhood(self, node: HierNode, port: Port) -> List[HierNode]:
         """All basic nodes of the level-``scope(port)`` network containing
         ``node``.
@@ -163,18 +155,6 @@ class ScopedHashStrategy(MatchMakingStrategy):
 
     def query_set(self, node: Hashable, port: Optional[Port] = None) -> FrozenSet:
         return self.post_set(node, port)
-
-    def same_neighbourhood(self, a: HierNode, b: HierNode, port: Port) -> bool:
-        """Whether two nodes share the port's scope-level network.
-
-        A client can only locate servers in its own neighbourhood — locality
-        is a *feature* here, not a failure: the paper's local services are
-        only meaningful to local clients.
-        """
-        scope = self.scope_of(port)
-        return self._topology.cluster_prefix(a, scope) == self._topology.cluster_prefix(
-            b, scope
-        )
 
     def load_distribution(
         self, ports: Iterable[Port], per_node_requesters: Optional[int] = None

@@ -37,15 +37,6 @@ class ManhattanStrategy(TopologyStrategy):
         self._require_member(node)
         return frozenset(self.topology.column_of(node))
 
-    def rendezvous_node(
-        self, server: Tuple[int, int], client: Tuple[int, int]
-    ) -> Tuple[int, int]:
-        """The unique rendezvous node: the server's row meets the client's
-        column at ``(server_row, client_col)``."""
-        self._require_member(server)
-        self._require_member(client)
-        return (server[0], client[1])
-
 
 class MeshSliceStrategy(TopologyStrategy):
     """Axis-slice match-making on a d-dimensional mesh.

@@ -78,7 +78,3 @@ class ProjectivePlaneStrategy(TopologyStrategy):
         if server_line == client_line:
             return server
         return self.topology.common_point(server_line, client_line)
-
-    def expected_cost(self) -> int:
-        """``#P + #Q = 2(k+1)`` — the same for every pair."""
-        return 2 * (self.topology.order + 1)

@@ -56,9 +56,3 @@ class SubgraphDecompositionStrategy(MatchMakingStrategy):
     def query_set(self, node: Hashable, port: Optional[Port] = None) -> FrozenSet:
         block = self._decomposition.block_of(node)
         return frozenset(self._decomposition.members(block))
-
-    def rendezvous_node(self, server: Hashable, client: Hashable) -> Hashable:
-        """The server's representative inside the client's block."""
-        label = self._decomposition.label_of(server)
-        client_block = self._decomposition.block_of(client)
-        return self._decomposition.node_with_label(client_block, label)

@@ -9,7 +9,6 @@ blocks, each assigned one distinct node, giving ``#P(i) ≈ #Q(j) ≈ sqrt(n)``,
 
 from __future__ import annotations
 
-import math
 from typing import FrozenSet, Hashable, List, Optional, Sequence
 
 from ..core.bounds import checkerboard_grid
@@ -62,17 +61,6 @@ class CheckerboardStrategy(UniverseStrategy):
             node: frozenset(self._grid[i][self._index[node]] for i in range(n))
             for node in ordered
         }
-
-    @property
-    def block_side(self) -> int:
-        """The side length of the checkerboard blocks (≈ sqrt(n))."""
-        return max(1, int(round(math.sqrt(len(self._ordered)))))
-
-    def rendezvous_node(self, server: Hashable, client: Hashable) -> Hashable:
-        """The single rendezvous node of a pair."""
-        self._require_member(server)
-        self._require_member(client)
-        return self._grid[self._index[server]][self._index[client]]
 
     def post_set(self, node: Hashable, port: Optional[Port] = None) -> FrozenSet:
         self._require_member(node)

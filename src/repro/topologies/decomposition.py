@@ -106,10 +106,6 @@ class GraphDecomposition:
             for block_index in range(self.block_count)
         ]
 
-    def block_sizes(self) -> List[int]:
-        """Sizes of all blocks."""
-        return [len(block) for block in self._blocks]
-
     def verify(self) -> None:
         """Check partition and connectivity invariants; raise on violation."""
         seen = set()

@@ -142,10 +142,6 @@ class HierarchicalTopology(Topology):
         prefix = node[: self._levels - level + 1]
         return self._gateway_for_prefix(prefix)
 
-    def gateway_path(self, node: HierNode) -> List[HierNode]:
-        """The node's entry points from level 1 up to the top level."""
-        return [self.entry_point(node, level) for level in range(1, self._levels + 1)]
-
     def subtree_leaves(self, prefix: Tuple[int, ...]) -> List[HierNode]:
         """All basic nodes below the subtree named by ``prefix``."""
         remaining = self._branching[::-1][len(prefix) :]

@@ -161,10 +161,3 @@ class MeshTopology(Topology):
             for axis in range(self.dimensions)
         ]
         return [tuple(c) for c in itertools.product(*ranges)]
-
-    @classmethod
-    def hypercubic(cls, side: int, dimensions: int, wrap: bool = False) -> "MeshTopology":
-        """A mesh with ``dimensions`` equal sides (``n = side ** dimensions``)."""
-        if dimensions < 1:
-            raise TopologyError("dimensions must be at least 1")
-        return cls([side] * dimensions, wrap=wrap)

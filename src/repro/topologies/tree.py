@@ -110,16 +110,6 @@ class TreeTopology(Topology):
         """All deepest-level nodes."""
         return [node for node, depth in self._depths.items() if depth == self.depth]
 
-    def subtree_size(self, node: TreeNode) -> int:
-        """Number of nodes in the subtree rooted at ``node`` (the paper's
-        cache-size requirement for that node)."""
-        self.depth_of(node)  # validate
-        count = 0
-        for other in self._depths:
-            if other[: len(node)] == node:
-                count += 1
-        return count
-
     # -- paper degree profiles ------------------------------------------------
 
     @classmethod

@@ -75,13 +75,6 @@ class UUCPTopology(Topology):
             path.append(self._parent[path[-1]])
         return path
 
-    def backbone_nodes(self, top: int = 10) -> List[int]:
-        """The ``top`` highest-degree nodes (the synthetic "backbone
-        sites")."""
-        return sorted(
-            self.graph.nodes, key=lambda node: self.graph.degree(node), reverse=True
-        )[:top]
-
 
 class UUCPNetworkGenerator:
     """Generate synthetic UUCPnet-like topologies.

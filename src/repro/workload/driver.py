@@ -362,7 +362,7 @@ class WorkloadDriver:
             # The node returns with an empty cache; live servers re-advertise
             # so rendezvous through it works again (fresh timestamps win).
             for server in state.slots:
-                if server.accepting:
+                if server.alive:
                     system.refresh_server(server)
             if op.kind == RECOVER:
                 metrics.observe_churn(RECOVER)
@@ -373,7 +373,7 @@ class WorkloadDriver:
             # Servers notice and re-advertise; their fresh timestamps win at
             # every rendezvous node.
             for server in state.slots:
-                if server.accepting:
+                if server.alive:
                     system.refresh_server(server)
             metrics.observe_churn(STORM)
         elif op.kind == LINK_DOWN:
@@ -427,7 +427,7 @@ class WorkloadDriver:
         """
         if event.kind == _churn.MIGRATE:
             candidates = [
-                slot for slot, server in enumerate(state.slots) if server.accepting
+                slot for slot, server in enumerate(state.slots) if server.alive
             ]
             ups = self._up_node_indices(state)
             if not candidates or not ups:

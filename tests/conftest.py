@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.core.types import Port, PortFactory
-from repro.network.graph import Graph, complete_graph
+from repro.core.types import Port
+from repro.network.graph import Graph
 from repro.topologies import (
     CompleteTopology,
     HypercubeTopology,
@@ -24,12 +24,6 @@ def rng():
 def port():
     """A generic service port."""
     return Port("test-service")
-
-
-@pytest.fixture
-def ports():
-    """A factory of fresh ports."""
-    return PortFactory(prefix="test")
 
 
 @pytest.fixture

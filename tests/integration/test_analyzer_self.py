@@ -6,8 +6,8 @@ Two halves:
   findings** (the same invariant ``python -m repro analyze --strict``
   gates in CI), with every suppression carrying a reason;
 * reverting the ``sorted(...)`` determinism fix in
-  ``repro/core/strategy.py`` on a scratch copy must re-introduce a DET004
-  finding — proving the gate actually guards that fix.
+  ``repro/strategies/hash_locate.py`` on a scratch copy must re-introduce a
+  DET004 finding — proving the gate actually guards that fix.
 """
 
 import shutil
@@ -20,15 +20,8 @@ from repro.analysis.static import analyze_paths
 
 PACKAGE_DIR = Path(repro.__file__).resolve().parent
 
-SORTED_FIX = (
-    "            members = self.post_set(node, port) "
-    "| self.query_set(node, port)\n"
-    "            for member in sorted(members, key=repr):\n"
-)
-UNSORTED_ORIGINAL = (
-    "            for member in self.post_set(node, port) "
-    "| self.query_set(node, port):\n"
-)
+SORTED_FIX = "            for node in sorted(self.rendezvous_nodes(port), key=repr):\n"
+UNSORTED_ORIGINAL = "            for node in self.rendezvous_nodes(port):\n"
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +68,10 @@ class TestSortedFixIsGuarded:
             PACKAGE_DIR, scratch,
             ignore=shutil.ignore_patterns("__pycache__"),
         )
-        strategy = scratch / "core" / "strategy.py"
+        strategy = scratch / "strategies" / "hash_locate.py"
         source = strategy.read_text()
         assert SORTED_FIX in source, (
-            "expected the sorted(...) determinism fix in core/strategy.py; "
+            "expected the sorted(...) determinism fix in strategies/hash_locate.py; "
             "update this test if the surrounding code moved"
         )
         strategy.write_text(source.replace(SORTED_FIX, UNSORTED_ORIGINAL))
@@ -89,11 +82,11 @@ class TestSortedFixIsGuarded:
         session = analyze_paths([scratch])
         det004 = [f for f in session.new if f.rule == "DET004"]
         assert det004, (
-            "removing sorted(...) from the P/Q union iteration must "
+            "removing sorted(...) from the rendezvous-node iteration must "
             "re-introduce a DET004 finding"
         )
         assert any(
-            f.path.endswith("core/strategy.py") and "validate" in f.symbol
+            f.path.endswith("strategies/hash_locate.py") and "load_distribution" in f.symbol
             for f in det004
         )
 

@@ -8,7 +8,12 @@ topology) and the shared invariants are pinned:
 
 * every lookup resolves to an outcome or raises ``NodeDownError`` — nothing
   else escapes, and every request is accounted as a success or a failure;
-* message-stats conservation: ``sent = delivered + dropped`` per category;
+* message-stats conservation: ``sent = delivered + dropped`` per category,
+  in every delivery mode;
+* the strategy is total and its matrix keeps (M1), and the checkers of
+  ``tests/oracle/`` name the pairs one node dropped from one ``P`` set
+  breaks; a server posts at exactly ``P(i)`` and a client meets it at
+  ``P(i) ∩ Q(j)`` until it withdraws;
 * measured rendezvous cost respects the paper's Proposition 2 lower bound
   (``core/bounds.py``) — no strategy can beat ``(2/n)·Σ sqrt(k_i)``;
 * identical scenarios produce identical results (determinism), faults and
@@ -22,6 +27,8 @@ topology) and the shared invariants are pinned:
 from dataclasses import replace
 
 import pytest
+from oracle.ledger import conservation_violations, read_ledger
+from oracle.rendezvous import read_matrix, validate, verify_m1
 
 from repro.core.bounds import verify_proposition2
 from repro.core.exceptions import NodeDownError
@@ -99,13 +106,14 @@ class TestSharedContract:
 
         # Conservation, on the very network the cell ran over: sent ==
         # delivered + dropped for every per-destination traffic class.
-        assert network.stats.conservation_violations() == {}
-        assert network.stats.conservation_violations(
-            (POST, QUERY, REPLY, PAYLOAD)
+        sent, delivered, dropped = read_ledger(network.stats)
+        assert conservation_violations(sent, delivered, dropped) == {}
+        assert conservation_violations(
+            sent, delivered, dropped, (POST, QUERY, REPLY, PAYLOAD)
         ) == {}
         # The cell was not trivially idle.
-        assert network.stats.messages_for(QUERY) > 0
-        assert network.stats.delivered_for(QUERY) > 0
+        assert sent[QUERY] > 0
+        assert delivered[QUERY] > 0
 
     def test_rendezvous_cost_respects_lower_bound(self, strategy, topology):
         """Proposition 2: no strategy's average #P + #Q beats
@@ -157,6 +165,69 @@ class TestSharedContract:
         second = WorkloadDriver(spec).run()
         assert first.to_dict() == second.to_dict()
         assert first.plan_cache == second.plan_cache
+
+    @pytest.mark.parametrize("mode", ["unicast", "multicast"])
+    def test_stats_conserve_in_the_routed_modes(self, strategy, topology, mode):
+        spec = replace(cell_spec(strategy, topology), delivery_mode=mode)
+        network = build_topology(topology).build_network(delivery_mode=mode)
+        WorkloadDriver(spec, network=network).run()
+        sent, delivered, dropped = read_ledger(network.stats)
+        assert conservation_violations(
+            sent, delivered, dropped, (POST, QUERY, REPLY, PAYLOAD)
+        ) == {}
+        assert delivered[POST] > 0 and delivered[QUERY] > 0
+
+    def test_the_strategy_is_total_and_its_matrix_keeps_m1(self, strategy, topology):
+        nodes, post, query, entries = oracle_view(strategy, topology)
+        assert validate(nodes, post, query) == []
+        assert verify_m1(post, query, entries) == []
+
+    def test_a_node_dropped_from_one_post_set_is_named(self, strategy, topology):
+        """The checkers see a strategy bug on every strategy: the pairs
+        whose entry held the dropped node break (M1), and the pairs it was
+        the only rendezvous of lose their match."""
+        nodes, post, query, entries = oracle_view(strategy, topology)
+        server = nodes[0]
+        dropped = min(set().union(*(entries[server, j] for j in nodes)), key=repr)
+        post[server] = post[server] - {dropped}
+        assert verify_m1(post, query, entries) == [
+            (server, j) for j in nodes if dropped in entries[server, j]
+        ]
+        assert validate(nodes, post, query) == [
+            f"no rendezvous node for ({server!r}, {j!r})"
+            for j in nodes if entries[server, j] == {dropped}
+        ]
+
+    def test_a_server_posts_at_p_and_a_client_meets_it_at_p_and_q(
+        self, strategy, topology
+    ):
+        resolved_topology = build_topology(topology)
+        network = resolved_topology.build_network(delivery_mode="ideal")
+        instance = build_strategy(strategy, resolved_topology)
+        matchmaker = MatchMaker(network, instance)
+        port = Port("diff-rendezvous")
+        nodes = sorted(resolved_topology.nodes(), key=repr)
+        server_node, client_node = nodes[0], nodes[-1]
+        post = frozenset(instance.post_set(server_node, port))
+        registration = matchmaker.register_server(server_node, port)
+        assert set(registration.posted_at) == set(network.postings.holders(port)) == post
+        located = matchmaker.locate(client_node, port)
+        assert located.found
+        assert located.rendezvous_nodes == post & instance.query_set(client_node, port)
+        matchmaker.deregister_server(registration)
+        assert not network.postings.holders(port)
+        assert not matchmaker.locate(client_node, port).found
+
+
+def oracle_view(strategy, topology):
+    """``(nodes, P, Q, R)`` of a cell's strategy, in ``repr`` node order,
+    as plain data for the checkers in ``tests/oracle/``."""
+    resolved_topology = build_topology(topology)
+    nodes = sorted(resolved_topology.nodes(), key=repr)
+    matrix = RendezvousMatrix.from_strategy(
+        build_strategy(strategy, resolved_topology), nodes, port=Port("diff-oracle")
+    )
+    return (nodes, *read_matrix(matrix))
 
 
 # -- returned hops versus charged hops ---------------------------------------

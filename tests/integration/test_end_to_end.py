@@ -145,10 +145,7 @@ class TestHopAccountingConsistency:
         matchmaker.register_server((0, 0), PORT)
         located = matchmaker.locate((3, 3), PORT)
         assert located.found
-        assert network.stats.match_making_hops == (
-            network.stats.hops_for("post") + network.stats.hops_for("query")
-        )
-        assert network.stats.hops_for("reply") == located.reply_messages
+        assert network.stats.hops["reply"] == located.reply_messages
 
 
 class TestServiceModelOnVariousTopologies:
@@ -159,7 +156,7 @@ class TestServiceModelOnVariousTopologies:
         nodes = topology.nodes()
         system.create_server(nodes[0], PORT, handler=lambda x: x + 1)
         client = system.create_client(nodes[-1])
-        assert system.request_or_raise(client, PORT, 41) == 42
+        assert system.request(client, PORT, 41).reply == 42
 
     def test_many_services_many_clients(self):
         topo = ManhattanTopology.square(6)
@@ -184,7 +181,7 @@ class TestServiceModelOnVariousTopologies:
         server = system.create_server((0, 0), PORT, handler=lambda x: x * 2)
         client = system.create_client((4, 4))
         for step in range(12):
-            assert system.request_or_raise(client, PORT, step) == step * 2
+            assert system.request(client, PORT, step).reply == step * 2
             system.migrate_server(server, rng.choice(topo.nodes()))
         assert system.stats.migrations == 12
 

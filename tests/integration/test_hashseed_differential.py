@@ -6,11 +6,12 @@ set or leans on ``hash()`` produces different bytes under different
 seeds.  This test runs the same seeded workload in fresh subprocesses
 under ``PYTHONHASHSEED=0``, ``1``, ``31337`` and ``random``, and requires
 the result digest, trace digest and a rendezvous load distribution to be
-identical everywhere — for a small healthy run and for a
+identical everywhere — for a small healthy run, for a
 ``faulted_churn``-shaped unicast run over string-bearing node ids, where a
-locate's responders come out of a set intersection.  The pinned constants additionally freeze today's
-digests so *any* future nondeterminism — not just cross-seed drift —
-fails loudly.
+locate's responders come out of a set intersection, and for the order of
+a ``collect_all`` query's records on ``hypercube:5``, whose node ids are
+strings.  The pinned constants additionally freeze today's digests so
+*any* future nondeterminism — not just cross-seed drift — fails loudly.
 """
 
 import json
@@ -39,8 +40,11 @@ PINNED_FAULTED_TRACE_DIGEST = (
 
 WORKLOAD = """
 import json, sys
+from repro.core.matchmaker import MatchMaker
 from repro.core.types import Port
+from repro.strategies import HypercubeStrategy
 from repro.strategies.hash_locate import HashLocateStrategy
+from repro.topologies import HypercubeTopology
 from repro.workload import (
     ArrivalSpec, ChurnSpec, FaultRegimeSpec, PopularitySpec, ScenarioSpec,
     run_scenario,
@@ -69,6 +73,16 @@ faulted = run_scenario(ScenarioSpec(
 ))
 strategy = HashLocateStrategy([f"n{i}" for i in range(5)], replicas=2)
 load = strategy.load_distribution([Port(f"p{i}") for i in range(4)])
+# Two servers answer one query: the records come back in responder order.
+cube = HypercubeTopology(5)
+network = cube.build_network()
+matchmaker = MatchMaker(network, HypercubeStrategy(cube))
+nodes = cube.nodes()
+for node in (nodes[3], nodes[22]):
+    matchmaker.register_server(node, Port("p"))
+records = network.query(
+    nodes[9], Port("p"), matchmaker.query_set(nodes[9]), collect_all=True
+).records
 print(json.dumps({
     "result_digest": result.digest(),
     "trace_digest": result.trace.digest(),
@@ -76,6 +90,7 @@ print(json.dumps({
     "faulted_trace_digest": faulted.trace.digest(),
     "faulted_plan_cache": faulted.plan_cache,
     "load": {str(node): count for node, count in sorted(load.items())},
+    "collect_all": [record.server_id for record in records],
 }, sort_keys=True))
 """
 
@@ -114,3 +129,4 @@ class TestHashSeedDifferential:
         assert outcome["faulted_plan_cache"] == {
             "plan_hit": 102, "plan_miss": 60, "route_hit": 323, "route_miss": 4,
         }
+        assert outcome["collect_all"] == ["server-0@00011", "server-1@10110"]

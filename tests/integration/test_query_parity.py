@@ -1,10 +1,11 @@
 """``Network.query`` against the walk it replaced.
 
 A locate used to visit every reached node of Q(j), ask its cache, and price
-each reply with ``has_route`` + ``distance`` *from the responder*.  It now
-takes ``holders(port) ∩ reached`` from the posting store and reads every
-reply distance from the client's own routing row.  The old body is kept
-here, verbatim but for the store's per-node reads, and both are driven
+each reply with a ``distance`` *from the responder*.  It now takes
+``holders(port) ∩ reached`` from the posting store and reads every reply
+distance from the client's own routing row.  The old body is kept here,
+verbatim but for the store's per-node reads and the ``repr`` order both
+walk ``reached`` in (a set's own order moves with the hash seed), and both are driven
 through the same seeded history on twin networks — crash waves, link flaps,
 migrations, withdrawals, two equivalent servers per port — for every
 strategy of the differential matrix in every delivery mode.  Everything a
@@ -18,8 +19,8 @@ import random
 import pytest
 from test_differential_matrix import IDS, STRATEGY_TOPOLOGIES
 
-from repro.core.exceptions import NodeDownError
-from repro.core.types import Port
+from repro.core.exceptions import NodeDownError, NoRouteError
+from repro.core.types import Port, freshness_key
 from repro.network.simulator import DELIVERY_MODES, QueryOutcome
 from repro.network.stats import QUERY, REPLY
 from repro.obs.spans import SpanRecorder, active_tracer, tracing
@@ -35,11 +36,12 @@ def walk_every_node_query(net, client_node, port, targets, mode, collect_all):
     mode = mode or net.delivery_mode
     ideal = mode == "ideal"
     reply_table = None if ideal else net.planner.routing_table()
-    for target in outcome.reached:
+    for target in sorted(outcome.reached, key=repr):
         if not net.node_is_up(target):
             raise NodeDownError(target)
         if collect_all:
-            found = net.postings.lookup_all(target, port)
+            held = net.postings.holders(port).get(target, {}).values()
+            found = sorted(held, key=freshness_key, reverse=True)
         else:
             record = net.postings.lookup(target, port)
             found = () if record is None else (record,)
@@ -48,11 +50,12 @@ def walk_every_node_query(net, client_node, port, targets, mode, collect_all):
         if target != client_node:
             if ideal:
                 reply_hops += 1
-            elif reply_table.has_route(target, client_node):
-                reply_hops += reply_table.distance(target, client_node)
             else:
-                lost_replies += 1
-                continue
+                try:
+                    reply_hops += reply_table.distance(target, client_node)
+                except NoRouteError:
+                    lost_replies += 1
+                    continue
         records.extend(found)
         responders.append(target)
     net.stats.record(

@@ -24,7 +24,6 @@ class NodeCache:
 
     def __init__(self) -> None:
         self._records: Dict[Port, Dict[str, PostRecord]] = {}
-        self._writes = 0
 
     # -- mutation ----------------------------------------------------------
 
@@ -34,11 +33,6 @@ class NodeCache:
         existing = per_port.get(record.server_id)
         if existing is None or record.is_newer_than(existing):
             per_port[record.server_id] = record
-        self._writes += 1
-
-    def remove_port(self, port: Port) -> None:
-        """Drop all postings for ``port``."""
-        self._records.pop(port, None)
 
     def remove_server(self, port: Port, server_id: str) -> None:
         """Drop the posting of one particular server for ``port``."""
@@ -96,11 +90,6 @@ class NodeCache:
         """Iterate over every stored record."""
         for per_port in self._records.values():
             yield from per_port.values()
-
-    @property
-    def write_count(self) -> int:
-        """Number of post operations ever applied (monitoring aid)."""
-        return self._writes
 
     def expire(self, cutoff: int) -> int:
         """Remove postings stamped ``cutoff`` or earlier; return how many

@@ -1,7 +1,5 @@
 """Unit tests for the analysis subpackage."""
 
-import math
-
 import pytest
 
 from repro.analysis import (
@@ -12,13 +10,9 @@ from repro.analysis import (
     balanced_cost,
     compare_strategies,
     comparison_table,
-    coverage_curve,
     depth_halving_ratio,
-    fit_logarithmic,
     fit_power_law,
-    format_degree_table,
     format_table,
-    geometric_sizes,
     graph_profile,
     measure_strategy,
     observe_exponential_trees,
@@ -31,7 +25,6 @@ from repro.analysis import (
     shape_similarity,
     summarize,
     summary_as_dict,
-    sweep_ratios,
 )
 from repro.core.rendezvous import RendezvousMatrix
 from repro.core.types import Port
@@ -55,7 +48,6 @@ class TestMatrixSummary:
         assert summary.average_cost == pytest.approx(8.0)
         assert summary.lower_bound == pytest.approx(8.0)
         assert summary.optimality_ratio == pytest.approx(1.0)
-        assert summary.normalized_cost == pytest.approx(1.0)
         assert summary.is_total and summary.is_distributed
 
     def test_centralized_summary(self):
@@ -99,14 +91,6 @@ class TestTradeoff:
         with pytest.raises(ValueError):
             optimal_split(10, ratio=0)
 
-    def test_sweep_ratios(self):
-        splits = sweep_ratios(64, [0.25, 1.0, 4.0])
-        assert len(splits) == 3
-        assert all(s.product >= 64 for s in splits)
-
-    def test_coverage_curve_covers(self):
-        assert all(p * q >= 81 for p, q, _ in coverage_curve(81))
-
 
 class TestUUCPAnalysis:
     def test_paper_table_consistency(self):
@@ -143,10 +127,6 @@ class TestUUCPAnalysis:
         assert differences["terminal_fraction"] < 0.15
         assert differences["mean_degree"] < 1.0
         assert ours.is_heavy_tailed
-
-    def test_format_degree_table(self):
-        text = format_degree_table({1: 840, 641: 1})
-        assert "840" in text and "641" in text
 
 
 class TestTreeModels:
@@ -228,21 +208,7 @@ class TestExperimentUtils:
         with pytest.raises(ValueError):
             fit_power_law([(1, 1), (1, 2)])
 
-    def test_fit_logarithmic_recovers_slope(self):
-        points = [(n, 5 + 2 * math.log2(n)) for n in (4, 16, 64, 256)]
-        a, b = fit_logarithmic(points)
-        assert b == pytest.approx(2.0, abs=0.01)
-        assert a == pytest.approx(5.0, abs=0.1)
-
     def test_relative_error(self):
         assert relative_error(11, 10) == pytest.approx(0.1)
         assert relative_error(0, 0) == 0.0
         assert relative_error(1, 0) == float("inf")
-
-    def test_geometric_sizes(self):
-        sizes = geometric_sizes(16, 128)
-        assert sizes == [16, 32, 64, 128]
-        with pytest.raises(ValueError):
-            geometric_sizes(0, 10)
-        with pytest.raises(ValueError):
-            geometric_sizes(10, 100, factor=1.0)

@@ -31,19 +31,15 @@ class TestLowerBoundFormulas:
         # k_i = n for all i  ->  bound = 2*sqrt(n).
         n = 25
         assert bounds.proposition2_bound([n] * n, n) == pytest.approx(2 * math.sqrt(n))
-        assert bounds.truly_distributed_bound(n) == pytest.approx(10.0)
 
     def test_proposition2_centralized_case(self):
         # One node with k = n^2  ->  bound = 2.
         n = 25
         assert bounds.proposition2_bound([n * n] + [0] * (n - 1), n) == pytest.approx(2.0)
-        assert bounds.centralized_bound() == 2.0
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             bounds.proposition2_bound([1], 0)
-        with pytest.raises(ValueError):
-            bounds.truly_distributed_bound(0)
 
     def test_most_inefficient(self):
         assert bounds.most_inefficient_cost(10) == 20
@@ -100,7 +96,7 @@ class TestCheckerboardConstruction:
 
     def test_strategy_matches_matrix(self):
         nodes = list(range(16))
-        strategy = bounds.checkerboard_strategy(nodes)
+        strategy = CheckerboardStrategy(nodes, order=nodes)
         via_strategy = RendezvousMatrix.from_strategy(strategy, nodes)
         direct = bounds.checkerboard_matrix(nodes)
         assert via_strategy.singleton_grid() == direct.singleton_grid()
@@ -149,19 +145,3 @@ class TestLift:
     def test_lift_grid_rejects_non_square(self):
         with pytest.raises(ValueError):
             bounds.lift_grid([[0, 1]], {0: [0, 1, 2, 3], 1: [4, 5, 6, 7]})
-
-
-class TestTradeoffCurve:
-    def test_minimum_near_2_sqrt_n(self):
-        n = 100
-        curve = bounds.tradeoff_curve(n)
-        best = min(total for _, _, total in curve)
-        assert best <= 2 * math.sqrt(n) + 2
-
-    def test_every_point_covers_n(self):
-        for p, q, _ in bounds.tradeoff_curve(50):
-            assert p * q >= 50
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            bounds.tradeoff_curve(0)

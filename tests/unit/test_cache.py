@@ -13,7 +13,7 @@ import random
 import pytest
 from reference_cache import NodeCache
 
-from repro.core.types import Address, Port, PostRecord
+from repro.core.types import Address, Port, PostRecord, freshness_key
 from repro.network.cache import PostingStore
 from repro.network.graph import complete_graph
 from repro.network.simulator import Network
@@ -21,6 +21,12 @@ from repro.network.simulator import Network
 
 def record(port="p", node=1, ts=1, server="s1"):
     return PostRecord(Port(port), Address(node), timestamp=ts, server_id=server)
+
+
+def lookup_all(store, node, port):
+    """All of ``node``'s postings for ``port``, freshest first."""
+    held = store.holders(port).get(node, {})
+    return sorted(held.values(), key=freshness_key, reverse=True)
 
 
 @pytest.fixture
@@ -37,7 +43,7 @@ class TestPostingStore:
 
     def test_lookup_missing_returns_none(self, store):
         assert store.lookup("n", Port("nothing")) is None
-        assert store.lookup_all("n", Port("nothing")) == []
+        assert lookup_all(store, "n", Port("nothing")) == []
 
     def test_newer_posting_wins(self, store):
         store.post(record(node=1, ts=1), ["n"])
@@ -52,7 +58,7 @@ class TestPostingStore:
     def test_multiple_servers_same_port(self, store):
         store.post(record(node=1, server="a", ts=1), ["n"])
         store.post(record(node=2, server="b", ts=2), ["n"])
-        assert len(store.lookup_all("n", Port("p"))) == 2
+        assert len(lookup_all(store, "n", Port("p"))) == 2
         assert store.lookup("n", Port("p")).address == Address(2)
 
     def test_size_counts_records(self, store):
@@ -68,19 +74,11 @@ class TestPostingStore:
         assert [store.size(node) for node in range(4)] == [1, 0, 1, 0]
         assert store.holders(Port("p"))[2] == {"s1": record()}
 
-    def test_forget_port(self, store):
-        store.post(record(port="p"), ["n"])
-        store.post(record(port="q"), ["n"])
-        store.forget_port("n", Port("p"))
-        store.forget_port("n", Port("never-posted"))
-        assert store.ports("n") == [Port("q")]
-        assert not store.holders(Port("p"))
-
     def test_forget_server(self, store):
         store.post(record(server="a"), ["n"])
         store.post(record(server="b", node=2), ["n"])
         store.forget_server(Port("p"), "a", ["n"])
-        remaining = store.lookup_all("n", Port("p"))
+        remaining = lookup_all(store, "n", Port("p"))
         assert [r.server_id for r in remaining] == ["b"]
         store.forget_server(Port("p"), "b", ["n"])
         assert not store.holders(Port("p"))
@@ -101,11 +99,6 @@ class TestPostingStore:
         store.reset()
         assert store.size("b") == 0
         assert not store.holders(Port("p"))
-
-    def test_write_count(self, store):
-        store.post(record(ts=1), ["n"])
-        store.post(record(ts=2), ["n"])
-        assert store.write_count("n") == 2
 
     def test_unknown_node_is_a_key_error(self, store):
         with pytest.raises(KeyError):
@@ -142,11 +135,10 @@ def assert_same_reads(network, reference):
         cache = reference[node]
         for port in PORTS:
             assert store.lookup(node, port) == cache.lookup(port)
-            assert store.lookup_all(node, port) == cache.lookup_all(port)
+            assert lookup_all(store, node, port) == cache.lookup_all(port)
         assert store.size(node) == len(cache) == network.cache_sizes()[node]
         assert store.ports(node) == cache.ports()
         assert list(store.records(node)) == list(cache.records())
-        assert store.write_count(node) == cache.write_count
     for port in PORTS:
         holders = store.holders(port)
         assert set(holders) == {n for n in NODES if port in reference[n]}
@@ -164,7 +156,7 @@ def test_store_agrees_with_one_reference_cache_per_node(seed):
     reference = {node: NodeCache() for node in NODES}
     clock = 10
     kinds = ["post"] * 8 + [
-        "forget_server", "forget_server", "forget_port", "forget_address",
+        "forget_server", "forget_server", "forget_address",
         "crash", "clear", "expire", "reset",
     ]
     for _ in range(300):
@@ -188,9 +180,6 @@ def test_store_agrees_with_one_reference_cache_per_node(seed):
             store.forget_server(port, server, some)
             for target in some:
                 reference[target].remove_server(port, server)
-        elif kind == "forget_port":
-            store.forget_port(node, port)
-            reference[node].remove_port(port)
         elif kind == "forget_address":
             address = Address(rng.choice(HOSTS))
             store.forget_address(node, address)

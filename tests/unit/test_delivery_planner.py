@@ -19,10 +19,9 @@ from repro.network.delivery import (
     ROUTE_MISS,
     TREE_HIT,
     TREE_MISS,
-    DeliveryPlanner,
     plan_hit_rates,
 )
-from repro.network.faults import link_flaps
+from repro.network.faults import LINK_DOWN, link_flaps
 from repro.network.routing import RoutingTable
 from repro.network.simulator import Network
 from repro.network.stats import POST
@@ -165,12 +164,11 @@ class TestPlannerCaches:
     def test_caches_pruned_on_revision_change(self, grid_network):
         net = grid_network
         net.planner.plan((0, 0), frozenset({(4, 4)}), "multicast")
-        assert net.planner.cache_info()["plans"] == 1
+        assert len(net.planner._plans) == 1
         net.crash_node((1, 1))
-        info = net.planner.cache_info()
-        assert info["plans"] == 0
-        assert info["trees"] == 0
-        assert info["revision"] == net.faults.revision
+        net.planner.routing_table()  # the first ask under the new revision
+        assert net.planner._plans == {} and net.planner._trees == {}
+        assert net.planner.revision == net.faults.revision
 
     def test_route_miss_once_per_faulted_revision(self, grid_network):
         net = grid_network
@@ -325,13 +323,14 @@ class TestInvalidationAcrossFaultTimelines:
         events = net.stats.plan_events
         epochs = 0
         for event in timeline:
-            net.apply_fault(event)
+            flip = net.fail_link if event.kind == LINK_DOWN else net.restore_link
+            flip(*event.subject)
             epochs += 1
             self._route_messages(net, count=3)
             assert events[PLAN_MISS] == epochs
             assert events[PLAN_HIT] == 2 * epochs
         # Revisions advanced one per applied event.
-        assert net.planner.cache_info()["revision"] == len(timeline)
+        assert net.planner.revision == len(timeline)
 
     def test_route_hits_accumulate_within_faulted_epoch(self, grid_network):
         net = grid_network

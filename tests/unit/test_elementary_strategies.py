@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from oracle.rendezvous import read_sets, validate
 
 from repro.core.exceptions import StrategyError
 from repro.core.rendezvous import RendezvousMatrix
@@ -36,7 +37,7 @@ class TestBroadcast:
 
     def test_total_and_validates(self):
         strategy = BroadcastStrategy(UNIVERSE)
-        strategy.validate(UNIVERSE)
+        assert validate(UNIVERSE, *read_sets(strategy, UNIVERSE)) == []
 
     def test_unknown_node_rejected(self):
         with pytest.raises(StrategyError):
@@ -123,26 +124,22 @@ class TestCheckerboard:
         )
         assert matrix.average_cost() == pytest.approx(2 * math.sqrt(9))
 
-    def test_rendezvous_node_helper(self):
+    def test_rendezvous_is_the_block_representative(self):
         strategy = CheckerboardStrategy(UNIVERSE, order=UNIVERSE)
-        assert strategy.rendezvous_node(1, 1) == 1
-        assert strategy.rendezvous_node(9, 1) == 7
-        assert strategy.rendezvous_node(1, 9) == 3
-
-    def test_block_side(self):
-        assert CheckerboardStrategy(UNIVERSE).block_side == 3
-        assert CheckerboardStrategy(list(range(100))).block_side == 10
+        assert strategy.rendezvous_set(1, 1) == frozenset({1})
+        assert strategy.rendezvous_set(9, 1) == frozenset({7})
+        assert strategy.rendezvous_set(1, 9) == frozenset({3})
 
     def test_non_square_universe_still_total(self):
         for n in (5, 11, 14, 27):
             universe = list(range(n))
             strategy = CheckerboardStrategy(universe)
-            strategy.validate(universe)
+            assert validate(universe, *read_sets(strategy, universe)) == []
 
     def test_arbitrary_hashable_nodes(self):
         universe = [f"host-{i}" for i in range(12)]
         strategy = CheckerboardStrategy(universe)
-        strategy.validate(universe)
+        assert validate(universe, *read_sets(strategy, universe)) == []
 
     def test_order_must_be_permutation(self):
         with pytest.raises(StrategyError):
@@ -151,4 +148,4 @@ class TestCheckerboard:
     def test_works_with_tuple_nodes(self):
         universe = [(r, c) for r in range(3) for c in range(3)]
         strategy = CheckerboardStrategy(universe)
-        strategy.validate(universe)
+        assert validate(universe, *read_sets(strategy, universe)) == []

@@ -17,7 +17,6 @@ from repro.exec import (
     ProgressReporter,
     SpoolCursor,
     SpoolError,
-    count_spooled,
     dump_spool_line,
     load_spool,
     shard_spool_path,
@@ -126,8 +125,8 @@ class TestExecutionPlan:
     def test_plan_is_deterministic(self):
         a = ExecutionPlan.from_matrix(grid(), workers=3)
         b = ExecutionPlan.from_matrix(grid(), workers=3)
-        assert a.describe() == b.describe()
-        assert [s.cells for s in a.shards] == [s.cells for s in b.shards]
+        assert [(s.cells, s.topologies) for s in a.shards] == \
+            [(s.cells, s.topologies) for s in b.shards]
 
     def test_all_skipped_grid_plans_to_no_shards(self):
         matrix = grid(topologies=("complete:9",), strategies=("manhattan",))
@@ -167,7 +166,7 @@ class TestSpool:
             fp.write(dump_spool_line(0, self._cell()))
             fp.write('{"position": 1, "cell": {"topo')  # writer died here
         assert [position for position, _ in load_spool(path)] == [0]
-        assert count_spooled([path]) == 1
+        assert SpoolCursor([path]).count() == 1
 
     def test_count_tolerates_missing_files(self, tmp_path):
         present = shard_spool_path(tmp_path, 0)
@@ -175,7 +174,7 @@ class TestSpool:
             fp.write(dump_spool_line(0, self._cell()))
             fp.write(dump_spool_line(1, self._cell()))
         missing = shard_spool_path(tmp_path, 9)
-        assert count_spooled([present, missing]) == 2
+        assert SpoolCursor([present, missing]).count() == 2
 
     def test_spool_lines_are_json_per_line(self, tmp_path):
         line = dump_spool_line(3, self._cell())

@@ -1,11 +1,7 @@
-"""Fault timelines: events, regime builders and network application.
-
-Also covers the `random_fault_plan` guard: fault counts beyond what the
-active rendezvous size tolerates (section 2.4) are clamped with a warning,
-or rejected in strict mode.
-"""
+"""Fault timelines: events, regime builders and network application."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,11 +17,8 @@ from repro.network.faults import (
     correlated_failures,
     crash_recover_waves,
     link_flaps,
-    max_tolerated_faults,
-    random_fault_plan,
     region_partition,
 )
-from repro.network.graph import complete_graph
 from repro.network.simulator import Network
 from repro.topologies import ManhattanTopology
 
@@ -38,6 +31,19 @@ def rng():
 @pytest.fixture
 def grid():
     return ManhattanTopology.square(4).graph
+
+
+def apply(network, event):
+    """Apply one timeline event to ``network`` as one fault call."""
+    method = {
+        CRASH_NODE: network.crash_node, RECOVER_NODE: network.recover_node,
+        LINK_DOWN: network.fail_link, LINK_UP: network.restore_link,
+    }[event.kind]
+    method(*event.subject)
+
+
+def up_nodes(network):
+    return [node for node in network.node_ids() if network.node_is_up(node)]
 
 
 class TestFaultEvent:
@@ -80,7 +86,7 @@ class TestFaultTimeline:
         assert [event.time for event in merged] == [0.5, 1.0]
         assert len(a) == 1 and len(b) == 1  # inputs untouched
 
-    def test_event_counts_and_bool(self):
+    def test_bool(self):
         assert not FaultTimeline()
         timeline = FaultTimeline([
             FaultEvent(0.1, LINK_DOWN, (1, 2)),
@@ -88,7 +94,7 @@ class TestFaultTimeline:
             FaultEvent(0.3, LINK_DOWN, (1, 2)),
         ])
         assert timeline
-        assert timeline.event_counts() == {LINK_DOWN: 2, LINK_UP: 1}
+        assert Counter(event.kind for event in timeline) == {LINK_DOWN: 2, LINK_UP: 1}
 
 
 class TestBuilders:
@@ -97,7 +103,7 @@ class TestBuilders:
             grid, rng, waves=3, wave_size=2, start=1.0, period=2.0,
             downtime=0.5,
         )
-        counts = timeline.event_counts()
+        counts = Counter(event.kind for event in timeline)
         assert counts[CRASH_NODE] == 6
         assert counts[RECOVER_NODE] == 6
         crashes = [e for e in timeline if e.kind == CRASH_NODE]
@@ -157,7 +163,7 @@ class TestBuilders:
         for event in timeline:
             assert event.kind in (LINK_DOWN, LINK_UP)
             assert grid.has_edge(*event.subject)
-        assert timeline.event_counts() == {LINK_DOWN: 5, LINK_UP: 5}
+        assert Counter(event.kind for event in timeline) == {LINK_DOWN: 5, LINK_UP: 5}
 
     def test_partition_cuts_exactly_the_boundary(self, grid, rng):
         timeline = region_partition(
@@ -183,7 +189,7 @@ class TestBuilders:
         )
         for event in timeline:
             if event.kind == LINK_DOWN:
-                network.apply_fault(event)
+                apply(network, event)
         outcome = network.deliver(
             (0, 0), frozenset({(3, 3)}), "post", mode="unicast"
         )
@@ -201,18 +207,7 @@ class TestBuilders:
             assert node in grid.neighbours(epicenter)
 
 
-class TestApplyFault:
-    def test_apply_fault_round_trip(self, grid):
-        network = Network(grid, delivery_mode="unicast")
-        network.apply_fault(FaultEvent(0.0, CRASH_NODE, ((1, 1),)))
-        assert not network.node_is_up((1, 1))
-        network.apply_fault(FaultEvent(1.0, RECOVER_NODE, ((1, 1),)))
-        assert network.node_is_up((1, 1))
-        network.apply_fault(FaultEvent(2.0, LINK_DOWN, ((0, 0), (0, 1))))
-        assert not network.faults.link_is_up((0, 0), (0, 1))
-        network.apply_fault(FaultEvent(3.0, LINK_UP, ((0, 0), (0, 1))))
-        assert network.faults.link_is_up((0, 0), (0, 1))
-
+class TestFaultsOnANetwork:
     def test_each_event_advances_the_revision(self, grid):
         network = Network(grid, delivery_mode="unicast")
         before = network.faults.revision
@@ -221,7 +216,7 @@ class TestApplyFault:
             FaultEvent(1.0, LINK_UP, ((0, 0), (0, 1))),
             FaultEvent(2.0, CRASH_NODE, ((2, 2),)),
         ]:
-            network.apply_fault(event)
+            apply(network, event)
         assert network.faults.revision == before + 3
 
     def test_a_crash_empties_the_node_and_liveness_is_the_fault_plan(
@@ -239,13 +234,13 @@ class TestApplyFault:
             grid, rng, waves=4, wave_size=3, start=0.0, period=1.0,
             downtime=2.5,
         )
-        assert timeline.event_counts()[CRASH_NODE] >= 4
+        assert sum(event.kind == CRASH_NODE for event in timeline) >= 4
         ever_down = set()
         for index, event in enumerate(timeline):
-            network.apply_fault(event)
+            apply(network, event)
             crashed = network.faults.crashed_nodes
             ever_down |= crashed
-            assert set(network.up_nodes()) == set(network.node_ids()) - crashed
+            assert set(up_nodes(network)) == set(network.node_ids()) - crashed
             assert network.cache_sizes() == {
                 node: int(node not in ever_down) for node in network.node_ids()
             }, f"after event {index}: {event}"
@@ -256,7 +251,7 @@ class TestApplyFault:
         network.crash_node((0, 0))
         network.crash_node((3, 3))
         network.reset_for_reuse()
-        assert network.up_nodes() == network.node_ids()
+        assert up_nodes(network) == network.node_ids()
         assert not network.postings.holders(port)
         network.crash_node((1, 2))
         network.reset_to_cold()
@@ -278,75 +273,3 @@ class TestFaultPlanClear:
         plan.clear()
         assert plan.revision == revision + 1
         assert plan.fault_count == 0
-
-
-class TestRandomFaultPlanGuard:
-    def test_overshoot_clamps_with_warning(self, rng):
-        graph = complete_graph(12)
-        with pytest.warns(UserWarning, match="clamping"):
-            plan = random_fault_plan(graph, 8, rng, rendezvous_size=4)
-        assert len(plan.crashed_nodes) == max_tolerated_faults(4) == 3
-
-    def test_overshoot_strict_raises(self, rng):
-        graph = complete_graph(12)
-        with pytest.raises(ValueError, match="exceed"):
-            random_fault_plan(graph, 8, rng, rendezvous_size=4, strict=True)
-
-    def test_within_tolerance_untouched(self, rng, recwarn):
-        graph = complete_graph(12)
-        plan = random_fault_plan(graph, 3, rng, rendezvous_size=4)
-        assert len(plan.crashed_nodes) == 3
-        assert not recwarn.list
-
-    def test_no_rendezvous_size_keeps_old_behaviour(self, rng, recwarn):
-        graph = complete_graph(12)
-        plan = random_fault_plan(graph, 8, rng)
-        assert len(plan.crashed_nodes) == 8
-        assert not recwarn.list
-
-    def test_clamp_applies_before_population_check(self, rng):
-        """An over-ask the clamp satisfies keeps the sweep running even when
-        the raw count exceeds the unprotected population."""
-        graph = complete_graph(12)
-        with pytest.warns(UserWarning, match="clamping"):
-            plan = random_fault_plan(graph, 14, rng, rendezvous_size=4)
-        assert len(plan.crashed_nodes) == 3
-
-
-class TestRandomFaultPlanAtTime:
-    def test_at_time_returns_timeline_of_crashes(self, grid):
-        timeline = random_fault_plan(grid, 3, random.Random(7), at_time=2.5)
-        assert isinstance(timeline, FaultTimeline)
-        assert timeline.event_counts() == {CRASH_NODE: 3}
-        assert all(event.time == 2.5 for event in timeline.events)
-
-    def test_same_seed_fells_the_same_nodes_in_both_shapes(self, grid):
-        plan = random_fault_plan(grid, 4, random.Random(99))
-        timeline = random_fault_plan(grid, 4, random.Random(99), at_time=1.0)
-        struck = {event.subject[0] for event in timeline.events}
-        assert struck == set(plan.crashed_nodes)
-
-    def test_default_shape_unchanged(self, grid):
-        plan = random_fault_plan(grid, 2, random.Random(5))
-        assert isinstance(plan, FaultPlan)
-        assert len(plan.crashed_nodes) == 2
-
-    def test_at_time_respects_protected_and_clamp(self, grid):
-        protected = list(grid.nodes)[:2]
-        with pytest.warns(UserWarning, match="clamping"):
-            timeline = random_fault_plan(
-                grid, 9, random.Random(3), protected=protected,
-                rendezvous_size=4, at_time=0.5,
-            )
-        struck = {event.subject[0] for event in timeline.events}
-        assert len(struck) == 3
-        assert struck.isdisjoint(protected)
-
-    def test_shifted_moves_every_event(self, grid):
-        timeline = random_fault_plan(grid, 3, random.Random(7), at_time=2.0)
-        shifted = timeline.shifted(1.5)
-        assert [event.time for event in shifted.events] == [3.5, 3.5, 3.5]
-        assert (
-            [event.subject for event in shifted.events]
-            == [event.subject for event in timeline.events]
-        )

@@ -1,10 +1,10 @@
 """Unit tests for the MatchMaker engine."""
 
 import pytest
+from oracle.ledger import conservation_violations, read_ledger
 
-from repro.core.exceptions import ServiceNotFoundError
 from repro.core.matchmaker import MatchMaker
-from repro.core.types import Address, Port
+from repro.core.types import Address
 from repro.network.simulator import Network
 from repro.network.stats import PAYLOAD, POST, QUERY, REPLY
 from repro.strategies import CheckerboardStrategy, ManhattanStrategy
@@ -35,17 +35,11 @@ class TestRegistration:
             1 if 3 in strategy.post_set(3) else 0
         )
 
-    def test_registration_recorded(self, complete_setup, port):
-        _, _, matchmaker = complete_setup
-        matchmaker.register_server(3, port)
-        assert len(matchmaker.registrations) == 1
-
     def test_deregister_removes_postings(self, complete_setup, port):
         _, _, matchmaker = complete_setup
         registration = matchmaker.register_server(3, port)
         matchmaker.deregister_server(registration)
         assert not matchmaker.locate(9, port).found
-        assert len(matchmaker.registrations) == 0
 
     def test_migrate_updates_address(self, complete_setup, port):
         _, _, matchmaker = complete_setup
@@ -77,13 +71,6 @@ class TestLocate:
         result = matchmaker.locate(10, port)
         assert not result.found
         assert result.address is None
-
-    def test_locate_or_raise(self, complete_setup, port):
-        _, _, matchmaker = complete_setup
-        with pytest.raises(ServiceNotFoundError):
-            matchmaker.locate_or_raise(10, port)
-        matchmaker.register_server(5, port)
-        assert matchmaker.locate_or_raise(10, port) == Address(5)
 
     def test_locate_counts_queried_nodes(self, complete_setup, port):
         _, strategy, matchmaker = complete_setup
@@ -137,9 +124,8 @@ class TestMatchInstance:
         matchmaker = MatchMaker(network, ManhattanStrategy(topology))
         stats = network.stats
         matchmaker.match_instance((0, 0), (3, 3), port)  # warms the planner
-        assert stats.conservation_violations(
-            (POST, QUERY, REPLY, PAYLOAD)
-        ) == {}
+        categories = (POST, QUERY, REPLY, PAYLOAD)
+        assert conservation_violations(*read_ledger(stats), categories) == {}
         # What one instance should be charged: its post and its locate.
         mark = stats.snapshot()
         registration = matchmaker.register_server((0, 0), port)
@@ -150,9 +136,7 @@ class TestMatchInstance:
         matchmaker.match_instance((0, 0), (3, 3), port)
         assert stats.diff(mark) == charged
         assert stats.diff(mark).plan_events == charged.plan_events != {}
-        assert stats.conservation_violations(
-            (POST, QUERY, REPLY, PAYLOAD)
-        ) == {}
+        assert conservation_violations(*read_ledger(stats), categories) == {}
 
     def test_grid_instance_includes_routing_overhead(self, grid_setup, port):
         _, strategy, matchmaker = grid_setup

@@ -113,12 +113,3 @@ class TestMemoization:
         for node in network.node_ids():
             matchmaker.post_set(node, port)
         assert matchmaker.pq_cache_info()["hits"] == before + network.size
-
-    def test_clear_pq_cache(self, network, port):
-        strategy = CountingStrategy(network.node_ids())
-        matchmaker = MatchMaker(network, strategy)
-        matchmaker.locate(9, port)
-        matchmaker.clear_pq_cache()
-        assert matchmaker.pq_cache_info()["entries"] == 0
-        matchmaker.locate(9, port)
-        assert strategy.query_calls == 2

@@ -203,7 +203,7 @@ class TestSharedNetworks:
         network.reset_for_reuse()
         assert network.node_is_up((1, 1))
         assert network.faults.fault_count == 0
-        assert network.stats.total_messages == 0
+        assert network.stats.messages == {}
         assert network.stats.plan_events == {}
         assert network.next_timestamp() == 1
         assert all(size == 0 for size in network.cache_sizes().values())

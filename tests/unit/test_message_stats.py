@@ -1,8 +1,8 @@
-"""Unit tests for MessageStats and EventLoop."""
+"""Unit tests for MessageStats."""
 
 import pytest
+from oracle.ledger import conservation_violations, read_ledger
 
-from repro.network.events import EventLoop
 from repro.network.stats import POST, QUERY, REPLY, MessageStats
 
 
@@ -12,17 +12,8 @@ class TestMessageStats:
         stats.record(POST, 5)
         stats.record(QUERY, 3, message_count=2)
         assert stats.total_hops == 8
-        assert stats.total_messages == 3
-        assert stats.hops_for(POST) == 5
-        assert stats.messages_for(QUERY) == 2
-
-    def test_match_making_hops_excludes_replies(self):
-        stats = MessageStats()
-        stats.record(POST, 4)
-        stats.record(QUERY, 6)
-        stats.record(REPLY, 2)
-        assert stats.match_making_hops == 10
-        assert stats.total_hops == 12
+        assert stats.hops == {POST: 5, QUERY: 3}
+        assert stats.messages == {POST: 1, QUERY: 2}
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -33,11 +24,10 @@ class TestMessageStats:
         stats.record(QUERY, 7, message_count=5, delivered=3)
         stats.record(REPLY, 2, message_count=2, delivered=2)
         stats.record(POST, 0, message_count=1, delivered=0)
-        assert (stats.delivered_for(QUERY), stats.dropped_for(QUERY)) == (3, 2)
         # Only non-zero outcomes create keys (dumps stay minimal).
         assert stats.delivered == {QUERY: 3, REPLY: 2}
         assert stats.dropped == {QUERY: 2, POST: 1}
-        assert stats.conservation_violations((POST, QUERY, REPLY)) == {}
+        assert conservation_violations(*read_ledger(stats), (POST, QUERY, REPLY)) == {}
         # Flood-style traffic leaves ``delivered`` out: hops and messages only.
         stats.record("control", 9)
         assert "control" not in stats.delivered
@@ -67,7 +57,6 @@ class TestMessageStats:
         for family in ("hops", "messages", "node_load", "plan_events",
                        "delivered", "dropped"):
             assert getattr(stats, family) == {}
-        assert stats.conservation_violations((QUERY,)) == {}
 
     def test_restore_rewinds_all_six_families(self):
         stats = MessageStats()
@@ -84,7 +73,7 @@ class TestMessageStats:
         assert stats == snap
         assert stats.hops is hops  # in place: the planner keeps its handle
         stats.record(POST, 1)
-        assert snap.hops_for(POST) == 2  # the snapshot stays independent
+        assert snap.hops[POST] == 2  # the snapshot stays independent
 
     def test_merge(self):
         a = MessageStats()
@@ -93,8 +82,8 @@ class TestMessageStats:
         b.record(POST, 3)
         b.record(QUERY, 1)
         a.merge(b)
-        assert a.hops_for(POST) == 5
-        assert a.hops_for(QUERY) == 1
+        assert a.hops[POST] == 5
+        assert a.hops[QUERY] == 1
 
     def test_snapshot_and_diff(self):
         stats = MessageStats()
@@ -103,92 +92,13 @@ class TestMessageStats:
         stats.record(POST, 3)
         stats.record(QUERY, 1)
         delta = stats.diff(snap)
-        assert delta.hops_for(POST) == 3
-        assert delta.hops_for(QUERY) == 1
+        assert delta.hops[POST] == 3
+        assert delta.hops[QUERY] == 1
         # Snapshot itself is unchanged by later recording.
-        assert snap.hops_for(POST) == 2
+        assert snap.hops[POST] == 2
 
     def test_reset(self):
         stats = MessageStats()
         stats.record(POST, 5)
         stats.reset()
         assert stats.total_hops == 0
-
-    def test_unknown_category_zero(self):
-        assert MessageStats().hops_for("nonexistent") == 0
-
-
-class TestEventLoop:
-    def test_events_run_in_time_order(self):
-        loop = EventLoop()
-        order = []
-        loop.schedule_at(5, lambda: order.append("b"))
-        loop.schedule_at(2, lambda: order.append("a"))
-        loop.run_until_idle()
-        assert order == ["a", "b"]
-        assert loop.now == 5
-
-    def test_same_time_fifo(self):
-        loop = EventLoop()
-        order = []
-        loop.schedule_at(1, lambda: order.append(1))
-        loop.schedule_at(1, lambda: order.append(2))
-        loop.run_until_idle()
-        assert order == [1, 2]
-
-    def test_schedule_after(self):
-        loop = EventLoop()
-        fired = []
-        loop.schedule_after(3, lambda: fired.append(loop.now))
-        loop.run_until(10)
-        assert fired == [3]
-
-    def test_run_until_respects_deadline(self):
-        loop = EventLoop()
-        fired = []
-        loop.schedule_at(2, lambda: fired.append(2))
-        loop.schedule_at(8, lambda: fired.append(8))
-        executed = loop.run_until(5)
-        assert executed == 1
-        assert fired == [2]
-        assert loop.now == 5
-        assert loop.pending == 1
-
-    def test_cannot_schedule_in_past(self):
-        loop = EventLoop()
-        loop.schedule_at(5, lambda: None)
-        loop.run_until(5)
-        with pytest.raises(ValueError):
-            loop.schedule_at(3, lambda: None)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            EventLoop().schedule_after(-1, lambda: None)
-
-    def test_step_on_idle_loop(self):
-        assert EventLoop().step() is False
-
-    def test_advance(self):
-        loop = EventLoop()
-        fired = []
-        loop.schedule_at(4, lambda: fired.append(True))
-        loop.advance(10)
-        assert fired == [True]
-        assert loop.now == 10
-
-    def test_self_rescheduling_event_bounded(self):
-        loop = EventLoop()
-
-        def tick():
-            loop.schedule_after(1, tick)
-
-        loop.schedule_at(0, tick)
-        executed = loop.run_until(5, max_events=3)
-        assert executed == 3
-
-    def test_processed_counter(self):
-        loop = EventLoop()
-        loop.schedule_at(1, lambda: None)
-        loop.schedule_at(2, lambda: None)
-        loop.run_until_idle()
-        assert loop.processed == 2

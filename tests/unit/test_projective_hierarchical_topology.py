@@ -99,10 +99,6 @@ class TestHierarchicalTopology:
         assert topo.entry_point(node, 2) == (1, 1, 0)
         assert topo.entry_point(node, 3) == (1, 0, 0)
 
-    def test_gateway_path_length_equals_levels(self):
-        topo = HierarchicalTopology([2, 3, 2])
-        assert len(topo.gateway_path((1, 2, 1))) == 3
-
     def test_cluster_prefix(self):
         topo = HierarchicalTopology([2, 2, 2])
         assert topo.cluster_prefix((1, 0, 1), 1) == (1, 0)

@@ -90,7 +90,6 @@ class TestDefaults:
 class TestDerivedValues:
     def test_match_result_properties(self):
         result = MatchResult(*CASES[1][2])
-        assert result.total_messages == 10
         assert result.match_messages == 8
         assert result.addressed_nodes == 8
 

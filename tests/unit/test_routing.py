@@ -7,12 +7,7 @@ import pytest
 from repro.core.exceptions import NoRouteError, UnknownNodeError
 from repro.network.faults import FaultPlan, surviving_graph
 from repro.network.graph import Graph, complete_graph
-from repro.network.routing import (
-    RoutingTable,
-    multicast_tree_cost,
-    path_cost,
-    route_cost,
-)
+from repro.network.routing import RoutingTable
 from repro.network.simulator import Network
 from repro.workload import build_topology
 
@@ -47,16 +42,6 @@ class TestDistances:
         with pytest.raises(NoRouteError):
             table.distance(1, 3)
 
-    def test_has_route(self):
-        graph = Graph(nodes=[1, 2, 3], edges=[(1, 2)])
-        table = RoutingTable(graph)
-        assert table.has_route(1, 2)
-        assert not table.has_route(1, 3)
-
-    def test_eccentricity(self, path_table):
-        assert path_table.eccentricity(0) == 5
-        assert path_table.eccentricity(3) == 3
-
 
 class TestNextHopAndPaths:
     def test_next_hop_moves_towards_destination(self, path_table):
@@ -75,47 +60,6 @@ class TestNextHopAndPaths:
         path = path_table.shortest_path(0, 5)
         for u, v in zip(path, path[1:]):
             assert path_graph.has_edge(u, v)
-
-    def test_path_cost(self, path_table):
-        assert path_cost(path_table, [0, 1, 2]) == 2
-        assert path_cost(path_table, []) == 0
-
-    def test_invalidate_after_graph_change(self, path_graph):
-        table = RoutingTable(path_graph)
-        assert table.distance(0, 5) == 5
-        path_graph.add_edge(0, 5)
-        table.invalidate()
-        assert table.distance(0, 5) == 1
-
-
-class TestCostHelpers:
-    def test_route_cost_sums_distances(self, path_table):
-        assert route_cost(path_table, 0, [1, 2, 3]) == 1 + 2 + 3
-
-    def test_route_cost_skips_source(self, path_table):
-        assert route_cost(path_table, 0, [0]) == 0
-
-    def test_multicast_tree_cost_on_path(self, path_graph):
-        # Reaching nodes 1..5 from 0 along the path uses 5 edges.
-        assert multicast_tree_cost(path_graph, 0, [1, 2, 3, 4, 5]) == 5
-
-    def test_multicast_tree_cost_shares_edges(self):
-        # A star: reaching all 4 leaves costs 4 edges, not 4 separate paths.
-        star = Graph(edges=[(0, i) for i in range(1, 5)])
-        assert multicast_tree_cost(star, 0, [1, 2, 3, 4]) == 4
-
-    def test_multicast_tree_cost_equals_addressed_nodes_when_connected(self):
-        # Paper 2.3.5: if the addressed set induces a connected subgraph
-        # containing the source, spanning-tree broadcast costs exactly the
-        # number of addressed nodes (excluding the source).
-        graph = complete_graph(10)
-        targets = [1, 2, 3, 4]
-        assert multicast_tree_cost(graph, 0, targets) == len(targets)
-
-    def test_multicast_unreachable_raises(self):
-        graph = Graph(nodes=[0, 1, 2], edges=[(0, 1)])
-        with pytest.raises(NoRouteError):
-            multicast_tree_cost(graph, 0, [2])
 
 
 class TestReversePathBeam:
@@ -198,7 +142,7 @@ def _assert_tables_match_reference(table, graph):
                 assert table.next_hop(source, destination) == next_hop[destination]
                 assert table.distance(source, destination) == distance[destination]
             else:
-                assert not table.has_route(source, destination)
+                assert destination not in table.distance_map(source)
                 with pytest.raises(NoRouteError):
                     table.next_hop(source, destination)
 
@@ -215,8 +159,6 @@ class TestOnceSortedNeighbours:
         graph = build_topology(name).graph
         table = RoutingTable(graph)
         _assert_tables_match_reference(table, graph)
-        table.invalidate()
-        _assert_tables_match_reference(table, graph)
 
     @pytest.mark.parametrize("name", TOPOLOGIES)
     def test_tables_equal_reference_bfs_over_a_surviving_graph(self, name):
@@ -229,15 +171,6 @@ class TestOnceSortedNeighbours:
             plan.fail_link(u, v)
         survivors = surviving_graph(graph, plan)
         _assert_tables_match_reference(RoutingTable(survivors), survivors)
-
-    def test_invalidate_forgets_the_neighbour_order(self):
-        graph = Graph(nodes=range(4), edges=[(0, 1), (1, 2), (2, 3)])
-        table = RoutingTable(graph)
-        assert table.distance(0, 3) == 3
-        graph.add_edge(0, 3)
-        table.invalidate()
-        assert table.distance(0, 3) == 1
-        _assert_tables_match_reference(table, graph)
 
 
 def _partitioned_graph():
@@ -407,7 +340,7 @@ class TestSurvivingMask:
         assert not survivors.is_connected()
         cut = [
             (a, b) for a in survivors for b in survivors
-            if not table.has_route(a, b)
+            if b not in table.distance_map(a)
         ]
         assert cut and all(
             _outcome(table.distance, a, b)
@@ -424,7 +357,7 @@ class TestSurvivingMask:
         plan.fail_link((0, 0), (1, 0))
         masked = static.masked(plan.crashed_nodes, plan.failed_links)
         plan.clear()  # later revisions do not reach into the mask
-        assert not masked.has_route((0, 0), (5, 5))
+        assert (5, 5) not in masked.distance_map((0, 0))
         assert _outcome(masked.distance, (0, 1), (0, 0)) == \
             (UnknownNodeError, UnknownNodeError((0, 1)).args)
         assert dict(static.distance_map((0, 0))) == before

@@ -54,9 +54,8 @@ class TestScopedHashStrategy:
     def test_scope_levels_validated(self, hierarchy):
         with pytest.raises(StrategyError):
             ScopedHashStrategy(hierarchy, scopes={LOCAL: 9})
-        strategy = ScopedHashStrategy(hierarchy)
         with pytest.raises(StrategyError):
-            strategy.set_scope(LOCAL, 0)
+            ScopedHashStrategy(hierarchy, scopes={LOCAL: 0})
 
     def test_local_port_stays_in_cluster(self, scoped, hierarchy):
         node = (1, 2, 0)
@@ -77,12 +76,6 @@ class TestScopedHashStrategy:
     def test_post_equals_query(self, scoped, hierarchy):
         node = (1, 1, 1)
         assert scoped.post_set(node, CAMPUS) == scoped.query_set(node, CAMPUS)
-
-    def test_same_neighbourhood_predicate(self, scoped):
-        assert scoped.same_neighbourhood((0, 0, 0), (0, 0, 2), LOCAL)
-        assert not scoped.same_neighbourhood((0, 0, 0), (0, 1, 0), LOCAL)
-        assert scoped.same_neighbourhood((0, 0, 0), (0, 1, 0), CAMPUS)
-        assert scoped.same_neighbourhood((0, 0, 0), (2, 2, 2), GLOBAL)
 
     def test_local_match_made_within_cluster(self, scoped, hierarchy):
         network = Network(hierarchy.graph, delivery_mode="multicast")

@@ -116,14 +116,11 @@ class TestClock:
         assert kernel.run(ignore) == 1.0
         kernel.schedule(4.0, "message")
         assert kernel.run(ignore) == 4.0
-        assert kernel.fired == 2
 
-    def test_pending_and_fired_counters(self):
+    def test_pending_counter(self):
         kernel = SimKernel()
         kernel.schedule(1.0, "message")
         kernel.schedule(2.0, "message")
         assert kernel.pending == 2
-        assert kernel.fired == 0
         kernel.run(ignore)
         assert kernel.pending == 0
-        assert kernel.fired == 2

@@ -1,10 +1,9 @@
 """Unit tests for the MatchMakingStrategy abstraction."""
 
 import pytest
+from oracle.rendezvous import read_sets, validate
 
-from repro.core.exceptions import StrategyError
 from repro.core.strategy import FunctionalStrategy
-from repro.core.types import Port
 
 
 @pytest.fixture
@@ -47,38 +46,13 @@ class TestDerivedQuantities:
         assert broadcastish.query_cost(0) == 9
         assert broadcastish.pair_cost(0, 1) == 10
 
-    def test_guarantees_match(self, broadcastish, universe):
-        for server in universe:
-            for client in universe:
-                assert broadcastish.guarantees_match(server, client)
+    def test_every_pair_meets(self, broadcastish, universe):
+        assert validate(universe, *read_sets(broadcastish, universe)) == []
 
     def test_no_match_detected(self):
         strategy = FunctionalStrategy(post=lambda i: {0}, query=lambda j: {1})
-        assert not strategy.guarantees_match(5, 6)
+        assert strategy.rendezvous_set(5, 6) == frozenset()
 
     def test_port_argument_ignored_by_default(self, broadcastish, port):
         assert broadcastish.post_set(2, port) == broadcastish.post_set(2)
         assert broadcastish.port_dependent is False
-
-
-class TestValidate:
-    def test_valid_strategy_passes(self, broadcastish, universe):
-        broadcastish.validate(universe)
-
-    def test_missing_rendezvous_detected(self, universe):
-        strategy = FunctionalStrategy(
-            post=lambda i: {0} if i < 5 else {1},
-            query=lambda j: {0},
-            name="broken",
-        )
-        with pytest.raises(StrategyError):
-            strategy.validate(universe)
-
-    def test_out_of_universe_target_detected(self, universe):
-        strategy = FunctionalStrategy(
-            post=lambda i: {999},
-            query=lambda j: {999},
-            name="escapes",
-        )
-        with pytest.raises(StrategyError):
-            strategy.validate(universe)

@@ -29,15 +29,13 @@ class TestTimelineWindowing:
         timeline.bump(999, served=2)
         timeline.bump(1000, served=5)
         assert timeline.windows() == [(0, {"served": 3}), (1, {"served": 5})]
-        assert timeline.window_at(500) == {"served": 3}
-        assert timeline.window_at(99_999) == {}
 
     def test_mark_keeps_the_window_maximum(self):
         timeline = Timeline(width_us=100)
         timeline.mark(10, depth_peak=3)
         timeline.mark(20, depth_peak=7)
         timeline.mark(30, depth_peak=5)
-        assert timeline.window_at(0) == {"depth_peak": 7}
+        assert timeline.windows() == [(0, {"depth_peak": 7})]
         assert timeline.total("depth_peak") == 7
 
     def test_field_suffix_convention_is_enforced(self):

@@ -5,6 +5,7 @@ decomposition."""
 import math
 
 import pytest
+from oracle.rendezvous import read_sets, validate
 
 from repro.core.exceptions import StrategyError
 from repro.core.rendezvous import RendezvousMatrix
@@ -42,7 +43,6 @@ class TestManhattanStrategy:
     def test_unique_rendezvous(self, grid5):
         strategy = ManhattanStrategy(grid5)
         assert strategy.rendezvous_set((1, 2), (3, 4)) == frozenset({(1, 4)})
-        assert strategy.rendezvous_node((1, 2), (3, 4)) == (1, 4)
 
     def test_paper_9_node_matrix(self):
         # Section 3.1 prints the 3x3 grid's matrix with nodes numbered 1..9.
@@ -99,7 +99,7 @@ class TestMeshSliceStrategy:
     def test_three_dimensional_intersection_nonempty(self):
         mesh = MeshTopology([3, 3, 3])
         strategy = MeshSliceStrategy(mesh)
-        strategy.validate(mesh.nodes())
+        assert validate(mesh.nodes(), *read_sets(strategy, mesh.nodes())) == []
 
     def test_cost_is_2_n_to_the_d_minus_1_over_d(self):
         side, d = 4, 3
@@ -150,9 +150,9 @@ class TestHypercubeStrategy:
         strategy = HypercubeStrategy(cube, server_prefix_bits=2)
         assert strategy.addressed_nodes() == 2**4 + 2**2
 
-    def test_rendezvous_node_helper(self, cube3):
+    def test_rendezvous_is_server_prefix_then_client_suffix(self, cube3):
         strategy = HypercubeStrategy(cube3, server_prefix_bits=1)
-        assert strategy.rendezvous_node("011", "101") == "001"
+        assert strategy.rendezvous_set("011", "101") == frozenset({"001"})
 
     def test_every_pair_has_single_rendezvous(self):
         cube = HypercubeTopology(4)
@@ -174,15 +174,14 @@ class TestCCCStrategy:
     def test_total_on_ccc3(self):
         topo = CubeConnectedCyclesTopology(3)
         strategy = CubeConnectedCyclesStrategy(topo)
-        strategy.validate(topo.nodes())
+        assert validate(topo.nodes(), *read_sets(strategy, topo.nodes())) == []
 
-    def test_rendezvous_node_is_posted_and_queried(self):
+    def test_rendezvous_mixes_client_prefix_and_server_suffix(self):
         topo = CubeConnectedCyclesTopology(4)
         strategy = CubeConnectedCyclesStrategy(topo)
         server, client = (2, "0110"), (1, "1001")
-        meeting = strategy.rendezvous_node(server, client)
-        assert meeting in strategy.post_set(server)
-        assert meeting in strategy.query_set(client)
+        # The server's cycle position at corner client[:2] + server[2:].
+        assert strategy.rendezvous_set(server, client) == frozenset({(2, "1010")})
 
     def test_expected_costs_orders(self):
         topo = CubeConnectedCyclesTopology(4)
@@ -202,7 +201,7 @@ class TestCCCStrategy:
         target = (0, "0000")
         posters = [s for s in topo.nodes() if target in strategy.post_set(s)]
         d = topo.dimensions
-        assert len(posters) == 2 ** (d - strategy.suffix_bits)
+        assert len(posters) == 2 ** (d - math.ceil(d / 2))
 
 
 class TestProjectiveStrategy:
@@ -231,16 +230,12 @@ class TestProjectiveStrategy:
     def test_same_index_lines_allowed(self):
         plane = ProjectivePlaneTopology(2)
         strategy = ProjectivePlaneStrategy(plane, post_line_index=0, query_line_index=0)
-        strategy.validate(plane.nodes())
+        assert validate(plane.nodes(), *read_sets(strategy, plane.nodes())) == []
 
     def test_invalid_line_index(self):
         plane = ProjectivePlaneTopology(2)
         with pytest.raises(StrategyError):
             ProjectivePlaneStrategy(plane, post_line_index=5)
-
-    def test_expected_cost_helper(self):
-        plane = ProjectivePlaneTopology(5)
-        assert ProjectivePlaneStrategy(plane).expected_cost() == 12
 
 
 class TestSupervisorHierarchy:
@@ -262,7 +257,7 @@ class TestSupervisorHierarchy:
 
     def test_total(self):
         strategy = SupervisorHierarchyStrategy.example5()
-        strategy.validate(range(1, 10))
+        assert validate(range(1, 10), *read_sets(strategy, range(1, 10))) == []
 
     def test_cycle_detected(self):
         with pytest.raises(StrategyError):
@@ -286,11 +281,11 @@ class TestTreePathStrategy:
         assert strategy.post_set(node) == frozenset(tree.path_to_root(node))
         assert strategy.post_set(node) == strategy.query_set(node)
 
-    def test_lowest_common_ancestor(self):
+    def test_rendezvous_is_the_path_from_the_common_ancestor_up(self):
         tree = TreeTopology.balanced(2, 3)
         strategy = TreePathStrategy(tree)
-        assert strategy.lowest_common_ancestor((0, 0, 0), (0, 1, 1)) == (0,)
-        assert strategy.lowest_common_ancestor((0, 0, 0), (1, 1, 1)) == ()
+        assert strategy.rendezvous_set((0, 0, 0), (0, 1, 1)) == frozenset({(0,), ()})
+        assert strategy.rendezvous_set((0, 0, 0), (1, 1, 1)) == frozenset({()})
 
     def test_cost_bounded_by_depth(self):
         tree = TreeTopology.balanced(3, 4)
@@ -301,7 +296,7 @@ class TestTreePathStrategy:
     def test_works_on_uucp_topology(self):
         topo = UUCPNetworkGenerator().generate(60, seed=2)
         strategy = TreePathStrategy(topo)
-        strategy.validate(topo.graph.nodes)
+        assert validate(topo.graph.nodes, *read_sets(strategy, topo.graph.nodes)) == []
 
     def test_rejects_other_topologies(self):
         with pytest.raises(StrategyError):
@@ -320,24 +315,7 @@ class TestHierarchicalGatewayStrategy:
     def test_total_on_uniform_hierarchy(self):
         topo = HierarchicalTopology.uniform(3, 3)
         strategy = HierarchicalGatewayStrategy(topo)
-        strategy.validate(topo.nodes())
-
-    def test_matching_level(self):
-        topo = HierarchicalTopology.uniform(2, 3)
-        strategy = HierarchicalGatewayStrategy(topo)
-        assert strategy.matching_level((0, 0, 0), (0, 0, 1)) == 1
-        assert strategy.matching_level((0, 0, 0), (0, 1, 0)) == 2
-        assert strategy.matching_level((0, 0, 0), (1, 1, 1)) == 3
-
-    def test_per_level_costs_sum_to_set_sizes(self):
-        topo = HierarchicalTopology.uniform(4, 2)
-        strategy = HierarchicalGatewayStrategy(topo)
-        node = (2, 3)
-        costs = strategy.per_level_costs(node)
-        assert len(costs) == 2
-        total_post = sum(post for _, post, _ in costs)
-        # Union may be smaller than the sum when levels share nodes.
-        assert len(strategy.post_set(node)) <= total_post
+        assert validate(topo.nodes(), *read_sets(strategy, topo.nodes())) == []
 
     def test_cheaper_than_flat_checkerboard_for_deep_hierarchy(self):
         topo = HierarchicalTopology.uniform(4, 3)  # n = 64
@@ -354,7 +332,7 @@ class TestSubgraphDecompositionStrategy:
     def test_total_on_grid(self, grid5):
         decomposition = decompose(grid5.graph)
         strategy = SubgraphDecompositionStrategy(decomposition)
-        strategy.validate(grid5.nodes())
+        assert validate(grid5.nodes(), *read_sets(strategy, grid5.nodes())) == []
 
     def test_query_is_own_block(self, grid5):
         decomposition = decompose(grid5.graph)
@@ -369,13 +347,13 @@ class TestSubgraphDecompositionStrategy:
         node = grid5.nodes()[3]
         assert len(strategy.post_set(node)) <= decomposition.block_count
 
-    def test_rendezvous_node_in_client_block(self, grid5):
+    def test_rendezvous_in_client_block(self, grid5):
         decomposition = decompose(grid5.graph)
         strategy = SubgraphDecompositionStrategy(decomposition)
         server, client = grid5.nodes()[0], grid5.nodes()[20]
-        meeting = strategy.rendezvous_node(server, client)
-        assert decomposition.block_of(meeting) == decomposition.block_of(client)
-        assert meeting in strategy.rendezvous_set(server, client)
+        meeting = strategy.rendezvous_set(server, client)
+        assert {decomposition.block_of(node) for node in meeting} == \
+            {decomposition.block_of(client)}
 
     def test_query_cost_is_sqrt_n_scale(self):
         topo = ManhattanTopology.square(10)
@@ -388,4 +366,4 @@ class TestSubgraphDecompositionStrategy:
         topo = UUCPNetworkGenerator().generate(150, seed=5)
         decomposition = decompose(topo.graph)
         strategy = SubgraphDecompositionStrategy(decomposition)
-        strategy.validate(topo.graph.nodes)
+        assert validate(topo.graph.nodes, *read_sets(strategy, topo.graph.nodes)) == []

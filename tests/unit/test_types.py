@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.core.types import (
-    Address,
-    MatchResult,
-    Port,
-    PortFactory,
-    PostRecord,
-    as_node_set,
-)
+from repro.core.types import Address, MatchResult, Port, PostRecord
 
 
 class TestPort:
@@ -68,26 +61,8 @@ class TestPostRecord:
         assert record.server_id == ""
 
 
-class TestPortFactory:
-    def test_ports_are_unique(self):
-        factory = PortFactory()
-        ports = factory.new_ports(100)
-        assert len(set(ports)) == 100
-
-    def test_prefix_used(self):
-        factory = PortFactory(prefix="svc")
-        assert factory.new_port().name.startswith("svc-")
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            PortFactory().new_ports(-1)
-
-    def test_zero_count_gives_empty(self):
-        assert PortFactory().new_ports(0) == ()
-
-
 class TestMatchResult:
-    def test_total_and_match_messages(self):
+    def test_match_messages(self):
         result = MatchResult(
             found=True,
             address=Address(4),
@@ -98,7 +73,6 @@ class TestMatchResult:
             nodes_queried=3,
         )
         assert result.match_messages == 8
-        assert result.total_messages == 10
         assert result.addressed_nodes == 8
 
     def test_not_found_defaults(self):
@@ -106,8 +80,3 @@ class TestMatchResult:
         assert result.address is None
         assert result.match_messages == 0
         assert result.rendezvous_nodes == frozenset()
-
-
-def test_as_node_set_normalises_iterables():
-    assert as_node_set([1, 2, 2, 3]) == frozenset({1, 2, 3})
-    assert isinstance(as_node_set(x for x in range(3)), frozenset)
