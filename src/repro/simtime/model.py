@@ -142,11 +142,25 @@ class TimeModelSpec:
         for key, timing in self.link_overrides:
             if not isinstance(timing, LinkTiming):
                 raise TypeError(f"link override {key!r} is not a LinkTiming")
+            # A key ``link_key`` never makes is never looked up: the link
+            # would price at the default without a word.
+            ends = key.split("<->")
+            if len(ends) != 2:
+                raise ValueError(f"link override {key!r} is not a link key")
+            if ends[0] > ends[1]:
+                raise ValueError(f"link override {key!r} is not canonical: "
+                                 f"spell it {'<->'.join(ends[::-1])!r}")
         for key, seconds in self.node_overrides:
             if not 0 <= seconds < math.inf:
                 raise ValueError(
                     f"node override {key!r} must be finite and non-negative"
                 )
+        for kind, overrides in (("link", self.link_overrides),
+                                ("node", self.node_overrides)):
+            keys = [key for key, _ in overrides]
+            for key in keys:
+                if keys.count(key) > 1:
+                    raise ValueError(f"{kind} override {key!r} is given twice")
 
     @property
     def label(self) -> str:

@@ -286,3 +286,13 @@ class TestErrors:
         error = capsys.readouterr().err
         assert "unknown LinkTiming key(s) ['latncy']" in error
         assert "'latency'" in error  # ... and what would have been accepted
+
+    def test_reversed_link_override_exits_two_naming_the_canonical_key(
+        self, spec_file, tmp_path, capsys
+    ):
+        model = tmp_path / "tm.json"
+        model.write_text(json.dumps(
+            {"link_overrides": [["1<->0", {"latency": 0.5}]]}
+        ))
+        assert main(["run", str(spec_file), "--time-model", str(model)]) == 2
+        assert "'0<->1'" in capsys.readouterr().err

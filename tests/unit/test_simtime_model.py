@@ -75,6 +75,34 @@ class TestTimeModelSpec:
         with pytest.raises(TypeError):
             TimeModelSpec(link_overrides=(("a<->b", 0.5),))
 
+    def test_rejects_a_reversed_link_key_naming_the_canonical_one(self):
+        with pytest.raises(ValueError, match=r"'1<->0'.*'0<->1'"):
+            TimeModelSpec(link_overrides=(("1<->0", LinkTiming(0.5)),))
+        with pytest.raises(ValueError, match=r"'\(0, 1\)<->\(0, 0\)'"):
+            TimeModelSpec(
+                link_overrides=(("(0, 1)<->(0, 0)", LinkTiming(0.5)),)
+            )
+
+    @pytest.mark.parametrize("key", ["0-1", "0<->1<->2", ""])
+    def test_rejects_a_key_that_is_not_a_link_key(self, key):
+        with pytest.raises(ValueError, match="is not a link key"):
+            TimeModelSpec(link_overrides=((key, LinkTiming(0.5)),))
+
+    def test_every_key_link_key_makes_is_accepted(self):
+        for u, v in ((0, 1), (1, 0), ((0, 1), (0, 0)), ("b", "a"), (10, 9)):
+            model = TimeModelSpec(
+                link_overrides=((link_key(u, v), LinkTiming(0.5)),)
+            )
+            assert model.link_timing(link_key(v, u)).latency == 0.5
+
+    def test_rejects_duplicate_override_keys(self):
+        with pytest.raises(ValueError, match="link override '0<->1' is given twice"):
+            TimeModelSpec(link_overrides=(
+                ("0<->1", LinkTiming(0.5)), ("0<->1", LinkTiming(0.7)),
+            ))
+        with pytest.raises(ValueError, match="node override '3' is given twice"):
+            TimeModelSpec(node_overrides=(("3", 0.1), ("3", 0.0)))
+
     def test_rejects_negative_node_override(self):
         with pytest.raises(ValueError):
             TimeModelSpec(node_overrides=(("'n'", -0.5),))
