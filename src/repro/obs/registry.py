@@ -19,7 +19,7 @@ working while merge/diff/snapshot stop being hand-rolled loops.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .timeline import Timeline
 
@@ -116,28 +116,6 @@ class Histogram:
         self._counts[slot] = self._counts.get(slot, 0) + count
         self._total += count
         self._sum += value * count
-
-    def add_many(self, values: Sequence[int]) -> None:
-        """Record one sample of each of ``values`` — ``add`` in bulk, for
-        owners that tally locally and flush once.  All-or-nothing: a
-        negative sample raises before anything is recorded."""
-        if not values:
-            return
-        if min(values) < 0:
-            raise ValueError("value must be >= 0")
-        counts = self._counts
-        buckets = self._buckets
-        if buckets:  # ``_slot`` spelled out: one bisect per sample, no call
-            size, overflow = len(buckets), buckets[-1] + 1
-            for value in values:
-                index = bisect_left(buckets, value)
-                slot = buckets[index] if index < size else overflow
-                counts[slot] = counts.get(slot, 0) + 1
-        else:
-            for slot in values:
-                counts[slot] = counts.get(slot, 0) + 1
-        self._total += len(values)
-        self._sum += sum(values)
 
     @property
     def count(self) -> int:

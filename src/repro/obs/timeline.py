@@ -2,10 +2,12 @@
 
 Percentiles compress a whole run into one number; a *timeline* keeps the
 run's shape.  A :class:`Timeline` splits the virtual clock into fixed-width
-windows (SimKernel microseconds, never wall clock) and accumulates
-counter-shaped fields per window — admitted/dropped messages, served
-requests, latency sums, depth peaks — so a burst that melts p99 for 50ms
-shows up as three hot windows, not a smeared percentile.
+windows (SimKernel microseconds, never wall clock) and holds counter-shaped
+fields per window — admitted/dropped messages, served requests, latency
+sums, depth peaks — so a burst that melts p99 for 50ms shows up as three
+hot windows, not a smeared percentile.  The code that observes the run
+tallies per window itself and writes once: :meth:`Timeline.from_dump`
+builds the run's windows, :meth:`Timeline.merge` folds them in.
 
 Merging follows the registry's algebra: two timelines with the same window
 width merge window-by-window, summing every field except those whose name
@@ -33,8 +35,9 @@ class Timeline:
     """Fixed-width virtual-time windows of integer counters.
 
     ``width_us`` is the window width in integer microseconds; an
-    observation at virtual time ``t`` lands in window ``t // width_us``.
-    Windows materialize on first touch, so a mostly-idle run stays small.
+    observation at virtual time ``t`` belongs to window ``t // width_us``.
+    Only windows something happened in exist, so a mostly-idle run stays
+    small.
     """
 
     __slots__ = ("_width_us", "_windows")
@@ -49,39 +52,6 @@ class Timeline:
     def width_us(self) -> int:
         """The window width in microseconds."""
         return self._width_us
-
-    def _window(self, at_us: int) -> Dict[str, int]:
-        if at_us < 0:
-            raise ValueError("virtual time must be non-negative")
-        return self._windows.setdefault(at_us // self._width_us, {})
-
-    def bump(self, at_us: int, **fields: int) -> None:
-        """Add counts into the window containing virtual time ``at_us``.
-
-        Count fields must not carry a max-merge suffix — a summed field
-        named ``*_peak`` would silently merge wrong across shards.
-        """
-        window = self._window(at_us)
-        for field, amount in fields.items():
-            if _merges_by_max(field):
-                raise ValueError(
-                    f"field {field!r} names a level (use mark()), not a count"
-                )
-            window[field] = window.get(field, 0) + int(amount)
-
-    def mark(self, at_us: int, **fields: int) -> None:
-        """Record level highs (``max``) into ``at_us``'s window.
-
-        Level fields must end in ``_max`` or ``_peak`` so :meth:`merge` can
-        recover the right combine from the name alone.
-        """
-        window = self._window(at_us)
-        for field, value in fields.items():
-            if not _merges_by_max(field):
-                raise ValueError(
-                    f"field {field!r} names a count (use bump()), not a level"
-                )
-            window[field] = max(window.get(field, 0), int(value))
 
     def __len__(self) -> int:
         return len(self._windows)

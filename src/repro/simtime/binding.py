@@ -17,7 +17,7 @@ overlay prices the batches:
    :class:`~repro.simtime.queueing.FifoResource`, latency and jitter, then
    the far node's FIFO server and service time, both directions of a link
    sharing one queue.  Pricing a hop is one loop body around one
-   ``acquire``: draw the seeded jitter, admit, tally.  Outside ``ideal``
+   ``acquire``: draw the seeded jitter, admit, mark.  Outside ``ideal``
    delivery the programs live as long as the planner's routing table: a
    different table object (a fault, a recovery) drops them all;
 3. the event kernel orders only what has no order yet.  A batch's
@@ -30,18 +30,18 @@ overlay prices the batches:
    checkerboard traffic spreads — hop counts become p50/p99 latency.
 
 Request latency is the virtual time from the op's arrival to its last
-batch completion, recorded in integer microseconds.  What the queue visits
-observe on the way — waits, depths, per-window admissions and drops, link
-busy time — is tallied while the request is priced and reaches the metrics
-registry in **one flush per request**.  Everything is a pure function of
-(trace, model, seed): replaying a trace reproduces every histogram bucket
-exactly.
+batch completion, recorded in integer microseconds.  Every instrument is a
+per-run tally kept by the code that does the work — queue stations count
+their visits, the overlay its requests — and reaches the metrics registry
+in **one flush per run**.  Everything is a pure function of (trace, model,
+seed): replaying a trace reproduces every histogram bucket exactly.
 
 Beyond the latency number, the overlay keeps each request's **causal
-timeline**: every priced message records its timed segments —
-``link_wait`` / ``link_xfer`` / ``node_wait`` / ``node_service``, each
-tagged with the link or node it happened on — under the batch's traffic
-phase (``query``/``reply``/``payload``...).  Batches are barrier-ordered,
+timeline**: every priced message marks its launch and each service
+window, and its timed segments follow — ``link_wait`` / ``link_xfer`` /
+``node_wait`` / ``node_service``, each tagged with the link or node it
+happened on — under the batch's traffic phase
+(``query``/``reply``/``payload``...).  Batches are barrier-ordered,
 so the record *is* the request's DAG: batch edges are causal, messages
 within a batch are concurrent, segments within a message sequential.  Two
 consumers ride on it:
@@ -62,32 +62,33 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left
+from itertools import zip_longest
 from math import inf
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from ..core.exceptions import NoRouteError, UnknownNodeError
 from .kernel import SimKernel
 from .model import TimeModelSpec, link_key
-from .queueing import FifoResource
+from .queueing import LATENCY_BUCKETS_US, FifoResource
 
 #: One captured message: (source, destination).
 _Message = Tuple[Hashable, Hashable]
 
-#: One queue visit: ``(resource, hold, jitter, wait_kind, service_kind,
-#: where, is_link)`` — the queue, its service seconds and maximum jitter,
-#: the segment kinds a visit records, the link key or node repr it happens
-#: on, and whether ``hold`` counts as link busy time.
-_Queue = Tuple[FifoResource, float, float, str, str, str, bool]
+#: One queue visit: ``(resource, hold, jitter, labels)`` — the queue, its
+#: service seconds and maximum jitter, the ``kind:where`` labels of its
+#: wait and service segments (``where``: the link key or node repr).
+_Queue = Tuple[FifoResource, float, float, Tuple[str, str]]
 #: One hop ``u -> v``: the link's queue, then ``v``'s service queue unless
 #: its service time is zero.  A route program is a tuple of hops.
 _Hop = Tuple[_Queue, ...]
 
-#: One message being priced: ``[pair, program, segments, completed]`` — the
-#: captured ``(source, destination)``, its route program, ``(kind, where,
-#: start, end)`` float-second segments, the arrival time (``None`` =
-#: dropped by a queue-wait timeout).
+#: One message being priced: ``[pair, program, marks, completed]`` — the
+#: captured ``(source, destination)``, its route program, its launch and
+#: admitted service windows ``[launch, start0, end0, ...]``, the arrival
+#: time (``None`` = dropped by a queue-wait timeout).
 _Priced = List[object]
-_PROGRAM, _SEGMENTS, _COMPLETED = 1, 2, 3
+_PROGRAM, _MARKS, _COMPLETED = 1, 2, 3
 
 #: Microseconds per virtual second: latencies are recorded as
 #: ``round(seconds * _US)`` — histograms are integer-valued, and one
@@ -101,9 +102,9 @@ SLOWEST_K = 8
 class TimedOverlay:
     """Prices one run's requests on the virtual clock (see module doc).
 
-    ``metrics`` must have had ``enable_timing()`` called; the overlay
-    writes latency, queue-wait, queue-depth, timeout, link-busy, timeline
-    and critical-path instruments directly.  Attach with
+    ``metrics`` must have had ``enable_timing()`` called; :meth:`finalize`
+    writes the run's latency, queue-wait, queue-depth, timeout, link-busy,
+    timeline and critical-path tallies into it.  Attach with
     ``network.attach_tap(overlay)``; the driver begins/finishes a capture
     around each REQUEST op and calls :meth:`finalize` once after the run's
     last op.
@@ -119,7 +120,8 @@ class TimedOverlay:
     ) -> None:
         self._model = model
         self._metrics = metrics
-        self._window_us = metrics.timeline.width_us
+        self._width_us = metrics.timeline.width_us
+        self._objective_us = metrics.latency_objective_us
         self._kernel = SimKernel()
         #: Jitter stream: consumed in pricing order (launches in launch
         #: order, later hops in kernel event order), so run and replay
@@ -146,13 +148,13 @@ class TimedOverlay:
         self._arrival = 0.0
         self._horizon = 0.0
         self._sequence = 0
-        #: Tallies of the request being priced: per-visit waits and depths,
-        #: per-window ``[admitted, dropped, depth_peak]``, link busy, drops.
-        self._waits_us: List[int] = []
-        self._depths: List[int] = []
-        self._windows: Dict[int, List[int]] = {}
-        self._busy_us: Dict[str, int] = {}
-        self._timeouts = 0
+        #: The run's request tallies: requests per latency bucket,
+        #: completion window -> ``[served, failed, latency_sum_us,
+        #: bad_latency, latency_us_max]``, blamed microseconds per phase
+        #: per segment label.
+        self._latencies = [0] * (len(LATENCY_BUCKETS_US) + 1)
+        self._served: Dict[int, List[int]] = {}
+        self._blame: Dict[str, Dict[str, int]] = {}
         self._exemplar_k = exemplar_k
         #: Min-heap of (latency_us, -sequence, record): the smallest entry
         #: is evicted first, so ties on latency keep the *earlier* request
@@ -228,12 +230,13 @@ class TimedOverlay:
         programs = self._programs
         visit = self._visit
         clock = self._arrival
-        priced: List[Tuple[str, List[_Priced]]] = []
-        critical: List[Tuple[str, str, str, int]] = []
-        critical_us: Dict[str, int] = {}
+        # Every later launch is a completion of an earlier one: finite.
+        if not 0.0 <= clock < inf:  # also rejects NaN
+            raise ValueError(f"launch time {clock!r} is not finite and >= 0")
+        #: (phase, messages, barrier message or None) per priced batch.
+        priced: List[Tuple[str, List[_Priced], Optional[_Priced]]] = []
+        blame = self._blame
         for phase, batch in self._batches:
-            if not 0.0 <= clock < inf:  # also rejects NaN
-                raise ValueError(f"launch time {clock!r} is not finite and >= 0")
             messages: List[_Priced] = []
             for pair in batch:
                 if planner is not None:
@@ -245,13 +248,12 @@ class TimedOverlay:
                         self._table = table
                         programs = self._programs = {}
                 program = programs.get(pair) or self._compile(pair)
-                message = [pair, program, [], None]
+                message = [pair, program, [clock], None]
                 messages.append(message)
                 # Launches share one instant and fire in launch order:
                 # no heap needed to find out which comes next.
                 visit(clock, message, 0)
             self._kernel.run(visit)
-            priced.append((phase, messages))
             # The barrier-defining message: latest completion; ties keep
             # the earliest launch index (messages preserve batch order).
             barrier = None
@@ -261,33 +263,27 @@ class TimedOverlay:
                     barrier is None or completed > barrier[_COMPLETED]
                 ):
                     barrier = message
+            priced.append((phase, messages, barrier))
             if barrier is None:
                 break
-            # Microseconds as a difference of rounded endpoints, so the
-            # blamed segments telescope exactly: per batch they sum to
-            # completion - launch, across batches to the request's latency
-            # (each batch launches at its predecessor's completion).  The
-            # segments are contiguous: each starts where the last ended.
-            start_us = round(clock * _US)
-            for kind, where, _, end in barrier[_SEGMENTS]:
-                end_us = round(end * _US)
-                segment_us = end_us - start_us
-                if segment_us:
-                    key = f"{phase}:{kind}:{where}"
-                    critical_us[key] = critical_us.get(key, 0) + segment_us
-                    critical.append((phase, kind, where, segment_us))
-                    start_us = end_us
+            tally = blame.setdefault(phase, {})
+            for label, start_us, end_us in _segments(barrier):
+                if end_us != start_us:
+                    tally[label] = tally.get(label, 0) + end_us - start_us
             clock = max(clock, barrier[_COMPLETED])
         self._batches = []
         if clock > self._horizon:
             self._horizon = clock
         latency_us = round((clock - self._arrival) * _US)
-        self._metrics.observe_priced_request(
-            latency_us, round(clock * _US), ok, self._waits_us, self._depths,
-            self._windows, self._busy_us, self._timeouts, critical_us,
+        self._latencies[bisect_left(LATENCY_BUCKETS_US, latency_us)] += 1
+        window = self._served.setdefault(
+            round(clock * _US) // self._width_us, [0, 0, 0, 0, 0]
         )
-        self._waits_us, self._depths = [], []
-        self._windows, self._busy_us, self._timeouts = {}, {}, 0
+        window[0] += 1
+        window[1] += not ok
+        window[2] += latency_us
+        window[3] += latency_us > self._objective_us
+        window[4] = max(window[4], latency_us)
         # Lazy exemplars: the record is built only for a request the
         # reservoir keeps — exactly the set an eager push-then-pop-the-
         # minimum would retain.
@@ -296,7 +292,7 @@ class TimedOverlay:
         full = len(reservoir) >= self._exemplar_k
         if not full or (reservoir and rank > reservoir[0][:2]):
             entry = rank + (self._exemplar(
-                latency_us, clock, span_id, ok, priced, critical
+                latency_us, clock, span_id, ok, priced
             ),)
             heapq.heappush(reservoir, entry)
             if full:
@@ -306,8 +302,7 @@ class TimedOverlay:
 
     def _exemplar(
         self, latency_us: int, completed: float, span_id: Optional[int],
-        ok: bool, priced: List[Tuple[str, List[_Priced]]],
-        critical: List[Tuple[str, str, str, int]],
+        ok: bool, priced: List[Tuple[str, List[_Priced], Optional[_Priced]]],
     ) -> Dict[str, object]:
         """This request's JSON-safe timeline record."""
         return {
@@ -322,22 +317,26 @@ class TimedOverlay:
                     "phase": phase,
                     "messages": [
                         {
-                            "source": repr(source),
-                            "destination": repr(destination),
-                            "dropped": arrived is None,
+                            "source": repr(message[0][0]),
+                            "destination": repr(message[0][1]),
+                            "dropped": message[_COMPLETED] is None,
                             "segments": [
-                                [kind, where, round(start * _US),
-                                 round(end * _US)]
-                                for kind, where, start, end in segments
+                                [*label.split(":", 1), start_us, end_us]
+                                for label, start_us, end_us
+                                in _segments(message)
                             ],
                         }
-                        for (source, destination), _, segments, arrived
-                        in messages
+                        for message in messages
                     ],
                 }
-                for phase, messages in priced
+                for phase, messages, _ in priced
             ],
-            "critical_path": [list(entry) for entry in critical],
+            "critical_path": [
+                [phase, *label.split(":", 1), end_us - start_us]
+                for phase, _, barrier in priced if barrier is not None
+                for label, start_us, end_us in _segments(barrier)
+                if end_us != start_us
+            ],
         }
 
     def exemplars(self) -> List[Dict[str, object]]:
@@ -378,18 +377,22 @@ class TimedOverlay:
         then ``v``'s service queue unless its service time is zero."""
         key = link_key(u, v)
         timing = self._model.link_timing(key)
-        link = self._links.setdefault(key, FifoResource(timing.capacity))
+        link = self._links.setdefault(
+            key, FifoResource(timing.capacity, self._width_us, link=True)
+        )
         queues: List[_Queue] = [(
             link, timing.latency, timing.jitter,
-            "link_wait", "link_xfer", key, True,
+            (f"link_wait:{key}", f"link_xfer:{key}"),
         )]
         node_repr = repr(v)
         service = self._model.service_time(node_repr)
         if service > 0.0:
-            node = self._nodes.setdefault(node_repr, FifoResource(1))
+            node = self._nodes.setdefault(
+                node_repr, FifoResource(1, self._width_us)
+            )
             queues.append((
-                node, service, 0.0, "node_wait", "node_service", node_repr,
-                False,
+                node, service, 0.0,
+                (f"node_wait:{node_repr}", f"node_service:{node_repr}"),
             ))
         hop = self._hops[(u, v)] = tuple(queues)
         return hop
@@ -397,46 +400,22 @@ class TimedOverlay:
     def _visit(self, time: float, message: _Priced, hop: int) -> None:
         """Price one hop: ``message`` enters hop ``hop`` of its program at
         ``time`` and visits the hop's queues in order — one ``acquire``
-        each, tallied for the per-request flush.  After the last hop it
-        has arrived and ``completed`` is written; otherwise the kernel,
-        whose event handler this is, learns when it enters the next hop.
-        A queue-wait timeout drops it: nothing further happens and
-        ``completed`` stays ``None``.  Zero-length segments are omitted —
-        they carry no blame and the rest stay contiguous.
-        """
+        each, its service window marked on the message.  After the last hop
+        ``completed`` is written; otherwise the kernel, whose event handler
+        this is, learns when it enters the next hop.  A queue-wait timeout
+        drops it: ``completed`` stays ``None``."""
         program = message[_PROGRAM]
-        segments = message[_SEGMENTS]
+        marks = message[_MARKS]
         timeout = self._model.timeout
         arrival = self._arrival
-        windows = self._windows
-        for resource, hold, jitter, wait_kind, service_kind, where, is_link \
-                in program[hop]:
+        for resource, hold, jitter, _ in program[hop]:
             if jitter:
                 hold += jitter * self._jitter()  # = uniform(0.0, jitter)
-            start, end, wait, dropped, depth = resource.acquire(
-                time, hold, timeout, arrival
-            )
-            self._waits_us.append(round(wait * _US) if wait else 0)
-            self._depths.append(depth)
-            index = round(time * _US) // self._window_us
-            window = windows.get(index)
+            window = resource.acquire(time, hold, timeout, arrival)
             if window is None:
-                window = windows[index] = [0, 0, 0]
-            if depth > window[2]:
-                window[2] = depth
-            if dropped:
-                window[1] += 1
-                self._timeouts += 1
                 return
-            window[0] += 1
-            if wait > 0.0:
-                segments.append((wait_kind, where, time, start))
-            if end > start:
-                segments.append((service_kind, where, start, end))
-            if is_link:
-                busy_us = self._busy_us
-                busy_us[where] = busy_us.get(where, 0) + round(hold * _US)
-            time = end
+            marks += window
+            time = window[1]
         hop += 1
         if hop == len(program):
             message[_COMPLETED] = time
@@ -446,6 +425,54 @@ class TimedOverlay:
     # -- end of run -----------------------------------------------------------
 
     def finalize(self) -> None:
-        """Close out the run: record link busy-time and the virtual
-        horizon, so summaries can derive per-link utilization."""
-        self._metrics.set_virtual_horizon(round(self._horizon * _US))
+        """Close out the run: write the stations' and the requests' tallies
+        and the virtual horizon into the metrics registry, once."""
+        stations = [*self._links.values(), *self._nodes.values()]
+        visits: Dict[int, List[int]] = {}
+        for station in stations:
+            for index, (admitted, dropped, peak) in station.windows.items():
+                window = visits.setdefault(index, [0, 0, 0])
+                window[0] += admitted
+                window[1] += dropped
+                window[2] = max(window[2], peak)
+        self._metrics.observe_timed_run(
+            latencies=self._latencies,
+            requests=self._served,
+            waits=[sum(counts) for counts in zip(*(s.waits for s in stations))],
+            wait_us=sum(station.wait_us for station in stations),
+            depths=[sum(counts) for counts in zip_longest(
+                *(station.depths for station in stations), fillvalue=0
+            )],
+            visits=visits,
+            # Only links a message crossed (dropped ones stop early).
+            link_busy_us={key: link.busy_us
+                          for key, link in self._links.items() if link.windows},
+            critical_us={f"{phase}:{label}": blamed_us
+                         for phase, tally in self._blame.items()
+                         for label, blamed_us in tally.items()},
+            horizon_us=round(self._horizon * _US),
+        )
+
+
+def _segments(message: _Priced) -> List[Tuple[str, int, int]]:
+    """A message's ``(label, start_us, end_us)`` segments: per admitted
+    visit its wait from the previous mark, then its service; zero-length
+    ones omitted.  Rounded endpoints make a barrier message's blame
+    telescope exactly: per batch to completion - launch, across batches
+    (each launching at its predecessor's completion) to the latency."""
+    marks = message[_MARKS]
+    segments = []
+    time, index, stop = marks[0], 1, len(marks)
+    start_us = round(time * _US)
+    for hop in message[_PROGRAM]:
+        for _, _, _, labels in hop:
+            for label in labels:
+                if index == stop:  # a drop ends the marks early
+                    return segments
+                end = marks[index]
+                index += 1
+                if end > time:
+                    end_us = round(end * _US)
+                    segments.append((label, start_us, end_us))
+                    start_us, time = end_us, end
+    return segments

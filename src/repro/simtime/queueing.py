@@ -22,16 +22,24 @@ Admission is one flat function, :meth:`FifoResource.acquire` — a priced hop
 is one call of it per queue — and the common shapes never search: a
 drained server starts the message at once, an interval at the end of the
 timeline is appended or merged into the last block without a ``bisect``.
-What a visit observed is what the call returns; the overlay tallies it and
-the metrics layer reports it (``queue_wait``, ``queue_depth``,
-``message_timeouts``, ``link_busy_us``).
+A station owns its tallies: ``acquire`` returns the service window and
+counts the visit itself, in counts whose size does not grow with the
+number of visits; the overlay writes them into the registry once per run.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heappop, heappush
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
+
+#: Log-spaced microsecond bounds (1-2-5 per decade, 1us .. 500s) shared by
+#: every latency-shaped histogram, so merges across runs and matrix cells
+#: always see an identical bucket layout.
+LATENCY_BUCKETS_US: Tuple[int, ...] = tuple(
+    mantissa * 10 ** exponent for exponent in range(9) for mantissa in (1, 2, 5)
+)
+_US = 1_000_000
 
 
 def _fill_gap(timeline: List[List[float]], start: float, end: float) -> None:
@@ -54,7 +62,7 @@ def _fill_gap(timeline: List[List[float]], start: float, end: float) -> None:
 
 
 class FifoResource:
-    """A ``capacity``-server queue on the virtual clock.
+    """A ``capacity``-server queue on the virtual clock, and its tallies.
 
     :meth:`acquire` admits one message needing ``hold`` seconds of service
     and returns its service window: the earliest idle gap of ``hold``
@@ -67,11 +75,17 @@ class FifoResource:
     caller will ever submit — lets the resource first discard the busy
     intervals ending at or before it: they can neither delay a future
     message nor host one, and the timelines stay short.
+
+    Every visit is counted here: ``waits[i]`` visits waited in bucket
+    ``i`` of :data:`LATENCY_BUCKETS_US` (the last overflow), ``wait_us`` in
+    all, ``depths[d]`` saw depth ``d``; ``windows`` maps an arrival window
+    to ``[admitted, dropped, depth_peak]``; a ``link`` sums ``busy_us``.
     """
 
-    __slots__ = ("_timelines", "_in_flight")
+    __slots__ = ("_timelines", "_in_flight", "_width_us", "_link",
+                 "waits", "wait_us", "depths", "windows", "busy_us")
 
-    def __init__(self, capacity: int = 1) -> None:
+    def __init__(self, capacity: int, width_us: int, link: bool = False) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         #: Per-server sorted, non-overlapping ``[start, end]`` busy
@@ -83,6 +97,13 @@ class FifoResource:
         #: Completion times of admitted messages (a min-heap) for depth
         #: sampling, pruned as the clock passes them.
         self._in_flight: List[float] = []
+        self._width_us = width_us
+        self._link = link
+        self.waits = [0] * (len(LATENCY_BUCKETS_US) + 1)
+        self.wait_us = 0
+        self.depths: List[int] = []
+        self.windows: Dict[int, List[int]] = {}
+        self.busy_us = 0
 
     def acquire(
         self,
@@ -90,14 +111,14 @@ class FifoResource:
         hold: float,
         timeout: float = 0.0,
         watermark: float = 0.0,
-    ) -> Tuple[float, float, float, bool, int]:
+    ) -> Optional[Tuple[float, float]]:
         """Admit one message at ``now`` for ``hold`` seconds of service.
 
-        Returns ``(start, end, wait, dropped, depth)``; ``depth`` is the
-        queue depth the message saw on arrival: the messages admitted
-        before it that are still queued or in service at ``now``.  When
-        ``dropped`` is true the message never got a server: ``wait`` is
-        the wait it refused to suffer and ``start``/``end`` equal ``now``.
+        Returns its service window ``(start, end)``, or ``None`` when the
+        timeout dropped it.  Either way the visit is counted: the wait it
+        suffered (or refused to suffer) and the queue depth it saw on
+        arrival — the messages admitted before it that are still queued or
+        in service at ``now``.
         """
         if hold < 0:
             raise ValueError("hold must be non-negative")
@@ -130,8 +151,27 @@ class FifoResource:
                 if candidate == now:
                     break
         wait = start - now
+        # The visit's tallies, counted whether or not it is dropped.
+        try:
+            self.depths[depth] += 1
+        except IndexError:  # a queue grows by at most one message a visit
+            self.depths.append(1)
+        if wait:
+            wait_us = round(wait * _US)
+            self.wait_us += wait_us
+            self.waits[bisect_left(LATENCY_BUCKETS_US, wait_us)] += 1
+        else:
+            self.waits[0] += 1
+        index = round(now * _US) // self._width_us
+        window = self.windows.get(index)
+        if window is None:
+            window = self.windows[index] = [0, 0, 0]
+        if depth > window[2]:
+            window[2] = depth
         if timeout > 0.0 and wait > timeout:
-            return now, now, wait, True, depth
+            window[1] += 1
+            return None
+        window[0] += 1
         end = start + hold
         if hold > 0.0:
             if server and start <= server[-1][0]:
@@ -141,4 +181,6 @@ class FifoResource:
             else:
                 server.append([start, end])
         heappush(in_flight, end)
-        return start, end, wait, False, depth
+        if self._link:
+            self.busy_us += round(hold * _US)
+        return start, end

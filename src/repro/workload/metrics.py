@@ -9,6 +9,10 @@ integer histograms for hop distributions.  Because registry merges are
 associative, two runs' metrics — or one matrix's per-cell metrics — fold
 together exactly like matrix cells do, and the merged percentiles equal the
 ones a single combined run would report.
+
+A timed run's instruments are written once per run: the overlay and its
+queue stations count in tallies of fixed size, and
+:meth:`WorkloadMetrics.observe_timed_run` folds them in by ``merge``.
 """
 
 from __future__ import annotations
@@ -18,25 +22,22 @@ from typing import Dict, List, Optional, Tuple
 from typing import TYPE_CHECKING
 
 from ..obs.registry import CounterMap, Histogram, MetricsRegistry, Timeline
+from ..simtime.queueing import LATENCY_BUCKETS_US
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .spec import SloSpec
-
-
-#: Log-spaced microsecond bounds (1-2-5 per decade, 1us .. 500s) shared by
-#: every latency-shaped histogram, so merges across runs and matrix cells
-#: always see an identical bucket layout.  Latencies are continuous-ish
-#: (jitter, queueing): an exact histogram would grow one bucket per distinct
-#: value, the fixed grid keeps summaries small.
-LATENCY_BUCKETS_US: Tuple[int, ...] = tuple(
-    mantissa * 10 ** exponent for exponent in range(9) for mantissa in (1, 2, 5)
-)
 
 
 #: Telemetry window width (virtual microseconds) when the scenario has no
 #: SLO to supply one: half a virtual second, wide enough that light smoke
 #: runs keep a handful of windows, narrow enough to localize a burst.
 DEFAULT_WINDOW_US = 500_000
+
+#: Timeline fields of a per-window request tally and queue-visit tally.
+_REQUEST_FIELDS = ("served", "failed", "latency_sum_us", "bad_latency", "latency_us_max")
+_VISIT_FIELDS = ("admitted", "dropped", "depth_peak")
+#: The histogram slot of each bucket: its bound, then one past the last.
+_LATENCY_SLOTS = LATENCY_BUCKETS_US + (LATENCY_BUCKETS_US[-1] + 1,)
 
 
 class WorkloadMetrics:
@@ -93,6 +94,8 @@ class WorkloadMetrics:
         #: (timed runs only; see :mod:`repro.obs.attr`).
         self.critical_path: Optional[CounterMap] = None
         self._slo: Optional["SloSpec"] = None
+        #: Latency above which a request counts as SLO-bad (microseconds).
+        self.latency_objective_us = float("inf")
 
     # -- registry plumbing ----------------------------------------------------
 
@@ -202,6 +205,8 @@ class WorkloadMetrics:
         #: The run's virtual horizon: the latest message completion time.
         self._virtual_horizon = registry.gauge("virtual_time_us")
         self._slo = slo
+        if slo is not None:
+            self.latency_objective_us = slo.latency_objective * 1_000_000
         width_us = (
             max(1, int(round(slo.window * 1_000_000)))
             if slo is not None else DEFAULT_WINDOW_US
@@ -216,64 +221,42 @@ class WorkloadMetrics:
         """Whether the timed instruments are registered on this run."""
         return self.request_latency is not None
 
-    def observe_latency(
-        self, latency_us: int, at_us: Optional[int] = None, ok: bool = True
+    def observe_timed_run(
+        self, latencies: List[int], requests: Dict[int, List[int]],
+        waits: List[int], wait_us: int, depths: List[int],
+        visits: Dict[int, List[int]], link_busy_us: Dict[str, int],
+        critical_us: Dict[str, int], horizon_us: int,
     ) -> None:
-        """Record one request's virtual latency in microseconds.
-
-        ``at_us`` — the request's *completion* time on the virtual clock —
-        additionally streams the request into its telemetry window:
-        served/failed counts, the latency sum and the window's latency
-        peak, plus the SLO-bad count when an objective is armed.
-        """
-        self.request_latency.add(latency_us)
-        if at_us is None or self.timeline is None:
-            return
-        slo = self._slo
-        self.timeline.bump(
-            at_us,
-            served=1,
-            failed=0 if ok else 1,
-            latency_sum_us=latency_us,
-            bad_latency=(
-                1 if slo is not None
-                and latency_us > slo.latency_objective * 1_000_000
-                else 0
-            ),
-        )
-        self.timeline.mark(at_us, latency_us_max=latency_us)
-
-    def observe_priced_request(
-        self, latency_us: int, at_us: int, ok: bool,
-        waits_us: List[int], depths: List[int],
-        windows: Dict[int, List[int]], link_busy_us: Dict[str, int],
-        timeouts: int, critical_us: Dict[str, int],
-    ) -> None:
-        """Flush the tallies one request accumulated while it was priced.
-
-        ``waits_us``/``depths`` hold one sample per queue visit (the wait
-        suffered, the depth seen on arrival); ``windows`` maps a telemetry
-        window index to the ``[admitted, dropped, depth_peak]`` of the
-        visits that fell into it; ``link_busy_us`` is service time carried
-        per link key, ``timeouts`` the messages a queue-wait timeout
-        dropped, ``critical_us`` critical-path microseconds per
-        ``phase:kind:where`` contributor.  The latency itself lands as
-        :meth:`observe_latency` records it.
-        """
-        self.queue_wait.add_many(waits_us)
-        self.queue_depth.add_many(depths)
+        """Write one timed run's tallies into the registry, once per run:
+        request/visit counts per latency bucket (the last one overflow),
+        the waits' sum, visits per depth seen, the per-window tallies in
+        :data:`_REQUEST_FIELDS` and :data:`_VISIT_FIELDS` order (every drop
+        a queue-wait timeout), link busy and critical-path microseconds,
+        and the latest completion."""
+        for histogram, counts, slots, total in (
+            (self.request_latency, latencies, _LATENCY_SLOTS,
+             sum([tally[2] for tally in requests.values()])),
+            (self.queue_wait, waits, _LATENCY_SLOTS, wait_us),
+            (self.queue_depth, depths, range(len(depths)),
+             sum([depth * count for depth, count in enumerate(depths)])),
+        ):
+            histogram.merge(Histogram.from_dump({
+                "bounds": histogram.bucket_bounds, "count": sum(counts),
+                "sum": total, "buckets": [
+                    pair for pair in zip(slots, counts) if pair[1]
+                ],
+            }))
         timeline = self.timeline
-        for index, (admitted, dropped, depth_peak) in windows.items():
-            at = index * timeline.width_us
-            timeline.bump(at, admitted=admitted, dropped=dropped)
-            timeline.mark(at, depth_peak=depth_peak)
+        for names, tallies in ((_REQUEST_FIELDS, requests),
+                               (_VISIT_FIELDS, visits)):
+            timeline.merge(Timeline.from_dump({
+                "width_us": timeline.width_us,
+                "windows": [(index, dict(zip(names, tally)))
+                            for index, tally in tallies.items()],
+            }))
         self.link_busy.merge(link_busy_us)
-        self._message_timeouts.inc(timeouts)
+        self._message_timeouts.inc(sum([tally[1] for tally in visits.values()]))
         self.critical_path.merge(critical_us)
-        self.observe_latency(latency_us, at_us=at_us, ok=ok)
-
-    def set_virtual_horizon(self, horizon_us: int) -> None:
-        """Install the run's virtual end-of-time (drives utilization)."""
         self._virtual_horizon.set(horizon_us)
 
     @property

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.simtime import LinkTiming, TimedOverlay, TimeModelSpec
+from repro.simtime import LinkTiming, TimedOverlay, TimeModelSpec, link_key
 from repro.workload import (
     ArrivalSpec,
     PopularitySpec,
@@ -24,6 +24,7 @@ from repro.workload import (
     build_topology,
     run_scenario,
 )
+from repro.workload.metrics import WorkloadMetrics
 
 from oracle.timed import batches, path, price
 
@@ -49,7 +50,7 @@ SCENARIOS = {
         name="oracle-unicast", topology="manhattan:4", strategy="manhattan",
         operations=240, clients=10, servers=4, ports=4, seed=8,
         delivery_mode="unicast", cache_addresses=False,
-        arrival=ArrivalSpec(kind="burst", burst_size=20, burst_gap=0.03),
+        arrival=ArrivalSpec(kind="poisson", rate=1500.0),
         popularity=PopularitySpec(kind="zipf"),
         time_model=TimeModelSpec(
             default_link=LinkTiming(0.0004),
@@ -122,12 +123,8 @@ def oracle_run(spec, requests):
     )
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_the_overlay_prices_what_the_naive_model_prices(name, monkeypatch):
-    spec = SCENARIOS[name]
-    requests, latencies, registry = recorded_run(spec, monkeypatch)
+def assert_agrees(spec, requests, latencies, registry):
     expected_latencies, expected = oracle_run(spec, requests)
-    assert len(requests) == spec.operations
     for index, (got, want) in enumerate(zip(latencies, expected_latencies)):
         assert got == want, f"request {index}: {got} us, oracle {want} us"
     for histogram in ("request_latency_us", "queue_wait_us", "queue_depth",
@@ -137,6 +134,55 @@ def test_the_overlay_prices_what_the_naive_model_prices(name, monkeypatch):
         assert registry[family]["counts"] == expected[family], family
     assert registry["message_timeouts"]["value"] == expected["message_timeouts"]
     assert registry["virtual_time_us"]["value"] == expected["virtual_time_us"]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_the_overlay_prices_what_the_naive_model_prices(name, monkeypatch):
+    spec = SCENARIOS[name]
+    requests, latencies, registry = recorded_run(spec, monkeypatch)
+    assert len(requests) == spec.operations
+    assert_agrees(spec, requests, latencies, registry)
+
+
+def test_a_route_cut_short_by_a_drop_prices_nothing_beyond_it():
+    # On ring:8, 0 queries 1 and 3 (paths 0-1 and 0-1-2-3) over a slow,
+    # capacity-1 link 0-1: the message to 3 waits 2 ms for it, more than
+    # the timeout, so links 1-2 and 2-3 are compiled but never crossed.
+    spec = ScenarioSpec(
+        topology="ring:8", delivery_mode="unicast", slo=SLO,
+        time_model=TimeModelSpec(
+            node_service=0.0005, timeout=0.001,
+            link_overrides=((link_key(0, 1), LinkTiming(0.002)),),
+        ),
+    )
+    requests = [
+        (0.0, True, [("delivery", 0, (1, 3), "query")]),
+        (0.01, False, [("payload", 5, 7), ("replies", (4, 6, 5), 5)]),
+    ]
+    metrics = WorkloadMetrics()
+    metrics.enable_timing(spec.slo)
+    overlay = TimedOverlay(
+        build_topology(spec.topology).build_network(delivery_mode="unicast"),
+        spec.time_model, seed=1, metrics=metrics,
+    )
+    latencies = []
+    for at, ok, calls in requests:
+        overlay.begin_request(at)
+        for call in calls:
+            if call[0] == "delivery":
+                overlay.on_delivery(call[1], frozenset(call[2]), call[3], "unicast")
+            elif call[0] == "replies":
+                overlay.on_replies(list(call[1]), call[2], "unicast")
+            else:
+                overlay.on_payload(*call[1:])
+        latencies.append(overlay.finish_request(ok=ok)[0])
+    overlay.finalize()
+    registry = metrics.registry.to_dict()
+    assert_agrees(spec, requests, latencies, registry)
+    assert registry["message_timeouts"]["value"] == 1
+    assert set(registry["link_busy_us"]["counts"]) == {
+        link_key(0, 1), link_key(5, 6), link_key(6, 7), link_key(4, 5),
+    }
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

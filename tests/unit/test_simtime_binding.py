@@ -61,6 +61,7 @@ class TestRoutePrograms:
     def test_a_drained_pair_prices_the_same_every_time(self):
         overlay, metrics = overlay_on_ring()
         assert [send(overlay, at, 0, 1) for at in (0.0, 1.0, 2.0)] == [1500] * 3
+        overlay.finalize()
         assert metrics.queue_wait.mean == 0.0
         assert dict(metrics.link_busy) == {link_key(0, 1): 3000}
 
@@ -72,6 +73,7 @@ class TestRoutePrograms:
         assert send(overlay, 0.0, u, v) == round(
             (timing.latency + service) * 1_000_000
         )
+        overlay.finalize()
         # A node that serves in zero time has no queue to visit.
         assert metrics.queue_depth.count == (2 if service else 1)
         assert dict(metrics.link_busy) == {
@@ -86,6 +88,7 @@ class TestRoutePrograms:
         assert send(overlay, 0.0, 2, 3) == 4000 + 2000 + 2000
         # The third finds both link slots taken until t = 4 ms.
         assert send(overlay, 0.0, 2, 3) == 4000 + 4000 + 2000
+        overlay.finalize()
         # Six visits; one waited 2 ms at the node, one 4 ms at the link.
         assert metrics.queue_wait.mean * metrics.queue_wait.count == 6000
 
@@ -93,6 +96,7 @@ class TestRoutePrograms:
         overlay, metrics = overlay_on_ring()
         # 1 -> 2 -> 3: default hop, then the slow override into node 3.
         assert send(overlay, 0.0, 1, 3) == 1000 + 500 + 4000 + 2000
+        overlay.finalize()
         assert metrics.queue_depth.count == 4  # two links, two nodes
         assert dict(metrics.link_busy) == {
             link_key(1, 2): 1000, link_key(2, 3): 4000,
@@ -135,6 +139,7 @@ class TestRoutePrograms:
         ]
         # The barrier message is the one the request is blamed on.
         assert sum(entry[3] for entry in record["critical_path"]) == 10_000
+        overlay.finalize()
         assert metrics.queue_depth.count == 10
         assert dict(metrics.link_busy) == {
             link_key(0, 1): 2000, link_key(1, 2): 2000, link_key(2, 3): 4000,
@@ -159,6 +164,7 @@ class TestRoutePrograms:
         overlay, metrics = overlay_on(network)
         # 1 -> 3 directly: no override is keyed on that pair, node 3's is.
         assert send(overlay, 0.0, 1, 3) == 1000 + 2000
+        overlay.finalize()
         assert dict(metrics.link_busy) == {link_key(1, 3): 1000}
 
     @pytest.mark.parametrize(
@@ -229,4 +235,27 @@ class TestLazyExemplars:
         for at, source, destination in self.traffic(3, requests=20):
             send(overlay, at, source, destination)
         assert overlay.exemplars() == []
+        overlay.finalize()
         assert metrics.request_latency.count == 20
+
+
+class TestOneFlushPerRun:
+    def test_the_registry_is_written_by_finalize_alone(self):
+        overlay, metrics = overlay_on_ring()
+        for at in (0.0, 0.0, 1.0):
+            send(overlay, at, 1, 3)
+        untouched = metrics.registry.to_dict()
+        assert untouched["request_latency_us"]["count"] == 0
+        assert untouched["queue_depth"]["count"] == 0
+        assert untouched["timeline"]["windows"] == []
+        assert untouched["link_busy_us"]["counts"] == {}
+        overlay.finalize()
+        flushed = metrics.registry.to_dict()
+        assert flushed["request_latency_us"]["count"] == 3
+        assert flushed["queue_depth"]["count"] == 3 * 4  # two links, two nodes
+        assert [fields["served"] for _, fields in flushed["timeline"]["windows"]] \
+            == [2, 1]
+        assert flushed["link_busy_us"]["counts"] == {
+            link_key(1, 2): 3000, link_key(2, 3): 12_000,
+        }
+        assert metrics.virtual_time_us == 1_007_500

@@ -1,9 +1,10 @@
-"""FifoResource: waits, capacity, timeout drops, depth and pruning.
+"""FifoResource: waits, capacity, timeout drops, depth, pruning and tallies.
 
 The resource is the congestion mechanism — a lazy capacity-server FIFO
 queue whose admission order is kernel event order.  These tests walk the
-service-window arithmetic directly, without a kernel, and then drive the
-flat ``acquire`` against the helper-composed admission it replaced.
+service-window arithmetic directly, without a kernel, read what the
+station counted about each visit, and then drive the flat ``acquire``
+against the helper-composed admission it replaced.
 """
 
 import heapq
@@ -13,51 +14,73 @@ from bisect import bisect_left
 import pytest
 
 from repro.simtime import FifoResource
+from repro.simtime.queueing import LATENCY_BUCKETS_US
+
+#: Telemetry windows of one virtual second.
+WIDTH_US = 1_000_000
+
+
+def station(capacity=1, link=False):
+    return FifoResource(capacity, WIDTH_US, link=link)
+
+
+def depths_seen(resource):
+    """Every depth the station counted, one entry per visit, ascending."""
+    return [depth for depth, count in enumerate(resource.depths)
+            for _ in range(count)]
+
+
+def admit(resource, *call):
+    """``acquire``, plus the visit's depth read back from the tallies."""
+    before = list(resource.depths)
+    window = resource.acquire(*call)
+    after = resource.depths
+    (depth,) = [d for d in range(len(after))
+                if after[d] != (before[d] if d < len(before) else 0)]
+    return window, depth
 
 
 class TestAcquire:
     def test_idle_server_starts_immediately(self):
-        resource = FifoResource()
-        start, end, wait, dropped, depth = resource.acquire(now=1.0, hold=0.5)
-        assert (start, end, wait, dropped, depth) == (1.0, 1.5, 0.0, False, 0)
+        resource = station()
+        assert resource.acquire(now=1.0, hold=0.5) == (1.0, 1.5)
+        assert resource.waits[0] == 1 and resource.wait_us == 0
+        assert resource.depths == [1]
 
     def test_busy_server_imposes_fifo_wait(self):
-        resource = FifoResource()
+        resource = station()
         resource.acquire(now=0.0, hold=1.0)
-        start, end, wait, dropped, _ = resource.acquire(now=0.2, hold=1.0)
-        assert start == 1.0
-        assert end == 2.0
-        assert wait == pytest.approx(0.8)
-        assert not dropped
+        assert resource.acquire(now=0.2, hold=1.0) == (1.0, 2.0)
+        assert resource.wait_us == 800_000
+        # 0.8 s falls in the (500 ms, 1 s] bucket.
+        assert resource.waits[LATENCY_BUCKETS_US.index(1_000_000)] == 1
 
     def test_waits_accumulate_down_the_queue(self):
-        resource = FifoResource()
-        waits = [resource.acquire(now=0.0, hold=1.0)[2] for _ in range(4)]
-        assert waits == [0.0, 1.0, 2.0, 3.0]
+        resource = station()
+        starts = [resource.acquire(now=0.0, hold=1.0)[0] for _ in range(4)]
+        assert starts == [0.0, 1.0, 2.0, 3.0]
+        assert resource.wait_us == 6_000_000
+        assert sum(resource.waits) == 4
 
     def test_extra_capacity_absorbs_simultaneous_arrivals(self):
-        resource = FifoResource(capacity=2)
-        first = resource.acquire(now=0.0, hold=1.0)
-        second = resource.acquire(now=0.0, hold=1.0)
-        third = resource.acquire(now=0.0, hold=1.0)
-        assert first[2] == 0.0
-        assert second[2] == 0.0
-        assert third[2] == 1.0  # only the third waits
+        resource = station(capacity=2)
+        starts = [resource.acquire(now=0.0, hold=1.0)[0] for _ in range(3)]
+        assert starts == [0.0, 0.0, 1.0]  # only the third waits
+        assert resource.waits[0] == 2
 
     def test_late_arrival_after_drain_starts_immediately(self):
-        resource = FifoResource()
+        resource = station()
         resource.acquire(now=0.0, hold=1.0)
-        start, _, wait, _, _ = resource.acquire(now=5.0, hold=1.0)
-        assert start == 5.0
-        assert wait == 0.0
+        assert resource.acquire(now=5.0, hold=1.0) == (5.0, 6.0)
+        assert resource.wait_us == 0
 
     def test_rejects_negative_hold(self):
         with pytest.raises(ValueError):
-            FifoResource().acquire(now=0.0, hold=-0.1)
+            station().acquire(now=0.0, hold=-0.1)
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
-            FifoResource(capacity=0)
+            FifoResource(0, WIDTH_US)
 
 
 class TestGapScheduling:
@@ -65,39 +88,37 @@ class TestGapScheduling:
         # Admission order is not arrival order: a message admitted later
         # but arriving earlier must not wait behind one that hasn't
         # arrived yet — it claims the idle gap.
-        resource = FifoResource()
+        resource = station()
         resource.acquire(now=5.0, hold=1.0)  # busy [5, 6]
-        start, end, wait, dropped, _ = resource.acquire(now=1.0, hold=1.0)
-        assert (start, end, wait, dropped) == (1.0, 2.0, 0.0, False)
+        assert resource.acquire(now=1.0, hold=1.0) == (1.0, 2.0)
+        assert resource.wait_us == 0
 
     def test_gap_too_small_pushes_past_the_block(self):
-        resource = FifoResource()
+        resource = station()
         resource.acquire(now=1.0, hold=1.0)  # busy [1, 2]
         resource.acquire(now=2.5, hold=1.0)  # busy [2.5, 3.5]
         # A 1s hold arriving at 0.0 fits before the first block...
-        first = resource.acquire(now=0.0, hold=1.0)
-        assert first[0] == 0.0
+        assert resource.acquire(now=0.0, hold=1.0)[0] == 0.0
         # ...but another does not (gap [2, 2.5] is too small): it lands
-        # after the last block.
-        second = resource.acquire(now=0.0, hold=1.0)
-        assert second[0] == 3.5
-        assert second[2] == 3.5  # the wait is genuine backlog
+        # after the last block, and the wait is genuine backlog.
+        assert resource.acquire(now=0.0, hold=1.0)[0] == 3.5
+        assert resource.wait_us == 3_500_000
 
     def test_adjacent_intervals_consolidate(self):
         # A saturated server is one solid block: back-to-back admissions
         # merge, so the timeline stays short under overload.
-        resource = FifoResource()
+        resource = station()
         for _ in range(50):
             resource.acquire(now=0.0, hold=1.0)
         assert resource._timelines[0] == [[0.0, 50.0]]
 
     def test_prune_drops_only_dead_intervals(self):
-        resource = FifoResource()
+        resource = station()
         resource.acquire(now=0.0, hold=1.0)   # [0, 1] — prunable
         resource.acquire(now=5.0, hold=1.0)   # [5, 6] — alive
         # The reclaimed region is genuinely gone: an arrival inside it
         # starts immediately.
-        start, *_ = resource.acquire(now=2.0, hold=1.0, watermark=2.0)
+        start, _ = resource.acquire(now=2.0, hold=1.0, watermark=2.0)
         assert start == 2.0
         assert resource._timelines[0] == [[2.0, 3.0], [5.0, 6.0]]
         # A repeated watermark finds nothing new, and an interval ending
@@ -108,95 +129,121 @@ class TestGapScheduling:
         assert resource._timelines[0] == [[5.0, 6.0]]
 
     def test_every_server_is_pruned_not_only_the_one_that_serves(self):
-        resource = FifoResource(capacity=2)
+        resource = station(capacity=2)
         resource.acquire(now=0.0, hold=1.0)
         resource.acquire(now=0.0, hold=2.0)
         resource.acquire(now=4.0, hold=1.0, watermark=3.0)
         assert resource._timelines == [[[4.0, 5.0]], []]
 
     def test_acquire_watermark_prunes(self):
-        resource = FifoResource()
+        resource = station()
         resource.acquire(now=0.0, hold=1.0)
         resource.acquire(now=3.0, hold=1.0, watermark=2.0)
         assert resource._timelines[0] == [[3.0, 4.0]]
 
     def test_zero_hold_occupies_nothing(self):
-        resource = FifoResource()
+        resource = station()
         resource.acquire(now=1.0, hold=0.0)
         assert resource._timelines[0] == []
-        start, *_ = resource.acquire(now=1.0, hold=1.0)
-        assert start == 1.0
+        assert resource.acquire(now=1.0, hold=1.0)[0] == 1.0
 
 
 class TestTimeoutDrops:
     def test_wait_beyond_timeout_drops(self):
-        resource = FifoResource()
+        resource = station()
         resource.acquire(now=0.0, hold=2.0)
-        start, end, wait, dropped, _ = resource.acquire(
-            now=0.0, hold=1.0, timeout=0.5
-        )
-        assert dropped
-        assert wait == 2.0
-        assert start == end == 0.0  # never got a server
+        assert resource.acquire(now=0.0, hold=1.0, timeout=0.5) is None
+        # The drop is counted in its window with the wait it refused.
+        assert resource.windows == {0: [1, 1, 1]}
+        assert resource.wait_us == 2_000_000
 
     def test_dropped_message_leaves_queue_untouched(self):
-        resource = FifoResource()
+        resource = station()
         resource.acquire(now=0.0, hold=2.0)
         resource.acquire(now=0.0, hold=1.0, timeout=0.5)  # dropped
         # The next message waits only for the original holder, not for the
         # dropped one.
-        _, _, wait, dropped, _ = resource.acquire(now=0.0, hold=1.0)
-        assert not dropped
-        assert wait == 2.0
+        assert resource.acquire(now=0.0, hold=1.0) == (2.0, 3.0)
 
     def test_zero_timeout_never_drops(self):
-        resource = FifoResource()
+        resource = station()
         resource.acquire(now=0.0, hold=10.0)
-        *_, dropped, _ = resource.acquire(now=0.0, hold=1.0, timeout=0.0)
-        assert not dropped
+        assert resource.acquire(now=0.0, hold=1.0, timeout=0.0) is not None
 
     def test_wait_equal_to_timeout_is_admitted(self):
-        resource = FifoResource()
+        resource = station()
         resource.acquire(now=0.0, hold=1.0)
-        *_, dropped, _ = resource.acquire(now=0.0, hold=1.0, timeout=1.0)
-        assert not dropped
+        assert resource.acquire(now=0.0, hold=1.0, timeout=1.0) is not None
 
 
 class TestDepth:
     def test_depth_counts_in_flight_messages(self):
         def depth_seen_at(now):
-            resource = FifoResource()
+            resource = station()
             resource.acquire(now=0.0, hold=1.0)  # completes at 1.0
             resource.acquire(now=0.0, hold=1.0)  # completes at 2.0
-            return resource.acquire(now=now, hold=1.0)[4]
+            return admit(resource, now, 1.0)[1]
 
         assert [depth_seen_at(now) for now in (0.5, 1.5, 2.5)] == [2, 1, 0]
 
     def test_acquire_hands_back_the_depth_seen_on_arrival(self):
         # The depth a message saw is the messages in flight at ``now``
         # *before* its own admission — for admitted and dropped alike.
-        resource = FifoResource()
-        depths = [resource.acquire(now=0.0, hold=1.0)[4] for _ in range(3)]
-        assert depths == [0, 1, 2]
-        *_, dropped, depth = resource.acquire(now=0.5, hold=1.0, timeout=0.1)
-        assert dropped and depth == 3
-        assert resource.acquire(now=1.5, hold=1.0)[4] == 2  # ends 2.0, 3.0
+        resource = station()
+        assert [admit(resource, 0.0, 1.0)[1] for _ in range(3)] == [0, 1, 2]
+        assert admit(resource, 0.5, 1.0, 0.1) == (None, 3)
+        assert admit(resource, 1.5, 1.0)[1] == 2  # ends 2.0, 3.0
+        assert depths_seen(resource) == [0, 1, 2, 2, 3]
 
-    def test_admissions_drops_and_busy_time_are_what_acquire_returns(self):
-        resource = FifoResource()
-        assert resource.acquire(now=0.0, hold=2.0) == (0.0, 2.0, 0.0, False, 0)
-        assert resource.acquire(now=0.0, hold=1.5) == (2.0, 3.5, 2.0, False, 1)
-        assert resource.acquire(now=0.0, hold=1.0, timeout=0.1) == (
-            0.0, 0.0, 3.5, True, 2
-        )
-        # Two admissions, 3.5 busy seconds, nothing left by the drop.
-        assert resource._timelines == [[[0.0, 3.5]]]
+    def test_admissions_drops_and_busy_time_are_what_the_station_counts(self):
+        link = station(link=True)
+        assert link.acquire(now=0.0, hold=2.0) == (0.0, 2.0)
+        assert link.acquire(now=0.0, hold=1.5) == (2.0, 3.5)
+        assert link.acquire(now=0.0, hold=1.0, timeout=0.1) is None
+        # Two admissions, one drop, 3.5 busy seconds, nothing left by the
+        # drop; waits 0, 2 and the refused 3.5 seconds.
+        assert link.windows == {0: [2, 1, 2]}
+        assert link.busy_us == 3_500_000
+        assert link._timelines == [[[0.0, 3.5]]]
+        assert link.wait_us == 5_500_000 and sum(link.waits) == 3
+        assert depths_seen(link) == [0, 1, 2]
+
+    def test_a_node_station_counts_no_busy_time(self):
+        node = station()
+        node.acquire(now=0.0, hold=2.0)
+        assert node.busy_us == 0 and node.windows == {0: [1, 0, 0]}
 
     def test_a_drained_queue_reports_depth_zero_again(self):
-        resource = FifoResource()
-        depths = [resource.acquire(now=0.0, hold=1.0)[4] for _ in range(3)]
-        assert depths == [0, 1, 2]
-        assert resource.acquire(now=10.0, hold=1.0)[4] == 0
+        resource = station()
+        assert [admit(resource, 0.0, 1.0)[1] for _ in range(3)] == [0, 1, 2]
+        assert admit(resource, 10.0, 1.0)[1] == 0
+
+
+class TestTalliesAreCounts:
+    @staticmethod
+    def drive(resource, rounds):
+        """``rounds`` repetitions of one pattern spread over the same two
+        seconds: a burst of three at one instant (depths 0, 1, 2, waits 0,
+        0.5 and a refused 1 ms), then an arrival at the drained queue."""
+        for index in range(rounds):
+            now = 2.0 * index / rounds
+            for _ in range(3):
+                resource.acquire(now, 0.0005, 0.0007)
+            resource.acquire(now + 0.002, 0.0005, 0.0007)
+
+    def test_ten_times_the_visits_keep_the_same_size(self):
+        small, large = station(link=True), station(link=True)
+        self.drive(small, 50)
+        self.drive(large, 500)
+
+        def shape(resource):
+            return (len(resource.waits), len(resource.depths),
+                    sorted(resource.windows),
+                    [len(w) for w in resource.windows.values()])
+
+        assert shape(large) == shape(small)
+        assert sum(large.waits) == 10 * sum(small.waits) == 10 * 200
+        assert large.windows[0][1] == 10 * small.windows[0][1] > 0
 
 
 class HelperComposedFifo:
@@ -273,6 +320,31 @@ class HelperComposedFifo:
         return start, end, wait, False, depth
 
 
+def expected_tallies(visits, link=False):
+    """What a station should have counted over ``visits``: ``(now, hold,
+    wait, dropped, depth)`` as the helper-composed admission saw them."""
+    resource = station(link=link)
+    waits = [0] * len(resource.waits)
+    depths = [0] * (1 + max((visit[4] for visit in visits), default=-1))
+    windows, wait_us, busy_us = {}, 0, 0
+    for now, hold, wait, dropped, depth in visits:
+        wait_us += round(wait * 1_000_000) if wait else 0
+        waits[bisect_left(LATENCY_BUCKETS_US,
+                          round(wait * 1_000_000) if wait else 0)] += 1
+        depths[depth] += 1
+        window = windows.setdefault(round(now * 1_000_000) // WIDTH_US, [0, 0, 0])
+        window[1 if dropped else 0] += 1
+        window[2] = max(window[2], depth)
+        if not dropped and link:
+            busy_us += round(hold * 1_000_000)
+    return waits, wait_us, depths, windows, busy_us
+
+
+def tallies(resource):
+    return (resource.waits, resource.wait_us, resource.depths,
+            resource.windows, resource.busy_us)
+
+
 class TestFlatAcquireAgainstTheHelpers:
     """Seeded random streams the goldens only sample.  Times, holds and
     timeouts live on a quarter-second grid, so exact adjacency (merges on
@@ -295,10 +367,12 @@ class TestFlatAcquireAgainstTheHelpers:
     @staticmethod
     def drive(seed, capacity):
         rng = random.Random(f"{seed}/{capacity}")
-        flat, reference = FifoResource(capacity), HelperComposedFifo(capacity)
+        link = seed % 2 == 0
+        flat = FifoResource(capacity, WIDTH_US, link=link)
+        reference = HelperComposedFifo(capacity)
         horizon = rng.choice((6, 12, 40))  # crowded .. sparse
         watermark = 0.0
-        seen = set()
+        seen, visits = set(), []
         for _ in range(400):
             now = rng.randrange(4 * horizon) / 4  # non-monotone
             hold = rng.choice((0.0, 0.25, 0.25, 0.5, 1.0, 2.5))
@@ -317,10 +391,11 @@ class TestFlatAcquireAgainstTheHelpers:
                 default=-1.0,
             )
             got = flat.acquire(*call)
+            start, end, wait, dropped, depth = reference.acquire(*call)
+            visits.append((now, hold, wait, dropped, depth))
             context = (seed, capacity, call)
-            assert got == reference.acquire(*call), context
+            assert got == (None if dropped else (start, end)), context
             assert flat._timelines == reference._timelines, context
-            start, _, wait, dropped, _ = got
             grown = sum(map(len, reference._timelines)) - blocks
             if dropped:
                 seen.add("dropped")
@@ -335,17 +410,22 @@ class TestFlatAcquireAgainstTheHelpers:
                 seen.add("waited" if wait else "immediate")
                 if wait and wait == timeout:
                     seen.add("admitted-at-the-timeout")
+        assert tallies(flat) == expected_tallies(visits, link), (seed, capacity)
         return seen
 
     def test_monotone_arrivals_under_a_trailing_watermark(self):
         # The overlay's shape: arrivals mostly advance, the watermark is
         # the current request's arrival, holds carry jitter.
         rng = random.Random(7)
-        flat, reference = FifoResource(), HelperComposedFifo()
-        clock = 0.0
+        flat = FifoResource(1, WIDTH_US, link=True)
+        reference = HelperComposedFifo()
+        clock, visits = 0.0, []
         for _ in range(1500):
             clock += rng.choice((0.0, 0.0, 0.0004, 0.003))
             call = (clock + rng.random() * 0.004, 0.0008 + rng.random() * 1e-4,
                     rng.choice((0.0, 0.002)), clock)
-            assert flat.acquire(*call) == reference.acquire(*call)
+            start, end, wait, dropped, depth = reference.acquire(*call)
+            visits.append((call[0], call[1], wait, dropped, depth))
+            assert flat.acquire(*call) == (None if dropped else (start, end))
             assert flat._timelines == reference._timelines
+        assert tallies(flat) == expected_tallies(visits, link=True)

@@ -18,53 +18,57 @@ from repro.obs.attr import (
 )
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.timeline import Timeline
+from repro.simtime import FifoResource
 from repro.workload import ScenarioSpec, SloSpec
 from repro.workload.metrics import WorkloadMetrics
 
 
+def timeline_of(width_us, *windows):
+    """A timeline holding ``(index, fields)`` windows, built the way the
+    timed flush builds one."""
+    return Timeline.from_dump({"width_us": width_us, "windows": windows})
+
+
 class TestTimelineWindowing:
     def test_observations_land_in_their_virtual_window(self):
-        timeline = Timeline(width_us=1000)
-        timeline.bump(0, served=1)
-        timeline.bump(999, served=2)
-        timeline.bump(1000, served=5)
-        assert timeline.windows() == [(0, {"served": 3}), (1, {"served": 5})]
+        # A queue station tallies each visit under its arrival window.
+        station = FifoResource(1, width_us=1000)
+        for now in (0.0, 0.000999, 0.001):
+            station.acquire(now, hold=0.0)
+        assert {index: window[0] for index, window in station.windows.items()} \
+            == {0: 2, 1: 1}
 
     def test_mark_keeps_the_window_maximum(self):
         timeline = Timeline(width_us=100)
-        timeline.mark(10, depth_peak=3)
-        timeline.mark(20, depth_peak=7)
-        timeline.mark(30, depth_peak=5)
+        for peak in (3, 7, 5):
+            timeline.merge(timeline_of(100, (0, {"depth_peak": peak})))
         assert timeline.windows() == [(0, {"depth_peak": 7})]
         assert timeline.total("depth_peak") == 7
 
     def test_field_suffix_convention_is_enforced(self):
-        timeline = Timeline(width_us=100)
-        with pytest.raises(ValueError, match="level"):
-            timeline.bump(0, depth_peak=1)
-        with pytest.raises(ValueError, match="count"):
-            timeline.mark(0, served=1)
+        # The name alone says how a field merges: levels by max, counts by
+        # sum — so a tally must name its peaks ``*_peak``/``*_max``.
+        timeline = timeline_of(100, (0, {"served": 2, "latency_us_max": 9}))
+        timeline.merge(timeline_of(100, (0, {"served": 3, "latency_us_max": 4})))
+        assert timeline.windows() == [(0, {"latency_us_max": 9, "served": 5})]
 
     def test_width_and_time_validation(self):
         with pytest.raises(ValueError):
             Timeline(width_us=0)
-        with pytest.raises(ValueError):
-            Timeline(width_us=10).bump(-1, served=1)
+        with pytest.raises(ValueError, match="width"):
+            Timeline(width_us=10).merge(timeline_of(20, (0, {"served": 1})))
 
     def test_total_sums_counts_across_windows(self):
-        timeline = Timeline(width_us=10)
-        timeline.bump(5, served=2)
-        timeline.bump(25, served=3)
+        timeline = timeline_of(10, (0, {"served": 2}), (2, {"served": 3}))
         assert timeline.total("served") == 5
         assert timeline.total("missing") == 0
 
 
 class TestTimelineMergeAlgebra:
     def _sample(self, offset_us):
-        timeline = Timeline(width_us=1000)
-        timeline.bump(offset_us, served=1, latency_sum_us=40)
-        timeline.mark(offset_us, depth_peak=offset_us % 7 + 1)
-        return timeline
+        return timeline_of(1000, (offset_us // 1000, {
+            "served": 1, "latency_sum_us": 40, "depth_peak": offset_us % 7 + 1,
+        }))
 
     def test_merge_is_associative_and_commutative(self):
         parts = [self._sample(offset) for offset in (0, 800, 1500, 3200)]
@@ -103,10 +107,11 @@ class TestTimelineMergeAlgebra:
 
     def test_registry_merges_and_serializes_timelines(self):
         a = MetricsRegistry()
-        a.timeline("timeline", 500).bump(0, served=1)
+        a.timeline("timeline", 500).merge(timeline_of(500, (0, {"served": 1})))
         b = MetricsRegistry()
-        b.timeline("timeline", 500).bump(100, served=2)
-        b.timeline("timeline", 500).mark(600, depth_peak=4)
+        b.timeline("timeline", 500).merge(timeline_of(
+            500, (0, {"served": 2}), (1, {"depth_peak": 4}),
+        ))
         a.merge(b)
         merged = a.timeline("timeline", 500)
         assert merged.windows() == [
@@ -151,6 +156,15 @@ class TestSloSpec:
         assert restored == spec
 
 
+def observe_requests(metrics, requests):
+    """One timed run that priced only ``requests``: completion window ->
+    ``[served, failed, latency_sum_us, bad_latency, latency_us_max]``."""
+    metrics.observe_timed_run(
+        latencies=[], requests=requests, waits=[], wait_us=0, depths=[],
+        visits={}, link_busy_us={}, critical_us={}, horizon_us=0,
+    )
+
+
 class TestSloBurnAccounting:
     def _timed_metrics(self, slo):
         metrics = WorkloadMetrics()
@@ -164,7 +178,8 @@ class TestSloBurnAccounting:
 
     def test_timed_metrics_without_slo_report_no_slo_section(self):
         metrics = self._timed_metrics(None)
-        metrics.observe_latency(5_000, at_us=0)
+        assert metrics.latency_objective_us == float("inf")
+        observe_requests(metrics, {0: [1, 0, 5_000, 0, 5_000]})
         assert metrics.slo_summary() is None
         assert "slo" not in metrics.summary()
 
@@ -173,13 +188,13 @@ class TestSloBurnAccounting:
         slo = SloSpec(latency_objective=0.01, latency_target=0.99,
                       availability_target=0.999, window=0.5)
         metrics = self._timed_metrics(slo)
-        # Window 0: 10 good requests.
-        for index in range(10):
-            metrics.observe_latency(1_000, at_us=index)
-        # Window 2: 5 good, 5 over-objective -> 50% bad, burn 50.
-        for index in range(5):
-            metrics.observe_latency(1_000, at_us=1_000_000 + index)
-            metrics.observe_latency(50_000, at_us=1_000_000 + 5 + index)
+        assert metrics.latency_objective_us == 10_000
+        observe_requests(metrics, {
+            # Window 0: 10 good requests.
+            0: [10, 0, 10 * 1_000, 0, 1_000],
+            # Window 2: 5 good, 5 over-objective -> 50% bad, burn 50.
+            2: [10, 0, 5 * 1_000 + 5 * 50_000, 5, 50_000],
+        })
         summary = metrics.slo_summary()
         assert summary["served"] == 20
         assert summary["bad_latency"] == 5
@@ -193,9 +208,7 @@ class TestSloBurnAccounting:
     def test_availability_breach_sets_first_breach(self):
         slo = SloSpec(availability_target=0.9)
         metrics = self._timed_metrics(slo)
-        for index in range(4):
-            metrics.observe_latency(100, at_us=index)
-        metrics.observe_latency(100, at_us=4, ok=False)
+        observe_requests(metrics, {0: [5, 1, 500, 0, 100]})
         summary = metrics.slo_summary()
         assert summary["failed"] == 1
         assert summary["availability_burn_rate"] == pytest.approx(2.0)
@@ -203,8 +216,7 @@ class TestSloBurnAccounting:
 
     def test_no_breach_reports_none(self):
         metrics = self._timed_metrics(SloSpec())
-        for index in range(10):
-            metrics.observe_latency(100, at_us=index)
+        observe_requests(metrics, {0: [10, 0, 1_000, 0, 100]})
         summary = metrics.slo_summary()
         assert summary["breached_windows"] == 0
         assert summary["first_breach_us"] is None
