@@ -233,7 +233,6 @@ class TimedOverlay:
         # Every later launch is a completion of an earlier one: finite.
         if not 0.0 <= clock < inf:  # also rejects NaN
             raise ValueError(f"launch time {clock!r} is not finite and >= 0")
-        #: (phase, messages, barrier message or None) per priced batch.
         priced: List[Tuple[str, List[_Priced], Optional[_Priced]]] = []
         blame = self._blame
         for phase, batch in self._batches:
@@ -456,10 +455,10 @@ class TimedOverlay:
 
 def _segments(message: _Priced) -> List[Tuple[str, int, int]]:
     """A message's ``(label, start_us, end_us)`` segments: per admitted
-    visit its wait from the previous mark, then its service; zero-length
-    ones omitted.  Rounded endpoints make a barrier message's blame
-    telescope exactly: per batch to completion - launch, across batches
-    (each launching at its predecessor's completion) to the latency."""
+    visit its wait, then its service, zero-length ones omitted.  Rounded
+    endpoints make a barrier message's blame telescope exactly: per batch
+    to completion - launch, across batches (each launching at its
+    predecessor's completion) to the latency."""
     marks = message[_MARKS]
     segments = []
     time, index, stop = marks[0], 1, len(marks)

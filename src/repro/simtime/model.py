@@ -142,8 +142,7 @@ class TimeModelSpec:
         for key, timing in self.link_overrides:
             if not isinstance(timing, LinkTiming):
                 raise TypeError(f"link override {key!r} is not a LinkTiming")
-            # A key ``link_key`` never makes is never looked up: the link
-            # would price at the default without a word.
+            # A key ``link_key`` never makes would silently price the default.
             ends = key.split("<->")
             if len(ends) != 2:
                 raise ValueError(f"link override {key!r} is not a link key")

@@ -82,8 +82,8 @@ class FifoResource:
     to ``[admitted, dropped, depth_peak]``; a ``link`` sums ``busy_us``.
     """
 
-    __slots__ = ("_timelines", "_in_flight", "_width_us", "_link",
-                 "waits", "wait_us", "depths", "windows", "busy_us")
+    __slots__ = ("_timelines", "_in_flight", "_width_us", "_link", "_lo", "_hi",
+                 "_window", "waits", "wait_us", "depths", "windows", "busy_us")
 
     def __init__(self, capacity: int, width_us: int, link: bool = False) -> None:
         if capacity < 1:
@@ -99,6 +99,7 @@ class FifoResource:
         self._in_flight: List[float] = []
         self._width_us = width_us
         self._link = link
+        self._lo = self._hi = -1.0  # ``now`` strictly inside: ``_window``
         self.waits = [0] * (len(LATENCY_BUCKETS_US) + 1)
         self.wait_us = 0
         self.depths: List[int] = []
@@ -112,13 +113,11 @@ class FifoResource:
         timeout: float = 0.0,
         watermark: float = 0.0,
     ) -> Optional[Tuple[float, float]]:
-        """Admit one message at ``now`` for ``hold`` seconds of service.
-
-        Returns its service window ``(start, end)``, or ``None`` when the
-        timeout dropped it.  Either way the visit is counted: the wait it
-        suffered (or refused to suffer) and the queue depth it saw on
-        arrival — the messages admitted before it that are still queued or
-        in service at ``now``.
+        """Admit one message at ``now`` for ``hold`` seconds of service:
+        its service window ``(start, end)``, or ``None`` when the timeout
+        drops it.  Either way the visit is counted, with the wait it
+        suffered (or refused) and the depth it saw on arrival — the
+        messages admitted before it still queued or in service at ``now``.
         """
         if hold < 0:
             raise ValueError("hold must be non-negative")
@@ -162,10 +161,12 @@ class FifoResource:
             self.waits[bisect_left(LATENCY_BUCKETS_US, wait_us)] += 1
         else:
             self.waits[0] += 1
-        index = round(now * _US) // self._width_us
-        window = self.windows.get(index)
-        if window is None:
-            window = self.windows[index] = [0, 0, 0]
+        if not self._lo < now < self._hi:  # else well inside the last window
+            index = round(now * _US) // self._width_us
+            self._window = self.windows.setdefault(index, [0, 0, 0])
+            self._lo = (index * self._width_us + 1) / _US
+            self._hi = ((index + 1) * self._width_us - 1) / _US
+        window = self._window
         if depth > window[2]:
             window[2] = depth
         if timeout > 0.0 and wait > timeout:

@@ -33,10 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 #: runs keep a handful of windows, narrow enough to localize a burst.
 DEFAULT_WINDOW_US = 500_000
 
-#: Timeline fields of a per-window request tally and queue-visit tally.
+#: Timeline fields of a per-window request tally and queue-visit tally, and
+#: the histogram slot of each latency bucket (its bound; one past the last).
 _REQUEST_FIELDS = ("served", "failed", "latency_sum_us", "bad_latency", "latency_us_max")
 _VISIT_FIELDS = ("admitted", "dropped", "depth_peak")
-#: The histogram slot of each bucket: its bound, then one past the last.
 _LATENCY_SLOTS = LATENCY_BUCKETS_US + (LATENCY_BUCKETS_US[-1] + 1,)
 
 
@@ -94,8 +94,6 @@ class WorkloadMetrics:
         #: (timed runs only; see :mod:`repro.obs.attr`).
         self.critical_path: Optional[CounterMap] = None
         self._slo: Optional["SloSpec"] = None
-        #: Latency above which a request counts as SLO-bad (microseconds).
-        self.latency_objective_us = float("inf")
 
     # -- registry plumbing ----------------------------------------------------
 
@@ -205,8 +203,8 @@ class WorkloadMetrics:
         #: The run's virtual horizon: the latest message completion time.
         self._virtual_horizon = registry.gauge("virtual_time_us")
         self._slo = slo
-        if slo is not None:
-            self.latency_objective_us = slo.latency_objective * 1_000_000
+        #: Latency above which a request counts as SLO-bad (microseconds).
+        self.latency_objective_us = slo.latency_objective * 1e6 if slo else float("inf")
         width_us = (
             max(1, int(round(slo.window * 1_000_000)))
             if slo is not None else DEFAULT_WINDOW_US
@@ -227,12 +225,11 @@ class WorkloadMetrics:
         visits: Dict[int, List[int]], link_busy_us: Dict[str, int],
         critical_us: Dict[str, int], horizon_us: int,
     ) -> None:
-        """Write one timed run's tallies into the registry, once per run:
-        request/visit counts per latency bucket (the last one overflow),
-        the waits' sum, visits per depth seen, the per-window tallies in
-        :data:`_REQUEST_FIELDS` and :data:`_VISIT_FIELDS` order (every drop
-        a queue-wait timeout), link busy and critical-path microseconds,
-        and the latest completion."""
+        """Write one timed run's tallies into the registry, once: counts per
+        latency bucket (the last overflow) and per depth, the waits' sum,
+        per-window tallies in :data:`_REQUEST_FIELDS`/:data:`_VISIT_FIELDS`
+        order (a drop is a queue-wait timeout), link busy and critical-path
+        microseconds, and the latest completion."""
         for histogram, counts, slots, total in (
             (self.request_latency, latencies, _LATENCY_SLOTS,
              sum([tally[2] for tally in requests.values()])),

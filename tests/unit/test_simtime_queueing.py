@@ -219,6 +219,22 @@ class TestDepth:
         assert admit(resource, 10.0, 1.0)[1] == 0
 
 
+class TestWindows:
+    def test_a_visit_lands_in_the_window_of_its_rounded_microsecond(self):
+        # Arrivals hugging window edges (within a microsecond, on both
+        # sides, out of order) land where ``round(now * 1e6) // width`` says.
+        rng = random.Random(3)
+        resource, expected = FifoResource(1, 1000), {}
+        for _ in range(2000):
+            edge = rng.randrange(1, 6) * 1000
+            now = (edge + rng.choice((-0.6, -0.5, -0.4, 0.0, 0.4, 0.5, 0.6,
+                                      -400, 300)) + rng.random() * 1e-3) / 1e6
+            resource.acquire(now, 0.0)
+            index = round(now * 1_000_000) // 1000
+            expected[index] = expected.get(index, 0) + 1
+        assert {i: w[0] for i, w in resource.windows.items()} == expected
+
+
 class TestTalliesAreCounts:
     @staticmethod
     def drive(resource, rounds):
