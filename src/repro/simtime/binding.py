@@ -437,10 +437,10 @@ class TimedOverlay:
         self._metrics.observe_timed_run(
             latencies=self._latencies,
             requests=self._served,
-            waits=[sum(counts) for counts in zip(*(s.waits for s in stations))],
+            waits=[sum(column) for column in zip(*(st.waits for st in stations))],
             wait_us=sum(station.wait_us for station in stations),
-            depths=[sum(counts) for counts in zip_longest(
-                *(station.depths for station in stations), fillvalue=0
+            depths=[sum(column) for column in zip_longest(
+                *(st.depths for st in stations), fillvalue=0
             )],
             visits=visits,
             # Only links a message crossed (dropped ones stop early).

@@ -99,7 +99,7 @@ class FifoResource:
         self._in_flight: List[float] = []
         self._width_us = width_us
         self._link = link
-        self._lo = self._hi = -1.0  # ``now`` strictly inside: ``_window``
+        self._lo = self._hi = -1.0  # an arrival strictly between: ``_window``
         self.waits = [0] * (len(LATENCY_BUCKETS_US) + 1)
         self.wait_us = 0
         self.depths: List[int] = []

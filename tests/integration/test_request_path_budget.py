@@ -28,7 +28,7 @@ that gave queue stations their own tallies cost 574.6 calls per
 ``timed_burst`` request, the per-request flush among them: 4
 ``Timeline.bump``/``mark``, 2 registry ``merge``, 2 ``add_many``, 1
 ``_slot`` and 2 ``workload/metrics.py`` calls besides ``observe_request``;
-the PR 398.4, and 0 of each.
+the PR 364.9, and 0 of each.
 The budgets' head-room covers the spread between Python 3.10 and 3.12; they
 are ``<=``, never ``==``: once any Hypothesis test has run in the process
 its ``gc`` callback is counted by ``cProfile`` too.
@@ -77,7 +77,7 @@ FAULTED_FUNCTION_BUDGETS = {
 }
 
 #: The same for one more timed request: measured + ~8%.
-TIMED_CALLS_PER_REQUEST_BUDGET = 430
+TIMED_CALLS_PER_REQUEST_BUDGET = 395
 TIMED_FUNCTION_BUDGETS = {
     # ``ideal`` mode is all single-hop routes: nothing is left to order.
     ("simtime/kernel.py", "schedule"): 0,

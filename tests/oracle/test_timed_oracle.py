@@ -11,8 +11,6 @@ slow link override, a node that serves in zero time, queue-wait drops that
 end a request's pipeline, and an SLO window.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.simtime import LinkTiming, TimedOverlay, TimeModelSpec, link_key
@@ -210,9 +208,3 @@ def test_the_scenarios_reach_what_they_claim(name, monkeypatch):
         ) >= 4
     # A request whose first batch lost every message costs nothing further.
     assert expected["request_latency_us"]["buckets"][0][0] == 1
-
-
-def test_a_run_with_no_time_model_is_not_priced(monkeypatch):
-    spec = replace(SCENARIOS["ideal complete:16"], time_model=None, slo=None)
-    requests, _, registry = recorded_run(spec, monkeypatch)
-    assert requests == [] and "timeline" not in registry
