@@ -1,9 +1,12 @@
 """About the benchmark suite (its modules share no fixtures).
 
-Every benchmark module regenerates one of the paper's tables/figures
-(``python -m repro.analysis.report`` prints the paper-vs-measured record for
-E1–E15).  Each is a plain pytest function: it runs its experiment once and
-checks the result against the paper's claims — for E15–E21 against the exact
-headline numbers, written as literals next to the computation.  Nothing is
-timed here and nothing is written; speed is measured by ``benchmarks/ledger``.
+The paper's own results (Examples 1–6, Propositions 1–4, sections 3–5) are
+one table of claims, ``repro.analysis.paper``: ``python -m repro paper``
+prints it and ``tests/integration/test_paper_claims.py`` checks it.  The
+modules here measure the workload engine built around them: E15–E21 assert
+their exact headline numbers as literals next to the computation; A2 and
+A3 are the delivery/relay and scoped-hash ablations.  Each is a plain
+pytest function.
+Nothing is timed here and nothing is written; speed is measured by
+``benchmarks/ledger``.
 """

@@ -22,7 +22,6 @@ Quick start::
     assert result.found
 """
 
-from .analysis import compare_strategies, comparison_table, format_table, summarize
 from .core import (
     Address,
     FunctionalStrategy,
@@ -38,6 +37,9 @@ from .core import (
     probabilistic,
     robustness,
 )
+# After .core: analysis.uucp imports network.graph, whose package imports
+# back into core.
+from .analysis import format_table
 from .network import Graph, Network, complete_graph
 from .processes import ClientProcess, DistributedSystem, ServerProcess, Service
 from .strategies import (
@@ -145,9 +147,7 @@ __all__ = [
     "WorkloadMetrics",
     "WorkloadResult",
     "bounds",
-    "compare_strategies",
     "compare_under_load",
-    "comparison_table",
     "complete_graph",
     "decompose",
     "default_registry",
@@ -156,6 +156,5 @@ __all__ = [
     "replay_trace",
     "robustness",
     "run_scenario",
-    "summarize",
     "__version__",
 ]

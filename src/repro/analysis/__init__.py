@@ -1,32 +1,14 @@
-"""Analysis and experiment tooling.
+"""Analysis tooling.
 
-Summaries of rendezvous matrices, post/query trade-off curves, UUCPnet
-degree statistics, tree-depth models, the cross-strategy comparison harness
-and table-formatting/scaling-fit helpers used by the examples and the
-benchmark suite.
+Table formatting and the matrix-sweep report text, the scaling fit, the
+(M3') post/query split and the UUCPnet degree statistics of section 3.6.
+The paper's claims, each with its measurement, are the table in
+:mod:`repro.analysis.paper` (``python -m repro paper``), imported only by
+that command.
 """
 
-from .comparison import (
-    StrategyComparison,
-    compare_strategies,
-    comparison_table,
-    measure_strategy,
-    sample_pairs,
-)
-from .experiment import (
-    fit_power_law,
-    format_table,
-    render_matrix_report,
-    relative_error,
-)
-from .matrix_stats import MatrixSummary, summarize, summary_as_dict
-from .tradeoff import WeightedSplit, balanced_cost, optimal_split
-from .tree_models import (
-    DepthObservation,
-    depth_halving_ratio,
-    observe_exponential_trees,
-    observe_factorial_trees,
-)
+from .experiment import fit_power_law, format_table, render_matrix_report
+from .tradeoff import WeightedSplit, optimal_split
 from .uucp import (
     PAPER_DEGREE_TABLE,
     PAPER_EUNET_EDGES,
@@ -43,33 +25,19 @@ from .uucp import (
 
 __all__ = [
     "DegreeProfile",
-    "DepthObservation",
-    "MatrixSummary",
     "PAPER_DEGREE_TABLE",
     "PAPER_EUNET_EDGES",
     "PAPER_EUNET_SITES",
     "PAPER_NAMED_SITE_DEGREES",
     "PAPER_TOTAL_EDGES",
     "PAPER_TOTAL_SITES",
-    "StrategyComparison",
     "WeightedSplit",
-    "balanced_cost",
-    "compare_strategies",
-    "comparison_table",
-    "depth_halving_ratio",
     "fit_power_law",
     "format_table",
-    "render_matrix_report",
     "graph_profile",
-    "measure_strategy",
-    "observe_exponential_trees",
-    "observe_factorial_trees",
     "optimal_split",
     "paper_profile",
     "profile_from_histogram",
-    "relative_error",
-    "sample_pairs",
+    "render_matrix_report",
     "shape_similarity",
-    "summarize",
-    "summary_as_dict",
 ]

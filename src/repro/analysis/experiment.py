@@ -1,9 +1,8 @@
-"""Small utilities shared by examples and benchmarks.
+"""Small utilities shared by the CLI, the paper table and the examples.
 
-Plain-text table formatting (the experiments print rows the way the paper's
-tables read), deterministic pair sampling, and simple scaling-fit helpers
-used to check asymptotic claims (e.g. that measured cost grows like
-``sqrt(n)`` or like ``log n``).
+Plain-text table formatting (rows read the way the paper's tables do), the
+matrix-sweep report text, and a power-law fit used to check asymptotic
+claims (e.g. that measured cost grows like ``sqrt(n)``).
 """
 
 from __future__ import annotations
@@ -83,11 +82,3 @@ def fit_power_law(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
     b = numerator / denominator
     a = math.exp(mean_y - b * mean_x)
     return a, b
-
-
-def relative_error(measured: float, expected: float) -> float:
-    """``|measured − expected| / |expected|`` (``inf`` when expected is
-    0)."""
-    if expected == 0:
-        return float("inf") if measured != 0 else 0.0
-    return abs(measured - expected) / abs(expected)

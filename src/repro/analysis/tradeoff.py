@@ -54,10 +54,3 @@ def optimal_split(n: int, ratio: float = 1.0) -> WeightedSplit:
     while p > 1 and (p - 1) * q >= n:
         p -= 1
     return WeightedSplit(ratio=ratio, post_size=p, query_size=q)
-
-
-def balanced_cost(n: int) -> float:
-    """The balanced optimum ``2·sqrt(n)``."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return 2.0 * math.sqrt(n)

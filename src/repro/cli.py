@@ -1,6 +1,11 @@
 """The ``python -m repro`` command line: run, sweep, replay — reproducibly.
 
-Five subcommands wrap the workload and execution engines for shell use:
+Six subcommands wrap the paper table and the workload and execution
+engines for shell use:
+
+``paper``
+    measure every claim of the paper in :mod:`repro.analysis.paper` and
+    print the paper-vs-measured table; exit 1 names each failing row;
 
 ``run spec.json``
     execute one :class:`~repro.workload.spec.ScenarioSpec`, print its
@@ -24,7 +29,8 @@ Five subcommands wrap the workload and execution engines for shell use:
 
 Everything machine-readable goes to stdout, progress and notes to stderr,
 so ``python -m repro ... > out.json`` composes in pipelines.  Exit status
-is 0 on success, 1 on a failed ``--expect`` verification, 2 on bad input.
+is 0 on success, 1 on a failed ``--expect`` verification or paper claim,
+2 on bad input.
 """
 
 from __future__ import annotations
@@ -80,6 +86,14 @@ def _note(message: str) -> None:
 
 
 # -- subcommands -------------------------------------------------------------------
+
+def _cmd_paper(args: argparse.Namespace) -> int:
+    from .analysis import paper
+
+    text, failures = paper.render()
+    print(text)
+    return 1 if failures else 0
+
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = ScenarioSpec.from_dict(_load_json(args.spec))
@@ -260,9 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
     """The full CLI parser (exposed for tests and ``--help`` rendering)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Run, sweep and replay match-making workloads.",
+        description="Check the paper's claims; run, sweep and replay "
+        "match-making workloads.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    paper_p = sub.add_parser(
+        "paper", help="measure every claim of the paper and print the table"
+    )
+    paper_p.set_defaults(handler=_cmd_paper)
 
     run_p = sub.add_parser(
         "run", help="run one scenario spec (JSON) and print its result"

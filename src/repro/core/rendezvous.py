@@ -191,14 +191,6 @@ class RendezvousMatrix:
         )
         return total / (self.n * self.n)
 
-    def min_cost(self) -> int:
-        """The cheapest pair's ``m(i,j)``."""
-        return min(
-            self.pair_cost(server, client)
-            for server in self._nodes
-            for client in self._nodes
-        )
-
     def max_cost(self) -> int:
         """The most expensive pair's ``m(i,j)``."""
         return max(

@@ -44,11 +44,6 @@ class CubeConnectedCyclesStrategy(TopologyStrategy):
         self._suffix_bits = math.ceil(d / 2)
         self._prefix_bits = d - self._suffix_bits
 
-    @property
-    def prefix_bits(self) -> int:
-        """Corner-address bits fixed by the client."""
-        return self._prefix_bits
-
     def post_set(self, node: Hashable, port: Optional[Port] = None) -> FrozenSet:
         self._require_member(node)
         position, corner = node

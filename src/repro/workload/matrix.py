@@ -135,7 +135,9 @@ class MatrixSpec:
 
         A cell is skipped when its strategy cannot be instantiated on its
         topology (e.g. ``manhattan`` routing on a hypercube); the skip
-        record carries the cell coordinates and the reason.
+        record carries the cell coordinates and the reason.  An unknown
+        strategy name is not skipped: ``build_strategy`` raises
+        ``ValueError``.
         """
         arrivals = self.arrivals or (self.base.arrival,)
         popularities = self.popularities or (self.base.popularity,)
@@ -240,7 +242,9 @@ class MatrixSpec:
         Unknown keys are rejected rather than defaulted over — a typoed
         axis name (``"topologys"``) must fail loudly, not silently run the
         default grid.  The derived ``regime_labels``/``cell_count`` that
-        :meth:`to_dict` emits are tolerated and ignored.
+        :meth:`to_dict` emits are tolerated and ignored.  An axis must be a
+        list: ``"strategies": "centralized"`` is rejected, not run as eleven
+        one-letter strategies.
         """
         known = {
             "name", "topologies", "strategies", "fault_regimes", "base",
@@ -253,30 +257,40 @@ class MatrixSpec:
                 f"unknown MatrixSpec key(s) {unknown}; "
                 f"expected a subset of {sorted(known)}"
             )
+
+        def axis(key: str, default: tuple) -> tuple:
+            value = data.get(key, default)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(
+                    f"MatrixSpec key {key!r} must be a list, got {value!r}"
+                )
+            return tuple(value)
+
         return cls(
             name=str(data.get("name", "matrix")),
-            topologies=tuple(data.get("topologies", ("complete:16",))),
-            strategies=tuple(data.get("strategies", ("checkerboard",))),
+            topologies=axis("topologies", ("complete:16",)),
+            strategies=axis("strategies", ("checkerboard",)),
             fault_regimes=tuple(
                 part_from_dict(FaultRegimeSpec, regime)
-                for regime in data.get("fault_regimes", ({},))
+                for regime in axis("fault_regimes", ({},))
             ),
             base=ScenarioSpec.from_dict(dict(data.get("base", {}))),
             arrivals=tuple(
                 part_from_dict(ArrivalSpec, arrival)
-                for arrival in data.get("arrivals", ())
+                for arrival in axis("arrivals", ())
             ),
             popularities=tuple(
                 part_from_dict(PopularitySpec, pop)
-                for pop in data.get("popularities", ())
+                for pop in axis("popularities", ())
             ),
             churns=tuple(
                 part_from_dict(ChurnSpec, churn)
-                for churn in data.get("churns", ())
+                for churn in axis("churns", ())
             ),
+            # Only null is untimed: ``{}`` is the all-defaults model.
             time_models=tuple(
-                TimeModelSpec.from_dict(dict(model)) if model else None
-                for model in data.get("time_models", ())
+                TimeModelSpec.from_dict(dict(model)) if model is not None else None
+                for model in axis("time_models", ())
             ),
         )
 

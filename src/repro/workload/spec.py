@@ -356,14 +356,16 @@ class ScenarioSpec:
             ("churn", ChurnSpec), ("faults", FaultRegimeSpec),
         ):
             payload[key] = part_from_dict(part, payload.get(key, {}))
+        # Only a missing key or null means "none": ``{}`` is the all-defaults
+        # model (or SLO), as ``repro run --time-model`` reads the same file.
         time_model = payload.get("time_model")
-        if time_model and not isinstance(time_model, TimeModelSpec):
+        if time_model is not None and not isinstance(time_model, TimeModelSpec):
             time_model = TimeModelSpec.from_dict(time_model)
-        payload["time_model"] = time_model or None
+        payload["time_model"] = time_model
         slo = payload.get("slo")
-        if slo and not isinstance(slo, SloSpec):
+        if slo is not None and not isinstance(slo, SloSpec):
             slo = part_from_dict(SloSpec, slo)
-        payload["slo"] = slo or None
+        payload["slo"] = slo
         return cls(**payload)
 
 
@@ -452,7 +454,9 @@ def build_strategy(name: str, topology: Topology) -> MatchMakingStrategy:
     Universe-based strategies come from the default registry; the
     topology-specific section-3 strategies require a matching topology and
     ``"subgraph"`` works on any connected graph via the O(sqrt n)
-    decomposition.
+    decomposition.  A topology mismatch is a :class:`StrategyError` (the
+    matrix engine skips that cell); an unknown name is a ``ValueError``,
+    bad input that nothing skips.
     """
     name = name.strip().lower()
     if name in _TOPOLOGY_STRATEGIES:
@@ -467,7 +471,7 @@ def build_strategy(name: str, topology: Topology) -> MatchMakingStrategy:
         return SubgraphDecompositionStrategy(decompose(topology.graph))
     registry = default_registry()
     if name not in registry.names():
-        raise StrategyError(
+        raise ValueError(
             f"unknown strategy {name!r}; known: {', '.join(strategy_names())}"
         )
     return registry.create(name, topology.nodes())

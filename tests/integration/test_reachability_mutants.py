@@ -11,12 +11,12 @@ import pytest
 from test_reachability import ROOT, unreached
 
 NAMED = [
-    "__init__.py", "analysis/comparison.py", "analysis/static/config.py",
+    "__init__.py", "analysis/paper.py", "analysis/static/config.py",
     "core/types.py", "exec/plan.py", "network/routing.py", "obs/spans.py",
     "processes/system.py", "simtime/kernel.py", "strategies/manhattan.py",
     "topologies/tree.py", "workload/spec.py",
 ]
-ROOTED = ["cli.py", "__main__.py", "analysis/report.py"]
+ROOTED = ["cli.py", "__main__.py"]
 
 
 def orphan(module):

@@ -88,6 +88,18 @@ class TestUntimedBytesNeverMove:
         assert "time_models" not in payload
         assert MatrixSpec.from_dict(payload).time_models == ()
 
+    def test_only_a_missing_or_null_time_model_is_untimed(self):
+        # ``{}`` is every default (1 ms links), as ``repro run --time-model``
+        # reads the same file — not an untimed run.
+        assert ScenarioSpec.from_dict({"time_model": {}}).time_model == \
+            TimeModelSpec()
+        assert ScenarioSpec.from_dict({"time_model": None}).time_model is None
+        assert ScenarioSpec.from_dict({"slo": {}}).slo == SloSpec()
+
+    def test_an_empty_time_model_axis_entry_is_a_timed_column(self):
+        grid = MatrixSpec.from_dict({"time_models": [{}, None]})
+        assert grid.time_models == (TimeModelSpec(), None)
+
     def test_untimed_result_and_trace_digests_are_pinned(self):
         result = run_scenario(pinned_scenario())
         assert result.digest() == PINNED_RESULT_DIGEST

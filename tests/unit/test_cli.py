@@ -1,4 +1,4 @@
-"""The ``python -m repro`` command line: run, matrix, obs, replay.
+"""The ``python -m repro`` command line: paper, run, matrix, obs, replay.
 
 Each subcommand is exercised through ``repro.cli.main`` with real files in
 a temp directory: specs load from JSON, results and reports land where
@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.analysis import paper
 from repro.cli import main
 from repro.obs.tools import summarize_export
 from repro.workload import (
@@ -161,6 +162,32 @@ class TestIncremental:
         ]) == 2
 
 
+class TestPaper:
+    def test_prints_every_claim_once_in_table_order(self, capsys):
+        assert main(["paper"]) == 0
+        output = capsys.readouterr().out
+        ids = [claim.id for claim in paper.CLAIMS]
+        printed = [
+            line.split()[0] for line in output.splitlines()
+            if line.split() and line.split()[0] in ids
+        ]
+        assert printed == ids
+        assert f"{len(ids)} of {len(ids)} claims hold" in output
+
+    def test_a_failing_claim_exits_one_naming_it_and_its_measurement(
+        self, monkeypatch, capsys
+    ):
+        claims = [
+            claim._replace(expected=14.0) if claim.id == "E5.3" else claim
+            for claim in paper.CLAIMS
+        ]
+        monkeypatch.setattr(paper, "CLAIMS", tuple(claims))
+        assert main(["paper"]) == 1
+        output = capsys.readouterr().out
+        assert "FAILED E5.3: measured 13, expected == 14" in output
+        assert output.count("FAILED") == 1
+
+
 class TestReplay:
     def test_expect_verifies_byte_exact(self, spec_file, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
@@ -264,14 +291,24 @@ class TestErrors:
         assert "'period'" in error
 
     def test_unknown_strategy_exits_two_not_traceback(self, tmp_path):
-        # StrategyError is a MatchMakingError, not a ValueError; the CLI
-        # must still classify it as bad input (exit 2, not a traceback, and
-        # never exit 1 — that means --expect divergence).
+        # Bad input: exit 2, not a traceback, and never exit 1 — that means
+        # --expect divergence.
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(
             {**SPEC.to_dict(), "strategy": "no-such-strategy"}
         ))
         assert main(["run", str(bad)]) == 2
+
+    def test_misspelled_matrix_strategy_exits_two_naming_it(
+        self, tmp_path, capsys
+    ):
+        # Not "skipped as incompatible" with exit 0 and one strategy fewer.
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(
+            {**MATRIX.to_dict(), "strategies": ["checkerboard", "checkerbaord"]}
+        ))
+        assert main(["matrix", str(grid), "--no-progress"]) == 2
+        assert "unknown strategy 'checkerbaord'" in capsys.readouterr().err
 
     def test_misspelled_time_model_key_exits_two_naming_the_key(
         self, spec_file, tmp_path, capsys

@@ -8,6 +8,7 @@ fresh networks, and a recorded matrix cell replays to the exact same
 
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -144,6 +145,22 @@ class TestMatrixExpansion:
         payload = small_matrix().to_dict()
         payload["topologys"] = payload.pop("topologies")  # the typo case
         with pytest.raises(ValueError, match="unknown MatrixSpec key"):
+            MatrixSpec.from_dict(payload)
+
+    def test_misspelled_strategy_is_rejected_not_skipped(self):
+        # Only a real topology mismatch is "incompatible"; a typo is bad input.
+        with pytest.raises(ValueError, match="unknown strategy 'checkerbaord'"):
+            small_matrix(strategies=("checkerboard", "checkerbaord")).expand()
+
+    @pytest.mark.parametrize("key, value", [
+        ("strategies", "centralized"), ("topologies", "complete:16"),
+    ])
+    def test_a_string_axis_is_rejected_naming_key_and_value(self, key, value):
+        payload = small_matrix().to_dict()
+        payload[key] = value  # would iterate as one-letter names
+        with pytest.raises(
+            ValueError, match=re.escape(f"'{key}' must be a list, got '{value}'")
+        ):
             MatrixSpec.from_dict(payload)
 
     def test_matrix_spec_names_unknown_keys_inside_an_axis_entry(self):

@@ -56,7 +56,6 @@ class TestConstruction:
 class TestPaperQuantities:
     def test_centralized_costs(self, centralized_matrix):
         assert centralized_matrix.average_cost() == 2.0
-        assert centralized_matrix.min_cost() == 2
         assert centralized_matrix.max_cost() == 2
 
     def test_broadcast_costs(self):
