@@ -13,6 +13,7 @@ asserted below as literals.
 
 from repro.obs import export
 from repro.obs.attr import attribute_export
+from repro.obs.spans import SpanRecorder
 from repro.workload import SloSpec, run_scenario
 
 from test_bench_e20_latency import latency_spec
@@ -39,11 +40,9 @@ def test_bench_e21_attribution(tmp_path):
     # Materialize the obs export the CLI would write, then read it back
     # through the same path ``python -m repro obs attribute`` uses.
     obs_dir = export.export_dir(tmp_path / "obs")
-    with open(export.metrics_path(obs_dir), "w", encoding="utf-8") as fp:
-        fp.write(export.dump_metrics_line(
-            0, {"name": result.spec.name}, result.metrics.registry
-        ))
-    export.write_timelines(export.timeline_path(obs_dir, 0), result.exemplars)
+    export.write_cell(
+        obs_dir, 0, {"name": result.spec.name}, SpanRecorder(), result
+    )
     attribution = attribute_export(obs_dir)
 
     # The headline: the rendezvous node's inbound queue IS the tail.

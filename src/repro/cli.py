@@ -17,10 +17,10 @@ engines for shell use:
 ``replay trace.jsonl``
     re-execute a recorded trace and, with ``--expect``, verify the replay
     reproduces a previously saved result byte-for-byte;
-``obs summarize/diff``
+``obs summarize/diff/attribute``
     inspect the observability export a ``--obs DIR`` run wrote: merged
     metric totals, span-derived hop breakdowns, per-worker phase profiles,
-    and numeric deltas between two exports;
+    numeric deltas between two exports, critical-path attribution;
 ``analyze [paths...]``
     run the determinism / pickle-safety / digest-neutrality static
     analyzer (:mod:`repro.analysis.static`) over the source tree; new
@@ -53,8 +53,8 @@ from .analysis.static import (
 )
 from .core.exceptions import MatchMakingError
 from .exec.progress import ProgressReporter
-from .obs import SpanRecorder, export_dir, metrics_path
-from .obs.export import write_cell_export
+from .obs import SpanRecorder, export_dir
+from .obs.export import write_cell
 from .obs.tools import (
     diff_exports,
     render_diff,
@@ -108,20 +108,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     tracer = SpanRecorder() if args.obs else None
     result = run_scenario(spec, tracer=tracer)
     if args.obs:
-        obs_path = export_dir(args.obs)
-        with open(metrics_path(obs_path), "w", encoding="utf-8") as fp:
-            write_cell_export(
-                obs_path,
-                0,
-                {
-                    "name": spec.name,
-                    "topology": spec.topology,
-                    "strategy": spec.strategy,
-                },
-                tracer,
-                result,
-                fp,
-            )
+        write_cell(
+            export_dir(args.obs),
+            0,
+            {
+                "name": spec.name,
+                "topology": spec.topology,
+                "strategy": spec.strategy,
+            },
+            tracer,
+            result,
+        )
         _note(f"observability export ({len(tracer)} spans) -> {args.obs}")
     if args.trace:
         result.trace.to_path(args.trace)

@@ -16,6 +16,11 @@ records merge by grid position into a
 :class:`~repro.workload.matrix.MatrixReport`, so its canonical JSON does
 not depend on the worker count.
 
+An obs export (:mod:`repro.obs.export`) needs no merge: each shard writes
+its cells' files and its own shard file, and the parent writes only the
+run file (its ``merge`` span, profiles, cache counters) after the pool
+drains.
+
 Payloads crossing the process boundary are plain picklable data: a
 :class:`ShardPayload` outbound, and — only when callers ask to keep full
 results — ``WorkloadResult`` objects inbound, which pickle cleanly
@@ -24,8 +29,6 @@ because results never reference a live ``Network`` or planner.
 
 from __future__ import annotations
 
-import json
-import os
 import shutil
 import tempfile
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -91,15 +94,6 @@ class ShardPayload:
     spool_path: Optional[str]
 
 
-def _shard_metrics_path(obs_path: Path, shard_index: int) -> Path:
-    """The shard-private metrics part file the parent merges and removes.
-
-    Workers must never append to the shared ``metrics.jsonl`` concurrently;
-    each writes its own part, exactly like the result spools.
-    """
-    return obs_path / f"metrics-shard-{shard_index:03d}.jsonl"
-
-
 def run_shard(payload: ShardPayload, emit: Emit) -> ShardOutcome:
     """Run one shard's cells in the given order, emitting each as it
     finishes.
@@ -111,10 +105,9 @@ def run_shard(payload: ShardPayload, emit: Emit) -> ShardOutcome:
     With a cache dir, unchanged cells are served from the chain-keyed
     store instead (:mod:`repro.exec.cache`).
 
-    With an obs dir the shard writes the cell-level files keyed on grid
-    position (``spans-cell-NNNN.jsonl``, ``timelines-cell-NNNN.jsonl``)
-    plus its own ``shard`` span file and a private metrics part the parent
-    folds into ``metrics.jsonl``.
+    With an obs dir the shard writes each executed cell's export file,
+    keyed on grid position (``obs-cell-NNNN.jsonl``), plus its own
+    ``obs-shard-NNN.jsonl`` — never a file another worker writes.
     """
     obs_path = Path(payload.obs_dir) if payload.obs_dir is not None else None
     shard_tracer = SpanRecorder() if obs_path is not None else None
@@ -133,71 +126,61 @@ def run_shard(payload: ShardPayload, emit: Emit) -> ShardOutcome:
                 or obs_path is not None
             ),
         )
-    metrics_fp = None
-    try:
-        if obs_path is not None:
-            metrics_fp = open(
-                _shard_metrics_path(obs_path, payload.index), "w",
-                encoding="utf-8",
+    with profiling(shard_profile):
+        shard_span = None
+        if shard_tracer is not None:
+            shard_span = shard_tracer.begin(
+                "shard", shard=payload.index, cells=len(payload.cells)
             )
-        with profiling(shard_profile):
-            shard_span = None
-            if shard_tracer is not None:
-                shard_span = shard_tracer.begin(
-                    "shard", shard=payload.index, cells=len(payload.cells)
+        for indexed in payload.cells:
+            position, cell = indexed.position, indexed.cell
+            if runner is not None:
+                cached = runner.lookup(cell)
+                if cached is not None:
+                    emit(position, cached)
+                    continue
+            network: Optional[Network] = None
+            if payload.share_networks:
+                network = checkout_network(
+                    networks, cell.spec, payload.generation, stats
                 )
-            for indexed in payload.cells:
-                position, cell = indexed.position, indexed.cell
                 if runner is not None:
-                    cached = runner.lookup(cell)
-                    if cached is not None:
-                        emit(position, cached)
-                        continue
-                network: Optional[Network] = None
-                if payload.share_networks:
-                    network = checkout_network(
-                        networks, cell.spec, payload.generation, stats
-                    )
-                    if runner is not None:
-                        runner.warmup(cell, network)
-                cell_tracer = SpanRecorder() if obs_path is not None else None
-                with phase(CELL_RUN):
-                    cell_result, result = run_cell(
-                        cell, network=network, tracer=cell_tracer
-                    )
-                if runner is not None:
-                    runner.record(cell_result)
-                emit(position, cell_result)
-                if obs_path is not None:
-                    _obs_export.write_cell_export(
-                        obs_path,
-                        position,
-                        {
-                            "name": cell.spec.name,
-                            "topology": cell.topology,
-                            "strategy": cell.strategy,
-                            "regime": cell.regime,
-                        },
-                        cell_tracer,
-                        result,
-                        metrics_fp,
-                    )
-                    shard_tracer.set_clock(float(position))
-                    shard_tracer.event(
-                        "cell-run", position=position, cell=cell.spec.name
-                    )
-                if payload.trace_dir is not None:
-                    write_cell_trace(payload.trace_dir, position, result)
-                if payload.keep_results:
-                    kept.append((position, result))
-            if shard_tracer is not None:
-                shard_tracer.end(shard_span, cells=len(payload.cells))
-                shard_tracer.to_path(
-                    _obs_export.shard_span_path(obs_path, payload.index)
+                    runner.warmup(cell, network)
+            cell_tracer = SpanRecorder() if obs_path is not None else None
+            with phase(CELL_RUN):
+                cell_result, result = run_cell(
+                    cell, network=network, tracer=cell_tracer
                 )
-    finally:
-        if metrics_fp is not None:
-            metrics_fp.close()
+            if runner is not None:
+                runner.record(cell_result)
+            emit(position, cell_result)
+            if obs_path is not None:
+                _obs_export.write_cell(
+                    obs_path,
+                    position,
+                    {
+                        "name": cell.spec.name,
+                        "topology": cell.topology,
+                        "strategy": cell.strategy,
+                        "regime": cell.regime,
+                    },
+                    cell_tracer,
+                    result,
+                )
+                shard_tracer.set_clock(float(position))
+                shard_tracer.event(
+                    "cell-run", position=position, cell=cell.spec.name
+                )
+            if payload.trace_dir is not None:
+                write_cell_trace(payload.trace_dir, position, result)
+            if payload.keep_results:
+                kept.append((position, result))
+        if shard_tracer is not None:
+            shard_tracer.end(shard_span, cells=len(payload.cells))
+            _obs_export.write_records(
+                obs_path, _obs_export.span_records(shard_tracer),
+                shard=payload.index,
+            )
     profile_dict = (
         shard_profile.to_dict() if shard_profile is not None else None
     )
@@ -324,11 +307,8 @@ def run_matrix_parallel(
             )
         with profiling(parent_profile), phase(SPOOL_MERGE):
             cells = _merge_records(sources, total)
-            if obs_path is not None:
-                _merge_shard_metrics(obs_path, shards)
         if merge_tracer is not None:
             merge_tracer.end(merge_span)
-            merge_tracer.to_path(obs_path / _obs_export.MERGE_SPANS_FILE)
     finally:
         if own_spool and spool_root is not None:
             shutil.rmtree(spool_root, ignore_errors=True)
@@ -341,19 +321,24 @@ def run_matrix_parallel(
             profiles.append(PhaseProfile.from_dict(shard_profile))
         if shard_stats:
             merge_cache_stats(exec_stats, shard_stats)
+    profile_records = [
+        {"kind": "profile", **entry.to_dict()} for entry in profiles
+    ]
     report = MatrixReport(
         matrix.to_dict(),
         cells,
         plan.skipped,
-        profile=_obs_export.profiles_dict(profiles) if profile else None,
+        profile=_obs_export.profiles_dict(profile_records) if profile else None,
         cache=exec_stats if cache_dir is not None or pool is not None else None,
     )
-    if obs_path is not None and report.cache_stats is not None:
-        _obs_export.write_cache_stats(
-            _obs_export.cache_stats_path(obs_path), exec_stats
-        )
-    if obs_path is not None and profile:
-        _obs_export.write_profiles(_obs_export.profile_path(obs_path), profiles)
+    if obs_path is not None:
+        run_records = profile_records
+        if merge_tracer is not None:
+            run_records = _obs_export.span_records(merge_tracer) + run_records
+        if report.cache_stats is not None:
+            run_records.append({"kind": "cache", "counters": exec_stats})
+        if run_records:
+            _obs_export.write_records(obs_path, run_records)
     return report, [kept[position] for position in sorted(kept)]
 
 
@@ -425,35 +410,3 @@ def _merge_records(
         )
     return [merged[position] for position in range(total)]
 
-
-def _merge_shard_metrics(obs_path: Path, shards: Iterable[Shard]) -> None:
-    """Fold the workers' metrics part files into one position-sorted
-    ``metrics.jsonl`` — byte-identical to the file a sequential run writes —
-    then delete the parts.
-
-    The parts are the only copy of the workers' metrics, so the merge must
-    not destroy them before the merged file exists: everything is read and
-    sorted first (a parse error here leaves every part intact on disk),
-    the merged file lands via a temp file + atomic rename, and only then
-    are the parts removed.
-    """
-    lines: List[Tuple[int, str]] = []
-    parts: List[Path] = []
-    for shard in shards:
-        part = _shard_metrics_path(obs_path, shard.index)
-        if not part.exists():
-            continue
-        with open(part, "r", encoding="utf-8") as fp:
-            for line in fp:
-                if line.strip():
-                    lines.append((int(json.loads(line)["position"]), line))
-        parts.append(part)
-    lines.sort(key=lambda pair: pair[0])
-    target = _obs_export.metrics_path(obs_path)
-    tmp = target.parent / f"{target.name}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fp:
-        for _, line in lines:
-            fp.write(line)
-    os.replace(tmp, target)
-    for part in parts:
-        part.unlink()

@@ -14,28 +14,16 @@ The simulator's results were always deterministic; this package makes them
 * :mod:`~repro.obs.profile` — opt-in wall-clock phase timing (topology
   build, routing tables, plan warming, cell runs, spool merge), surfaced
   per worker and explicitly excluded from report digests;
-* :mod:`~repro.obs.export` — the JSONL export layout
-  ``python -m repro obs summarize``/``diff`` consume.
+* :mod:`~repro.obs.export` — the ``--obs`` export: JSONL files of
+  ``{"kind": ...}`` records (spans, cell metrics, exemplar timelines,
+  profiles, cache counters) behind one writer and the one loader
+  ``python -m repro obs summarize``/``diff``/``attribute`` read through.
 
 Everything here is off by default: with no tracer or profile installed the
 instrumented hot paths cost one global read each.
 """
 
-from .export import (
-    cell_span_path,
-    dump_metrics_line,
-    export_dir,
-    load_all_spans,
-    load_metrics,
-    load_profiles,
-    merged_metrics,
-    metrics_path,
-    profile_path,
-    profiles_dict,
-    shard_span_path,
-    span_breakdown,
-    write_profiles,
-)
+from .export import export_dir, load_export, write_records
 from .host import host_metadata
 from .profile import (
     CELL_RUN,
@@ -55,7 +43,7 @@ from .registry import (
     MetricsRegistry,
     merge_registries,
 )
-from .spans import Span, SpanRecorder, active_tracer, load_spans, tracing
+from .spans import Span, SpanRecorder, active_tracer, tracing
 from .timeline import Timeline
 
 __all__ = [
@@ -74,23 +62,12 @@ __all__ = [
     "TOPOLOGY_BUILD",
     "Timeline",
     "active_tracer",
-    "cell_span_path",
-    "dump_metrics_line",
     "export_dir",
     "host_metadata",
-    "load_all_spans",
-    "load_metrics",
-    "load_profiles",
-    "load_spans",
+    "load_export",
     "merge_registries",
-    "merged_metrics",
-    "metrics_path",
     "phase",
-    "profile_path",
-    "profiles_dict",
     "profiling",
-    "shard_span_path",
-    "span_breakdown",
     "tracing",
-    "write_profiles",
+    "write_records",
 ]

@@ -2,8 +2,8 @@
 
 A timed run's ``critical_path_us`` counter family already blames every
 request's barrier-defining segments on ``phase:kind:where`` contributor
-keys (see :mod:`repro.simtime.binding`); the exemplar timeline files keep
-the slowest-k requests whole.  This module turns both into answers:
+keys (see :mod:`repro.simtime.binding`); the exported ``timeline`` records
+keep the slowest-k requests whole.  This module turns both into answers:
 
 * :func:`attribute_export` ranks contributors over *all* requests (the
   mean story) and over the exemplar tail (the p99 story) — "queue wait on
@@ -13,20 +13,17 @@ the slowest-k requests whole.  This module turns both into answers:
 * the render helpers print the fixed-width tables behind
   ``python -m repro obs attribute`` and ``obs diff --attribute``.
 
-Everything reads the on-disk export only, so attribution works on a run
+Everything reads the on-disk export through
+:func:`~repro.obs.export.load_export` only, so attribution works on a run
 from another machine — and is byte-deterministic, because the export is.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Dict, List, Optional
 
-from .export import (
-    load_all_timelines,
-    merged_metrics,
-    metrics_path,
-)
+from .export import load_export
+from .tools import merged_registry
 
 #: Contributor rows shown by default.
 DEFAULT_TOP = 10
@@ -55,17 +52,13 @@ def rank_contributors(
     ]
 
 
-def _tail_counts(
-    exemplar_sets: List, limit_per_cell: Optional[int] = None
-) -> Dict[str, int]:
+def _tail_counts(exemplars: List[Dict[str, object]]) -> Dict[str, int]:
     """Critical-path microseconds per contributor over exemplar requests."""
     counts: Dict[str, int] = {}
-    for _, records in exemplar_sets:
-        chosen = records if limit_per_cell is None else records[:limit_per_cell]
-        for record in chosen:
-            for phase, kind, where, us in record.get("critical_path", []):
-                key = f"{phase}:{kind}:{where}"
-                counts[key] = counts.get(key, 0) + int(us)
+    for record in exemplars:
+        for phase, kind, where, us in record.get("critical_path", []):
+            key = f"{phase}:{kind}:{where}"
+            counts[key] = counts.get(key, 0) + int(us)
     return counts
 
 
@@ -83,26 +76,25 @@ def attribute_export(
     Raises ``ValueError`` when the export came from untimed runs (there
     is nothing to attribute without a virtual clock).
     """
-    directory = Path(directory)
-    m_path = metrics_path(directory)
-    if not m_path.exists():
-        raise ValueError(f"{directory} holds no metrics.jsonl to attribute")
-    merged = merged_metrics(m_path)
+    records = load_export(directory)
+    if not records["metrics"]:
+        raise ValueError(f"{directory} holds no metrics records to attribute")
+    merged = merged_registry(records)
     if "critical_path_us" not in merged:
         raise ValueError(
             f"{directory} has no critical-path data — the export came from "
             f"untimed runs (attach a time model to attribute latency)"
         )
     overall = dict(merged.counter_map("critical_path_us"))
-    exemplar_sets = load_all_timelines(directory)
-    tail = _tail_counts(exemplar_sets)
+    exemplars = records["timeline"]
+    tail = _tail_counts(exemplars)
     out: Dict[str, object] = {
         "overall": {
             "total_us": sum(overall.values()),
             "contributors": rank_contributors(overall, top),
         },
         "tail": {
-            "exemplars": sum(len(records) for _, records in exemplar_sets),
+            "exemplars": len(exemplars),
             "total_us": sum(tail.values()),
             "contributors": rank_contributors(tail, top),
         },

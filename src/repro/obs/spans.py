@@ -25,7 +25,6 @@ point — cheap enough to leave in the hot delivery path.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -50,18 +49,6 @@ class Span:
             "clock": self.clock,
             "attrs": {key: self.attrs[key] for key in sorted(self.attrs)},
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Span":
-        """Rebuild a span from :meth:`to_dict` output."""
-        parent = data.get("parent")
-        return cls(
-            span_id=int(data["span"]),
-            parent_id=int(parent) if parent is not None else None,
-            name=str(data["name"]),
-            clock=float(data.get("clock", 0.0)),
-            attrs=dict(data.get("attrs", {})),
-        )
 
 
 class SpanRecorder:
@@ -123,26 +110,6 @@ class SpanRecorder:
 
     def __len__(self) -> int:
         return len(self._spans)
-
-    def dump_jsonl(self, fp) -> None:
-        """Write one key-sorted JSON line per span."""
-        for span in self._spans:
-            fp.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
-
-    def to_path(self, path) -> None:
-        """Write the span stream to ``path`` as JSON lines."""
-        with open(path, "w", encoding="utf-8") as fp:
-            self.dump_jsonl(fp)
-
-
-def load_spans(path) -> List[Span]:
-    """Read a span JSONL file written by :meth:`SpanRecorder.to_path`."""
-    spans = []
-    with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            if line.strip():
-                spans.append(Span.from_dict(json.loads(line)))
-    return spans
 
 
 # -- the active tracer --------------------------------------------------------

@@ -1,30 +1,19 @@
 """Readers behind ``python -m repro obs``: summarize and diff exports.
 
-Both commands work entirely off the on-disk export layout
-(:mod:`repro.obs.export`) — merged metric totals, span-derived hop
-breakdowns, per-worker phase profiles — so they can inspect a run that
-happened in another process, on another machine, or last week.  Everything
-returned is a deterministic, JSON-safe dictionary; the render helpers turn
-those into the fixed-width text the CLI prints.
+Both commands work entirely off the records
+:func:`repro.obs.export.load_export` reads — merged metric totals,
+span-derived hop breakdowns, per-worker phase profiles — so they can
+inspect a run that happened in another process, on another machine, or
+last week.  Everything returned is a deterministic, JSON-safe dictionary;
+the render helpers turn those into the fixed-width text the CLI prints.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .export import (
-    cache_stats_path,
-    load_all_spans,
-    load_cache_stats,
-    load_metrics,
-    load_profiles,
-    metrics_path,
-    profile_path,
-    profiles_dict,
-    span_breakdown,
-)
-from .registry import Histogram, merge_registries
+from .export import load_export, profiles_dict
+from .registry import Histogram, MetricsRegistry, merge_registries
 from .timeline import Timeline
 
 
@@ -92,43 +81,65 @@ def _latency_section(
     })
 
 
+def merged_registry(
+    records: Dict[str, List[Dict[str, object]]]
+) -> MetricsRegistry:
+    """Every cell's ``metrics`` record folded into one registry — the
+    grid-wide totals."""
+    return merge_registries(
+        MetricsRegistry.from_dict(record["registry"])
+        for record in records["metrics"]
+    )
+
+
+def _span_breakdown(
+    spans: Iterable[Dict[str, object]]
+) -> Dict[str, Dict[str, int]]:
+    """Span records aggregated by name: counts plus summed ``hops``.
+
+    Names with a ``category`` attribute split into per-value rows
+    (``deliver[post]``, ``deliver[query]``...) — the hop breakdown the
+    summarize command prints.
+    """
+    table: Dict[str, Dict[str, int]] = {}
+    for span in spans:
+        name, attrs = span["name"], span["attrs"]
+        if "category" in attrs:
+            name = f"{name}[{attrs['category']}]"
+        row = table.setdefault(name, {"count": 0, "hops": 0})
+        row["count"] += 1
+        value = attrs.get("hops")
+        if isinstance(value, (int, float)):
+            row["hops"] += int(value)
+    return {name: table[name] for name in sorted(table)}
+
+
 def summarize_export(directory) -> Dict[str, object]:
     """Digest one export directory: metrics, span breakdowns, profiles.
 
-    Sections are independent — a spans-only or metrics-only directory
-    summarizes fine; a directory with neither is an error, not an empty
-    answer.  Exports from timed runs additionally get a ``latency``
-    section (request latency, queue waits and depths, timeouts, link
-    utilization inputs); untimed exports have no such key.
+    Each section appears when its records exist — a spans-only or
+    metrics-only directory summarizes fine.  Exports from timed runs
+    additionally get a ``latency`` section (request latency, queue waits
+    and depths, timeouts, link utilization inputs); untimed exports have
+    no such key.
     """
-    directory = Path(directory)
+    records = load_export(directory)
     out: Dict[str, object] = {}
-    m_path = metrics_path(directory)
-    if m_path.exists():
-        entries = load_metrics(m_path)
-        merged = merge_registries(registry for _, registry in entries)
-        out["cells"] = len(entries)
-        serialized = merged.to_dict()
+    if records["metrics"]:
+        out["cells"] = len(records["metrics"])
+        serialized = merged_registry(records).to_dict()
         latency = _latency_section(serialized)
         if latency is not None:
             for name in _TIMED_INSTRUMENTS:
                 serialized.pop(name, None)
             out["latency"] = latency
         out["metrics"] = _registry_summary(serialized)
-    span_sets = load_all_spans(directory)
-    if span_sets:
-        out["spans"] = span_breakdown(span_sets)
-    p_path = profile_path(directory)
-    if p_path.exists():
-        out["profile"] = profiles_dict(load_profiles(p_path))
-    c_path = cache_stats_path(directory)
-    if c_path.exists():
-        out["cache"] = load_cache_stats(c_path)
-    if not out:
-        raise ValueError(
-            f"{directory} holds no observability export "
-            f"(no metrics.jsonl, spans-*.jsonl or profile.json)"
-        )
+    if records["span"]:
+        out["spans"] = _span_breakdown(records["span"])
+    if records["profile"]:
+        out["profile"] = profiles_dict(records["profile"])
+    if records["cache"]:
+        out["cache"] = records["cache"][-1]["counters"]
     return out
 
 

@@ -54,7 +54,7 @@ consumers ride on it:
   mergeable across cells and workers like every other instrument;
 * **exemplars**: the slowest-``k`` requests per run keep their full
   timeline (seed-deterministic, excluded from result digests), exported
-  as ``timelines-cell-NNNN.jsonl`` for ``python -m repro obs attribute``.
+  as ``timeline`` records for ``python -m repro obs attribute``.
   The JSON form is built lazily — only for a request the reservoir keeps.
 """
 

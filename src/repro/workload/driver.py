@@ -89,7 +89,8 @@ class WorkloadResult:
     #: The slowest-k request timelines of a timed run (empty when untimed).
     #: Seed-deterministic and replay-identical, but excluded from
     #: :meth:`to_dict` — exemplars are an observability artifact
-    #: (``timelines-cell-NNNN.jsonl``), never part of a result digest.
+    #: (``timeline`` records of the obs export), never part of a result
+    #: digest.
     exemplars: List[Dict[str, object]] = field(default_factory=list)
 
     @property

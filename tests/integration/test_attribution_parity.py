@@ -15,6 +15,7 @@ from pathlib import Path
 
 from repro.obs import export
 from repro.obs.attr import attribute_export, diff_attribution
+from repro.obs.spans import SpanRecorder
 from repro.simtime import LinkTiming, TimeModelSpec
 from repro.workload import (
     ArrivalSpec,
@@ -64,12 +65,11 @@ def burst_scenario() -> ScenarioSpec:
 
 
 def _export_bytes(directory) -> dict:
-    """Every metrics/timeline file's bytes, keyed by name."""
-    out = {}
-    for path in sorted(Path(directory).glob("*.jsonl")):
-        if path.name.startswith(("metrics", "timelines")):
-            out[path.name] = path.read_bytes()
-    return out
+    """Every cell file's bytes, keyed by name."""
+    return {
+        path.name: path.read_bytes()
+        for path in sorted(Path(directory).glob("obs-cell-*.jsonl"))
+    }
 
 
 class TestWorkerInvariance:
@@ -83,7 +83,7 @@ class TestWorkerInvariance:
             exports[label] = _export_bytes(obs_dir)
             attributions[label] = attribute_export(obs_dir)
         baseline = exports["seq"]
-        assert any(name.startswith("timelines") for name in baseline)
+        assert any(b'"kind": "timeline"' in data for data in baseline.values())
         for label in ("w0", "w2", "w3"):
             assert digests[label] == digests["seq"]
             assert exports[label] == baseline, (
@@ -160,12 +160,8 @@ class TestBurstAttributionHeadline:
     def test_central_inbound_queue_dominates_the_tail(self, tmp_path):
         result = run_scenario(burst_scenario())
         obs_dir = export.export_dir(tmp_path / "obs")
-        with open(export.metrics_path(obs_dir), "w", encoding="utf-8") as fp:
-            fp.write(export.dump_metrics_line(
-                0, {"name": "attr-burst"}, result.metrics.registry
-            ))
-        export.write_timelines(
-            export.timeline_path(obs_dir, 0), result.exemplars
+        export.write_cell(
+            obs_dir, 0, {"name": "attr-burst"}, SpanRecorder(), result
         )
         attribution = attribute_export(obs_dir)
         top = attribution["tail"]["contributors"][0]

@@ -13,6 +13,7 @@ on grid position, not on which process executed the cell.
 import json
 
 from repro.obs import export
+from repro.obs.tools import merged_registry
 from repro.workload import (
     ArrivalSpec,
     FaultRegimeSpec,
@@ -90,40 +91,32 @@ class TestExportParity:
         for workers in (2, 3):
             parallel_dir = tmp_path / f"w{workers}"
             run_observed(parallel_dir, workers=workers)
-            assert export.metrics_path(parallel_dir).read_bytes() == \
-                export.metrics_path(sequential_dir).read_bytes()
-            for position in range(12):
-                cell = export.cell_span_path(sequential_dir, position)
-                assert cell.exists()
-                assert export.cell_span_path(
-                    parallel_dir, position
-                ).read_bytes() == cell.read_bytes(), (
-                    f"cell {position} span stream diverged at "
-                    f"workers={workers}"
+            cells = sorted(sequential_dir.glob("obs-cell-*.jsonl"))
+            assert len(cells) == 12
+            for cell in cells:
+                assert (parallel_dir / cell.name).read_bytes() == \
+                    cell.read_bytes(), (
+                    f"{cell.name} diverged at workers={workers}"
                 )
-            # No shard metrics parts left behind after the parent's merge.
-            assert not list(parallel_dir.glob("metrics-shard-*.jsonl"))
 
     def test_profiles_label_every_participant(self, tmp_path):
         sequential_dir = tmp_path / "seq"
         run_observed(sequential_dir)
         labels = [
-            p.label
-            for p in export.load_profiles(export.profile_path(sequential_dir))
+            p["label"] for p in export.load_export(sequential_dir)["profile"]
         ]
         assert labels == ["sequential"]
         parallel_dir = tmp_path / "par"
         run_observed(parallel_dir, workers=2)
         labels = [
-            p.label
-            for p in export.load_profiles(export.profile_path(parallel_dir))
+            p["label"] for p in export.load_export(parallel_dir)["profile"]
         ]
         assert labels == ["parent", "shard-0", "shard-1"]
 
     def test_merged_export_metrics_equal_the_report(self, tmp_path):
         obs_dir = tmp_path / "obs"
         report = run_observed(obs_dir, workers=2)
-        merged = export.merged_metrics(export.metrics_path(obs_dir))
+        merged = merged_registry(export.load_export(obs_dir))
         total_requests = sum(
             cell.summary["requests"] for cell in report.cells
         )

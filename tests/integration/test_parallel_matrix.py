@@ -20,6 +20,7 @@ import pytest
 import repro
 from repro.exec import ExecutionPlan, WarmPool, load_spool
 from repro.exec.runner import run_matrix_parallel
+from repro.obs.export import load_export
 from repro.simtime import LinkTiming, TimeModelSpec
 from repro.workload import (
     ArrivalSpec,
@@ -248,10 +249,7 @@ def run_everything_on(matrix, root: Path, workers, pool=None):
 
 def cell_files(root: Path) -> dict:
     """Bytes of every file that must not depend on how the grid executed."""
-    patterns = (
-        "obs/spans-cell-*.jsonl", "obs/timelines-cell-*.jsonl",
-        "obs/metrics.jsonl", "traces/cell-*.jsonl",
-    )
+    patterns = ("obs/obs-cell-*.jsonl", "traces/cell-*.jsonl")
     return {
         str(path.relative_to(root)): path.read_bytes()
         for pattern in patterns for path in sorted(root.glob(pattern))
@@ -275,14 +273,14 @@ class TestExecutionInvarianceContract:
         assert report.digest() == run_matrix(contract_matrix())[0].digest()
         files = cell_files(root)
         assert len(report) == len(results) == 24
-        for kind in ("obs/spans-cell-", "traces/cell-"):
+        for kind in ("obs/obs-cell-", "traces/cell-"):
             assert sum(name.startswith(kind) for name in files) == 24
         # Only the timed half of the grid writes exemplar timelines.
-        assert sum(n.startswith("obs/timelines-cell-") for n in files) == 12
+        assert sum(b'"kind": "timeline"' in data for data in files.values()) == 12
         assert list(report.profile) == ["sequential"]
-        assert (root / "obs" / "spans-shard-000.jsonl").exists()
-        assert not (root / "obs" / "spans-merge.jsonl").exists()
-        assert not list((root / "obs").glob("metrics-shard-*.jsonl"))
+        records = load_export(root / "obs")
+        assert len(records["metrics"]) == 24
+        assert "merge" not in [record["name"] for record in records["span"]]
 
     @pytest.mark.parametrize("pooled", [False, True], ids=["fresh", "pooled"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -329,7 +327,16 @@ class TestExecutionInvarianceContract:
             ["sequential"] if in_process
             else ["parent"] + [f"shard-{i}" for i in range(workers)]
         )
-        assert (tmp_path / "obs" / "spans-merge.jsonl").exists() != in_process
+        # Only the layout's names (no part files); a merge span unless the
+        # grid ran in this process.
+        assert sorted(p.name for p in (tmp_path / "obs").iterdir()) == [
+            f"obs-cell-{position:04d}.jsonl" for position in range(24)
+        ] + ["obs-run.jsonl"] + [
+            f"obs-shard-{index:03d}.jsonl" for index in range(workers)
+        ]
+        merges = [r for r in load_export(tmp_path / "obs")["span"]
+                  if r["name"] == "merge"]
+        assert len(merges) == (0 if in_process else 1)
 
     def test_repeated_topology_runs_its_cells_together(self, tmp_path):
         """A topology named twice on the axis is one group: the one-shard

@@ -217,8 +217,7 @@ class TestObs:
     def test_run_obs_export_then_summarize(self, spec_file, tmp_path, capsys):
         obs_dir = tmp_path / "obs"
         assert main(["run", str(spec_file), "--obs", str(obs_dir)]) == 0
-        assert (obs_dir / "spans-cell-0000.jsonl").exists()
-        assert (obs_dir / "metrics.jsonl").exists()
+        assert [p.name for p in obs_dir.iterdir()] == ["obs-cell-0000.jsonl"]
         capsys.readouterr()
         assert main(["obs", "summarize", str(obs_dir)]) == 0
         output = capsys.readouterr().out
@@ -262,6 +261,41 @@ class TestObs:
         empty = tmp_path / "nothing"
         empty.mkdir()
         assert main(["obs", "summarize", str(empty)]) == 2
+
+    def test_a_reused_directory_holds_only_the_last_run(self, tmp_path, capsys):
+        grid = MatrixSpec(
+            name="reuse", topologies=("complete:9",),
+            strategies=("checkerboard", "centralized"),
+            base=ScenarioSpec(operations=50, clients=3, servers=3, ports=2),
+        )
+        obs_dir = tmp_path / "exp"
+        for strategies, extra in ((2, ["--profile"]), (1, [])):
+            path = tmp_path / f"grid{strategies}.json"
+            payload = grid.to_dict()
+            payload["strategies"] = payload["strategies"][:strategies]
+            path.write_text(json.dumps(payload))
+            assert main([
+                "matrix", str(path), "--obs", str(obs_dir), "--no-progress",
+                *extra,
+            ]) == 0
+        capsys.readouterr()
+        assert main(["obs", "summarize", str(obs_dir), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["cells"] == 1
+        assert summary["spans"]["request"]["count"] == 50
+        assert "profile" not in summary
+
+    def test_a_torn_export_exits_two_naming_file_and_line(
+        self, spec_file, tmp_path, capsys
+    ):
+        obs_dir = tmp_path / "obs"
+        main(["run", str(spec_file), "--obs", str(obs_dir)])
+        cell = obs_dir / "obs-cell-0000.jsonl"
+        lines = cell.read_bytes().count(b"\n")
+        cell.write_bytes(cell.read_bytes()[:-10])
+        capsys.readouterr()
+        assert main(["obs", "summarize", str(obs_dir)]) == 2
+        assert f"error: {cell}:{lines}: " in capsys.readouterr().err
 
 
 class TestErrors:

@@ -9,7 +9,7 @@ active-instance pattern both layers share: no tracer/profile installed
 means every instrumentation point is a no-op.
 """
 
-import io
+import re
 
 import pytest
 
@@ -21,15 +21,10 @@ from repro.obs.profile import (
     profiling,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import (
-    Span,
-    SpanRecorder,
-    active_tracer,
-    load_spans,
-    tracing,
-)
+from repro.obs.spans import SpanRecorder, active_tracer, tracing
 from repro.obs.tools import (
     diff_exports,
+    merged_registry,
     render_diff,
     render_summary,
     summarize_export,
@@ -84,15 +79,13 @@ class TestSpanRecorder:
         sid = tracer.begin("deliver", category="post", hops=3)
         tracer.end(sid, reached=2)
         tracer.event("route", category="reply")
-        path = tmp_path / "spans.jsonl"
-        tracer.to_path(path)
-        loaded = load_spans(path)
-        assert [s.to_dict() for s in loaded] == \
-            [s.to_dict() for s in tracer.spans]
-        # Attrs serialize key-sorted, so re-dumping reproduces the bytes.
-        buffer = io.StringIO()
-        tracer.dump_jsonl(buffer)
-        assert buffer.getvalue() == path.read_text()
+        path = export.write_records(tmp_path, export.span_records(tracer))
+        loaded = export.load_export(tmp_path)["span"]
+        assert loaded == export.span_records(tracer)
+        # Attrs serialize key-sorted, so re-writing reproduces the bytes.
+        written = path.read_bytes()
+        export.write_records(tmp_path, loaded)
+        assert path.read_bytes() == written
 
     def test_identical_recordings_produce_identical_streams(self):
         def record():
@@ -102,9 +95,7 @@ class TestSpanRecorder:
                 sid = tracer.begin("request", client=0)
                 tracer.event("rendezvous-resolve", nodes=4)
                 tracer.end(sid, hops=6)
-            buffer = io.StringIO()
-            tracer.dump_jsonl(buffer)
-            return buffer.getvalue()
+            return export.span_records(tracer)
 
         assert record() == record()
 
@@ -187,75 +178,117 @@ def _registry(requests, hop_samples):
 def _write_export(directory, cells, shard_spans=True, with_profile=True):
     """A synthetic but layout-faithful export directory."""
     directory = export.export_dir(directory)
-    with open(export.metrics_path(directory), "w", encoding="utf-8") as fp:
-        for position, hops in cells:
-            fp.write(export.dump_metrics_line(
-                position,
-                {"name": f"cell-{position}", "strategy": "checkerboard"},
-                _registry(len(hops), hops),
-            ))
     for position, hops in cells:
         tracer = SpanRecorder()
         sid = tracer.begin("request", client=0)
         for hop in hops:
             tracer.event("deliver", category="query", hops=hop)
         tracer.end(sid, hops=sum(hops))
-        tracer.to_path(export.cell_span_path(directory, position))
+        metrics = {
+            "kind": "metrics", "position": position,
+            "name": f"cell-{position}", "strategy": "checkerboard",
+            "registry": _registry(len(hops), hops).to_dict(),
+        }
+        export.write_records(
+            directory, [*export.span_records(tracer), metrics], cell=position
+        )
     if shard_spans:
         tracer = SpanRecorder()
         sid = tracer.begin("shard", shard=0, cells=len(cells))
         for position, _ in cells:
             tracer.event("cell-run", position=position)
         tracer.end(sid)
-        tracer.to_path(export.shard_span_path(directory, 0))
+        export.write_records(directory, export.span_records(tracer), shard=0)
     if with_profile:
         profile = PhaseProfile("shard-0")
         profile.add(CELL_RUN, 0.125, count=len(cells))
-        export.write_profiles(export.profile_path(directory), [profile])
+        export.write_records(directory, [{"kind": "profile", **profile.to_dict()}])
     return directory
 
 
+#: One record of every kind, as the writers build them.
+SAMPLES = {
+    "span": {"kind": "span", "span": 0, "parent": None, "name": "locate",
+             "clock": 1.5, "attrs": {"hops": 4}},
+    "metrics": {"kind": "metrics", "position": 2, "name": "cell-2",
+                "registry": _registry(2, [1, 3]).to_dict()},
+    "timeline": {"kind": "timeline", "request": 7, "latency_us": 40,
+                 "critical_path": [["query", "node_wait", "0", 40]]},
+    "profile": {"kind": "profile", "label": "shard-0",
+                "phases": {CELL_RUN: {"count": 2, "seconds": 0.25}}},
+    "cache": {"kind": "cache", "counters": {"hits": 0, "stored": 3}},
+}
+
+
 class TestExportLayout:
-    def test_paths_key_on_position_and_shard_index(self, tmp_path):
-        assert export.cell_span_path(tmp_path, 7).name == \
-            "spans-cell-0007.jsonl"
-        assert export.shard_span_path(tmp_path, 2).name == \
-            "spans-shard-002.jsonl"
-        assert export.metrics_path(tmp_path).name == "metrics.jsonl"
+    def test_files_key_on_position_and_shard_index(self, tmp_path):
+        names = [
+            export.write_records(tmp_path, [], **scope).name
+            for scope in ({"cell": 7}, {"shard": 2}, {})
+        ]
+        assert names == [
+            "obs-cell-0007.jsonl", "obs-shard-002.jsonl", "obs-run.jsonl",
+        ]
 
-    def test_metrics_lines_load_sorted_by_position(self, tmp_path):
+    @pytest.mark.parametrize("kind", export.KINDS)
+    def test_every_kind_round_trips(self, tmp_path, kind):
+        export.write_records(tmp_path, [SAMPLES[kind]], cell=0)
+        records = export.load_export(tmp_path)
+        assert records[kind] == [SAMPLES[kind]]
+        assert sum(map(len, records.values())) == 1
+
+    def test_metrics_records_load_in_position_order(self, tmp_path):
         directory = _write_export(tmp_path, [(3, [1, 2]), (0, [4])])
-        entries = export.load_metrics(export.metrics_path(directory))
-        assert [meta["position"] for meta, _ in entries] == [0, 3]
-        assert entries[1][0]["name"] == "cell-3"
-        assert entries[1][1].counter("requests").value == 2
-
-    def test_merged_metrics_fold_every_cell(self, tmp_path):
-        directory = _write_export(tmp_path, [(0, [1, 2, 3]), (1, [5])])
-        merged = export.merged_metrics(export.metrics_path(directory))
-        assert merged.counter("requests").value == 4
-        assert merged.histogram("locate_hops").count == 4
-        assert merged.histogram("locate_hops").max == 5
+        metrics = export.load_export(directory)["metrics"]
+        assert [record["position"] for record in metrics] == [0, 3]
+        assert metrics[1]["name"] == "cell-3"
+        merged = merged_registry(export.load_export(directory))
+        assert merged.counter("requests").value == 3
+        assert merged.histogram("locate_hops").max == 4
         assert merged.counter_map("events")["crash"] == 4
 
     def test_profiles_round_trip_and_label_the_dict(self, tmp_path):
         directory = _write_export(tmp_path, [(0, [1])])
-        profiles = export.load_profiles(export.profile_path(directory))
-        assert [p.label for p in profiles] == ["shard-0"]
+        profiles = export.load_export(directory)["profile"]
+        assert [p["label"] for p in profiles] == ["shard-0"]
         assert export.profiles_dict(profiles)["shard-0"][CELL_RUN]["count"] == 1
 
-    def test_span_breakdown_groups_by_category(self, tmp_path):
-        directory = _write_export(tmp_path, [(0, [2, 3]), (1, [4])])
-        sets = export.load_all_spans(directory)
-        # Cells sort before the shard file; each entry is (file_name, spans).
-        assert [name for name, _ in sets] == [
-            "spans-cell-0000.jsonl", "spans-cell-0001.jsonl",
-            "spans-shard-000.jsonl",
-        ]
-        table = export.span_breakdown(sets)
-        assert table["deliver[query]"] == {"count": 3, "hops": 9}
-        assert table["request"]["count"] == 2
-        assert table["cell-run"] == {"count": 2, "hops": 0}
+    def test_export_dir_clears_only_an_earlier_export(self, tmp_path):
+        _write_export(tmp_path, [(0, [1]), (1, [2])])
+        (tmp_path / "cell-0000.jsonl").write_text("a --traces file\n")
+        export.export_dir(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["cell-0000.jsonl"]
+
+
+def _damaged(directory, content):
+    directory.mkdir()
+    (directory / "obs-cell-0000.jsonl").write_text(content)
+    return directory / "obs-cell-0000.jsonl"
+
+
+GOOD_LINE = '{"kind": "cache", "counters": {}}\n'
+
+
+class TestDamagedExports:
+    @pytest.mark.parametrize("content, line", [
+        (GOOD_LINE + GOOD_LINE[:20], 2),                   # torn final line
+        (GOOD_LINE + "{garbage\n" + GOOD_LINE, 2),         # garbage mid-file
+        (GOOD_LINE + '{"kind": "bogus"}\n', 2),            # unknown kind
+        ('[1, 2]\n' + GOOD_LINE, 1),                       # not an object
+        (GOOD_LINE + GOOD_LINE[:-1], 2),                   # newline torn off
+    ], ids=["torn", "garbage", "unknown-kind", "not-object", "no-newline"])
+    def test_damage_names_the_file_and_line(self, tmp_path, content, line):
+        path = _damaged(tmp_path / "obs", content)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}:")):
+            export.load_export(tmp_path / "obs")
+
+    @pytest.mark.parametrize("make", [False, True], ids=["missing", "empty"])
+    def test_no_records_is_an_error(self, tmp_path, make):
+        directory = tmp_path / "obs"
+        if make:
+            directory.mkdir()
+        with pytest.raises(ValueError, match=re.escape(str(directory))):
+            export.load_export(directory)
 
 
 class TestSummarizeAndDiff:
@@ -263,6 +296,8 @@ class TestSummarizeAndDiff:
         directory = _write_export(tmp_path, [(0, [1, 2, 2]), (1, [3])])
         summary = summarize_export(directory)
         assert summary["cells"] == 2
+        assert summary["spans"]["cell-run"] == {"count": 2, "hops": 0}
+        assert summary["spans"]["request"]["count"] == 2
         assert summary["metrics"]["requests"] == 4
         assert summary["metrics"]["locate_hops"]["count"] == 4
         assert summary["metrics"]["locate_hops"]["p50"] == 2

@@ -16,6 +16,7 @@ from repro.obs.attr import (
     render_attribution,
     render_attribution_diff,
 )
+from repro.obs.export import write_records
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.timeline import Timeline
 from repro.simtime import FifoResource
@@ -289,7 +290,9 @@ class TestAttributionArithmetic:
         assert rank_contributors({}) == []
 
     def test_attribute_refuses_untimed_exports(self, tmp_path):
-        with pytest.raises(ValueError, match="no metrics"):
+        untimed = {"kind": "metrics", "position": 0, "registry": {}}
+        write_records(tmp_path, [untimed], cell=0)
+        with pytest.raises(ValueError, match="untimed runs"):
             attribute_export(tmp_path)
 
     def test_render_helpers_cover_empty_sections(self):
