@@ -136,7 +136,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     matrix = MatrixSpec.from_dict(_load_json(args.spec))
     if args.repeat < 1:
         raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
-    cache_dir = None if args.no_cache else args.cache_dir
     pool = None
     report = None
     try:
@@ -154,7 +153,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
                 keep_results=False,
                 obs_dir=args.obs,
                 profile=args.profile,
-                cache_dir=cache_dir,
+                cache_dir=args.cache_dir,
                 pool=pool,
             )
             stats = report.cache_stats
@@ -340,10 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="content-addressed cell cache: serve unchanged cells from DIR "
              "instead of executing them, and store every executed cell — "
              "the report digest is identical either way",
-    )
-    matrix_p.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore --cache-dir (one-shot escape hatch for scripted runs)",
     )
     matrix_p.add_argument(
         "--repeat", type=int, default=1, metavar="N",

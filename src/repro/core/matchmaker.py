@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from ..network.simulator import Network
-from ..obs.spans import active_tracer
 from .strategy import MatchMakingStrategy
 from .types import MatchResult, Port
 
@@ -193,7 +192,7 @@ class MatchMaker:
         are the hop counts the network returned for this very query — the
         one place a caller learns what the locate cost.
         """
-        tracer = active_tracer()
+        tracer = self._network.tracer
         locate_span = None
         if tracer is not None:
             locate_span = tracer.begin("locate", nodes_queried=0)

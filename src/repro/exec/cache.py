@@ -8,18 +8,16 @@ caches object files: key them by content, store the ``CellResult`` JSON,
 and a re-run of a 1000-cell grid after editing one regime only recomputes
 the changed cells.
 
-One wrinkle keeps the key from being *just* the spec digest: with shared
-networks (the default), a cell's ``plan_cache`` hit/miss counters — which
-are part of its reported result — depend on which same-topology cells ran
-before it and warmed the planner's fault-free caches.  The key therefore
-chains: each cell's key folds in a running digest of every *predecessor*
-cell spec on its topology, so a cached entry is only served when the
-entire warm-up prefix is identical too.  When a mid-group cell misses,
+One wrinkle keeps the key from being *just* the spec digest: cells share
+one network per topology, so a cell's ``plan_cache`` hit/miss counters —
+which are part of its reported result — depend on which same-topology
+cells ran before it and warmed the planner's fault-free caches.  The key
+therefore chains: each cell's key folds in a running digest of every
+*predecessor* cell spec on its topology, so a cached entry is only served
+when the entire warm-up prefix is identical too.  When a mid-group cell misses,
 :class:`IncrementalRunner` replays the cache-served predecessors first
 (cheap cells, no I/O), so the recomputed cell sees exactly the planner
-state a cold run would have given it.  With
-``share_networks=False`` the chain is empty and keys are pure per-cell
-content addresses.
+state a cold run would have given it.
 
 Cache entries are one JSON file per key under ``root/<key[:2]>/<key>.json``
 written via a temp file + atomic rename; stale (schema or key mismatch)
@@ -37,7 +35,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..network.simulator import Network
-from ..obs.profile import CACHE_WARMUP, phase
+from ..obs.profile import CACHE_WARMUP, PhaseProfile, timed
 from ..obs.registry import Counter, MetricsRegistry
 from ..workload.matrix import CellResult, MatrixCell, run_cell
 from ..workload.trace import canonical_digest
@@ -80,7 +78,7 @@ def cell_cache_key(
     """The content address for one cell's result.
 
     ``chain`` is the running digest of the cell's same-topology
-    predecessors (empty without shared networks); ``schema_version``
+    predecessors (empty for its first cell); ``schema_version``
     participates so format bumps can never serve old payloads.
     """
     return canonical_digest({
@@ -101,23 +99,17 @@ class CellKeyer:
     not this particular pass actually executed it.
     """
 
-    def __init__(
-        self,
-        share_networks: bool = True,
-        schema_version: int = CACHE_SCHEMA_VERSION,
-    ) -> None:
-        self._share = share_networks
+    def __init__(self, schema_version: int = CACHE_SCHEMA_VERSION) -> None:
         self._schema = schema_version
         self._chains: Dict[str, str] = {}
 
     def key(self, cell: MatrixCell) -> str:
         """The cache key for ``cell`` at this point in the visit order."""
-        chain = self._chains.get(cell.topology, "") if self._share else ""
+        chain = self._chains.get(cell.topology, "")
         key = cell_cache_key(cell, chain=chain, schema_version=self._schema)
-        if self._share:
-            self._chains[cell.topology] = canonical_digest(
-                chain + spec_fingerprint(cell)
-            )
+        self._chains[cell.topology] = canonical_digest(
+            chain + spec_fingerprint(cell)
+        )
         return key
 
 
@@ -239,16 +231,10 @@ class IncrementalRunner:
     but they still populate it for later plain runs.
     """
 
-    def __init__(
-        self,
-        cache: CellCache,
-        share_networks: bool = True,
-        reads: bool = True,
-    ) -> None:
+    def __init__(self, cache: CellCache, reads: bool = True) -> None:
         self.cache = cache
-        self._share = share_networks
         self._reads = reads
-        self._keyer = CellKeyer(share_networks, cache.schema_version)
+        self._keyer = CellKeyer(cache.schema_version)
         self._pending: Dict[str, List[Tuple[MatrixCell, CellResult]]] = {}
         self._key: Optional[str] = None
 
@@ -258,13 +244,18 @@ class IncrementalRunner:
         if not self._reads:
             return None
         cached = self.cache.load(self._key)
-        if cached is not None and self._share:
+        if cached is not None:
             # Served but not executed: if a later same-topology cell
             # misses, this cell must be replayed first to warm the network.
             self._pending.setdefault(cell.topology, []).append((cell, cached))
         return cached
 
-    def warmup(self, cell: MatrixCell, network: Optional[Network]) -> None:
+    def warmup(
+        self,
+        cell: MatrixCell,
+        network: Network,
+        profile: Optional[PhaseProfile],
+    ) -> None:
         """Replay pending cache-served predecessors on ``cell``'s topology.
 
         Runs them in their original order over the shared ``network``,
@@ -272,12 +263,11 @@ class IncrementalRunner:
         entry the cache served: a disagreement means the store was poisoned
         (hand-edited, or written by semantically different code under the
         same schema version), and silently proceeding would have already
-        put the wrong result in this run's report.
+        put the wrong result in this run's report.  Each replay is timed
+        as ``cache-warmup`` on the shard's ``profile``.
         """
-        if network is None:
-            return
         for earlier, served in self._pending.pop(cell.topology, []):
-            with phase(CACHE_WARMUP):
+            with timed(profile, CACHE_WARMUP):
                 replayed, _ = run_cell(earlier, network=network)
             self.cache.count("warmups")
             if canonical_cell_payload(replayed) != \

@@ -40,7 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Optional, Tuple
 
 from ..network.simulator import Network
-from ..obs.profile import TOPOLOGY_BUILD, phase
+from ..obs.profile import TOPOLOGY_BUILD, PhaseProfile, timed
 from ..workload.spec import ScenarioSpec, build_topology
 from .plan import resolve_workers
 
@@ -62,6 +62,7 @@ def checkout_network(
     spec: ScenarioSpec,
     generation: Optional[int],
     stats: Optional[Dict[str, int]] = None,
+    profile: Optional[PhaseProfile] = None,
 ) -> Network:
     """The per-topology shared network for ``spec``, built on first use.
 
@@ -72,7 +73,8 @@ def checkout_network(
     ``generation`` is the warm pool's token, or ``None`` when pooling is
     off; with one, this process's warm store is consulted before building,
     and a network found there is recycled through ``reset_to_cold`` so its
-    planner counters restart from zero.
+    planner counters restart from zero.  ``profile`` is the shard's phase
+    profile: a build (never a recycle) is timed as ``topology-build``.
     """
     network = networks.get(spec.topology)
     if network is not None:
@@ -88,7 +90,7 @@ def checkout_network(
             networks[spec.topology] = warm
             _bump(stats, "pool_network_reuses")
             return warm
-    with phase(TOPOLOGY_BUILD):
+    with timed(profile, TOPOLOGY_BUILD):
         network = build_topology(spec.topology).build_network(
             delivery_mode=spec.delivery_mode
         )

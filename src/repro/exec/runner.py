@@ -19,7 +19,9 @@ not depend on the worker count.
 An obs export (:mod:`repro.obs.export`) needs no merge: each shard writes
 its cells' files and its own shard file, and the parent writes only the
 run file (its ``merge`` span, profiles, cache counters) after the pool
-drains.
+drains.  Nothing is installed process-wide: each cell's tracer goes to
+:func:`~repro.workload.matrix.run_cell`, and each shard's phase profile
+(the parent's, for ``spool-merge``) is passed to what it times.
 
 Payloads crossing the process boundary are plain picklable data: a
 :class:`ShardPayload` outbound, and — only when callers ask to keep full
@@ -38,7 +40,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..network.simulator import Network
 from ..obs import export as _obs_export
-from ..obs.profile import CELL_RUN, SPOOL_MERGE, PhaseProfile, phase, profiling
+from ..obs.profile import CELL_RUN, SPOOL_MERGE, PhaseProfile, timed
 from ..obs.spans import SpanRecorder
 from ..workload.driver import WorkloadResult
 from ..workload.matrix import (
@@ -81,7 +83,6 @@ class ShardPayload:
 
     index: int
     cells: Tuple[IndexedCell, ...]
-    share_networks: bool
     keep_results: bool
     trace_dir: Optional[str]
     obs_dir: Optional[str]
@@ -107,11 +108,15 @@ def run_shard(payload: ShardPayload, emit: Emit) -> ShardOutcome:
 
     With an obs dir the shard writes each executed cell's export file,
     keyed on grid position (``obs-cell-NNNN.jsonl``), plus its own
-    ``obs-shard-NNN.jsonl`` — never a file another worker writes.
+    ``obs-shard-NNN.jsonl`` — never a file another worker writes.  With a
+    profile label it owns a :class:`~repro.obs.profile.PhaseProfile` and
+    times ``cell-run`` here, handing the profile to what times
+    ``topology-build`` (the network checkout) and ``cache-warmup`` (the
+    cache's replays).
     """
     obs_path = Path(payload.obs_dir) if payload.obs_dir is not None else None
     shard_tracer = SpanRecorder() if obs_path is not None else None
-    shard_profile = PhaseProfile(payload.profile) if payload.profile else None
+    profile = PhaseProfile(payload.profile) if payload.profile else None
     networks: Dict[str, Network] = {}
     kept: List[Tuple[int, WorkloadResult]] = []
     stats: Dict[str, int] = {}
@@ -120,70 +125,64 @@ def run_shard(payload: ShardPayload, emit: Emit) -> ShardOutcome:
         cache = CellCache(payload.cache_dir)
         runner = IncrementalRunner(
             cache,
-            share_networks=payload.share_networks,
             reads=not (
                 payload.keep_results or payload.trace_dir is not None
                 or obs_path is not None
             ),
         )
-    with profiling(shard_profile):
-        shard_span = None
-        if shard_tracer is not None:
-            shard_span = shard_tracer.begin(
-                "shard", shard=payload.index, cells=len(payload.cells)
+    shard_span = None
+    if shard_tracer is not None:
+        shard_span = shard_tracer.begin(
+            "shard", shard=payload.index, cells=len(payload.cells)
+        )
+    for indexed in payload.cells:
+        position, cell = indexed.position, indexed.cell
+        if runner is not None:
+            cached = runner.lookup(cell)
+            if cached is not None:
+                emit(position, cached)
+                continue
+        network = checkout_network(
+            networks, cell.spec, payload.generation, stats, profile
+        )
+        if runner is not None:
+            runner.warmup(cell, network, profile)
+        cell_tracer = SpanRecorder() if obs_path is not None else None
+        with timed(profile, CELL_RUN):
+            cell_result, result = run_cell(
+                cell, network=network, tracer=cell_tracer
             )
-        for indexed in payload.cells:
-            position, cell = indexed.position, indexed.cell
-            if runner is not None:
-                cached = runner.lookup(cell)
-                if cached is not None:
-                    emit(position, cached)
-                    continue
-            network: Optional[Network] = None
-            if payload.share_networks:
-                network = checkout_network(
-                    networks, cell.spec, payload.generation, stats
-                )
-                if runner is not None:
-                    runner.warmup(cell, network)
-            cell_tracer = SpanRecorder() if obs_path is not None else None
-            with phase(CELL_RUN):
-                cell_result, result = run_cell(
-                    cell, network=network, tracer=cell_tracer
-                )
-            if runner is not None:
-                runner.record(cell_result)
-            emit(position, cell_result)
-            if obs_path is not None:
-                _obs_export.write_cell(
-                    obs_path,
-                    position,
-                    {
-                        "name": cell.spec.name,
-                        "topology": cell.topology,
-                        "strategy": cell.strategy,
-                        "regime": cell.regime,
-                    },
-                    cell_tracer,
-                    result,
-                )
-                shard_tracer.set_clock(float(position))
-                shard_tracer.event(
-                    "cell-run", position=position, cell=cell.spec.name
-                )
-            if payload.trace_dir is not None:
-                write_cell_trace(payload.trace_dir, position, result)
-            if payload.keep_results:
-                kept.append((position, result))
-        if shard_tracer is not None:
-            shard_tracer.end(shard_span, cells=len(payload.cells))
-            _obs_export.write_records(
-                obs_path, _obs_export.span_records(shard_tracer),
-                shard=payload.index,
+        if runner is not None:
+            runner.record(cell_result)
+        emit(position, cell_result)
+        if obs_path is not None:
+            _obs_export.write_cell(
+                obs_path,
+                position,
+                {
+                    "name": cell.spec.name,
+                    "topology": cell.topology,
+                    "strategy": cell.strategy,
+                    "regime": cell.regime,
+                },
+                cell_tracer,
+                result,
             )
-    profile_dict = (
-        shard_profile.to_dict() if shard_profile is not None else None
-    )
+            shard_tracer.set_clock(float(position))
+            shard_tracer.event(
+                "cell-run", position=position, cell=cell.spec.name
+            )
+        if payload.trace_dir is not None:
+            write_cell_trace(payload.trace_dir, position, result)
+        if payload.keep_results:
+            kept.append((position, result))
+    if shard_tracer is not None:
+        shard_tracer.end(shard_span, cells=len(payload.cells))
+        _obs_export.write_records(
+            obs_path, _obs_export.span_records(shard_tracer),
+            shard=payload.index,
+        )
+    profile_dict = profile.to_dict() if profile is not None else None
     if cache is not None:
         merge_cache_stats(stats, cache.stats())
     return kept, profile_dict, (stats or None)
@@ -213,7 +212,6 @@ def _spool_shard(
 def run_matrix_parallel(
     matrix: MatrixSpec,
     workers: Optional[int] = None,
-    share_networks: bool = True,
     keep_results: bool = False,
     progress: Optional[Callable[[int, int], None]] = None,
     trace_dir=None,
@@ -257,13 +255,11 @@ def run_matrix_parallel(
     obs_path = (
         _obs_export.export_dir(obs_dir) if obs_dir is not None else None
     )
-    generation = pool.generation if pool is not None and share_networks \
-        else None
+    generation = pool.generation if pool is not None else None
     payloads = [
         ShardPayload(
             index=shard.index,
             cells=shard.cells,
-            share_networks=share_networks,
             keep_results=keep_results,
             trace_dir=str(trace_dir) if trace_dir is not None else None,
             obs_dir=str(obs_path) if obs_path is not None else None,
@@ -305,7 +301,7 @@ def run_matrix_parallel(
                 (payload.spool_path, load_spool(payload.spool_path))
                 for payload in payloads
             )
-        with profiling(parent_profile), phase(SPOOL_MERGE):
+        with timed(parent_profile, SPOOL_MERGE):
             cells = _merge_records(sources, total)
         if merge_tracer is not None:
             merge_tracer.end(merge_span)

@@ -35,7 +35,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Hashable, Tuple
 
 from ..core.exceptions import UnknownNodeError
-from ..obs.profile import PLAN_CACHE_WARM, phase
 from .broadcast import DeliveryOutcome, multicast, unicast
 from .faults import FaultPlan
 from .graph import Graph
@@ -136,10 +135,9 @@ class DeliveryPlanner:
         # its rows, so the first ask, not the first use, is the route miss.
         self._table = self._routing
         if faults.crashed_nodes or faults.failed_links:
-            with phase(PLAN_CACHE_WARM):
-                self._table = self._routing.masked(
-                    faults.crashed_nodes, faults.failed_links
-                )
+            self._table = self._routing.masked(
+                faults.crashed_nodes, faults.failed_links
+            )
         self._routed = False
         self._trees.clear()
         self._plans.clear()

@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import random
 from typing import (
+    Any,
     Dict,
     FrozenSet,
     Hashable,
@@ -56,8 +57,6 @@ from .cache import PostingStore
 from .delivery import DeliveryPlanner
 from .faults import FaultPlan
 from .graph import Graph
-from ..obs.profile import ROUTING_TABLE, phase
-from ..obs.spans import active_tracer
 from .routing import RoutingTable
 from .stats import POST, QUERY, REPLY, PAYLOAD, MessageStats
 
@@ -120,8 +119,7 @@ class Network:
         # The node identifiers in graph order (a dict for O(1) membership).
         self._nodes: Dict[Hashable, None] = dict.fromkeys(self._graph.nodes)
         self._postings = PostingStore(self._nodes)
-        with phase(ROUTING_TABLE):
-            self._routing = RoutingTable(self._graph)
+        self._routing = RoutingTable(self._graph)
         self._faults = FaultPlan()
         self._stats = MessageStats()
         # All routing/planning work for every delivery mode goes through the
@@ -143,6 +141,11 @@ class Network:
         #: only *observes* deliveries; it never changes what is delivered,
         #: which is the digest-neutrality contract of timed runs.
         self._tap = None
+        #: The span recorder of the run in progress (``None`` = tracing
+        #: off).  The workload driver binds it for exactly one run; like the
+        #: tap it only observes — ``deliver``, ``query`` and the
+        #: match-maker's ``locate`` record events into it.
+        self.tracer: Any = None
 
     # -- structure ----------------------------------------------------------
 
@@ -243,7 +246,8 @@ class Network:
         table and the delivery planner (whose fault-free caches stay warm —
         plans are pure functions of graph + fault revision) while restoring
         everything a run observes: node liveness and caches, the fault plan,
-        message statistics, timestamps and the private generator.  A reset
+        message statistics, timestamps and the private generator; a tap or
+        tracer left bound is dropped, so no run observes another.  A reset
         network is indistinguishable from a freshly built one to the
         workload driver, which is what keeps shared-network runs replayable.
         """
@@ -253,6 +257,7 @@ class Network:
         self._rng = random.Random(self._seed)
         self._timestamps = itertools.count(1)
         self._tap = None
+        self.tracer = None
 
     def reset_to_cold(self) -> None:
         """:meth:`reset_for_reuse`, plus dropping the planner's warm caches.
@@ -335,7 +340,7 @@ class Network:
         self._stats.record_load(outcome.reached)
         if self._tap is not None:
             self._tap.on_delivery(source, outcome.reached, category, mode)
-        tracer = active_tracer()
+        tracer = self.tracer
         if tracer is not None:
             tracer.event(
                 "deliver",
@@ -516,7 +521,7 @@ class Network:
         )
         if self._tap is not None:
             self._tap.on_replies(responders, client_node, mode)
-        tracer = active_tracer()
+        tracer = self.tracer
         if tracer is not None:
             tracer.event(
                 "route",

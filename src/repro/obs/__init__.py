@@ -12,29 +12,23 @@ The simulator's results were always deterministic; this package makes them
   bucket histograms with an associative ``merge()``; per-cell metrics
   merge exactly like matrix cells do;
 * :mod:`~repro.obs.profile` — opt-in wall-clock phase timing (topology
-  build, routing tables, plan warming, cell runs, spool merge), surfaced
-  per worker and explicitly excluded from report digests;
+  builds, cell runs, cache warm-up replays, spool merge), surfaced per
+  worker and explicitly excluded from report digests;
 * :mod:`~repro.obs.export` — the ``--obs`` export: JSONL files of
   ``{"kind": ...}`` records (spans, cell metrics, exemplar timelines,
   profiles, cache counters) behind one writer and the one loader
   ``python -m repro obs summarize``/``diff``/``attribute`` read through.
 
-Everything here is off by default: with no tracer or profile installed the
-instrumented hot paths cost one global read each.
+Everything here is off by default, and nothing is looked up: a tracer or
+profile is handed down by its owner (the driver binds its tracer to the
+network for one run; the exec engine passes each shard's profile to what
+it times), so with both off the instrumented hot paths cost one ``is None``
+test of an attribute or argument.
 """
 
 from .export import export_dir, load_export, write_records
 from .host import host_metadata
-from .profile import (
-    CELL_RUN,
-    PLAN_CACHE_WARM,
-    ROUTING_TABLE,
-    SPOOL_MERGE,
-    TOPOLOGY_BUILD,
-    PhaseProfile,
-    phase,
-    profiling,
-)
+from .profile import CELL_RUN, SPOOL_MERGE, TOPOLOGY_BUILD, PhaseProfile
 from .registry import (
     Counter,
     CounterMap,
@@ -43,7 +37,7 @@ from .registry import (
     MetricsRegistry,
     merge_registries,
 )
-from .spans import Span, SpanRecorder, active_tracer, tracing
+from .spans import Span, SpanRecorder
 from .timeline import Timeline
 
 __all__ = [
@@ -53,21 +47,15 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PLAN_CACHE_WARM",
     "PhaseProfile",
-    "ROUTING_TABLE",
     "SPOOL_MERGE",
     "Span",
     "SpanRecorder",
     "TOPOLOGY_BUILD",
     "Timeline",
-    "active_tracer",
     "export_dir",
     "host_metadata",
     "load_export",
     "merge_registries",
-    "phase",
-    "profiling",
-    "tracing",
     "write_records",
 ]

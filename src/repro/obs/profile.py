@@ -1,32 +1,31 @@
 """Opt-in wall-clock phase timing for matrix runs.
 
 Where a span answers "where do the *hops* go", a profile answers "where
-does the *wall clock* go": topology construction, routing-table builds,
-surviving-table (plan-cache) warming, per-cell runs, the spool merge.  A
-:class:`PhaseProfile` accumulates seconds and entry counts per phase name;
-the exec engine keeps one per worker process and the parent stitches them
-into the report's ``profile`` section.
+does the *wall clock* go": topology construction, per-cell runs, cache
+warm-up replays, the spool merge.  A :class:`PhaseProfile` accumulates
+seconds and entry counts per phase name; the exec engine's cell loop
+(:func:`repro.exec.runner.run_shard`) owns one per shard and hands it to
+whatever it times, the parent owns one for the merge, and the parent
+stitches them into the report's ``profile`` section.
 
 Profiles are wall-clock and therefore **nondeterministic** — the report
 digest excludes them (see :meth:`MatrixReport.canonical_dict`), which the
 digest-stability tests pin.
 
-Deep layers (the simulator's routing-table build, the planner's
-surviving-table build) are instrumented with the module-level
-:func:`phase` context manager, which no-ops unless a profile is active —
-mirroring the span tracer's active-instance pattern.
+This module is a declared wall-clock zone of the static analyzer (DET001
+allows clock reads here and nowhere in the digest cone), so profiled code
+reads the clock only through :meth:`PhaseProfile.phase` — or :func:`timed`,
+when the profile it was handed may be ``None``.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Dict, Optional
+from contextlib import contextmanager, nullcontext
+from typing import ContextManager, Dict, Optional
 
 #: Canonical phase names used across the stack.
 TOPOLOGY_BUILD = "topology-build"
-ROUTING_TABLE = "routing-table"
-PLAN_CACHE_WARM = "plan-cache-warm"
 CELL_RUN = "cell-run"
 SPOOL_MERGE = "spool-merge"
 CACHE_WARMUP = "cache-warmup"
@@ -112,38 +111,7 @@ def wall_clock() -> float:
     return time.perf_counter()
 
 
-# -- the active profile -------------------------------------------------------
-
-_ACTIVE: Optional[PhaseProfile] = None
-
-
-@contextmanager
-def profiling(profile: Optional[PhaseProfile]):
-    """Install ``profile`` for the ``with`` body (``None`` = no-op)."""
-    global _ACTIVE
-    previous = _ACTIVE
-    if profile is not None:
-        _ACTIVE = profile
-    try:
-        yield profile
-    finally:
-        _ACTIVE = previous
-
-
-@contextmanager
-def phase(name: str):
-    """Time the ``with`` body against ``name`` on the active profile.
-
-    When no profile is active this is a plain passthrough — the phases
-    instrumented with it (routing-table builds, plan warming) run a few
-    times per topology, not per message, so the disabled cost is noise.
-    """
-    profile = _ACTIVE
-    if profile is None:
-        yield
-        return
-    started = time.perf_counter()
-    try:
-        yield
-    finally:
-        profile.add(name, time.perf_counter() - started)
+def timed(profile: Optional[PhaseProfile], name: str) -> ContextManager:
+    """``profile.phase(name)``, or a context that reads no clock when
+    ``profile`` is ``None`` (profiling off)."""
+    return nullcontext() if profile is None else profile.phase(name)

@@ -16,16 +16,16 @@ Recording uses an explicit begin/end protocol on a :class:`SpanRecorder`::
 ``begin`` pushes the span on the recorder's stack, so spans begun while
 another is open become its children — that is the whole hierarchy.
 
-The deeply-instrumented layers (matchmaker, network) do not take a tracer
-parameter; they consult the module-level *active* tracer, which is ``None``
-unless a driver (or the exec engine) installed one.  The disabled fast
-path is a single global read and ``is None`` test per instrumentation
-point — cheap enough to leave in the hot delivery path.
+The deeply-instrumented layers (matchmaker, network) take no tracer
+parameter: the workload driver binds its recorder to the network for one
+run (``network.tracer``) and unbinds it when the run ends, and they read
+that attribute.  Nothing is looked up per message; with tracing off the
+attribute is ``None`` and an instrumentation point costs one ``is None``
+test.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -110,33 +110,3 @@ class SpanRecorder:
 
     def __len__(self) -> int:
         return len(self._spans)
-
-
-# -- the active tracer --------------------------------------------------------
-
-#: The tracer deep layers record into; ``None`` means tracing is off.  The
-#: simulator is single-threaded per process, so one slot suffices.
-_ACTIVE: Optional[SpanRecorder] = None
-
-
-def active_tracer() -> Optional[SpanRecorder]:
-    """The currently installed tracer, or ``None`` (the common case)."""
-    return _ACTIVE
-
-
-@contextmanager
-def tracing(tracer: Optional[SpanRecorder]):
-    """Install ``tracer`` as the active tracer for the ``with`` body.
-
-    Passing ``None`` is a no-op context, so call sites can write
-    ``with tracing(maybe_tracer):`` unconditionally.  Re-entrant installs
-    restore the previous tracer on exit.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    if tracer is not None:
-        _ACTIVE = tracer
-    try:
-        yield tracer
-    finally:
-        _ACTIVE = previous

@@ -39,8 +39,8 @@ from typing import Optional, Sequence
 from ..core.types import Port
 from ..network import faults as _faults
 from ..network.simulator import Network
-from ..obs.profile import TOPOLOGY_BUILD, phase, wall_clock
-from ..obs.spans import SpanRecorder, active_tracer, tracing
+from ..obs.profile import wall_clock
+from ..obs.spans import SpanRecorder
 from ..simtime.binding import TimedOverlay
 from ..processes.client import ClientProcess
 from ..processes.server import ServerProcess
@@ -220,10 +220,9 @@ class WorkloadDriver:
             network = self._shared_network
             network.reset_for_reuse()
         else:
-            with phase(TOPOLOGY_BUILD):
-                network = self._topology.build_network(
-                    delivery_mode=spec.delivery_mode
-                )
+            network = self._topology.build_network(
+                delivery_mode=spec.delivery_mode
+            )
         system = DistributedSystem(
             network,
             self._strategy,
@@ -285,13 +284,13 @@ class WorkloadDriver:
         """Execute one fully-resolved operation (:meth:`_execute` is the
         only caller, for run and replay alike).
 
-        When a tracer is active, the op's trace time becomes the logical
+        When a tracer is bound, the op's trace time becomes the logical
         clock every span begun during this op is stamped with — the reason
         span streams are seed-deterministic and replay-identical.  REQUEST
         ops get a ``request`` span wrapping the whole locate/deliver tree;
         churn and fault ops get zero-duration event spans.
         """
-        tracer = active_tracer()
+        tracer = state.network.tracer
         if tracer is not None:
             tracer.set_clock(op.time)
             if op.kind != REQUEST:
@@ -551,15 +550,17 @@ class WorkloadDriver:
         state = self._build_state()
         metrics = WorkloadMetrics(universe_size=len(self._nodes))
         self._attach_overlay(state, metrics)
+        # Bound for this run's ops only: placement above is not traced.
+        state.network.tracer = tracer
         started = wall_clock()  # feeds wall_seconds, which canonical_dict zeroes
         try:
-            with tracing(tracer):
-                for op in program(state):
-                    self._exec_op(state, metrics, op)
+            for op in program(state):
+                self._exec_op(state, metrics, op)
             wall = wall_clock() - started
         finally:
             # Also when an op raised: the caller's network must not keep a
-            # capturing tap it never installed.
+            # capturing tap or tracer it never installed.
+            state.network.tracer = None
             exemplars = self._detach_overlay(state)
         stats = state.network.stats
         metrics.node_load.update(stats.node_load)

@@ -611,7 +611,6 @@ def write_cell_trace(trace_dir, position: int, result: WorkloadResult) -> Path:
 
 def run_matrix(
     matrix: MatrixSpec,
-    share_networks: bool = True,
     keep_results: bool = False,
     workers: Optional[int] = None,
     progress: Optional[Callable[[int, int], None]] = None,
@@ -623,8 +622,8 @@ def run_matrix(
 ) -> Tuple[MatrixReport, List[WorkloadResult]]:
     """Execute every cell of ``matrix`` and aggregate the results.
 
-    With ``share_networks`` (the default) all cells on the same topology
-    run over one reset-between-runs :class:`~repro.network.Network`.  Full
+    All cells on the same topology run over one reset-between-runs
+    :class:`~repro.network.Network`.  Full
     :class:`~repro.workload.driver.WorkloadResult` objects (with traces) are
     only retained when ``keep_results`` is set — a large grid's traces can
     dwarf the report.
@@ -661,7 +660,6 @@ def run_matrix(
     return run_matrix_parallel(
         matrix,
         workers=1 if workers is None else workers,
-        share_networks=share_networks,
         keep_results=keep_results,
         progress=progress,
         trace_dir=trace_dir,

@@ -96,14 +96,6 @@ class TestCachedRunParity:
         assert "cache" not in report.canonical_dict()
         assert report.digest() == cold.digest()
 
-    def test_unshared_networks_cache_with_pure_keys(self, tmp_path):
-        plain, _ = run_matrix(grid(), share_networks=False)
-        run_matrix(grid(), share_networks=False, cache_dir=tmp_path)
-        warm, _ = run_matrix(grid(), share_networks=False,
-                             cache_dir=tmp_path)
-        assert warm.digest() == plain.digest()
-        assert warm.cache_stats["hits"] == len(warm)
-
 
 class TestPartialInvalidation:
     def test_editing_one_regime_recomputes_only_downstream_cells(
@@ -116,7 +108,7 @@ class TestPartialInvalidation:
                             downtime=0.08),
         ))
         fresh, _ = run_matrix(edited)
-        report, _ = run_matrix(edited, cache_dir=tmp_path)
+        report, _ = run_matrix(edited, cache_dir=tmp_path, profile=True)
         assert report.digest() == fresh.digest()
         stats = report.cache_stats
         # Per topology, the first strategy block's two unchanged cells hit;
@@ -125,8 +117,12 @@ class TestPartialInvalidation:
         assert stats["hits"] == 6
         assert stats["misses"] == len(report) - 6
         # The hits were never executed, so they are replayed as warm-ups
-        # before the first miss on their topology runs.
+        # before the first miss on their topology runs — each one timed.
         assert stats["warmups"] == 6
+        phases = report.profile["sequential"]
+        assert phases["cache-warmup"]["count"] == 6
+        assert phases["cell-run"]["count"] == len(report) - 6
+        assert phases["topology-build"]["count"] == 3
 
     def test_parallel_rerun_after_partial_invalidation(self, tmp_path):
         run_matrix(grid(), cache_dir=tmp_path)
@@ -292,6 +288,16 @@ class TestWorkerNetworkStore:
         again = checkout_network({}, spec, generation=0, stats=stats)
         assert again is built
         assert stats == {"pool_network_builds": 1, "pool_network_reuses": 1}
+
+    def test_a_build_is_timed_and_a_recycle_is_not(self):
+        from repro.exec.pool import checkout_network
+        from repro.obs.profile import TOPOLOGY_BUILD, PhaseProfile
+
+        profile = PhaseProfile("shard-0")
+        spec = self._spec()
+        for _ in range(2):  # built, then recycled from the store
+            checkout_network({}, spec, generation=0, profile=profile)
+        assert profile.count(TOPOLOGY_BUILD) == 1
 
     def test_generation_bump_drops_the_store(self):
         from repro.exec.pool import checkout_network

@@ -76,13 +76,6 @@ class TestByteIdenticalMerge:
         # Digest equality is full canonical equality, not a hash accident.
         assert par_report.canonical_dict() == seq_report.canonical_dict()
 
-    def test_unshared_networks_merge_identically_too(self):
-        seq_report, _ = run_matrix(parallel_matrix(), share_networks=False)
-        par_report, _ = run_matrix(
-            parallel_matrix(), share_networks=False, workers=2
-        )
-        assert par_report.digest() == seq_report.digest()
-
     def test_plan_cache_counters_survive_sharding_exactly(self, sequential):
         """The hard case: warm-cache counters depend on same-topology run
         order, which topology affinity preserves per shard."""
@@ -247,6 +240,23 @@ def run_everything_on(matrix, root: Path, workers, pool=None):
     )
 
 
+def phase_counts(report) -> dict:
+    """Each profile label's phases and their entry counts (the wall-clock
+    seconds are the nondeterministic part)."""
+    return {
+        label: {name: entry["count"] for name, entry in phases.items()}
+        for label, phases in report.profile.items()
+    }
+
+
+def shard_phases(shard) -> dict:
+    """What a shard of :func:`run_everything_on` times: one ``cell-run``
+    per cell and one ``topology-build`` per network it builds.  Artifact
+    runs never serve a cell from the cache, so no ``cache-warmup``
+    replay happens."""
+    return {"cell-run": len(shard), "topology-build": len(shard.topologies)}
+
+
 def cell_files(root: Path) -> dict:
     """Bytes of every file that must not depend on how the grid executed."""
     patterns = ("obs/obs-cell-*.jsonl", "traces/cell-*.jsonl")
@@ -278,6 +288,8 @@ class TestExecutionInvarianceContract:
         # Only the timed half of the grid writes exemplar timelines.
         assert sum(b'"kind": "timeline"' in data for data in files.values()) == 12
         assert list(report.profile) == ["sequential"]
+        (shard,) = ExecutionPlan.from_matrix(contract_matrix(), 1).shards
+        assert phase_counts(report) == {"sequential": shard_phases(shard)}
         records = load_export(root / "obs")
         assert len(records["metrics"]) == 24
         assert "merge" not in [record["name"] for record in records["span"]]
@@ -326,6 +338,13 @@ class TestExecutionInvarianceContract:
         assert list(report.profile) == (
             ["sequential"] if in_process
             else ["parent"] + [f"shard-{i}" for i in range(workers)]
+        )
+        assert phase_counts(report) == (
+            {"sequential": shard_phases(plan.shards[0])} if in_process
+            else {"parent": {"spool-merge": 1}, **{
+                f"shard-{shard.index}": shard_phases(shard)
+                for shard in plan.shards
+            }}
         )
         # Only the layout's names (no part files); a merge span unless the
         # grid ran in this process.
@@ -552,3 +571,47 @@ class TestOneRoutingStructure:
                         "surviving_graph":
                     offenders.append(f"{module}:{node.lineno}")
         assert offenders == []
+
+
+class TestTelemetryIsPassedDown:
+    """The simulator looks no telemetry up, pinned at the AST: nothing under
+    ``src/repro/core/`` or ``src/repro/network/`` imports the span or the
+    profile module.  The workload driver binds its tracer to the network
+    for one run (``network.tracer``), and the exec engine passes each
+    shard's phase profile to what it times."""
+
+    SRC = Path(repro.__file__).parent
+    FORBIDDEN = ("repro.obs.spans", "repro.obs.profile")
+
+    def imported(self, path: Path):
+        """``(line, dotted name)`` of every module ``path`` imports, and of
+        every name a ``from`` import takes (which may be a module)."""
+        package = ["repro", *path.relative_to(self.SRC).parent.parts]
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield node.lineno, alias.name
+            elif isinstance(node, ast.ImportFrom):
+                base = package[:len(package) + 1 - node.level] \
+                    if node.level else []
+                module = ".".join(base + [node.module] if node.module else base)
+                yield node.lineno, module
+                for alias in node.names:
+                    yield node.lineno, f"{module}.{alias.name}"
+
+    def test_core_and_network_import_no_span_or_profile_module(self):
+        offenders = []
+        for layer in ("core", "network"):
+            for path in sorted((self.SRC / layer).rglob("*.py")):
+                for line, name in self.imported(path):
+                    if any(name == forbidden or name.startswith(forbidden + ".")
+                           for forbidden in self.FORBIDDEN):
+                        offenders.append(
+                            f"{path.relative_to(self.SRC)}:{line} {name}"
+                        )
+        assert offenders == []
+
+    def test_the_check_resolves_relative_imports(self):
+        # The driver owns the tracer and reads the clock: it imports both.
+        driver = self.SRC / "workload" / "driver.py"
+        assert set(self.FORBIDDEN) <= {name for _, name in self.imported(driver)}

@@ -23,7 +23,7 @@ from repro.core.exceptions import NodeDownError, NoRouteError
 from repro.core.types import Port, freshness_key
 from repro.network.simulator import DELIVERY_MODES, QueryOutcome
 from repro.network.stats import QUERY, REPLY
-from repro.obs.spans import SpanRecorder, active_tracer, tracing
+from repro.obs.spans import SpanRecorder
 from repro.workload import build_strategy, build_topology
 
 
@@ -61,7 +61,7 @@ def walk_every_node_query(net, client_node, port, targets, mode, collect_all):
     net.stats.record(
         REPLY, reply_hops, len(responders) + lost_replies, len(responders)
     )
-    tracer = active_tracer()
+    tracer = net.tracer
     if tracer is not None:
         tracer.event(
             "route", category=REPLY, hops=reply_hops,
@@ -80,18 +80,15 @@ class Twin:
         self.topology = build_topology(topology)
         self.net = self.topology.build_network(delivery_mode=mode)
         self.strategy = build_strategy(strategy, self.topology)
-        self.tracer = SpanRecorder()
+        self.tracer = self.net.tracer = SpanRecorder()
         self.query = query
 
     def locate(self, client, port, collect_all):
         targets = frozenset(self.strategy.query_set(client, port))
-        with tracing(self.tracer):
-            try:
-                return self.query(
-                    self.net, client, port, targets, None, collect_all
-                )
-            except NodeDownError as error:
-                return ("down", error.node)
+        try:
+            return self.query(self.net, client, port, targets, None, collect_all)
+        except NodeDownError as error:
+            return ("down", error.node)
 
 
 def history(rng, nodes, edges, ports, steps):
@@ -140,8 +137,7 @@ def apply(twin, op):
             return None
         targets = frozenset(twin.strategy.post_set(node, port))
         send = net.post if kind == "post" else net.unpost
-        with tracing(twin.tracer):
-            return send(node, port, targets, server_id=server)
+        return send(node, port, targets, server_id=server)
     if kind == "crash":
         return net.crash_node(op[1])
     if kind == "recover":

@@ -134,12 +134,6 @@ class TestCellKeyer:
         keyer.key(cell())  # warms only complete:9's chain
         assert keyer.key(other) == cell_cache_key(other)
 
-    def test_unshared_networks_use_pure_content_addresses(self):
-        keyer = CellKeyer(share_networks=False)
-        first, second = cell(), cell(strategy="centralized")
-        assert keyer.key(first) == cell_cache_key(first)
-        assert keyer.key(second) == cell_cache_key(second)
-
     def test_editing_a_predecessor_moves_every_later_key(self):
         edited = cell(spec=dataclasses.replace(BASE, operations=51))
         tail = cell(strategy="centralized")

@@ -130,17 +130,6 @@ class TestIncremental:
         assert "hits=2" in warm.err  # every grid cell served from cache
         assert "misses=0" in warm.err
 
-    def test_no_cache_overrides_cache_dir(
-        self, matrix_file, tmp_path, capsys
-    ):
-        cache = tmp_path / "cache"
-        assert main([
-            "matrix", str(matrix_file), "--digest", "--no-progress",
-            "--cache-dir", str(cache), "--no-cache",
-        ]) == 0
-        assert "cache: " not in capsys.readouterr().err
-        assert not cache.exists()
-
     def test_repeat_reports_one_digest_per_run(self, matrix_file, capsys):
         assert main([
             "matrix", str(matrix_file), "--digest", "--no-progress",

@@ -233,13 +233,6 @@ class TestSharedNetworks:
         for cell, shared in zip(cells, results):
             assert run_scenario(cell.spec).to_dict() == shared.to_dict()
 
-    def test_matrix_without_sharing_is_identical(self):
-        matrix = small_matrix(topologies=("complete:9",))
-        shared, _ = run_matrix(matrix, share_networks=True)
-        fresh, _ = run_matrix(matrix, share_networks=False)
-        assert [c.summary for c in shared.cells] == \
-            [c.summary for c in fresh.cells]
-
 
 class TestReplayDeterminism:
     """Satellite: recorded matrix cells replay byte-for-byte, faults and

@@ -4,9 +4,10 @@ The tracing layer's contract is determinism: logical-clock timestamps
 only, dense ids, strict innermost-first closing, and a JSONL form that
 round-trips byte-identically.  The profile layer's contract is the
 opposite — wall clock, explicitly nondeterministic — so what these tests
-pin there is the accounting (phases accumulate, merge adds) and the
-active-instance pattern both layers share: no tracer/profile installed
-means every instrumentation point is a no-op.
+pin there is the accounting (phases accumulate, merge adds).  Neither is
+looked up: a tracer is bound to one network for one run and a profile is
+passed to what it times, so nothing bound or passed means every
+instrumentation point is a no-op.
 """
 
 import re
@@ -14,14 +15,9 @@ import re
 import pytest
 
 from repro.obs import export
-from repro.obs.profile import (
-    CELL_RUN,
-    PhaseProfile,
-    phase,
-    profiling,
-)
+from repro.obs.profile import CELL_RUN, PhaseProfile, timed
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import SpanRecorder, active_tracer, tracing
+from repro.obs.spans import SpanRecorder
 from repro.obs.tools import (
     diff_exports,
     merged_registry,
@@ -29,6 +25,7 @@ from repro.obs.tools import (
     render_summary,
     summarize_export,
 )
+from repro.workload import MatrixSpec, ScenarioSpec, build_topology, run_cell
 
 
 class TestSpanRecorder:
@@ -100,26 +97,55 @@ class TestSpanRecorder:
         assert record() == record()
 
 
-class TestActiveTracer:
-    def test_default_is_none_and_with_none_stays_none(self):
-        assert active_tracer() is None
-        with tracing(None):
-            assert active_tracer() is None
+class TestBoundTracer:
+    """The driver binds its tracer to the network for exactly one run."""
 
-    def test_install_and_restore_including_reentrant(self):
-        outer_tracer, inner_tracer = SpanRecorder(), SpanRecorder()
-        with tracing(outer_tracer):
-            assert active_tracer() is outer_tracer
-            with tracing(inner_tracer):
-                assert active_tracer() is inner_tracer
-            assert active_tracer() is outer_tracer
-        assert active_tracer() is None
+    @staticmethod
+    def two_cells():
+        matrix = MatrixSpec(
+            name="bound", topologies=("complete:9",),
+            strategies=("checkerboard", "centralized"),
+            base=ScenarioSpec(operations=30, clients=3, servers=2, ports=2),
+        )
+        cells, _ = matrix.expand()
+        network = build_topology(cells[0].spec.topology).build_network(
+            delivery_mode=cells[0].spec.delivery_mode
+        )
+        return cells, network
 
-    def test_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with tracing(SpanRecorder()):
-                raise RuntimeError("boom")
-        assert active_tracer() is None
+    def test_an_untraced_cell_adds_nothing_to_the_tracer_before_it(self):
+        (traced, untraced), network = self.two_cells()
+        tracer = SpanRecorder()
+        run_cell(traced, network=network, tracer=tracer)
+        recorded = [span.to_dict() for span in tracer.spans]
+        assert recorded and network.tracer is None
+        run_cell(untraced, network=network)
+        assert [span.to_dict() for span in tracer.spans] == recorded
+
+    def test_a_run_that_raises_still_unbinds_its_tracer(self):
+        class Exploding(SpanRecorder):
+            def event(self, name, **attrs):
+                raise RuntimeError(f"{name} exploded")
+
+        (cell, _), network = self.two_cells()
+        with pytest.raises(RuntimeError, match="exploded"):
+            run_cell(cell, network=network, tracer=Exploding())
+        assert network.tracer is None
+
+    def test_a_shared_network_traces_like_a_fresh_one(self):
+        (first, second), network = self.two_cells()
+        run_cell(first, network=network)
+        shared, fresh = SpanRecorder(), SpanRecorder()
+        run_cell(second, network=network, tracer=shared)
+        run_cell(second, tracer=fresh)
+        assert [span.to_dict() for span in shared.spans] == \
+            [span.to_dict() for span in fresh.spans]
+
+    def test_reset_for_reuse_leaves_no_tracer_bound(self):
+        _, network = self.two_cells()
+        network.tracer = SpanRecorder()
+        network.reset_for_reuse()
+        assert network.tracer is None
 
 
 class TestPhaseProfile:
@@ -152,16 +178,11 @@ class TestPhaseProfile:
         assert rebuilt.to_dict() == a.to_dict()
         assert rebuilt.label == "a"
 
-    def test_module_phase_no_ops_without_an_active_profile(self):
-        with phase("anything"):
-            pass  # must not raise, must not create state
-
-    def test_module_phase_charges_the_active_profile(self):
+    def test_timed_charges_the_profile_it_is_given_and_no_other(self):
         profile = PhaseProfile("p")
-        with profiling(profile):
-            with phase("build"):
-                pass
-        with phase("build"):  # uninstalled again: charged to nobody
+        with timed(profile, "build"):
+            pass
+        with timed(None, "build"):  # profiling off: charged to nobody
             pass
         assert profile.count("build") == 1
 
