@@ -145,6 +145,17 @@ class TestIncremental:
         assert all(line.endswith(report.digest()) for line in lines)
         assert captured.out.strip() == report.digest()
 
+    def test_no_cache_is_not_a_flag(self, matrix_file, tmp_path, capsys):
+        # --cache-dir alone turns the cache on; there is no flag to cancel it.
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "matrix", str(matrix_file), "--digest", "--no-progress",
+                "--cache-dir", str(tmp_path / "cache"), "--no-cache",
+            ])
+        assert exit_info.value.code == 2
+        assert "--no-cache" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
     def test_repeat_below_one_exits_two(self, matrix_file):
         assert main([
             "matrix", str(matrix_file), "--no-progress", "--repeat", "0",

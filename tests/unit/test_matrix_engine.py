@@ -6,6 +6,7 @@ fresh networks, and a recorded matrix cell replays to the exact same
 ``WorkloadResult`` dict — fault timeline included.
 """
 
+import inspect
 import json
 import random
 import re
@@ -13,6 +14,8 @@ from dataclasses import replace
 
 import pytest
 
+from repro.exec import CellKeyer, IncrementalRunner, run_matrix_parallel
+from repro.exec.runner import ShardPayload
 from repro.network.simulator import Network
 from repro.topologies import ManhattanTopology
 from repro.workload import (
@@ -232,6 +235,15 @@ class TestSharedNetworks:
         assert len(results) == len(cells)
         for cell, shared in zip(cells, results):
             assert run_scenario(cell.spec).to_dict() == shared.to_dict()
+
+    @pytest.mark.parametrize("owner", [
+        run_matrix, run_matrix_parallel, ShardPayload, CellKeyer,
+        IncrementalRunner,
+    ], ids=lambda owner: owner.__name__)
+    def test_sharing_is_not_optional(self, owner):
+        # Every matrix run shares one network per topology; what pins that
+        # equal to fresh runs is test_matrix_results_match_fresh_runs.
+        assert "share_networks" not in inspect.signature(owner).parameters
 
 
 class TestReplayDeterminism:

@@ -14,6 +14,7 @@ import re
 
 import pytest
 
+from repro import CheckerboardStrategy, CompleteTopology, MatchMaker, Port
 from repro.obs import export
 from repro.obs.profile import CELL_RUN, PhaseProfile, timed
 from repro.obs.registry import MetricsRegistry
@@ -140,6 +141,20 @@ class TestBoundTracer:
         run_cell(second, tracer=fresh)
         assert [span.to_dict() for span in shared.spans] == \
             [span.to_dict() for span in fresh.spans]
+
+    def test_locate_reads_the_tracer_bound_to_its_network(self):
+        topology = CompleteTopology(9)
+        network = topology.build_network(delivery_mode="ideal")
+        matchmaker = MatchMaker(network, CheckerboardStrategy(topology.nodes()))
+        matchmaker.register_server(5, Port("printer"))
+        tracer = SpanRecorder()
+        network.tracer = tracer
+        matchmaker.locate(1, Port("printer"))
+        names = [span.name for span in tracer.spans]
+        assert "locate" in names and "rendezvous-resolve" in names
+        network.tracer = None
+        matchmaker.locate(1, Port("printer"))
+        assert [span.name for span in tracer.spans] == names
 
     def test_reset_for_reuse_leaves_no_tracer_bound(self):
         _, network = self.two_cells()
