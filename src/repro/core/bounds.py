@@ -96,6 +96,12 @@ def verify_proposition2(matrix: RendezvousMatrix) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def checkerboard_tiling(n: int) -> Tuple[int, int]:
+    """Block side and blocks per side of the Proposition 3 ``n × n`` tiling."""
+    side = max(1, int(round(math.sqrt(n))))
+    return side, math.ceil(n / side)
+
+
 def checkerboard_grid(nodes: Sequence[Hashable]) -> List[List[Hashable]]:
     """The Proposition 3 checkerboard rendezvous grid for ``nodes``.
 
@@ -108,8 +114,7 @@ def checkerboard_grid(nodes: Sequence[Hashable]) -> List[List[Hashable]]:
     n = len(nodes)
     if n == 0:
         return []
-    side = max(1, int(round(math.sqrt(n))))
-    blocks_per_side = math.ceil(n / side)
+    side, blocks_per_side = checkerboard_tiling(n)
 
     grid: List[List[Hashable]] = [[None] * n for _ in range(n)]
     for i in range(n):

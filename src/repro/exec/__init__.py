@@ -36,7 +36,6 @@ from .cache import (
     CellCache,
     CellKeyer,
     IncrementalRunner,
-    cell_cache_key,
     spec_fingerprint,
 )
 from .plan import ExecutionPlan, IndexedCell, Shard
@@ -64,7 +63,6 @@ __all__ = [
     "SpoolCursor",
     "SpoolError",
     "WarmPool",
-    "cell_cache_key",
     "dump_spool_line",
     "load_spool",
     "run_matrix_parallel",

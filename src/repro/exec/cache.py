@@ -70,24 +70,6 @@ def spec_fingerprint(cell: MatrixCell) -> str:
     })
 
 
-def cell_cache_key(
-    cell: MatrixCell,
-    chain: str = "",
-    schema_version: int = CACHE_SCHEMA_VERSION,
-) -> str:
-    """The content address for one cell's result.
-
-    ``chain`` is the running digest of the cell's same-topology
-    predecessors (empty for its first cell); ``schema_version``
-    participates so format bumps can never serve old payloads.
-    """
-    return canonical_digest({
-        "schema": schema_version,
-        "cell": spec_fingerprint(cell),
-        "chain": chain,
-    })
-
-
 class CellKeyer:
     """Derives chained cache keys for cells visited in execution order.
 
@@ -104,13 +86,13 @@ class CellKeyer:
         self._chains: Dict[str, str] = {}
 
     def key(self, cell: MatrixCell) -> str:
-        """The cache key for ``cell`` at this point in the visit order."""
+        """The cache key for ``cell`` at this point in the visit order: the
+        schema version, the cell's fingerprint and its predecessors' chain,
+        hashed.  The one fingerprint also extends the chain."""
         chain = self._chains.get(cell.topology, "")
-        key = cell_cache_key(cell, chain=chain, schema_version=self._schema)
-        self._chains[cell.topology] = canonical_digest(
-            chain + spec_fingerprint(cell)
-        )
-        return key
+        fingerprint = spec_fingerprint(cell)
+        self._chains[cell.topology] = canonical_digest(chain + fingerprint)
+        return canonical_digest({"schema": self._schema, "cell": fingerprint, "chain": chain})
 
 
 class CellCache:

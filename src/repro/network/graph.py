@@ -160,10 +160,17 @@ class Graph:
 
     def is_connected(self) -> bool:
         """Whether the graph is connected (the empty graph counts as
-        connected)."""
-        if not self._adjacency:
+        connected).  Unlike :meth:`bfs_order`, the walk sorts nothing."""
+        adjacency = self._adjacency
+        if not adjacency:
             return True
-        return len(self.connected_component(next(iter(self._adjacency)))) == len(self)
+        reached = {next(iter(adjacency))}
+        frontier = list(reached)
+        while frontier:
+            fresh = adjacency[frontier.pop()] - reached
+            reached |= fresh
+            frontier.extend(fresh)
+        return len(reached) == len(adjacency)
 
     def require_connected(self) -> None:
         """Raise :class:`DisconnectedGraphError` unless the graph is

@@ -9,9 +9,9 @@ blocks, each assigned one distinct node, giving ``#P(i) ≈ #Q(j) ≈ sqrt(n)``,
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, List, Optional, Sequence
+from typing import FrozenSet, Hashable, Optional, Sequence
 
-from ..core.bounds import checkerboard_grid
+from ..core.bounds import checkerboard_tiling
 from ..core.exceptions import StrategyError
 from ..core.types import Port
 from .base import UniverseStrategy
@@ -21,7 +21,7 @@ class CheckerboardStrategy(UniverseStrategy):
     """Example 4's balanced, truly distributed strategy for any universe.
 
     The universe is ordered (the ``order`` argument, defaulting to sorted by
-    ``repr``) and the Proposition 3 checkerboard grid built over it; then
+    ``repr``) and tiled as the Proposition 3 checkerboard grid over it; then
 
     * ``P(i)`` = the block representatives of row ``i`` (one per block
       column),
@@ -31,6 +31,9 @@ class CheckerboardStrategy(UniverseStrategy):
     whose intersection is exactly the representative of the block containing
     ``(i, j)`` — a single node, so the strategy is optimal (no redundancy,
     no waste).
+
+    Construction is O(n): the ~sqrt(n) block-row and block-column sets are
+    built once and shared, never the ``n × n`` grid.
     """
 
     name = "checkerboard"
@@ -45,22 +48,19 @@ class CheckerboardStrategy(UniverseStrategy):
             ordered = sorted(self._universe, key=repr)
         else:
             ordered = list(order)
-            if frozenset(ordered) != self._universe:
-                raise StrategyError(
-                    "order must be a permutation of the universe"
-                )
-        self._ordered: List[Hashable] = ordered
-        self._index = {node: position for position, node in enumerate(ordered)}
-        self._grid = checkerboard_grid(ordered)
+            if len(ordered) != len(self._universe) or frozenset(ordered) != self._universe:
+                raise StrategyError("order must be a permutation of the universe")
         n = len(ordered)
-        self._post_sets = {
-            node: frozenset(self._grid[self._index[node]][j] for j in range(n))
-            for node in ordered
-        }
-        self._query_sets = {
-            node: frozenset(self._grid[i][self._index[node]] for i in range(n))
-            for node in ordered
-        }
+        side, blocks = checkerboard_tiling(n)
+        # Grid entry (i, j) is ordered[(block_row(i) * blocks + block_col(j)) % n].
+        # Filled in grid order, each set iterates as a grid row's or column's.
+        rows = [frozenset(ordered[(r * blocks + c) % n] for c in range(blocks))
+                for r in range(blocks)]
+        columns = [frozenset(ordered[(r * blocks + c) % n] for r in range(blocks))
+                   for c in range(blocks)]
+        block = [min(position // side, blocks - 1) for position in range(n)]
+        self._post_sets = {node: rows[block[k]] for k, node in enumerate(ordered)}
+        self._query_sets = {node: columns[block[k]] for k, node in enumerate(ordered)}
 
     def post_set(self, node: Hashable, port: Optional[Port] = None) -> FrozenSet:
         self._require_member(node)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Hashable, Iterable, List, Optional
 
 from ..core.exceptions import StrategyError
@@ -70,6 +70,11 @@ def part_from_dict(cls: type, data: Dict[str, object]):
     ``TypeError`` about ``__init__``."""
     reject_unknown_keys(cls, data)
     return cls(**data)
+
+
+def _field_values(spec) -> Dict[str, object]:
+    """A dataclass's fields by name: ``asdict`` without its deep copy."""
+    return {f.name: getattr(spec, f.name) for f in fields(spec)}
 
 
 @dataclass(frozen=True)
@@ -331,7 +336,10 @@ class ScenarioSpec:
         scenario recorded before — or simply without — the time model stay
         byte-identical.
         """
-        data = asdict(self)
+        data = _field_values(self)
+        for part in ("arrival", "popularity", "churn", "faults", "slo"):
+            if data[part] is not None:
+                data[part] = _field_values(data[part])
         if self.time_model is None:
             del data["time_model"]
         else:

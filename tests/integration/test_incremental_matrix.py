@@ -8,19 +8,28 @@ only difference is which cells actually executed, and that difference is
 visible solely in the digest-excluded ``cache`` section.
 """
 
+import cProfile
 import dataclasses
 import json
 
 import pytest
 
+from repro.core.bounds import checkerboard_grid
 from repro.exec import SpoolError, WarmPool, run_matrix_parallel
-from repro.exec.cache import CACHE_COUNTERS, CellCache, cell_cache_key
+from repro.exec.cache import (
+    CACHE_COUNTERS,
+    CellCache,
+    CellKeyer,
+    spec_fingerprint,
+)
 from repro.exec.plan import ExecutionPlan
 from repro.exec.spool import load_spool, shard_spool_path
+from repro.network.graph import Graph
 from repro.workload import (
     ArrivalSpec,
     FaultRegimeSpec,
     MatrixSpec,
+    PopularitySpec,
     ScenarioSpec,
     run_matrix,
 )
@@ -143,7 +152,7 @@ class TestPartialInvalidation:
                      strategies=("checkerboard",))
         report, _ = run_matrix(small, cache_dir=tmp_path)
         cells, _ = small.expand()
-        key = cell_cache_key(cells[0])
+        key = CellKeyer().key(cells[0])
         path = CellCache(tmp_path).path_for(key)
         payload = json.loads(path.read_text())
         payload["cell"]["summary"]["requests"] = 999999
@@ -416,3 +425,39 @@ class TestSingleShardFallbackSpool:
         # Cross-check payloads line up with the report's cells in order.
         for (_, spooled), reported in zip(entries, report.cells):
             assert spooled.to_dict() == reported.to_dict()
+
+
+#: CI's 9-cell smoke grid (the ``ci-grid.json`` the workflow writes).
+CI_GRID = MatrixSpec(
+    name="ci-smoke",
+    topologies=("complete:36", "manhattan:6", "hypercube:5"),
+    strategies=("checkerboard", "hash-locate", "centralized"),
+    base=ScenarioSpec(
+        operations=120, clients=12, servers=8, ports=4,
+        delivery_mode="unicast", seed=1717,
+        arrival=ArrivalSpec(kind="poisson", rate=1500.0),
+        popularity=PopularitySpec(kind="zipf", zipf_exponent=1.1),
+    ),
+)
+
+
+class TestWarmSweepCost:
+    """A warm sweep keys each cell once and rebuilds nothing quadratic.
+
+    Counted by code object under ``cProfile``, so the count does not depend
+    on the name a module imported a function under; nothing is timed.
+    """
+
+    def test_one_fingerprint_per_cell_and_no_grid_or_sort(self, tmp_path):
+        run_matrix(CI_GRID, cache_dir=tmp_path)
+        profiler = cProfile.Profile()
+        report, _ = profiler.runcall(run_matrix, CI_GRID, cache_dir=tmp_path)
+        assert report.cache_stats["hits"] == len(report) == 9
+        assert report.cache_stats["misses"] == 0
+        calls = {
+            entry.code: entry.callcount for entry in profiler.getstats()
+        }
+        assert calls.get(spec_fingerprint.__code__) == 9
+        assert checkerboard_grid.__code__ not in calls
+        # Connectivity checks walk adjacency sets; nothing sorts them.
+        assert Graph.bfs_order.__code__ not in calls

@@ -1,10 +1,12 @@
 """Unit tests for Examples 1-4: broadcast, sweep, centralized, checkerboard."""
 
 import math
+import random
 
 import pytest
 from oracle.rendezvous import read_sets, validate
 
+from repro.core.bounds import checkerboard_grid
 from repro.core.exceptions import StrategyError
 from repro.core.rendezvous import RendezvousMatrix
 from repro.strategies import (
@@ -145,7 +147,76 @@ class TestCheckerboard:
         with pytest.raises(StrategyError):
             CheckerboardStrategy(UNIVERSE, order=[1, 2, 3])
 
+    @pytest.mark.parametrize("order", [
+        [0, 1, 2, 2],
+        [0, 0, 1, 2],
+        [2, 1, 0, 1, 2],
+    ])
+    def test_order_with_repeated_nodes_is_rejected(self, order):
+        # Same node set as the universe, but not a permutation of it.
+        with pytest.raises(StrategyError, match="permutation"):
+            CheckerboardStrategy([0, 1, 2], order=order)
+
     def test_works_with_tuple_nodes(self):
         universe = [(r, c) for r in range(3) for c in range(3)]
         strategy = CheckerboardStrategy(universe)
         assert validate(universe, *read_sets(strategy, universe)) == []
+
+
+class TestCheckerboardClosedForm:
+    """The block-wise P/Q sets against the full Proposition 3 grid."""
+
+    @staticmethod
+    def orders(n):
+        """``(order, argument)`` pairs: the default order (sorted by repr,
+        no ``order`` argument) and two custom ones.  String nodes, whose
+        set iteration order depends on insertion order, unlike small ints."""
+        universe = [f"node-{i}" for i in range(n)]
+        custom = [universe[::-1], random.Random(n).sample(universe, n)]
+        return [(sorted(universe, key=repr), None)] + [(o, o) for o in custom]
+
+    @staticmethod
+    def line_sets(lines, order):
+        """Each grid line as the frozenset of its nodes, listed in iteration
+        order (an equal neighbouring line reuses its predecessor's)."""
+        sets, previous = [], None
+        for line in lines:
+            if line != previous:
+                current = list(frozenset(map(order.__getitem__, line)))
+                previous = line
+            sets.append(current)
+        return sets
+
+    def test_sets_and_their_order_equal_the_reference_grid(self):
+        for n in range(1, 201):
+            # checkerboard_grid only indexes its nodes, so the grid over
+            # positions relabels to the grid over any order.
+            positions = checkerboard_grid(list(range(n)))
+            columns = list(zip(*positions))
+            for order, argument in self.orders(n):
+                strategy = CheckerboardStrategy(order, order=argument)
+                rows = self.line_sets(positions, order)
+                cols = self.line_sets(columns, order)
+                for position, node in enumerate(order):
+                    # Equal sets with equal iteration order: built by
+                    # inserting the same nodes in the same sequence.
+                    assert list(strategy.post_set(node)) == rows[position]
+                    assert list(strategy.query_set(node)) == cols[position]
+
+    def test_relabelled_reference_is_the_grid_over_the_order(self):
+        for n in (1, 2, 7, 16, 23):
+            for order, _ in self.orders(n):
+                positions = checkerboard_grid(list(range(n)))
+                assert checkerboard_grid(order) == [
+                    [order[k] for k in row] for row in positions
+                ]
+
+    def test_4096_nodes_build_sqrt_n_sets_with_singleton_rendezvous(self):
+        universe = range(4096)
+        strategy = CheckerboardStrategy(universe)
+        assert {len(strategy.post_set(node)) for node in universe} == {64}
+        assert {len(strategy.query_set(node)) for node in universe} == {64}
+        sample = random.Random(4096).sample(list(universe), 64)
+        for server in sample:
+            for client in sample:
+                assert len(strategy.rendezvous_set(server, client)) == 1

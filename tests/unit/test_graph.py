@@ -92,6 +92,18 @@ class TestConnectivity:
         with pytest.raises(DisconnectedGraphError):
             graph.require_connected()
 
+    def test_is_connected_agrees_with_the_components(self):
+        rng = random.Random(61)
+        for trial in range(200):
+            nodes = list(range(rng.randint(1, 14)))
+            edges = [
+                (rng.choice(nodes), rng.choice(nodes))
+                for _ in range(rng.randint(0, 2 * len(nodes)))
+            ]
+            graph = Graph(nodes=nodes, edges=edges)
+            assert graph.is_connected() == \
+                (len(graph.connected_components()) == 1), trial
+
     def test_connected_components(self):
         graph = Graph(nodes=[1, 2, 3, 4], edges=[(1, 2), (3, 4)])
         components = graph.connected_components()
