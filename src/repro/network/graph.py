@@ -144,8 +144,17 @@ class Graph:
         return order
 
     def connected_component(self, source: Hashable) -> FrozenSet[Hashable]:
-        """All nodes in the same connected component as ``source``."""
-        return frozenset(self.bfs_order(source))
+        """All nodes in ``source``'s connected component (an unsorted walk)."""
+        adjacency = self._adjacency
+        if source not in adjacency:
+            raise UnknownNodeError(source)
+        reached = {source}
+        frontier = [source]
+        while frontier:
+            fresh = adjacency[frontier.pop()] - reached
+            reached |= fresh
+            frontier.extend(fresh)
+        return frozenset(reached)
 
     def connected_components(self) -> List[FrozenSet[Hashable]]:
         """All connected components."""
@@ -160,17 +169,10 @@ class Graph:
 
     def is_connected(self) -> bool:
         """Whether the graph is connected (the empty graph counts as
-        connected).  Unlike :meth:`bfs_order`, the walk sorts nothing."""
-        adjacency = self._adjacency
-        if not adjacency:
+        connected)."""
+        if not self._adjacency:
             return True
-        reached = {next(iter(adjacency))}
-        frontier = list(reached)
-        while frontier:
-            fresh = adjacency[frontier.pop()] - reached
-            reached |= fresh
-            frontier.extend(fresh)
-        return len(reached) == len(adjacency)
+        return len(self.connected_component(next(iter(self._adjacency)))) == len(self)
 
     def require_connected(self) -> None:
         """Raise :class:`DisconnectedGraphError` unless the graph is

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Dict, Hashable, Iterable, List, Optional
 
 from ..core.exceptions import StrategyError
@@ -336,10 +336,8 @@ class ScenarioSpec:
         scenario recorded before — or simply without — the time model stay
         byte-identical.
         """
-        data = _field_values(self)
-        for part in ("arrival", "popularity", "churn", "faults", "slo"):
-            if data[part] is not None:
-                data[part] = _field_values(data[part])
+        data = {name: _field_values(value) if is_dataclass(value) else value
+                for name, value in _field_values(self).items()}
         if self.time_model is None:
             del data["time_model"]
         else:

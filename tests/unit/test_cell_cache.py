@@ -121,8 +121,8 @@ class TestKeySensitivity:
             first_key(cell(), schema_version=CACHE_SCHEMA_VERSION + 1)
 
     def test_chain_participates_in_the_key(self):
-        # The same cell keys differently once its own fingerprint is the
-        # chain: only the chain moved between the two calls.
+        # The second call's chain is the digest of this cell's own
+        # fingerprint; only the chain moved between the two calls.
         keyer = CellKeyer()
         assert keyer.key(cell()) != keyer.key(cell())
 

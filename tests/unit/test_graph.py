@@ -92,7 +92,7 @@ class TestConnectivity:
         with pytest.raises(DisconnectedGraphError):
             graph.require_connected()
 
-    def test_is_connected_agrees_with_the_components(self):
+    def test_component_is_the_set_bfs_order_reaches(self):
         rng = random.Random(61)
         for trial in range(200):
             nodes = list(range(rng.randint(1, 14)))
@@ -101,8 +101,15 @@ class TestConnectivity:
                 for _ in range(rng.randint(0, 2 * len(nodes)))
             ]
             graph = Graph(nodes=nodes, edges=edges)
+            for node in nodes:
+                assert graph.connected_component(node) == \
+                    frozenset(graph.bfs_order(node)), trial
             assert graph.is_connected() == \
-                (len(graph.connected_components()) == 1), trial
+                (len(graph.bfs_order(nodes[0])) == len(nodes)), trial
+
+    def test_component_of_an_unknown_node(self):
+        with pytest.raises(UnknownNodeError):
+            Graph(nodes=[1]).connected_component(2)
 
     def test_connected_components(self):
         graph = Graph(nodes=[1, 2, 3, 4], edges=[(1, 2), (3, 4)])
