@@ -1,4 +1,4 @@
-"""E19 — incremental sweeps: the cell cache and the warm worker pool.
+"""E19 — incremental sweeps: the cell cache and a shared executor.
 
 E18 made one sweep cheap; real matrix studies run the *same* sweep many
 times — after editing one regime, on every CI push, per parameter probe.
@@ -11,15 +11,17 @@ and pins the properties they stand on:
 * **warm re-run**: the same grid against the filled cache executes *zero*
   cells (100% hits, sequentially and across worker processes) and still
   reproduces the digest byte for byte;
-* **warm pool**: repeated parallel runs through one :class:`WarmPool`
-  stay digest-identical while reusing worker processes and their
-  per-topology networks.
+* **shared executor**: repeated parallel runs through one caller-owned
+  ``ProcessPoolExecutor`` stay digest-identical while reusing its worker
+  processes, which keep nothing between runs.
 
 How much faster the warm re-run is belongs to the ledger
 (``bench.warm_speedup`` in ``benchmarks/ledger``); nothing is timed here.
 """
 
-from repro.exec import WarmPool, run_matrix_parallel
+from concurrent.futures import ProcessPoolExecutor
+
+from repro.exec import run_matrix_parallel
 from repro.workload import (
     ArrivalSpec,
     FaultRegimeSpec,
@@ -30,9 +32,9 @@ from repro.workload import (
 )
 
 #: Requests per matrix cell (27 cells; the grid runs cold once, warm
-#: twice, and twice more through the warm pool).
+#: twice, and twice more through one executor).
 OPERATIONS = 120
-#: Worker count for the parallel warm re-run and the warm pool.
+#: Worker count for the parallel warm re-run and the shared executor.
 WORKERS = 4
 
 
@@ -68,9 +70,13 @@ def run_incremental_experiment(cache_dir):
     warm_parallel, _ = run_matrix(
         bench_matrix(), workers=WORKERS, cache_dir=cache_dir
     )
-    with WarmPool(workers=WORKERS) as pool:
-        first, _ = run_matrix_parallel(bench_matrix(), pool=pool)
-        second, _ = run_matrix_parallel(bench_matrix(), pool=pool)
+    with ProcessPoolExecutor(max_workers=WORKERS) as executor:
+        first, _ = run_matrix_parallel(
+            bench_matrix(), workers=WORKERS, executor=executor
+        )
+        second, _ = run_matrix_parallel(
+            bench_matrix(), workers=WORKERS, executor=executor
+        )
     return cold, warm, warm_parallel, first, second
 
 
@@ -97,9 +103,7 @@ def test_bench_e19_incremental(tmp_path):
     )
     assert par_stats["hits"] == len(warm_parallel)
 
-    # -- the warm pool is digest-neutral across runs -------------------------
+    # -- a shared executor is digest-neutral across runs ---------------------
     assert first.digest() == cold.digest() and second.digest() == cold.digest()
-    pool_stats = second.cache_stats
-    assert pool_stats.get("pool_network_reuses", 0) + \
-        pool_stats.get("pool_network_builds", 0) == 3
+    assert first.cache_stats is None and second.cache_stats is None
 

@@ -3,7 +3,7 @@
 Expands a declarative grid — three topologies, three name-server
 strategies, and three fault regimes (fault-free, crash/recover waves, link
 flaps) — and runs it through the **parallel execution engine**: cells
-shard across worker processes with topology affinity (each worker keeps
+shard across worker processes with topology affinity (each shard keeps
 one shared network per topology warm, exactly like the sequential
 engine), stream results into a JSONL spool, and merge into a report that
 is byte-identical to a sequential run — the printed digest proves it, and
@@ -14,9 +14,9 @@ The per-regime slice is the paper's robustness story in one table:
 availability degrades as the fault regime sharpens, and degrades least for
 the strategies that spread rendezvous widely.
 
-The sweep then runs twice more through one ``WarmPool``: once warm, and
-once after ``pool.invalidate()`` has made every worker rebuild its networks
-from scratch.  Both must reproduce the printed report's digest.
+The sweep then runs once more through the same ``ProcessPoolExecutor``:
+the re-run reuses the worker processes, which kept nothing from the first
+run, and must reproduce the printed report's digest.
 
 Run with::
 
@@ -25,9 +25,11 @@ Run with::
 """
 
 import argparse
+from concurrent.futures import ProcessPoolExecutor
 
 from repro.analysis import render_matrix_report
-from repro.exec import ProgressReporter, WarmPool
+from repro.exec import ProgressReporter
+from repro.exec.plan import resolve_workers
 from repro.workload import (
     ArrivalSpec,
     FaultRegimeSpec,
@@ -71,16 +73,18 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    report, _ = run_matrix(
-        sweep_matrix(), workers=args.workers, progress=ProgressReporter()
-    )
-    print(render_matrix_report(report))
-
-    with WarmPool(workers=args.workers) as pool:
-        warm, _ = run_matrix(sweep_matrix(), pool=pool)
-        pool.invalidate()
-        rebuilt, _ = run_matrix(sweep_matrix(), pool=pool)
-    assert warm.digest() == rebuilt.digest() == report.digest()
+    with ProcessPoolExecutor(
+        max_workers=resolve_workers(args.workers)
+    ) as executor:
+        report, _ = run_matrix(
+            sweep_matrix(), workers=args.workers,
+            progress=ProgressReporter(), executor=executor,
+        )
+        print(render_matrix_report(report))
+        again, _ = run_matrix(
+            sweep_matrix(), workers=args.workers, executor=executor
+        )
+    assert again.digest() == report.digest()
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import List, Optional
 
@@ -52,6 +53,7 @@ from .analysis.static import (
     write_baseline,
 )
 from .core.exceptions import MatchMakingError
+from .exec.plan import resolve_workers
 from .exec.progress import ProgressReporter
 from .obs import SpanRecorder, export_dir
 from .obs.export import write_cell
@@ -136,13 +138,10 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     matrix = MatrixSpec.from_dict(_load_json(args.spec))
     if args.repeat < 1:
         raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
-    pool = None
-    report = None
-    try:
-        if args.repeat > 1 and args.workers != 1:
-            from .exec.pool import WarmPool
-
-            pool = WarmPool(args.workers)
+    # Processes start on the first submit, so a one-shard plan starts none.
+    with ProcessPoolExecutor(
+        max_workers=resolve_workers(args.workers)
+    ) as executor:
         for iteration in range(args.repeat):
             progress = None if args.no_progress else ProgressReporter()
             report, _ = run_matrix(
@@ -154,7 +153,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
                 obs_dir=args.obs,
                 profile=args.profile,
                 cache_dir=args.cache_dir,
-                pool=pool,
+                executor=executor,
             )
             stats = report.cache_stats
             if stats is not None:
@@ -166,9 +165,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
                     f"run {iteration + 1}/{args.repeat}: "
                     f"digest {report.digest()}"
                 )
-    finally:
-        if pool is not None:
-            pool.close()
     if args.traces:
         _note(f"cell traces -> {args.traces}")
     if args.obs:
@@ -342,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix_p.add_argument(
         "--repeat", type=int, default=1, metavar="N",
-        help="run the grid N times in one process (with --workers != 1 a "
-             "warm pool keeps worker processes and their networks alive "
-             "between runs); prints each run's digest on stderr",
+        help="run the grid N times in one process (the runs share one set "
+             "of worker processes, which keep nothing between runs); "
+             "prints each run's digest on stderr",
     )
     matrix_p.set_defaults(handler=_cmd_matrix)
 

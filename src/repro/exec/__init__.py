@@ -21,13 +21,13 @@ spool that the parent polls for progress/ETA.  Either way the results
 merge by grid position.  ``python -m repro`` exposes the engine on the
 command line.
 
-Two layers make repeated sweeps cheap without bending any of the above:
-the content-addressed :class:`~repro.exec.cache.CellCache` serves
-unchanged cells from disk (chain-keyed so warm plan-cache counters still
-reproduce — see :mod:`repro.exec.cache`), and
-:class:`~repro.exec.pool.WarmPool` keeps worker processes and their
-per-topology networks alive across successive runs.  Both are
-digest-neutral by construction.
+Repeated sweeps stay cheap without bending any of the above: the
+content-addressed :class:`~repro.exec.cache.CellCache` serves unchanged
+cells from disk (chain-keyed so warm plan-cache counters still reproduce —
+see :mod:`repro.exec.cache`), and a caller may pass one
+:class:`concurrent.futures.Executor` to successive sweeps so they share
+worker processes.  A worker keeps nothing between shards — no module here
+holds state across tasks — so neither changes a digest.
 """
 
 from .cache import (
@@ -39,7 +39,6 @@ from .cache import (
     spec_fingerprint,
 )
 from .plan import ExecutionPlan, IndexedCell, Shard
-from .pool import WarmPool
 from .progress import ProgressReporter
 from .runner import run_matrix_parallel
 from .spool import (
@@ -62,7 +61,6 @@ __all__ = [
     "Shard",
     "SpoolCursor",
     "SpoolError",
-    "WarmPool",
     "dump_spool_line",
     "load_spool",
     "run_matrix_parallel",

@@ -174,12 +174,17 @@ class CellCache:
             "cell": cell_result.to_dict(),
         }
         # Unique temp name: concurrent runs over one cache dir may race on
-        # the same key, and each must rename a fully written file.
+        # the same key, and each must rename a fully written file.  A
+        # failed write (a full disk) leaves no temp file behind.
         tmp = path.parent / f"{path.name}.{os.getpid()}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fp:
-            json.dump(payload, fp, indent=2, sort_keys=True)
-            fp.write("\n")
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fp:
+                json.dump(payload, fp, indent=2, sort_keys=True)
+                fp.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         self.count("stored")
         return path
 

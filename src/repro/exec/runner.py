@@ -1,27 +1,28 @@
 """The one cell loop, and the deterministic merge of what it emits.
 
-Every matrix sweep — sequential, sharded across fresh worker processes,
-or submitted to a :class:`~repro.exec.pool.WarmPool` — is an
+Every matrix sweep — sequential, or sharded across worker processes
+(a fresh executor's, or one the caller owns) — is an
 :class:`~repro.exec.plan.ExecutionPlan` whose shards execute through
 :func:`run_shard`, the only caller of
 :func:`repro.workload.matrix.run_cell` outside the cache's warm-up
 replay.  It hands each finished cell to an ``emit`` callback, and where a
-shard runs changes only that callback.  A one-shard plan without a pool
-runs in this process: ``emit`` appends to a list and ticks ``progress``,
-so a plain sweep starts no process and writes no spool.  Any other plan
-runs each shard in a worker process whose ``emit`` writes and flushes one
-JSONL spool line; the parent polls the spools while the pool drains (that
-is the progress/ETA feed) and loads them afterwards.  Either way the
-records merge by grid position into a
+shard runs changes only that callback.  A one-shard plan runs in this
+process: ``emit`` appends to a list and ticks ``progress``, so a plain
+sweep starts no process and writes no spool.  Any other plan runs each
+shard in a worker process whose ``emit`` writes and flushes one JSONL
+spool line; the parent polls the spools while the workers drain (that
+is the progress/ETA feed) and loads them afterwards.  A worker keeps
+nothing between shards: each shard builds the networks it needs.  Either
+way the records merge by grid position into a
 :class:`~repro.workload.matrix.MatrixReport`, so its canonical JSON does
 not depend on the worker count.
 
 An obs export (:mod:`repro.obs.export`) needs no merge: each shard writes
 its cells' files and its own shard file, and the parent writes only the
-run file (its ``merge`` span, profiles, cache counters) after the pool
-drains.  Nothing is installed process-wide: each cell's tracer goes to
-:func:`~repro.workload.matrix.run_cell`, and each shard's phase profile
-(the parent's, for ``spool-merge``) is passed to what it times.
+run file (its ``merge`` span, profiles, cache counters) after the
+workers drain.  Nothing is installed process-wide: each cell's tracer
+goes to :func:`~repro.workload.matrix.run_cell`, and each shard's phase
+profile (the parent's, for ``spool-merge``) is passed to what it times.
 
 Payloads crossing the process boundary are plain picklable data: a
 :class:`ShardPayload` outbound, and — only when callers ask to keep full
@@ -33,14 +34,18 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait,
+)
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..network.simulator import Network
 from ..obs import export as _obs_export
-from ..obs.profile import CELL_RUN, SPOOL_MERGE, PhaseProfile, timed
+from ..obs.profile import (
+    CELL_RUN, SPOOL_MERGE, TOPOLOGY_BUILD, PhaseProfile, timed,
+)
 from ..obs.spans import SpanRecorder
 from ..workload.driver import WorkloadResult
 from ..workload.matrix import (
@@ -50,6 +55,7 @@ from ..workload.matrix import (
     run_cell,
     write_cell_trace,
 )
+from ..workload.spec import build_topology
 from .cache import (
     CellCache,
     IncrementalRunner,
@@ -57,7 +63,6 @@ from .cache import (
     merge_cache_stats,
 )
 from .plan import ExecutionPlan, IndexedCell, Shard
-from .pool import WarmPool, checkout_network
 from .spool import SpoolCursor, SpoolError, dump_spool_line, load_spool, \
     shard_spool_path
 
@@ -68,8 +73,8 @@ POLL_SECONDS = 0.2
 Emit = Callable[[int, CellResult], None]
 
 #: What a shard hands back: kept ``(position, result)`` pairs, its
-#: wall-clock phase profile (as a dict) or ``None``, and its
-#: cache/warm-pool counter snapshot or ``None`` when neither is in play.
+#: wall-clock phase profile (as a dict) or ``None``, and its cell-cache
+#: counter snapshot or ``None`` when the cache is off.
 ShardOutcome = Tuple[
     List[Tuple[int, WorkloadResult]],
     Optional[Dict[str, object]],
@@ -89,8 +94,6 @@ class ShardPayload:
     #: Label of the wall-clock phase profile to collect (``None`` = off).
     profile: Optional[str]
     cache_dir: Optional[str]
-    #: Warm-pool generation (``None`` = no pool).
-    generation: Optional[int]
     #: The spool file this shard streams into (``None`` = no spool).
     spool_path: Optional[str]
 
@@ -99,10 +102,11 @@ def run_shard(payload: ShardPayload, emit: Emit) -> ShardOutcome:
     """Run one shard's cells in the given order, emitting each as it
     finishes.
 
-    Cells execute over per-topology shared networks
-    (:func:`~repro.exec.pool.checkout_network`), so plan-cache counters
-    (which are part of the report) depend only on a topology's own cells
-    and their order — never on which shard, process or sweep ran them.
+    Cells execute over per-topology shared networks, each built on its
+    topology's first cell and kept only for this shard, so plan-cache
+    counters (which are part of the report) depend only on a topology's
+    own cells and their order — never on which shard, process or sweep
+    ran them.
     With a cache dir, unchanged cells are served from the chain-keyed
     store instead (:mod:`repro.exec.cache`).
 
@@ -110,16 +114,14 @@ def run_shard(payload: ShardPayload, emit: Emit) -> ShardOutcome:
     keyed on grid position (``obs-cell-NNNN.jsonl``), plus its own
     ``obs-shard-NNN.jsonl`` — never a file another worker writes.  With a
     profile label it owns a :class:`~repro.obs.profile.PhaseProfile` and
-    times ``cell-run`` here, handing the profile to what times
-    ``topology-build`` (the network checkout) and ``cache-warmup`` (the
-    cache's replays).
+    times ``topology-build`` and ``cell-run`` here, handing the profile to
+    the cache, which times ``cache-warmup`` (its replays).
     """
     obs_path = Path(payload.obs_dir) if payload.obs_dir is not None else None
     shard_tracer = SpanRecorder() if obs_path is not None else None
     profile = PhaseProfile(payload.profile) if payload.profile else None
     networks: Dict[str, Network] = {}
     kept: List[Tuple[int, WorkloadResult]] = []
-    stats: Dict[str, int] = {}
     cache = runner = None
     if payload.cache_dir is not None:
         cache = CellCache(payload.cache_dir)
@@ -142,9 +144,13 @@ def run_shard(payload: ShardPayload, emit: Emit) -> ShardOutcome:
             if cached is not None:
                 emit(position, cached)
                 continue
-        network = checkout_network(
-            networks, cell.spec, payload.generation, stats, profile
-        )
+        network = networks.get(cell.spec.topology)
+        if network is None:
+            with timed(profile, TOPOLOGY_BUILD):
+                network = build_topology(cell.spec.topology).build_network(
+                    delivery_mode=cell.spec.delivery_mode
+                )
+            networks[cell.spec.topology] = network
         if runner is not None:
             runner.warmup(cell, network, profile)
         cell_tracer = SpanRecorder() if obs_path is not None else None
@@ -183,9 +189,7 @@ def run_shard(payload: ShardPayload, emit: Emit) -> ShardOutcome:
             shard=payload.index,
         )
     profile_dict = profile.to_dict() if profile is not None else None
-    if cache is not None:
-        merge_cache_stats(stats, cache.stats())
-    return kept, profile_dict, (stats or None)
+    return kept, profile_dict, (cache.stats() if cache is not None else None)
 
 
 def _spool_shard(
@@ -219,7 +223,7 @@ def run_matrix_parallel(
     obs_dir=None,
     profile: bool = False,
     cache_dir=None,
-    pool: Optional[WarmPool] = None,
+    executor: Optional[Executor] = None,
 ) -> Tuple[MatrixReport, List[WorkloadResult]]:
     """Plan ``matrix`` into shards, run them, merge by grid position.
 
@@ -228,22 +232,21 @@ def run_matrix_parallel(
     (like 0), and ``spool_dir`` keeps the JSONL spool files, which
     otherwise live in a temporary directory removed after the merge.
 
-    A plan of one shard runs in this process — no executor, no spool
-    unless ``spool_dir`` asks for one, its profile labelled
-    ``sequential``.  Any other plan, and every plan given a ``pool``
-    (which overrides ``workers`` and is not shut down here), runs in
-    worker processes: the profile section is ``parent`` plus one
-    ``shard-N`` per worker, and an obs export also records the parent's
-    ``merge`` span.  The report is byte-identical
-    (:meth:`MatrixReport.digest`) either way.
+    A plan of one shard runs in this process — no worker process, no
+    spool unless ``spool_dir`` asks for one, its profile labelled
+    ``sequential``.  Any other plan runs one task per shard in worker
+    processes: the caller's ``executor`` (any
+    :class:`concurrent.futures.Executor`, left running for the next
+    sweep), else a fresh one shut down before this returns.  Its profile
+    section is ``parent`` plus one ``shard-N`` per shard, and an obs
+    export also records the parent's ``merge`` span.  The report is
+    byte-identical (:meth:`MatrixReport.digest`) either way.
     """
-    if pool is not None:
-        workers = pool.workers
     plan = ExecutionPlan.from_matrix(matrix, workers or 0)
     # A grid with no runnable cell still runs (and exports) as one empty
     # shard.
     shards = plan.shards or (Shard(index=0, cells=()),)
-    in_process = pool is None and len(shards) == 1
+    in_process = len(shards) == 1
     total = plan.cell_count
     own_spool = spool_dir is None
     spool_root = None
@@ -255,7 +258,6 @@ def run_matrix_parallel(
     obs_path = (
         _obs_export.export_dir(obs_dir) if obs_dir is not None else None
     )
-    generation = pool.generation if pool is not None else None
     payloads = [
         ShardPayload(
             index=shard.index,
@@ -268,7 +270,6 @@ def run_matrix_parallel(
                 else "sequential" if in_process else f"shard-{shard.index}"
             ),
             cache_dir=str(cache_dir) if cache_dir is not None else None,
-            generation=generation,
             spool_path=(
                 str(shard_spool_path(spool_root, shard.index))
                 if spool_root is not None else None
@@ -291,7 +292,7 @@ def run_matrix_parallel(
             outcomes = [_spool_shard(payloads[0], collect)]
             sources = [("this process", collected)]
         else:
-            outcomes = _run_in_workers(payloads, pool, progress, total)
+            outcomes = _run_in_workers(payloads, executor, progress, total)
             if obs_path is not None:
                 merge_tracer = SpanRecorder()
                 merge_span = merge_tracer.begin(
@@ -325,7 +326,7 @@ def run_matrix_parallel(
         cells,
         plan.skipped,
         profile=_obs_export.profiles_dict(profile_records) if profile else None,
-        cache=exec_stats if cache_dir is not None or pool is not None else None,
+        cache=exec_stats if cache_dir is not None else None,
     )
     if obs_path is not None:
         run_records = profile_records
@@ -340,21 +341,25 @@ def run_matrix_parallel(
 
 def _run_in_workers(
     payloads: List[ShardPayload],
-    pool: Optional[WarmPool],
+    executor: Optional[Executor],
     progress: Optional[Callable[[int, int], None]],
     total: int,
 ) -> List[ShardOutcome]:
-    """Run every payload in its own worker process — the pool's, or a
-    fresh executor's — polling the spools for progress while they drain;
-    outcomes come back in payload order."""
-    executor = (
-        ProcessPoolExecutor(max_workers=len(payloads))
-        if pool is None else pool.executor
-    )
+    """Submit every payload to ``executor`` (or to a fresh executor owned
+    and shut down here), polling the spools for progress while they drain;
+    outcomes come back in payload order.
+
+    On the first shard error the shards not yet started are cancelled and
+    the running ones waited for before the error is raised, so no shard
+    still writes spool, cache or obs files once this returns.
+    """
+    owned = executor is None
+    if owned:
+        executor = ProcessPoolExecutor(max_workers=len(payloads))
+    futures = []
     try:
-        futures = [
-            executor.submit(_spool_shard, payload) for payload in payloads
-        ]
+        for payload in payloads:
+            futures.append(executor.submit(_spool_shard, payload))
         pending = set(futures)
         cursor = SpoolCursor(payload.spool_path for payload in payloads)
         while pending:
@@ -365,8 +370,11 @@ def _run_in_workers(
                 progress(min(cursor.count(), total), total)
             for future in done:
                 future.result()  # reraise worker errors here
+    except BaseException:
+        wait([future for future in futures if not future.cancel()])
+        raise
     finally:
-        if pool is None:
+        if owned:
             executor.shutdown(wait=True)
     if progress is not None:
         progress(total, total)

@@ -121,12 +121,8 @@ class DeliveryPlanner:
         diversity of the *current* fault epoch.  ``reset_for_reuse``
         deliberately keeps these caches warm — plans are pure functions of
         the (static) graph and the fault revision, so same-topology cells
-        in one sweep share them.  A *warm worker pool* reusing a network
-        across separate ``run_matrix`` calls needs the opposite: the
-        plan-cache hit/miss counters are part of every cell's reported
-        results, so a recycled network must start exactly as cold as a
-        freshly built one.  Hit/miss counters live on :class:`MessageStats`
-        and are untouched here.
+        in one sweep share them.  Hit/miss counters live on
+        :class:`MessageStats` and are untouched here.
         """
         faults = self._faults
         self._revision = faults.revision

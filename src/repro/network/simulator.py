@@ -259,19 +259,6 @@ class Network:
         self._tap = None
         self.tracer = None
 
-    def reset_to_cold(self) -> None:
-        """:meth:`reset_for_reuse`, plus dropping the planner's warm caches.
-
-        Plan-cache hit/miss counters are part of every cell's reported
-        results, so a network recycled *across* matrix runs (the warm
-        worker pool) must be counter-indistinguishable from a freshly
-        built one: same graph and static routing table (the expensive
-        part, which records no plan events fault-free), but completely
-        cold memoized plans, trees and surviving tables.
-        """
-        self.reset_for_reuse()
-        self._planner.clear_caches()
-
     # -- message tap ----------------------------------------------------------
 
     def attach_tap(self, tap) -> None:

@@ -16,7 +16,7 @@ record ``{"kind": ..., ...}``:
 ``profile``
     one participant's wall-clock phases (``label``, ``phases``);
 ``cache``
-    the run's cell-cache/warm-pool ``counters``.
+    the run's cell-cache ``counters``.
 
 The file is the scope: ``obs-cell-NNNN.jsonl`` holds cell ``NNNN``'s
 spans, then its metrics record, then its exemplars;

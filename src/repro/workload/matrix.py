@@ -367,12 +367,12 @@ class MatrixReport:
 
     @property
     def cache_stats(self) -> Optional[Dict[str, int]]:
-        """Cell-cache / warm-pool counters, when either was enabled.
+        """Cell-cache counters, when the cache was enabled.
 
-        Hits, misses, stale/corrupt entries, stores, warm-up replays and
-        pool network reuses describe *how this run was computed*, not what
-        it computed — a fully cached run and a cold run of the same grid
-        are the same result.  The section is therefore excluded from
+        Hits, misses, stale/corrupt entries, stores and warm-up replays
+        describe *how this run was computed*, not what it computed — a
+        fully cached run and a cold run of the same grid are the same
+        result.  The section is therefore excluded from
         :meth:`canonical_dict`, exactly like ``profile``.
         """
         return dict(self._cache) if self._cache is not None else None
@@ -618,7 +618,7 @@ def run_matrix(
     obs_dir=None,
     profile: bool = False,
     cache_dir=None,
-    pool=None,
+    executor=None,
 ) -> Tuple[MatrixReport, List[WorkloadResult]]:
     """Execute every cell of ``matrix`` and aggregate the results.
 
@@ -651,9 +651,11 @@ def run_matrix(
     populate the cache for later plain runs).  Runs at any worker count
     share entries, and the report digest is byte-identical with the
     cache cold, warm or absent; the counters land in the digest-excluded
-    ``cache`` section.  ``pool`` is a live
-    :class:`~repro.exec.pool.WarmPool` and runs every shard in its
-    worker processes.
+    ``cache`` section.  ``executor`` is a caller-owned
+    :class:`concurrent.futures.Executor` that a multi-shard plan submits
+    its shards to instead of starting a fresh one; it is never shut down
+    here, so successive sweeps can share its worker processes.  A
+    one-shard plan runs in this process and never touches it.
     """
     from ..exec.runner import run_matrix_parallel  # local: import cycle
 
@@ -666,5 +668,5 @@ def run_matrix(
         obs_dir=obs_dir,
         profile=profile,
         cache_dir=cache_dir,
-        pool=pool,
+        executor=executor,
     )

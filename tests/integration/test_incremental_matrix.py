@@ -1,21 +1,24 @@
-"""Incremental sweeps end to end: cache parity, warm pools, invalidation.
+"""Incremental sweeps end to end: cache parity, shared executors, invalidation.
 
-The cache and the warm pool both promise the same thing the parallel
+The cache and a shared executor both promise the same thing the parallel
 engine promises: **nothing observable changes**.  A cached re-run, a
-partially invalidated re-run, a warm-pool re-run and a plain cold run
-must all produce byte-identical ``MatrixReport.digest()`` values — the
-only difference is which cells actually executed, and that difference is
-visible solely in the digest-excluded ``cache`` section.
+partially invalidated re-run, a re-run through the same executor and a
+plain cold run must all produce byte-identical ``MatrixReport.digest()``
+values — the only difference is which cells actually executed, and that
+difference is visible solely in the digest-excluded ``cache`` section.
 """
 
 import cProfile
 import dataclasses
 import json
+import threading
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from repro.core.bounds import checkerboard_grid
-from repro.exec import SpoolError, WarmPool, run_matrix_parallel
+from repro.exec import SpoolError, run_matrix_parallel
 from repro.exec.cache import (
     CACHE_COUNTERS,
     CellCache,
@@ -207,157 +210,91 @@ class TestArtifactRunsAreWriteThrough:
         assert report.cache_stats["stored"] == len(report)
 
 
-class TestWarmPool:
-    def test_repeated_runs_reuse_processes_and_networks(self, cold):
-        with WarmPool(workers=3) as pool:
-            first, _ = run_matrix_parallel(grid(), pool=pool)
-            executor = pool.executor
-            second, _ = run_matrix_parallel(grid(), pool=pool)
-            assert pool.executor is executor  # same processes
-        assert first.digest() == cold.digest()
-        assert second.digest() == cold.digest()
-        assert first.cache_stats["pool_network_builds"] == 3
-        # Shard->process placement is the executor's business, so a run-2
-        # worker may draw a topology some *other* worker built — but every
-        # checkout is exactly one reuse or one build.  (The deterministic
-        # reuse semantics are pinned in TestWorkerNetworkStore.)
-        second_stats = second.cache_stats
-        assert second_stats.get("pool_network_reuses", 0) + \
-            second_stats.get("pool_network_builds", 0) == 3
+class TestCallerOwnedExecutor:
+    def test_two_sweeps_through_one_executor_match_the_cold_run(self, cold):
+        with ProcessPoolExecutor(max_workers=3) as executor:
+            first, second = (
+                run_matrix_parallel(grid(), workers=3, executor=executor)[0]
+                for _ in range(2)
+            )
+            # Neither sweep shut the caller's executor down.
+            assert executor.submit(sum, (1, 2)).result() == 3
+        assert first.digest() == second.digest() == cold.digest()
+        # No cache dir, no cache section.
+        assert first.cache_stats is None and second.cache_stats is None
 
-    def test_one_shard_plan_still_runs_in_the_pool(self):
-        # A one-topology grid plans to a single shard; given a pool it must
-        # run there like any other plan, not fall back to an in-process
-        # run that ignores the pool (cache_stats None, network rebuilt on
-        # every call).  One worker makes the reuse deterministic.
+    def test_a_one_shard_plan_submits_nothing(self):
+        class Refusing(Executor):
+            def submit(self, fn, /, *args, **kwargs):
+                raise AssertionError("a one-shard plan must run in process")
+
         one = grid(topologies=("manhattan:4",))
         plain, _ = run_matrix(one)
-        assert plain.cache_stats is None
-        with WarmPool(workers=1) as pool:
-            first, _ = run_matrix(one, pool=pool)
-            second, _ = run_matrix_parallel(one, pool=pool)
-        assert first.digest() == second.digest() == plain.digest()
-        assert first.cache_stats == {"pool_network_builds": 1}
-        assert second.cache_stats == {"pool_network_reuses": 1}
+        report, _ = run_matrix_parallel(
+            one, workers=3, executor=Refusing(), profile=True
+        )
+        assert report.digest() == plain.digest()
+        assert list(report.profile) == ["sequential"]
 
-    def test_invalidate_forces_rebuilds(self):
-        with WarmPool(workers=2) as pool:
-            run_matrix_parallel(grid(), pool=pool)
-            pool.invalidate()
-            report, _ = run_matrix_parallel(grid(), pool=pool)
-        assert report.cache_stats["pool_network_builds"] == 3
-        assert report.cache_stats.get("pool_network_reuses", 0) == 0
-
-    def test_pool_composes_with_the_cell_cache(self, cold, tmp_path):
-        with WarmPool(workers=2) as pool:
-            run_matrix_parallel(grid(), pool=pool, cache_dir=tmp_path)
-            warm, _ = run_matrix_parallel(
-                grid(), pool=pool, cache_dir=tmp_path
+    def test_one_process_runs_every_shard_of_a_three_shard_plan(self, cold):
+        assert len(ExecutionPlan.from_matrix(grid(), 3).shards) == 3
+        with ProcessPoolExecutor(max_workers=1) as executor:
+            report, _ = run_matrix_parallel(
+                grid(), workers=3, executor=executor
             )
-        assert warm.digest() == cold.digest()
-        assert warm.cache_stats["hits"] == len(warm)
-
-    def test_close_is_reentrant_and_pool_revives_lazily(self):
-        pool = WarmPool(workers=2)
-        pool.close()  # never started: a no-op
-        run_matrix_parallel(grid(), pool=pool)
-        pool.close()
-        try:
-            report, _ = run_matrix_parallel(grid(), pool=pool)  # revives
-        finally:
-            pool.close()
-        assert report is not None
+        assert report.digest() == cold.digest()
 
 
-class TestWorkerNetworkStore:
-    """The worker-side half of the pool, driven in-process.
+class TestFailingShard:
+    @pytest.mark.parametrize("owned", [False, True],
+                             ids=["caller-owned", "owned"])
+    def test_running_siblings_finish_before_the_error(
+        self, monkeypatch, owned
+    ):
+        """Shard 0 has failed, shard 1 runs a while, shard 2 has not
+        started: the error is raised only once shard 1 is done, and the
+        spool directory outlives it."""
+        import repro.exec.runner as runner_module
 
-    ``checkout_network`` runs inside worker processes, where assertions
-    are invisible; here it runs against this process's module-global
-    store, which makes the reuse/build/invalidate transitions exact.
-    """
+        made = []
 
-    @pytest.fixture(autouse=True)
-    def clean_store(self, monkeypatch):
-        import repro.exec.pool as pool_module
+        class Fake(Executor):
+            def __init__(self, max_workers=None):
+                self.futures, self.shut_down = [], False
+                made.append(self)
 
-        monkeypatch.setattr(pool_module, "_WORKER_NETWORKS", {})
-        monkeypatch.setattr(pool_module, "_WORKER_GENERATION", None)
+            def submit(self, fn, payload):
+                future = Future()
+                self.futures.append(future)
+                if len(self.futures) == 1:
+                    future.set_exception(RuntimeError("shard 0 failed"))
+                elif len(self.futures) == 2:
+                    future.set_running_or_notify_cancel()
 
-    def _spec(self):
-        return dataclasses.replace(BASE, topology="complete:16",
-                                   strategy="checkerboard")
+                    def finish():
+                        spool_dir = Path(payload.spool_path).parent
+                        self.spool_dir_alive = spool_dir.is_dir()
+                        future.set_result(([], None, None))
 
-    def test_second_checkout_reuses_the_stored_network(self):
-        from repro.exec.pool import checkout_network
+                    self.timer = threading.Timer(0.3, finish)
+                    self.timer.start()
+                return future
 
-        stats = {}
-        spec = self._spec()
-        built = checkout_network({}, spec, generation=0, stats=stats)
-        again = checkout_network({}, spec, generation=0, stats=stats)
-        assert again is built
-        assert stats == {"pool_network_builds": 1, "pool_network_reuses": 1}
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                self.shut_down = True
 
-    def test_a_build_is_timed_and_a_recycle_is_not(self):
-        from repro.exec.pool import checkout_network
-        from repro.obs.profile import TOPOLOGY_BUILD, PhaseProfile
-
-        profile = PhaseProfile("shard-0")
-        spec = self._spec()
-        for _ in range(2):  # built, then recycled from the store
-            checkout_network({}, spec, generation=0, profile=profile)
-        assert profile.count(TOPOLOGY_BUILD) == 1
-
-    def test_generation_bump_drops_the_store(self):
-        from repro.exec.pool import checkout_network
-
-        stats = {}
-        spec = self._spec()
-        built = checkout_network({}, spec, generation=0, stats=stats)
-        rebuilt = checkout_network({}, spec, generation=1, stats=stats)
-        assert rebuilt is not built
-        assert stats == {"pool_network_builds": 2}
-
-    def test_shard_local_dict_shortcuts_the_store(self):
-        from repro.exec.pool import checkout_network
-
-        stats = {}
-        spec = self._spec()
-        local = {}
-        built = checkout_network(local, spec, generation=0, stats=stats)
-        # Within one shard task the local dict wins: planner caches stay
-        # deliberately warm across same-topology cells, like the
-        # sequential engine.
-        again = checkout_network(local, spec, generation=0, stats=stats)
-        assert again is built
-        assert stats == {"pool_network_builds": 1}
-
-    def test_no_generation_means_no_store_traffic(self):
-        import repro.exec.pool as pool_module
-        from repro.exec.pool import checkout_network
-
-        stats = {}
-        checkout_network({}, self._spec(), generation=None, stats=stats)
-        assert pool_module._WORKER_NETWORKS == {}
-        assert stats == {}
-
-    def test_recycled_network_runs_counter_identical_cells(self):
-        from repro.exec.cache import canonical_cell_payload
-        from repro.exec.pool import checkout_network
-        from repro.workload.matrix import run_cell
-
-        matrix = grid(topologies=("complete:16",))
-        cells, _ = matrix.expand()
-        fresh_results = []
-        for generation in (0, 0):  # second pass reuses through the store
-            results = []
-            local = {}
-            for cell in cells:
-                network = checkout_network(local, cell.spec, generation)
-                cell_result, _ = run_cell(cell, network=network)
-                results.append(canonical_cell_payload(cell_result))
-            fresh_results.append(results)
-        assert fresh_results[0] == fresh_results[1]
+        if owned:
+            monkeypatch.setattr(runner_module, "ProcessPoolExecutor", Fake)
+        with pytest.raises(RuntimeError, match="shard 0 failed"):
+            run_matrix_parallel(
+                grid(), workers=3, executor=None if owned else Fake()
+            )
+        (fake,) = made
+        resolved = fake.futures[1].done()
+        fake.timer.join(timeout=10)
+        assert resolved and fake.spool_dir_alive
+        assert fake.futures[2].cancelled()
+        assert fake.shut_down == owned
 
 
 class TestMergeSafety:

@@ -13,12 +13,13 @@ import ast
 import dataclasses
 import json
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.exec import ExecutionPlan, WarmPool, load_spool
+from repro.exec import ExecutionPlan, load_spool
 from repro.exec.runner import run_matrix_parallel
 from repro.obs.export import load_export
 from repro.simtime import LinkTiming, TimeModelSpec
@@ -165,7 +166,7 @@ class TestShardedOrderAndTraces:
 
 
 class TestProcessBoundaryPayloads:
-    """Satellite: everything crossing the pool boundary pickles cleanly and
+    """Satellite: everything crossing the process boundary pickles cleanly and
     never drags a live Network or planner along."""
 
     def test_cell_payloads_pickle(self):
@@ -231,11 +232,11 @@ def contract_matrix(
     )
 
 
-def run_everything_on(matrix, root: Path, workers, pool=None):
+def run_everything_on(matrix, root: Path, workers, executor=None):
     """One sweep with every optional section enabled at once."""
     return run_matrix_parallel(
-        matrix, workers=workers, pool=pool, keep_results=True, profile=True,
-        obs_dir=root / "obs", trace_dir=root / "traces",
+        matrix, workers=workers, executor=executor, keep_results=True,
+        profile=True, obs_dir=root / "obs", trace_dir=root / "traces",
         spool_dir=root / "spool", cache_dir=root / "cache",
     )
 
@@ -294,27 +295,28 @@ class TestExecutionInvarianceContract:
         assert len(records["metrics"]) == 24
         assert "merge" not in [record["name"] for record in records["span"]]
 
-    @pytest.mark.parametrize("pooled", [False, True], ids=["fresh", "pooled"])
+    @pytest.mark.parametrize("executor", ["none", "caller-owned"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_every_section_on_at_once(
-        self, contract_reference, tmp_path, workers, pooled
+        self, contract_reference, tmp_path, workers, executor
     ):
         reference_root, reference, reference_results = contract_reference
         matrix = contract_matrix()
-        pool = WarmPool(workers) if pooled else None
+        shared = ProcessPoolExecutor(workers) \
+            if executor == "caller-owned" else None
         try:
             report, results = run_everything_on(
-                matrix, tmp_path, workers, pool
+                matrix, tmp_path, workers, shared
             )
             # Artifact runs keep the cache write-through; a plain re-run
             # over the same directory is then served entirely from it.
             warm, _ = run_matrix_parallel(
-                matrix, workers=workers, pool=pool,
+                matrix, workers=workers, executor=shared,
                 cache_dir=tmp_path / "cache",
             )
         finally:
-            if pool is not None:
-                pool.close()
+            if shared is not None:
+                shared.shutdown()
         assert report.digest() == warm.digest() == reference.digest()
         assert report.cache_stats["stored"] == len(report)
         assert report.cache_stats["hits"] == 0
@@ -334,7 +336,7 @@ class TestExecutionInvarianceContract:
         for shard, spool in zip(plan.shards, spools):
             assert [position for position, _ in load_spool(spool)] == \
                 [indexed.position for indexed in shard.cells]
-        in_process = workers == 1 and not pooled
+        in_process = workers == 1
         assert list(report.profile) == (
             ["sequential"] if in_process
             else ["parent"] + [f"shard-{i}" for i in range(workers)]
@@ -615,3 +617,48 @@ class TestTelemetryIsPassedDown:
         # The driver owns the tracer and reads the clock: it imports both.
         driver = self.SRC / "workload" / "driver.py"
         assert set(self.FORBIDDEN) <= {name for _, name in self.imported(driver)}
+
+
+
+class TestWorkersHoldNoState:
+    """A worker keeps nothing between tasks, pinned at the AST: no
+    ``repro.exec`` module binds a mutable container at module level or
+    says ``global``, so no cross-task store can come back unmeasured."""
+
+    EXEC = Path(repro.__file__).parent / "exec"
+    LITERALS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                ast.SetComp)
+    BUILDERS = {"dict", "list", "set", "bytearray", "defaultdict",
+                "OrderedDict", "Counter", "deque", "WeakValueDictionary"}
+
+    @classmethod
+    def offenders(cls, source: str) -> list:
+        tree = ast.parse(source)
+        found = [f"{node.lineno}: global" for node in ast.walk(tree)
+                 if isinstance(node, ast.Global)]
+        for node in tree.body:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            value = getattr(node, "value", None)
+            func = getattr(value, "func", None)
+            if [getattr(target, "id", None) for target in targets] != \
+                    ["__all__"] and (isinstance(value, cls.LITERALS) or (
+                        cls.BUILDERS & {getattr(func, "id", None),
+                                        getattr(func, "attr", None)})):
+                found.append(f"{node.lineno}: mutable")
+        return found
+
+    @pytest.mark.parametrize(
+        "module", sorted(path.name for path in EXEC.glob("*.py"))
+    )
+    def test_no_module_level_state(self, module):
+        source = (self.EXEC / module).read_text(encoding="utf-8")
+        assert self.offenders(source) == []
+
+    def test_the_check_sees_a_worker_store(self):
+        source = (
+            "__all__ = ['run']\nNAMES = ('a', 'b')\nSTORE: dict = {}\n"
+            "SEEN = collections.defaultdict(int)\n"
+            "def run():\n    global GENERATION\n    local = {}\n"
+        )
+        assert self.offenders(source) == \
+            ["6: global", "3: mutable", "4: mutable"]

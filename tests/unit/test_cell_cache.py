@@ -9,7 +9,9 @@ lives in ``tests/integration/test_incremental_matrix.py``.
 """
 
 import dataclasses
+import errno
 import json
+from unittest import mock
 
 import pytest
 
@@ -263,6 +265,20 @@ class TestCellCache:
         cache.store(first_key(cell()), result())
         leftovers = [p for p in tmp_path.rglob("*") if p.suffix == ".tmp"]
         assert leftovers == []
+
+    def test_a_failed_write_removes_its_temp_file(self, tmp_path, monkeypatch):
+        import repro.exec.cache as cache_module
+
+        disk_full = mock.Mock(side_effect=OSError(errno.ENOSPC, "disk full"))
+        monkeypatch.setattr(cache_module.json, "dump", disk_full)
+        cache, key = CellCache(tmp_path), first_key(cell())
+        with pytest.raises(OSError) as raised:
+            cache.store(key, result())
+        assert raised.value.errno == errno.ENOSPC
+        assert list(tmp_path.rglob("*.tmp")) == []
+        monkeypatch.undo()
+        assert cache.load(key) is None
+        assert cache.stats()["misses"] == 1 and cache.stats()["stored"] == 0
 
     def test_last_write_wins_on_rewrite(self, tmp_path):
         cache = CellCache(tmp_path)

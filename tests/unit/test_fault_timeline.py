@@ -253,10 +253,6 @@ class TestFaultsOnANetwork:
         network.reset_for_reuse()
         assert up_nodes(network) == network.node_ids()
         assert not network.postings.holders(port)
-        network.crash_node((1, 2))
-        network.reset_to_cold()
-        assert network.node_is_up((1, 2))
-        assert network.max_cache_size() == 0
 
 
 class TestFaultPlanClear:
