@@ -2,14 +2,13 @@
 
 This subpackage implements everything the paper assumes of the underlying
 network: an undirected communication graph, per-node routing tables, the
-nodes' posting caches (one store, keyed by node and by port), spanning-tree
-broadcast, message-pass (hop) accounting, a logical clock, and fault
-injection.
+nodes' posting caches (one store, keyed by node and by port), one delivery
+planner that prices every fan-out (ideal, unicast and spanning-tree
+multicast), message-pass (hop) accounting, and fault injection.
 """
 
-from .broadcast import DeliveryOutcome, flood, multicast, unicast
 from .cache import PostingStore
-from .delivery import DeliveryPlanner, plan_hit_rates
+from .delivery import DeliveryOutcome, DeliveryPlanner, plan_hit_rates
 from .faults import (
     FaultEvent,
     FaultPlan,
@@ -18,7 +17,6 @@ from .faults import (
     crash_recover_waves,
     link_flaps,
     region_partition,
-    surviving_graph,
 )
 from .graph import Graph, complete_graph
 from .relay import (
@@ -57,13 +55,9 @@ __all__ = [
     "correlated_failures",
     "crash_recover_waves",
     "direct_route",
-    "flood",
     "link_flaps",
     "measure_load",
-    "multicast",
     "plan_hit_rates",
     "region_partition",
-    "surviving_graph",
     "two_phase_route",
-    "unicast",
 ]

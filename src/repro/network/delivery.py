@@ -1,27 +1,37 @@
-"""Fault-aware delivery planning.
+"""Fault-aware delivery planning: the one pricer of every fan-out.
 
-The paper's whole argument is about counting message passes, so the
-simulator must not spend :math:`O(n^2)` *Python* work to account for a
-single message.  Historically it did exactly that under faults: every
-``unicast`` call rebuilt a :class:`~repro.network.routing.RoutingTable`
-over the surviving subgraph, and every ``multicast`` re-ran a BFS to get
-its spanning tree.  :class:`DeliveryPlanner` centralises all of that
-routing work and keys it on the :class:`~repro.network.faults.FaultPlan`
-revision counter, so the cost of planning is paid once per *fault
-revision*, not once per *message*:
+The paper prices a match-making message by its delivery mode, and
+:class:`DeliveryPlanner` is the only code that does:
+
+``ideal``
+    every addressed live node but the source costs one hop (the complete
+    network of section 2, whatever the topology underneath);
+``unicast``
+    one point-to-point message per destination along a shortest surviving
+    path: the sum of the source row's distances;
+``multicast``
+    one copy flows down the source's BFS tree, duplicated at branch
+    points: the number of distinct tree edges used — ``m(i,j) = #P(i) +
+    #Q(j)`` when the addressed set is a connected subgraph (section 2.3.5).
+
+Every price is read from the planner's revision table: the network's static
+:class:`~repro.network.routing.RoutingTable`, or under faults its
+:meth:`~repro.network.routing.RoutingTable.masked` view, made once per
+:class:`~repro.network.faults.FaultPlan` revision, so the cost of planning
+is paid once per *fault revision*, not once per *message*:
 
 ``routing_table()``
-    the single shared :class:`RoutingTable` over the surviving subgraph
-    (the fault-free table when no faults are active; under faults a mask
-    over it, :meth:`~repro.network.routing.RoutingTable.masked`);
+    that shared table (the static one when no faults are active);
 ``spanning_tree(source)``
     the BFS tree used by multicast, one per ``(source, revision)``: that
     table's row for ``source``;
+``price(source, destinations, mode)``
+    the :class:`DeliveryOutcome` of one fan-out, unmemoized: a destination
+    listed twice is charged twice;
 ``plan(source, targets, mode)``
-    a fully memoized :class:`~repro.network.broadcast.DeliveryOutcome`
-    per ``(source, frozenset(targets), mode, revision)``.  Because the
-    match-maker's P/Q sets are themselves memoized frozensets, a
-    steady-state workload hits this cache with O(1) dict lookups per
+    ``price`` memoized per ``(source, frozenset(targets), mode, revision)``.
+    Because the match-maker's P/Q sets are themselves memoized frozensets,
+    a steady-state workload hits this cache with O(1) dict lookups per
     post/query — no graph traversal at all.
 
 Cache effectiveness is observable: every hit/miss is recorded as a plan
@@ -32,10 +42,10 @@ event on the owning network's :class:`~repro.network.stats.MessageStats`
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Hashable, Iterable, Tuple
 
 from ..core.exceptions import UnknownNodeError
-from .broadcast import DeliveryOutcome, multicast, unicast
 from .faults import FaultPlan
 from .graph import Graph
 from .routing import RoutingTable
@@ -57,6 +67,15 @@ PLAN_EVENT_FAMILIES = {
 }
 
 
+@dataclass(frozen=True)
+class DeliveryOutcome:
+    """Result of delivering a message from one node to a set of targets."""
+
+    reached: FrozenSet[Hashable]
+    hops: int
+    unreachable: FrozenSet[Hashable]
+
+
 def plan_hit_rates(events: Dict[str, int]) -> Dict[str, float]:
     """Per-cache-family hit rates from a plan-event counter dict.
 
@@ -73,7 +92,8 @@ def plan_hit_rates(events: Dict[str, int]) -> Dict[str, float]:
 
 
 class DeliveryPlanner:
-    """Single source of routing truth for a :class:`~repro.network.Network`.
+    """Single source of routing truth for a :class:`~repro.network.Network`,
+    and the only code that prices a fan-out.
 
     Parameters
     ----------
@@ -95,7 +115,7 @@ class DeliveryPlanner:
         faults: FaultPlan,
         stats: MessageStats,
     ) -> None:
-        self._graph = graph
+        self._nodes = graph.node_set
         self._routing = routing
         self._faults = faults
         self._stats = stats
@@ -180,7 +200,7 @@ class DeliveryPlanner:
             self._stats.record_plan_event(TREE_HIT)
         return tree
 
-    # -- full delivery plans -------------------------------------------------
+    # -- pricing --------------------------------------------------------------
 
     def plan(
         self,
@@ -188,14 +208,11 @@ class DeliveryPlanner:
         targets: FrozenSet[Hashable],
         mode: str,
     ) -> DeliveryOutcome:
-        """The delivery outcome for ``source -> targets`` under ``mode``.
+        """:meth:`price` of ``source -> targets`` under ``mode``, memoized.
 
         The returned :class:`DeliveryOutcome` is immutable and shared
-        between calls; callers must not assume a fresh object.  The
-        caller is responsible for having verified that ``source`` is up.
-        A target outside the graph is an addressing error in every mode,
-        not packet loss: it raises :class:`UnknownNodeError` when the plan
-        is first made (a hit was checked when it was a miss).
+        between calls; callers must not assume a fresh object.  A hit was
+        checked when it was a miss.
         """
         if self._faults.revision != self._revision:
             self.clear_caches()
@@ -205,56 +222,75 @@ class DeliveryPlanner:
             self._stats.record_plan_event(PLAN_HIT)
             return cached
         self._stats.record_plan_event(PLAN_MISS)
-        for destination in targets:
-            if destination not in self._graph:
-                raise UnknownNodeError(destination)
-        if mode == "ideal":
-            outcome = self._plan_ideal(source, targets)
-        elif mode == "unicast":
-            outcome = self._plan_unicast(source, targets)
-        elif mode == "multicast":
-            outcome = self._plan_multicast(source, targets)
-        else:
-            raise ValueError(f"unknown delivery mode {mode!r}")
-        self._plans[key] = outcome
+        outcome = self._plans[key] = self.price(source, targets, mode)
         return outcome
 
-    def _plan_ideal(
-        self, source: Hashable, targets: FrozenSet[Hashable]
+    def price(
+        self,
+        source: Hashable,
+        destinations: Iterable[Hashable],
+        mode: str,
     ) -> DeliveryOutcome:
+        """What delivering ``source -> destinations`` under ``mode`` reaches
+        and costs now, every occurrence of a destination charged.
+
+        A node outside the graph — source or destination — is an
+        addressing error in every mode, not packet loss: it raises
+        :class:`UnknownNodeError`.  The caller is responsible for having
+        verified that ``source`` is up; a crashed source reaches nothing.
+        """
+        # Targets are checked before the tree or table is asked for and the
+        # source after, so an error records the plan events it always has.
+        nodes = self._nodes
+        for destination in destinations:
+            if destination not in nodes:
+                raise UnknownNodeError(destination)
+        if mode == "multicast":
+            tree = self.spanning_tree(source)
+        elif mode == "unicast":
+            table = self.routing_table()
+        elif mode != "ideal":
+            raise ValueError(f"unknown delivery mode {mode!r}")
+        if source not in nodes:
+            raise UnknownNodeError(source)
         crashed = self._faults.crashed_nodes
+        if source in crashed:
+            return DeliveryOutcome(
+                frozenset(), 0, frozenset(destinations) - {source}
+            )
         reached = set()
         unreachable = set()
         hops = 0
-        for destination in targets:
-            if destination == source:
+        if mode == "ideal":
+            for destination in destinations:
+                if destination in crashed:
+                    unreachable.add(destination)
+                else:
+                    reached.add(destination)
+                    hops += destination != source
+        elif mode == "unicast":
+            # The source's one row prices every destination: in it iff
+            # routable.
+            distances = table.distance_map(source)
+            for destination in destinations:
+                distance = distances.get(destination)
+                if distance is None:
+                    unreachable.add(destination)
+                else:
+                    hops += distance
+                    reached.add(destination)
+        else:
+            # A tree edge is named by its child end; a walk up stops at the
+            # first edge already paid for.
+            paid = set()
+            for destination in destinations:
+                if destination not in tree:
+                    unreachable.add(destination)
+                    continue
                 reached.add(destination)
-            elif destination not in crashed:
-                reached.add(destination)
-                hops += 1
-            else:
-                unreachable.add(destination)
+                node = destination
+                while node != source and node not in paid:
+                    paid.add(node)
+                    node = tree[node]
+            hops = len(paid)
         return DeliveryOutcome(frozenset(reached), hops, frozenset(unreachable))
-
-    def _plan_unicast(
-        self, source: Hashable, targets: FrozenSet[Hashable]
-    ) -> DeliveryOutcome:
-        return unicast(
-            self._graph,
-            self._routing,
-            source,
-            targets,
-            self._faults,
-            surviving_table=self.routing_table(),
-        )
-
-    def _plan_multicast(
-        self, source: Hashable, targets: FrozenSet[Hashable]
-    ) -> DeliveryOutcome:
-        return multicast(
-            self._graph,
-            source,
-            targets,
-            self._faults if self._faults.fault_count else None,
-            parent=self.spanning_tree(source),
-        )

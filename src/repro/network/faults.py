@@ -1,11 +1,12 @@
-"""Fault injection: node crashes, link failures and surviving subnetworks.
+"""Fault injection: node crashes and link failures.
 
 Section 2.4 of the paper discusses robustness: a distributed name server
 should keep matching surviving clients with surviving servers "no matter how
 many node crashes occur, as long as a surviving network remains".  The
 :class:`FaultPlan` describes which nodes/links fail; the delivery planner
-masks its static routing table with it, and :func:`surviving_graph` copies
-the surviving subnetwork for analysis code and as the mask's reference.
+masks its static routing table with it
+(:meth:`~repro.network.routing.RoutingTable.masked`), so no surviving
+subnetwork is ever copied.
 
 A static fault *set* only captures one instant.  :class:`FaultTimeline`
 extends the model to time: an ordered program of :class:`FaultEvent`\\ s
@@ -39,8 +40,8 @@ from .graph import Graph
 class FaultPlan:
     """A set of crashed nodes and failed links.
 
-    ``revision`` increments on every mutation, so consumers (e.g. the
-    simulator's surviving-routing cache) can cheaply detect change.
+    ``revision`` increments on every mutation, so consumers (the delivery
+    planner's revision table and caches) can cheaply detect change.
     """
 
     crashed_nodes: Set[Hashable] = field(default_factory=set)
@@ -67,23 +68,6 @@ class FaultPlan:
         self.failed_links.discard(frozenset((u, v)))
         self.revision += 1
 
-    def node_is_up(self, node: Hashable) -> bool:
-        """Whether ``node`` is up under this plan."""
-        return node not in self.crashed_nodes
-
-    def link_is_up(self, u: Hashable, v: Hashable) -> bool:
-        """Whether the link ``{u, v}`` is usable under this plan."""
-        return (
-            frozenset((u, v)) not in self.failed_links
-            and self.node_is_up(u)
-            and self.node_is_up(v)
-        )
-
-    @property
-    def fault_count(self) -> int:
-        """Total number of faults (crashed nodes plus failed links)."""
-        return len(self.crashed_nodes) + len(self.failed_links)
-
     def clear(self) -> None:
         """Remove all faults.
 
@@ -96,16 +80,6 @@ class FaultPlan:
         self.crashed_nodes.clear()
         self.failed_links.clear()
         self.revision += 1
-
-
-def surviving_graph(graph: Graph, plan: FaultPlan) -> Graph:
-    """The subnetwork that survives ``plan``: up nodes and up links only."""
-    survivors = [node for node in graph.nodes if plan.node_is_up(node)]
-    surviving = Graph(nodes=survivors)
-    for u, v in graph.edges:
-        if plan.link_is_up(u, v):
-            surviving.add_edge(u, v)
-    return surviving
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +255,7 @@ def region_partition(
         raise ValueError("heal_at must be after at")
     nodes = sorted(graph.nodes, key=repr)
     root = seed_node if seed_node is not None else nodes[rng.randrange(len(nodes))]
-    region = set(graph.bfs_order(root)[:region_size])
+    region = set(list(graph.spanning_tree(root))[:region_size])
     events: List[FaultEvent] = []
     for u, v in sorted(graph.edges, key=repr):
         if (u in region) != (v in region):

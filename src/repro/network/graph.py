@@ -127,22 +127,6 @@ class Graph:
 
     # -- traversal / connectivity ------------------------------------------
 
-    def bfs_order(self, source: Hashable) -> List[Hashable]:
-        """Nodes reachable from ``source`` in breadth-first order."""
-        if source not in self._adjacency:
-            raise UnknownNodeError(source)
-        visited = {source}
-        order = [source]
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            for neighbour in sorted(self._adjacency[node], key=repr):
-                if neighbour not in visited:
-                    visited.add(neighbour)
-                    order.append(neighbour)
-                    queue.append(neighbour)
-        return order
-
     def connected_component(self, source: Hashable) -> FrozenSet[Hashable]:
         """All nodes in ``source``'s connected component (an unsorted walk)."""
         adjacency = self._adjacency

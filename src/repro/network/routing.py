@@ -68,7 +68,8 @@ class RoutingTable:
     def masked(self, crashed_nodes: AbstractSet[Hashable],
                failed_links: Iterable[FrozenSet[Hashable]]) -> "RoutingTable":
         """The table over what survives ``crashed_nodes`` and ``failed_links``
-        now, answering (and raising) as one over ``surviving_graph`` would."""
+        now, answering (and raising) as a table over a copy of the surviving
+        subnetwork would."""
         table = RoutingTable(self._graph)
         table._static = self
         crashed = table._crashed = self._crashed | frozenset(crashed_nodes)

@@ -8,17 +8,13 @@ address; the network delivers the messages and charges the hops.
 
 Delivery modes
 --------------
-``unicast``
-    each addressed node gets its own point-to-point message routed along a
-    shortest path (cost = sum of distances);
-``multicast``
-    one message flows down a BFS tree covering the addressed nodes
-    (cost = number of tree edges — the paper's spanning-tree broadcast);
-``ideal``
-    every addressed node costs exactly one hop, which models the complete
-    network of section 2 regardless of the underlying topology.  This mode is
-    what the lower-bound experiments use, because the paper's ``m(i,j) =
-    #P(i) + #Q(j)`` applies to complete networks.
+``unicast`` (sum of shortest-path distances), ``multicast`` (edges of a BFS
+tree — the paper's spanning-tree broadcast) and ``ideal`` (one hop per
+addressed node: the complete network of section 2, which the lower-bound
+experiments use because the paper's ``m(i,j) = #P(i) + #Q(j)`` applies to
+complete networks).  :class:`~repro.network.delivery.DeliveryPlanner`
+prices all three; :meth:`Network.broadcast` floods the surviving network
+along a spanning tree for ``(#reachable nodes) - 1`` hops.
 
 Locate is an intersection
 -------------------------
@@ -52,9 +48,8 @@ from typing import (
 
 from ..core.exceptions import NodeDownError, UnknownNodeError
 from ..core.types import Address, Port, PostRecord, freshest, freshness_key
-from .broadcast import DeliveryOutcome, flood
 from .cache import PostingStore
-from .delivery import DeliveryPlanner
+from .delivery import DeliveryOutcome, DeliveryPlanner
 from .faults import FaultPlan
 from .graph import Graph
 from .routing import RoutingTable
@@ -310,12 +305,13 @@ class Network:
             destinations = list(destinations)
             message_count = len(destinations)
             targets = frozenset(destinations)
-            if len(targets) == len(destinations):
+            # A repeated destination is charged per occurrence, exactly as
+            # per-message delivery would: plans dedup, so repeats are priced
+            # unmemoized — bar multicast, whose tree edges are a set anyway.
+            if len(targets) == message_count or mode == "multicast":
                 outcome = self._planner.plan(source, targets, mode)
             else:
-                # Duplicate destinations: charge each occurrence, exactly as
-                # per-message delivery would (plans dedup, so bypass them).
-                outcome = self._deliver_with_duplicates(source, destinations, mode)
+                outcome = self._planner.price(source, destinations, mode)
 
         if message_count == len(targets):
             delivered = len(outcome.reached)
@@ -339,53 +335,18 @@ class Network:
             )
         return outcome
 
-    def _deliver_with_duplicates(
-        self, source: Hashable, destinations: List[Hashable], mode: str
-    ) -> DeliveryOutcome:
-        """Per-occurrence delivery for destination lists with duplicates.
-
-        ``multicast`` has set semantics anyway; ``ideal`` and ``unicast``
-        charge every occurrence its own hops.  Routing still comes from the
-        planner's shared tables — nothing is rebuilt per message.
-        """
-        if mode == "multicast":
-            return self._planner.plan(source, frozenset(destinations), mode)
-        for destination in destinations:
-            if destination not in self._nodes:
-                raise UnknownNodeError(destination)
-        distances = (
-            self._planner.routing_table().distance_map(source)
-            if mode == "unicast"
-            else None
-        )
-        reached = set()
-        unreachable = set()
-        hops = 0
-        for destination in destinations:
-            if destination == source:
-                reached.add(destination)
-                continue
-            if mode == "ideal":
-                if destination not in self._faults.crashed_nodes:
-                    reached.add(destination)
-                    hops += 1
-                else:
-                    unreachable.add(destination)
-            else:
-                distance = distances.get(destination)
-                if distance is None:
-                    unreachable.add(destination)
-                else:
-                    hops += distance
-                    reached.add(destination)
-        return DeliveryOutcome(frozenset(reached), hops, frozenset(unreachable))
-
     def broadcast(self, source: Hashable, category: str) -> DeliveryOutcome:
-        """Flood the whole (surviving) network from ``source``."""
+        """Flood the whole (surviving) network from ``source`` along a
+        spanning tree: ``(#reachable nodes) - 1`` hops, the conventional
+        Ω(n) broadcast of section 1.4.  The reachable nodes are the keys of
+        ``source``'s row in the planner's table (a route event under
+        faults, as for a payload)."""
         if not self.node_is_up(source):
             raise NodeDownError(source)
-        faults = self._faults if self._faults.fault_count else None
-        outcome = flood(self._graph, source, faults)
+        reached = frozenset(self._planner.routing_table().distance_map(source))
+        outcome = DeliveryOutcome(
+            reached, len(reached) - 1, frozenset(self._nodes) - reached
+        )
         self._stats.record(category, outcome.hops, message_count=1)
         return outcome
 

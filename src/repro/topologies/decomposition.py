@@ -168,8 +168,8 @@ def decompose(graph: Graph, target_size: Optional[int] = None) -> GraphDecomposi
     blocks: List[List[Hashable]] = []
     residual: Dict[Hashable, List[Hashable]] = {}
 
-    # Post-order traversal (children before parents) via reversed BFS order.
-    for node in reversed(graph.bfs_order(root)):
+    # Post-order (children before parents): the tree's keys are in BFS order.
+    for node in reversed(parent):
         bag: List[Hashable] = [node]
         for child in children[node]:
             child_bag = residual.pop(child, [])

@@ -397,4 +397,4 @@ class TestWarmSweepCost:
         assert calls.get(spec_fingerprint.__code__) == 9
         assert checkerboard_grid.__code__ not in calls
         # Connectivity checks walk adjacency sets; nothing sorts them.
-        assert Graph.bfs_order.__code__ not in calls
+        assert Graph.spanning_tree.__code__ not in calls

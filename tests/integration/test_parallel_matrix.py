@@ -538,39 +538,24 @@ class TestOnePostingWriter:
 
 class TestOneRoutingStructure:
     """A fault revision is a mask over the network's static routing table,
-    pinned at the AST: nothing in ``src/repro/network/`` copies the graph
-    with ``surviving_graph(...)`` but ``faults.py`` (which defines it for
-    analysis and as the mask's reference) and the no-planner delivery
-    functions of ``broadcast.py`` (the reference the planner is compared
-    against)."""
+    pinned at the AST: no module under ``src/repro`` defines or calls a
+    ``surviving_graph`` that copies the graph — the copy is the reference
+    of ``tests/oracle/delivery.py`` only."""
 
-    SRC = Path(repro.__file__).parent / "network"
-    ALLOWED = {
-        "faults.py": None,  # anywhere
-        "broadcast.py": {"_effective_graph", "unicast"},
-    }
+    SRC = Path(repro.__file__).parent
 
     def test_only_the_references_copy_the_surviving_graph(self):
         offenders = []
         for path in sorted(self.SRC.rglob("*.py")):
             module = path.relative_to(self.SRC).as_posix()
-            allowed = self.ALLOWED.get(module, set())
-            if allowed is None:
-                continue
-            tree = ast.parse(path.read_text("utf-8"))
-            excused = {
-                id(node)
-                for function in ast.walk(tree)
-                if isinstance(function, ast.FunctionDef)
-                and function.name in allowed
-                for node in ast.walk(function)
-            }
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call) or id(node) in excused:
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                elif isinstance(node, ast.FunctionDef):
+                    name = node.name
+                else:
                     continue
-                func = node.func
-                if getattr(func, "id", getattr(func, "attr", None)) == \
-                        "surviving_graph":
+                if name == "surviving_graph":
                     offenders.append(f"{module}:{node.lineno}")
         assert offenders == []
 

@@ -53,7 +53,7 @@ class TestGraphProperties:
     @given(graph=random_connected_graph())
     @settings(max_examples=40, deadline=None)
     def test_bfs_reaches_every_node(self, graph):
-        assert set(graph.bfs_order(graph.nodes[0])) == set(graph.nodes)
+        assert set(graph.spanning_tree(graph.nodes[0])) == set(graph.nodes)
 
 
 class TestRoutingProperties:

@@ -1,17 +1,19 @@
-"""The fault-aware delivery planner.
+"""The fault-aware delivery planner: the one pricer of every fan-out.
 
 Covers the headline bugfix (unicast under faults no longer rebuilds a
 routing table per message), plan/tree memoization keyed on the fault-plan
-revision, parity with naive per-call routing across fault revisions, and
-the plan-event counters exposed through :class:`MessageStats`.
+revision, parity with the independent pricer of ``tests/oracle/delivery.py``
+across fault revisions, random graphs and destination lists with repeats,
+and the plan-event counters exposed through :class:`MessageStats`.
 """
 
 import random
 
 import pytest
 
+from oracle import delivery as oracle
+from repro.core.exceptions import UnknownNodeError
 from repro.core.types import Port
-from repro.network.broadcast import multicast, unicast
 from repro.network.delivery import (
     PLAN_HIT,
     PLAN_MISS,
@@ -22,16 +24,32 @@ from repro.network.delivery import (
     plan_hit_rates,
 )
 from repro.network.faults import LINK_DOWN, link_flaps
+from repro.network.graph import Graph
 from repro.network.routing import RoutingTable
 from repro.network.simulator import Network
-from repro.network.stats import POST
+from repro.network.stats import POST, QUERY
+from repro.strategies import ManhattanStrategy
 from repro.topologies import ManhattanTopology
+
+MODES = ("ideal", "unicast", "multicast")
 
 
 @pytest.fixture
 def grid_network():
     """A 5x5 Manhattan grid network (interesting multi-hop routes)."""
     return Network(ManhattanTopology.square(5).graph, delivery_mode="unicast")
+
+
+def _survivors(net):
+    """The oracle's surviving adjacency of ``net`` now, from plain data."""
+    return oracle.surviving(
+        net.graph.nodes, net.graph.edges,
+        net.faults.crashed_nodes, net.faults.failed_links,
+    )
+
+
+def _as_tuple(outcome):
+    return outcome.reached, outcome.hops, outcome.unreachable
 
 
 def _count_routing_table_builds(monkeypatch):
@@ -56,9 +74,8 @@ def _count_routing_table_builds(monkeypatch):
 
 
 class TestUnicastUnderFaults:
-    def test_parity_with_naive_per_call_routing(self, grid_network):
-        """Planner routes == naive per-call RoutingTable routes, across
-        several fault revisions."""
+    def test_parity_with_the_oracle_across_revisions(self, grid_network):
+        """Planner routes == the oracle's, across several fault revisions."""
         net = grid_network
         graph = net.graph
         sources = [(0, 0), (2, 2), (4, 1)]
@@ -75,30 +92,24 @@ class TestUnicastUnderFaults:
         ]
         for mutate in fault_scripts:
             mutate()
-            faults = net.faults if net.faults.fault_count else None
+            survivors = _survivors(net)
             for source in sources:
                 for targets in target_sets:
                     planned = net.planner.plan(source, targets, "unicast")
-                    # The naive path: a fresh RoutingTable per call (the
-                    # pre-planner behaviour).
-                    naive = unicast(
-                        graph, RoutingTable(graph), source, targets, faults
+                    assert _as_tuple(planned) == oracle.price(
+                        survivors, source, targets, "unicast"
                     )
-                    assert planned.reached == naive.reached
-                    assert planned.hops == naive.hops
-                    assert planned.unreachable == naive.unreachable
 
-    def test_multicast_parity_with_naive(self, grid_network):
+    def test_multicast_parity_with_the_oracle(self, grid_network):
         net = grid_network
         net.crash_node((1, 2))
-        faults = net.faults
+        survivors = _survivors(net)
         for source in [(0, 0), (4, 4)]:
             targets = frozenset({(0, 4), (4, 0), (2, 2)})
             planned = net.planner.plan(source, targets, "multicast")
-            naive = multicast(net.graph, source, targets, faults)
-            assert planned.reached == naive.reached
-            assert planned.hops == naive.hops
-            assert planned.unreachable == naive.unreachable
+            assert _as_tuple(planned) == oracle.price(
+                survivors, source, targets, "multicast"
+            )
 
     def test_routing_tables_built_per_revision_not_per_message(
         self, grid_network, monkeypatch
@@ -231,23 +242,30 @@ class TestDeliverSemanticsPreserved:
         assert rates["plan"] == 0.75  # 1 miss, 3 hits
         assert rates["tree"] == 0.0   # no multicast traffic at all
 
-    def test_shared_surviving_table_serves_unicast_prebuilt(self, grid_network):
-        """broadcast.unicast honours a prebuilt surviving table."""
+    @pytest.mark.parametrize("mode", MODES)
+    def test_an_unknown_source_raises_in_every_mode(self, grid_network, mode):
+        targets = frozenset({(0, 1), (2, 2), (4, 4)})
+        with pytest.raises(UnknownNodeError) as caught:
+            grid_network.planner.plan("nowhere", targets, mode)
+        assert caught.value.args == UnknownNodeError("nowhere").args
+        assert grid_network.planner._plans == {}
+
+    def test_duplicates_record_the_plan_events_of_their_mode(self, grid_network):
+        """A list with repeats is priced unmemoized in ``ideal`` and
+        ``unicast`` (no plan event; under faults one route event for the
+        unicast row) and planned as a set in ``multicast``."""
         net = grid_network
-        net.crash_node((2, 2))
-        shared = net.planner.routing_table()
-        via_shared = unicast(
-            net.graph,
-            net.routing,
-            (0, 0),
-            frozenset({(4, 4)}),
-            net.faults,
-            surviving_table=shared,
-        )
-        via_rebuild = unicast(
-            net.graph, net.routing, (0, 0), frozenset({(4, 4)}), net.faults
-        )
-        assert via_shared == via_rebuild
+        net.fail_link((2, 2), (2, 3))
+        repeated = [(4, 4), (0, 4), (4, 4)]
+        expected = {
+            "ideal": {},
+            "unicast": {ROUTE_MISS: 1},
+            "multicast": {PLAN_MISS: 1, TREE_MISS: 1},
+        }
+        for mode, events in expected.items():
+            net.stats.reset()
+            net.deliver((0, 0), repeated, POST, mode=mode)
+            assert net.stats.plan_events == events, mode
 
 
 class TestInvalidationAcrossFaultTimelines:
@@ -408,3 +426,132 @@ def test_message_stats_families_pinned_for_a_short_script():
     assert stats.plan_events == {
         "plan_miss": 3, "route_miss": 2, "route_hit": 4,
     }
+
+
+def _random_faulted_network(rng):
+    """A random graph on up to 14 nodes (self-loops, repeats and several
+    components included) with random crashed nodes and failed links."""
+    nodes = list(range(rng.randint(1, 14)))
+    edges = [
+        (rng.choice(nodes), rng.choice(nodes))
+        for _ in range(rng.randint(0, 3 * len(nodes)))
+    ]
+    net = Network(Graph(nodes=nodes, edges=edges), delivery_mode="ideal")
+    for node in rng.sample(nodes, rng.randint(0, len(nodes) // 3)):
+        net.crash_node(node)
+    links = sorted(net.graph.edges, key=repr)
+    for u, v in rng.sample(links, rng.randint(0, len(links) // 3)):
+        net.fail_link(u, v)
+    return net
+
+
+def _ledger_delta(stats, before, category):
+    delta = stats.diff(before)
+    return {
+        family: getattr(delta, family).get(category, 0)
+        for family in ("hops", "messages", "delivered", "dropped")
+    }
+
+
+class TestAgainstTheOracle:
+    """Every delivery mode, priced by the planner through ``Network``,
+    against the oracle's literal definitions over plain graph data."""
+
+    def test_deliver_and_its_ledger_equal_the_oracle_on_random_networks(self):
+        rng = random.Random(35)
+        for trial in range(300):
+            net = _random_faulted_network(rng)
+            survivors = _survivors(net)
+            nodes = net.graph.nodes
+            live = [node for node in nodes if net.node_is_up(node)]
+            for mode in MODES:
+                source = rng.choice(live) if live else None
+                if source is None:
+                    continue
+                repeated = [
+                    rng.choice(nodes) for _ in range(rng.randint(0, 2 * len(nodes)))
+                ]
+                for destinations in (repeated, frozenset(repeated)):
+                    expected = oracle.price(survivors, source, destinations, mode)
+                    before = net.stats.snapshot()
+                    outcome = net.deliver(source, destinations, POST, mode=mode)
+                    assert _as_tuple(outcome) == expected, (trial, mode)
+                    assert _ledger_delta(net.stats, before, POST) == \
+                        oracle.ledger(destinations, expected), (trial, mode)
+                    load = net.stats.diff(before).node_load
+                    assert {n for n, c in load.items() if c} == expected[0]
+            if live:
+                source = rng.choice(live)
+                expected = oracle.flood(nodes, survivors, source)
+                before = net.stats.snapshot()
+                assert _as_tuple(net.broadcast(source, QUERY)) == expected, trial
+                delta = _ledger_delta(net.stats, before, QUERY)
+                assert (delta["hops"], delta["messages"]) == (expected[1], 1)
+
+    def test_repeats_are_charged_per_occurrence(self, grid_network):
+        net = grid_network
+        net.crash_node((2, 2))
+        repeated = [(4, 4), (4, 4), (2, 2), (2, 2), (0, 1)]
+        for mode, hops in (("ideal", 3), ("unicast", 8 + 8 + 1), ("multicast", 8)):
+            outcome = net.deliver((0, 0), repeated, POST, mode=mode)
+            assert outcome.hops == hops, mode
+            assert outcome.unreachable == {(2, 2)}
+        assert net.stats.messages[POST] == 15
+        assert net.stats.dropped[POST] == 6
+
+    def test_a_crashed_ideal_target_is_not_reached(self, grid_network):
+        net = grid_network
+        net.crash_node((3, 3))
+        outcome = net.deliver((0, 0), frozenset({(3, 3), (1, 1)}), POST, "ideal")
+        assert _as_tuple(outcome) == (frozenset({(1, 1)}), 1, frozenset({(3, 3)}))
+
+    def test_multicast_pays_each_shared_tree_edge_once(self):
+        """Down a line every target shares the path of the farthest one:
+        multicast pays its length, unicast the sum."""
+        net = Network(Graph(edges=[(i, i + 1) for i in range(4)]), "multicast")
+        assert net.deliver(0, frozenset({1, 2, 3, 4}), POST).hops == 4
+        assert net.deliver(0, frozenset({1, 2, 3, 4}), POST, "unicast").hops == 10
+
+    def test_a_flood_costs_one_hop_less_than_it_reaches(self, grid_network):
+        net = grid_network
+        net.crash_node((0, 1))
+        net.crash_node((1, 0))  # (0, 0) is cut off from the rest
+        outcome = net.broadcast((2, 2), QUERY)
+        assert len(outcome.reached) == 22 and outcome.hops == 21
+        assert outcome.unreachable == {(0, 1), (1, 0), (0, 0)}
+        assert net.broadcast((0, 0), QUERY).hops == 0
+        assert net.stats.hops[QUERY] == 21
+
+
+def test_a_thousand_message_faulted_stream_matches_the_oracle():
+    """A matchmaker-shaped unicast stream on ``manhattan:8`` with two nodes
+    crashed: 8 servers post their P sets, clients query their Q sets.  The
+    planner charges every message what the oracle does, serves the stream
+    from its caches and builds one surviving table for the revision."""
+    topology = ManhattanTopology.square(8)
+    strategy = ManhattanStrategy(topology)
+    nodes = sorted(topology.nodes())
+    rng = random.Random(16)
+    servers = rng.sample(nodes, 8)
+    network = Network(topology.graph, delivery_mode="unicast")
+    for node in ((3, 3), (6, 1)):
+        network.crash_node(node)
+    survivors = _survivors(network)
+    planned = expected = messages = 0
+    for i in range(1_000):
+        if i % 8 == 0:
+            source = servers[(i // 8) % len(servers)]
+            targets = strategy.post_set(source)
+        else:
+            source = nodes[rng.randrange(len(nodes))]
+            targets = strategy.query_set(source)
+        if not network.node_is_up(source):
+            continue
+        messages += 1
+        planned += network.deliver(source, targets, POST).hops
+        expected += oracle.price(survivors, source, targets, "unicast")[1]
+    assert messages >= 900
+    assert planned == expected
+    events = network.stats.plan_events
+    assert events[PLAN_HIT] > 10 * events[PLAN_MISS]
+    assert events.get(ROUTE_MISS, 0) <= 1

@@ -93,6 +93,7 @@ class TestConnectivity:
             graph.require_connected()
 
     def test_component_is_the_set_bfs_order_reaches(self):
+        # The BFS order is the spanning tree's keys.
         rng = random.Random(61)
         for trial in range(200):
             nodes = list(range(rng.randint(1, 14)))
@@ -103,9 +104,9 @@ class TestConnectivity:
             graph = Graph(nodes=nodes, edges=edges)
             for node in nodes:
                 assert graph.connected_component(node) == \
-                    frozenset(graph.bfs_order(node)), trial
+                    frozenset(graph.spanning_tree(node)), trial
             assert graph.is_connected() == \
-                (len(graph.bfs_order(nodes[0])) == len(nodes)), trial
+                (len(graph.spanning_tree(nodes[0])) == len(nodes)), trial
 
     def test_component_of_an_unknown_node(self):
         with pytest.raises(UnknownNodeError):
@@ -117,13 +118,12 @@ class TestConnectivity:
         assert sorted(sorted(c) for c in components) == [[1, 2], [3, 4]]
 
     def test_bfs_order_starts_at_source(self, path_graph):
-        order = path_graph.bfs_order(3)
-        assert order[0] == 3
-        assert set(order) == set(range(6))
+        order = list(path_graph.spanning_tree(3))
+        assert order == [3, 2, 4, 1, 5, 0]
 
     def test_bfs_unknown_source_raises(self):
         with pytest.raises(UnknownNodeError):
-            Graph(nodes=[1]).bfs_order(2)
+            Graph(nodes=[1]).spanning_tree(2)
 
     def test_distances_path(self, path_graph):
         assert distances(path_graph, 0) == {i: i for i in range(6)}

@@ -222,7 +222,7 @@ class TestSharedNetworks:
         assert network.next_timestamp() == 2
         network.reset_for_reuse()
         assert network.node_is_up((1, 1))
-        assert network.faults.fault_count == 0
+        assert not network.faults.crashed_nodes and not network.faults.failed_links
         assert network.stats.messages == {}
         assert network.stats.plan_events == {}
         assert network.next_timestamp() == 1

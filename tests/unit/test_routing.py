@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from oracle.delivery import surviving
 from repro.core.exceptions import NoRouteError, UnknownNodeError
-from repro.network.faults import FaultPlan, surviving_graph
+from repro.network.faults import FaultPlan
 from repro.network.graph import Graph, complete_graph
 from repro.network.routing import RoutingTable
 from repro.network.simulator import Network
@@ -113,6 +114,18 @@ class TestReversePathBeam:
         assert beam_a == beam_b
 
 
+def _surviving_graph(graph, plan):
+    """What survives ``plan`` by the oracle's reading of plain graph data,
+    as a :class:`Graph` (nodes in ``graph`` order)."""
+    adjacency = surviving(
+        graph.nodes, graph.edges, plan.crashed_nodes, plan.failed_links
+    )
+    return Graph(
+        nodes=adjacency,
+        edges=[(u, v) for u, near in adjacency.items() for v in near],
+    )
+
+
 def _reference_tables(graph, source):
     """Breadth-first search that sorts a node's neighbours at every visit —
     what ``RoutingTable._build`` did before it kept the order per node."""
@@ -169,7 +182,7 @@ class TestOnceSortedNeighbours:
             plan.crash_node(node)
         for u, v in rng.sample(sorted(graph.edges, key=repr), 6):
             plan.fail_link(u, v)
-        survivors = surviving_graph(graph, plan)
+        survivors = _surviving_graph(graph, plan)
         _assert_tables_match_reference(RoutingTable(survivors), survivors)
 
 
@@ -183,7 +196,7 @@ def _partitioned_graph():
         plan.fail_link((row, 1), (row, 2))
     plan.fail_link((0, 0), (0, 1))
     plan.fail_link((0, 0), (1, 0))
-    return surviving_graph(graph, plan)
+    return _surviving_graph(graph, plan)
 
 
 def _answer(table, source, destination):
@@ -260,7 +273,7 @@ def _fault_plans(graph, seed):
         for u, v in rng.sample(edges, cuts):
             plan.fail_link(u, v)
         plans.append(plan)
-    region = set(graph.bfs_order(rng.choice(nodes))[: len(nodes) // 3])
+    region = set(list(graph.spanning_tree(rng.choice(nodes)))[: len(nodes) // 3])
     partition = FaultPlan()
     for u, v in edges:
         if (u in region) != (v in region):
@@ -282,7 +295,7 @@ class TestSurvivingMask:
     """The planner's surviving table is a mask over the static table, not
     a table over a copied graph.  Every answer — rows in insertion order,
     next hops, paths, distances, errors and multicast trees — must be the
-    one a table over ``surviving_graph`` gives, and the rows must be the
+    one a table over the oracle's surviving graph gives, and the rows must be the
     surviving graph's own BFS trees."""
 
     TOPOLOGIES = (
@@ -300,7 +313,7 @@ class TestSurvivingMask:
             for u, v in plan.failed_links:
                 net.fail_link(u, v)
             masked = net.planner.routing_table()
-            survivors = surviving_graph(graph, plan)
+            survivors = _surviving_graph(graph, plan)
             reference = RoutingTable(survivors)
             ends = list(graph.nodes) + ["nowhere"]
             for source in ends:
@@ -336,7 +349,7 @@ class TestSurvivingMask:
         table = RoutingTable(graph).masked(
             partition.crashed_nodes, partition.failed_links
         )
-        survivors = surviving_graph(graph, partition)
+        survivors = _surviving_graph(graph, partition)
         assert not survivors.is_connected()
         cut = [
             (a, b) for a in survivors for b in survivors
