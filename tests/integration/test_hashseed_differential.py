@@ -10,8 +10,8 @@ identical everywhere — for a small healthy run, for a
 ``faulted_churn``-shaped unicast run over string-bearing node ids, where a
 locate's responders come out of a set intersection, and for the order of
 a ``collect_all`` query's records on ``hypercube:5``, whose node ids are
-strings.  The pinned constants additionally freeze today's digests so
-*any* future nondeterminism — not just cross-seed drift — fails loudly.
+strings.  The golden entry ``hashseed`` in ``tests/golden/parity.json``
+additionally freezes today's digests so *any* future nondeterminism — not just cross-seed drift — fails loudly.
 """
 
 import json
@@ -21,21 +21,14 @@ import sys
 from pathlib import Path
 
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "parity.json"
 
-#: Computed once from the seeded workload below; these only move when the
-#: simulator's observable behavior genuinely changes, which must be a
-#: deliberate, reviewed event.
-PINNED_RESULT_DIGEST = (
-    "088282ecf69fc952afcb4bf48857f4bd7108001fe108db74c3be798d1fc6cfb3"
-)
-PINNED_TRACE_DIGEST = (
-    "a272ff32a7a7f884f9859ceb8a71e775bb79c5893c97a91c812b6f5fbc03c8b1"
-)
-PINNED_FAULTED_RESULT_DIGEST = (
-    "487f2521a17e942b96b2442267264403b15ad5b3aea7d6abf78e84fef0b95ae6"
-)
-PINNED_FAULTED_TRACE_DIGEST = (
-    "2f054ecfd2449d94b1dde24248f5d06037d82f0c4b50478176e1187b4a2a0d67"
+#: The outcome keys pinned in ``tests/golden/parity.json`` (entry
+#: ``hashseed``).  They only move when the simulator's observable behavior
+#: genuinely changes, which must be a deliberate, reviewed event.
+PINNED_KEYS = (
+    "result_digest", "trace_digest", "faulted_result_digest",
+    "faulted_trace_digest", "faulted_plan_cache", "collect_all",
 )
 
 WORKLOAD = """
@@ -122,11 +115,6 @@ class TestHashSeedDifferential:
 
     def test_digests_match_the_pinned_constants(self):
         outcome = run_under_seed("0")
-        assert outcome["result_digest"] == PINNED_RESULT_DIGEST
-        assert outcome["trace_digest"] == PINNED_TRACE_DIGEST
-        assert outcome["faulted_result_digest"] == PINNED_FAULTED_RESULT_DIGEST
-        assert outcome["faulted_trace_digest"] == PINNED_FAULTED_TRACE_DIGEST
-        assert outcome["faulted_plan_cache"] == {
-            "plan_hit": 102, "plan_miss": 60, "route_hit": 323, "route_miss": 4,
-        }
-        assert outcome["collect_all"] == ["server-0@00011", "server-1@10110"]
+        pinned = json.loads(GOLDEN.read_text())["hashseed"]
+        for key in PINNED_KEYS:
+            assert outcome[key] == pinned[key], key

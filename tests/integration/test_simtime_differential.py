@@ -3,8 +3,8 @@
 ``repro.simtime`` is opt-in.  With ``time_model=None`` (the default) the
 serialized spec, the result dict, the trace and the matrix report must be
 byte-for-byte what they were before the subsystem existed — the pinned
-digests below were captured on the pre-simtime tree and freeze that
-contract.  If any of them moves, the time model has leaked into untimed
+digests (``tests/golden/parity.json``) were captured on the pre-simtime
+tree and freeze that contract.  If any of them moves, the time model has leaked into untimed
 runs, which breaks every stored trace, cache entry and baseline in the
 wild.
 
@@ -14,7 +14,9 @@ run deterministic (same digest on rerun and on replay) and prices the
 the untimed run, only latency sections appear.
 """
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 from repro.simtime import LinkTiming, TimeModelSpec
 from repro.workload import (
@@ -31,17 +33,16 @@ from repro.workload import (
 )
 from repro.workload.trace import canonical_digest
 
-#: Captured on the tree as of PR 8, before repro.simtime existed.  These
-#: move only when the simulator's observable behavior deliberately changes.
-PINNED_RESULT_DIGEST = (
-    "8becb81119264fc8f13b42a183adf494ea520fd4263df3c5bb48e24716ae3c2b"
-)
-PINNED_TRACE_DIGEST = (
-    "b73f87a4f08147f5563fa788cefdde8c0c645cdefb2e9c50ff749f17afb42b79"
-)
-PINNED_REPORT_DIGEST = (
-    "bd78f238a9cd4c1ce43398e124bc7a3d380d8b9bda6a48d138f824a153424a3e"
-)
+#: The pinned digests, in ``tests/golden/parity.json``: ``simtime_untimed``
+#: was first captured on the pre-simtime tree, ``simtime_timed`` pins the
+#: timed path.  These move only when the simulator's observable behavior
+#: deliberately changes.
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "parity.json"
+
+
+def pinned(entry: str) -> dict:
+    """One golden entry, read when a test needs it."""
+    return json.loads(GOLDEN.read_text())[entry]
 
 
 def pinned_scenario() -> ScenarioSpec:
@@ -102,15 +103,14 @@ class TestUntimedBytesNeverMove:
 
     def test_untimed_result_and_trace_digests_are_pinned(self):
         result = run_scenario(pinned_scenario())
-        assert result.digest() == PINNED_RESULT_DIGEST
-        assert result.trace.digest() == PINNED_TRACE_DIGEST
+        assert result.digest() == pinned("simtime_untimed")["result_digest"]
+        assert result.trace.digest() == pinned("simtime_untimed")["trace_digest"]
 
     def test_untimed_planner_events_are_pinned(self):
         # WorkloadResult.digest() leaves plan_cache out, so the planner's
-        # hit/miss events of a scenario run are pinned here as literals.
-        assert run_scenario(pinned_scenario()).plan_cache == {
-            "plan_hit": 99, "plan_miss": 40, "route_hit": 435, "route_miss": 5,
-        }
+        # hit/miss events of a scenario run are pinned on their own.
+        assert run_scenario(pinned_scenario()).plan_cache == \
+            pinned("simtime_untimed")["plan_cache"]
 
     def test_untimed_summary_has_no_latency_sections(self):
         result = run_scenario(pinned_scenario())
@@ -120,7 +120,7 @@ class TestUntimedBytesNeverMove:
 
     def test_untimed_report_digest_is_pinned(self):
         report, _ = run_matrix(pinned_grid())
-        assert report.digest() == PINNED_REPORT_DIGEST
+        assert report.digest() == pinned("simtime_untimed")["report_digest"]
 
 
 class TestTimedRunsStayDeterministic:
@@ -159,28 +159,15 @@ class TestTimedRunsStayDeterministic:
         assert ScenarioSpec.from_dict(payload) == spec
 
 
-#: Captured on the tree as of PR 13, before the overlay's pricing loop was
-#: rewritten around flat event records.  Rerun/replay/worker parity only
-#: check the timed path against itself; these literals pin it against the
-#: closure-per-hop implementation, bucket for bucket.
-GOLDEN_RESULT_DIGEST = (
-    "199f230cdf0a6741c4e350fb543b5f55465016ef5db0e740dcd18973c56dbb62"
-)
-GOLDEN_EXEMPLARS_SHA256 = (
-    "082bbeacd23fb0b0dca414af720d49c184bc2aefb70f86557c5431ee953feb80"
-)
-GOLDEN_REGISTRY_SHA256 = (
-    "fae72693920005086d8490cd0fafb7a595c16fa9b1119062431d337d638abe8b"
-)
-GOLDEN_MESSAGE_TIMEOUTS = 513
-
-
 class TestTimedGoldenPins:
     """Every pricing branch ``timed_burst`` does not take, pinned by literal:
     multi-hop surviving paths (unicast, rerouted by two crash waves mid-run),
     a capacity-2 default link, a jitter-free slow link override, a
     zero-service node override, hundreds of queue-wait timeout drops,
-    all-dropped batches that end a request's pipeline, and an armed SLO."""
+    all-dropped batches that end a request's pipeline, and an armed SLO.
+    The entry ``simtime_timed`` was first captured before the overlay's
+    pricing loop was rewritten around flat event records: rerun, replay
+    and worker parity check the timed path only against itself."""
 
     MODEL = TimeModelSpec(
         default_link=LinkTiming(0.0005, 0.0002, capacity=2),
@@ -201,15 +188,16 @@ class TestTimedGoldenPins:
 
     def test_result_exemplars_and_registry_are_pinned(self):
         result = run_scenario(self._golden_spec())
-        assert result.metrics.message_timeouts == GOLDEN_MESSAGE_TIMEOUTS
-        assert result.digest() == GOLDEN_RESULT_DIGEST
-        assert canonical_digest(result.exemplars) == GOLDEN_EXEMPLARS_SHA256
+        golden = pinned("simtime_timed")
+        assert result.metrics.message_timeouts == golden["message_timeouts"]
+        assert result.digest() == golden["result_digest"]
+        assert canonical_digest(result.exemplars) == golden["exemplars_sha256"]
         # Every histogram bucket, every timeline window (the explicit
         # ``admitted: 0`` / ``dropped: 0`` keys included), critical_path_us
         # and link_busy_us.
         assert (
             canonical_digest(result.metrics.registry.to_dict())
-            == GOLDEN_REGISTRY_SHA256
+            == golden["registry_sha256"]
         )
 
     def test_the_scenario_takes_the_branches_it_claims(self):
