@@ -4,9 +4,9 @@ The synchronous simulator is the repo's source of truth — every digest,
 trace and differential test pins its results.  So the time model does not
 *replace* delivery; it rides on top.  :class:`TimedOverlay` registers as
 the network's message tap: while a REQUEST op executes, every delivery the
-op makes (query fan-out, replies, payload round trip) is captured as a
-*batch* of ``(source, destination)`` messages.  When the op completes, the
-overlay prices the batches:
+op makes (query fan-out, replies, payload round trip) reaches the tap as a
+*batch* of ``(source, destination)`` messages, and the tap prices it on
+the spot:
 
 1. batch ``k`` starts when batch ``k - 1`` finished (the synchronous
    execution already established the causal order: replies follow queries,
@@ -16,10 +16,11 @@ overlay prices the batches:
    hop one or two queue records — the link's
    :class:`~repro.simtime.queueing.FifoResource`, latency and jitter, then
    the far node's FIFO server and service time, both directions of a link
-   sharing one queue.  Pricing a hop is one loop body around one
-   ``acquire``: draw the seeded jitter, admit, mark.  Outside ``ideal``
-   delivery the programs live as long as the planner's routing table: a
-   different table object (a fault, a recovery) drops them all;
+   sharing one queue — and the labels of the marks they make.  Pricing a
+   hop is one loop body around one ``acquire``: draw the seeded jitter,
+   admit, mark.  Outside ``ideal`` delivery the programs live as long as
+   the planner's routing table: a different table object (a fault, a
+   recovery) drops them all;
 3. the event kernel orders only what has no order yet.  A batch's
    launches share one instant and fire in launch order, so they are
    priced directly, and a message's last hop writes its completion time;
@@ -29,12 +30,14 @@ overlay prices the batches:
    genuinely contends: a hot centralized node's queue grows while
    checkerboard traffic spreads — hop counts become p50/p99 latency.
 
-Request latency is the virtual time from the op's arrival to its last
-batch completion, recorded in integer microseconds.  Every instrument is a
-per-run tally kept by the code that does the work — queue stations count
-their visits, the overlay its requests — and reaches the metrics registry
-in **one flush per run**.  Everything is a pure function of (trace, model,
-seed): replaying a trace reproduces every histogram bucket exactly.
+Virtual time is integer nanoseconds, converted from seconds once per hop
+compiled and once per arrival; a microsecond figure is an endpoint's
+``(ns + 500) // 1000``, and request latency the completion's minus the
+arrival's.  Every instrument is a per-run tally kept by the code that does
+the work — queue stations count their visits, the overlay its requests —
+and reaches the metrics registry in **one flush per run**.  Everything is
+a pure function of (trace, model, seed): replaying a trace reproduces
+every histogram bucket exactly.
 
 Beyond the latency number, the overlay keeps each request's **causal
 timeline**: every priced message marks its launch and each service
@@ -48,10 +51,10 @@ consumers ride on it:
 
 * the **critical path**: per batch, the barrier-defining message (latest
   completion, earliest launch index on ties) is the one every later batch
-  actually waited for; its segment durations, blamed on
-  ``phase:kind:where`` contributor keys, sum *exactly* to the request's
-  latency and accumulate into the ``critical_path_us`` counter family —
-  mergeable across cells and workers like every other instrument;
+  actually waited for; its segments, blamed on ``phase:kind:where``
+  contributor keys, telescope *exactly* to the request's latency and
+  accumulate into the ``critical_path_us`` counter family — mergeable
+  across cells and workers like every other instrument;
 * **exemplars**: the slowest-``k`` requests per run keep their full
   timeline (seed-deterministic, excluded from result digests), exported
   as ``timeline`` records for ``python -m repro obs attribute``.
@@ -63,6 +66,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left
+from collections import defaultdict
 from itertools import zip_longest
 from math import inf
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
@@ -75,13 +79,11 @@ from .queueing import LATENCY_BUCKETS_US, FifoResource
 #: One captured message: (source, destination).
 _Message = Tuple[Hashable, Hashable]
 
-#: One queue visit: ``(resource, hold, jitter, labels)`` — the queue, its
-#: service seconds and maximum jitter, the ``kind:where`` labels of its
-#: wait and service segments (``where``: the link key or node repr).
-_Queue = Tuple[FifoResource, float, float, Tuple[str, str]]
-#: One hop ``u -> v``: the link's queue, then ``v``'s service queue unless
-#: its service time is zero.  A route program is a tuple of hops.
-_Hop = Tuple[_Queue, ...]
+#: One hop: per queue ``(resource, hold_ns, max_jitter_ns)``.
+_Hop = Tuple[Tuple[FifoResource, int, int], ...]
+#: A route program: its hops, the ``kind:where`` label of each mark after
+#: the launch (per queue: wait, then service) and its last hop's index.
+_Program = Tuple[Tuple[_Hop, ...], Tuple[str, ...], int]
 
 #: One message being priced: ``[pair, program, marks, completed]`` — the
 #: captured ``(source, destination)``, its route program, its launch and
@@ -90,10 +92,9 @@ _Hop = Tuple[_Queue, ...]
 _Priced = List[object]
 _PROGRAM, _MARKS, _COMPLETED = 1, 2, 3
 
-#: Microseconds per virtual second: latencies are recorded as
-#: ``round(seconds * _US)`` — histograms are integer-valued, and one
-#: microsecond of quantization is far below any modeled latency.
-_US = 1_000_000
+#: Nanoseconds per virtual second: a figure's ticks are ``int(seconds *
+#: _NS + 0.5)``, with no ``round`` call on the path a request takes.
+_NS = 1_000_000_000
 
 #: How many slowest requests keep their full timeline per run.
 SLOWEST_K = 8
@@ -105,7 +106,7 @@ class TimedOverlay:
     ``metrics`` must have had ``enable_timing()`` called; :meth:`finalize`
     writes the run's latency, queue-wait, queue-depth, timeout, link-busy,
     timeline and critical-path tallies into it.  Attach with
-    ``network.attach_tap(overlay)``; the driver begins/finishes a capture
+    ``network.attach_tap(overlay)``; the driver begins/finishes a request
     around each REQUEST op and calls :meth:`finalize` once after the run's
     last op.
     """
@@ -122,6 +123,7 @@ class TimedOverlay:
         self._metrics = metrics
         self._width_us = metrics.timeline.width_us
         self._objective_us = metrics.latency_objective_us
+        self._timeout = int(model.timeout * _NS + 0.5)
         self._kernel = SimKernel()
         #: Jitter stream: consumed in pricing order (launches in launch
         #: order, later hops in kernel event order), so run and replay
@@ -132,29 +134,29 @@ class TimedOverlay:
         ideal = network.delivery_mode == "ideal"
         self._planner = None if ideal else network.planner
         #: Queues by undirected link key / node repr, the hops (one per
-        #: directed pair per run) that point into them, and the route
-        #: programs (one per message pair per routing table) built of hops.
+        #: directed pair per run, with their labels) that point into them,
+        #: and the route programs (one per message pair per routing table).
         self._links: Dict[str, FifoResource] = {}
         self._nodes: Dict[str, FifoResource] = {}
-        self._hops: Dict[_Message, _Hop] = {}
-        self._programs: Dict[_Message, Tuple[_Hop, ...]] = {}
+        self._hops: Dict[_Message, Tuple[_Hop, Tuple[str, ...]]] = {}
+        self._programs: Dict[_Message, _Program] = {}
         self._table = None
         #: ``reached`` frozenset -> its members in repr order (the planner
         #: hands the same few sets back request after request).
         self._ordered: Dict[FrozenSet[Hashable], List[Hashable]] = {}
-        #: Captured batches of the in-flight request: (phase, messages).
-        self._batches: List[Tuple[str, List[_Message]]] = []
+        #: The request in flight: whether its taps still price, its
+        #: arrival, its next batch's launch (ns), its priced batches.
         self._capturing = False
-        self._arrival = 0.0
-        self._horizon = 0.0
+        self._arrival = self._clock = self._horizon = 0
+        self._priced: List[Tuple[str, List[_Priced], Optional[_Priced]]] = []
         self._sequence = 0
         #: The run's request tallies: requests per latency bucket,
         #: completion window -> ``[served, failed, latency_sum_us,
-        #: bad_latency, latency_us_max]``, blamed microseconds per phase
-        #: per segment label.
+        #: bad_latency, latency_us_max]``, blamed microseconds per
+        #: ``(phase, segment label)``.
         self._latencies = [0] * (len(LATENCY_BUCKETS_US) + 1)
         self._served: Dict[int, List[int]] = {}
-        self._blame: Dict[str, Dict[str, int]] = {}
+        self._blame: Dict[Tuple[str, str], int] = defaultdict(int)
         self._exemplar_k = exemplar_k
         #: Min-heap of (latency_us, -sequence, record): the smallest entry
         #: is evicted first, so ties on latency keep the *earlier* request
@@ -172,13 +174,9 @@ class TimedOverlay:
         ordered = self._ordered.get(reached)
         if ordered is None:
             ordered = self._ordered[reached] = sorted(reached, key=repr)
-        pairs = [
-            (source, destination)
-            for destination in ordered
-            if destination != source
-        ]
+        pairs = [(source, target) for target in ordered if target != source]
         if pairs:
-            self._batches.append((category, pairs))
+            self._price(category, pairs)
 
     def on_replies(self, responders, client: Hashable, mode: str) -> None:
         """Reply messages: each responder back to the querying client."""
@@ -186,97 +184,96 @@ class TimedOverlay:
             return
         if len(responders) > 1:
             responders = sorted(responders, key=repr)
-        pairs = [
-            (responder, client)
-            for responder in responders
-            if responder != client
-        ]
+        pairs = [(responder, client) for responder in responders
+                 if responder != client]
         if pairs:
-            self._batches.append(("reply", pairs))
+            self._price("reply", pairs)
 
     def on_payload(self, source: Hashable, destination: Hashable) -> None:
         """One point-to-point application message."""
-        if not self._capturing:
-            return
-        if source != destination:
-            self._batches.append(("payload", [(source, destination)]))
+        if self._capturing and source != destination:
+            self._price("payload", [(source, destination)])
 
     # -- request pricing ------------------------------------------------------
 
     def begin_request(self, at: float) -> None:
-        """Start capturing the message batches of the request arriving at
-        virtual time ``at``."""
+        """Start pricing the batches of the request arriving at virtual
+        time ``at`` (seconds; finite and >= 0, else ``ValueError``)."""
+        if not 0.0 <= at < inf:  # also rejects NaN
+            raise ValueError(f"arrival time {at!r} is not finite and >= 0")
         self._capturing = True
-        self._batches = []
-        self._arrival = at
+        self._priced = []
+        self._arrival = self._clock = int(at * _NS + 0.5)
+
+    def _price(self, phase: str, pairs: List[_Message]) -> None:
+        """Price one batch under barrier causality: its messages launch at
+        the request's clock, which then moves to the latest arrival.  A
+        batch whose every message was dropped (queue-wait timeout) ends
+        the request — nothing downstream of it could have been sent."""
+        planner = self._planner
+        programs = self._programs
+        visit = self._visit
+        clock = self._clock
+        messages: List[_Priced] = []
+        for pair in pairs:
+            if planner is not None:
+                # Asked once per message even when the program is
+                # compiled: under faults the question is a route event,
+                # and route events are reported.
+                table = planner.routing_table()
+                if table is not self._table:
+                    self._table = table
+                    programs = self._programs = {}
+            program = programs.get(pair) or self._compile(pair)
+            message = [pair, program, [clock], None]
+            messages.append(message)
+            # Launches share one instant and fire in launch order: no heap
+            # needed to find out which comes next.
+            visit(clock, message, 0)
+        self._kernel.run(visit)
+        # The barrier-defining message: latest completion; ties keep the
+        # earliest launch index (messages preserve batch order).
+        barrier = None
+        for message in messages:
+            completed = message[_COMPLETED]
+            if completed is not None and (
+                barrier is None or completed > barrier[_COMPLETED]
+            ):
+                barrier = message
+        self._priced.append((phase, messages, barrier))
+        if barrier is None:
+            self._capturing = False
+            return
+        # Its marks blamed on its program's labels, between microsecond
+        # endpoints: they telescope to completion - launch.
+        blame = self._blame
+        start_us = (clock + 500) // 1000
+        for label, end in zip(barrier[_PROGRAM][1], barrier[_MARKS][1:]):
+            end_us = (end + 500) // 1000
+            if end_us != start_us:
+                blame[phase, label] += end_us - start_us
+                start_us = end_us
+        self._clock = barrier[_COMPLETED]
 
     def finish_request(
         self, span_id: Optional[int] = None, ok: bool = True
     ) -> Tuple[int, float]:
-        """Price the captured batches; returns ``(latency_us,
-        completed_at)``.
-
-        Batches run under barrier causality: batch ``k`` launches when
-        batch ``k - 1``'s last surviving message arrived.  A batch whose
-        every message was dropped (queue-wait timeout) ends the pipeline —
-        nothing downstream of it could have been sent.
+        """Close the request its taps priced: ``(latency_us, completed_at)``
+        (the completion in virtual seconds).
 
         ``span_id`` (the driver's ``request`` span) and ``ok`` ride along
         into the exemplar record, tying an exported timeline back to its
         span tree and outcome.
         """
         self._capturing = False
-        planner = self._planner
-        programs = self._programs
-        visit = self._visit
-        clock = self._arrival
-        # Every later launch is a completion of an earlier one: finite.
-        if not 0.0 <= clock < inf:  # also rejects NaN
-            raise ValueError(f"launch time {clock!r} is not finite and >= 0")
-        priced: List[Tuple[str, List[_Priced], Optional[_Priced]]] = []
-        blame = self._blame
-        for phase, batch in self._batches:
-            messages: List[_Priced] = []
-            for pair in batch:
-                if planner is not None:
-                    # Asked once per message even when the program is
-                    # compiled: under faults the question is a route
-                    # event, and route events are reported.
-                    table = planner.routing_table()
-                    if table is not self._table:
-                        self._table = table
-                        programs = self._programs = {}
-                program = programs.get(pair) or self._compile(pair)
-                message = [pair, program, [clock], None]
-                messages.append(message)
-                # Launches share one instant and fire in launch order:
-                # no heap needed to find out which comes next.
-                visit(clock, message, 0)
-            self._kernel.run(visit)
-            # The barrier-defining message: latest completion; ties keep
-            # the earliest launch index (messages preserve batch order).
-            barrier = None
-            for message in messages:
-                completed = message[_COMPLETED]
-                if completed is not None and (
-                    barrier is None or completed > barrier[_COMPLETED]
-                ):
-                    barrier = message
-            priced.append((phase, messages, barrier))
-            if barrier is None:
-                break
-            tally = blame.setdefault(phase, {})
-            for label, start_us, end_us in _segments(barrier):
-                if end_us != start_us:
-                    tally[label] = tally.get(label, 0) + end_us - start_us
-            clock = max(clock, barrier[_COMPLETED])
-        self._batches = []
+        clock = self._clock
         if clock > self._horizon:
             self._horizon = clock
-        latency_us = round((clock - self._arrival) * _US)
+        completed_us = (clock + 500) // 1000
+        latency_us = completed_us - (self._arrival + 500) // 1000
         self._latencies[bisect_left(LATENCY_BUCKETS_US, latency_us)] += 1
         window = self._served.setdefault(
-            round(clock * _US) // self._width_us, [0, 0, 0, 0, 0]
+            completed_us // self._width_us, [0, 0, 0, 0, 0]
         )
         window[0] += 1
         window[1] += not ok
@@ -290,26 +287,23 @@ class TimedOverlay:
         reservoir = self._exemplars
         full = len(reservoir) >= self._exemplar_k
         if not full or (reservoir and rank > reservoir[0][:2]):
-            entry = rank + (self._exemplar(
-                latency_us, clock, span_id, ok, priced
-            ),)
+            entry = rank + (self._exemplar(latency_us, span_id, ok),)
             heapq.heappush(reservoir, entry)
             if full:
                 heapq.heappop(reservoir)
         self._sequence += 1
-        return latency_us, clock
+        return latency_us, clock / _NS
 
     def _exemplar(
-        self, latency_us: int, completed: float, span_id: Optional[int],
-        ok: bool, priced: List[Tuple[str, List[_Priced], Optional[_Priced]]],
+        self, latency_us: int, span_id: Optional[int], ok: bool
     ) -> Dict[str, object]:
-        """This request's JSON-safe timeline record."""
+        """The request in flight's JSON-safe timeline record."""
         return {
             "request": self._sequence,
             "span": span_id,
             "ok": ok,
-            "arrival_us": round(self._arrival * _US),
-            "completed_us": round(completed * _US),
+            "arrival_us": (self._arrival + 500) // 1000,
+            "completed_us": (self._clock + 500) // 1000,
             "latency_us": latency_us,
             "batches": [
                 {
@@ -328,11 +322,11 @@ class TimedOverlay:
                         for message in messages
                     ],
                 }
-                for phase, messages, _ in priced
+                for phase, messages, _ in self._priced
             ],
             "critical_path": [
                 [phase, *label.split(":", 1), end_us - start_us]
-                for phase, _, barrier in priced if barrier is not None
+                for phase, _, barrier in self._priced if barrier is not None
                 for label, start_us, end_us in _segments(barrier)
                 if end_us != start_us
             ],
@@ -346,7 +340,7 @@ class TimedOverlay:
         )
         return [record for _, _, record in ranked]
 
-    def _compile(self, pair: _Message) -> Tuple[_Hop, ...]:
+    def _compile(self, pair: _Message) -> _Program:
         """Compile (once per pair per routing table) a message's route
         program: one hop per link of the node sequence it traverses.
 
@@ -364,62 +358,63 @@ class TimedOverlay:
                 path = self._table.shortest_path(*pair)
             except (NoRouteError, UnknownNodeError):
                 pass
-        program = self._programs[pair] = tuple(
+        steps = [
             self._hops.get(step) or self._hop(*step)
             for step in zip(path, path[1:])
+        ]
+        program = self._programs[pair] = (
+            tuple(queues for queues, _ in steps),
+            tuple(label for _, labels in steps for label in labels),
+            len(steps) - 1,
         )
         return program
 
-    def _hop(self, u: Hashable, v: Hashable) -> _Hop:
+    def _hop(self, u: Hashable, v: Hashable) -> Tuple[_Hop, Tuple[str, ...]]:
         """Resolve (once per directed pair per run) what the hop ``u -> v``
-        contends on and costs: the undirected link's queue and timing,
-        then ``v``'s service queue unless its service time is zero."""
+        contends on, costs in ns and labels its marks: the undirected
+        link's queue, then ``v``'s service queue unless it serves in 0."""
         key = link_key(u, v)
         timing = self._model.link_timing(key)
         link = self._links.setdefault(
             key, FifoResource(timing.capacity, self._width_us, link=True)
         )
-        queues: List[_Queue] = [(
-            link, timing.latency, timing.jitter,
-            (f"link_wait:{key}", f"link_xfer:{key}"),
-        )]
+        queues = [(link, int(timing.latency * _NS + 0.5),
+                   int(timing.jitter * _NS + 0.5))]
+        labels = [f"link_wait:{key}", f"link_xfer:{key}"]
         node_repr = repr(v)
-        service = self._model.service_time(node_repr)
-        if service > 0.0:
+        service = int(self._model.service_time(node_repr) * _NS + 0.5)
+        if service:
             node = self._nodes.setdefault(
                 node_repr, FifoResource(1, self._width_us)
             )
-            queues.append((
-                node, service, 0.0,
-                (f"node_wait:{node_repr}", f"node_service:{node_repr}"),
-            ))
-        hop = self._hops[(u, v)] = tuple(queues)
+            queues.append((node, service, 0))
+            labels += (f"node_wait:{node_repr}", f"node_service:{node_repr}")
+        hop = self._hops[(u, v)] = (tuple(queues), tuple(labels))
         return hop
 
-    def _visit(self, time: float, message: _Priced, hop: int) -> None:
+    def _visit(self, time: int, message: _Priced, hop: int) -> None:
         """Price one hop: ``message`` enters hop ``hop`` of its program at
         ``time`` and visits the hop's queues in order — one ``acquire``
         each, its service window marked on the message.  After the last hop
         ``completed`` is written; otherwise the kernel, whose event handler
         this is, learns when it enters the next hop.  A queue-wait timeout
         drops it: ``completed`` stays ``None``."""
-        program = message[_PROGRAM]
+        hops, _, last = message[_PROGRAM]
         marks = message[_MARKS]
-        timeout = self._model.timeout
+        timeout = self._timeout
         arrival = self._arrival
-        for resource, hold, jitter, _ in program[hop]:
+        for resource, hold, jitter in hops[hop]:
             if jitter:
-                hold += jitter * self._jitter()  # = uniform(0.0, jitter)
+                hold += int(jitter * self._jitter())
             window = resource.acquire(time, hold, timeout, arrival)
             if window is None:
                 return
             marks += window
             time = window[1]
-        hop += 1
-        if hop == len(program):
+        if hop == last:
             message[_COMPLETED] = time
         else:
-            self._kernel.schedule(time, message, hop)
+            self._kernel.schedule(time, message, hop + 1)
 
     # -- end of run -----------------------------------------------------------
 
@@ -447,31 +442,23 @@ class TimedOverlay:
             link_busy_us={key: link.busy_us
                           for key, link in self._links.items() if link.windows},
             critical_us={f"{phase}:{label}": blamed_us
-                         for phase, tally in self._blame.items()
-                         for label, blamed_us in tally.items()},
-            horizon_us=round(self._horizon * _US),
+                         for (phase, label), blamed_us in self._blame.items()},
+            horizon_us=(self._horizon + 500) // 1000,
         )
 
 
 def _segments(message: _Priced) -> List[Tuple[str, int, int]]:
     """A message's ``(label, start_us, end_us)`` segments: per admitted
-    visit its wait, then its service, zero-length ones omitted.  Rounded
-    endpoints make a barrier message's blame telescope exactly: per batch
-    to completion - launch, across batches (each launching at its
-    predecessor's completion) to the latency."""
+    visit its wait, then its service, zero-length ones omitted, between
+    microsecond endpoints."""
     marks = message[_MARKS]
     segments = []
-    time, index, stop = marks[0], 1, len(marks)
-    start_us = round(time * _US)
-    for hop in message[_PROGRAM]:
-        for _, _, _, labels in hop:
-            for label in labels:
-                if index == stop:  # a drop ends the marks early
-                    return segments
-                end = marks[index]
-                index += 1
-                if end > time:
-                    end_us = round(end * _US)
-                    segments.append((label, start_us, end_us))
-                    start_us, time = end_us, end
+    time = marks[0]
+    start_us = (time + 500) // 1000
+    # A drop ends the marks early, and with them the segments.
+    for label, end in zip(message[_PROGRAM][1], marks[1:]):
+        if end > time:
+            end_us = (end + 500) // 1000
+            segments.append((label, start_us, end_us))
+            start_us, time = end_us, end
     return segments

@@ -1,8 +1,9 @@
 """The discrete-event kernel: a heap of timed data events on a virtual clock.
 
 The kernel is the package's only scheduler and the reason ``repro.simtime``
-stays deterministic: time is a plain float that moves only when an event is
-popped, never a reading of any OS clock (DET001 has nothing to find here).
+stays deterministic: time is integer nanoseconds, moved only when an event
+is popped, never a reading of any OS clock (DET001 has nothing to find
+here), and two instants tie exactly when the model says they do.
 An event is plain data — the tuple ``(time, seq, message, hop)`` on the heap:
 *which* message enters *which* hop of its route *when*.  Nothing callable is
 stored; :meth:`SimKernel.run` hands every popped event to the one handler
@@ -32,7 +33,7 @@ _INFINITY = float("inf")
 class SimKernel:
     """A heap-ordered virtual-time event loop.
 
-    ``now`` is the time of the most recently fired event; it starts at 0.0
+    ``now`` is the time of the most recently fired event; it starts at 0
     and only :meth:`run` advances it.  Scheduling an event in the past of
     ``now`` is allowed (a later-simulated request may have arrived earlier
     in virtual time); resources clamp service starts themselves, so the
@@ -41,12 +42,12 @@ class SimKernel:
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, object, int]] = []
+        self._heap: List[Tuple[int, int, object, int]] = []
         self._seq = 0
-        self._now = 0.0
+        self._now = 0
 
     @property
-    def now(self) -> float:
+    def now(self) -> int:
         """Virtual time of the most recently fired event."""
         return self._now
 
@@ -55,7 +56,7 @@ class SimKernel:
         """Events scheduled but not yet fired."""
         return len(self._heap)
 
-    def schedule(self, at: float, message: object, hop: int = 0) -> None:
+    def schedule(self, at: int, message: object, hop: int = 0) -> None:
         """Record that ``message`` enters hop ``hop`` of its route at ``at``.
 
         ``at`` must be finite and non-negative (it may trail :attr:`now`
@@ -67,7 +68,7 @@ class SimKernel:
         heapq.heappush(self._heap, (at, self._seq, message, hop))
         self._seq += 1
 
-    def run(self, handler: Callable[[float, object, int], None]) -> float:
+    def run(self, handler: Callable[[int, object, int], None]) -> int:
         """Fire every pending event (including ones the handler schedules)
         as ``handler(time, message, hop)``.
 

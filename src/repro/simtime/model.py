@@ -3,7 +3,8 @@
 A :class:`TimeModelSpec` prices the substrate in *virtual seconds* — the
 same unit the arrival processes schedule requests in, so an open-loop
 Poisson stream at 2000 req/s genuinely overlaps with half-millisecond
-links.  It is plain frozen data, exactly like
+links; the timed overlay turns each figure into integer nanosecond ticks
+once, when it compiles a route.  It is plain frozen data, exactly like
 :class:`~repro.workload.spec.ArrivalSpec` and friends: it rides on a
 :class:`~repro.workload.spec.ScenarioSpec`, serializes into trace headers
 and matrix grids, crosses the exec-engine process boundary by pickle, and

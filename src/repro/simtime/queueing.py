@@ -25,6 +25,9 @@ timeline is appended or merged into the last block without a ``bisect``.
 A station owns its tallies: ``acquire`` returns the service window and
 counts the visit itself, in counts whose size does not grow with the
 number of visits; the overlay writes them into the registry once per run.
+
+Time is integer nanoseconds, so waits, busy intervals and window bounds
+are exact; a tally turns ns into microseconds as ``(ns + 500) // 1000``.
 """
 
 from __future__ import annotations
@@ -39,10 +42,9 @@ from typing import Dict, List, Optional, Tuple
 LATENCY_BUCKETS_US: Tuple[int, ...] = tuple(
     mantissa * 10 ** exponent for exponent in range(9) for mantissa in (1, 2, 5)
 )
-_US = 1_000_000
 
 
-def _fill_gap(timeline: List[List[float]], start: float, end: float) -> None:
+def _fill_gap(timeline: List[List[int]], start: int, end: int) -> None:
     """Insert busy interval ``[start, end]`` ahead of the timeline's last
     block, merging exact neighbours (a queued message starts exactly where
     its predecessor ends)."""
@@ -64,12 +66,12 @@ def _fill_gap(timeline: List[List[float]], start: float, end: float) -> None:
 class FifoResource:
     """A ``capacity``-server queue on the virtual clock, and its tallies.
 
-    :meth:`acquire` admits one message needing ``hold`` seconds of service
-    and returns its service window: the earliest idle gap of ``hold``
-    seconds at or after the message's arrival, across all servers.  A
-    positive ``timeout`` drops the message instead when its wait would
-    exceed it (the timeline is left untouched; a dropped message never
-    occupies a server).
+    :meth:`acquire` admits one message needing ``hold`` ns of service and
+    returns its service window: the earliest idle gap of ``hold`` ns at or
+    after the message's arrival, across all servers.  A positive
+    ``timeout`` drops the message instead when its wait would exceed it
+    (the timeline is left untouched; a dropped message never occupies a
+    server).
 
     Passing a ``watermark`` — a lower bound on every *future* arrival the
     caller will ever submit — lets the resource first discard the busy
@@ -79,10 +81,11 @@ class FifoResource:
     Every visit is counted here: ``waits[i]`` visits waited in bucket
     ``i`` of :data:`LATENCY_BUCKETS_US` (the last overflow), ``wait_us`` in
     all, ``depths[d]`` saw depth ``d``; ``windows`` maps an arrival window
-    to ``[admitted, dropped, depth_peak]``; a ``link`` sums ``busy_us``.
+    (of ``width_us``) to ``[admitted, dropped, depth_peak]``; a ``link``
+    sums ``busy_us``.  Each visit is counted in whole microseconds.
     """
 
-    __slots__ = ("_timelines", "_in_flight", "_width_us", "_link", "_lo", "_hi",
+    __slots__ = ("_timelines", "_in_flight", "_width_ns", "_link", "_index",
                  "_window", "waits", "wait_us", "depths", "windows", "busy_us")
 
     def __init__(self, capacity: int, width_us: int, link: bool = False) -> None:
@@ -91,15 +94,15 @@ class FifoResource:
         #: Per-server sorted, non-overlapping ``[start, end]`` busy
         #: intervals (exactly-adjacent intervals are merged on insert, so
         #: a saturated server is one long block).
-        self._timelines: List[List[List[float]]] = [
+        self._timelines: List[List[List[int]]] = [
             [] for _ in range(capacity)
         ]
         #: Completion times of admitted messages (a min-heap) for depth
         #: sampling, pruned as the clock passes them.
-        self._in_flight: List[float] = []
-        self._width_us = width_us
+        self._in_flight: List[int] = []
+        self._width_ns = width_us * 1000
         self._link = link
-        self._lo = self._hi = -1.0  # an arrival strictly between: ``_window``
+        self._index = -1  # the window ``_window`` counts
         self.waits = [0] * (len(LATENCY_BUCKETS_US) + 1)
         self.wait_us = 0
         self.depths: List[int] = []
@@ -108,12 +111,12 @@ class FifoResource:
 
     def acquire(
         self,
-        now: float,
-        hold: float,
-        timeout: float = 0.0,
-        watermark: float = 0.0,
-    ) -> Optional[Tuple[float, float]]:
-        """Admit one message at ``now`` for ``hold`` seconds of service:
+        now: int,
+        hold: int,
+        timeout: int = 0,
+        watermark: int = 0,
+    ) -> Optional[Tuple[int, int]]:
+        """Admit one message at ``now`` for ``hold`` ns of service:
         its service window ``(start, end)``, or ``None`` when the timeout
         drops it.  Either way the visit is counted, with the wait it
         suffered (or refused) and the depth it saw on arrival — the
@@ -122,7 +125,7 @@ class FifoResource:
         if hold < 0:
             raise ValueError("hold must be non-negative")
         timelines = self._timelines
-        if watermark > 0.0:
+        if watermark > 0:
             for timeline in timelines:
                 dead = 0
                 for interval in timeline:
@@ -135,7 +138,7 @@ class FifoResource:
         while in_flight and in_flight[0] <= now:
             heappop(in_flight)
         depth = len(in_flight)
-        # The earliest time >= now where ``hold`` seconds fit, over servers.
+        # The earliest time >= now where ``hold`` ns fit, over servers.
         server, start = None, now
         for timeline in timelines:
             candidate = now
@@ -156,25 +159,24 @@ class FifoResource:
         except IndexError:  # a queue grows by at most one message a visit
             self.depths.append(1)
         if wait:
-            wait_us = round(wait * _US)
+            wait_us = (wait + 500) // 1000
             self.wait_us += wait_us
             self.waits[bisect_left(LATENCY_BUCKETS_US, wait_us)] += 1
         else:
             self.waits[0] += 1
-        if not self._lo < now < self._hi:  # else well inside the last window
-            index = round(now * _US) // self._width_us
+        index = (now + 500) // self._width_ns  # the rounded microsecond's
+        if index != self._index:
+            self._index = index
             self._window = self.windows.setdefault(index, [0, 0, 0])
-            self._lo = (index * self._width_us + 1) / _US
-            self._hi = ((index + 1) * self._width_us - 1) / _US
         window = self._window
         if depth > window[2]:
             window[2] = depth
-        if timeout > 0.0 and wait > timeout:
+        if timeout and wait > timeout:
             window[1] += 1
             return None
         window[0] += 1
         end = start + hold
-        if hold > 0.0:
+        if hold:
             if server and start <= server[-1][0]:
                 _fill_gap(server, start, end)
             elif server and server[-1][1] == start:
@@ -183,5 +185,5 @@ class FifoResource:
                 server.append([start, end])
         heappush(in_flight, end)
         if self._link:
-            self.busy_us += round(hold * _US)
+            self.busy_us += (hold + 500) // 1000
         return start, end

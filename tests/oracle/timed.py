@@ -6,6 +6,7 @@ client)`` or ``("payload", source, destination)``.  The model is a dict
 (``latency``/``capacity`` of the default link, ``links``: key -> ``(latency,
 capacity)``, ``service``, ``nodes``: repr -> seconds, ``timeout``);
 ``adjacency`` maps a node to its neighbours, ``None`` for ``ideal`` delivery.
+Arrivals and the model are in seconds.
 
 Worked out here the obvious way: batches in ``repr`` order without
 self-messages; paths by BFS (neighbours in ``repr`` order), the next hop
@@ -14,14 +15,27 @@ never merged or pruned; barrier batches, a batch that lost every message
 ending the request.  Hops are priced in ``(time, launch/schedule order)``,
 each its link then the far node's server (none if it serves in zero time).
 Depth counts earlier admissions that no arrival since has seen finish.
+Time is integer nanoseconds: each second figure is converted once, half a
+nanosecond up, and a microsecond figure is a rounded endpoint (half up) or,
+for a wait or a busy hold, the duration rounded the same way.
 """
 
 from bisect import bisect_left
 from collections import deque
 
-US = 1_000_000
+NS = 1_000_000_000
 #: Latency-shaped histogram bounds: 1-2-5 per decade, 1 us .. 500 s.
 BOUNDS = tuple(m * 10 ** e for e in range(9) for m in (1, 2, 5))
+
+
+def ns(seconds):
+    """Seconds as integer nanoseconds, half up."""
+    return int(seconds * NS + 0.5)
+
+
+def us(nanoseconds):
+    """Integer nanoseconds as integer microseconds, half up."""
+    return (nanoseconds + 500) // 1000
 
 
 def batches(calls):
@@ -111,13 +125,13 @@ def price(requests, model, adjacency, width_us, objective_us=float("inf")):
     """Per-request latencies (us) and the run's timed instruments."""
     stations, latencies, waits, depths = {}, [], [], []
     windows, busy, blame = {}, {}, {}
-    timeouts, horizon = 0, 0.0
+    timeouts, horizon = 0, 0
 
     def window(at_us):
         return windows.setdefault(at_us // width_us, {})
 
     for arrival, ok, calls in requests:
-        clock = arrival
+        arrival = clock = ns(arrival)
         for phase, pairs in batches(calls):
             events, messages = [], []
             for seq, (source, destination) in enumerate(pairs):
@@ -134,16 +148,16 @@ def price(requests, model, adjacency, width_us, objective_us=float("inf")):
                 key, node = "<->".join(sorted((repr(u), repr(v)))), repr(v)
                 latency, capacity = model["links"].get(
                     key, (model["latency"], model["capacity"]))
-                visits = [("link", key, latency, capacity)]
-                service = model["nodes"].get(node, model["service"])
+                visits = [("link", key, ns(latency), capacity)]
+                service = ns(model["nodes"].get(node, model["service"]))
                 if service > 0:
                     visits.append(("node", node, service, 1))
                 for kind, where, hold, capacity in visits:
                     queue = stations.setdefault(where, Station(capacity))
-                    depth, wait, start = queue.visit(time, hold, model["timeout"])
-                    waits.append(round(wait * US) if wait else 0)
+                    depth, wait, start = queue.visit(time, hold, ns(model["timeout"]))
+                    waits.append(us(wait))
                     depths.append(depth)
-                    fields = window(round(time * US))
+                    fields = window(us(time))
                     fields["depth_peak"] = max(fields.get("depth_peak", 0), depth)
                     fields.setdefault("admitted", 0)
                     fields.setdefault("dropped", 0)
@@ -153,7 +167,7 @@ def price(requests, model, adjacency, width_us, objective_us=float("inf")):
                         break
                     fields["admitted"] += 1
                     if kind == "link":
-                        busy[where] = busy.get(where, 0) + round(hold * US)
+                        busy[where] = busy.get(where, 0) + us(hold)
                     service_kind = "link_xfer" if kind == "link" else "node_service"
                     message["segments"] += [(f"{kind}_wait", where, start),
                                             (service_kind, where, start + hold)]
@@ -168,18 +182,18 @@ def price(requests, model, adjacency, width_us, objective_us=float("inf")):
             if not arrived:
                 break
             barrier = max(arrived, key=lambda m: m["completed"])  # first of ties
-            start_us = round(clock * US)
+            start_us = us(clock)
             for kind, where, end in barrier["segments"]:
-                segment_us = round(end * US) - start_us
+                segment_us = us(end) - start_us
                 if segment_us:
                     contributor = f"{phase}:{kind}:{where}"
                     blame[contributor] = blame.get(contributor, 0) + segment_us
                     start_us += segment_us
             clock = max(clock, barrier["completed"])
         horizon = max(horizon, clock)
-        latency_us = round((clock - arrival) * US)
+        latency_us = us(clock) - us(arrival)
         latencies.append(latency_us)
-        fields = window(round(clock * US))
+        fields = window(us(clock))
         for name, amount in (("served", 1), ("failed", 0 if ok else 1),
                              ("latency_sum_us", latency_us),
                              ("bad_latency", int(latency_us > objective_us))):
@@ -195,5 +209,5 @@ def price(requests, model, adjacency, width_us, objective_us=float("inf")):
         "link_busy_us": busy,
         "message_timeouts": timeouts,
         "critical_path_us": blame,
-        "virtual_time_us": round(horizon * US),
+        "virtual_time_us": us(horizon),
     }

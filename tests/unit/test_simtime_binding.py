@@ -171,11 +171,14 @@ class TestRoutePrograms:
         "at", [-0.5, float("nan"), float("inf")]
     )
     def test_a_batch_cannot_launch_outside_the_clock(self, at):
-        overlay, _ = overlay_on_ring()
-        overlay.begin_request(at)
-        overlay.on_payload(0, 1)
+        overlay, metrics = overlay_on_ring()
         with pytest.raises(ValueError, match="finite and >= 0"):
-            overlay.finish_request()
+            overlay.begin_request(at)
+        # The request never began, so its tap call admits nothing.
+        overlay.on_payload(0, 1)
+        overlay.finalize()
+        assert metrics.queue_depth.count == 0
+        assert dict(metrics.link_busy) == {}
 
 
 class TestLazyExemplars:

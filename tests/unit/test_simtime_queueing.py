@@ -4,7 +4,8 @@ The resource is the congestion mechanism — a lazy capacity-server FIFO
 queue whose admission order is kernel event order.  These tests walk the
 service-window arithmetic directly, without a kernel, read what the
 station counted about each visit, and then drive the flat ``acquire``
-against the helper-composed admission it replaced.
+against the helper-composed admission it replaced.  Time is integer
+nanoseconds; ``S`` is one virtual second of them.
 """
 
 import heapq
@@ -16,8 +17,16 @@ import pytest
 from repro.simtime import FifoResource
 from repro.simtime.queueing import LATENCY_BUCKETS_US
 
+#: Nanoseconds per virtual second.
+S = 1_000_000_000
 #: Telemetry windows of one virtual second.
 WIDTH_US = 1_000_000
+
+
+def to_us(ns):
+    """Nanoseconds as microseconds, half a microsecond rounding up."""
+    whole, rest = divmod(ns, 1000)
+    return whole + (rest >= 500)
 
 
 def station(capacity=1, link=False):
@@ -43,40 +52,40 @@ def admit(resource, *call):
 class TestAcquire:
     def test_idle_server_starts_immediately(self):
         resource = station()
-        assert resource.acquire(now=1.0, hold=0.5) == (1.0, 1.5)
+        assert resource.acquire(now=S, hold=S // 2) == (S, 3 * S // 2)
         assert resource.waits[0] == 1 and resource.wait_us == 0
         assert resource.depths == [1]
 
     def test_busy_server_imposes_fifo_wait(self):
         resource = station()
-        resource.acquire(now=0.0, hold=1.0)
-        assert resource.acquire(now=0.2, hold=1.0) == (1.0, 2.0)
+        resource.acquire(now=0, hold=S)
+        assert resource.acquire(now=S // 5, hold=S) == (S, 2 * S)
         assert resource.wait_us == 800_000
         # 0.8 s falls in the (500 ms, 1 s] bucket.
         assert resource.waits[LATENCY_BUCKETS_US.index(1_000_000)] == 1
 
     def test_waits_accumulate_down_the_queue(self):
         resource = station()
-        starts = [resource.acquire(now=0.0, hold=1.0)[0] for _ in range(4)]
-        assert starts == [0.0, 1.0, 2.0, 3.0]
+        starts = [resource.acquire(now=0, hold=S)[0] for _ in range(4)]
+        assert starts == [0, S, 2 * S, 3 * S]
         assert resource.wait_us == 6_000_000
         assert sum(resource.waits) == 4
 
     def test_extra_capacity_absorbs_simultaneous_arrivals(self):
         resource = station(capacity=2)
-        starts = [resource.acquire(now=0.0, hold=1.0)[0] for _ in range(3)]
-        assert starts == [0.0, 0.0, 1.0]  # only the third waits
+        starts = [resource.acquire(now=0, hold=S)[0] for _ in range(3)]
+        assert starts == [0, 0, S]  # only the third waits
         assert resource.waits[0] == 2
 
     def test_late_arrival_after_drain_starts_immediately(self):
         resource = station()
-        resource.acquire(now=0.0, hold=1.0)
-        assert resource.acquire(now=5.0, hold=1.0) == (5.0, 6.0)
+        resource.acquire(now=0, hold=S)
+        assert resource.acquire(now=5 * S, hold=S) == (5 * S, 6 * S)
         assert resource.wait_us == 0
 
     def test_rejects_negative_hold(self):
         with pytest.raises(ValueError):
-            station().acquire(now=0.0, hold=-0.1)
+            station().acquire(now=0, hold=-S // 10)
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
@@ -89,19 +98,19 @@ class TestGapScheduling:
         # but arriving earlier must not wait behind one that hasn't
         # arrived yet — it claims the idle gap.
         resource = station()
-        resource.acquire(now=5.0, hold=1.0)  # busy [5, 6]
-        assert resource.acquire(now=1.0, hold=1.0) == (1.0, 2.0)
+        resource.acquire(now=5 * S, hold=S)  # busy [5, 6] s
+        assert resource.acquire(now=S, hold=S) == (S, 2 * S)
         assert resource.wait_us == 0
 
     def test_gap_too_small_pushes_past_the_block(self):
         resource = station()
-        resource.acquire(now=1.0, hold=1.0)  # busy [1, 2]
-        resource.acquire(now=2.5, hold=1.0)  # busy [2.5, 3.5]
-        # A 1s hold arriving at 0.0 fits before the first block...
-        assert resource.acquire(now=0.0, hold=1.0)[0] == 0.0
+        resource.acquire(now=S, hold=S)  # busy [1, 2] s
+        resource.acquire(now=5 * S // 2, hold=S)  # busy [2.5, 3.5] s
+        # A 1s hold arriving at 0 fits before the first block...
+        assert resource.acquire(now=0, hold=S)[0] == 0
         # ...but another does not (gap [2, 2.5] is too small): it lands
         # after the last block, and the wait is genuine backlog.
-        assert resource.acquire(now=0.0, hold=1.0)[0] == 3.5
+        assert resource.acquire(now=0, hold=S)[0] == 7 * S // 2
         assert resource.wait_us == 3_500_000
 
     def test_adjacent_intervals_consolidate(self):
@@ -109,128 +118,130 @@ class TestGapScheduling:
         # merge, so the timeline stays short under overload.
         resource = station()
         for _ in range(50):
-            resource.acquire(now=0.0, hold=1.0)
-        assert resource._timelines[0] == [[0.0, 50.0]]
+            resource.acquire(now=0, hold=S)
+        assert resource._timelines[0] == [[0, 50 * S]]
 
     def test_prune_drops_only_dead_intervals(self):
         resource = station()
-        resource.acquire(now=0.0, hold=1.0)   # [0, 1] — prunable
-        resource.acquire(now=5.0, hold=1.0)   # [5, 6] — alive
+        resource.acquire(now=0, hold=S)   # [0, 1] s — prunable
+        resource.acquire(now=5 * S, hold=S)   # [5, 6] s — alive
         # The reclaimed region is genuinely gone: an arrival inside it
         # starts immediately.
-        start, _ = resource.acquire(now=2.0, hold=1.0, watermark=2.0)
-        assert start == 2.0
-        assert resource._timelines[0] == [[2.0, 3.0], [5.0, 6.0]]
+        start, _ = resource.acquire(now=2 * S, hold=S, watermark=2 * S)
+        assert start == 2 * S
+        assert resource._timelines[0] == [[2 * S, 3 * S], [5 * S, 6 * S]]
         # A repeated watermark finds nothing new, and an interval ending
         # exactly on it is dead too.
-        resource.acquire(now=9.0, hold=0.0, watermark=2.0)
-        assert resource._timelines[0] == [[2.0, 3.0], [5.0, 6.0]]
-        resource.acquire(now=9.0, hold=0.0, watermark=3.0)
-        assert resource._timelines[0] == [[5.0, 6.0]]
+        resource.acquire(now=9 * S, hold=0, watermark=2 * S)
+        assert resource._timelines[0] == [[2 * S, 3 * S], [5 * S, 6 * S]]
+        resource.acquire(now=9 * S, hold=0, watermark=3 * S)
+        assert resource._timelines[0] == [[5 * S, 6 * S]]
 
     def test_every_server_is_pruned_not_only_the_one_that_serves(self):
         resource = station(capacity=2)
-        resource.acquire(now=0.0, hold=1.0)
-        resource.acquire(now=0.0, hold=2.0)
-        resource.acquire(now=4.0, hold=1.0, watermark=3.0)
-        assert resource._timelines == [[[4.0, 5.0]], []]
+        resource.acquire(now=0, hold=S)
+        resource.acquire(now=0, hold=2 * S)
+        resource.acquire(now=4 * S, hold=S, watermark=3 * S)
+        assert resource._timelines == [[[4 * S, 5 * S]], []]
 
     def test_acquire_watermark_prunes(self):
         resource = station()
-        resource.acquire(now=0.0, hold=1.0)
-        resource.acquire(now=3.0, hold=1.0, watermark=2.0)
-        assert resource._timelines[0] == [[3.0, 4.0]]
+        resource.acquire(now=0, hold=S)
+        resource.acquire(now=3 * S, hold=S, watermark=2 * S)
+        assert resource._timelines[0] == [[3 * S, 4 * S]]
 
     def test_zero_hold_occupies_nothing(self):
         resource = station()
-        resource.acquire(now=1.0, hold=0.0)
+        resource.acquire(now=S, hold=0)
         assert resource._timelines[0] == []
-        assert resource.acquire(now=1.0, hold=1.0)[0] == 1.0
+        assert resource.acquire(now=S, hold=S)[0] == S
 
 
 class TestTimeoutDrops:
     def test_wait_beyond_timeout_drops(self):
         resource = station()
-        resource.acquire(now=0.0, hold=2.0)
-        assert resource.acquire(now=0.0, hold=1.0, timeout=0.5) is None
+        resource.acquire(now=0, hold=2 * S)
+        assert resource.acquire(now=0, hold=S, timeout=S // 2) is None
         # The drop is counted in its window with the wait it refused.
         assert resource.windows == {0: [1, 1, 1]}
         assert resource.wait_us == 2_000_000
 
     def test_dropped_message_leaves_queue_untouched(self):
         resource = station()
-        resource.acquire(now=0.0, hold=2.0)
-        resource.acquire(now=0.0, hold=1.0, timeout=0.5)  # dropped
+        resource.acquire(now=0, hold=2 * S)
+        resource.acquire(now=0, hold=S, timeout=S // 2)  # dropped
         # The next message waits only for the original holder, not for the
         # dropped one.
-        assert resource.acquire(now=0.0, hold=1.0) == (2.0, 3.0)
+        assert resource.acquire(now=0, hold=S) == (2 * S, 3 * S)
 
     def test_zero_timeout_never_drops(self):
         resource = station()
-        resource.acquire(now=0.0, hold=10.0)
-        assert resource.acquire(now=0.0, hold=1.0, timeout=0.0) is not None
+        resource.acquire(now=0, hold=10 * S)
+        assert resource.acquire(now=0, hold=S, timeout=0) is not None
 
     def test_wait_equal_to_timeout_is_admitted(self):
         resource = station()
-        resource.acquire(now=0.0, hold=1.0)
-        assert resource.acquire(now=0.0, hold=1.0, timeout=1.0) is not None
+        resource.acquire(now=0, hold=S)
+        assert resource.acquire(now=0, hold=S, timeout=S) is not None
 
 
 class TestDepth:
     def test_depth_counts_in_flight_messages(self):
         def depth_seen_at(now):
             resource = station()
-            resource.acquire(now=0.0, hold=1.0)  # completes at 1.0
-            resource.acquire(now=0.0, hold=1.0)  # completes at 2.0
-            return admit(resource, now, 1.0)[1]
+            resource.acquire(now=0, hold=S)  # completes at 1 s
+            resource.acquire(now=0, hold=S)  # completes at 2 s
+            return admit(resource, now, S)[1]
 
-        assert [depth_seen_at(now) for now in (0.5, 1.5, 2.5)] == [2, 1, 0]
+        assert [depth_seen_at(now) for now in (S // 2, 3 * S // 2, 5 * S // 2)] \
+            == [2, 1, 0]
 
     def test_acquire_hands_back_the_depth_seen_on_arrival(self):
         # The depth a message saw is the messages in flight at ``now``
         # *before* its own admission — for admitted and dropped alike.
         resource = station()
-        assert [admit(resource, 0.0, 1.0)[1] for _ in range(3)] == [0, 1, 2]
-        assert admit(resource, 0.5, 1.0, 0.1) == (None, 3)
-        assert admit(resource, 1.5, 1.0)[1] == 2  # ends 2.0, 3.0
+        assert [admit(resource, 0, S)[1] for _ in range(3)] == [0, 1, 2]
+        assert admit(resource, S // 2, S, S // 10) == (None, 3)
+        assert admit(resource, 3 * S // 2, S)[1] == 2  # ends 2 s, 3 s
         assert depths_seen(resource) == [0, 1, 2, 2, 3]
 
     def test_admissions_drops_and_busy_time_are_what_the_station_counts(self):
         link = station(link=True)
-        assert link.acquire(now=0.0, hold=2.0) == (0.0, 2.0)
-        assert link.acquire(now=0.0, hold=1.5) == (2.0, 3.5)
-        assert link.acquire(now=0.0, hold=1.0, timeout=0.1) is None
+        assert link.acquire(now=0, hold=2 * S) == (0, 2 * S)
+        assert link.acquire(now=0, hold=3 * S // 2) == (2 * S, 7 * S // 2)
+        assert link.acquire(now=0, hold=S, timeout=S // 10) is None
         # Two admissions, one drop, 3.5 busy seconds, nothing left by the
         # drop; waits 0, 2 and the refused 3.5 seconds.
         assert link.windows == {0: [2, 1, 2]}
         assert link.busy_us == 3_500_000
-        assert link._timelines == [[[0.0, 3.5]]]
+        assert link._timelines == [[[0, 7 * S // 2]]]
         assert link.wait_us == 5_500_000 and sum(link.waits) == 3
         assert depths_seen(link) == [0, 1, 2]
 
     def test_a_node_station_counts_no_busy_time(self):
         node = station()
-        node.acquire(now=0.0, hold=2.0)
+        node.acquire(now=0, hold=2 * S)
         assert node.busy_us == 0 and node.windows == {0: [1, 0, 0]}
 
     def test_a_drained_queue_reports_depth_zero_again(self):
         resource = station()
-        assert [admit(resource, 0.0, 1.0)[1] for _ in range(3)] == [0, 1, 2]
-        assert admit(resource, 10.0, 1.0)[1] == 0
+        assert [admit(resource, 0, S)[1] for _ in range(3)] == [0, 1, 2]
+        assert admit(resource, 10 * S, S)[1] == 0
 
 
 class TestWindows:
     def test_a_visit_lands_in_the_window_of_its_rounded_microsecond(self):
         # Arrivals hugging window edges (within a microsecond, on both
-        # sides, out of order) land where ``round(now * 1e6) // width`` says.
+        # sides, out of order) land in the window of their microsecond,
+        # half a microsecond rounding up.
         rng = random.Random(3)
         resource, expected = FifoResource(1, 1000), {}
         for _ in range(2000):
-            edge = rng.randrange(1, 6) * 1000
-            now = (edge + rng.choice((-0.6, -0.5, -0.4, 0.0, 0.4, 0.5, 0.6,
-                                      -400, 300)) + rng.random() * 1e-3) / 1e6
-            resource.acquire(now, 0.0)
-            index = round(now * 1_000_000) // 1000
+            edge = rng.randrange(1, 6) * 1_000_000
+            now = edge + rng.choice((-600, -501, -500, -499, -400, 0, 400,
+                                     499, 500, 600, -400_000, 300_000))
+            resource.acquire(now, 0)
+            index = to_us(now) // 1000
             expected[index] = expected.get(index, 0) + 1
         assert {i: w[0] for i, w in resource.windows.items()} == expected
 
@@ -242,10 +253,10 @@ class TestTalliesAreCounts:
         seconds: a burst of three at one instant (depths 0, 1, 2, waits 0,
         0.5 and a refused 1 ms), then an arrival at the drained queue."""
         for index in range(rounds):
-            now = 2.0 * index / rounds
+            now = 2 * S * index // rounds
             for _ in range(3):
-                resource.acquire(now, 0.0005, 0.0007)
-            resource.acquire(now + 0.002, 0.0005, 0.0007)
+                resource.acquire(now, 500_000, 700_000)
+            resource.acquire(now + 2_000_000, 500_000, 700_000)
 
     def test_ten_times_the_visits_keep_the_same_size(self):
         small, large = station(link=True), station(link=True)
@@ -310,10 +321,10 @@ class HelperComposedFifo:
             if keep:
                 del timeline[:keep]
 
-    def acquire(self, now, hold, timeout=0.0, watermark=0.0):
+    def acquire(self, now, hold, timeout=0, watermark=0):
         if hold < 0:
             raise ValueError("hold must be non-negative")
-        if watermark > 0.0:
+        if watermark > 0:
             self.prune(watermark)
         depth = self.depth(now)
         best_server = 0
@@ -327,10 +338,10 @@ class HelperComposedFifo:
                     break
         start = best_start
         wait = start - now
-        if timeout > 0.0 and wait > timeout:
+        if timeout > 0 and wait > timeout:
             return now, now, wait, True, depth
         end = start + hold
-        if hold > 0.0:
+        if hold > 0:
             self._insert(self._timelines[best_server], start, end)
         heapq.heappush(self._in_flight, end)
         return start, end, wait, False, depth
@@ -344,15 +355,14 @@ def expected_tallies(visits, link=False):
     depths = [0] * (1 + max((visit[4] for visit in visits), default=-1))
     windows, wait_us, busy_us = {}, 0, 0
     for now, hold, wait, dropped, depth in visits:
-        wait_us += round(wait * 1_000_000) if wait else 0
-        waits[bisect_left(LATENCY_BUCKETS_US,
-                          round(wait * 1_000_000) if wait else 0)] += 1
+        wait_us += to_us(wait)
+        waits[bisect_left(LATENCY_BUCKETS_US, to_us(wait))] += 1
         depths[depth] += 1
-        window = windows.setdefault(round(now * 1_000_000) // WIDTH_US, [0, 0, 0])
+        window = windows.setdefault(to_us(now) // WIDTH_US, [0, 0, 0])
         window[1 if dropped else 0] += 1
         window[2] = max(window[2], depth)
         if not dropped and link:
-            busy_us += round(hold * 1_000_000)
+            busy_us += to_us(hold)
     return waits, wait_us, depths, windows, busy_us
 
 
@@ -361,9 +371,13 @@ def tallies(resource):
             resource.windows, resource.busy_us)
 
 
+#: A quarter of a virtual second.
+Q = S // 4
+
+
 class TestFlatAcquireAgainstTheHelpers:
     """Seeded random streams the goldens only sample.  Times, holds and
-    timeouts live on a quarter-second grid, so exact adjacency (merges on
+    timeouts live on a quarter-second grid (``Q`` ns), so exact adjacency (merges on
     either side of a gap), exact ``wait == timeout`` and intervals ending
     exactly on the watermark all happen constantly."""
 
@@ -387,16 +401,16 @@ class TestFlatAcquireAgainstTheHelpers:
         flat = FifoResource(capacity, WIDTH_US, link=link)
         reference = HelperComposedFifo(capacity)
         horizon = rng.choice((6, 12, 40))  # crowded .. sparse
-        watermark = 0.0
+        watermark = 0
         seen, visits = set(), []
         for _ in range(400):
-            now = rng.randrange(4 * horizon) / 4  # non-monotone
-            hold = rng.choice((0.0, 0.25, 0.25, 0.5, 1.0, 2.5))
-            timeout = rng.choice((0.0, 0.0, 0.25, 0.5, 1.0))
+            now = rng.randrange(4 * horizon) * Q  # non-monotone
+            hold = rng.choice((0, Q, Q, 2 * Q, 4 * Q, 10 * Q))
+            timeout = rng.choice((0, 0, Q, 2 * Q, 4 * Q))
             if rng.random() < 0.3:  # the watermark moves, both ways
-                watermark = rng.choice((0.0, now, now - 1.0, watermark + 0.5))
+                watermark = rng.choice((0, now, now - S, watermark + 2 * Q))
             call = (now, hold, timeout, watermark)
-            if watermark > 0.0:
+            if watermark > 0:
                 blocks = sum(map(len, reference._timelines))
                 reference.prune(watermark)  # as its acquire is about to
                 if sum(map(len, reference._timelines)) < blocks:
@@ -404,7 +418,7 @@ class TestFlatAcquireAgainstTheHelpers:
             blocks = sum(map(len, reference._timelines))
             tail = max(
                 (line[-1][0] for line in reference._timelines if line),
-                default=-1.0,
+                default=-1,
             )
             got = flat.acquire(*call)
             start, end, wait, dropped, depth = reference.acquire(*call)
@@ -415,7 +429,7 @@ class TestFlatAcquireAgainstTheHelpers:
             grown = sum(map(len, reference._timelines)) - blocks
             if dropped:
                 seen.add("dropped")
-            elif hold == 0.0:
+            elif hold == 0:
                 seen.add("zero-hold")
             elif grown < 1:
                 seen.add(("extended-a-block", "bridged-two-blocks")[-grown])
@@ -435,11 +449,12 @@ class TestFlatAcquireAgainstTheHelpers:
         rng = random.Random(7)
         flat = FifoResource(1, WIDTH_US, link=True)
         reference = HelperComposedFifo()
-        clock, visits = 0.0, []
+        clock, visits = 0, []
         for _ in range(1500):
-            clock += rng.choice((0.0, 0.0, 0.0004, 0.003))
-            call = (clock + rng.random() * 0.004, 0.0008 + rng.random() * 1e-4,
-                    rng.choice((0.0, 0.002)), clock)
+            clock += rng.choice((0, 0, 400_000, 3_000_000))
+            call = (clock + int(rng.random() * 4_000_000),
+                    800_000 + int(rng.random() * 100_000),
+                    rng.choice((0, 2_000_000)), clock)
             start, end, wait, dropped, depth = reference.acquire(*call)
             visits.append((call[0], call[1], wait, dropped, depth))
             assert flat.acquire(*call) == (None if dropped else (start, end))

@@ -32,10 +32,11 @@ def timeline_of(width_us, *windows):
 
 class TestTimelineWindowing:
     def test_observations_land_in_their_virtual_window(self):
-        # A queue station tallies each visit under its arrival window.
+        # A queue station tallies each visit under its arrival window
+        # (arrivals in ns: 0, 999 us and 1 ms).
         station = FifoResource(1, width_us=1000)
-        for now in (0.0, 0.000999, 0.001):
-            station.acquire(now, hold=0.0)
+        for now in (0, 999_000, 1_000_000):
+            station.acquire(now, hold=0)
         assert {index: window[0] for index, window in station.windows.items()} \
             == {0: 2, 1: 1}
 
