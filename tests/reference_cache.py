@@ -3,14 +3,20 @@
 This is the ``NodeCache`` that lived in ``repro.network.cache`` while every
 node owned a private cache (plus the expiry rule of its ``ExpiringCache``
 subclass, here a method taking the cutoff the store takes).  It shares no
-code with the store: ``tests/unit/test_cache.py`` drives one of these per
-node and one ``PostingStore`` with the same operations and requires every
-read to agree.
+code with the store, not even the freshness order, which it spells out
+itself: ``tests/unit/test_cache.py`` drives one of these per node and one
+``PostingStore`` with the same operations and requires every read to agree.
 """
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.types import Address, Port, PostRecord, freshest, freshness_key
+from repro.core.types import Address, Port, PostRecord
+
+
+def freshness(record: PostRecord) -> Tuple[int, str]:
+    """How fresh a posting is: newer timestamps win, ties go to the larger
+    ``repr`` of the address."""
+    return (record.timestamp, repr(record.address))
 
 
 class NodeCache:
@@ -31,7 +37,7 @@ class NodeCache:
         """Insert or refresh a posting (newer timestamps win)."""
         per_port = self._records.setdefault(record.port, {})
         existing = per_port.get(record.server_id)
-        if existing is None or record.is_newer_than(existing):
+        if existing is None or freshness(record) > freshness(existing):
             per_port[record.server_id] = record
 
     def remove_server(self, port: Port, server_id: str) -> None:
@@ -66,13 +72,14 @@ class NodeCache:
         per_port = self._records.get(port)
         if not per_port:
             return None
-        return freshest(per_port.values())
+        # ``max`` keeps the first of equally fresh records.
+        return max(per_port.values(), key=freshness)
 
     def lookup_all(self, port: Port) -> List[PostRecord]:
         """All postings for ``port`` (all equivalent servers), freshest
         first."""
         per_port = self._records.get(port, {})
-        return sorted(per_port.values(), key=freshness_key, reverse=True)
+        return sorted(per_port.values(), key=freshness, reverse=True)
 
     def __contains__(self, port: Port) -> bool:
         return port in self._records and bool(self._records[port])
