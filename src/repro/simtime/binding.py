@@ -66,7 +66,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import zip_longest
 from math import inf
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
@@ -152,11 +152,11 @@ class TimedOverlay:
         self._sequence = 0
         #: The run's request tallies: requests per latency bucket,
         #: completion window -> ``[served, failed, latency_sum_us,
-        #: bad_latency, latency_us_max]``, blamed microseconds per
-        #: ``(phase, segment label)``.
+        #: bad_latency, latency_us_max]``, blamed microseconds per phase
+        #: per segment label.
         self._latencies = [0] * (len(LATENCY_BUCKETS_US) + 1)
         self._served: Dict[int, List[int]] = {}
-        self._blame: Dict[Tuple[str, str], int] = defaultdict(int)
+        self._blame: Dict[str, Dict[str, int]] = defaultdict(Counter)
         self._exemplar_k = exemplar_k
         #: Min-heap of (latency_us, -sequence, record): the smallest entry
         #: is evicted first, so ties on latency keep the *earlier* request
@@ -207,9 +207,9 @@ class TimedOverlay:
 
     def _price(self, phase: str, pairs: List[_Message]) -> None:
         """Price one batch under barrier causality: its messages launch at
-        the request's clock, which then moves to the latest arrival.  A
-        batch whose every message was dropped (queue-wait timeout) ends
-        the request — nothing downstream of it could have been sent."""
+        the request's clock, which moves to the latest arrival.  A batch
+        that lost every message (queue-wait timeouts) ends the request —
+        nothing downstream of it could have been sent."""
         planner = self._planner
         programs = self._programs
         visit = self._visit
@@ -227,8 +227,7 @@ class TimedOverlay:
             program = programs.get(pair) or self._compile(pair)
             message = [pair, program, [clock], None]
             messages.append(message)
-            # Launches share one instant and fire in launch order: no heap
-            # needed to find out which comes next.
+            # Launches share one instant and fire in launch order: no heap.
             visit(clock, message, 0)
         self._kernel.run(visit)
         # The barrier-defining message: latest completion; ties keep the
@@ -244,14 +243,14 @@ class TimedOverlay:
         if barrier is None:
             self._capturing = False
             return
-        # Its marks blamed on its program's labels, between microsecond
-        # endpoints: they telescope to completion - launch.
-        blame = self._blame
+        # Its marks, blamed on its labels between microsecond endpoints,
+        # telescope to completion - launch.
+        tally = self._blame[phase]
         start_us = (clock + 500) // 1000
         for label, end in zip(barrier[_PROGRAM][1], barrier[_MARKS][1:]):
             end_us = (end + 500) // 1000
             if end_us != start_us:
-                blame[phase, label] += end_us - start_us
+                tally[label] += end_us - start_us
                 start_us = end_us
         self._clock = barrier[_COMPLETED]
 
@@ -279,7 +278,8 @@ class TimedOverlay:
         window[1] += not ok
         window[2] += latency_us
         window[3] += latency_us > self._objective_us
-        window[4] = max(window[4], latency_us)
+        if latency_us > window[4]:
+            window[4] = latency_us
         # Lazy exemplars: the record is built only for a request the
         # reservoir keeps — exactly the set an eager push-then-pop-the-
         # minimum would retain.
@@ -442,7 +442,8 @@ class TimedOverlay:
             link_busy_us={key: link.busy_us
                           for key, link in self._links.items() if link.windows},
             critical_us={f"{phase}:{label}": blamed_us
-                         for (phase, label), blamed_us in self._blame.items()},
+                         for phase, tally in self._blame.items()
+                         for label, blamed_us in tally.items()},
             horizon_us=(self._horizon + 500) // 1000,
         )
 

@@ -31,7 +31,7 @@ that gave queue stations their own tallies cost 574.6 calls per
 the PR 364.9, and 0 of each.  The parent of the PR that ran the time model
 on integer nanoseconds and priced each batch at the tap cost 360.9 calls
 per ``timed_burst`` request, 37.5 of them ``round`` and 4.2 ``_segments``
-(the critical path re-read per batch); the PR 277.6, 0 and 0.26 (exemplars
+(the critical path re-read per batch); the PR 276.7, 0 and 0.26 (exemplars
 only).
 The budgets' head-room covers the spread between Python 3.10 and 3.12; they
 are ``<=``, never ``==``: once any Hypothesis test has run in the process
