@@ -164,7 +164,7 @@ class FifoResource:
             self.waits[bisect_left(LATENCY_BUCKETS_US, wait_us)] += 1
         else:
             self.waits[0] += 1
-        index = (now + 500) // self._width_ns  # the rounded microsecond's
+        index = (now + 500) // self._width_ns  # its rounded microsecond's window
         if index != self._index:
             self._index = index
             self._window = self.windows.setdefault(index, [0, 0, 0])
