@@ -11,7 +11,7 @@ tests, traversals, induced subgraphs and spanning trees.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Set, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Set, Tuple
 
 from ..core.exceptions import DisconnectedGraphError, UnknownNodeError
 
@@ -21,6 +21,9 @@ class Graph:
 
     Self-loops are ignored (a node never needs a channel to itself: local
     delivery costs zero message passes).  Parallel edges are collapsed.
+
+    A graph whose neighbours follow a rule is built by :meth:`from_neighbours`;
+    :meth:`add_edge` is for graphs that grow one edge at a time.
     """
 
     def __init__(
@@ -35,6 +38,24 @@ class Graph:
             self.add_edge(u, v)
 
     # -- construction -----------------------------------------------------
+
+    @classmethod
+    def from_neighbours(cls, neighbours: Dict[Any, Set[Any]]) -> "Graph":
+        """The graph with each node's whole neighbour set given at once.
+
+        Nodes keep the mapping's order, and the mapping and its sets become
+        the graph's own.  A self-loop is dropped, as :meth:`add_edge` drops
+        it; a pair listed from one end only raises ``ValueError`` naming it.
+        """
+        for node, nbrs in neighbours.items():
+            if node in nbrs:
+                nbrs.discard(node)
+            for other in nbrs:
+                if other not in neighbours or node not in neighbours[other]:
+                    raise ValueError(f"asymmetric pair: {node!r} lists {other!r}, not back")
+        graph = cls()
+        graph._adjacency = neighbours
+        return graph
 
     def add_node(self, node: Hashable) -> None:
         """Add a node (idempotent)."""
@@ -211,12 +232,10 @@ def complete_graph(n: int) -> Graph:
 
     The theory of section 2 assumes a complete network so that "all messages
     can be routed in one message pass to their destinations"; lower bounds on
-    complete networks hold a fortiori for all networks.
+    complete networks hold a fortiori for all networks.  Each node's
+    neighbour set is everyone minus itself: one set difference.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    graph = Graph(nodes=range(n))
-    for u in range(n):
-        for v in range(u + 1, n):
-            graph.add_edge(u, v)
-    return graph
+    everyone = set(range(n))
+    return Graph.from_neighbours({u: everyone - {u} for u in range(n)})

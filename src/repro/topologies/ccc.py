@@ -25,7 +25,9 @@ CCCNode = Tuple[int, str]
 
 
 class CubeConnectedCyclesTopology(Topology):
-    """The cube-connected cycles network of order ``d``."""
+    """The cube-connected cycles network of order ``d``: node ``(p, w)``
+    neighbours ``(p ± 1 mod d, w)`` and ``(p, w)`` with bit ``p`` of ``w``
+    flipped (an XOR of the corner's index)."""
 
     family = "cube-connected-cycles"
 
@@ -33,23 +35,15 @@ class CubeConnectedCyclesTopology(Topology):
         if dimensions < 2:
             raise TopologyError("CCC needs order at least 2")
         corners = bit_strings(dimensions)
-        graph = Graph()
-        for corner in corners:
-            for position in range(dimensions):
-                graph.add_node((position, corner))
-        for corner in corners:
-            for position in range(dimensions):
-                # Cycle edge within the corner's cycle.
-                graph.add_edge(
-                    (position, corner), ((position + 1) % dimensions, corner)
-                )
-                # Cube edge across dimension `position`.
-                flipped = (
-                    corner[:position]
-                    + ("1" if corner[position] == "0" else "0")
-                    + corner[position + 1 :]
-                )
-                graph.add_edge((position, corner), (position, flipped))
+        graph = Graph.from_neighbours({
+            (position, corner): {
+                ((position - 1) % dimensions, corner),
+                ((position + 1) % dimensions, corner),
+                (position, corners[index ^ (1 << (dimensions - 1 - position))]),
+            }
+            for index, corner in enumerate(corners)
+            for position in range(dimensions)
+        })
         super().__init__(graph, name=f"ccc-{dimensions}")
         self._dimensions = dimensions
 

@@ -32,16 +32,17 @@ class CompleteTopology(Topology):
 
 
 class RingTopology(Topology):
-    """A cycle on ``n`` nodes, labelled ``0..n-1``."""
+    """A cycle on ``n`` nodes, labelled ``0..n-1``: node ``i`` neighbours
+    ``i ± 1`` modulo ``n``."""
 
     family = "ring"
 
     def __init__(self, n: int) -> None:
         if n < 3:
             raise TopologyError("a ring needs at least three nodes")
-        graph = Graph(nodes=range(n))
-        for i in range(n):
-            graph.add_edge(i, (i + 1) % n)
+        graph = Graph.from_neighbours(
+            {i: {(i - 1) % n, (i + 1) % n} for i in range(n)}
+        )
         super().__init__(graph, name=f"ring-{n}")
         self._n = n
 
@@ -65,10 +66,10 @@ class StarTopology(Topology):
             raise TopologyError("a star needs at least two nodes")
         if not 0 <= hub < n:
             raise TopologyError(f"hub {hub} out of range for {n} nodes")
-        graph = Graph(nodes=range(n))
-        for i in range(n):
-            if i != hub:
-                graph.add_edge(hub, i)
+        leaves = set(range(n)) - {hub}
+        graph = Graph.from_neighbours(
+            {i: leaves if i == hub else {hub} for i in range(n)}
+        )
         super().__init__(graph, name=f"star-{n}")
         self._n = n
         self._hub = hub

@@ -25,7 +25,7 @@ extra gateway processors, matching the paper's picture of gateway *hosts*.
 from __future__ import annotations
 
 import itertools
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..core.exceptions import TopologyError
 from ..network.graph import Graph
@@ -61,12 +61,12 @@ class HierarchicalTopology(Topology):
             tuple(coordinate)
             for coordinate in itertools.product(*(range(b) for b in reversed_branching))
         ]
-        graph = Graph(nodes=leaves)
+        neighbours: Dict[HierNode, Set[HierNode]] = {leaf: set() for leaf in leaves}
 
         # Level-1 clusters: fully connect leaves sharing all but the last index.
         for prefix in itertools.product(*(range(b) for b in reversed_branching[:-1])):
             members = [prefix + (i,) for i in range(branching[0])]
-            _fully_connect(graph, members)
+            _fully_connect(neighbours, members)
 
         # Level-i networks (i >= 2): fully connect the gateways of sibling
         # level-(i-1) subtrees.
@@ -79,10 +79,10 @@ class HierarchicalTopology(Topology):
                     self._gateway_for_prefix(prefix + (i,))
                     for i in range(reversed_branching[prefix_length])
                 ]
-                _fully_connect(graph, gateways)
+                _fully_connect(neighbours, gateways)
 
         name = "hier-" + "x".join(str(b) for b in branching)
-        super().__init__(graph, name=name)
+        super().__init__(Graph.from_neighbours(neighbours), name=name)
 
     # -- structure queries -----------------------------------------------------
 
@@ -163,7 +163,10 @@ class HierarchicalTopology(Topology):
         return cls([arity] * levels)
 
 
-def _fully_connect(graph: Graph, members: List[HierNode]) -> None:
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            graph.add_edge(u, v)
+def _fully_connect(
+    neighbours: Dict[HierNode, Set[HierNode]], members: List[HierNode]
+) -> None:
+    """Make ``members`` a clique (``Graph.from_neighbours`` drops self-loops)."""
+    clique = set(members)
+    for member in members:
+        neighbours[member] |= clique

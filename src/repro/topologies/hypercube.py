@@ -26,7 +26,8 @@ def bit_strings(d: int) -> List[str]:
 
 
 class HypercubeTopology(Topology):
-    """The binary d-cube on ``2**d`` nodes."""
+    """The binary d-cube on ``2**d`` nodes: the node at index ``i`` of
+    :func:`bit_strings` neighbours those at ``i XOR 2**b``, one per bit."""
 
     family = "hypercube"
 
@@ -34,11 +35,10 @@ class HypercubeTopology(Topology):
         if dimensions < 1:
             raise TopologyError("hypercube needs at least one dimension")
         nodes = bit_strings(dimensions)
-        graph = Graph(nodes=nodes)
-        for node in nodes:
-            for bit in range(dimensions):
-                flipped = node[:bit] + ("1" if node[bit] == "0" else "0") + node[bit + 1 :]
-                graph.add_edge(node, flipped)
+        # Column b lists, in node order, every node's neighbour across bit b.
+        columns = [[nodes[index ^ (1 << bit)] for index in range(len(nodes))]
+                   for bit in range(dimensions)]
+        graph = Graph.from_neighbours(dict(zip(nodes, map(set, zip(*columns)))))
         super().__init__(graph, name=f"hypercube-{dimensions}d")
         self._dimensions = dimensions
 

@@ -22,6 +22,28 @@ from .base import Topology
 Coordinate = Tuple[int, ...]
 
 
+def _grid_graph(sides: Tuple[int, ...], wrap: bool) -> Graph:
+    """The mesh with the given sides, nodes in row-major order.
+
+    A node neighbours the nodes one step away along each axis.  Each
+    column below lists, in node order, every node's neighbour one step
+    along one axis: the same product of ranges with that axis's range
+    shifted by the step.  Off the edge of an unwrapped side the "neighbour"
+    is the node itself, and with ``wrap`` a side of 1 or 2 gives a
+    self-loop or a repeat; the bulk path folds both away.
+    """
+    ranges = [range(side) for side in sides]
+    columns = []
+    for axis, side in enumerate(sides):
+        for step in (-1, 1):
+            shifted = [(k + step) % side if wrap or 0 <= k + step < side else k
+                       for k in range(side)]
+            columns.append(itertools.product(*ranges[:axis], shifted, *ranges[axis + 1:]))
+    return Graph.from_neighbours(
+        dict(zip(itertools.product(*ranges), map(set, zip(*columns))))
+    )
+
+
 class ManhattanTopology(Topology):
     """A ``rows × cols`` rectangular grid, optionally with wrap-around.
 
@@ -32,6 +54,9 @@ class ManhattanTopology(Topology):
     wrap:
         When ``True`` the grid wraps around in both dimensions, producing the
         torus used by the Stony Brook Microcomputer Network.
+
+    The graph is the 2-D mesh of :class:`MeshTopology`: node ``(r, c)``
+    neighbours ``(r ± 1, c)`` and ``(r, c ± 1)``.
     """
 
     family = "manhattan"
@@ -39,22 +64,10 @@ class ManhattanTopology(Topology):
     def __init__(self, rows: int, cols: int, wrap: bool = False) -> None:
         if rows < 1 or cols < 1 or rows * cols < 2:
             raise TopologyError("grid must contain at least two nodes")
-        graph = Graph()
-        for r in range(rows):
-            for c in range(cols):
-                graph.add_node((r, c))
-        for r in range(rows):
-            for c in range(cols):
-                if c + 1 < cols:
-                    graph.add_edge((r, c), (r, c + 1))
-                elif wrap and cols > 2:
-                    graph.add_edge((r, c), (r, 0))
-                if r + 1 < rows:
-                    graph.add_edge((r, c), (r + 1, c))
-                elif wrap and rows > 2:
-                    graph.add_edge((r, c), (0, c))
         shape = "torus" if wrap else "grid"
-        super().__init__(graph, name=f"manhattan-{shape}-{rows}x{cols}")
+        super().__init__(
+            _grid_graph((rows, cols), wrap), name=f"manhattan-{shape}-{rows}x{cols}"
+        )
         self._rows = rows
         self._cols = cols
         self._wrap = wrap
@@ -97,7 +110,8 @@ class MeshTopology(Topology):
 
     Node identifiers are d-tuples of coordinates.  The 2-dimensional case
     coincides with :class:`ManhattanTopology`; higher dimensions realise the
-    paper's "obvious generalization to d-dimensional meshes".
+    paper's "obvious generalization to d-dimensional meshes".  A node
+    neighbours the nodes one step away along each axis.
     """
 
     family = "mesh"
@@ -111,22 +125,9 @@ class MeshTopology(Topology):
             total *= s
         if total < 2:
             raise TopologyError("mesh must contain at least two nodes")
-        graph = Graph()
-        for coord in itertools.product(*(range(s) for s in sides)):
-            graph.add_node(coord)
-        for coord in itertools.product(*(range(s) for s in sides)):
-            for axis, side in enumerate(sides):
-                if coord[axis] + 1 < side:
-                    neighbour = list(coord)
-                    neighbour[axis] += 1
-                    graph.add_edge(coord, tuple(neighbour))
-                elif wrap and side > 2:
-                    neighbour = list(coord)
-                    neighbour[axis] = 0
-                    graph.add_edge(coord, tuple(neighbour))
         shape = "torus" if wrap else "mesh"
         name = f"{shape}-" + "x".join(str(s) for s in sides)
-        super().__init__(graph, name=name)
+        super().__init__(_grid_graph(sides, wrap), name=name)
         self._sides = sides
         self._wrap = wrap
 

@@ -19,7 +19,7 @@ cheap; the match-making strategy itself only relies on the line structure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..core.exceptions import TopologyError
 from ..network.graph import Graph
@@ -92,12 +92,14 @@ class ProjectivePlaneTopology(Topology):
             line: [point for point in points if incidence(point, line, order)]
             for line in lines
         }
-        graph = Graph(nodes=points)
+        neighbours: Dict[Point, Set[Point]] = {point: set() for point in points}
         for members in line_members.values():
             # Connect the points of the line in a cycle for cheap routing.
             for index, point in enumerate(members):
-                graph.add_edge(point, members[(index + 1) % len(members)])
-        super().__init__(graph, name=f"pg2-{order}")
+                neighbours[point] |= {
+                    members[index - 1], members[(index + 1) % len(members)]
+                }
+        super().__init__(Graph.from_neighbours(neighbours), name=f"pg2-{order}")
         self._order = order
         self._points = points
         self._line_members = line_members

@@ -20,7 +20,7 @@ towards the root.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..core.exceptions import TopologyError
 from ..network.graph import Graph
@@ -47,24 +47,24 @@ class TreeTopology(Topology):
         branching = tuple(int(b) for b in branching)
         if any(b < 1 for b in branching):
             raise TopologyError("branching factors must be at least 1")
-        graph = Graph(nodes=[ROOT])
+        # A node neighbours its parent and its children, in BFS order.
+        neighbours: Dict[TreeNode, Set[TreeNode]] = {ROOT: set()}
         parents: Dict[TreeNode, TreeNode] = {ROOT: ROOT}
-        depths: Dict[TreeNode, int] = {ROOT: 0}
         frontier: List[TreeNode] = [ROOT]
-        for level, fanout in enumerate(branching):
+        for fanout in branching:
             next_frontier: List[TreeNode] = []
             for parent in frontier:
-                for child_index in range(fanout):
-                    child = parent + (child_index,)
-                    graph.add_edge(parent, child)
+                children = [parent + (child_index,) for child_index in range(fanout)]
+                neighbours[parent].update(children)
+                for child in children:
+                    neighbours[child] = {parent}
                     parents[child] = parent
-                    depths[child] = level + 1
-                    next_frontier.append(child)
+                next_frontier += children
             frontier = next_frontier
+        graph = Graph.from_neighbours(neighbours)
         super().__init__(graph, name=name or f"tree-{'x'.join(map(str, branching))}")
         self._branching = branching
         self._parents = parents
-        self._depths = depths
 
     # -- structure ----------------------------------------------------------
 
@@ -91,11 +91,9 @@ class TreeTopology(Topology):
             raise ValueError(f"{node!r} is not a node of {self.name}") from None
 
     def depth_of(self, node: TreeNode) -> int:
-        """Distance of ``node`` from the root."""
-        try:
-            return self._depths[node]
-        except KeyError:
-            raise ValueError(f"{node!r} is not a node of {self.name}") from None
+        """Distance of ``node`` from the root: the length of its path."""
+        self.parent(node)  # validate
+        return len(node)
 
     def path_to_root(self, node: TreeNode) -> List[TreeNode]:
         """The nodes on the path from ``node`` up to and including the
@@ -108,7 +106,7 @@ class TreeTopology(Topology):
 
     def leaves(self) -> List[TreeNode]:
         """All deepest-level nodes."""
-        return [node for node, depth in self._depths.items() if depth == self.depth]
+        return [node for node in self._parents if len(node) == self.depth]
 
     # -- paper degree profiles ------------------------------------------------
 

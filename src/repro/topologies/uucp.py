@@ -23,6 +23,8 @@ for comparison.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Dict, List, Optional
 
 from ..core.exceptions import TopologyError
@@ -118,14 +120,14 @@ class UUCPNetworkGenerator:
         rng = random.Random(seed)
         graph = Graph(nodes=[0])
         parent: Dict[int, int] = {0: 0}
-        degrees: Dict[int, int] = {0: 0}
+        sampler = _DegreeSampler(self._bias, [0])
 
         for new_site in range(1, n):
-            chosen = self._pick_parent(rng, degrees)
+            chosen = sampler.pick(rng)
             graph.add_edge(new_site, chosen)
             parent[new_site] = chosen
-            degrees[chosen] = degrees.get(chosen, 0) + 1
-            degrees[new_site] = degrees.get(new_site, 0) + 1
+            sampler.bump(chosen)
+            sampler.bump(new_site)
 
         tree_edges = n - 1
         extra_target = int(round(self._extra_fraction * tree_edges))
@@ -141,19 +143,6 @@ class UUCPNetworkGenerator:
         return topology
 
     # -- internals -------------------------------------------------------------
-
-    def _pick_parent(self, rng: random.Random, degrees: Dict[int, int]) -> int:
-        """Choose an existing site, biased towards high-degree sites."""
-        nodes = list(degrees)
-        weights = [1.0 + self._bias * degrees[node] for node in nodes]
-        total = sum(weights)
-        pick = rng.random() * total
-        cumulative = 0.0
-        for node, weight in zip(nodes, weights):
-            cumulative += weight
-            if pick <= cumulative:
-                return node
-        return nodes[-1]
 
     def _tree_distance(self, parent: Dict[int, int], u: int, v: int) -> int:
         """Distance between ``u`` and ``v`` in the attachment tree."""
@@ -192,11 +181,11 @@ class UUCPNetworkGenerator:
         added = 0
         attempts = 0
         max_attempts = max(20 * target, 100)
-        degrees = {node: graph.degree(node) for node in graph.nodes}
+        sampler = _DegreeSampler(self._bias, [graph.degree(node) for node in graph])
         while added < target and attempts < max_attempts:
             attempts += 1
-            u = self._pick_parent(rng, degrees)
-            v = self._pick_parent(rng, degrees)
+            u = sampler.pick(rng)
+            v = sampler.pick(rng)
             if u == v or graph.has_edge(u, v):
                 continue
             if (
@@ -205,7 +194,41 @@ class UUCPNetworkGenerator:
             ):
                 continue
             graph.add_edge(u, v)
-            degrees[u] += 1
-            degrees[v] += 1
+            sampler.bump(u)
+            sampler.bump(v)
             added += 1
         return added
+
+
+class _DegreeSampler:
+    """Picks sites ``0, 1, ...`` with weight ``1 + bias * degree``.
+
+    A pick is one ``bisect_left`` into the running sums of the weights,
+    which ``accumulate`` rebuilds only after a bump: the same left-to-right
+    float additions, so the same choices, as a scan that stops at the first
+    running sum ``>= pick``.  The total stays ``sum(weights)``, which
+    Python 3.12 compensates for float error and ``accumulate`` does not.
+    """
+
+    def __init__(self, bias: float, degrees: List[int]) -> None:
+        self._bias = bias
+        self._degrees = degrees
+        self._weights = [1.0 + bias * degree for degree in degrees]
+        self._sums: List[float] = []
+        self._total = 0.0
+
+    def bump(self, site: int) -> None:
+        """One more edge at ``site``; the site after the last one is new."""
+        if site == len(self._degrees):
+            self._degrees.append(0)
+            self._weights.append(0.0)
+        self._degrees[site] += 1
+        self._weights[site] = 1.0 + self._bias * self._degrees[site]
+        self._sums = []
+
+    def pick(self, rng: random.Random) -> int:
+        """A site drawn with one ``rng.random()``."""
+        if not self._sums:
+            self._sums = list(accumulate(self._weights))
+            self._total = sum(self._weights)
+        return min(bisect_left(self._sums, rng.random() * self._total), len(self._sums) - 1)

@@ -36,7 +36,7 @@ persistence for benchmark trajectories.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -55,6 +55,7 @@ from .spec import (
     ScenarioSpec,
     build_strategy,
     build_topology,
+    field_values,
     part_from_dict,
     stable_seed,
 )
@@ -216,12 +217,12 @@ class MatrixSpec:
             "name": self.name,
             "topologies": list(self.topologies),
             "strategies": list(self.strategies),
-            "fault_regimes": [asdict(regime) for regime in self.fault_regimes],
+            "fault_regimes": [field_values(regime) for regime in self.fault_regimes],
             "regime_labels": _regime_labels(self.fault_regimes),
             "base": self.base.to_dict(),
-            "arrivals": [asdict(arrival) for arrival in self.arrivals],
-            "popularities": [asdict(pop) for pop in self.popularities],
-            "churns": [asdict(churn) for churn in self.churns],
+            "arrivals": [field_values(arrival) for arrival in self.arrivals],
+            "popularities": [field_values(pop) for pop in self.popularities],
+            "churns": [field_values(churn) for churn in self.churns],
             "cell_count": self.cell_count,
         }
         # Like ScenarioSpec's ``time_model``: the axis appears only when

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Dict, Hashable, Iterable, List, Optional
 
 from ..core.exceptions import StrategyError
@@ -72,9 +73,12 @@ def part_from_dict(cls: type, data: Dict[str, object]):
     return cls(**data)
 
 
-def _field_values(spec) -> Dict[str, object]:
-    """A dataclass's fields by name: ``asdict`` without its deep copy."""
-    return {f.name: getattr(spec, f.name) for f in fields(spec)}
+def field_values(spec) -> Dict[str, object]:
+    """A spec's fields by name: ``asdict`` without its deep copy, and
+    without asking ``dataclasses`` again — the names and their getter come
+    from ``_FIELDS``, read once per spec class."""
+    names, values = _FIELDS[type(spec)]
+    return dict(zip(names, values(spec)))
 
 
 @dataclass(frozen=True)
@@ -336,8 +340,8 @@ class ScenarioSpec:
         scenario recorded before — or simply without — the time model stay
         byte-identical.
         """
-        data = {name: _field_values(value) if is_dataclass(value) else value
-                for name, value in _field_values(self).items()}
+        data = {name: field_values(value) if type(value) in _FIELDS else value
+                for name, value in field_values(self).items()}
         if self.time_model is None:
             del data["time_model"]
         else:
@@ -373,6 +377,15 @@ class ScenarioSpec:
             slo = part_from_dict(SloSpec, slo)
         payload["slo"] = slo
         return cls(**payload)
+
+
+#: Each spec class's field names in declaration order, and one getter for
+#: their values; a value whose type is a key here is a nested part.
+_FIELDS = {
+    cls: (names, attrgetter(*names))
+    for cls in (ArrivalSpec, PopularitySpec, ChurnSpec, FaultRegimeSpec, SloSpec, ScenarioSpec)
+    for names in [tuple(spec_field.name for spec_field in fields(cls))]
+}
 
 
 # -- seed derivation ---------------------------------------------------------------

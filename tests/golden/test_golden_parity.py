@@ -5,6 +5,8 @@ must not move by accident:
 
 * the CI smoke grid (untimed) and the CI timed grid: report digest and
   every cell's ``plan_cache``, at 1 and at 2 workers;
+* sha256 of every ``obs-cell-NNNN.jsonl`` the timed grid exports, at 1 and
+  at 2 workers;
 * sha256 of ``python -m repro paper`` and of every example's stdout, with
   the lines :data:`WALL_CLOCK_LINE` matches left out;
 * the digests ``tests/integration/test_simtime_differential.py`` and
@@ -22,6 +24,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -77,6 +80,15 @@ def grid_entry(name, workers):
     return {"digest": report.digest(), "plan_cache": cells}
 
 
+def timed_obs_cells(workers):
+    """sha256 of every cell file the CI timed grid exports with ``--obs``."""
+    with tempfile.TemporaryDirectory() as obs_dir:
+        run_matrix(MatrixSpec.from_dict(GRIDS["ci_timed_grid"]),
+                   workers=workers, obs_dir=obs_dir)
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(Path(obs_dir).glob("obs-cell-*.jsonl"))}
+
+
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -109,6 +121,11 @@ def test_ci_grids_are_pinned(name, workers):
     assert grid_entry(name, workers) == golden()[name]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_timed_grid_obs_cell_files_are_pinned(workers):
+    assert timed_obs_cells(workers) == golden()["ci_timed_grid_obs_cells"]
+
+
 def test_the_paper_table_is_pinned():
     assert paper_sha256() == golden()["paper_sha256"]
 
@@ -125,6 +142,8 @@ def regenerate():
 
     entries = {name: grid_entry(name, 1) for name in GRIDS}
     assert all(grid_entry(name, 2) == entries[name] for name in GRIDS)
+    entries["ci_timed_grid_obs_cells"] = timed_obs_cells(1)
+    assert timed_obs_cells(2) == entries["ci_timed_grid_obs_cells"]
     entries["paper_sha256"] = paper_sha256()
     entries["examples_sha256"] = examples_sha256()
     untimed = run_scenario(simtime.pinned_scenario())

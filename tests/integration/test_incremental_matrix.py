@@ -398,3 +398,10 @@ class TestWarmSweepCost:
         assert checkerboard_grid.__code__ not in calls
         # Connectivity checks walk adjacency sets; nothing sorts them.
         assert Graph.spanning_tree.__code__ not in calls
+        # The skip check's topologies are built from whole neighbour sets,
+        # and the keys serialize specs from field names read once per class.
+        for function in (
+            Graph.add_edge, Graph.add_node, dataclasses.fields,
+            dataclasses.is_dataclass,
+        ):
+            assert function.__code__ not in calls, function.__qualname__
