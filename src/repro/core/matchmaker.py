@@ -24,7 +24,7 @@ from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from ..network.simulator import Network
 from .strategy import MatchMakingStrategy
-from .types import MatchResult, Port
+from .types import MatchResult, Port, freshest
 
 
 @dataclass(frozen=True)
@@ -204,18 +204,18 @@ class MatchMaker:
         outcome = self._network.query(
             client_node, port, targets, mode=self._mode, collect_all=collect_all
         )
-        freshest = outcome.freshest()
+        best = freshest(outcome.records)
         if tracer is not None:
             tracer.end(
                 locate_span,
                 nodes_queried=len(targets),
-                found=freshest is not None,
+                found=best is not None,
                 hops=outcome.query_hops + outcome.reply_hops,
             )
         # Positional, in MatchResult field order; a locate posts nothing.
         return MatchResult(
-            freshest is not None,
-            freshest.address if freshest else None,
+            best is not None,
+            best.address if best else None,
             outcome.responding_nodes,
             0, outcome.query_hops, outcome.reply_hops,  # post/query/reply hops
             0, len(targets),  # nodes posted / queried

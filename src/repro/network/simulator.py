@@ -36,6 +36,7 @@ import itertools
 import random
 from typing import (
     Any,
+    Collection,
     Dict,
     FrozenSet,
     Hashable,
@@ -314,13 +315,15 @@ class Network:
                 outcome = self._planner.price(source, destinations, mode)
 
         if message_count == len(targets):
-            delivered = len(outcome.reached)
+            loaded: Collection[Hashable] = outcome.reached
         else:
             # Duplicate destinations: every occurrence counts separately, so
-            # the conservation law sent == delivered + dropped still holds.
-            delivered = sum(1 for d in destinations if d in outcome.reached)
+            # the conservation law sent == delivered + dropped still holds
+            # and each reached occurrence loads its node.
+            loaded = [d for d in destinations if d in outcome.reached]
+        delivered = len(loaded)
         self._stats.record(category, outcome.hops, message_count, delivered)
-        self._stats.record_load(outcome.reached)
+        self._stats.record_load(loaded)
         if self._tap is not None:
             self._tap.on_delivery(source, outcome.reached, category, mode)
         tracer = self.tracer

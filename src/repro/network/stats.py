@@ -15,8 +15,10 @@ The counters are the network's *ledger*, written once per message by
 :meth:`MessageStats.record`: one call validates every argument first and
 then adds to ``hops``/``messages``/``delivered``/``dropped`` in place, so a
 rejected call leaves the ledger untouched and an accepted one costs no
-further call per family (:meth:`~repro.obs.registry.CounterMap.bump` is
-for the colder churn/fault families).  What one call cost is not read back
+further call per family.  A category never charged reads 0, so each tally
+is one subscript, ``family[category] += n``
+(:meth:`~repro.obs.registry.CounterMap.bump` is for the colder
+churn/fault families).  What one call cost is not read back
 from here: the simulator returns it (``DeliveryOutcome.hops``,
 ``QueryOutcome.query_hops``/``reply_hops``, the ``int`` from
 ``send_payload``) and every layer above — match-maker, system, workload
@@ -44,7 +46,11 @@ class MessageStats:
 
     ``node_load`` additionally counts, per node, how many delivered messages
     addressed that node — the operational form of the paper's load-balance
-    concern ("the function of name server is distributed evenly").
+    concern ("the function of name server is distributed evenly").  A
+    destination listed twice and reached counts twice.
+
+    Every family reads 0 for a label it has never counted (the read
+    inserts nothing), so ``stats.hops["post"]`` needs no ``get`` default.
 
     ``plan_events`` counts delivery-planner cache activity (``plan_hit``,
     ``plan_miss``, ``tree_hit``, ``tree_miss``, ``route_hit``,
@@ -103,32 +109,26 @@ class MessageStats:
             raise ValueError("counts must be non-negative")
         if delivered is not None and not 0 <= delivered <= message_count:
             raise ValueError("delivered must be between 0 and message_count")
-        family = self.hops
-        family[category] = family.get(category, 0) + hop_count
-        family = self.messages
-        family[category] = family.get(category, 0) + message_count
+        self.hops[category] += hop_count
+        self.messages[category] += message_count
         if delivered is None:
             return
         if delivered:
-            family = self.delivered
-            family[category] = family.get(category, 0) + delivered
+            self.delivered[category] += delivered
         if delivered < message_count:
-            family = self.dropped
-            family[category] = (
-                family.get(category, 0) + message_count - delivered
-            )
+            self.dropped[category] += message_count - delivered
 
     def record_load(self, nodes: Iterable[Hashable]) -> None:
-        """Count one delivered message against each addressed node."""
+        """Count one delivered message against each node of ``nodes`` (a
+        node listed twice is counted twice)."""
         load = self.node_load
         for node in nodes:
-            load[node] = load.get(node, 0) + 1
+            load[node] += 1
 
     def record_plan_event(self, kind: str, count: int = 1) -> None:
         """Count ``count`` delivery-planner cache events of ``kind`` — the
         one way the planner counts an event."""
-        events = self.plan_events
-        events[kind] = events.get(kind, 0) + count
+        self.plan_events[kind] += count
 
     def merge(self, other: "MessageStats") -> None:
         """Add another stats object into this one."""

@@ -13,7 +13,8 @@ percentile) come out identical to a sequential run.
 :class:`CounterMap` is the dict-shaped sibling: a counter *family* keyed by
 an open set of labels (message categories, churn kinds, node ids).  It is a
 ``dict`` subclass, so existing code that reads ``stats.hops[...]`` keeps
-working while merge/diff/snapshot stop being hand-rolled loops.
+working while merge/diff/snapshot stop being hand-rolled loops.  A label
+never counted reads 0, so a tally is one subscript: ``family[label] += n``.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class Histogram:
             if list(buckets) != sorted(set(buckets)):
                 raise ValueError("buckets must be strictly increasing")
         self._buckets = buckets
-        self._counts: Dict[int, int] = {}
+        self._counts = CounterMap()
         self._total = 0
         self._sum = 0
 
@@ -113,7 +114,7 @@ class Histogram:
         if value < 0 or count < 1:
             raise ValueError("value must be >= 0 and count >= 1")
         slot = self._slot(value) if self._buckets else value
-        self._counts[slot] = self._counts.get(slot, 0) + count
+        self._counts[slot] += count
         self._total += count
         self._sum += value * count
 
@@ -182,7 +183,7 @@ class Histogram:
                 f"({self._buckets} vs {other._buckets})"
             )
         for value, count in other._counts.items():
-            self._counts[value] = self._counts.get(value, 0) + count
+            self._counts[value] += count
         self._total += other._total
         self._sum += other._sum
 
@@ -240,16 +241,23 @@ class CounterMap(dict):
     (``stats.hops.get(...)``, ``dict(stats.plan_events)``, direct
     indexing); the methods below replace the hand-rolled merge/diff loops
     that used to live on each owner.
+
+    A label that was never counted reads 0 and is not inserted by the
+    read, so ``len``, ``in`` and ``==`` only see counted labels, and a
+    tally is ``family[label] += n``.  Labels keep first-count order.
     """
+
+    def __missing__(self, key) -> int:
+        return 0
 
     def bump(self, key, amount: int = 1) -> None:
         """Add ``amount`` to ``key``'s count."""
-        self[key] = self.get(key, 0) + amount
+        self[key] += amount
 
     def merge(self, other: Dict) -> None:
         """Fold another counter map in (associative, commutative)."""
         for key, count in other.items():
-            self[key] = self.get(key, 0) + count
+            self[key] += count
 
     def diff(self, earlier: Dict) -> "CounterMap":
         """Non-zero deltas accumulated since ``earlier`` was snapshotted."""

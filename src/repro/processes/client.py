@@ -34,12 +34,8 @@ class ClientProcess(Process):
     def __init__(self, node: Hashable, name: str = "") -> None:
         super().__init__(node, name or f"client@{node}")
         self._address_cache: Dict[Port, Address] = {}
-        self._stats = ClientStats()
-
-    @property
-    def stats(self) -> ClientStats:
-        """The client's interaction counters."""
-        return self._stats
+        #: The client's interaction counters.
+        self.stats = ClientStats()
 
     # -- private address cache ---------------------------------------------------
 

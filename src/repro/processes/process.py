@@ -22,53 +22,39 @@ _process_ids = itertools.count(1)
 
 
 class Process:
-    """A process residing at a network node."""
+    """A process residing at a network node.
+
+    Its state is plain attributes, read on every request without a call:
+    ``pid`` (unique within the Python process), ``name``, ``node`` (where
+    it currently resides; changed only through the system's migration)
+    and ``alive`` (cleared by :meth:`kill`).
+    """
 
     def __init__(self, node: Hashable, name: str = "") -> None:
-        self._pid = next(_process_ids)
-        self._node = node
-        self._name = name or f"process-{self._pid}"
-        self._alive = True
-
-    @property
-    def pid(self) -> int:
-        """The process identifier (unique within the Python process)."""
-        return self._pid
-
-    @property
-    def name(self) -> str:
-        """Human-readable process name."""
-        return self._name
-
-    @property
-    def node(self) -> Hashable:
-        """The node this process currently resides at."""
-        return self._node
+        self.pid: int = next(_process_ids)
+        self.node: Hashable = node
+        self.name: str = name or f"process-{self.pid}"
+        self.alive: bool = True
 
     @property
     def address(self) -> Address:
         """The process's current address (its node's address)."""
-        return Address(self._node)
-
-    @property
-    def alive(self) -> bool:
-        """Whether the process is alive."""
-        return self._alive
+        return Address(self.node)
 
     def require_alive(self) -> None:
         """Raise :class:`ProcessLifecycleError` if the process has died."""
-        if not self._alive:
-            raise ProcessLifecycleError(f"{self._name} (pid {self._pid}) is dead")
+        if not self.alive:
+            raise ProcessLifecycleError(f"{self.name} (pid {self.pid}) is dead")
 
     def kill(self) -> None:
         """Terminate the process."""
-        self._alive = False
+        self.alive = False
 
     def _move_to(self, node: Hashable) -> None:
         """Relocate the process (used by the system's migration logic)."""
         self.require_alive()
-        self._node = node
+        self.node = node
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        status = "alive" if self._alive else "dead"
-        return f"{type(self).__name__}({self._name!r}, node={self._node!r}, {status})"
+        status = "alive" if self.alive else "dead"
+        return f"{type(self).__name__}({self.name!r}, node={self.node!r}, {status})"

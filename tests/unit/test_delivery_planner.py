@@ -478,8 +478,13 @@ class TestAgainstTheOracle:
                     assert _as_tuple(outcome) == expected, (trial, mode)
                     assert _ledger_delta(net.stats, before, POST) == \
                         oracle.ledger(destinations, expected), (trial, mode)
-                    load = net.stats.diff(before).node_load
+                    delta = net.stats.diff(before)
+                    load = delta.node_load
                     assert {n for n, c in load.items() if c} == expected[0]
+                    # One load per delivered occurrence, repeats included.
+                    assert sum(load.values()) == delta.delivered[POST], (
+                        trial, mode
+                    )
             if live:
                 source = rng.choice(live)
                 expected = oracle.flood(nodes, survivors, source)

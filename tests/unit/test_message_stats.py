@@ -1,9 +1,14 @@
 """Unit tests for MessageStats."""
 
+import pickle
+
 import pytest
 from oracle.ledger import conservation_violations, read_ledger
 
 from repro.network.stats import POST, QUERY, REPLY, MessageStats
+from repro.obs.registry import CounterMap, Histogram
+
+FAMILIES = ("hops", "messages", "node_load", "plan_events", "delivered", "dropped")
 
 
 class TestMessageStats:
@@ -48,15 +53,21 @@ class TestMessageStats:
         ],
     )
     def test_rejected_record_charges_nothing(self, arguments):
-        # All-or-nothing: a call that raises leaves every family empty
-        # (it used to charge hops and messages before checking delivered).
+        # All-or-nothing: a call that raises leaves every family as it was
+        # (it used to charge hops and messages before checking delivered),
+        # and inserts no label, not even one reading 0.
         stats = MessageStats()
+        stats.record(POST, 2, message_count=2, delivered=1)
+        stats.record_load([4])
+        stats.record_plan_event("plan_miss")
+        before = stats.snapshot()
         with pytest.raises(ValueError):
             stats.record(QUERY, **arguments)
-        assert stats == MessageStats()
-        for family in ("hops", "messages", "node_load", "plan_events",
-                       "delivered", "dropped"):
-            assert getattr(stats, family) == {}
+        assert stats == before
+        for family in FAMILIES:
+            assert list(getattr(stats, family).items()) == list(
+                getattr(before, family).items()
+            )
 
     def test_restore_rewinds_all_six_families(self):
         stats = MessageStats()
@@ -102,3 +113,52 @@ class TestMessageStats:
         stats.record(POST, 5)
         stats.reset()
         assert stats.total_hops == 0
+
+
+class TestZeroDefaultCounters:
+    """Every family reads 0 for a label it never counted, so a tally is one
+    subscript; the read itself must not insert the label."""
+
+    def test_a_missing_label_reads_zero_and_inserts_nothing(self):
+        counts = CounterMap({"post": 2})
+        assert counts["query"] == 0
+        assert len(counts) == 1
+        assert "query" not in counts
+        assert counts == {"post": 2}
+        stats = MessageStats()
+        stats.record(POST, 3)
+        for family in FAMILIES:
+            assert getattr(stats, family)["nowhere"] == 0
+        assert stats.hops == {POST: 3}
+        assert stats == MessageStats(hops={POST: 3}, messages={POST: 1})
+
+    def test_labels_keep_first_count_order(self):
+        # ``node_load`` order reaches exports: a later bump of an earlier
+        # label must not move it.
+        stats = MessageStats()
+        stats.record_load([5, 2, 9])
+        stats.record_load([9, 1, 5])
+        assert list(stats.node_load) == [5, 2, 9, 1]
+        assert stats.node_load == {5: 2, 2: 1, 9: 2, 1: 1}
+        counts = CounterMap()
+        for key in ("b", "a", "b", "c", "a"):
+            counts.bump(key)
+        counts.merge({"d": 1, "a": 1})
+        assert list(counts) == ["b", "a", "c", "d"]
+
+    def test_a_pickle_round_trip_keeps_the_class_and_the_default(self):
+        stats = MessageStats()
+        stats.record(QUERY, 4, message_count=2, delivered=1)
+        stats.record_load([3, 1])
+        copy = pickle.loads(pickle.dumps(stats))
+        assert copy == stats
+        for family in FAMILIES:
+            assert type(getattr(copy, family)) is CounterMap
+            assert getattr(copy, family)["absent"] == 0
+        assert list(copy.node_load) == [3, 1]
+        histogram = Histogram()
+        histogram.add(2, count=3)
+        restored = pickle.loads(pickle.dumps(histogram))
+        restored.add(2)
+        restored.add(7)
+        assert restored.buckets() == [(2, 4), (7, 1)]
