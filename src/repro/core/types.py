@@ -12,13 +12,14 @@ rendezvous nodes.  A node identifier is any hashable value: plain integers
 (complete graphs, rings), tuples of coordinates (meshes, cube-connected
 cycles) or strings of bits (hypercubes).
 
-Two things here sit on the request path and are shaped by it.
-:class:`MatchResult` is built once per locate, so it is a
+Three things here sit on the request path and are shaped by it.
+:class:`MatchResult` is built once per locate and :class:`Port` is hashed
+by every locate, post and memo lookup, so both are a
 :class:`~typing.NamedTuple` — a frozen dataclass pays one
-``object.__setattr__`` per field on every construction, a tuple is filled
-in one step — and :func:`freshest` is the one place the "newest posting
-wins" order of section 2.1 is decided, for the node caches and for query
-results alike.
+``object.__setattr__`` per field on every construction and a Python frame
+per hash, a tuple is filled in one step and hashed and compared in C — and
+:func:`freshest` is the one place the "newest posting wins" order of
+section 2.1 is decided, for the node caches and for query results alike.
 """
 
 from __future__ import annotations
@@ -27,21 +28,15 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True, order=True)
-class Port:
+class Port(NamedTuple):
     """A service port: a location-independent name of a service.
 
     A port "uniquely names a service" and "gives no clue about the physical
-    location of a server process" (paper, section 1.3).  Ports are compared
-    and hashed by their name only.
+    location of a server process" (paper, section 1.3).  Ports are compared,
+    ordered and hashed by their name only.
     """
 
     name: str
-
-    def __hash__(self) -> int:
-        # A str caches its hash; the generated one builds a 1-tuple per call,
-        # and every locate, post and memo lookup hashes its port.
-        return hash(self.name)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"port:{self.name}"

@@ -12,8 +12,9 @@ the spot:
    execution already established the causal order: replies follow queries,
    the payload follows the locate);
 2. a message is a flat record that walks its **route program**:
-   ``(source, destination)`` is compiled once into a tuple of hops, each
-   hop one or two queue records — the link's
+   ``(source, destination)`` is compiled once, by the lookup that first
+   misses it, into a tuple of hops, each hop one or two queue records —
+   the link's
    :class:`~repro.simtime.queueing.FifoResource`, latency and jitter, then
    the far node's FIFO server and service time, both directions of a link
    sharing one queue — and the labels of the marks they make.  Pricing a
@@ -25,7 +26,9 @@ the spot:
    launches share one instant and fire in launch order, so they are
    priced directly, and a message's last hop writes its completion time;
    only a multi-hop path's arrivals at its next link are kernel events,
-   interleaving by ``(time, seq)`` with the batch's other messages;
+   interleaving by ``(time, seq)`` with the batch's other messages.  The
+   kernel exists only under a planner: ``ideal`` programs are one hop, so
+   an ``ideal`` batch has nothing to order and runs no kernel;
 4. queue state persists across requests, so an open-loop arrival stream
    genuinely contends: a hot centralized node's queue grows while
    checkerboard traffic spreads — hop counts become p50/p99 latency.
@@ -69,7 +72,7 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from itertools import zip_longest
 from math import inf
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from ..core.exceptions import NoRouteError, UnknownNodeError
 from .kernel import SimKernel
@@ -100,6 +103,17 @@ _NS = 1_000_000_000
 SLOWEST_K = 8
 
 
+class _Programs(Dict[_Message, _Program]):
+    """Route programs by message pair; a lookup that misses compiles it."""
+
+    def __init__(self, compile_pair: Callable[[_Message], _Program]) -> None:
+        super().__init__()
+        self._compile = compile_pair
+
+    def __missing__(self, pair: _Message) -> _Program:
+        return self._compile(pair)
+
+
 class TimedOverlay:
     """Prices one run's requests on the virtual clock (see module doc).
 
@@ -124,7 +138,6 @@ class TimedOverlay:
         self._width_us = metrics.timeline.width_us
         self._objective_us = metrics.latency_objective_us
         self._timeout = int(model.timeout * _NS + 0.5)
-        self._kernel = SimKernel()
         #: Jitter stream: consumed in pricing order (launches in launch
         #: order, later hops in kernel event order), so run and replay
         #: draw identically.
@@ -133,13 +146,15 @@ class TimedOverlay:
         #: or in ``ideal`` mode nobody (see :meth:`_compile`).
         ideal = network.delivery_mode == "ideal"
         self._planner = None if ideal else network.planner
+        #: Orders later hops; ``ideal`` programs are one hop, so it has none.
+        self._kernel = None if ideal else SimKernel()
         #: Queues by undirected link key / node repr, the hops (one per
         #: directed pair per run, with their labels) that point into them,
         #: and the route programs (one per message pair per routing table).
         self._links: Dict[str, FifoResource] = {}
         self._nodes: Dict[str, FifoResource] = {}
         self._hops: Dict[_Message, Tuple[_Hop, Tuple[str, ...]]] = {}
-        self._programs: Dict[_Message, _Program] = {}
+        self._programs = _Programs(self._compile)
         self._table = None
         #: ``reached`` frozenset -> its members in repr order (the planner
         #: hands the same few sets back request after request).
@@ -156,6 +171,8 @@ class TimedOverlay:
         #: per segment label.
         self._latencies = [0] * (len(LATENCY_BUCKETS_US) + 1)
         self._served: Dict[int, List[int]] = {}
+        self._window_index = -1  # the completion window ``_window`` counts
+        self._window: List[int] = []
         self._blame: Dict[str, Dict[str, int]] = defaultdict(Counter)
         self._exemplar_k = exemplar_k
         #: Min-heap of (latency_us, -sequence, record): the smallest entry
@@ -211,25 +228,24 @@ class TimedOverlay:
         that lost every message (queue-wait timeouts) ends the request —
         nothing downstream of it could have been sent."""
         planner = self._planner
-        programs = self._programs
-        visit = self._visit
-        clock = self._clock
-        messages: List[_Priced] = []
-        for pair in pairs:
-            if planner is not None:
-                # Asked once per message even when the program is
-                # compiled: under faults the question is a route event,
-                # and route events are reported.
+        if planner is not None:
+            # Asked once per message even when the program is compiled:
+            # under faults the question is a route event, and route events
+            # are reported.  A batch runs inside one fault revision.
+            for _ in pairs:
                 table = planner.routing_table()
-                if table is not self._table:
-                    self._table = table
-                    programs = self._programs = {}
-            program = programs.get(pair) or self._compile(pair)
-            message = [pair, program, [clock], None]
-            messages.append(message)
-            # Launches share one instant and fire in launch order: no heap.
+            if table is not self._table:
+                self._table = table
+                self._programs = _Programs(self._compile)
+        programs = self._programs
+        clock = self._clock
+        messages = [[pair, programs[pair], [clock], None] for pair in pairs]
+        visit = self._visit
+        # Launches share one instant and fire in launch order: no heap.
+        for message in messages:
             visit(clock, message, 0)
-        self._kernel.run(visit)
+        if self._kernel is not None:
+            self._kernel.run(visit)
         # The barrier-defining message: latest completion; ties keep the
         # earliest launch index (messages preserve batch order).
         barrier = None
@@ -271,9 +287,11 @@ class TimedOverlay:
         completed_us = (clock + 500) // 1000
         latency_us = completed_us - (self._arrival + 500) // 1000
         self._latencies[bisect_left(LATENCY_BUCKETS_US, latency_us)] += 1
-        window = self._served.setdefault(
-            completed_us // self._width_us, [0, 0, 0, 0, 0]
-        )
+        index = completed_us // self._width_us
+        if index != self._window_index:
+            self._window_index = index
+            self._window = self._served.setdefault(index, [0, 0, 0, 0, 0])
+        window = self._window
         window[0] += 1
         window[1] += not ok
         window[2] += latency_us
@@ -375,18 +393,20 @@ class TimedOverlay:
         link's queue, then ``v``'s service queue unless it serves in 0."""
         key = link_key(u, v)
         timing = self._model.link_timing(key)
-        link = self._links.setdefault(
-            key, FifoResource(timing.capacity, self._width_us, link=True)
-        )
+        link = self._links.get(key)
+        if link is None:
+            link = self._links[key] = FifoResource(
+                timing.capacity, self._width_us, link=True
+            )
         queues = [(link, int(timing.latency * _NS + 0.5),
                    int(timing.jitter * _NS + 0.5))]
         labels = [f"link_wait:{key}", f"link_xfer:{key}"]
         node_repr = repr(v)
         service = int(self._model.service_time(node_repr) * _NS + 0.5)
         if service:
-            node = self._nodes.setdefault(
-                node_repr, FifoResource(1, self._width_us)
-            )
+            node = self._nodes.get(node_repr)
+            if node is None:
+                node = self._nodes[node_repr] = FifoResource(1, self._width_us)
             queues.append((node, service, 0))
             labels += (f"node_wait:{node_repr}", f"node_service:{node_repr}")
         hop = self._hops[(u, v)] = (tuple(queues), tuple(labels))
@@ -413,8 +433,8 @@ class TimedOverlay:
             time = window[1]
         if hop == last:
             message[_COMPLETED] = time
-        else:
-            self._kernel.schedule(time, message, hop + 1)
+        else:  # only a planner routes more than one hop: the kernel exists
+            self._kernel.schedule(time, message, hop + 1)  # type: ignore[union-attr]
 
     # -- end of run -----------------------------------------------------------
 

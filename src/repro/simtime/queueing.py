@@ -91,6 +91,8 @@ class FifoResource:
     def __init__(self, capacity: int, width_us: int, link: bool = False) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
+        if width_us < 1:
+            raise ValueError("window width must be at least 1 microsecond")
         #: Per-server sorted, non-overlapping ``[start, end]`` busy
         #: intervals (exactly-adjacent intervals are merged on insert, so
         #: a saturated server is one long block).

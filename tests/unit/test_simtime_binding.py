@@ -11,8 +11,20 @@ import random
 
 import pytest
 
-from repro.simtime import LinkTiming, TimedOverlay, TimeModelSpec, link_key
-from repro.workload import build_topology
+import repro.simtime.binding as binding
+from repro.simtime import (
+    FifoResource,
+    LinkTiming,
+    TimedOverlay,
+    TimeModelSpec,
+    link_key,
+)
+from repro.workload import (
+    ArrivalSpec,
+    ScenarioSpec,
+    WorkloadDriver,
+    build_topology,
+)
 from repro.workload.metrics import WorkloadMetrics
 
 #: Jitter-free, so a latency is a pure function of the path and the queues.
@@ -179,6 +191,52 @@ class TestRoutePrograms:
         overlay.finalize()
         assert metrics.queue_depth.count == 0
         assert dict(metrics.link_busy) == {}
+
+
+class TestOneStationPerKey:
+    @pytest.mark.parametrize("delivery_mode", ["ideal", "unicast"])
+    def test_a_run_builds_only_the_stations_it_keeps(
+        self, monkeypatch, delivery_mode
+    ):
+        # A station is built when its link or node key is first met, not
+        # once per compiled hop and then thrown away.
+        built = []
+
+        class CountedFifo(FifoResource):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        kept = []
+        finalize = TimedOverlay.finalize
+
+        def keeping(self):
+            kept.extend([*self._links.values(), *self._nodes.values()])
+            finalize(self)
+
+        monkeypatch.setattr(binding, "FifoResource", CountedFifo)
+        monkeypatch.setattr(TimedOverlay, "finalize", keeping)
+        WorkloadDriver(ScenarioSpec(
+            name="stations",
+            topology="manhattan:4",
+            strategy="manhattan",
+            operations=300,
+            clients=16,
+            servers=4,
+            ports=4,
+            delivery_mode=delivery_mode,
+            seed=22,
+            arrival=ArrivalSpec(kind="burst", burst_size=40, burst_gap=0.05),
+            time_model=MODEL,
+        )).run()
+        # Both directions of a link and every hop into a node share one.
+        assert len(kept) > 16
+        assert len(built) == len(kept)
+        assert {id(station) for station in built} == {
+            id(station) for station in kept
+        }
 
 
 class TestLazyExemplars:

@@ -91,6 +91,14 @@ class TestAcquire:
         with pytest.raises(ValueError):
             FifoResource(0, WIDTH_US)
 
+    @pytest.mark.parametrize("width_us", [0, -5])
+    def test_rejects_a_window_narrower_than_a_microsecond(self, width_us):
+        # Width 0 would divide by zero at the first acquire, and window
+        # index -1 of a negative width would alias the "no window yet"
+        # sentinel: the station refuses both where it is built.
+        with pytest.raises(ValueError, match="at least 1 microsecond"):
+            FifoResource(1, width_us)
+
 
 class TestGapScheduling:
     def test_earlier_arrival_fills_the_gap_before_a_later_one(self):

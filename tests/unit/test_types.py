@@ -1,5 +1,9 @@
 """Unit tests for repro.core.types."""
 
+import cProfile
+import pickle
+from pathlib import PurePath
+
 import pytest
 
 from repro.core.types import Address, MatchResult, Port, PostRecord
@@ -9,6 +13,40 @@ class TestPort:
     def test_equality_by_name(self):
         assert Port("printer") == Port("printer")
         assert Port("printer") != Port("scanner")
+        assert hash(Port("printer")) == hash(Port("printer"))
+        assert len({Port("printer"), Port("printer"), Port("scanner")}) == 2
+
+    def test_text_forms(self):
+        port = Port("printer")
+        assert str(port) == "port:printer"
+        assert f"{port}" == "port:printer"
+        assert repr(port) == "Port(name='printer')"
+
+    def test_pickle_round_trip_keeps_the_value(self):
+        port = Port("printer")
+        copy = pickle.loads(pickle.dumps(port))
+        assert copy == port and type(copy) is Port
+        assert hash(copy) == hash(port)
+
+    def test_unequal_to_other_kinds_of_name(self):
+        assert Port("printer") != Address("printer")
+        assert Address("printer") != Port("printer")
+        assert Port("printer") != "printer"
+        assert "printer" != Port("printer")
+
+    def test_a_keyed_lookup_runs_no_python_code_of_the_module(self):
+        # Every locate, post and memo lookup hashes its port: the hash and
+        # the equality check must run in C, not in a frame of types.py.
+        table = {Port(name): name for name in "abcdefgh"}
+        probes = [Port(name) for name in "abcdefgh"] * 10
+        profiler = cProfile.Profile()
+        profiler.runcall(lambda: [table[probe] for probe in probes])
+        assert [
+            entry.code.co_name for entry in profiler.getstats()
+            if not isinstance(entry.code, str)
+            and PurePath(entry.code.co_filename).parts[-2:]
+            == ("core", "types.py")
+        ] == []
 
     def test_hashable_and_usable_as_dict_key(self):
         table = {Port("a"): 1, Port("b"): 2}
@@ -16,6 +54,8 @@ class TestPort:
 
     def test_ordering_by_name(self):
         assert Port("a") < Port("b")
+        names = ["m", "b", "z", "a", "ba"]
+        assert [p.name for p in sorted(map(Port, names))] == sorted(names)
 
     def test_str_contains_name(self):
         assert "printer" in str(Port("printer"))
