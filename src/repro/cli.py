@@ -1,6 +1,6 @@
 """The ``python -m repro`` command line: run, sweep, replay — reproducibly.
 
-Six subcommands wrap the paper table and the workload and execution
+Five subcommands wrap the paper table and the workload and execution
 engines for shell use:
 
 ``paper``
@@ -21,11 +21,6 @@ engines for shell use:
     inspect the observability export a ``--obs DIR`` run wrote: merged
     metric totals, span-derived hop breakdowns, per-worker phase profiles,
     numeric deltas between two exports, critical-path attribution;
-``analyze [paths...]``
-    run the determinism / pickle-safety / digest-neutrality static
-    analyzer (:mod:`repro.analysis.static`) over the source tree; new
-    findings exit 1, ``--strict`` additionally fails stale baseline
-    entries.
 
 Everything machine-readable goes to stdout, progress and notes to stderr,
 so ``python -m repro ... > out.json`` composes in pipelines.  Exit status
@@ -39,19 +34,9 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 from typing import List, Optional
 
 from .analysis import render_matrix_report
-from .analysis.static import (
-    AnalysisError,
-    analyze_paths,
-    load_baseline,
-    render_findings,
-    rule_table,
-    session_dict,
-    write_baseline,
-)
 from .core.exceptions import MatchMakingError
 from .exec.plan import resolve_workers
 from .exec.progress import ProgressReporter
@@ -220,31 +205,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    if args.list_rules:
-        for row in rule_table():
-            print(f"{row['id']}  {row['title']}")
-            print(f"        {row['description']}")
-        return 0
-    paths = [Path(p) for p in args.paths] if args.paths \
-        else [Path(__file__).resolve().parent]
-    baseline = load_baseline(Path(args.baseline)) if args.baseline else {}
-    session = analyze_paths(paths, baseline=baseline)
-    if args.write_baseline:
-        write_baseline(Path(args.write_baseline), session)
-        _note(
-            f"baseline ({len(session.findings)} finding(s)) -> "
-            f"{args.write_baseline}"
-        )
-    if args.json:
-        _emit(session_dict(session))
-    else:
-        print(render_findings(session, verbose=args.verbose))
-    failed = bool(session.new) or \
-        (args.strict and bool(session.stale_baseline))
-    return 1 if failed else 0
-
-
 def _cmd_replay(args: argparse.Namespace) -> int:
     trace = Trace.from_path(args.trace)
     result = replay_trace(trace)
@@ -390,41 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diff_p.set_defaults(handler=_cmd_obs)
 
-    analyze_p = sub.add_parser(
-        "analyze",
-        help="static determinism / pickle-safety / digest-neutrality checks",
-    )
-    analyze_p.add_argument(
-        "paths", nargs="*",
-        help="files or directories to analyze (default: the repro package)",
-    )
-    analyze_p.add_argument(
-        "--baseline", metavar="PATH",
-        help="committed baseline JSON; findings it fingerprints don't fail "
-             "the gate",
-    )
-    analyze_p.add_argument(
-        "--write-baseline", metavar="PATH",
-        help="write the current findings as a new baseline to PATH",
-    )
-    analyze_p.add_argument(
-        "--strict", action="store_true",
-        help="also fail (exit 1) on stale baseline entries",
-    )
-    analyze_p.add_argument(
-        "--json", action="store_true",
-        help="emit the full machine-readable session instead of text",
-    )
-    analyze_p.add_argument(
-        "--verbose", action="store_true",
-        help="also list findings suppressed by pragmas (with reasons)",
-    )
-    analyze_p.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalog and exit",
-    )
-    analyze_p.set_defaults(handler=_cmd_analyze)
-
     replay_p = sub.add_parser(
         "replay", help="re-execute a recorded trace (JSONL)"
     )
@@ -443,10 +368,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (
-        OSError, ValueError, KeyError, TypeError, MatchMakingError,
-        AnalysisError,
-    ) as error:
+    except (OSError, ValueError, KeyError, TypeError, MatchMakingError) as error:
         # Bad input of any shape — unreadable file, malformed JSON, spec
         # validation, unknown strategy/topology — is exit 2, never a
         # traceback; exit 1 stays reserved for --expect divergence.

@@ -12,10 +12,8 @@ Profiles are wall-clock and therefore **nondeterministic** — the report
 digest excludes them (see :meth:`MatrixReport.canonical_dict`), which the
 digest-stability tests pin.
 
-This module is a declared wall-clock zone of the static analyzer (DET001
-allows clock reads here and nowhere in the digest cone), so profiled code
-reads the clock only through :meth:`PhaseProfile.phase` — or :func:`timed`,
-when the profile it was handed may be ``None``.
+Profiled code reads the clock only through :meth:`PhaseProfile.phase` —
+or :func:`timed`, when the profile it was handed may be ``None``.
 """
 
 from __future__ import annotations
@@ -95,20 +93,6 @@ class PhaseProfile:
                 int(entry.get("count", 0)),
             )
         return profile
-
-
-def wall_clock() -> float:
-    """The declared wall-clock read for measurement plumbing.
-
-    Digest-cone code that needs a wall-clock reading (the driver's
-    ``wall_seconds``, which ``canonical_dict`` zeroes) takes it from here
-    instead of calling ``time.perf_counter()`` inline.  The static analyzer
-    knows this helper by name (``wall_clock_helpers`` in its config): calls
-    to it are allowed anywhere, while raw clock reads in the digest cone
-    still raise DET001 — one declared doorway instead of per-call-site
-    pragmas.
-    """
-    return time.perf_counter()
 
 
 def timed(profile: Optional[PhaseProfile], name: str) -> ContextManager:

@@ -2,8 +2,8 @@
 
 The kernel is the package's only scheduler and the reason ``repro.simtime``
 stays deterministic: time is integer nanoseconds, moved only when an event
-is popped, never a reading of any OS clock (DET001 has nothing to find
-here), and two instants tie exactly when the model says they do.
+is popped, never a reading of any OS clock, and two instants tie exactly
+when the model says they do.
 An event is plain data — the tuple ``(time, seq, message, hop)`` on the heap:
 *which* message enters *which* hop of its route *when*.  Nothing callable is
 stored; :meth:`SimKernel.run` hands every popped event to the one handler

@@ -118,7 +118,7 @@ class HashLocateStrategy(UniverseStrategy):
         """
         counts = {node: 0 for node in self._ordered}
         for port in ports:
-            for node in sorted(self.rendezvous_nodes(port), key=repr):
+            for node in self.rendezvous_nodes(port):
                 counts[node] += 1
         return counts
 

@@ -67,10 +67,28 @@ FAULT_REGIME_KINDS = ("none", "waves", "flaps", "partition", "correlated")
 
 def part_from_dict(cls: type, data: Dict[str, object]):
     """One nested spec (arrival, popularity, churn, faults, slo) from its
-    dict, an unknown key rejected by name like a top-level one — not as a
-    ``TypeError`` about ``__init__``."""
+    dict, an unknown key or a mistyped value rejected by name like a
+    top-level one — not as a ``TypeError`` about ``__init__``."""
     reject_unknown_keys(cls, data)
+    reject_mistyped_values(cls, data)
     return cls(**data)
+
+
+def reject_mistyped_values(cls: type, data: Dict[str, object]) -> None:
+    """Reject, as ``Class.field``, a scalar of ``data`` whose type its
+    field's annotation does not take.  Types match exactly, so a ``bool``
+    (an ``int`` to ``isinstance``) is no number: ``"false"`` would run as
+    true, ``true`` as 1 and ``2.5`` as a burst size.  Checked here at the
+    JSON boundary, not in ``__post_init__``, so specs built in code pay
+    nothing."""
+    scalars = _SCALARS[cls]
+    for name, value in data.items():
+        annotation = scalars.get(name)
+        if annotation is not None and type(value) not in _SCALAR_TYPES[annotation]:
+            raise ValueError(
+                f"{cls.__name__}.{name} must be {annotation}, "
+                f"got {type(value).__name__} {value!r}"
+            )
 
 
 def field_values(spec) -> Dict[str, object]:
@@ -356,9 +374,10 @@ class ScenarioSpec:
 
         Unknown keys are rejected by name, as :meth:`MatrixSpec.from_dict`
         does — a typoed field must not surface as a ``TypeError`` about
-        ``__init__``.
+        ``__init__`` — and so are mistyped scalars (``"ports": "2"``).
         """
         reject_unknown_keys(cls, data)
+        reject_mistyped_values(cls, data)
         payload = dict(data)
         # Traces recorded before fault regimes existed have no "faults" key.
         for key, part in (
@@ -385,6 +404,17 @@ _FIELDS = {
     cls: (names, attrgetter(*names))
     for cls in (ArrivalSpec, PopularitySpec, ChurnSpec, FaultRegimeSpec, SloSpec, ScenarioSpec)
     for names in [tuple(spec_field.name for spec_field in fields(cls))]
+}
+
+#: The value types each scalar annotation takes from JSON.
+_SCALAR_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
+
+#: Each spec class's scalar fields by name, with their annotation (a
+#: string: this module postpones annotations).
+_SCALARS = {
+    cls: {spec_field.name: spec_field.type for spec_field in fields(cls)
+          if spec_field.type in _SCALAR_TYPES}
+    for cls in _FIELDS
 }
 
 

@@ -1,17 +1,17 @@
 """PYTHONHASHSEED differential: digests must not feel the hash seed.
 
-The analyzer's DET003/DET004 rules exist because Python randomizes string
-hashing per process: any digest-affecting code that iterates an unordered
-set or leans on ``hash()`` produces different bytes under different
-seeds.  This test runs the same seeded workload in fresh subprocesses
-under ``PYTHONHASHSEED=0``, ``1``, ``31337`` and ``random``, and requires
-the result digest, trace digest and a rendezvous load distribution to be
-identical everywhere — for a small healthy run, for a
-``faulted_churn``-shaped unicast run over string-bearing node ids, where a
-locate's responders come out of a set intersection, and for the order of
-a ``collect_all`` query's records on ``hypercube:5``, whose node ids are
-strings.  The golden entry ``hashseed`` in ``tests/golden/parity.json``
-additionally freezes today's digests so *any* future nondeterminism — not just cross-seed drift — fails loudly.
+Python randomizes string hashing per process: any digest-affecting code
+that iterates an unordered set or leans on ``hash()`` produces different
+bytes under different seeds.  This test runs the same seeded workload in
+fresh subprocesses under ``PYTHONHASHSEED=0``, ``1``, ``31337`` and
+``random``, and requires the result digest, trace digest and a rendezvous
+load distribution to be identical everywhere — for a small healthy run,
+for a ``faulted_churn``-shaped unicast run over string-bearing node ids,
+where a locate's responders come out of a set intersection, and for the
+order of a ``collect_all`` query's records on ``hypercube:5``, whose node
+ids are strings.  The golden entry ``hashseed`` in
+``tests/golden/parity.json`` additionally freezes today's digests so *any*
+future nondeterminism — not just cross-seed drift — fails loudly.
 """
 
 import json

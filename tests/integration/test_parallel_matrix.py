@@ -599,9 +599,10 @@ class TestTelemetryIsPassedDown:
         assert offenders == []
 
     def test_the_check_resolves_relative_imports(self):
-        # The driver owns the tracer and reads the clock: it imports both.
-        driver = self.SRC / "workload" / "driver.py"
-        assert set(self.FORBIDDEN) <= {name for _, name in self.imported(driver)}
+        # The cell loop owns each shard's tracer and profile: it imports
+        # both, by ``from ..obs.spans``/``from ..obs.profile``.
+        runner = self.SRC / "exec" / "runner.py"
+        assert set(self.FORBIDDEN) <= {name for _, name in self.imported(runner)}
 
 
 

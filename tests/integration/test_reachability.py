@@ -4,8 +4,8 @@ Every ``def`` and ``class`` in ``src/repro`` (at module level or in a class
 body) must be reached from a root: ``repro.__all__``; all of ``repro.cli``,
 ``repro.__main__`` and any module with a ``__main__`` block; module-level
 statements but imports and ``__all__``; every identifier used in
-``benchmarks/**/*.py`` and ``examples/*.py``; dunder methods and
-``ast.NodeVisitor`` ``visit_*`` methods, which Python and the visitor call.
+``benchmarks/**/*.py`` and ``examples/*.py``; dunder methods, which
+Python calls.
 
 A definition is reached when live code refers to its name — a call, a
 ``Name``, an ``Attribute`` or a string that is an identifier — and its body
@@ -13,9 +13,9 @@ is then live too.  Reach goes by name, not scope: two definitions sharing a
 name are kept together, which errs towards keeping code.  A subpackage's
 ``__all__`` roots nothing.  There is no allow-list: a checker only tests
 need lives in ``tests/oracle/``; anything else is deleted, or rooted
-because a user surface needs it.  This is a test and not an analyzer rule
-because it must read ``benchmarks/`` and ``examples/``, which an analysis
-of the installed package cannot see.
+because a user surface needs it.  It reads ``benchmarks/`` and
+``examples/`` as well as the package, so it runs as a test of the
+checkout.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ def unreached(src: Path, users: Iterable[Path]) -> List[str]:
             if index not in reached and (
                 rooted or node.name in live
                 or (node.name.startswith("__") and node.name.endswith("__"))
-                or node.name.startswith("visit_")
             ):
                 reached.add(index)
                 live |= referenced(live_with(node))

@@ -11,7 +11,7 @@ import pytest
 from test_reachability import ROOT, unreached
 
 NAMED = [
-    "__init__.py", "analysis/paper.py", "analysis/static/config.py",
+    "__init__.py", "analysis/paper.py", "analysis/uucp.py",
     "core/types.py", "exec/plan.py", "network/routing.py", "obs/spans.py",
     "processes/system.py", "simtime/kernel.py", "strategies/manhattan.py",
     "topologies/tree.py", "workload/spec.py",

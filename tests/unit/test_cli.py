@@ -314,6 +314,18 @@ class TestErrors:
         assert main(["run", str(bad)]) == 2
         assert "ArrivalSpec.rate must be finite" in capsys.readouterr().err
 
+    def test_mistyped_scalar_exits_two_naming_the_field(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SPEC.to_dict(), "ports": "2"}))
+        assert main(["run", str(bad)]) == 2
+        assert "ScenarioSpec.ports must be int, got str '2'" in capsys.readouterr().err
+
+    def test_analyze_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'analyze'" in capsys.readouterr().err
+
     def test_unknown_nested_key_exits_two_naming_the_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(
