@@ -61,6 +61,7 @@ from .strategies import (
     TreePathStrategy,
     default_registry,
 )
+from .codec import decode, encode
 from .simtime import LinkTiming, TimeModelSpec
 from .workload import (
     ArrivalSpec,
@@ -149,8 +150,10 @@ __all__ = [
     "bounds",
     "compare_under_load",
     "complete_graph",
+    "decode",
     "decompose",
     "default_registry",
+    "encode",
     "format_table",
     "probabilistic",
     "replay_trace",

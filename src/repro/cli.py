@@ -37,6 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional
 
 from .analysis import render_matrix_report
+from .codec import decode
 from .core.exceptions import MatchMakingError
 from .exec.plan import resolve_workers
 from .exec.progress import ProgressReporter
@@ -83,14 +84,14 @@ def _cmd_paper(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = ScenarioSpec.from_dict(_load_json(args.spec))
+    spec = decode(ScenarioSpec, _load_json(args.spec))
     if getattr(args, "time_model", None):
         from dataclasses import replace as _replace
 
         from .simtime import TimeModelSpec
 
         spec = _replace(
-            spec, time_model=TimeModelSpec.from_dict(_load_json(args.time_model))
+            spec, time_model=decode(TimeModelSpec, _load_json(args.time_model))
         )
     tracer = SpanRecorder() if args.obs else None
     result = run_scenario(spec, tracer=tracer)
@@ -120,7 +121,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    matrix = MatrixSpec.from_dict(_load_json(args.spec))
+    matrix = decode(MatrixSpec, _load_json(args.spec))
     if args.repeat < 1:
         raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
     # Processes start on the first submit, so a one-shard plan starts none.

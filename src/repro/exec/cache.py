@@ -34,6 +34,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..codec import decode, encode
 from ..network.simulator import Network
 from ..obs.profile import CACHE_WARMUP, PhaseProfile, timed
 from ..obs.registry import Counter, MetricsRegistry
@@ -61,7 +62,7 @@ def spec_fingerprint(cell: MatrixCell) -> str:
     fingerprint.
     """
     return canonical_digest({
-        "spec": cell.spec.to_dict(),
+        "spec": encode(cell.spec),
         "topology": cell.topology,
         "strategy": cell.strategy,
         "regime": cell.regime,
@@ -156,7 +157,7 @@ class CellCache:
             self.count("stale")
             return None
         try:
-            cell_result = CellResult.from_dict(payload["cell"])
+            cell_result = decode(CellResult, payload["cell"])
         except (KeyError, TypeError, ValueError):
             self.count("corrupt")
             return None
@@ -171,7 +172,7 @@ class CellCache:
         payload = {
             "schema": self.schema_version,
             "key": key,
-            "cell": cell_result.to_dict(),
+            "cell": encode(cell_result),
         }
         # Unique temp name: concurrent runs over one cache dir may race on
         # the same key, and each must rename a fully written file.  A
@@ -197,7 +198,7 @@ def merge_cache_stats(totals: Dict[str, int], stats: Dict[str, int]) -> None:
 
 def canonical_cell_payload(cell_result: CellResult) -> Dict[str, object]:
     """A cell's payload with its (nondeterministic) wall clock dropped."""
-    payload = cell_result.to_dict()
+    payload = encode(cell_result)
     payload.pop("wall_seconds", None)
     return payload
 

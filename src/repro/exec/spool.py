@@ -25,6 +25,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Tuple
 
+from ..codec import decode, encode
 from ..workload.matrix import CellResult
 
 
@@ -39,7 +40,7 @@ def shard_spool_path(directory, shard_index: int) -> Path:
 
 def dump_spool_line(position: int, cell_result: CellResult) -> str:
     """One cell as one newline-terminated JSON record."""
-    record = {"position": position, "cell": cell_result.to_dict()}
+    record = {"position": position, "cell": encode(cell_result)}
     return json.dumps(record, sort_keys=True) + "\n"
 
 
@@ -66,7 +67,7 @@ def load_spool(path) -> List[Tuple[int, CellResult]]:
         try:
             record = json.loads(line)
             entries.append(
-                (int(record["position"]), CellResult.from_dict(record["cell"]))
+                (int(record["position"]), decode(CellResult, record["cell"]))
             )
         except (ValueError, KeyError, TypeError) as error:
             raise SpoolError(

@@ -196,11 +196,10 @@ class TimedOverlay:
             self._price(category, pairs)
 
     def on_replies(self, responders, client: Hashable, mode: str) -> None:
-        """Reply messages: each responder back to the querying client."""
+        """Reply messages: each responder back to the querying client, in
+        the ``repr`` order ``Network.query`` hands them over."""
         if not self._capturing:
             return
-        if len(responders) > 1:
-            responders = sorted(responders, key=repr)
         pairs = [(responder, client) for responder in responders
                  if responder != client]
         if pairs:

@@ -8,7 +8,10 @@ once, when it compiles a route.  It is plain frozen data, exactly like
 :class:`~repro.workload.spec.ArrivalSpec` and friends: it rides on a
 :class:`~repro.workload.spec.ScenarioSpec`, serializes into trace headers
 and matrix grids, crosses the exec-engine process boundary by pickle, and
-participates in every cache key through ``to_dict()``.
+participates in every cache key.  Its JSON is the field layout
+(:mod:`repro.codec`; override pairs are two-item lists): every field
+defaults, but a misspelled key or a mistyped ``"capacity": 2.5`` is a
+``ValueError`` naming its path, never a latency priced with a default.
 
 Links are identified by the :func:`link_key` of their endpoint reprs, so
 overrides are JSON-safe no matter what a topology uses for node ids (ints,
@@ -21,37 +24,10 @@ complete topology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import Dict, Hashable, Tuple
+from dataclasses import dataclass, field
+from typing import Hashable, Tuple
 
-
-def require_finite(spec: object) -> None:
-    """Reject NaN and infinities in the float fields of dataclass ``spec``.
-
-    Every spec validator calls this first: ``nan <= 0`` is false, so a
-    range check alone lets NaN through, and the run then reports successes
-    at ``time = nan``.  The ``ValueError`` names the offending field.
-    """
-    for spec_field in fields(spec):
-        value = getattr(spec, spec_field.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(
-                f"{type(spec).__name__}.{spec_field.name} must be finite, "
-                f"got {value!r}"
-            )
-
-
-def reject_unknown_keys(cls: type, data: Dict[str, object]) -> None:
-    """Reject, by name, keys of ``data`` that are not fields of ``cls``:
-    where every field defaults, a misspelled key would otherwise run with
-    the default — for a time model a confident, wrong latency report."""
-    known = {spec_field.name for spec_field in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValueError(
-            f"unknown {cls.__name__} key(s) {unknown}; "
-            f"expected a subset of {sorted(known)}"
-        )
+from ..codec import require_finite
 
 
 def link_key(u: Hashable, v: Hashable) -> str:
@@ -88,24 +64,6 @@ class LinkTiming:
             raise ValueError("jitter must be non-negative")
         if self.capacity < 1:
             raise ValueError("capacity must be at least 1")
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe form."""
-        return {
-            "latency": self.latency,
-            "jitter": self.jitter,
-            "capacity": self.capacity,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "LinkTiming":
-        """Rebuild from :meth:`to_dict` output; unknown keys are rejected."""
-        reject_unknown_keys(cls, data)
-        return cls(
-            latency=float(data.get("latency", 0.001)),
-            jitter=float(data.get("jitter", 0.0)),
-            capacity=int(data.get("capacity", 1)),
-        )
 
 
 @dataclass(frozen=True)
@@ -192,37 +150,3 @@ class TimeModelSpec:
             if override_key == node_repr:
                 return seconds
         return self.node_service
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-safe, round-trippable description of the model."""
-        return {
-            "default_link": self.default_link.to_dict(),
-            "link_overrides": [
-                [key, timing.to_dict()] for key, timing in self.link_overrides
-            ],
-            "node_service": self.node_service,
-            "node_overrides": [
-                [key, seconds] for key, seconds in self.node_overrides
-            ],
-            "timeout": self.timeout,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TimeModelSpec":
-        """Rebuild a model from :meth:`to_dict` output (every field
-        defaults, so hand-written JSON can stay minimal; unknown keys are
-        rejected, in nested link timings too)."""
-        reject_unknown_keys(cls, data)
-        return cls(
-            default_link=LinkTiming.from_dict(dict(data.get("default_link", {}))),
-            link_overrides=tuple(
-                (str(key), LinkTiming.from_dict(dict(timing)))
-                for key, timing in data.get("link_overrides", ())
-            ),
-            node_service=float(data.get("node_service", 0.0)),
-            node_overrides=tuple(
-                (str(key), float(seconds))
-                for key, seconds in data.get("node_overrides", ())
-            ),
-            timeout=float(data.get("timeout", 0.0)),
-        )

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List
 from typing import Optional, Sequence
 
+from ..codec import decode, encode
 from ..core.types import Port
 from ..network import faults as _faults
 from ..network.simulator import Network
@@ -118,7 +119,7 @@ class WorkloadResult:
         whether the run shared a warm network with earlier matrix cells.
         """
         return {
-            "spec": self.spec.to_dict(),
+            "spec": encode(self.spec),
             "summary": self.summary(),
             "trace_ops": self.trace.operation_counts(),
         }
@@ -581,7 +582,7 @@ class WorkloadDriver:
         with each op's trace time, never wall clock, so tracing a run
         changes nothing about its results.
         """
-        trace = Trace(self.spec.to_dict())
+        trace = Trace(encode(self.spec))
 
         def recorded(state: _RunState) -> Iterator[TraceOp]:
             for op in self._generate(state):
@@ -607,7 +608,7 @@ def run_scenario(
 
 def replay_trace(trace: Trace) -> WorkloadResult:
     """Replay a recorded trace under the scenario stored in its header."""
-    spec = ScenarioSpec.from_dict(trace.scenario)
+    spec = decode(ScenarioSpec, trace.scenario)
     return WorkloadDriver(spec).replay(trace)
 
 

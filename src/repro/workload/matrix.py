@@ -40,6 +40,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..codec import decode, encode
 from ..core.exceptions import StrategyError
 from ..network.delivery import plan_hit_rates
 from ..network.simulator import Network
@@ -55,8 +56,6 @@ from .spec import (
     ScenarioSpec,
     build_strategy,
     build_topology,
-    field_values,
-    part_from_dict,
     stable_seed,
 )
 from .trace import canonical_digest
@@ -114,6 +113,9 @@ class MatrixSpec:
     #: so one grid can compare hop counts against priced latency.  Empty
     #: keeps the base's single model, exactly like the other model axes.
     time_models: Tuple[Optional[TimeModelSpec], ...] = ()
+
+    #: What :meth:`to_dict` adds to the field layout; ``decode`` skips them.
+    DERIVED_KEYS = ("regime_labels", "cell_count")
 
     def __post_init__(self) -> None:
         if not self.topologies or not self.strategies or not self.fault_regimes:
@@ -206,99 +208,24 @@ class MatrixSpec:
         return cells, skipped
 
     def to_dict(self) -> Dict[str, object]:
-        """A JSON-safe, full-fidelity description of the grid.
-
-        Round-trips through :meth:`from_dict`, so a grid can be written as a
-        JSON file and handed to ``python -m repro matrix``; the derived
-        ``regime_labels`` and ``cell_count`` ride along for report readers
-        and are ignored on the way back in.
-        """
-        data = {
-            "name": self.name,
-            "topologies": list(self.topologies),
-            "strategies": list(self.strategies),
-            "fault_regimes": [field_values(regime) for regime in self.fault_regimes],
-            "regime_labels": _regime_labels(self.fault_regimes),
-            "base": self.base.to_dict(),
-            "arrivals": [field_values(arrival) for arrival in self.arrivals],
-            "popularities": [field_values(pop) for pop in self.popularities],
-            "churns": [field_values(churn) for churn in self.churns],
-            "cell_count": self.cell_count,
-        }
+        """A JSON-safe, full-fidelity description of the grid: the field
+        layout ``decode(MatrixSpec, data)`` reads, plus the derived
+        :data:`DERIVED_KEYS` for report readers."""
+        data = encode(self)
         # Like ScenarioSpec's ``time_model``: the axis appears only when
         # used, so untimed grid descriptions (and their report digests)
         # are byte-identical to pre-simtime output.
-        if self.time_models:
-            data["time_models"] = [
-                model.to_dict() if model is not None else None
-                for model in self.time_models
-            ]
+        if not self.time_models:
+            del data["time_models"]
+        data["regime_labels"] = _regime_labels(self.fault_regimes)
+        data["cell_count"] = self.cell_count
         return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "MatrixSpec":
-        """Rebuild a grid from :meth:`to_dict` output (or a hand-written
-        JSON spec; every field defaults).
-
-        Unknown keys are rejected rather than defaulted over — a typoed
-        axis name (``"topologys"``) must fail loudly, not silently run the
-        default grid.  The derived ``regime_labels``/``cell_count`` that
-        :meth:`to_dict` emits are tolerated and ignored.  An axis must be a
-        list: ``"strategies": "centralized"`` is rejected, not run as eleven
-        one-letter strategies.
-        """
-        known = {
-            "name", "topologies", "strategies", "fault_regimes", "base",
-            "arrivals", "popularities", "churns", "time_models",
-            "regime_labels", "cell_count",  # derived, to_dict round-trip
-        }
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown MatrixSpec key(s) {unknown}; "
-                f"expected a subset of {sorted(known)}"
-            )
-
-        def axis(key: str, default: tuple) -> tuple:
-            value = data.get(key, default)
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(
-                    f"MatrixSpec key {key!r} must be a list, got {value!r}"
-                )
-            return tuple(value)
-
-        return cls(
-            name=str(data.get("name", "matrix")),
-            topologies=axis("topologies", ("complete:16",)),
-            strategies=axis("strategies", ("checkerboard",)),
-            fault_regimes=tuple(
-                part_from_dict(FaultRegimeSpec, regime)
-                for regime in axis("fault_regimes", ({},))
-            ),
-            base=ScenarioSpec.from_dict(dict(data.get("base", {}))),
-            arrivals=tuple(
-                part_from_dict(ArrivalSpec, arrival)
-                for arrival in axis("arrivals", ())
-            ),
-            popularities=tuple(
-                part_from_dict(PopularitySpec, pop)
-                for pop in axis("popularities", ())
-            ),
-            churns=tuple(
-                part_from_dict(ChurnSpec, churn)
-                for churn in axis("churns", ())
-            ),
-            # Only null is untimed: ``{}`` is the all-defaults model.
-            time_models=tuple(
-                TimeModelSpec.from_dict(dict(model)) if model is not None else None
-                for model in axis("time_models", ())
-            ),
-        )
 
 
 @dataclass(frozen=True)
 class CellResult:
-    """One matrix cell's deterministic outcome plus run metadata."""
+    """One matrix cell's deterministic outcome plus run metadata
+    (``wall_seconds``, rounded to 0.1 ms, is informational)."""
 
     topology: str
     strategy: str
@@ -311,29 +238,6 @@ class CellResult:
     def availability(self) -> float:
         """Fraction of the cell's requests that were served."""
         return float(self.summary.get("success_rate", 0.0))
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe form (wall seconds rounded; they are informational)."""
-        return {
-            "topology": self.topology,
-            "strategy": self.strategy,
-            "regime": self.regime,
-            "summary": self.summary,
-            "plan_cache": dict(self.plan_cache),
-            "wall_seconds": round(self.wall_seconds, 4),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CellResult":
-        """Rebuild a cell from :meth:`to_dict` output."""
-        return cls(
-            topology=str(data["topology"]),
-            strategy=str(data["strategy"]),
-            regime=str(data["regime"]),
-            summary=dict(data["summary"]),
-            plan_cache=dict(data.get("plan_cache", {})),
-            wall_seconds=float(data.get("wall_seconds", 0.0)),
-        )
 
 
 class MatrixReport:
@@ -503,7 +407,7 @@ class MatrixReport:
         """The whole report as one JSON-safe dictionary."""
         data = {
             "grid": self._grid,
-            "cells": [cell.to_dict() for cell in self._cells],
+            "cells": [encode(cell) for cell in self._cells],
             "skipped": self.skipped,
             "by_strategy": self.by_strategy(),
             "by_regime": self.by_regime(),
@@ -548,7 +452,7 @@ class MatrixReport:
         recomputed from the cells, not trusted from the file)."""
         return cls(
             grid=dict(data.get("grid", {})),
-            cells=[CellResult.from_dict(cell) for cell in data.get("cells", [])],
+            cells=[decode(CellResult, cell) for cell in data.get("cells", [])],
             skipped=data.get("skipped", []),
             profile=data.get("profile"),
             cache=data.get("cache"),
@@ -591,7 +495,7 @@ def run_cell(
         regime=cell.regime,
         summary=result.summary(),
         plan_cache=result.plan_cache,
-        wall_seconds=result.wall_seconds,
+        wall_seconds=round(result.wall_seconds, 4),
     )
     return cell_result, result
 

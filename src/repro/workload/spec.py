@@ -3,9 +3,10 @@
 A :class:`ScenarioSpec` describes one traffic experiment completely — the
 topology, the match-making strategy, the process population, the arrival
 process, the popularity model and the churn model — as plain data.  Specs
-round-trip through ``to_dict``/``from_dict`` so a recorded trace can embed
-the scenario it was captured under and a benchmark can persist exactly what
-it ran.
+round-trip through JSON (:mod:`repro.codec`: the field layout, exact types,
+an int stored as a float in a float field, bad keys named by path) so a
+recorded trace can embed the scenario it was captured under and a benchmark
+can persist exactly what it ran.
 
 The spec layer also owns the name-to-object resolvers ``build_topology`` and
 ``build_strategy``, so scenarios can be written as strings (``"manhattan:8"``
@@ -16,10 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
-from typing import Dict, Hashable, Iterable, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Hashable, Iterable, List, Optional
 
+from ..codec import require_finite
 from ..core.exceptions import StrategyError
 from ..core.strategy import MatchMakingStrategy
 from ..network.faults import (
@@ -30,7 +31,7 @@ from ..network.faults import (
     region_partition,
 )
 from ..network.graph import Graph
-from ..simtime.model import TimeModelSpec, reject_unknown_keys, require_finite
+from ..simtime.model import TimeModelSpec
 from ..strategies import (
     CubeConnectedCyclesStrategy,
     HierarchicalGatewayStrategy,
@@ -63,40 +64,6 @@ POPULARITY_KINDS = ("uniform", "zipf", "hotspot")
 CHURN_KINDS = ("none", "migration", "failover", "storm", "mixed")
 #: Fault-regime kinds.
 FAULT_REGIME_KINDS = ("none", "waves", "flaps", "partition", "correlated")
-
-
-def part_from_dict(cls: type, data: Dict[str, object]):
-    """One nested spec (arrival, popularity, churn, faults, slo) from its
-    dict, an unknown key or a mistyped value rejected by name like a
-    top-level one — not as a ``TypeError`` about ``__init__``."""
-    reject_unknown_keys(cls, data)
-    reject_mistyped_values(cls, data)
-    return cls(**data)
-
-
-def reject_mistyped_values(cls: type, data: Dict[str, object]) -> None:
-    """Reject, as ``Class.field``, a scalar of ``data`` whose type its
-    field's annotation does not take.  Types match exactly, so a ``bool``
-    (an ``int`` to ``isinstance``) is no number: ``"false"`` would run as
-    true, ``true`` as 1 and ``2.5`` as a burst size.  Checked here at the
-    JSON boundary, not in ``__post_init__``, so specs built in code pay
-    nothing."""
-    scalars = _SCALARS[cls]
-    for name, value in data.items():
-        annotation = scalars.get(name)
-        if annotation is not None and type(value) not in _SCALAR_TYPES[annotation]:
-            raise ValueError(
-                f"{cls.__name__}.{name} must be {annotation}, "
-                f"got {type(value).__name__} {value!r}"
-            )
-
-
-def field_values(spec) -> Dict[str, object]:
-    """A spec's fields by name: ``asdict`` without its deep copy, and
-    without asking ``dataclasses`` again — the names and their getter come
-    from ``_FIELDS``, read once per spec class."""
-    names, values = _FIELDS[type(spec)]
-    return dict(zip(names, values(spec)))
 
 
 @dataclass(frozen=True)
@@ -327,11 +294,11 @@ class ScenarioSpec:
     churn: ChurnSpec = field(default_factory=ChurnSpec)
     faults: FaultRegimeSpec = field(default_factory=FaultRegimeSpec)
     #: Optional discrete-event time model (``repro.simtime``).  ``None``
-    #: keeps the run untimed and its serialized form *key-free* — see
-    #: :meth:`to_dict` — so every pre-simtime digest is preserved.
+    #: keeps the run untimed and its serialized form *key-free* (``encode``
+    #: leaves ``None`` out), so every pre-simtime digest is preserved.
     time_model: Optional[TimeModelSpec] = None
     #: Optional SLO evaluated per virtual-time window on timed runs.
-    #: ``None`` omits the key from :meth:`to_dict` (same digest contract
+    #: ``None`` omits the key from the JSON (same digest contract
     #: as ``time_model``), so every pre-SLO scenario identity is preserved.
     slo: Optional[SloSpec] = None
 
@@ -349,73 +316,6 @@ class ScenarioSpec:
     def with_strategy(self, strategy: str, name: str = "") -> "ScenarioSpec":
         """A copy of this spec running a different strategy."""
         return replace(self, strategy=strategy, name=name or f"{self.name}:{strategy}")
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-safe dictionary describing this scenario.
-
-        An untimed spec omits the ``time_model`` key entirely (rather than
-        emitting ``null``): trace headers, cache keys and digests of every
-        scenario recorded before — or simply without — the time model stay
-        byte-identical.
-        """
-        data = {name: field_values(value) if type(value) in _FIELDS else value
-                for name, value in field_values(self).items()}
-        if self.time_model is None:
-            del data["time_model"]
-        else:
-            data["time_model"] = self.time_model.to_dict()
-        if self.slo is None:
-            del data["slo"]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output.
-
-        Unknown keys are rejected by name, as :meth:`MatrixSpec.from_dict`
-        does — a typoed field must not surface as a ``TypeError`` about
-        ``__init__`` — and so are mistyped scalars (``"ports": "2"``).
-        """
-        reject_unknown_keys(cls, data)
-        reject_mistyped_values(cls, data)
-        payload = dict(data)
-        # Traces recorded before fault regimes existed have no "faults" key.
-        for key, part in (
-            ("arrival", ArrivalSpec), ("popularity", PopularitySpec),
-            ("churn", ChurnSpec), ("faults", FaultRegimeSpec),
-        ):
-            payload[key] = part_from_dict(part, payload.get(key, {}))
-        # Only a missing key or null means "none": ``{}`` is the all-defaults
-        # model (or SLO), as ``repro run --time-model`` reads the same file.
-        time_model = payload.get("time_model")
-        if time_model is not None and not isinstance(time_model, TimeModelSpec):
-            time_model = TimeModelSpec.from_dict(time_model)
-        payload["time_model"] = time_model
-        slo = payload.get("slo")
-        if slo is not None and not isinstance(slo, SloSpec):
-            slo = part_from_dict(SloSpec, slo)
-        payload["slo"] = slo
-        return cls(**payload)
-
-
-#: Each spec class's field names in declaration order, and one getter for
-#: their values; a value whose type is a key here is a nested part.
-_FIELDS = {
-    cls: (names, attrgetter(*names))
-    for cls in (ArrivalSpec, PopularitySpec, ChurnSpec, FaultRegimeSpec, SloSpec, ScenarioSpec)
-    for names in [tuple(spec_field.name for spec_field in fields(cls))]
-}
-
-#: The value types each scalar annotation takes from JSON.
-_SCALAR_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
-
-#: Each spec class's scalar fields by name, with their annotation (a
-#: string: this module postpones annotations).
-_SCALARS = {
-    cls: {spec_field.name: spec_field.type for spec_field in fields(cls)
-          if spec_field.type in _SCALAR_TYPES}
-    for cls in _FIELDS
-}
 
 
 # -- seed derivation ---------------------------------------------------------------

@@ -20,6 +20,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, IO, Iterator, List, Optional, Sequence, Tuple
 
+from ..codec import decode
+
 #: Trace operation kinds.  Fault-timeline node events get their own kinds
 #: (same execution semantics as churn-driven crash/recover, but metered as
 #: fault events, so replays reproduce the churn/fault split exactly).
@@ -72,15 +74,6 @@ class TraceOp:
         """A JSON-safe representation."""
         return {"op": self.kind, "t": self.time, "args": list(self.args)}
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TraceOp":
-        """Rebuild an op from :meth:`to_dict` output."""
-        return cls(
-            kind=str(data["op"]),
-            time=float(data["t"]),
-            args=tuple(int(a) for a in data["args"]),  # type: ignore[union-attr]
-        )
-
 
 class Trace:
     """An ordered operation stream plus the scenario it was captured under."""
@@ -131,17 +124,27 @@ class Trace:
 
     @classmethod
     def load(cls, fp: IO[str]) -> "Trace":
-        """Read a trace written by :meth:`dump`."""
+        """Read a trace written by :meth:`dump`.  An op line that is not
+        :meth:`TraceOp.to_dict`'s keys typed as the op's fields is a
+        ``ValueError`` naming its line number."""
         header_line = fp.readline()
         if not header_line.strip():
             raise ValueError("empty trace stream")
         header = json.loads(header_line)
-        if "scenario" not in header:
+        if type(header) is not dict or "scenario" not in header:
             raise ValueError("trace stream is missing the scenario header")
         trace = cls(scenario=header["scenario"])
-        for line in fp:
+        for number, line in enumerate(fp, start=2):
             if line.strip():
-                trace.append(TraceOp.from_dict(json.loads(line)))
+                try:
+                    op = json.loads(line)
+                    if type(op) is not dict or op.keys() != {"op", "t", "args"}:
+                        raise ValueError(f"an op has exactly the keys op, t and args, got {op!r}")
+                    trace.append(decode(
+                        TraceOp, {"kind": op["op"], "time": op["t"], "args": op["args"]}
+                    ))
+                except ValueError as error:
+                    raise ValueError(f"trace line {number}: {error}") from error
         return trace
 
     def digest(self) -> str:

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.codec import decode
 from repro.analysis import paper
 from repro.workload import MatrixSpec, run_matrix, run_scenario
 from repro.workload.trace import canonical_digest
@@ -75,7 +76,7 @@ def golden():
 
 
 def grid_entry(name, workers):
-    report, _ = run_matrix(MatrixSpec.from_dict(GRIDS[name]), workers=workers)
+    report, _ = run_matrix(decode(MatrixSpec, GRIDS[name]), workers=workers)
     cells = [dict(sorted(cell.plan_cache.items())) for cell in report.cells]
     return {"digest": report.digest(), "plan_cache": cells}
 
@@ -83,7 +84,7 @@ def grid_entry(name, workers):
 def timed_obs_cells(workers):
     """sha256 of every cell file the CI timed grid exports with ``--obs``."""
     with tempfile.TemporaryDirectory() as obs_dir:
-        run_matrix(MatrixSpec.from_dict(GRIDS["ci_timed_grid"]),
+        run_matrix(decode(MatrixSpec, GRIDS["ci_timed_grid"]),
                    workers=workers, obs_dir=obs_dir)
         return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                 for path in sorted(Path(obs_dir).glob("obs-cell-*.jsonl"))}

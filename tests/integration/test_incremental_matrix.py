@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.codec import encode
 from repro.core.bounds import checkerboard_grid
 from repro.exec import SpoolError, run_matrix_parallel
 from repro.exec.cache import (
@@ -361,7 +362,7 @@ class TestSingleShardFallbackSpool:
         assert len(entries) == len(report)
         # Cross-check payloads line up with the report's cells in order.
         for (_, spooled), reported in zip(entries, report.cells):
-            assert spooled.to_dict() == reported.to_dict()
+            assert encode(spooled) == encode(reported)
 
 
 #: CI's 9-cell smoke grid (the ``ci-grid.json`` the workflow writes).

@@ -18,6 +18,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+from repro.codec import decode, encode
 from repro.simtime import LinkTiming, TimeModelSpec
 from repro.workload import (
     ArrivalSpec,
@@ -80,25 +81,25 @@ def pinned_grid() -> MatrixSpec:
 
 class TestUntimedBytesNeverMove:
     def test_scenario_spec_serializes_without_a_time_model_key(self):
-        payload = pinned_scenario().to_dict()
+        payload = encode(pinned_scenario())
         assert "time_model" not in payload
-        assert ScenarioSpec.from_dict(payload).time_model is None
+        assert decode(ScenarioSpec, payload).time_model is None
 
     def test_matrix_spec_serializes_without_a_time_models_key(self):
         payload = pinned_grid().to_dict()
         assert "time_models" not in payload
-        assert MatrixSpec.from_dict(payload).time_models == ()
+        assert decode(MatrixSpec, payload).time_models == ()
 
     def test_only_a_missing_or_null_time_model_is_untimed(self):
         # ``{}`` is every default (1 ms links), as ``repro run --time-model``
         # reads the same file — not an untimed run.
-        assert ScenarioSpec.from_dict({"time_model": {}}).time_model == \
+        assert decode(ScenarioSpec, {"time_model": {}}).time_model == \
             TimeModelSpec()
-        assert ScenarioSpec.from_dict({"time_model": None}).time_model is None
-        assert ScenarioSpec.from_dict({"slo": {}}).slo == SloSpec()
+        assert decode(ScenarioSpec, {"time_model": None}).time_model is None
+        assert decode(ScenarioSpec, {"slo": {}}).slo == SloSpec()
 
     def test_an_empty_time_model_axis_entry_is_a_timed_column(self):
-        grid = MatrixSpec.from_dict({"time_models": [{}, None]})
+        grid = decode(MatrixSpec, {"time_models": [{}, None]})
         assert grid.time_models == (TimeModelSpec(), None)
 
     def test_untimed_result_and_trace_digests_are_pinned(self):
@@ -154,9 +155,9 @@ class TestTimedRunsStayDeterministic:
 
     def test_spec_round_trips_with_model_attached(self):
         spec = self._timed_spec()
-        payload = spec.to_dict()
-        assert payload["time_model"] == self.MODEL.to_dict()
-        assert ScenarioSpec.from_dict(payload) == spec
+        payload = encode(spec)
+        assert payload["time_model"] == encode(self.MODEL)
+        assert decode(ScenarioSpec, payload) == spec
 
 
 class TestTimedGoldenPins:

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.codec import decode
 from repro.obs import SpanRecorder
 from repro.simtime import LinkTiming, TimeModelSpec, link_key
 from repro.workload import (
@@ -228,7 +229,7 @@ class TestTimedMatrix:
 
     def test_round_trip(self):
         grid = timed_grid()
-        assert MatrixSpec.from_dict(grid.to_dict()) == grid
+        assert decode(MatrixSpec, grid.to_dict()) == grid
 
     @pytest.mark.parametrize("workers", [2, 0])
     def test_parallel_report_matches_sequential(self, workers):

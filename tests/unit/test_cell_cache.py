@@ -15,6 +15,7 @@ from unittest import mock
 
 import pytest
 
+from repro.codec import decode, encode
 from repro.exec import (
     CACHE_SCHEMA_VERSION,
     CellCache,
@@ -128,6 +129,18 @@ class TestKeySensitivity:
         keyer = CellKeyer()
         assert keyer.key(cell()) != keyer.key(cell())
 
+    def test_an_int_rate_keys_like_the_float_rate(self):
+        # A grid file saying "rate": 200 must hit the cache "rate": 200.0
+        # filled: they are one spec.
+        int_rate, float_rate = (
+            cell(spec=decode(ScenarioSpec, {
+                **encode(BASE), "arrival": {"kind": "poisson", "rate": rate},
+            }))
+            for rate in (200, 200.0)
+        )
+        assert spec_fingerprint(int_rate) == spec_fingerprint(float_rate)
+        assert first_key(int_rate) == first_key(float_rate)
+
     def test_fingerprint_is_canonical_json_sha256(self):
         # 64 lowercase hex chars; stable across calls.
         fp = spec_fingerprint(cell())
@@ -162,9 +175,9 @@ class TestTimedCellKeys:
         # The form to_dict had when it was built by dataclasses.asdict:
         # same keys, same values, same order at every level.
         expected = dataclasses.asdict(TIMED)
-        expected["time_model"] = TIMED.time_model.to_dict()
-        assert TIMED.to_dict() == expected
-        assert json.dumps(TIMED.to_dict()) == json.dumps(expected)
+        expected["time_model"] = encode(TIMED.time_model)
+        assert encode(TIMED) == expected
+        assert json.dumps(encode(TIMED)) == json.dumps(expected)
 
     def test_timed_keys_are_pinned(self):
         # Literals computed when ScenarioSpec.to_dict still used asdict.
@@ -211,7 +224,7 @@ class TestCellCache:
         assert path == tmp_path / key[:2] / f"{key}.json"
         loaded = cache.load(key)
         assert loaded is not None
-        assert loaded.to_dict() == result().to_dict()
+        assert encode(loaded) == encode(result())
         assert cache.stats() == {
             "hits": 1, "misses": 0, "stale": 0, "corrupt": 0,
             "stored": 1, "warmups": 0,

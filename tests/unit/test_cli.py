@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.codec import decode, encode
 from repro.analysis import paper
 from repro.cli import main
 from repro.obs.tools import summarize_export
@@ -48,7 +49,7 @@ MATRIX = MatrixSpec(
 @pytest.fixture
 def spec_file(tmp_path):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(SPEC.to_dict()))
+    path.write_text(json.dumps(encode(SPEC)))
     return path
 
 
@@ -74,9 +75,7 @@ class TestRun:
         assert trace.exists()
 
     def test_spec_round_trips_through_json(self, spec_file):
-        assert ScenarioSpec.from_dict(
-            json.loads(spec_file.read_text())
-        ) == SPEC
+        assert decode(ScenarioSpec, json.loads(spec_file.read_text())) == SPEC
 
 
 class TestMatrix:
@@ -101,9 +100,7 @@ class TestMatrix:
         assert loaded.digest() == expected.digest()
 
     def test_matrix_spec_round_trips_through_json(self, matrix_file):
-        assert MatrixSpec.from_dict(
-            json.loads(matrix_file.read_text())
-        ) == MATRIX
+        assert decode(MatrixSpec, json.loads(matrix_file.read_text())) == MATRIX
 
 
 class TestIncremental:
@@ -316,9 +313,29 @@ class TestErrors:
 
     def test_mistyped_scalar_exits_two_naming_the_field(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**SPEC.to_dict(), "ports": "2"}))
+        bad.write_text(json.dumps({**encode(SPEC), "ports": "2"}))
         assert main(["run", str(bad)]) == 2
         assert "ScenarioSpec.ports must be int, got str '2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, payload, error", [
+        ("run", [], "ScenarioSpec must be an object, got list []"),
+        ("run", {"slo": []}, "ScenarioSpec.slo must be an object or null, got list []"),
+        ("matrix", {"topologies": [5]}, "MatrixSpec.topologies[0] must be str, got int 5"),
+        ("matrix", {"base": 5}, "MatrixSpec.base must be an object, got int 5"),
+        ("matrix", {"time_models": [5]},
+         "MatrixSpec.time_models[0] must be an object or null, got int 5"),
+        ("matrix", {"name": 5}, "MatrixSpec.name must be str, got int 5"),
+    ], ids=["run-list", "run-slo-list", "matrix-topology-int", "matrix-base-int",
+            "matrix-time-model-int", "matrix-name-int"])
+    def test_a_malformed_spec_exits_two_naming_the_path(
+        self, tmp_path, capsys, command, payload, error
+    ):
+        # These used to end in a traceback deep inside the run, or (the
+        # name) to run as "5".
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main([command, str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_analyze_is_not_a_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -329,7 +346,7 @@ class TestErrors:
     def test_unknown_nested_key_exits_two_naming_the_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(
-            {**SPEC.to_dict(), "faults": {"kind": "flaps", "perod": 0.5}}
+            {**encode(SPEC), "faults": {"kind": "flaps", "perod": 0.5}}
         ))
         assert main(["run", str(bad)]) == 2
         error = capsys.readouterr().err
@@ -341,7 +358,7 @@ class TestErrors:
         # --expect divergence.
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(
-            {**SPEC.to_dict(), "strategy": "no-such-strategy"}
+            {**encode(SPEC), "strategy": "no-such-strategy"}
         ))
         assert main(["run", str(bad)]) == 2
 

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.codec import encode
 from repro.exec import (
     ExecutionPlan,
     ProgressReporter,
@@ -69,7 +70,7 @@ class TestStableSeeds:
             [cell.spec.seed for cell in original]
 
     def test_master_seed_still_matters(self):
-        reseeded, _ = grid(base=ScenarioSpec(**{**BASE.to_dict(),
+        reseeded, _ = grid(base=ScenarioSpec(**{**encode(BASE),
                                                 "seed": 14,
                                                 "arrival": BASE.arrival,
                                                 "popularity": BASE.popularity,
@@ -158,7 +159,7 @@ class TestSpool:
         entries = load_spool(path)
         assert [position for position, _ in entries] == [7, 2]
         assert entries[1][1].topology == "manhattan:3"
-        assert entries[0][1].to_dict() == self._cell().to_dict()
+        assert encode(entries[0][1]) == encode(self._cell())
 
     def test_torn_tail_is_ignored_not_fatal(self, tmp_path):
         path = shard_spool_path(tmp_path, 1)

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.codec import decode, encode
 from repro.exec import CellKeyer, IncrementalRunner, run_matrix_parallel
 from repro.exec.runner import ShardPayload
 from repro.network.simulator import Network
@@ -81,15 +82,13 @@ class TestFaultRegimeSpec:
 
     def test_scenario_spec_round_trip(self):
         spec = ScenarioSpec(faults=FaultRegimeSpec(kind="flaps", events=4))
-        rebuilt = ScenarioSpec.from_dict(
-            json.loads(json.dumps(spec.to_dict()))
-        )
+        rebuilt = decode(ScenarioSpec, json.loads(json.dumps(encode(spec))))
         assert rebuilt == spec
 
     def test_legacy_spec_dicts_default_to_no_faults(self):
-        payload = ScenarioSpec().to_dict()
+        payload = encode(ScenarioSpec())
         del payload["faults"]  # a pre-fault-regime trace header
-        assert ScenarioSpec.from_dict(payload).faults == FaultRegimeSpec()
+        assert decode(ScenarioSpec, payload).faults == FaultRegimeSpec()
 
 
 class TestMatrixExpansion:
@@ -139,7 +138,7 @@ class TestMatrixExpansion:
     def test_matrix_spec_round_trips_through_json(self):
         matrix = small_matrix(churns=(ChurnSpec(),
                                       ChurnSpec(kind="migration", rate=1.0)))
-        rebuilt = MatrixSpec.from_dict(json.loads(json.dumps(matrix.to_dict())))
+        rebuilt = decode(MatrixSpec, json.loads(json.dumps(matrix.to_dict())))
         assert rebuilt == matrix
         assert [c.spec for c in rebuilt.expand()[0]] == \
             [c.spec for c in matrix.expand()[0]]
@@ -148,7 +147,7 @@ class TestMatrixExpansion:
         payload = small_matrix().to_dict()
         payload["topologys"] = payload.pop("topologies")  # the typo case
         with pytest.raises(ValueError, match="unknown MatrixSpec key"):
-            MatrixSpec.from_dict(payload)
+            decode(MatrixSpec, payload)
 
     def test_misspelled_strategy_is_rejected_not_skipped(self):
         # Only a real topology mismatch is "incompatible"; a typo is bad input.
@@ -162,15 +161,16 @@ class TestMatrixExpansion:
         payload = small_matrix().to_dict()
         payload[key] = value  # would iterate as one-letter names
         with pytest.raises(
-            ValueError, match=re.escape(f"'{key}' must be a list, got '{value}'")
+            ValueError,
+            match=re.escape(f"MatrixSpec.{key} must be a list, got str '{value}'"),
         ):
-            MatrixSpec.from_dict(payload)
+            decode(MatrixSpec, payload)
 
     def test_matrix_spec_names_unknown_keys_inside_an_axis_entry(self):
         payload = small_matrix().to_dict()
         payload["fault_regimes"] = [{"kind": "flaps", "perod": 0.5}]
         with pytest.raises(ValueError, match=r"FaultRegimeSpec key\(s\) \['perod'\]"):
-            MatrixSpec.from_dict(payload)
+            decode(MatrixSpec, payload)
 
     def test_cell_seeds_derive_from_coordinates(self):
         cells, _ = small_matrix().expand()
@@ -190,7 +190,7 @@ class TestSharedNetworks:
     def test_driver_rejects_same_nodes_wrong_edges(self):
         # ring:16 and complete:16 share node ids {0..15} but route
         # completely differently; node identity alone must not pass.
-        spec = ScenarioSpec(**{**BASE.to_dict(), "topology": "complete:16",
+        spec = ScenarioSpec(**{**encode(BASE), "topology": "complete:16",
                                "arrival": BASE.arrival,
                                "popularity": BASE.popularity,
                                "churn": BASE.churn, "faults": BASE.faults})
@@ -253,7 +253,7 @@ class TestReplayDeterminism:
     @pytest.mark.parametrize("regime", REGIMES[1:], ids=lambda r: r.kind)
     def test_cell_replay_reproduces_result_dict(self, regime, tmp_path):
         spec = BASE
-        spec = ScenarioSpec(**{**spec.to_dict(), "name": "replay",
+        spec = ScenarioSpec(**{**encode(spec), "name": "replay",
                                "topology": "manhattan:3",
                                "strategy": "manhattan",
                                "arrival": spec.arrival,
@@ -273,7 +273,7 @@ class TestReplayDeterminism:
         """Regime crashes land in fault_events; churn_events stays owned by
         the churn model — and the split survives replay."""
         spec = ScenarioSpec(
-            **{**BASE.to_dict(), "name": "split", "topology": "manhattan:3",
+            **{**encode(BASE), "name": "split", "topology": "manhattan:3",
                "strategy": "manhattan", "arrival": BASE.arrival,
                "popularity": BASE.popularity, "churn": BASE.churn,
                "faults": REGIMES[1]})  # waves, no churn model

@@ -2,12 +2,13 @@
 
 The model is plain frozen data that rides on ScenarioSpec, so the tests
 care about exactly what spec data needs: validation at construction,
-stable serialized form, loss-free ``from_dict``, and deterministic
+stable serialized form, loss-free decoding, and deterministic
 override lookup.
 """
 
 import pytest
 
+from repro.codec import decode, encode
 from repro.simtime import LinkTiming, TimeModelSpec, link_key
 
 
@@ -45,10 +46,10 @@ class TestLinkTiming:
 
     def test_round_trip(self):
         timing = LinkTiming(latency=0.004, jitter=0.001, capacity=3)
-        assert LinkTiming.from_dict(timing.to_dict()) == timing
+        assert decode(LinkTiming, encode(timing)) == timing
 
     def test_from_dict_defaults_missing_fields(self):
-        assert LinkTiming.from_dict({}) == LinkTiming()
+        assert decode(LinkTiming, {}) == LinkTiming()
 
 
 class TestTimeModelSpec:
@@ -130,10 +131,10 @@ class TestTimeModelSpec:
             node_overrides=(("(1, 1)", 0.002),),
             timeout=0.5,
         )
-        assert TimeModelSpec.from_dict(model.to_dict()) == model
+        assert decode(TimeModelSpec, encode(model)) == model
 
     def test_from_dict_of_empty_payload_is_default(self):
-        assert TimeModelSpec.from_dict({}) == TimeModelSpec()
+        assert decode(TimeModelSpec, {}) == TimeModelSpec()
 
     @pytest.mark.parametrize("payload,owner,key", [
         ({"node_servce": 3}, "TimeModelSpec", "node_servce"),
@@ -146,15 +147,48 @@ class TestTimeModelSpec:
     ):
         # Every field defaults, so a typo used to price with the default.
         with pytest.raises(ValueError) as raised:
-            TimeModelSpec.from_dict(payload)
+            decode(TimeModelSpec, payload)
         message = str(raised.value)
         assert f"unknown {owner} key(s) ['{key}']" in message
         accepted = "latency" if owner == "LinkTiming" else "node_service"
         assert accepted in message  # the accepted set is spelled out
 
+    @pytest.mark.parametrize("payload, error", [
+        ({"default_link": {"capacity": 2.5, "latency": "0.002"}},
+         "TimeModelSpec.default_link: LinkTiming.capacity must be int, got float 2.5"),
+        ({"default_link": {"latency": "0.002"}},
+         "TimeModelSpec.default_link: LinkTiming.latency must be float, got str '0.002'"),
+        ({"default_link": {"capacity": True}},
+         "TimeModelSpec.default_link: LinkTiming.capacity must be int, got bool True"),
+        ({"node_service": "0.1"},
+         "TimeModelSpec.node_service must be float, got str '0.1'"),
+        ({"link_overrides": [["a<->b", {"jitter": False}]]},
+         "TimeModelSpec.link_overrides[0][1]: LinkTiming.jitter must be float, got bool False"),
+        ({"link_overrides": [[5, {}]]},
+         "TimeModelSpec.link_overrides[0][0] must be str, got int 5"),
+        ({"node_overrides": [["'n'", "0.1"]]},
+         "TimeModelSpec.node_overrides[0][1] must be float, got str '0.1'"),
+        ({"node_overrides": [["'n'"]]},
+         "TimeModelSpec.node_overrides[0] must have 2 items, got 1"),
+        ({"default_link": []},
+         "TimeModelSpec.default_link must be an object, got list []"),
+    ])
+    def test_decode_refuses_a_mistyped_value_naming_its_path(self, payload, error):
+        # These used to run, coerced: capacity 2.5 as 2, "0.002" as 0.002,
+        # true as capacity 1.
+        with pytest.raises(ValueError) as raised:
+            decode(TimeModelSpec, payload)
+        assert str(raised.value) == error
+
+    def test_an_int_in_a_float_field_is_stored_as_a_float(self):
+        model = decode(TimeModelSpec, {"default_link": {"latency": 1},
+                                       "node_overrides": [["'n'", 0]]})
+        assert type(model.default_link.latency) is float
+        assert type(model.node_overrides[0][1]) is float
+
     def test_link_timing_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match=r"unknown LinkTiming key\(s\)"):
-            LinkTiming.from_dict({"latency": 0.5, "jiter": 0.1})
+            decode(LinkTiming, {"latency": 0.5, "jiter": 0.1})
 
     def test_to_dict_is_json_safe(self):
         import json
@@ -163,7 +197,5 @@ class TestTimeModelSpec:
             link_overrides=(("a<->b", LinkTiming(latency=0.01)),),
             node_overrides=(("'n'", 0.001),),
         )
-        rebuilt = TimeModelSpec.from_dict(
-            json.loads(json.dumps(model.to_dict()))
-        )
+        rebuilt = decode(TimeModelSpec, json.loads(json.dumps(encode(model))))
         assert rebuilt == model

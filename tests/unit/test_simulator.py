@@ -7,7 +7,7 @@ from repro.core.types import Address, Port
 from repro.network.routing import RoutingTable
 from repro.network.simulator import DELIVERY_MODES, Network
 from repro.network.stats import PAYLOAD, POST, QUERY, REPLY
-from repro.topologies import ManhattanTopology
+from repro.topologies import CompleteTopology, ManhattanTopology
 
 
 @pytest.fixture
@@ -150,6 +150,23 @@ class TestPostAndQuery:
         outcome = grid_net.query((4, 4), port, targets=[(0, 4)])
         assert outcome.found
         assert outcome.reply_hops == 4  # (0,4) -> (4,4)
+
+    def test_the_tap_gets_responders_in_repr_order(self, port):
+        # TimedOverlay.on_replies prices replies in the order it is handed
+        # and sorts nothing itself, so timed digests rest on this order.
+        class Tap:
+            def on_delivery(self, source, reached, category, mode):
+                pass
+
+            def on_replies(self, responders, client, mode):
+                replies.append(list(responders))
+
+        replies = []
+        network = Network(CompleteTopology(12).graph, delivery_mode="ideal")
+        network.attach_tap(Tap())
+        network.post(1, port, targets=[11, 2, 10, 3])
+        network.query(0, port, targets=range(12))
+        assert replies == [[10, 11, 2, 3]]  # repr order, not numeric
 
     def test_stats_categories_separated(self, complete_net, port):
         complete_net.post(1, port, targets=[3, 4])

@@ -1,20 +1,21 @@
 """Spec JSON is type-checked at the boundary, field by field.
 
-``ScenarioSpec.from_dict`` and every nested part (``part_from_dict``, which
-``MatrixSpec.from_dict`` uses for its axes) refuse a scalar whose type its
-field's annotation does not take, with a ``ValueError`` naming
-``Class.field``.  Types match exactly: a ``bool`` is not an ``int``, and an
+``repro.codec.decode`` refuses, in a ``ScenarioSpec``, in every nested part
+and in a ``MatrixSpec``'s axes, a scalar whose type its field's annotation
+does not take, with a ``ValueError`` naming ``Class.field``.  Types match exactly: a ``bool`` is not an ``int``, and an
 ``int`` or ``float`` field takes no string.  Without the check,
 ``"cache_addresses": "false"`` ran with caching on, ``"operations": true``
 ran as one operation, and ``"clients": 1.5`` failed later with a
 ``TypeError``.
 """
 
+import json
 import re
 from dataclasses import fields
 
 import pytest
 
+from repro.codec import decode, encode
 from repro.workload import (
     ArrivalSpec,
     ChurnSpec,
@@ -48,11 +49,11 @@ def scenario_dict(cls, name, value):
 
 
 def from_matrix_base(data):
-    return MatrixSpec.from_dict({"base": data}).base
+    return decode(MatrixSpec, {"base": data}).base
 
 
 ENTRY_POINTS = {
-    "ScenarioSpec.from_dict": ScenarioSpec.from_dict,
+    "ScenarioSpec.from_dict": lambda data: decode(ScenarioSpec, data),
     "MatrixSpec.from_dict(base)": from_matrix_base,
 }
 
@@ -90,7 +91,7 @@ class TestTheReportedCases:
 @pytest.mark.parametrize("cls, name, value", every_mistyped_scalar())
 def test_every_scalar_field_refuses_a_mistyped_value(cls, name, value):
     with rejected(f"{cls.__name__}.{name}"):
-        ScenarioSpec.from_dict(scenario_dict(cls, name, value))
+        decode(ScenarioSpec, scenario_dict(cls, name, value))
 
 
 @pytest.mark.parametrize("axis, part, entry", [
@@ -102,15 +103,24 @@ def test_every_scalar_field_refuses_a_mistyped_value(cls, name, value):
 def test_a_matrix_axis_entry_is_checked_too(axis, part, entry):
     name = next(iter(set(entry) - {"kind"}))
     with rejected(f"{part.__name__}.{name}"):
-        MatrixSpec.from_dict({axis: [entry]})
+        decode(MatrixSpec, {axis: [entry]})
 
 
 class TestWhatStaysAccepted:
     def test_a_float_field_takes_an_int(self):
-        spec = ScenarioSpec.from_dict({"arrival": {"kind": "poisson", "rate": 200}})
+        spec = decode(ScenarioSpec, {"arrival": {"kind": "poisson", "rate": 200}})
         assert spec.arrival.rate == 200
+        assert type(spec.arrival.rate) is float
+
+    def test_an_int_and_a_float_rate_encode_alike(self):
+        # Equal specs used to write different JSON: "rate": 200 vs 200.0.
+        int_rate, float_rate = (
+            encode(decode(ScenarioSpec, {"arrival": {"kind": "poisson", "rate": rate}}))
+            for rate in (200, 200.0)
+        )
+        assert json.dumps(int_rate) == json.dumps(float_rate)
 
     def test_a_false_bool_runs_uncached_and_keys_as_false(self):
-        spec = ScenarioSpec.from_dict({"cache_addresses": False})
+        spec = decode(ScenarioSpec, {"cache_addresses": False})
         assert spec.cache_addresses is False
-        assert spec.to_dict() == ScenarioSpec(cache_addresses=False).to_dict()
+        assert encode(spec) == encode(ScenarioSpec(cache_addresses=False))

@@ -10,6 +10,7 @@ and the attribution ranking/diff arithmetic.
 
 import pytest
 
+from repro.codec import decode, encode
 from repro.obs.attr import (
     attribute_export,
     rank_contributors,
@@ -143,17 +144,17 @@ class TestSloSpec:
     def test_spec_without_slo_serializes_without_the_key(self):
         spec = ScenarioSpec(name="plain", topology="complete:4",
                             strategy="checkerboard", operations=5)
-        payload = spec.to_dict()
+        payload = encode(spec)
         assert "slo" not in payload
-        assert ScenarioSpec.from_dict(payload).slo is None
+        assert decode(ScenarioSpec, payload).slo is None
 
     def test_spec_with_slo_round_trips(self):
         slo = SloSpec(latency_objective=0.02, window=0.25)
         spec = ScenarioSpec(name="timed", topology="complete:4",
                             strategy="checkerboard", operations=5, slo=slo)
-        payload = spec.to_dict()
+        payload = encode(spec)
         assert payload["slo"]["latency_objective"] == 0.02
-        restored = ScenarioSpec.from_dict(payload)
+        restored = decode(ScenarioSpec, payload)
         assert restored.slo == slo
         assert restored == spec
 

@@ -238,6 +238,37 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace.load(io.StringIO('{"op": "request", "t": 0, "args": [0, 0]}\n'))
 
+    @pytest.mark.parametrize("line, error", [
+        ('{"op": "request", "t": "0.5", "args": [1, 2]}',
+         "trace line 3: TraceOp.time must be float, got str '0.5'"),
+        ('{"op": "request", "t": 0.5, "args": ["1", 2]}',
+         "trace line 3: TraceOp.args[0] must be int, got str '1'"),
+        ('{"op": "request", "t": 0.5, "args": [true, 2]}',
+         "trace line 3: TraceOp.args[0] must be int, got bool True"),
+        ('{"op": "request", "args": [1, 2]}',
+         "trace line 3: an op has exactly the keys op, t and args"),
+        ('{"op": "request", "t": 0.5, "args": [1, 2], "x": 0}',
+         "trace line 3: an op has exactly the keys op, t and args"),
+        ('[0.5]', "trace line 3: an op has exactly the keys op, t and args"),
+    ], ids=["t-as-str", "arg-as-str", "arg-as-bool", "no-t", "extra-key", "list"])
+    def test_load_refuses_a_malformed_op_line_by_number(self, line, error):
+        good = '{"op": "request", "t": 0.25, "args": [0, 1]}'
+        stream = io.StringIO(f'{{"scenario": {{}}}}\n{good}\n{line}\n')
+        with pytest.raises(ValueError) as raised:
+            Trace.load(stream)
+        assert str(raised.value).startswith(error)
+
+    def test_load_widens_an_int_time_and_keeps_the_bytes(self):
+        trace = Trace.load(io.StringIO(
+            '{"scenario": {}}\n{"args": [0, 1], "op": "request", "t": 0.5}\n'
+            '{"args": [1, 0], "op": "request", "t": 1}\n'
+        ))
+        assert [type(op.time) for op in trace] == [float, float]
+        buffer = io.StringIO()
+        trace.dump(buffer)
+        assert buffer.getvalue().splitlines()[1] == \
+            '{"args": [0, 1], "op": "request", "t": 0.5}'
+
     def test_operation_counts(self):
         result = run_scenario(small_spec())
         counts = result.trace.operation_counts()

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.codec import decode, encode
 from repro.core.exceptions import StrategyError
 from repro.strategies import CheckerboardStrategy, ManhattanStrategy
 from repro.topologies import CompleteTopology, HypercubeTopology, ManhattanTopology
@@ -47,7 +48,7 @@ class TestSpecs:
             popularity=PopularitySpec(kind="zipf", zipf_exponent=1.3),
             churn=ChurnSpec(kind="mixed", rate=0.5),
         )
-        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+        assert decode(ScenarioSpec, encode(spec)) == spec
 
     def test_with_strategy_renames(self):
         spec = ScenarioSpec(name="base")
@@ -108,7 +109,7 @@ class TestSpecs:
 
     def test_from_dict_names_unknown_keys(self):
         with pytest.raises(ValueError, match="operatons"):
-            ScenarioSpec.from_dict({"operatons": 10})
+            decode(ScenarioSpec, {"operatons": 10})
 
     @pytest.mark.parametrize(
         "section,spec_class,accepted",
@@ -126,7 +127,7 @@ class TestSpecs:
         # Used to die as "TypeError: ArrivalSpec.__init__() got an
         # unexpected keyword argument 'bogus'".
         with pytest.raises(ValueError) as caught:
-            ScenarioSpec.from_dict({section: {"bogus": 1}})
+            decode(ScenarioSpec, {section: {"bogus": 1}})
         message = str(caught.value)
         assert f"unknown {spec_class.__name__} key(s) ['bogus']" in message
         assert accepted in message  # ... and what would have been accepted
