@@ -59,7 +59,6 @@ from .strategies import (
     SupervisorHierarchyStrategy,
     SweepStrategy,
     TreePathStrategy,
-    default_registry,
 )
 from .codec import decode, encode
 from .simtime import LinkTiming, TimeModelSpec
@@ -152,7 +151,6 @@ __all__ = [
     "complete_graph",
     "decode",
     "decompose",
-    "default_registry",
     "encode",
     "format_table",
     "probabilistic",

@@ -44,11 +44,9 @@ from ..strategies import (
     ProjectivePlaneStrategy,
     RehashingLocator,
     RulerSchedule,
-    SubgraphDecompositionStrategy,
     SupervisorHierarchyStrategy,
     SweepStrategy,
     TreePathStrategy,
-    default_registry,
 )
 from ..topologies import (
     CompleteTopology,
@@ -61,10 +59,10 @@ from ..topologies import (
     RingTopology,
     TreeTopology,
     UUCPNetworkGenerator,
-    decompose,
     predicted_depth_exponential,
     predicted_depth_factorial,
 )
+from ..workload.spec import STRATEGIES, build_strategy
 from .experiment import fit_power_law, format_table
 from .tradeoff import optimal_split
 from .uucp import (
@@ -198,12 +196,13 @@ def random_sets() -> Dict[str, Any]:
 
 @functools.cache
 def lower_bounds() -> Dict[str, Any]:
-    """Section 2.3.2: every registry strategy on n = 64 against
+    """Section 2.3.2: every universe strategy on n = 64 against
     Propositions 1 and 2."""
     universe = list(range(64))
     matrices = {
-        name: _matrix(strategy, universe)
-        for name, strategy in default_registry().create_all(universe).items()
+        name: _matrix(factory(universe), universe)
+        for name, (required, factory) in STRATEGIES.items()
+        if required is None
     }
     prop2 = {name: bounds.verify_proposition2(m) for name, m in matrices.items()}
     prop1 = [bounds.verify_proposition1(m) for m in matrices.values()]
@@ -586,11 +585,11 @@ def spectrum() -> Dict[str, Any]:
     addressed nodes, distribution, hops over 30 pairs, fullest cache."""
     topology = ManhattanTopology.square(8)
     nodes = topology.nodes()
-    strategies = default_registry().create_all(
-        nodes, only=["broadcast", "sweep", "centralized", "checkerboard", "hash-locate"]
-    )
-    strategies["manhattan"] = ManhattanStrategy(topology)
-    strategies["subgraph"] = SubgraphDecompositionStrategy(decompose(topology.graph))
+    strategies = {
+        name: build_strategy(name, topology)
+        for name in ("broadcast", "sweep", "centralized", "checkerboard",
+                     "hash-locate", "manhattan", "subgraph")
+    }
     pairs = _pairs(nodes, 30, seed=17)
     out: Dict[str, Any] = {}
     for name, strategy in strategies.items():

@@ -73,11 +73,11 @@ POLL_SECONDS = 0.2
 Emit = Callable[[int, CellResult], None]
 
 #: What a shard hands back: kept ``(position, result)`` pairs, its
-#: wall-clock phase profile (as a dict) or ``None``, and its cell-cache
+#: wall-clock phase profile (it pickles) or ``None``, and its cell-cache
 #: counter snapshot or ``None`` when the cache is off.
 ShardOutcome = Tuple[
     List[Tuple[int, WorkloadResult]],
-    Optional[Dict[str, object]],
+    Optional[PhaseProfile],
     Optional[Dict[str, int]],
 ]
 
@@ -188,8 +188,7 @@ def run_shard(payload: ShardPayload, emit: Emit) -> ShardOutcome:
             obs_path, _obs_export.span_records(shard_tracer),
             shard=payload.index,
         )
-    profile_dict = profile.to_dict() if profile is not None else None
-    return kept, profile_dict, (cache.stats() if cache is not None else None)
+    return kept, profile, (cache.stats() if cache is not None else None)
 
 
 def _spool_shard(
@@ -315,7 +314,7 @@ def run_matrix_parallel(
     for shard_kept, shard_profile, shard_stats in outcomes:
         kept.update(shard_kept)
         if shard_profile is not None:
-            profiles.append(PhaseProfile.from_dict(shard_profile))
+            profiles.append(shard_profile)
         if shard_stats:
             merge_cache_stats(exec_stats, shard_stats)
     profile_records = [

@@ -49,9 +49,11 @@ def load_spool(path) -> List[Tuple[int, CellResult]]:
 
     A final line missing its newline is the writer's torn tail and is
     ignored; any other malformed record — undecodable JSON, a missing
-    ``position``/``cell`` field — is corruption and raises
-    :class:`SpoolError` with the file and line number, because silently
-    truncating there would misreport cells that *are* on disk as missing.
+    ``position``/``cell`` field, a position that is no JSON int — is
+    corruption and raises :class:`SpoolError` with the file and line
+    number, because silently truncating there would misreport cells that
+    *are* on disk as missing, and a coerced position would merge a cell
+    where no worker put it.
     """
     entries: List[Tuple[int, CellResult]] = []
     with open(path, "r", encoding="utf-8") as fp:
@@ -66,9 +68,10 @@ def load_spool(path) -> List[Tuple[int, CellResult]]:
             )
         try:
             record = json.loads(line)
-            entries.append(
-                (int(record["position"]), decode(CellResult, record["cell"]))
-            )
+            position = record["position"]
+            if type(position) is not int:  # a bool, float or string is no position
+                raise ValueError(f"position must be a JSON int, got {position!r}")
+            entries.append((position, decode(CellResult, record["cell"])))
         except (ValueError, KeyError, TypeError) as error:
             raise SpoolError(
                 f"{path}: corrupt spool record on line {number + 1}: {error}"

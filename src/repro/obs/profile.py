@@ -83,17 +83,6 @@ class PhaseProfile:
             },
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PhaseProfile":
-        """Rebuild a profile from :meth:`to_dict` output."""
-        profile = cls(label=str(data.get("label", "")))
-        for name, entry in data.get("phases", {}).items():
-            profile.add(
-                name, float(entry.get("seconds", 0.0)),
-                int(entry.get("count", 0)),
-            )
-        return profile
-
 
 def timed(profile: Optional[PhaseProfile], name: str) -> ContextManager:
     """``profile.phase(name)``, or a context that reads no clock when

@@ -317,18 +317,6 @@ class MetricsRegistry:
         """The virtual-time timeline called ``name``, created on first use."""
         return self._get(name, Timeline, lambda: Timeline(width_us))
 
-    def register(self, name: str, instrument):
-        """Adopt an instrument its owner built itself under ``name``.  The
-        name must be free."""
-        if name in self._instruments:
-            raise ValueError(f"metric {name!r} is already registered")
-        if not isinstance(
-            instrument, (Counter, Gauge, Histogram, CounterMap, Timeline)
-        ):
-            raise TypeError(f"unknown instrument {type(instrument)}")
-        self._instruments[name] = instrument
-        return instrument
-
     def names(self) -> List[str]:
         """Every registered metric name, sorted."""
         return sorted(self._instruments)

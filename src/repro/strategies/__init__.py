@@ -36,7 +36,6 @@ from .lighthouse import (
 from .local_hash import ScopedHashStrategy
 from .manhattan import ManhattanStrategy, MeshSliceStrategy
 from .projective import ProjectivePlaneStrategy
-from .registry import StrategyRegistry, default_registry
 from .subgraph import SubgraphDecompositionStrategy
 from .truly_distributed import CheckerboardStrategy
 
@@ -58,12 +57,10 @@ __all__ = [
     "RehashingLocator",
     "RulerSchedule",
     "ScopedHashStrategy",
-    "StrategyRegistry",
     "SubgraphDecompositionStrategy",
     "SupervisorHierarchyStrategy",
     "SweepStrategy",
     "TopologyStrategy",
     "TreePathStrategy",
     "UniverseStrategy",
-    "default_registry",
 ]

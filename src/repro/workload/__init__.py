@@ -49,11 +49,8 @@ from .arrivals import (
 from .churn import (
     ChurnEvent,
     ChurnModel,
-    FailoverChurn,
-    MigrationChurn,
-    MixedChurn,
     NoChurn,
-    StormChurn,
+    PoissonChurn,
 )
 from .driver import (
     WorkloadDriver,
@@ -103,21 +100,18 @@ __all__ = [
     "ChurnModel",
     "ChurnSpec",
     "ClosedLoopArrivals",
-    "FailoverChurn",
     "FaultRegimeSpec",
     "MatrixCell",
     "MatrixReport",
     "MatrixSpec",
-    "MigrationChurn",
-    "MixedChurn",
     "MovingHotspotPopularity",
     "NoChurn",
     "PoissonArrivals",
+    "PoissonChurn",
     "PopularityModel",
     "PopularitySpec",
     "ScenarioSpec",
     "SloSpec",
-    "StormChurn",
     "Trace",
     "TraceOp",
     "UniformPopularity",

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Iterator, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Tuple
 
-from .spec import ArrivalSpec
+if TYPE_CHECKING:
+    from .spec import ArrivalSpec
 
 #: Minimum simulated duration of one closed-loop round; keeps time advancing
 #: (so hotspots move and churn fires) even with zero think time.
@@ -21,8 +22,6 @@ _MIN_ROUND = 1e-3
 
 class ArrivalProcess(abc.ABC):
     """Base class: a reproducible stream of request arrivals."""
-
-    kind = "arrival"
 
     @abc.abstractmethod
     def arrivals(
@@ -42,8 +41,6 @@ class ClosedLoopArrivals(ArrivalProcess):
     ``think_time`` (at least :data:`_MIN_ROUND`) seconds.
     """
 
-    kind = "closed"
-
     def __init__(self, think_time: float = 0.0) -> None:
         if think_time < 0:
             raise ValueError("think_time must be non-negative")
@@ -62,8 +59,6 @@ class ClosedLoopArrivals(ArrivalProcess):
 class PoissonArrivals(ArrivalProcess):
     """An open-loop Poisson stream: exponential inter-arrival times at
     ``rate`` requests/second, each request from a uniformly random client."""
-
-    kind = "poisson"
 
     def __init__(self, rate: float) -> None:
         if rate <= 0:
@@ -90,8 +85,6 @@ class BurstArrivals(ArrivalProcess):
     apart.  Clients are drawn uniformly at random per request.
     """
 
-    kind = "burst"
-
     def __init__(self, burst_size: int, burst_gap: float) -> None:
         if burst_size < 1:
             raise ValueError("burst_size must be at least 1")
@@ -111,12 +104,17 @@ class BurstArrivals(ArrivalProcess):
         return f"BurstArrivals(size={self._burst_size}, gap={self._burst_gap})"
 
 
+#: Arrival kind -> builder; :class:`~repro.workload.spec.ArrivalSpec`
+#: accepts exactly these kinds.
+ARRIVAL_PROCESSES: Dict[str, Callable[[ArrivalSpec], ArrivalProcess]] = {
+    "closed": lambda spec: ClosedLoopArrivals(think_time=spec.think_time),
+    "poisson": lambda spec: PoissonArrivals(rate=spec.rate),
+    "burst": lambda spec: BurstArrivals(
+        burst_size=spec.burst_size, burst_gap=spec.burst_gap
+    ),
+}
+
+
 def from_spec(spec: ArrivalSpec) -> ArrivalProcess:
     """Build the arrival process an :class:`ArrivalSpec` describes."""
-    if spec.kind == "closed":
-        return ClosedLoopArrivals(think_time=spec.think_time)
-    if spec.kind == "poisson":
-        return PoissonArrivals(rate=spec.rate)
-    if spec.kind == "burst":
-        return BurstArrivals(burst_size=spec.burst_size, burst_gap=spec.burst_gap)
-    raise ValueError(f"unknown arrival kind {spec.kind!r}")
+    return ARRIVAL_PROCESSES[spec.kind](spec)

@@ -14,9 +14,10 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
 
-from .spec import ChurnSpec
+if TYPE_CHECKING:
+    from .spec import ChurnSpec
 
 #: Abstract churn event kinds.
 MIGRATE = "migrate"
@@ -35,8 +36,6 @@ class ChurnEvent:
 class ChurnModel(abc.ABC):
     """Base class: a reproducible churn event schedule."""
 
-    kind = "churn"
-
     @abc.abstractmethod
     def schedule(self, rng: random.Random, horizon: float) -> List[ChurnEvent]:
         """All churn events in ``[0, horizon)``, in time order."""
@@ -44,8 +43,6 @@ class ChurnModel(abc.ABC):
 
 class NoChurn(ChurnModel):
     """A static system: no churn at all."""
-
-    kind = "none"
 
     def schedule(self, rng: random.Random, horizon: float) -> List[ChurnEvent]:
         return []
@@ -76,53 +73,20 @@ class PoissonChurn(ChurnModel):
         return f"{type(self).__name__}(rate={self._rate}, kinds={self._kinds})"
 
 
-class MigrationChurn(PoissonChurn):
-    """Servers migrate between nodes (paper section 1.3)."""
-
-    kind = "migration"
-
-    def __init__(self, rate: float) -> None:
-        super().__init__(rate, (MIGRATE,))
-
-
-class FailoverChurn(PoissonChurn):
-    """Server-hosting nodes crash (and later recover); servers respawn
-    elsewhere, exercising the freshest-posting-wins path."""
-
-    kind = "failover"
-
-    def __init__(self, rate: float) -> None:
-        super().__init__(rate, (FAILOVER,))
-
-
-class StormChurn(PoissonChurn):
-    """Cache-invalidation storms: rendezvous caches wiped en masse."""
-
-    kind = "storm"
-
-    def __init__(self, rate: float) -> None:
-        super().__init__(rate, (STORM,))
-
-
-class MixedChurn(PoissonChurn):
-    """All three churn kinds, drawn uniformly per event."""
-
-    kind = "mixed"
-
-    def __init__(self, rate: float) -> None:
-        super().__init__(rate, (MIGRATE, FAILOVER, STORM))
+#: Churn kind -> builder; :class:`~repro.workload.spec.ChurnSpec` accepts
+#: exactly these kinds.  ``migration`` moves servers between nodes (paper
+#: section 1.3); ``failover`` crashes server-hosting nodes, whose servers
+#: respawn elsewhere (the freshest-posting-wins path); ``storm`` wipes
+#: rendezvous caches en masse; ``mixed`` draws among the three per event.
+CHURN_MODELS: Dict[str, Callable[[ChurnSpec], ChurnModel]] = {
+    "none": lambda spec: NoChurn(),
+    "migration": lambda spec: PoissonChurn(spec.rate, (MIGRATE,)),
+    "failover": lambda spec: PoissonChurn(spec.rate, (FAILOVER,)),
+    "storm": lambda spec: PoissonChurn(spec.rate, (STORM,)),
+    "mixed": lambda spec: PoissonChurn(spec.rate, (MIGRATE, FAILOVER, STORM)),
+}
 
 
 def from_spec(spec: ChurnSpec) -> ChurnModel:
     """Build the churn model a :class:`ChurnSpec` describes."""
-    if spec.kind == "none":
-        return NoChurn()
-    if spec.kind == "migration":
-        return MigrationChurn(spec.rate)
-    if spec.kind == "failover":
-        return FailoverChurn(spec.rate)
-    if spec.kind == "storm":
-        return StormChurn(spec.rate)
-    if spec.kind == "mixed":
-        return MixedChurn(spec.rate)
-    raise ValueError(f"unknown churn kind {spec.kind!r}")
+    return CHURN_MODELS[spec.kind](spec)

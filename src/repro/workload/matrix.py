@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..codec import decode, encode
+from ..codec import encode
 from ..core.exceptions import StrategyError
 from ..network.delivery import plan_hit_rates
 from ..network.simulator import Network
@@ -446,29 +446,11 @@ class MatrixReport:
         """
         return canonical_digest(self.canonical_dict())
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "MatrixReport":
-        """Rebuild a report from :meth:`to_dict` output (aggregates are
-        recomputed from the cells, not trusted from the file)."""
-        return cls(
-            grid=dict(data.get("grid", {})),
-            cells=[decode(CellResult, cell) for cell in data.get("cells", [])],
-            skipped=data.get("skipped", []),
-            profile=data.get("profile"),
-            cache=data.get("cache"),
-        )
-
     def to_path(self, path) -> None:
         """Persist the report as pretty-printed JSON."""
         with open(path, "w", encoding="utf-8") as fp:
             json.dump(self.to_dict(), fp, indent=2, sort_keys=True)
             fp.write("\n")
-
-    @classmethod
-    def from_path(cls, path) -> "MatrixReport":
-        """Load a report written by :meth:`to_path`."""
-        with open(path, "r", encoding="utf-8") as fp:
-            return cls.from_dict(json.load(fp))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -12,15 +12,14 @@ from __future__ import annotations
 import abc
 import bisect
 import random
-from typing import List
+from typing import TYPE_CHECKING, Callable, Dict, List
 
-from .spec import PopularitySpec
+if TYPE_CHECKING:
+    from .spec import PopularitySpec
 
 
 class PopularityModel(abc.ABC):
     """Base class: a reproducible port-index chooser."""
-
-    kind = "popularity"
 
     def __init__(self, ports: int) -> None:
         if ports < 1:
@@ -40,8 +39,6 @@ class PopularityModel(abc.ABC):
 class UniformPopularity(PopularityModel):
     """Every service equally popular."""
 
-    kind = "uniform"
-
     def pick(self, rng: random.Random, now: float) -> int:
         return rng.randrange(self._ports)
 
@@ -52,8 +49,6 @@ class ZipfPopularity(PopularityModel):
     Port 0 is the hottest.  Sampling inverts the cumulative weight table
     with a binary search, so a pick is O(log ports).
     """
-
-    kind = "zipf"
 
     def __init__(self, ports: int, exponent: float = 1.1) -> None:
         super().__init__(ports)
@@ -80,8 +75,6 @@ class MovingHotspotPopularity(PopularityModel):
     caches had built up — the adversarial case for cache-heavy designs.
     """
 
-    kind = "hotspot"
-
     def __init__(
         self, ports: int, fraction: float = 0.8, interval: float = 5.0
     ) -> None:
@@ -105,14 +98,17 @@ class MovingHotspotPopularity(PopularityModel):
         return other if other < hot else other + 1
 
 
+#: Popularity kind -> builder ``(spec, ports)``;
+#: :class:`~repro.workload.spec.PopularitySpec` accepts exactly these kinds.
+POPULARITY_MODELS: Dict[str, Callable[[PopularitySpec, int], PopularityModel]] = {
+    "uniform": lambda spec, ports: UniformPopularity(ports),
+    "zipf": lambda spec, ports: ZipfPopularity(ports, exponent=spec.zipf_exponent),
+    "hotspot": lambda spec, ports: MovingHotspotPopularity(
+        ports, fraction=spec.hotspot_fraction, interval=spec.hotspot_interval
+    ),
+}
+
+
 def from_spec(spec: PopularitySpec, ports: int) -> PopularityModel:
     """Build the popularity model a :class:`PopularitySpec` describes."""
-    if spec.kind == "uniform":
-        return UniformPopularity(ports)
-    if spec.kind == "zipf":
-        return ZipfPopularity(ports, exponent=spec.zipf_exponent)
-    if spec.kind == "hotspot":
-        return MovingHotspotPopularity(
-            ports, fraction=spec.hotspot_fraction, interval=spec.hotspot_interval
-        )
-    raise ValueError(f"unknown popularity kind {spec.kind!r}")
+    return POPULARITY_MODELS[spec.kind](spec, ports)

@@ -8,9 +8,19 @@ an int stored as a float in a float field, bad keys named by path) so a
 recorded trace can embed the scenario it was captured under and a benchmark
 can persist exactly what it ran.
 
-The spec layer also owns the name-to-object resolvers ``build_topology`` and
-``build_strategy``, so scenarios can be written as strings (``"manhattan:8"``
-+ ``"checkerboard"``) without importing half the package.
+A spec names its parts as strings (``"manhattan:8"`` + ``"checkerboard"``),
+so scenarios can be written without importing half the package.  Each set
+of names is the keys of one dict, which both validates a name and builds
+what it names:
+
+* topology families — :data:`TOPOLOGIES`, read by :func:`build_topology`;
+* strategies — :data:`STRATEGIES`, read by :func:`build_strategy`;
+* fault-regime kinds — :data:`FAULT_REGIMES`, read by
+  :func:`build_fault_timeline`;
+* arrival, popularity and churn kinds — ``ARRIVAL_PROCESSES``,
+  ``POPULARITY_MODELS`` and ``CHURN_MODELS`` in the modules that build
+  them (:mod:`~repro.workload.arrivals`, :mod:`~repro.workload.popularity`,
+  :mod:`~repro.workload.churn`).
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field, replace
-from typing import Hashable, Iterable, List, Optional
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from ..codec import require_finite
 from ..core.exceptions import StrategyError
@@ -33,14 +43,19 @@ from ..network.faults import (
 from ..network.graph import Graph
 from ..simtime.model import TimeModelSpec
 from ..strategies import (
+    BroadcastStrategy,
+    CentralizedStrategy,
+    CheckerboardStrategy,
     CubeConnectedCyclesStrategy,
+    FullStrategy,
+    HashLocateStrategy,
     HierarchicalGatewayStrategy,
     HypercubeStrategy,
     ManhattanStrategy,
     ProjectivePlaneStrategy,
     SubgraphDecompositionStrategy,
+    SweepStrategy,
     TreePathStrategy,
-    default_registry,
 )
 from ..topologies import (
     CompleteTopology,
@@ -55,15 +70,9 @@ from ..topologies import (
     TreeTopology,
     decompose,
 )
-
-#: Arrival process kinds.
-ARRIVAL_KINDS = ("closed", "poisson", "burst")
-#: Popularity model kinds.
-POPULARITY_KINDS = ("uniform", "zipf", "hotspot")
-#: Churn model kinds.
-CHURN_KINDS = ("none", "migration", "failover", "storm", "mixed")
-#: Fault-regime kinds.
-FAULT_REGIME_KINDS = ("none", "waves", "flaps", "partition", "correlated")
+from .arrivals import ARRIVAL_PROCESSES
+from .churn import CHURN_MODELS
+from .popularity import POPULARITY_MODELS
 
 
 @dataclass(frozen=True)
@@ -89,9 +98,10 @@ class ArrivalSpec:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.kind not in ARRIVAL_KINDS:
+        if self.kind not in ARRIVAL_PROCESSES:
             raise ValueError(
-                f"unknown arrival kind {self.kind!r}; expected one of {ARRIVAL_KINDS}"
+                f"unknown arrival kind {self.kind!r}; "
+                f"expected one of {tuple(ARRIVAL_PROCESSES)}"
             )
         if self.rate <= 0:
             raise ValueError("arrival rate must be positive")
@@ -123,10 +133,10 @@ class PopularitySpec:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.kind not in POPULARITY_KINDS:
+        if self.kind not in POPULARITY_MODELS:
             raise ValueError(
                 f"unknown popularity kind {self.kind!r}; "
-                f"expected one of {POPULARITY_KINDS}"
+                f"expected one of {tuple(POPULARITY_MODELS)}"
             )
         if self.zipf_exponent <= 0:
             raise ValueError("zipf_exponent must be positive")
@@ -155,9 +165,10 @@ class ChurnSpec:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.kind not in CHURN_KINDS:
+        if self.kind not in CHURN_MODELS:
             raise ValueError(
-                f"unknown churn kind {self.kind!r}; expected one of {CHURN_KINDS}"
+                f"unknown churn kind {self.kind!r}; "
+                f"expected one of {tuple(CHURN_MODELS)}"
             )
         if self.kind != "none" and self.rate <= 0:
             raise ValueError("churn rate must be positive for active churn")
@@ -203,10 +214,10 @@ class FaultRegimeSpec:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.kind not in FAULT_REGIME_KINDS:
+        if self.kind not in FAULT_REGIMES:
             raise ValueError(
                 f"unknown fault regime kind {self.kind!r}; "
-                f"expected one of {FAULT_REGIME_KINDS}"
+                f"expected one of {tuple(FAULT_REGIMES)}"
             )
         if self.events < 1 or self.size < 1:
             raise ValueError("events and size must be at least 1")
@@ -220,13 +231,10 @@ class FaultRegimeSpec:
         """A compact identity string for matrix-cell names and reports.
 
         ``size`` only appears for kinds that use it (flaps always hit one
-        link at a time).
+        link at a time): each kind's template sits in :data:`FAULT_REGIMES`.
         """
-        if self.kind == "none":
-            return "none"
-        if self.kind == "flaps":
-            return f"flaps(e{self.events})"
-        return f"{self.kind}(e{self.events},s{self.size})"
+        template = FAULT_REGIMES[self.kind][0]
+        return template.format(kind=self.kind, events=self.events, size=self.size)
 
 
 @dataclass(frozen=True)
@@ -347,83 +355,135 @@ def _int_args(spec: str, argument: str, expected: int) -> List[int]:
         raise ValueError(f"topology spec {spec!r} has non-integer arguments") from None
 
 
-def build_topology(spec: str) -> Topology:
-    """Instantiate a topology from a ``"family:args"`` string.
+#: Topology family -> (builder, number of ``x``-separated integer arguments).
+TOPOLOGIES: Dict[str, Tuple[Callable[..., Topology], int]] = {
+    "complete": (CompleteTopology, 1),
+    "ring": (RingTopology, 1),
+    "star": (StarTopology, 1),
+    "manhattan": (ManhattanTopology.square, 1),
+    "hypercube": (HypercubeTopology, 1),
+    "ccc": (CubeConnectedCyclesTopology, 1),
+    "projective": (ProjectivePlaneTopology, 1),
+    "hierarchy": (HierarchicalTopology.uniform, 2),  # branching x levels
+    "tree": (TreeTopology.balanced, 2),  # branching x depth
+}
 
-    Supported: ``complete:n``, ``ring:n``, ``star:n``, ``manhattan:side``,
-    ``hypercube:d``, ``ccc:d``, ``projective:order``, ``hierarchy:bxl``
-    (branching x levels) and ``tree:bxd`` (branching x depth).
-    """
+
+def build_topology(spec: str) -> Topology:
+    """Instantiate a topology from a ``"family:args"`` string, e.g.
+    ``"manhattan:8"`` or ``"tree:2x3"``; the families are the keys of
+    :data:`TOPOLOGIES`."""
     family, _, argument = spec.partition(":")
     family = family.strip().lower()
-    if family == "complete":
-        return CompleteTopology(_int_args(spec, argument, 1)[0])
-    if family == "ring":
-        return RingTopology(_int_args(spec, argument, 1)[0])
-    if family == "star":
-        return StarTopology(_int_args(spec, argument, 1)[0])
-    if family == "manhattan":
-        return ManhattanTopology.square(_int_args(spec, argument, 1)[0])
-    if family == "hypercube":
-        return HypercubeTopology(_int_args(spec, argument, 1)[0])
-    if family == "ccc":
-        return CubeConnectedCyclesTopology(_int_args(spec, argument, 1)[0])
-    if family == "projective":
-        return ProjectivePlaneTopology(_int_args(spec, argument, 1)[0])
-    if family == "hierarchy":
-        branching, levels = _int_args(spec, argument, 2)
-        return HierarchicalTopology.uniform(branching, levels)
-    if family == "tree":
-        branching, depth = _int_args(spec, argument, 2)
-        return TreeTopology.balanced(branching, depth)
-    raise ValueError(f"unknown topology family {family!r} in {spec!r}")
+    if family not in TOPOLOGIES:
+        raise ValueError(f"unknown topology family {family!r} in {spec!r}")
+    factory, arity = TOPOLOGIES[family]
+    return factory(*_int_args(spec, argument, arity))
 
 
-#: Topology-specific strategies: name -> (required topology class, factory).
-_TOPOLOGY_STRATEGIES = {
+#: Strategy name -> (the topology class it requires, factory).  A universe
+#: strategy requires none (``None``): its factory takes the node universe.
+#: A topology strategy's factory takes the topology, which must be an
+#: instance of the class; ``subgraph`` runs on any connected graph through
+#: the O(sqrt n) decomposition.
+STRATEGIES: Dict[str, Tuple[Optional[type], Callable[[Any], MatchMakingStrategy]]] = {
+    "broadcast": (None, BroadcastStrategy),
+    "sweep": (None, SweepStrategy),
+    "centralized": (
+        None,
+        lambda universe: CentralizedStrategy(universe, sorted(universe, key=repr)[0]),
+    ),
+    "checkerboard": (None, CheckerboardStrategy),
+    "full": (None, FullStrategy),
+    "hash-locate": (None, lambda universe: HashLocateStrategy(universe, replicas=1)),
     "manhattan": (ManhattanTopology, ManhattanStrategy),
     "hypercube": (HypercubeTopology, HypercubeStrategy),
     "ccc": (CubeConnectedCyclesTopology, CubeConnectedCyclesStrategy),
     "projective": (ProjectivePlaneTopology, ProjectivePlaneStrategy),
     "hierarchy": (HierarchicalTopology, HierarchicalGatewayStrategy),
     "tree": (TreeTopology, TreePathStrategy),
+    "subgraph": (
+        Topology,
+        lambda topology: SubgraphDecompositionStrategy(decompose(topology.graph)),
+    ),
 }
 
 
 def strategy_names() -> List[str]:
-    """Every strategy name :func:`build_strategy` accepts."""
-    return sorted(
-        set(default_registry().names()) | set(_TOPOLOGY_STRATEGIES) | {"subgraph"}
-    )
+    """Every strategy name :func:`build_strategy` accepts, sorted."""
+    return sorted(STRATEGIES)
 
 
 def build_strategy(name: str, topology: Topology) -> MatchMakingStrategy:
-    """Instantiate a strategy by name for ``topology``.
+    """Instantiate the :data:`STRATEGIES` entry ``name`` for ``topology``.
 
-    Universe-based strategies come from the default registry; the
-    topology-specific section-3 strategies require a matching topology and
-    ``"subgraph"`` works on any connected graph via the O(sqrt n)
-    decomposition.  A topology mismatch is a :class:`StrategyError` (the
-    matrix engine skips that cell); an unknown name is a ``ValueError``,
-    bad input that nothing skips.
+    A topology that is not the class the strategy requires is a
+    :class:`StrategyError` (the matrix engine skips that cell); an unknown
+    name is a ``ValueError``, bad input that nothing skips.
     """
     name = name.strip().lower()
-    if name in _TOPOLOGY_STRATEGIES:
-        required, factory = _TOPOLOGY_STRATEGIES[name]
-        if not isinstance(topology, required):
-            raise StrategyError(
-                f"strategy {name!r} requires a {required.__name__}, "
-                f"got {type(topology).__name__}"
-            )
-        return factory(topology)
-    if name == "subgraph":
-        return SubgraphDecompositionStrategy(decompose(topology.graph))
-    registry = default_registry()
-    if name not in registry.names():
+    if name not in STRATEGIES:
         raise ValueError(
             f"unknown strategy {name!r}; known: {', '.join(strategy_names())}"
         )
-    return registry.create(name, topology.nodes())
+    required, factory = STRATEGIES[name]
+    if required is None:
+        return factory(topology.nodes())
+    if not isinstance(topology, required):
+        raise StrategyError(
+            f"strategy {name!r} requires a {required.__name__}, "
+            f"got {type(topology).__name__}"
+        )
+    return factory(topology)
+
+
+def _waves(regime, graph, rng, protected) -> FaultTimeline:
+    return crash_recover_waves(
+        graph, rng,
+        waves=regime.events, wave_size=regime.size,
+        start=regime.start, period=regime.period,
+        downtime=regime.downtime, protected=protected,
+    )
+
+
+def _flaps(regime, graph, rng, protected) -> FaultTimeline:
+    return link_flaps(
+        graph, rng,
+        flaps=regime.events, start=regime.start,
+        period=regime.period, downtime=regime.downtime,
+    )
+
+
+def _partitions(regime, graph, rng, protected) -> FaultTimeline:
+    timeline = FaultTimeline()
+    for event in range(regime.events):
+        at = regime.start + event * regime.period
+        timeline = timeline.merged(region_partition(
+            graph, rng,
+            at=at, heal_at=at + regime.downtime,
+            region_size=regime.size,
+        ))
+    return timeline
+
+
+def _correlated(regime, graph, rng, protected) -> FaultTimeline:
+    return correlated_failures(
+        graph, rng,
+        shots=regime.events, start=regime.start,
+        period=regime.period, downtime=regime.downtime,
+        blast_radius=regime.size, protected=protected,
+    )
+
+
+#: Fault-regime kind -> (label template, builder ``(regime, graph, rng,
+#: protected) -> FaultTimeline``).
+FAULT_REGIMES: Dict[str, Tuple[str, Callable[..., FaultTimeline]]] = {
+    "none": ("{kind}", lambda regime, graph, rng, protected: FaultTimeline()),
+    "waves": ("{kind}(e{events},s{size})", _waves),
+    "flaps": ("{kind}(e{events})", _flaps),
+    "partition": ("{kind}(e{events},s{size})", _partitions),
+    "correlated": ("{kind}(e{events},s{size})", _correlated),
+}
 
 
 def build_fault_timeline(
@@ -440,36 +500,4 @@ def build_fault_timeline(
     abort the request stream — are never crashed; links around them may
     still fail, which only costs availability.
     """
-    if regime.kind == "none":
-        return FaultTimeline()
-    if regime.kind == "waves":
-        return crash_recover_waves(
-            graph, rng,
-            waves=regime.events, wave_size=regime.size,
-            start=regime.start, period=regime.period,
-            downtime=regime.downtime, protected=protected,
-        )
-    if regime.kind == "flaps":
-        return link_flaps(
-            graph, rng,
-            flaps=regime.events, start=regime.start,
-            period=regime.period, downtime=regime.downtime,
-        )
-    if regime.kind == "partition":
-        timeline = FaultTimeline()
-        for event in range(regime.events):
-            at = regime.start + event * regime.period
-            timeline = timeline.merged(region_partition(
-                graph, rng,
-                at=at, heal_at=at + regime.downtime,
-                region_size=regime.size,
-            ))
-        return timeline
-    if regime.kind == "correlated":
-        return correlated_failures(
-            graph, rng,
-            shots=regime.events, start=regime.start,
-            period=regime.period, downtime=regime.downtime,
-            blast_radius=regime.size, protected=protected,
-        )
-    raise ValueError(f"unknown fault regime kind {regime.kind!r}")
+    return FAULT_REGIMES[regime.kind][1](regime, graph, rng, protected)

@@ -38,7 +38,7 @@ from repro.core.types import Port
 from repro.network.simulator import Network
 from repro.network.stats import PAYLOAD, POST, QUERY, REPLY
 from repro.processes.system import DistributedSystem
-from repro.strategies import CheckerboardStrategy, default_registry
+from repro.strategies import CheckerboardStrategy
 from repro.topologies import RingTopology
 from repro.workload import (
     ArrivalSpec,
@@ -49,12 +49,14 @@ from repro.workload import (
     build_strategy,
     build_topology,
 )
+from repro.workload.spec import STRATEGIES
 
-#: Every universe-based strategy from the registry runs on the complete
-#: graph; each topology-specific strategy runs on its home topology; the
-#: subgraph decomposition runs on a grid (any connected graph works).
+#: Every universe strategy runs on the complete graph; each
+#: topology-specific strategy runs on its home topology; the subgraph
+#: decomposition runs on a grid (any connected graph works).
 STRATEGY_TOPOLOGIES = [
-    *[(name, "complete:16") for name in default_registry().names()],
+    *[(name, "complete:16")
+      for name, (required, _) in sorted(STRATEGIES.items()) if required is None],
     ("subgraph", "manhattan:4"),
     ("manhattan", "manhattan:4"),
     ("hypercube", "hypercube:3"),

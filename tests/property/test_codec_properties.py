@@ -29,12 +29,10 @@ from repro.workload import (
     ScenarioSpec,
     SloSpec,
 )
-from repro.workload.spec import (
-    ARRIVAL_KINDS,
-    CHURN_KINDS,
-    FAULT_REGIME_KINDS,
-    POPULARITY_KINDS,
-)
+from repro.workload.arrivals import ARRIVAL_PROCESSES
+from repro.workload.churn import CHURN_MODELS
+from repro.workload.popularity import POPULARITY_MODELS
+from repro.workload.spec import FAULT_REGIMES
 
 FUZZ = settings(max_examples=20, deadline=None, derandomize=True)
 
@@ -50,21 +48,21 @@ def tuples(elements, **kwargs):
 
 
 arrivals = st.builds(
-    ArrivalSpec, kind=st.sampled_from(ARRIVAL_KINDS), rate=positive,
+    ArrivalSpec, kind=st.sampled_from(tuple(ARRIVAL_PROCESSES)), rate=positive,
     think_time=non_negative, burst_size=st.integers(1, 500),
     burst_gap=non_negative,
 )
 popularities = st.builds(
-    PopularitySpec, kind=st.sampled_from(POPULARITY_KINDS),
+    PopularitySpec, kind=st.sampled_from(tuple(POPULARITY_MODELS)),
     zipf_exponent=positive, hotspot_fraction=fraction,
     hotspot_interval=positive,
 )
 churns = st.builds(
-    ChurnSpec, kind=st.sampled_from(CHURN_KINDS), rate=positive,
+    ChurnSpec, kind=st.sampled_from(tuple(CHURN_MODELS)), rate=positive,
     downtime=positive, storm_fraction=fraction,
 )
 fault_regimes = st.builds(
-    FaultRegimeSpec, kind=st.sampled_from(FAULT_REGIME_KINDS),
+    FaultRegimeSpec, kind=st.sampled_from(tuple(FAULT_REGIMES)),
     events=st.integers(1, 9), size=st.integers(1, 9), start=non_negative,
     period=positive, downtime=positive,
 )

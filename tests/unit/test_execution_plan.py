@@ -206,6 +206,19 @@ class TestSpool:
         with pytest.raises(SpoolError, match=rf"{path}.*line 2"):
             load_spool(path)
 
+    @pytest.mark.parametrize("position", ['"3"', "4.9", "4.0", "true", "null"])
+    def test_a_position_that_is_no_json_int_is_corruption(self, tmp_path, position):
+        # int() would load "3", 4.9 and true as positions 3, 4 and 1: the
+        # merge would place a cell where no worker put it.
+        path = shard_spool_path(tmp_path, 4)
+        record = json.loads(dump_spool_line(1, self._cell()))
+        with open(path, "w", encoding="utf-8") as fp:
+            fp.write(dump_spool_line(0, self._cell()))
+            line = json.dumps(record).replace('"position": 1', f'"position": {position}')
+            fp.write(line + "\n")
+        with pytest.raises(SpoolError, match=rf"{path}.*line 2.*position"):
+            load_spool(path)
+
 
 class TestSpoolCursor:
     def _line(self, position) -> str:

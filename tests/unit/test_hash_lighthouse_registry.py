@@ -1,5 +1,5 @@
-"""Unit tests for Hash Locate, Lighthouse Locate and the strategy
-registry."""
+"""Unit tests for Hash Locate, Lighthouse Locate and the universe
+strategies of the spec's strategy table."""
 
 import pytest
 from oracle.rendezvous import read_sets, validate
@@ -13,11 +13,9 @@ from repro.strategies import (
     LighthouseLocate,
     RehashingLocator,
     RulerSchedule,
-    StrategyRegistry,
-    default_registry,
 )
-from repro.strategies.elementary import BroadcastStrategy
 from repro.topologies import CompleteTopology, ManhattanTopology
+from repro.workload.spec import STRATEGIES
 
 UNIVERSE = list(range(20))
 
@@ -245,31 +243,10 @@ class TestLighthouseLocate:
         assert lighthouse.locate((0, 0), port, max_trials=3, trial_interval=4).elapsed_time == 12
 
 
-class TestRegistry:
-    def test_default_registry_names(self):
-        registry = default_registry()
-        assert {"broadcast", "sweep", "centralized", "checkerboard", "full",
-                "hash-locate"} <= set(registry.names())
-
-    def test_create_all_are_total(self, port):
-        registry = default_registry()
+class TestUniverseStrategies:
+    def test_every_universe_strategy_is_total(self, port):
         universe = list(range(12))
-        for name, strategy in registry.create_all(universe).items():
-            assert validate(universe, *read_sets(strategy, universe, port)) == []
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(StrategyError):
-            default_registry().create("quantum", [1, 2, 3])
-
-    def test_custom_registration_and_overwrite(self):
-        registry = StrategyRegistry()
-        registry.register("b", lambda u: BroadcastStrategy(u))
-        with pytest.raises(StrategyError):
-            registry.register("b", lambda u: BroadcastStrategy(u))
-        registry.register("b", lambda u: BroadcastStrategy(u), overwrite=True)
-        assert registry.names() == ["b"]
-
-    def test_create_selected_subset(self):
-        registry = default_registry()
-        created = registry.create_all(list(range(5)), only=["broadcast", "sweep"])
-        assert set(created) == {"broadcast", "sweep"}
+        for required, factory in STRATEGIES.values():
+            if required is None:
+                strategy = factory(universe)
+                assert validate(universe, *read_sets(strategy, universe, port)) == []

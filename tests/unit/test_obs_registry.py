@@ -265,15 +265,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.gauge("a")  # name taken by a different type
 
-    def test_register_adopts_prebuilt_instruments_once(self):
-        registry = MetricsRegistry()
-        histogram = Histogram()
-        assert registry.register("hops", histogram) is histogram
-        with pytest.raises(ValueError):
-            registry.register("hops", Histogram())
-        with pytest.raises(TypeError):
-            registry.register("weird", object())
-
     def test_merge_adopts_names_the_target_never_touched(self):
         left = MetricsRegistry()
         left.counter("only-left").inc(2)

@@ -26,11 +26,8 @@ from repro.workload import (
     ZipfPopularity,
     build_strategy,
     build_topology,
-    strategy_names,
 )
-from repro.workload import arrivals as arrivals_mod
 from repro.workload import churn as churn_mod
-from repro.workload import popularity as popularity_mod
 
 
 class TestSpecs:
@@ -150,7 +147,7 @@ class TestResolvers:
         with pytest.raises(ValueError):
             build_topology("complete:x")
 
-    def test_build_strategy_registry_and_specific(self):
+    def test_build_strategy_universe_and_topology(self):
         grid = build_topology("manhattan:5")
         assert isinstance(build_strategy("checkerboard", grid), CheckerboardStrategy)
         assert isinstance(build_strategy("manhattan", grid), ManhattanStrategy)
@@ -160,11 +157,6 @@ class TestResolvers:
         cube = HypercubeTopology(3)
         with pytest.raises(StrategyError):
             build_strategy("manhattan", cube)
-
-    def test_strategy_names_cover_both_kinds(self):
-        names = strategy_names()
-        assert {"checkerboard", "broadcast", "manhattan", "hypercube",
-                "subgraph"} <= set(names)
 
 
 class TestArrivals:
@@ -191,17 +183,6 @@ class TestArrivals:
         assert times[:10] == [0.0] * 10
         assert times[10:20] == [1.0] * 10
         assert times[20:] == [2.0] * 5
-
-    def test_from_spec_dispatch(self):
-        assert isinstance(
-            arrivals_mod.from_spec(ArrivalSpec(kind="closed")), ClosedLoopArrivals
-        )
-        assert isinstance(
-            arrivals_mod.from_spec(ArrivalSpec(kind="poisson")), PoissonArrivals
-        )
-        assert isinstance(
-            arrivals_mod.from_spec(ArrivalSpec(kind="burst")), BurstArrivals
-        )
 
 
 class TestPopularity:
@@ -236,26 +217,13 @@ class TestPopularity:
         assert 0.4 < hot_share < 0.75
         assert set(picks) == {0, 1, 2, 3}
 
-    def test_from_spec_dispatch(self):
-        assert isinstance(
-            popularity_mod.from_spec(PopularitySpec(kind="uniform"), 3),
-            UniformPopularity,
-        )
-        assert isinstance(
-            popularity_mod.from_spec(PopularitySpec(kind="zipf"), 3), ZipfPopularity
-        )
-        assert isinstance(
-            popularity_mod.from_spec(PopularitySpec(kind="hotspot"), 3),
-            MovingHotspotPopularity,
-        )
-
 
 class TestChurn:
     def test_no_churn_is_empty(self):
         assert NoChurn().schedule(random.Random(0), 100.0) == []
 
     def test_poisson_schedule_rate_and_determinism(self):
-        model = churn_mod.MigrationChurn(rate=2.0)
+        model = churn_mod.PoissonChurn(2.0, (churn_mod.MIGRATE,))
         first = model.schedule(random.Random(9), 500.0)
         second = model.schedule(random.Random(9), 500.0)
         assert first == second
@@ -265,17 +233,6 @@ class TestChurn:
         assert all(event.kind == churn_mod.MIGRATE for event in first)
 
     def test_mixed_draws_all_kinds(self):
-        model = churn_mod.MixedChurn(rate=5.0)
+        model = churn_mod.from_spec(ChurnSpec(kind="mixed", rate=5.0))
         kinds = {event.kind for event in model.schedule(random.Random(2), 200.0)}
         assert kinds == {churn_mod.MIGRATE, churn_mod.FAILOVER, churn_mod.STORM}
-
-    def test_from_spec_dispatch(self):
-        assert isinstance(churn_mod.from_spec(ChurnSpec(kind="none")), NoChurn)
-        for kind, cls in (
-            ("migration", churn_mod.MigrationChurn),
-            ("failover", churn_mod.FailoverChurn),
-            ("storm", churn_mod.StormChurn),
-            ("mixed", churn_mod.MixedChurn),
-        ):
-            model = churn_mod.from_spec(ChurnSpec(kind=kind, rate=1.0))
-            assert isinstance(model, cls)
