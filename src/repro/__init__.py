@@ -41,7 +41,7 @@ from .core import (
 # back into core.
 from .analysis import format_table
 from .network import Graph, Network, complete_graph
-from .processes import ClientProcess, DistributedSystem, ServerProcess, Service
+from .processes import ClientProcess, DistributedSystem, ServerProcess
 from .strategies import (
     BroadcastStrategy,
     CentralizedStrategy,
@@ -132,7 +132,6 @@ __all__ = [
     "ScenarioSpec",
     "ScopedHashStrategy",
     "ServerProcess",
-    "Service",
     "StarTopology",
     "StrategyError",
     "SubgraphDecompositionStrategy",

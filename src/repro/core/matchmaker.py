@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from ..network.simulator import Network
 from .strategy import MatchMakingStrategy
@@ -79,11 +79,6 @@ class MatchMaker:
     def network(self) -> Network:
         """The underlying network."""
         return self._network
-
-    @property
-    def strategy(self) -> MatchMakingStrategy:
-        """The strategy in use."""
-        return self._strategy
 
     # -- memoized P/Q ----------------------------------------------------------
 
@@ -181,9 +176,7 @@ class MatchMaker:
 
     # -- client side ------------------------------------------------------------
 
-    def locate(
-        self, client_node: Hashable, port: Port, collect_all: bool = False
-    ) -> MatchResult:
+    def locate(self, client_node: Hashable, port: Port) -> MatchResult:
         """Query every node of ``Q(client_node)`` for ``port``.
 
         Returns a :class:`~repro.core.types.MatchResult`; ``found`` is False
@@ -201,9 +194,7 @@ class MatchMaker:
             # The rendezvous resolution itself: Q(j) materialized against
             # the strategy (memoized after first use).
             tracer.event("rendezvous-resolve", nodes=len(targets))
-        outcome = self._network.query(
-            client_node, port, targets, mode=self._mode, collect_all=collect_all
-        )
+        outcome = self._network.query(client_node, port, targets, mode=self._mode)
         best = freshest(outcome.records)
         if tracer is not None:
             tracer.end(
@@ -251,31 +242,3 @@ class MatchMaker:
         self.deregister_server(registration)
         self._network.stats.restore(snapshot)
         return result
-
-    def average_cost(
-        self,
-        port: Port,
-        pairs: Optional[Sequence[Tuple[Hashable, Hashable]]] = None,
-        use_hops: bool = False,
-    ) -> float:
-        """Average match-making cost over node pairs.
-
-        ``pairs`` defaults to *all* ``n²`` (server, client) pairs, matching
-        the paper's ``m(n)`` definition (M4).  With ``use_hops=False`` the
-        cost of a pair is ``#P(i) + #Q(j)`` (the complete-network measure);
-        with ``use_hops=True`` it is the measured post + query hop count on
-        the actual topology, which includes routing overhead.
-        """
-        nodes = self._network.node_ids()
-        if pairs is None:
-            pairs = [(server, client) for server in nodes for client in nodes]
-        if not pairs:
-            raise ValueError("no pairs to average over")
-        total = 0.0
-        for server, client in pairs:
-            if use_hops:
-                result = self.match_instance(server, client, port)
-                total += result.match_messages
-            else:
-                total += self._strategy.pair_cost(server, client, port)
-        return total / len(pairs)

@@ -52,14 +52,6 @@ class MatchMakingStrategy(abc.ABC):
     ) -> FrozenSet[Hashable]:
         """The set ``Q(node)`` of nodes a client at ``node`` queries."""
 
-    def universe(self) -> Optional[FrozenSet[Hashable]]:
-        """The node universe this strategy is defined on, if known.
-
-        Strategies bound to a concrete topology return its node set; generic
-        strategies (e.g. a pure hash function) may return ``None``.
-        """
-        return None
-
     def rendezvous_set(
         self,
         server_node: Hashable,
@@ -68,23 +60,6 @@ class MatchMakingStrategy(abc.ABC):
     ) -> FrozenSet[Hashable]:
         """``P(server) ∩ Q(client)`` — the rendezvous nodes for this pair."""
         return self.post_set(server_node, port) & self.query_set(client_node, port)
-
-    def post_cost(self, node: Hashable, port: Optional[Port] = None) -> int:
-        """``#P(node)`` — addressed-node cost of one posting."""
-        return len(self.post_set(node, port))
-
-    def query_cost(self, node: Hashable, port: Optional[Port] = None) -> int:
-        """``#Q(node)`` — addressed-node cost of one query."""
-        return len(self.query_set(node, port))
-
-    def pair_cost(
-        self,
-        server_node: Hashable,
-        client_node: Hashable,
-        port: Optional[Port] = None,
-    ) -> int:
-        """The paper's ``m(i, j) = #P(i) + #Q(j)`` (equation M3)."""
-        return self.post_cost(server_node, port) + self.query_cost(client_node, port)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
@@ -108,13 +83,11 @@ class FunctionalStrategy(MatchMakingStrategy):
         post: Callable[[Hashable], Iterable[Hashable]],
         query: Callable[[Hashable], Iterable[Hashable]],
         name: str = "functional",
-        universe: Optional[Iterable[Hashable]] = None,
         deterministic: bool = True,
     ) -> None:
         self._post = post
         self._query = query
         self.name = name
-        self._universe = frozenset(universe) if universe is not None else None
         self.deterministic = deterministic
 
     def post_set(
@@ -126,6 +99,3 @@ class FunctionalStrategy(MatchMakingStrategy):
         self, node: Hashable, port: Optional[Port] = None
     ) -> FrozenSet[Hashable]:
         return frozenset(self._query(node))
-
-    def universe(self) -> Optional[FrozenSet[Hashable]]:
-        return self._universe

@@ -25,7 +25,7 @@ section 2.1 is decided, for the node caches and for query results alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, NamedTuple, Optional, Tuple
+from typing import FrozenSet, Iterable, NamedTuple, Optional
 
 
 class Port(NamedTuple):
@@ -88,20 +88,14 @@ class PostRecord:
         return repr(self.address) > repr(other.address)
 
 
-def freshness_key(record: PostRecord) -> Tuple[int, str]:
-    """The total order postings are ranked by — ``is_newer_than`` as a sort
-    key: newer timestamps first, ties broken by ``repr(address)``."""
-    return (record.timestamp, repr(record.address))
-
-
 def freshest(records: Iterable[PostRecord]) -> Optional[PostRecord]:
     """The freshest of ``records``, or ``None`` when there are none.
 
-    ``max(records, key=freshness_key)`` — on a full tie the first record
-    met wins — without building a key per record: a lone record is
-    returned as it is, and ``repr`` is only taken when two distinct records
-    have equal timestamps (one posting answered by several rendezvous
-    nodes is one record object, met again).
+    The maximum by ``(timestamp, repr(address))`` — ``is_newer_than`` as a
+    key; on a full tie the first record met wins — without building a key
+    per record: a lone record is returned as it is, and ``repr`` is only
+    taken when two distinct records have equal timestamps (one posting
+    answered by several rendezvous nodes is one record object, met again).
     """
     best = None
     for record in records:

@@ -218,7 +218,6 @@ def run_matrix_parallel(
     keep_results: bool = False,
     progress: Optional[Callable[[int, int], None]] = None,
     trace_dir=None,
-    spool_dir=None,
     obs_dir=None,
     profile: bool = False,
     cache_dir=None,
@@ -227,14 +226,14 @@ def run_matrix_parallel(
     """Plan ``matrix`` into shards, run them, merge by grid position.
 
     :func:`~repro.workload.matrix.run_matrix` forwards here and documents
-    the shared parameters.  Two differ: ``workers=None`` means one per CPU
-    (like 0), and ``spool_dir`` keeps the JSONL spool files, which
-    otherwise live in a temporary directory removed after the merge.
+    the shared parameters; one differs: ``workers=None`` means one per CPU
+    (like 0).
 
     A plan of one shard runs in this process — no worker process, no
-    spool unless ``spool_dir`` asks for one, its profile labelled
-    ``sequential``.  Any other plan runs one task per shard in worker
-    processes: the caller's ``executor`` (any
+    spool, its profile labelled ``sequential``.  Any other plan runs one
+    task per shard in worker processes, each streaming its cells to a JSONL
+    spool in a temporary directory removed after the merge: the caller's
+    ``executor`` (any
     :class:`concurrent.futures.Executor`, left running for the next
     sweep), else a fresh one shut down before this returns.  Its profile
     section is ``parent`` plus one ``shard-N`` per shard, and an obs
@@ -247,13 +246,9 @@ def run_matrix_parallel(
     shards = plan.shards or (Shard(index=0, cells=()),)
     in_process = len(shards) == 1
     total = plan.cell_count
-    own_spool = spool_dir is None
-    spool_root = None
-    if not (in_process and own_spool):
-        spool_root = Path(
-            tempfile.mkdtemp(prefix="repro-spool-") if own_spool else spool_dir
-        )
-        spool_root.mkdir(parents=True, exist_ok=True)
+    spool_root = (
+        None if in_process else Path(tempfile.mkdtemp(prefix="repro-spool-"))
+    )
     obs_path = (
         _obs_export.export_dir(obs_dir) if obs_dir is not None else None
     )
@@ -306,7 +301,7 @@ def run_matrix_parallel(
         if merge_tracer is not None:
             merge_tracer.end(merge_span)
     finally:
-        if own_spool and spool_root is not None:
+        if spool_root is not None:
             shutil.rmtree(spool_root, ignore_errors=True)
     kept: Dict[int, WorkloadResult] = {}
     exec_stats: Dict[str, int] = {}

@@ -33,7 +33,6 @@ and no responder starts a search of its own.
 from __future__ import annotations
 
 import itertools
-import random
 from typing import (
     Any,
     Collection,
@@ -48,7 +47,7 @@ from typing import (
 )
 
 from ..core.exceptions import NodeDownError, UnknownNodeError
-from ..core.types import Address, Port, PostRecord, freshest, freshness_key
+from ..core.types import Address, Port, PostRecord, freshest
 from .cache import PostingStore
 from .delivery import DeliveryOutcome, DeliveryPlanner
 from .faults import FaultPlan
@@ -93,17 +92,9 @@ class Network:
         of the argument does not affect the simulator.
     delivery_mode:
         Default delivery mode for post/query traffic (see module docstring).
-    seed:
-        Seed of the network's private random generator (used only by
-        randomised helpers such as random node selection).
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        delivery_mode: str = "multicast",
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, graph: Graph, delivery_mode: str = "multicast") -> None:
         if delivery_mode not in DELIVERY_MODES:
             raise ValueError(
                 f"unknown delivery mode {delivery_mode!r}; "
@@ -111,7 +102,6 @@ class Network:
             )
         self._graph = graph.copy()
         self._delivery_mode = delivery_mode
-        self._seed = seed
         # The node identifiers in graph order (a dict for O(1) membership).
         self._nodes: Dict[Hashable, None] = dict.fromkeys(self._graph.nodes)
         self._postings = PostingStore(self._nodes)
@@ -126,7 +116,6 @@ class Network:
             self._faults,
             self._stats,
         )
-        self._rng = random.Random(seed)
         self._timestamps = itertools.count(1)
         # Each reached set a query has answered over, in ``repr`` order: a
         # function of the node ids alone, so it outlives fault revisions and
@@ -170,11 +159,6 @@ class Network:
     def faults(self) -> FaultPlan:
         """The current fault plan."""
         return self._faults
-
-    @property
-    def rng(self) -> random.Random:
-        """The network's private random generator."""
-        return self._rng
 
     @property
     def delivery_mode(self) -> str:
@@ -242,15 +226,14 @@ class Network:
         table and the delivery planner (whose fault-free caches stay warm —
         plans are pure functions of graph + fault revision) while restoring
         everything a run observes: node liveness and caches, the fault plan,
-        message statistics, timestamps and the private generator; a tap or
-        tracer left bound is dropped, so no run observes another.  A reset
-        network is indistinguishable from a freshly built one to the
-        workload driver, which is what keeps shared-network runs replayable.
+        message statistics and timestamps; a tap or tracer left bound is
+        dropped, so no run observes another.  A reset network is
+        indistinguishable from a freshly built one to the workload driver,
+        which is what keeps shared-network runs replayable.
         """
         self._postings.reset()
         self._faults.clear()  # no revision bump when already fault-free
         self._stats.reset()
-        self._rng = random.Random(self._seed)
         self._timestamps = itertools.count(1)
         self._tap = None
         self.tracer = None
@@ -362,7 +345,6 @@ class Network:
         targets: Iterable[Hashable],
         server_id: str = "",
         mode: Optional[str] = None,
-        address: Optional[Address] = None,
     ) -> DeliveryOutcome:
         """Post ``(port, address-of-server_node)`` at each target node.
 
@@ -371,7 +353,7 @@ class Network:
         """
         record = PostRecord(
             port=port,
-            address=address if address is not None else Address(server_node),
+            address=Address(server_node),
             timestamp=self.next_timestamp(),
             server_id=server_id or f"server@{server_node}",
         )
@@ -409,15 +391,15 @@ class Network:
         port: Port,
         targets: Iterable[Hashable],
         mode: Optional[str] = None,
-        collect_all: bool = False,
     ) -> QueryOutcome:
         """Query each target node for ``port`` and collect replies.
 
         The answering nodes are ``holders(port) ∩ reached`` — the rendezvous
-        set itself — taken in ``repr`` order of ``reached``.  Reply hops are
-        charged separately (category ``reply``): each node that has a
-        matching record sends one reply routed back to the client (one hop
-        in ``ideal`` mode, shortest-path distance otherwise, read from the
+        set itself — taken in ``repr`` order of ``reached``, each answering
+        with its freshest record for the port.  Reply hops are charged
+        separately (category ``reply``): each node that has a matching
+        record sends one reply routed back to the client (one hop in
+        ``ideal`` mode, shortest-path distance otherwise, read from the
         client's own routing row: channels are undirected).
         """
         outcome = self.deliver(client_node, targets, QUERY, mode=mode)
@@ -461,11 +443,7 @@ class Network:
                             lost_replies += 1
                             continue
                         reply_hops += hops
-                held = holders[target].values()
-                if collect_all:
-                    records.extend(sorted(held, key=freshness_key, reverse=True))
-                else:
-                    records.append(freshest(held))
+                records.append(freshest(holders[target].values()))
                 responders.append(target)
         self._stats.record(
             REPLY, reply_hops, len(responders) + lost_replies, len(responders)

@@ -28,7 +28,7 @@ driver — hands that number up as a return value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Optional, Tuple
+from typing import Hashable, Iterable, Optional, Tuple
 
 from ..obs.registry import CounterMap
 
@@ -125,10 +125,10 @@ class MessageStats:
         for node in nodes:
             load[node] += 1
 
-    def record_plan_event(self, kind: str, count: int = 1) -> None:
-        """Count ``count`` delivery-planner cache events of ``kind`` — the
-        one way the planner counts an event."""
-        self.plan_events[kind] += count
+    def record_plan_event(self, kind: str) -> None:
+        """Count one delivery-planner cache event of ``kind`` — the one way
+        the planner counts an event."""
+        self.plan_events[kind] += 1
 
     def merge(self, other: "MessageStats") -> None:
         """Add another stats object into this one."""
@@ -154,10 +154,6 @@ class MessageStats:
                 for name, family in self._families()
             }
         )
-
-    def items(self) -> Iterator[Tuple[str, int]]:
-        """Iterate ``(category, hops)`` pairs."""
-        return iter(self.hops.items())
 
     def restore(self, snapshot: "MessageStats") -> None:
         """Put every counter family back to what ``snapshot`` recorded."""

@@ -324,9 +324,6 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._instruments
 
-    def __len__(self) -> int:
-        return len(self._instruments)
-
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry in, instrument by instrument.
 

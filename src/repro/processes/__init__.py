@@ -8,7 +8,6 @@ matching clients to servers.
 from .client import ClientProcess, ClientStats
 from .process import Process
 from .server import RequestHandler, ServerProcess, echo_handler
-from .service import Service, ServiceDirectory
 from .system import DistributedSystem, RequestOutcome, SystemStats
 
 __all__ = [
@@ -19,8 +18,6 @@ __all__ = [
     "RequestHandler",
     "RequestOutcome",
     "ServerProcess",
-    "Service",
-    "ServiceDirectory",
     "SystemStats",
     "echo_handler",
 ]

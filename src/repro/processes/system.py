@@ -31,7 +31,6 @@ from ..core.types import MatchResult, Port
 from ..network.simulator import Network
 from .client import ClientProcess
 from .server import RequestHandler, ServerProcess
-from .service import ServiceDirectory
 
 
 class RequestOutcome(NamedTuple):
@@ -87,7 +86,6 @@ class DistributedSystem:
             raise ValueError("max_retries must be non-negative")
         self._network = network
         self._matchmaker = MatchMaker(network, strategy, delivery_mode=delivery_mode)
-        self._directory = ServiceDirectory()
         self._servers: Dict[int, ServerProcess] = {}
         self._clients: Dict[int, ClientProcess] = {}
         self._registrations: Dict[int, ServerRegistration] = {}
@@ -105,16 +103,6 @@ class DistributedSystem:
         return self._network
 
     @property
-    def matchmaker(self) -> MatchMaker:
-        """The match-making engine (name server)."""
-        return self._matchmaker
-
-    @property
-    def directory(self) -> ServiceDirectory:
-        """The directory of known services."""
-        return self._directory
-
-    @property
     def stats(self) -> SystemStats:
         """System-wide counters."""
         return self._stats
@@ -122,10 +110,6 @@ class DistributedSystem:
     def servers(self) -> List[ServerProcess]:
         """All server processes (including dead ones)."""
         return list(self._servers.values())
-
-    def clients(self) -> List[ClientProcess]:
-        """All client processes."""
-        return list(self._clients.values())
 
     # -- process management -------------------------------------------------------
 
@@ -143,9 +127,7 @@ class DistributedSystem:
         """
         if not self._network.node_is_up(node):
             raise NodeDownError(node)
-        service = self._directory.get_or_create(port, handler)
-        server = ServerProcess(node, port, handler or service.handler, name=name)
-        service.attach(server)
+        server = ServerProcess(node, port, handler, name=name)
         self._servers[server.pid] = server
         self._index_add(server)
         registration = self._matchmaker.register_server(

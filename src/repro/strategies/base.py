@@ -12,7 +12,7 @@ Concrete strategies fall into two groups:
 from __future__ import annotations
 
 import hashlib
-from typing import FrozenSet, Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Optional
 
 from ..core.exceptions import StrategyError
 from ..core.strategy import MatchMakingStrategy
@@ -37,10 +37,6 @@ class UniverseStrategy(MatchMakingStrategy):
         self._universe = frozenset(universe)
         if not self._universe:
             raise StrategyError(f"{self.name}: the universe must not be empty")
-
-    def universe(self) -> FrozenSet[Hashable]:
-        """The node universe."""
-        return self._universe
 
     def _require_member(self, node: Hashable) -> None:
         if node not in self._universe:
@@ -67,10 +63,6 @@ class TopologyStrategy(MatchMakingStrategy):
     def topology(self) -> Topology:
         """The topology this strategy is bound to."""
         return self._topology
-
-    def universe(self) -> FrozenSet[Hashable]:
-        """The topology's node set."""
-        return self._topology.graph.node_set
 
     def _require_member(self, node: Hashable) -> None:
         if node not in self._topology.graph:

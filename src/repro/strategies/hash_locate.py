@@ -59,11 +59,6 @@ class HashLocateStrategy(UniverseStrategy):
         # A stable ordering so the ring walk below is deterministic.
         self._ordered: List[Hashable] = sorted(self._universe, key=repr)
 
-    @property
-    def replicas(self) -> int:
-        """Number of rendezvous nodes per port."""
-        return self._replicas
-
     def rendezvous_nodes(self, port: Port) -> FrozenSet[Hashable]:
         """The rendezvous node(s) of ``port`` under the current hash."""
         if port is None:
@@ -145,11 +140,6 @@ class RehashingLocator:
         self._network = network
         self._strategy = strategy
         self._max_attempts = max_rehash_attempts
-
-    @property
-    def strategy(self) -> HashLocateStrategy:
-        """The primary hash strategy."""
-        return self._strategy
 
     def register_server(self, node: Hashable, port: Port, server_id: str = "") -> int:
         """Post the server at the rendezvous nodes of every hash attempt.

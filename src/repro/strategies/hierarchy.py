@@ -65,9 +65,6 @@ class SupervisorHierarchyStrategy(MatchMakingStrategy):
             chain.append(current)  # A top node is its own rendezvous point.
         return chain
 
-    def universe(self) -> FrozenSet[Hashable]:
-        return frozenset(self._supervisor)
-
     def post_set(self, node: Hashable, port: Optional[Port] = None) -> FrozenSet:
         self._require(node)
         return frozenset(self._chain(node))

@@ -54,11 +54,6 @@ class HypercubeStrategy(TopologyStrategy):
         self._prefix_bits = server_prefix_bits
 
     @property
-    def server_prefix_bits(self) -> int:
-        """Number of leading bits the server fixes."""
-        return self._prefix_bits
-
-    @property
     def client_suffix_bits(self) -> int:
         """Number of trailing bits the client fixes."""
         return self.topology.dimensions - self._prefix_bits

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Hashable, List, Optional, Tuple
 
 from ..core.types import Address, Port, PostRecord
-from ..network.routing import RoutingTable
 from ..network.simulator import Network
 from ..network.stats import POST, QUERY
 
@@ -170,21 +169,11 @@ class LighthouseLocate:
         self._now = 0
         self._last_server_time = -1
 
-    @property
-    def network(self) -> Network:
-        """The underlying network."""
-        return self._network
-
-    @property
-    def schedule(self):
-        """The client beam-length schedule in use."""
-        return self._schedule
-
     # -- servers ---------------------------------------------------------------
 
-    def add_server(self, node: Hashable, port: Port, server_id: str = "") -> None:
+    def add_server(self, node: Hashable, port: Port) -> None:
         """Register a server that will beam its (port, address) trail."""
-        self._servers.append((node, port, server_id or f"lighthouse@{node}"))
+        self._servers.append((node, port, f"lighthouse@{node}"))
 
     def _beam_targets(self, origin: Hashable, length: int) -> List[Hashable]:
         # A beam longer than the network has nodes cannot visit anything new;

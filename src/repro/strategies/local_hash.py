@@ -26,7 +26,7 @@ network*, so
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional
+from typing import Dict, FrozenSet, Hashable, List, Optional
 
 from ..core.exceptions import StrategyError
 from ..core.strategy import MatchMakingStrategy
@@ -87,16 +87,6 @@ class ScopedHashStrategy(MatchMakingStrategy):
 
     # -- scope handling ---------------------------------------------------------
 
-    @property
-    def topology(self) -> HierarchicalTopology:
-        """The hierarchy this strategy is defined on."""
-        return self._topology
-
-    @property
-    def replicas(self) -> int:
-        """Rendezvous nodes per (port, neighbourhood)."""
-        return self._replicas
-
     def scope_of(self, port: Optional[Port]) -> int:
         """The scope level of ``port`` (the default scope when unknown)."""
         if port is None:
@@ -142,9 +132,6 @@ class ScopedHashStrategy(MatchMakingStrategy):
 
     # -- the strategy interface --------------------------------------------------
 
-    def universe(self) -> FrozenSet[Hashable]:
-        return self._topology.graph.node_set
-
     def post_set(self, node: Hashable, port: Optional[Port] = None) -> FrozenSet:
         self._require_member(node)
         if port is None:
@@ -155,32 +142,6 @@ class ScopedHashStrategy(MatchMakingStrategy):
 
     def query_set(self, node: Hashable, port: Optional[Port] = None) -> FrozenSet:
         return self.post_set(node, port)
-
-    def load_distribution(
-        self, ports: Iterable[Port], per_node_requesters: Optional[int] = None
-    ) -> Dict[HierNode, int]:
-        """How many (port, neighbourhood) rendezvous duties land on each
-        node.
-
-        Counts, for every port and every neighbourhood at that port's scope,
-        the nodes chosen as rendezvous — the quantity the paper wants "more
-        or less evenly" distributed "over the hosts at each level of the
-        network hierarchy".
-        """
-        counts: Dict[HierNode, int] = {node: 0 for node in self._topology.nodes()}
-        for port in ports:
-            scope = self.scope_of(port)
-            seen_prefixes = set()
-            for node in self._topology.nodes():
-                prefix = self._topology.cluster_prefix(node, scope)
-                if prefix in seen_prefixes:
-                    continue
-                seen_prefixes.add(prefix)
-                for chosen in sorted(
-                    self.rendezvous_nodes(node, port), key=repr
-                ):
-                    counts[chosen] += 1
-        return counts
 
     def _require_member(self, node: Hashable) -> None:
         if node not in self._topology.graph:

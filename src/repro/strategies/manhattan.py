@@ -15,7 +15,7 @@ paper's figure for d-dimensional meshes.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Optional, Sequence, Tuple
+from typing import FrozenSet, Hashable, Optional, Sequence
 
 from ..core.exceptions import StrategyError
 from ..core.types import Port
@@ -79,18 +79,6 @@ class MeshSliceStrategy(TopologyStrategy):
             raise StrategyError("both fixed-axis sets must be non-empty")
         self._post_free = tuple(a for a in range(dims) if a not in post_fixed)
         self._query_free = tuple(a for a in range(dims) if a not in query_fixed)
-        self._post_fixed = post_fixed
-        self._query_fixed = query_fixed
-
-    @property
-    def post_fixed_axes(self) -> Tuple[int, ...]:
-        """Axes the server keeps fixed."""
-        return self._post_fixed
-
-    @property
-    def query_fixed_axes(self) -> Tuple[int, ...]:
-        """Axes the client keeps fixed."""
-        return self._query_fixed
 
     def post_set(self, node: Hashable, port: Optional[Port] = None) -> FrozenSet:
         self._require_member(node)

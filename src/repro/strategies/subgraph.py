@@ -41,14 +41,6 @@ class SubgraphDecompositionStrategy(MatchMakingStrategy):
             raise StrategyError("the decomposition has no blocks")
         self._decomposition = decomposition
 
-    @property
-    def decomposition(self) -> GraphDecomposition:
-        """The underlying graph decomposition."""
-        return self._decomposition
-
-    def universe(self) -> FrozenSet[Hashable]:
-        return self._decomposition.graph.node_set
-
     def post_set(self, node: Hashable, port: Optional[Port] = None) -> FrozenSet:
         label = self._decomposition.label_of(node)
         return frozenset(self._decomposition.peers_with_label(label))

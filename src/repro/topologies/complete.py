@@ -23,12 +23,6 @@ class CompleteTopology(Topology):
         if n <= 0:
             raise TopologyError("a complete network needs at least one node")
         super().__init__(complete_graph(n), name=f"complete-{n}")
-        self._n = n
-
-    @property
-    def n(self) -> int:
-        """Number of nodes."""
-        return self._n
 
 
 class RingTopology(Topology):
@@ -44,12 +38,6 @@ class RingTopology(Topology):
             {i: {(i - 1) % n, (i + 1) % n} for i in range(n)}
         )
         super().__init__(graph, name=f"ring-{n}")
-        self._n = n
-
-    @property
-    def n(self) -> int:
-        """Number of nodes."""
-        return self._n
 
 
 class StarTopology(Topology):
@@ -71,13 +59,7 @@ class StarTopology(Topology):
             {i: leaves if i == hub else {hub} for i in range(n)}
         )
         super().__init__(graph, name=f"star-{n}")
-        self._n = n
         self._hub = hub
-
-    @property
-    def n(self) -> int:
-        """Number of nodes."""
-        return self._n
 
     @property
     def hub(self) -> int:

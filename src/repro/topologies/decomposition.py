@@ -59,11 +59,6 @@ class GraphDecomposition:
     # -- queries -----------------------------------------------------------
 
     @property
-    def graph(self) -> Graph:
-        """The decomposed graph."""
-        return self._graph
-
-    @property
     def blocks(self) -> List[List[Hashable]]:
         """The blocks (copy)."""
         return [list(block) for block in self._blocks]

@@ -70,7 +70,6 @@ class ManhattanTopology(Topology):
         )
         self._rows = rows
         self._cols = cols
-        self._wrap = wrap
 
     @property
     def rows(self) -> int:
@@ -81,11 +80,6 @@ class ManhattanTopology(Topology):
     def cols(self) -> int:
         """Number of grid columns ``q``."""
         return self._cols
-
-    @property
-    def wrap(self) -> bool:
-        """Whether the grid wraps around (torus)."""
-        return self._wrap
 
     def row_of(self, node: Coordinate) -> List[Coordinate]:
         """All nodes sharing the row of ``node`` (including itself)."""
@@ -129,22 +123,11 @@ class MeshTopology(Topology):
         name = f"{shape}-" + "x".join(str(s) for s in sides)
         super().__init__(_grid_graph(sides, wrap), name=name)
         self._sides = sides
-        self._wrap = wrap
-
-    @property
-    def sides(self) -> Tuple[int, ...]:
-        """Side length of every dimension."""
-        return self._sides
 
     @property
     def dimensions(self) -> int:
         """Number of dimensions ``d``."""
         return len(self._sides)
-
-    @property
-    def wrap(self) -> bool:
-        """Whether the mesh wraps around."""
-        return self._wrap
 
     def slice_through(
         self, node: Coordinate, free_axes: Sequence[int]

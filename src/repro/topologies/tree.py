@@ -111,10 +111,8 @@ class TreeTopology(Topology):
     # -- paper degree profiles ------------------------------------------------
 
     @classmethod
-    def factorial_profile(
-        cls, levels: int, c: float = 1.0, eps: float = 0.0, min_fanout: int = 2
-    ) -> "TreeTopology":
-        """Tree with ``d(i) = max(min_fanout, round(c * i^(1+eps)))``.
+    def factorial_profile(cls, levels: int, eps: float = 0.0) -> "TreeTopology":
+        """Tree with ``d(i) = max(2, round(i^(1+eps)))`` (the paper's ``c = 1``).
 
         Level ``i`` counts down from the root (``i = levels`` at the root) as
         in the paper, so the root has the largest fan-out.
@@ -122,23 +120,19 @@ class TreeTopology(Topology):
         if levels < 1:
             raise TopologyError("levels must be at least 1")
         branching = [
-            max(min_fanout, int(round(c * (i ** (1.0 + eps)))))
-            for i in range(levels, 0, -1)
+            max(2, int(round(i ** (1.0 + eps)))) for i in range(levels, 0, -1)
         ]
-        return cls(branching, name=f"tree-factorial-l{levels}-c{c}-e{eps}")
+        return cls(branching, name=f"tree-factorial-l{levels}-e{eps}")
 
     @classmethod
-    def exponential_profile(
-        cls, levels: int, c: float = 1.0, eps: float = 1.0, min_fanout: int = 2
-    ) -> "TreeTopology":
-        """Tree with ``d(i) = max(min_fanout, round(c * 2^(eps*i)))``."""
+    def exponential_profile(cls, levels: int, eps: float = 1.0) -> "TreeTopology":
+        """Tree with ``d(i) = max(2, round(2^(eps*i)))`` (``c = 1``)."""
         if levels < 1:
             raise TopologyError("levels must be at least 1")
         branching = [
-            max(min_fanout, int(round(c * (2.0 ** (eps * i)))))
-            for i in range(levels, 0, -1)
+            max(2, int(round(2.0 ** (eps * i)))) for i in range(levels, 0, -1)
         ]
-        return cls(branching, name=f"tree-exponential-l{levels}-c{c}-e{eps}")
+        return cls(branching, name=f"tree-exponential-l{levels}-e{eps}")
 
     @classmethod
     def balanced(cls, arity: int, levels: int) -> "TreeTopology":

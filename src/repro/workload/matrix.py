@@ -283,11 +283,6 @@ class MatrixReport:
         return dict(self._cache) if self._cache is not None else None
 
     @property
-    def grid(self) -> Dict[str, object]:
-        """The grid description this report was produced from."""
-        return dict(self._grid)
-
-    @property
     def cells(self) -> List[CellResult]:
         """Every executed cell."""
         return list(self._cells)

@@ -102,10 +102,6 @@ class WorkloadMetrics:
         """The backing registry (what the obs export serializes)."""
         return self._registry
 
-    def merge(self, other: "WorkloadMetrics") -> None:
-        """Fold another run's metrics in — associative, like matrix cells."""
-        self._registry.merge(other._registry)
-
     # -- counter properties (read shape of the old dataclass fields) ----------
 
     @property
@@ -203,8 +199,12 @@ class WorkloadMetrics:
         #: The run's virtual horizon: the latest message completion time.
         self._virtual_horizon = registry.gauge("virtual_time_us")
         self._slo = slo
-        #: Latency above which a request counts as SLO-bad (microseconds).
-        self.latency_objective_us = slo.latency_objective * 1e6 if slo else float("inf")
+        #: Latency above which a request counts as SLO-bad: whole
+        #: microseconds, converted once (``0.000249 * 1e6`` is just below
+        #: 249, which would make a 249 us request bad).
+        self.latency_objective_us = (
+            int(round(slo.latency_objective * 1_000_000)) if slo else float("inf")
+        )
         width_us = (
             max(1, int(round(slo.window * 1_000_000)))
             if slo is not None else DEFAULT_WINDOW_US
@@ -299,7 +299,7 @@ class WorkloadMetrics:
                 if first_breach_us is None:
                     first_breach_us = index * self.timeline.width_us
         return {
-            "objective_us": int(round(slo.latency_objective * 1_000_000)),
+            "objective_us": self.latency_objective_us,
             "latency_target": slo.latency_target,
             "availability_target": slo.availability_target,
             "window_us": self.timeline.width_us,
@@ -317,15 +317,15 @@ class WorkloadMetrics:
             "first_breach_us": first_breach_us,
         }
 
-    def link_utilization(self, limit: int = 5) -> Dict[str, float]:
-        """The ``limit`` busiest links as ``{link_key: busy/horizon}``."""
+    def link_utilization(self) -> Dict[str, float]:
+        """The five busiest links as ``{link_key: busy/horizon}``."""
         horizon = self.virtual_time_us
         if not horizon or not self.link_busy:
             return {}
         ranked = sorted(
             self.link_busy.items(), key=lambda pair: (-pair[1], pair[0])
         )
-        return {key: round(busy / horizon, 4) for key, busy in ranked[:limit]}
+        return {key: round(busy / horizon, 4) for key, busy in ranked[:5]}
 
     # -- derived quantities ---------------------------------------------------
 
@@ -338,13 +338,6 @@ class WorkloadMetrics:
     def success_rate(self) -> float:
         """Fraction of requests that completed."""
         return self.successes / self.requests if self.requests else 0.0
-
-    @property
-    def availability(self) -> float:
-        """Operational alias for :attr:`success_rate`: the fraction of
-        requests the system served while churn and fault timelines played
-        out — the matrix engine's headline robustness number."""
-        return self.success_rate
 
     def load_balance(self) -> Dict[str, float]:
         """Per-node load summary: mean, max and the max/mean imbalance.

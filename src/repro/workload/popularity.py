@@ -26,11 +26,6 @@ class PopularityModel(abc.ABC):
             raise ValueError("need at least one port")
         self._ports = ports
 
-    @property
-    def ports(self) -> int:
-        """Number of distinct services."""
-        return self._ports
-
     @abc.abstractmethod
     def pick(self, rng: random.Random, now: float) -> int:
         """The port index of the next request, issued at time ``now``."""

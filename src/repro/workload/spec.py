@@ -321,9 +321,10 @@ class ScenarioSpec:
                 f"(servers={self.servers}, ports={self.ports})"
             )
 
-    def with_strategy(self, strategy: str, name: str = "") -> "ScenarioSpec":
-        """A copy of this spec running a different strategy."""
-        return replace(self, strategy=strategy, name=name or f"{self.name}:{strategy}")
+    def with_strategy(self, strategy: str) -> "ScenarioSpec":
+        """A copy of this spec running a different strategy, named
+        ``name:strategy``."""
+        return replace(self, strategy=strategy, name=f"{self.name}:{strategy}")
 
 
 # -- seed derivation ---------------------------------------------------------------

@@ -8,10 +8,11 @@ fresh subprocesses under ``PYTHONHASHSEED=0``, ``1``, ``31337`` and
 load distribution to be identical everywhere — for a small healthy run,
 for a ``faulted_churn``-shaped unicast run over string-bearing node ids,
 where a locate's responders come out of a set intersection, and for the
-order of a ``collect_all`` query's records on ``hypercube:5``, whose node
-ids are strings.  The golden entry ``hashseed`` in
-``tests/golden/parity.json`` additionally freezes today's digests so *any*
-future nondeterminism — not just cross-seed drift — fails loudly.
+order of a two-server query's records on ``hypercube:5``, whose node ids
+are strings (pinned under the key ``collect_all``).  The golden entry
+``hashseed`` in ``tests/golden/parity.json`` additionally freezes today's
+digests so *any* future nondeterminism — not just cross-seed drift — fails
+loudly.
 """
 
 import json
@@ -73,9 +74,7 @@ matchmaker = MatchMaker(network, HypercubeStrategy(cube))
 nodes = cube.nodes()
 for node in (nodes[3], nodes[22]):
     matchmaker.register_server(node, Port("p"))
-records = network.query(
-    nodes[9], Port("p"), matchmaker.query_set(nodes[9]), collect_all=True
-).records
+records = network.query(nodes[9], Port("p"), matchmaker.query_set(nodes[9])).records
 print(json.dumps({
     "result_digest": result.digest(),
     "trace_digest": result.trace.digest(),
@@ -83,6 +82,7 @@ print(json.dumps({
     "faulted_trace_digest": faulted.trace.digest(),
     "faulted_plan_cache": faulted.plan_cache,
     "load": {str(node): count for node, count in sorted(load.items())},
+    # The key keeps the name the golden file pins it under.
     "collect_all": [record.server_id for record in records],
 }, sort_keys=True))
 """

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.codec import encode
 from repro.core.bounds import checkerboard_grid
 from repro.exec import SpoolError, run_matrix_parallel
 from repro.exec.cache import (
@@ -27,7 +26,7 @@ from repro.exec.cache import (
     spec_fingerprint,
 )
 from repro.exec.plan import ExecutionPlan
-from repro.exec.spool import load_spool, shard_spool_path
+from repro.exec.spool import load_spool
 from repro.network.graph import Graph
 from repro.workload import (
     ArrivalSpec,
@@ -337,11 +336,12 @@ class TestMergeSafety:
         assert report.digest() == cold.digest()
 
 
-class TestSingleShardFallbackSpool:
-    def test_fallback_spool_records_true_plan_positions(self, tmp_path):
+class TestSingleShardFallback:
+    def test_inline_cells_land_at_their_plan_positions(self):
         # One topology + one incompatible strategy: the grid plans to a
-        # single shard *and* has skipped cells, so spool positions must
-        # come from the plan, not a naive enumerate over the survivors.
+        # single shard *and* has skipped cells, so the inline merge must
+        # place each cell by its plan position, not a naive enumerate over
+        # the survivors.
         matrix = grid(
             topologies=("complete:16",),
             strategies=("checkerboard", "manhattan", "hash-locate"),
@@ -349,20 +349,11 @@ class TestSingleShardFallbackSpool:
         plan = ExecutionPlan.from_matrix(matrix, workers=4)
         assert len(plan.shards) == 1
         assert plan.skipped  # at least one strategy/topology mismatch
-        spool_dir = tmp_path / "spool"
-        report, _ = run_matrix_parallel(
-            matrix, workers=4, spool_dir=spool_dir
-        )
-        entries = load_spool(shard_spool_path(spool_dir, 0))
-        planned = [
-            indexed.position
-            for shard in plan.shards for indexed in shard.cells
-        ]
-        assert [position for position, _ in entries] == planned
-        assert len(entries) == len(report)
-        # Cross-check payloads line up with the report's cells in order.
-        for (_, spooled), reported in zip(entries, report.cells):
-            assert encode(spooled) == encode(reported)
+        report, _ = run_matrix_parallel(matrix, workers=4)
+        expanded, _ = matrix.expand()
+        assert [
+            (cell.topology, cell.strategy, cell.regime) for cell in report.cells
+        ] == [(cell.topology, cell.strategy, cell.regime) for cell in expanded]
 
 
 #: CI's 9-cell smoke grid (the ``ci-grid.json`` the workflow writes).

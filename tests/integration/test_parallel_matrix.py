@@ -85,22 +85,21 @@ class TestByteIdenticalMerge:
         assert [cell.plan_cache for cell in par_report.cells] == \
             [cell.plan_cache for cell in seq_report.cells]
 
-    def test_single_shard_grids_run_inline(self, tmp_path):
+    def test_single_shard_grids_run_inline(self, monkeypatch):
+        import repro.exec.runner as runner_module
+
         matrix = MatrixSpec(
             name="tiny", topologies=("complete:9",),
             strategies=("checkerboard",), base=BASE,
         )
         seq_report, _ = run_matrix(matrix)
-        spool_dir = tmp_path / "spool"
-        par_report, _ = run_matrix_parallel(
-            matrix, workers=4, spool_dir=spool_dir
-        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a one-shard plan must not spool")
+
+        monkeypatch.setattr(runner_module.tempfile, "mkdtemp", forbidden)
+        par_report, _ = run_matrix_parallel(matrix, workers=4)
         assert par_report.digest() == seq_report.digest()
-        # The requested spool artifact exists even on the inline path.
-        from repro.exec import load_spool, shard_spool_path
-        entries = load_spool(shard_spool_path(spool_dir, 0))
-        assert [position for position, _ in entries] == \
-            list(range(len(seq_report)))
 
     def test_all_skipped_grid_yields_empty_report(self):
         matrix = MatrixSpec(
@@ -237,7 +236,7 @@ def run_everything_on(matrix, root: Path, workers, executor=None):
     return run_matrix_parallel(
         matrix, workers=workers, executor=executor, keep_results=True,
         profile=True, obs_dir=root / "obs", trace_dir=root / "traces",
-        spool_dir=root / "spool", cache_dir=root / "cache",
+        cache_dir=root / "cache",
     )
 
 
@@ -298,16 +297,28 @@ class TestExecutionInvarianceContract:
     @pytest.mark.parametrize("executor", ["none", "caller-owned"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_every_section_on_at_once(
-        self, contract_reference, tmp_path, workers, executor
+        self, contract_reference, tmp_path, workers, executor, monkeypatch
     ):
+        import repro.exec.runner as runner_module
+
         reference_root, reference, reference_results = contract_reference
         matrix = contract_matrix()
+        spooled = []  # the positions each spool the merge reads holds
+        real_load = runner_module.load_spool
+
+        def recording_load(path):
+            entries = real_load(path)
+            spooled.append([position for position, _ in entries])
+            return entries
+
+        monkeypatch.setattr(runner_module, "load_spool", recording_load)
         shared = ProcessPoolExecutor(workers) \
             if executor == "caller-owned" else None
         try:
             report, results = run_everything_on(
                 matrix, tmp_path, workers, shared
             )
+            shard_spools = list(spooled)
             # Artifact runs keep the cache write-through; a plain re-run
             # over the same directory is then served entirely from it.
             warm, _ = run_matrix_parallel(
@@ -328,15 +339,15 @@ class TestExecutionInvarianceContract:
             [result.spec for result in reference_results]
         assert [result.digest() for result in results] == \
             [result.digest() for result in reference_results]
-        # Each shard's spool holds exactly its planned positions.
+        # Each shard's spool holds exactly its planned positions; a grid
+        # that runs in this process spools nothing.
         plan = ExecutionPlan.from_matrix(matrix, workers)
         assert len(plan.shards) == workers
-        spools = sorted((tmp_path / "spool").iterdir())
-        assert len(spools) == workers
-        for shard, spool in zip(plan.shards, spools):
-            assert [position for position, _ in load_spool(spool)] == \
-                [indexed.position for indexed in shard.cells]
         in_process = workers == 1
+        assert shard_spools == ([] if in_process else [
+            [indexed.position for indexed in shard.cells]
+            for shard in plan.shards
+        ])
         assert list(report.profile) == (
             ["sequential"] if in_process
             else ["parent"] + [f"shard-{i}" for i in range(workers)]
@@ -530,7 +541,7 @@ class TestOnePostingWriter:
         from repro.network.simulator import Network
 
         assert list(inspect.signature(Network.__init__).parameters) == [
-            "self", "graph", "delivery_mode", "seed",
+            "self", "graph", "delivery_mode",
         ]
         assert not (self.SRC / "network/node.py").exists()
         assert not hasattr(Network, "node") and not hasattr(Network, "nodes")

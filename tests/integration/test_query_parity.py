@@ -20,14 +20,14 @@ import pytest
 from test_differential_matrix import IDS, STRATEGY_TOPOLOGIES
 
 from repro.core.exceptions import NodeDownError, NoRouteError
-from repro.core.types import Port, freshness_key
+from repro.core.types import Port
 from repro.network.simulator import DELIVERY_MODES, QueryOutcome
 from repro.network.stats import QUERY, REPLY
 from repro.obs.spans import SpanRecorder
 from repro.workload import build_strategy, build_topology
 
 
-def walk_every_node_query(net, client_node, port, targets, mode, collect_all):
+def walk_every_node_query(net, client_node, port, targets, mode):
     """``Network.query`` as it was while every node owned its cache."""
     outcome = net.deliver(client_node, targets, QUERY, mode=mode)
     records, responders = [], []
@@ -39,13 +39,8 @@ def walk_every_node_query(net, client_node, port, targets, mode, collect_all):
     for target in sorted(outcome.reached, key=repr):
         if not net.node_is_up(target):
             raise NodeDownError(target)
-        if collect_all:
-            held = net.postings.holders(port).get(target, {}).values()
-            found = sorted(held, key=freshness_key, reverse=True)
-        else:
-            record = net.postings.lookup(target, port)
-            found = () if record is None else (record,)
-        if not found:
+        record = net.postings.lookup(target, port)
+        if record is None:
             continue
         if target != client_node:
             if ideal:
@@ -56,7 +51,7 @@ def walk_every_node_query(net, client_node, port, targets, mode, collect_all):
                 except NoRouteError:
                     lost_replies += 1
                     continue
-        records.extend(found)
+        records.append(record)
         responders.append(target)
     net.stats.record(
         REPLY, reply_hops, len(responders) + lost_replies, len(responders)
@@ -83,10 +78,10 @@ class Twin:
         self.tracer = self.net.tracer = SpanRecorder()
         self.query = query
 
-    def locate(self, client, port, collect_all):
+    def locate(self, client, port):
         targets = frozenset(self.strategy.query_set(client, port))
         try:
-            return self.query(self.net, client, port, targets, None, collect_all)
+            return self.query(self.net, client, port, targets, None)
         except NodeDownError as error:
             return ("down", error.node)
 
@@ -101,8 +96,8 @@ def history(rng, nodes, edges, ports, steps):
     for _ in range(steps):
         roll = rng.random()
         if roll < 0.55:
-            yield ("locate", rng.choice(nodes), rng.choice(ports),
-                   rng.random() < 0.5)
+            yield ("locate", rng.choice(nodes), rng.choice(ports))
+            rng.random()  # unused, but keeps each seeded history unchanged
         elif roll < 0.65:  # a crash wave of two, or the previous one healing
             if down_nodes:
                 yield ("recover", down_nodes.pop())

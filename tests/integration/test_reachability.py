@@ -10,7 +10,10 @@ Python calls.
 A definition is reached when live code refers to its name — a call, a
 ``Name``, an ``Attribute`` or a string that is an identifier — and its body
 is then live too.  Reach goes by name, not scope: two definitions sharing a
-name are kept together, which errs towards keeping code.  A subpackage's
+name are kept together, which errs towards keeping code.  That is its blind
+spot: ``MatchMaker.average_cost``, which only tests called, stayed alive
+through ``RendezvousMatrix.average_cost``.  ``tests/oracle/reach.py`` traces
+calls instead and lists what no user surface runs.  A subpackage's
 ``__all__`` roots nothing.  There is no allow-list: a checker only tests
 need lives in ``tests/oracle/``; anything else is deleted, or rooted
 because a user surface needs it.  It reads ``benchmarks/`` and

@@ -117,7 +117,7 @@ def oracle_run(spec, requests):
     return price(
         requests, plain_model(spec.time_model), adjacency,
         width_us=round(spec.slo.window * 1_000_000),
-        objective_us=spec.slo.latency_objective * 1_000_000,
+        objective_us=round(spec.slo.latency_objective * 1_000_000),
     )
 
 

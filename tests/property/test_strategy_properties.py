@@ -57,7 +57,6 @@ def arbitrary_singleton_strategy(draw):
         post=lambda i: post_choices[i],
         query=lambda j: query_choices[j],
         name="random-anchored",
-        universe=universe,
     )
     return universe, strategy
 

@@ -6,7 +6,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.types import Address, Port, PostRecord, freshest, freshness_key
+from repro.core.types import Address, Port, PostRecord, freshest
 from repro.network.cache import PostingStore
 from repro.network.graph import Graph, complete_graph
 from repro.network.routing import RoutingTable
@@ -160,11 +160,6 @@ class TestCacheProperties:
         assert freshest(iter(records)) is expected
         by_server = {record.server_id: record for record in records}
         assert freshest(by_server.values()) is expected
-        ranked = sorted(
-            records, key=lambda r: (r.timestamp, repr(r.address)), reverse=True
-        )
-        by_key = sorted(records, key=freshness_key, reverse=True)
-        assert [id(r) for r in by_key] == [id(r) for r in ranked]
 
     def test_freshest_of_nothing_and_of_one(self):
         assert freshest(()) is None

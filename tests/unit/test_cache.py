@@ -13,7 +13,7 @@ import random
 import pytest
 from reference_cache import NodeCache
 
-from repro.core.types import Address, Port, PostRecord, freshness_key
+from repro.core.types import Address, Port, PostRecord
 from repro.network.cache import PostingStore
 from repro.network.graph import complete_graph
 from repro.network.simulator import Network
@@ -21,6 +21,11 @@ from repro.network.simulator import Network
 
 def record(port="p", node=1, ts=1, server="s1"):
     return PostRecord(Port(port), Address(node), timestamp=ts, server_id=server)
+
+
+def freshness_key(record):
+    """The order ``freshest`` picks by: timestamp, then ``repr(address)``."""
+    return (record.timestamp, repr(record.address))
 
 
 def lookup_all(store, node, port):

@@ -6,6 +6,7 @@ asked, the replay verifier distinguishes byte-exact from diverged, and
 bad input exits 2 instead of tracebacking.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from repro.codec import decode, encode
 from repro.analysis import paper
 from repro.cli import main
 from repro.obs.tools import summarize_export
+from repro.simtime import TimeModelSpec
 from repro.workload import (
     ArrivalSpec,
     MatrixSpec,
@@ -255,6 +257,65 @@ class TestObs:
         ]) == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed["metrics"] == {} and printed["spans"] == {}
+
+    def test_summarize_a_timed_export_prints_its_timeline(
+        self, tmp_path, capsys
+    ):
+        spec_path, obs_dir = tmp_path / "timed.json", tmp_path / "obs"
+        timed = dataclasses.replace(SPEC, time_model=TimeModelSpec())
+        spec_path.write_text(json.dumps(encode(timed)))
+        assert main(["run", str(spec_path), "--obs", str(obs_dir)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "summarize", str(obs_dir)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        printed = next(row[1:] for row in rows if row[:1] == ["timeline"])
+        timeline = summarize_export(obs_dir)["latency"]["timeline"]
+        assert printed == [f"{key}={value}" for key, value in timeline.items()]
+        assert timeline["windows"] >= 1
+        assert timeline["served"] == SPEC.operations
+
+    def test_diff_of_two_seeds_prints_each_change_before_and_after(
+        self, tmp_path, capsys
+    ):
+        dirs = []
+        for seed in (31, 32):
+            spec_path, obs_dir = tmp_path / f"{seed}.json", tmp_path / str(seed)
+            spec_path.write_text(
+                json.dumps(encode(dataclasses.replace(SPEC, seed=seed)))
+            )
+            assert main(["run", str(spec_path), "--obs", str(obs_dir)]) == 0
+            dirs.append(str(obs_dir))
+        capsys.readouterr()
+        assert main(["obs", "diff", *dirs, "--json"]) == 0
+        delta = json.loads(capsys.readouterr().out)
+        assert main(["obs", "diff", *dirs]) == 0
+        rows = {
+            line.split()[0]: line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")
+        }
+
+        def changed(tree, prefix=""):
+            for key, value in tree.items():
+                if isinstance(value, dict) and set(value) != {"a", "b"}:
+                    yield from changed(value, f"{prefix}{key}.")
+                else:
+                    yield prefix + key
+
+        def at(summary, path):
+            for part in path.split("."):
+                summary = summary[part]
+            return str(summary)
+
+        before, after = (summarize_export(path) for path in dirs)
+        checked = 0
+        for section in ("metrics", "spans"):
+            for path in changed(delta[section]):
+                assert rows[path].split()[1:4] == [
+                    at(before[section], path), "->", at(after[section], path),
+                ], path
+                checked += 1
+        assert checked, "two seeds must export different runs"
 
     def test_summarize_empty_directory_exits_two(self, tmp_path):
         empty = tmp_path / "nothing"

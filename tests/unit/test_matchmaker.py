@@ -83,7 +83,7 @@ class TestLocate:
         matchmaker.register_server(5, port, server_id="old")
         matchmaker.register_server(6, port, server_id="new")
         # Both posted; the rendezvous caches keep both, the freshest wins.
-        result = matchmaker.locate(10, port, collect_all=True)
+        result = matchmaker.locate(10, port)
         assert result.found
         assert result.address == Address(6)
 
@@ -100,7 +100,9 @@ class TestMatchInstance:
         _, strategy, matchmaker = complete_setup
         result = matchmaker.match_instance(2, 13, port)
         assert result.found
-        assert result.addressed_nodes == strategy.pair_cost(2, 13)
+        assert result.addressed_nodes == len(strategy.post_set(2)) + len(
+            strategy.query_set(13)
+        )
         # Ideal delivery: hops = addressed nodes minus self-addressed nodes.
         assert result.match_messages <= result.addressed_nodes
 
@@ -145,19 +147,3 @@ class TestMatchInstance:
         # On the grid the row/column posting costs hops along paths, so hop
         # count is at least the addressed-node count minus the two selves.
         assert result.match_messages >= result.addressed_nodes - 2
-
-    def test_average_cost_theoretical(self, grid_setup, port):
-        _, _, matchmaker = grid_setup
-        average = matchmaker.average_cost(port)
-        assert average == pytest.approx(10.0)  # 2 * 5 on a 5x5 grid
-
-    def test_average_cost_measured_subset(self, grid_setup, port):
-        _, _, matchmaker = grid_setup
-        pairs = [((0, 0), (4, 4)), ((1, 2), (3, 0))]
-        average = matchmaker.average_cost(port, pairs=pairs, use_hops=True)
-        assert average > 0
-
-    def test_average_cost_empty_pairs_rejected(self, grid_setup, port):
-        _, _, matchmaker = grid_setup
-        with pytest.raises(ValueError):
-            matchmaker.average_cost(port, pairs=[])

@@ -80,7 +80,6 @@ class TestMemoization:
         strategy = FunctionalStrategy(
             post=post,
             query=lambda j: frozenset(universe),
-            universe=universe,
             deterministic=False,
         )
         matchmaker = MatchMaker(network, strategy)

@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.core.exceptions import NodeDownError, ProcessLifecycleError, ServiceError
+from repro.core.exceptions import NodeDownError, ProcessLifecycleError
 from repro.core.types import Address, Port
 from repro.processes import (
     ClientProcess,
     DistributedSystem,
     Process,
     ServerProcess,
-    Service,
-    ServiceDirectory,
     echo_handler,
 )
 from repro.strategies import CheckerboardStrategy, ManhattanStrategy
@@ -69,34 +67,6 @@ class TestClientProcess:
         assert client.cached_address(port) == Address(7)
         client.forget_address(port)
         assert client.cached_address(port) is None
-
-
-class TestServiceAndDirectory:
-    def test_attach_checks_port(self, port):
-        service = Service(port)
-        with pytest.raises(ServiceError):
-            service.attach(ServerProcess(1, Port("other")))
-
-    def test_live_servers_excludes_dead(self, port):
-        service = Service(port)
-        alive = ServerProcess(1, port)
-        dead = ServerProcess(3, port)
-        for server in (alive, dead):
-            service.attach(server)
-        dead.kill()
-        assert service.live_servers() == [alive]
-
-    def test_directory_get_or_create_idempotent(self, port):
-        directory = ServiceDirectory()
-        first = directory.get_or_create(port)
-        second = directory.get_or_create(port)
-        assert first is second
-        assert port in directory
-        assert len(directory) == 1
-        assert directory.ports() == [port]
-
-    def test_directory_get_missing(self, port):
-        assert ServiceDirectory().get(port) is None
 
 
 @pytest.fixture

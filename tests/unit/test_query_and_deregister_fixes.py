@@ -1,8 +1,8 @@
 """Regression tests for the query-path and deregistration fixes.
 
 - ``Network.query`` reports each holder of the port among the reached
-  nodes exactly once (it used to ask a responder's cache twice in
-  non-collect_all mode), and nobody else;
+  nodes exactly once (it used to ask a responder's cache twice), and
+  nobody else;
 - when a responder's reply route is severed, only *that responder's*
   records are dropped — equal records held by other responders survive
   (eviction used to remove by value equality, hitting the wrong record);
@@ -80,18 +80,6 @@ class TestUnreachableReplyEviction:
         assert outcome.responding_nodes == {1}
         assert len(outcome.records) == 1
         assert outcome.records[0].address.node == 0
-
-    def test_equal_records_survive_in_collect_all_mode(
-        self, net, port, monkeypatch
-    ):
-        net.post(0, port, frozenset({1, 2}))
-        net.post(3, port, frozenset({1, 2}))
-        self._sever_reply_from(net, 2, monkeypatch)
-        outcome = net.query(5, port, frozenset({1, 2}), collect_all=True)
-        assert outcome.responding_nodes == {1}
-        # Both servers' records from node 1; node 2's copies dropped.
-        assert len(outcome.records) == 2
-        assert {record.address.node for record in outcome.records} == {0, 3}
 
     def test_reply_hops_not_charged_for_lost_responder(
         self, net, port, monkeypatch

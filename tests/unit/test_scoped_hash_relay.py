@@ -124,10 +124,17 @@ class TestScopedHashStrategy:
         with pytest.raises(StrategyError):
             ScopedHashStrategy(hierarchy, replicas=0)
 
-    def test_load_distribution_spreads_local_services(self, hierarchy):
+    def test_local_services_spread_over_the_clusters(self, hierarchy):
         strategy = ScopedHashStrategy(hierarchy, default_scope=1)
-        ports = [Port(f"local-{i}") for i in range(30)]
-        load = strategy.load_distribution(ports)
+        load = dict.fromkeys(hierarchy.nodes(), 0)
+        for port in (Port(f"local-{i}") for i in range(30)):
+            # The members of a cluster agree on its rendezvous node.
+            for chosen in {
+                strategy.rendezvous_nodes(node, port)
+                for node in hierarchy.nodes()
+            }:
+                for node in chosen:
+                    load[node] += 1
         # Every cluster handles its own copies of the local services: no node
         # carries more than a modest share, and many nodes participate.
         assert sum(load.values()) == 30 * 9  # one rendezvous per cluster per port

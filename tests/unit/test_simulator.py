@@ -125,12 +125,6 @@ class TestPostAndQuery:
         complete_net.unpost(1, port, targets=[4], server_id="s")
         assert not complete_net.query(0, port, targets=[4]).found
 
-    def test_collect_all_returns_every_server(self, complete_net, port):
-        complete_net.post(1, port, targets=[4], server_id="a")
-        complete_net.post(2, port, targets=[4], server_id="b")
-        outcome = complete_net.query(0, port, targets=[4], collect_all=True)
-        assert len(outcome.records) == 2
-
     def test_post_to_crashed_target_not_stored(self, complete_net, port):
         complete_net.crash_node(4)
         complete_net.post(1, port, targets=[4])
@@ -200,9 +194,8 @@ class TestOneStoreOneRow:
         assert grid_net.send_payload((4, 4), (1, 1)) == 6
         assert built == [(1, 1)]
 
-    @pytest.mark.parametrize("collect_all", [False, True])
     def test_a_plan_that_reaches_a_crashed_node_names_it(
-        self, complete_net, port, monkeypatch, collect_all
+        self, complete_net, port, monkeypatch
     ):
         # Plans never reach a crashed node; if one did, storing at it or
         # asking it raises, as each node's own liveness check used to.
@@ -214,7 +207,7 @@ class TestOneStoreOneRow:
         )
         before = complete_net.cache_sizes()
         for operation in (
-            lambda: complete_net.query(1, port, [3, 4], collect_all=collect_all),
+            lambda: complete_net.query(1, port, [3, 4]),
             lambda: complete_net.post(1, port, [3, 4]),
             lambda: complete_net.unpost(0, port, [3, 4]),
         ):

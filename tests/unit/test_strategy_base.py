@@ -17,7 +17,6 @@ def broadcastish(universe):
         post=lambda i: {i},
         query=lambda j: set(universe),
         name="bcast",
-        universe=universe,
     )
 
 
@@ -26,13 +25,6 @@ class TestFunctionalStrategy:
         assert broadcastish.post_set(3) == frozenset({3})
         assert broadcastish.query_set(5) == frozenset(range(9))
 
-    def test_universe_exposed(self, broadcastish):
-        assert broadcastish.universe() == frozenset(range(9))
-
-    def test_universe_optional(self):
-        strategy = FunctionalStrategy(post=lambda i: {i}, query=lambda j: {j})
-        assert strategy.universe() is None
-
     def test_name(self, broadcastish):
         assert broadcastish.name == "bcast"
 
@@ -40,11 +32,6 @@ class TestFunctionalStrategy:
 class TestDerivedQuantities:
     def test_rendezvous_set(self, broadcastish):
         assert broadcastish.rendezvous_set(4, 7) == frozenset({4})
-
-    def test_costs(self, broadcastish):
-        assert broadcastish.post_cost(0) == 1
-        assert broadcastish.query_cost(0) == 9
-        assert broadcastish.pair_cost(0, 1) == 10
 
     def test_every_pair_meets(self, broadcastish, universe):
         assert validate(universe, *read_sets(broadcastish, universe)) == []

@@ -20,8 +20,8 @@ from repro.obs.attr import (
 from repro.obs.export import write_records
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.timeline import Timeline
-from repro.simtime import FifoResource
-from repro.workload import ScenarioSpec, SloSpec
+from repro.simtime import FifoResource, LinkTiming, TimedOverlay, TimeModelSpec
+from repro.workload import ScenarioSpec, SloSpec, build_topology
 from repro.workload.metrics import WorkloadMetrics
 
 
@@ -207,6 +207,24 @@ class TestSloBurnAccounting:
         assert summary["breached_windows"] == 1
         assert summary["first_breach_us"] == 1_000_000
         assert metrics.summary()["slo"] == summary
+
+    def test_a_request_at_the_objective_meets_it(self):
+        # 0.000249 s * 1e6 is 248.99999999999997 in floating point: the
+        # objective is the whole-us figure the summary reports, and a
+        # request that takes exactly that long is not bad.
+        metrics = self._timed_metrics(SloSpec(latency_objective=0.000249))
+        network = build_topology("ring:4").build_network(delivery_mode="unicast")
+        model = TimeModelSpec(
+            default_link=LinkTiming(latency=0.000249), node_service=0.0
+        )
+        overlay = TimedOverlay(network, model, seed=1, metrics=metrics)
+        overlay.begin_request(0.0)
+        overlay.on_payload(0, 1)
+        assert overlay.finish_request()[0] == 249
+        overlay.finalize()
+        summary = metrics.slo_summary()
+        assert (summary["served"], summary["bad_latency"]) == (1, 0)
+        assert summary["objective_us"] == metrics.latency_objective_us == 249
 
     def test_availability_breach_sets_first_breach(self):
         slo = SloSpec(availability_target=0.9)

@@ -54,11 +54,11 @@ class TestTreeTopology:
             tree.path_to_root((9, 9))
 
     def test_factorial_profile_has_decreasing_fanout(self):
-        tree = TreeTopology.factorial_profile(4, c=1.0, eps=0.5)
+        tree = TreeTopology.factorial_profile(4, eps=0.5)
         assert tree.branching[0] >= tree.branching[-1]
 
     def test_exponential_profile_root_fanout_largest(self):
-        tree = TreeTopology.exponential_profile(4, c=1.0, eps=1.0)
+        tree = TreeTopology.exponential_profile(4, eps=1.0)
         assert tree.branching[0] == max(tree.branching)
 
     def test_invalid_branching(self):
