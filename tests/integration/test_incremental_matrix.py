@@ -355,6 +355,17 @@ class TestSingleShardFallback:
             (cell.topology, cell.strategy, cell.regime) for cell in report.cells
         ] == [(cell.topology, cell.strategy, cell.regime) for cell in expanded]
 
+    def test_a_one_shard_plan_makes_no_spool(self, monkeypatch):
+        import repro.exec.runner as runner_module
+
+        def no_spool(*args, **kwargs):
+            raise AssertionError("a one-shard plan made a spool directory")
+
+        monkeypatch.setattr(runner_module.tempfile, "mkdtemp", no_spool)
+        matrix = grid(topologies=("complete:16",), strategies=("checkerboard",))
+        report, _ = run_matrix_parallel(matrix, workers=4)
+        assert len(report) == len(matrix.expand()[0])
+
 
 #: CI's 9-cell smoke grid (the ``ci-grid.json`` the workflow writes).
 CI_GRID = MatrixSpec(

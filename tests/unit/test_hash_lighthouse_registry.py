@@ -212,6 +212,20 @@ class TestLighthouseLocate:
         result = lighthouse.locate((4, 5), port, max_trials=5)
         assert not result.found
 
+    def test_trails_name_the_server_that_beamed_them(self, port):
+        topology, network, lighthouse = self._grid_lighthouse(
+            server_beam_length=3, server_period=2, trail_ttl=8
+        )
+        lighthouse.add_server((4, 4), port)
+        lighthouse.run_servers_until(0)
+        trail = [
+            record
+            for node in topology.nodes()
+            if (record := network.postings.lookup(node, port)) is not None
+        ]
+        assert trail
+        assert {record.server_id for record in trail} == {"lighthouse@(4, 4)"}
+
     def test_ruler_schedule_usable(self, port):
         topology = ManhattanTopology.square(6)
         network = topology.build_network()

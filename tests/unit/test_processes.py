@@ -142,6 +142,26 @@ class TestDistributedSystem:
         with pytest.raises(NodeDownError):
             grid_system.migrate_server(server, (2, 2))
 
+    def test_servers_include_dead_ones(self, grid_system, port):
+        kept = grid_system.create_server((0, 0), port)
+        lost = grid_system.create_server((1, 2), port)
+        grid_system.crash_node((1, 2))
+        assert grid_system.servers() == [kept, lost]
+        assert [server.alive for server in grid_system.servers()] == [
+            True, False
+        ]
+
+    def test_a_server_without_a_handler_echoes(self, grid_system, port):
+        # A handler belongs to its own server: a later server on the same
+        # port that is given none echoes, whatever the first one does.
+        grid_system.create_server((0, 0), port, handler=lambda x: "first")
+        grid_system.create_server((4, 4), port)
+        client = grid_system.create_client((2, 2))
+        outcome = grid_system.request(client, port, "ping")
+        assert outcome.ok
+        assert outcome.server.node == (4, 4)  # the freshest posting
+        assert outcome.reply == "ping"
+
     def test_stats_accumulate(self, grid_system, port):
         grid_system.create_server((0, 0), port)
         client = grid_system.create_client((4, 4))

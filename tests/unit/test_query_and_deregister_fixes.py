@@ -81,6 +81,17 @@ class TestUnreachableReplyEviction:
         assert len(outcome.records) == 1
         assert outcome.records[0].address.node == 0
 
+    def test_the_surviving_responder_answers_with_its_freshest_record(
+        self, net, port, monkeypatch
+    ):
+        net.post(0, port, frozenset({1, 2}))
+        net.post(3, port, frozenset({1, 2}))
+        self._sever_reply_from(net, 2, monkeypatch)
+        outcome = net.query(5, port, frozenset({1, 2}))
+        assert outcome.responding_nodes == {1}
+        # Node 1 holds both servers' records and answers with the newer.
+        assert [record.address.node for record in outcome.records] == [3]
+
     def test_reply_hops_not_charged_for_lost_responder(
         self, net, port, monkeypatch
     ):

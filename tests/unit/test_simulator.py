@@ -125,6 +125,24 @@ class TestPostAndQuery:
         complete_net.unpost(1, port, targets=[4], server_id="s")
         assert not complete_net.query(0, port, targets=[4]).found
 
+    def test_a_holder_answers_with_its_freshest_server(self, complete_net, port):
+        complete_net.post(1, port, targets=[4], server_id="a")
+        complete_net.post(2, port, targets=[4], server_id="b")
+        outcome = complete_net.query(0, port, targets=[4])
+        # One reply per responder, carrying its newest posting (section
+        # 2.1, assumption 3): the later server wins.
+        assert outcome.responding_nodes == {4}
+        assert [record.address for record in outcome.records] == [Address(2)]
+
+    def test_each_responder_answers_in_repr_order(self, complete_net, port):
+        complete_net.post(1, port, targets=[5], server_id="a")
+        complete_net.post(2, port, targets=[4], server_id="b")
+        outcome = complete_net.query(0, port, targets=[5, 4, 6])
+        assert outcome.responding_nodes == {4, 5}
+        assert [record.address for record in outcome.records] == [
+            Address(2), Address(1)
+        ]
+
     def test_post_to_crashed_target_not_stored(self, complete_net, port):
         complete_net.crash_node(4)
         complete_net.post(1, port, targets=[4])

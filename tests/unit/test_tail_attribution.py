@@ -208,23 +208,35 @@ class TestSloBurnAccounting:
         assert summary["first_breach_us"] == 1_000_000
         assert metrics.summary()["slo"] == summary
 
+    def _one_hop_request(self, metrics, link_latency):
+        """Price one request of a single one-hop payload over a link of
+        ``link_latency`` seconds; return its latency in microseconds."""
+        network = build_topology("ring:4").build_network(delivery_mode="unicast")
+        model = TimeModelSpec(
+            default_link=LinkTiming(latency=link_latency), node_service=0.0
+        )
+        overlay = TimedOverlay(network, model, seed=1, metrics=metrics)
+        overlay.begin_request(0.0)
+        overlay.on_payload(0, 1)
+        latency_us = overlay.finish_request()[0]
+        overlay.finalize()
+        return latency_us
+
     def test_a_request_at_the_objective_meets_it(self):
         # 0.000249 s * 1e6 is 248.99999999999997 in floating point: the
         # objective is the whole-us figure the summary reports, and a
         # request that takes exactly that long is not bad.
         metrics = self._timed_metrics(SloSpec(latency_objective=0.000249))
-        network = build_topology("ring:4").build_network(delivery_mode="unicast")
-        model = TimeModelSpec(
-            default_link=LinkTiming(latency=0.000249), node_service=0.0
-        )
-        overlay = TimedOverlay(network, model, seed=1, metrics=metrics)
-        overlay.begin_request(0.0)
-        overlay.on_payload(0, 1)
-        assert overlay.finish_request()[0] == 249
-        overlay.finalize()
+        assert self._one_hop_request(metrics, 0.000249) == 249
         summary = metrics.slo_summary()
         assert (summary["served"], summary["bad_latency"]) == (1, 0)
         assert summary["objective_us"] == metrics.latency_objective_us == 249
+
+    def test_a_request_one_us_over_the_objective_is_bad(self):
+        metrics = self._timed_metrics(SloSpec(latency_objective=0.000249))
+        assert self._one_hop_request(metrics, 0.000250) == 250
+        summary = metrics.slo_summary()
+        assert (summary["served"], summary["bad_latency"]) == (1, 1)
 
     def test_availability_breach_sets_first_breach(self):
         slo = SloSpec(availability_target=0.9)
@@ -241,6 +253,27 @@ class TestSloBurnAccounting:
         summary = metrics.slo_summary()
         assert summary["breached_windows"] == 0
         assert summary["first_breach_us"] is None
+
+
+class TestLinkUtilization:
+    def test_the_five_busiest_links_are_ranked(self):
+        metrics = WorkloadMetrics()
+        metrics.enable_timing()
+        busy = {f"link-{index}": 100 * index for index in range(1, 8)}
+        busy["link-tie"] = 500  # ties break by link key
+        metrics.observe_timed_run(
+            latencies=[], requests={}, waits=[], wait_us=0, depths=[],
+            visits={}, link_busy_us=busy, critical_us={}, horizon_us=1_000,
+        )
+        assert list(metrics.link_utilization().items()) == [
+            ("link-7", 0.7), ("link-6", 0.6), ("link-5", 0.5),
+            ("link-tie", 0.5), ("link-4", 0.4),
+        ]
+
+    def test_no_horizon_reports_no_links(self):
+        metrics = WorkloadMetrics()
+        metrics.enable_timing()
+        assert metrics.link_utilization() == {}
 
 
 class TestHistogramInterpolation:

@@ -61,6 +61,18 @@ class TestTreeTopology:
         tree = TreeTopology.exponential_profile(4, eps=1.0)
         assert tree.branching[0] == max(tree.branching)
 
+    def test_factorial_profile_fanouts(self):
+        # d(i) = max(2, round(i)) for i = 4..1 from the root down.
+        tree = TreeTopology.factorial_profile(4)
+        assert list(tree.branching) == [4, 3, 2, 2]
+        assert tree.name == "tree-factorial-l4-e0.0"
+
+    def test_exponential_profile_fanouts(self):
+        # d(i) = max(2, round(2^i)) for i = 3..1 from the root down.
+        tree = TreeTopology.exponential_profile(3)
+        assert list(tree.branching) == [8, 4, 2]
+        assert tree.name == "tree-exponential-l3-e1.0"
+
     def test_invalid_branching(self):
         with pytest.raises(TopologyError):
             TreeTopology([0, 2])
