@@ -33,17 +33,20 @@ def decode(cls: type, data: object, path: str = "") -> Any:
     if type(data) is not dict:
         raise ValueError(f"{prefix}{cls.__name__} must be an object, got {_shown(data)}")
     here = path or cls.__name__
+    # Every key is known before any value is decoded: a stray key is named
+    # even when a nested value it belongs in would fail first.
+    for name in data:
+        if name not in table.fields and name not in table.derived:
+            unknown = sorted(set(data) - set(table.fields) - set(table.derived))
+            raise ValueError(
+                f"{prefix}unknown {cls.__name__} key(s) {unknown}; "
+                f"expected a subset of {sorted(table.fields)}"
+            )
     kwargs: Dict[str, object] = {}
     try:
         for name, value in data.items():
-            if name not in table.fields:
-                if name in table.derived:
-                    continue
-                unknown = sorted(set(data) - set(table.fields) - set(table.derived))
-                raise ValueError(
-                    f"{prefix}unknown {cls.__name__} key(s) {unknown}; "
-                    f"expected a subset of {sorted(table.fields)}"
-                )
+            if name not in table.fields:  # a derived key
+                continue
             # ``_item`` inlined: a warm sweep decodes one CellResult per cell.
             expected, allowed, load, _ = table.fields[name]
             if type(value) not in allowed:

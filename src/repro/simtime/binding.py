@@ -23,12 +23,16 @@ the spot:
    the planner's routing table: a different table object (a fault, a
    recovery) drops them all;
 3. the event kernel orders only what has no order yet.  A batch's
-   launches share one instant and fire in launch order, so they are
-   priced directly, and a message's last hop writes its completion time;
-   only a multi-hop path's arrivals at its next link are kernel events,
-   interleaving by ``(time, seq)`` with the batch's other messages.  The
-   kernel exists only under a planner: ``ideal`` programs are one hop, so
-   an ``ideal`` batch has nothing to order and runs no kernel;
+   launches share one instant and fire in launch order, so ``_price``
+   prices every launch hop inline, in its one loop over the batch, and
+   picks the barrier as the launches complete; a message's last hop
+   writes its completion time.  Only a multi-hop path's arrivals at its
+   next link are kernel events, interleaving by ``(time, seq)`` with the
+   batch's other messages, and ``_visit``, the kernel's handler, prices
+   them.  The kernel exists only under a planner: ``ideal`` programs are
+   one hop, so an ``ideal`` batch has nothing to order, runs no kernel
+   and never calls ``_visit``.  A delivery fan-out's ordered pairs are
+   built once per ``(source, reached)`` and kept;
 4. queue state persists across requests, so an open-loop arrival stream
    genuinely contends: a hot centralized node's queue grows while
    checkerboard traffic spreads — hop counts become p50/p99 latency.
@@ -72,7 +76,9 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from itertools import zip_longest
 from math import inf
-from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple,
+)
 
 from ..core.exceptions import NoRouteError, UnknownNodeError
 from .kernel import SimKernel
@@ -103,15 +109,16 @@ _NS = 1_000_000_000
 SLOWEST_K = 8
 
 
-class _Programs(Dict[_Message, _Program]):
-    """Route programs by message pair; a lookup that misses compiles it."""
+class _Memo(dict):
+    """A dict whose lookup that misses builds the value and keeps it."""
 
-    def __init__(self, compile_pair: Callable[[_Message], _Program]) -> None:
+    def __init__(self, build: Callable[[Any], Any]) -> None:
         super().__init__()
-        self._compile = compile_pair
+        self._build = build
 
-    def __missing__(self, pair: _Message) -> _Program:
-        return self._compile(pair)
+    def __missing__(self, key: Hashable) -> Any:
+        value = self[key] = self._build(key)
+        return value
 
 
 class TimedOverlay:
@@ -154,11 +161,12 @@ class TimedOverlay:
         self._links: Dict[str, FifoResource] = {}
         self._nodes: Dict[str, FifoResource] = {}
         self._hops: Dict[_Message, Tuple[_Hop, Tuple[str, ...]]] = {}
-        self._programs = _Programs(self._compile)
+        self._programs = _Memo(self._compile)
         self._table = None
-        #: ``reached`` frozenset -> its members in repr order (the planner
-        #: hands the same few sets back request after request).
-        self._ordered: Dict[FrozenSet[Hashable], List[Hashable]] = {}
+        #: ``(source, reached)`` -> the fan-out's message pairs, targets in
+        #: repr order (the planner hands the same few sets back request
+        #: after request).
+        self._fanouts = _Memo(_fanout)
         #: The request in flight: whether its taps still price, its
         #: arrival, its next batch's launch (ns), its priced batches.
         self._capturing = False
@@ -188,10 +196,7 @@ class TimedOverlay:
         """One delivery fan-out: ``source`` to every reached destination."""
         if not self._capturing:
             return
-        ordered = self._ordered.get(reached)
-        if ordered is None:
-            ordered = self._ordered[reached] = sorted(reached, key=repr)
-        pairs = [(source, target) for target in ordered if target != source]
+        pairs = self._fanouts[source, reached]
         if pairs:
             self._price(category, pairs)
 
@@ -235,25 +240,47 @@ class TimedOverlay:
                 table = planner.routing_table()
             if table is not self._table:
                 self._table = table
-                self._programs = _Programs(self._compile)
+                self._programs = _Memo(self._compile)
         programs = self._programs
         clock = self._clock
+        timeout = self._timeout
+        arrival = self._arrival
+        draw = self._jitter
         messages = [[pair, programs[pair], [clock], None] for pair in pairs]
-        visit = self._visit
-        # Launches share one instant and fire in launch order: no heap.
-        for message in messages:
-            visit(clock, message, 0)
-        if self._kernel is not None:
-            self._kernel.run(visit)
         # The barrier-defining message: latest completion; ties keep the
-        # earliest launch index (messages preserve batch order).
+        # earliest launch index.  One-hop messages complete at launch.
         barrier = None
+        later = False  # whether a message has hops left for the kernel
+        # Launches share one instant and fire in launch order: no heap,
+        # and no call per message besides its queues' ``acquire``.
         for message in messages:
-            completed = message[_COMPLETED]
-            if completed is not None and (
-                barrier is None or completed > barrier[_COMPLETED]
-            ):
-                barrier = message
+            _, program, marks, _ = message
+            time = clock
+            for resource, hold, jitter in program[0][0]:
+                if jitter:
+                    hold += int(jitter * draw())
+                window = resource.acquire(time, hold, timeout, arrival)
+                if window is None:
+                    break
+                marks += window
+                time = window[1]
+            else:
+                if program[2]:  # only a planner routes more than one hop
+                    self._kernel.schedule(time, message, 1)  # type: ignore[union-attr]
+                    later = True
+                else:
+                    message[_COMPLETED] = time
+                    if barrier is None or time > barrier[_COMPLETED]:
+                        barrier = message
+        if later:
+            self._kernel.run(self._visit)  # type: ignore[union-attr]
+            barrier = None
+            for message in messages:
+                completed = message[_COMPLETED]
+                if completed is not None and (
+                    barrier is None or completed > barrier[_COMPLETED]
+                ):
+                    barrier = message
         self._priced.append((phase, messages, barrier))
         if barrier is None:
             self._capturing = False
@@ -379,12 +406,11 @@ class TimedOverlay:
             self._hops.get(step) or self._hop(*step)
             for step in zip(path, path[1:])
         ]
-        program = self._programs[pair] = (
+        return (
             tuple(queues for queues, _ in steps),
             tuple(label for _, labels in steps for label in labels),
             len(steps) - 1,
         )
-        return program
 
     def _hop(self, u: Hashable, v: Hashable) -> Tuple[_Hop, Tuple[str, ...]]:
         """Resolve (once per directed pair per run) what the hop ``u -> v``
@@ -412,12 +438,13 @@ class TimedOverlay:
         return hop
 
     def _visit(self, time: int, message: _Priced, hop: int) -> None:
-        """Price one hop: ``message`` enters hop ``hop`` of its program at
-        ``time`` and visits the hop's queues in order — one ``acquire``
-        each, its service window marked on the message.  After the last hop
-        ``completed`` is written; otherwise the kernel, whose event handler
-        this is, learns when it enters the next hop.  A queue-wait timeout
-        drops it: ``completed`` stays ``None``."""
+        """The kernel's event handler: ``message`` enters hop ``hop`` >= 1
+        of its program at ``time`` (:meth:`_price` prices launches) and
+        visits the hop's queues in order — one ``acquire`` each, its
+        service window marked on the message, exactly as a launch is.
+        After the last hop ``completed`` is written; otherwise the kernel
+        learns when it enters the next hop.  A queue-wait timeout drops
+        it: ``completed`` stays ``None``."""
         hops, _, last = message[_PROGRAM]
         marks = message[_MARKS]
         timeout = self._timeout
@@ -432,7 +459,7 @@ class TimedOverlay:
             time = window[1]
         if hop == last:
             message[_COMPLETED] = time
-        else:  # only a planner routes more than one hop: the kernel exists
+        else:
             self._kernel.schedule(time, message, hop + 1)  # type: ignore[union-attr]
 
     # -- end of run -----------------------------------------------------------
@@ -465,6 +492,14 @@ class TimedOverlay:
                          for label, blamed_us in tally.items()},
             horizon_us=(self._horizon + 500) // 1000,
         )
+
+
+def _fanout(key: Tuple[Hashable, FrozenSet[Hashable]]) -> List[_Message]:
+    """The message pairs of one delivery fan-out ``(source, reached)``:
+    source to every other reached node, in ``repr`` order."""
+    source, reached = key
+    return [(source, target) for target in sorted(reached, key=repr)
+            if target != source]
 
 
 def _segments(message: _Priced) -> List[Tuple[str, int, int]]:

@@ -33,8 +33,8 @@ from ..codec import require_finite
 def link_key(u: Hashable, v: Hashable) -> str:
     """The canonical, JSON-safe identity of the (undirected) link
     ``{u, v}``: endpoint reprs sorted, joined with ``<->``."""
-    a, b = sorted((repr(u), repr(v)))
-    return f"{a}<->{b}"
+    a, b = repr(u), repr(v)
+    return f"{a}<->{b}" if a <= b else f"{b}<->{a}"
 
 
 @dataclass(frozen=True)

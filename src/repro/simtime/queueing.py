@@ -19,9 +19,13 @@ and stays fast, an overloaded one consolidates into one solid busy block
 and queues grow without bound — exactly real queueing behavior.
 
 Admission is one flat function, :meth:`FifoResource.acquire` — a priced hop
-is one call of it per queue — and the common shapes never search: a
-drained server starts the message at once, an interval at the end of the
-timeline is appended or merged into the last block without a ``bisect``.
+is one call of it per queue, with no helper under it — and the common
+shapes never search: a drained server starts the message at once, an
+interval at the end of the timeline is appended or merged into the last
+block without a ``bisect``, and a gap ahead of the last block is filled in
+place.  Dead intervals are pruned once per watermark: the overlay passes
+the request's arrival, which its many visits share, so only a visit that
+brings a higher watermark walks the timelines.
 A station owns its tallies: ``acquire`` returns the service window and
 counts the visit itself, in counts whose size does not grow with the
 number of visits; the overlay writes them into the registry once per run.
@@ -44,25 +48,6 @@ LATENCY_BUCKETS_US: Tuple[int, ...] = tuple(
 )
 
 
-def _fill_gap(timeline: List[List[int]], start: int, end: int) -> None:
-    """Insert busy interval ``[start, end]`` ahead of the timeline's last
-    block, merging exact neighbours (a queued message starts exactly where
-    its predecessor ends)."""
-    # ``[start]`` sorts just before every ``[start, ...]`` interval.
-    index = bisect_left(timeline, [start])
-    before = timeline[index - 1] if index > 0 else None
-    after = timeline[index]
-    if before is not None and before[1] == start:
-        before[1] = end
-        if after[0] == end:
-            before[1] = after[1]
-            del timeline[index]
-    elif after[0] == end:
-        after[0] = start
-    else:
-        timeline.insert(index, [start, end])
-
-
 class FifoResource:
     """A ``capacity``-server queue on the virtual clock, and its tallies.
 
@@ -76,7 +61,10 @@ class FifoResource:
     Passing a ``watermark`` — a lower bound on every *future* arrival the
     caller will ever submit — lets the resource first discard the busy
     intervals ending at or before it: they can neither delay a future
-    message nor host one, and the timelines stay short.
+    message nor host one, and the timelines stay short.  The resource
+    prunes only when the watermark rises above the one it last pruned at;
+    admitting an interval that ends at or below that one lowers it again,
+    so the timelines are always exactly those of a prune on every call.
 
     Every visit is counted here: ``waits[i]`` visits waited in bucket
     ``i`` of :data:`LATENCY_BUCKETS_US` (the last overflow), ``wait_us`` in
@@ -85,8 +73,9 @@ class FifoResource:
     sums ``busy_us``.  Each visit is counted in whole microseconds.
     """
 
-    __slots__ = ("_timelines", "_in_flight", "_width_ns", "_link", "_index",
-                 "_window", "waits", "wait_us", "depths", "windows", "busy_us")
+    __slots__ = ("_timelines", "_floor", "_in_flight", "_width_ns", "_link",
+                 "_index", "_window", "waits", "wait_us", "depths", "windows",
+                 "busy_us")
 
     def __init__(self, capacity: int, width_us: int, link: bool = False) -> None:
         if capacity < 1:
@@ -99,6 +88,9 @@ class FifoResource:
         self._timelines: List[List[List[int]]] = [
             [] for _ in range(capacity)
         ]
+        #: The watermark the timelines were last pruned at: every interval
+        #: ends after it, so a watermark at or below it finds nothing.
+        self._floor = 0
         #: Completion times of admitted messages (a min-heap) for depth
         #: sampling, pruned as the clock passes them.
         self._in_flight: List[int] = []
@@ -127,7 +119,8 @@ class FifoResource:
         if hold < 0:
             raise ValueError("hold must be non-negative")
         timelines = self._timelines
-        if watermark > 0:
+        if watermark > self._floor:  # only a risen watermark finds the dead
+            self._floor = watermark
             for timeline in timelines:
                 dead = 0
                 for interval in timeline:
@@ -180,11 +173,27 @@ class FifoResource:
         end = start + hold
         if hold:
             if server and start <= server[-1][0]:
-                _fill_gap(server, start, end)
+                # A gap ahead of the last block; merge exact neighbours (a
+                # queued message starts exactly where its predecessor
+                # ends).  ``[start]`` sorts just before ``[start, ...]``.
+                at = bisect_left(server, [start])
+                after = server[at]
+                if at and server[at - 1][1] == start:
+                    if after[0] == end:
+                        server[at - 1][1] = after[1]
+                        del server[at]
+                    else:
+                        server[at - 1][1] = end
+                elif after[0] == end:
+                    after[0] = start
+                else:
+                    server.insert(at, [start, end])
             elif server and server[-1][1] == start:
                 server[-1][1] = end
             else:
                 server.append([start, end])
+            if end <= self._floor:  # busy below the floor: prune next time
+                self._floor = 0
         heappush(in_flight, end)
         if self._link:
             self.busy_us += (hold + 500) // 1000

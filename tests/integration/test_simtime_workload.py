@@ -136,6 +136,45 @@ class TestRecordReplay:
         assert result.metrics.summary()["queues"]["message_timeouts"] > 0
 
 
+class TestLaunchWithAndWithoutAKernel:
+    """On a complete graph every route is one hop, so ``unicast`` (a
+    planner routes, a kernel exists) and ``ideal`` (neither) price the
+    same launches: every figure the run reports must agree."""
+
+    @staticmethod
+    def priced(mode):
+        spec = ScenarioSpec(
+            name="one-hop-bursts",
+            topology="complete:16",
+            strategy="checkerboard",
+            operations=400,
+            clients=16,
+            servers=4,
+            ports=4,
+            seed=5,
+            delivery_mode=mode,
+            arrival=ArrivalSpec(kind="burst", burst_size=40, burst_gap=0.02),
+            popularity=PopularitySpec(kind="zipf"),
+            time_model=TimeModelSpec(
+                default_link=LinkTiming(latency=0.0005, jitter=0.0001),
+                node_service=0.0008,
+            ),
+        )
+        result = run_scenario(spec)
+        summary = result.metrics.summary()
+        blame = dict(result.metrics.registry.counter_map("critical_path_us"))
+        return summary["latency"], summary["queues"], blame
+
+    def test_unicast_and_ideal_report_the_same_figures(self):
+        ideal, unicast = self.priced("ideal"), self.priced("unicast")
+        latency, queues, blame = ideal
+        # The bursts contend: there is something to agree on.
+        assert latency["count"] == 400
+        assert queues["wait_us"]["max"] > 0
+        assert blame
+        assert unicast == ideal
+
+
 class _RecordingTap:
     """A bare message tap: remembers that it was called."""
 

@@ -106,6 +106,17 @@ def test_a_matrix_axis_entry_is_checked_too(axis, part, entry):
         decode(MatrixSpec, {axis: [entry]})
 
 
+@pytest.mark.parametrize("data", [
+    {"churn": {"kind": "mixed"}, "rate": 6.0},
+    {"rate": 6.0, "churn": {"kind": "mixed"}},
+], ids=["stray-key-last", "stray-key-first"])
+def test_a_stray_key_is_named_before_any_nested_value_is_checked(data):
+    # ``rate`` belongs one level down, in ``churn``; without it the churn
+    # part fails its own check.  Either key order names the stray key.
+    with pytest.raises(ValueError, match=re.escape("unknown ScenarioSpec key(s) ['rate']")):
+        decode(ScenarioSpec, data)
+
+
 class TestWhatStaysAccepted:
     def test_a_float_field_takes_an_int(self):
         spec = decode(ScenarioSpec, {"arrival": {"kind": "poisson", "rate": 200}})
