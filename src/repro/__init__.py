@@ -84,7 +84,6 @@ from .topologies import (
     MeshTopology,
     ProjectivePlaneTopology,
     RingTopology,
-    StarTopology,
     TreeTopology,
     UUCPNetworkGenerator,
     decompose,
@@ -132,7 +131,6 @@ __all__ = [
     "ScenarioSpec",
     "ScopedHashStrategy",
     "ServerProcess",
-    "StarTopology",
     "StrategyError",
     "SubgraphDecompositionStrategy",
     "SupervisorHierarchyStrategy",

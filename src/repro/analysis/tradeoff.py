@@ -28,11 +28,6 @@ class WeightedSplit:
         minimised."""
         return self.post_size + self.ratio * self.query_size
 
-    @property
-    def product(self) -> int:
-        """``p·q`` (must be ≥ n for guaranteed coverage)."""
-        return self.post_size * self.query_size
-
 
 def optimal_split(n: int, ratio: float = 1.0) -> WeightedSplit:
     """Minimise ``p + ratio·q`` subject to ``p·q ≥ n``.

@@ -75,11 +75,6 @@ class MatchMaker:
         self._pq_hits = 0
         self._pq_misses = 0
 
-    @property
-    def network(self) -> Network:
-        """The underlying network."""
-        return self._network
-
     # -- memoized P/Q ----------------------------------------------------------
 
     def _memoized(self, cache: Dict, compute, node: Hashable, port: Optional[Port]):

@@ -129,14 +129,6 @@ class RendezvousMatrix:
         except KeyError:
             raise KeyError(f"no entry for pair ({server!r}, {client!r})") from None
 
-    def post_set(self, server: Hashable) -> FrozenSet[Hashable]:
-        """``P(server)`` as used to build the matrix."""
-        return self._post_sets[server]
-
-    def query_set(self, client: Hashable) -> FrozenSet[Hashable]:
-        """``Q(client)`` as used to build the matrix."""
-        return self._query_sets[client]
-
     def singleton_grid(self) -> List[List[Hashable]]:
         """The matrix as a grid of single nodes (requires singleton
         entries).
@@ -209,38 +201,10 @@ class RendezvousMatrix:
         )
         return total / (self.n * self.n)
 
-    def load_balance(self) -> Dict[str, float]:
-        """Summary statistics of the rendezvous load distribution.
-
-        Returns the min, max, mean and normalised imbalance (max/mean) of the
-        ``k_i`` over nodes that are used at all, plus the number of unused
-        nodes.  A truly distributed strategy has imbalance 1.0; the
-        centralized server has a single node carrying everything.
-        """
-        counts = self.multiplicities()
-        used = [count for count in counts.values() if count > 0]
-        unused = sum(1 for count in counts.values() if count == 0)
-        mean = sum(used) / len(used) if used else 0.0
-        return {
-            "min": float(min(used)) if used else 0.0,
-            "max": float(max(used)) if used else 0.0,
-            "mean": mean,
-            "imbalance": (max(used) / mean) if used and mean else 0.0,
-            "unused_nodes": float(unused),
-        }
-
     def min_redundancy(self) -> int:
         """The smallest entry size — ``f+1`` fault tolerance per
         section 2.4."""
         return min(len(entry) for entry in self._entries.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RendezvousMatrix):
-            return NotImplemented
-        return (
-            self._nodes == other._nodes
-            and self._entries == other._entries
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -149,8 +149,3 @@ class MatchResult(NamedTuple):
     def match_messages(self) -> int:
         """The paper's ``m(i,j)``: post plus query message passes (M3)."""
         return self.post_messages + self.query_messages
-
-    @property
-    def addressed_nodes(self) -> int:
-        """``#P(i) + #Q(j)``: the complete-network cost (section 2.3.2)."""
-        return self.nodes_posted + self.nodes_queried

@@ -51,15 +51,6 @@ class Shard:
     def __len__(self) -> int:
         return len(self.cells)
 
-    @property
-    def topologies(self) -> Tuple[str, ...]:
-        """The distinct topologies this shard owns, in execution order."""
-        seen: List[str] = []
-        for indexed in self.cells:
-            if indexed.cell.topology not in seen:
-                seen.append(indexed.cell.topology)
-        return tuple(seen)
-
 
 def resolve_workers(workers: int) -> int:
     """Normalize a worker-count request (``0``/``None`` means all CPUs)."""

@@ -13,10 +13,8 @@ from .faults import (
     FaultEvent,
     FaultPlan,
     FaultTimeline,
-    correlated_failures,
     crash_recover_waves,
     link_flaps,
-    region_partition,
 )
 from .graph import Graph, complete_graph
 from .relay import (
@@ -52,12 +50,10 @@ __all__ = [
     "RoutingTable",
     "compare_direct_vs_relay",
     "complete_graph",
-    "correlated_failures",
     "crash_recover_waves",
     "direct_route",
     "link_flaps",
     "measure_load",
     "plan_hit_rates",
-    "region_partition",
     "two_phase_route",
 ]

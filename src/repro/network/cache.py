@@ -27,9 +27,9 @@ step, and a slice that becomes empty leaves both at once, so
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional
+from typing import Callable, Dict, Hashable, Iterable, Mapping, Optional
 
-from ..core.types import Address, Port, PostRecord, freshest
+from ..core.types import Port, PostRecord, freshest
 
 #: One node's postings for one port, by server (several equivalent servers
 #: of a service may be registered at once — section 1.3).
@@ -82,10 +82,6 @@ class PostingStore:
                 held.pop(server_id, None)
                 if not held:
                     self._drop_slice(node, port)
-
-    def forget_address(self, node: Hashable, address: Address) -> None:
-        """Drop every posting at ``node`` that points at ``address``."""
-        self._discard(node, lambda record: record.address == address)
 
     def expire(self, node: Hashable, cutoff: int) -> int:
         """Drop ``node``'s postings stamped ``cutoff`` or earlier; return
@@ -140,12 +136,3 @@ class PostingStore:
         """Number of ``(port, server)`` records ``node`` stores — the
         paper's cache size measure."""
         return sum(len(held) for held in self._by_node[node].values())
-
-    def ports(self, node: Hashable) -> List[Port]:
-        """All ports ``node`` holds at least one posting for."""
-        return list(self._by_node[node])
-
-    def records(self, node: Hashable) -> Iterator[PostRecord]:
-        """Iterate over every record ``node`` stores."""
-        for held in self._by_node[node].values():
-            yield from held.values()

@@ -127,11 +127,6 @@ class DeliveryPlanner:
 
     # -- revision tracking ---------------------------------------------------
 
-    @property
-    def revision(self) -> int:
-        """The fault-plan revision the current caches are valid for."""
-        return self._revision
-
     def clear_caches(self) -> None:
         """Forget every memoized plan, tree and surviving table.
 

@@ -10,8 +10,8 @@ subnetwork is ever copied.
 
 A static fault *set* only captures one instant.  :class:`FaultTimeline`
 extends the model to time: an ordered program of :class:`FaultEvent`\\ s
-(crash/recover waves, link flaps, region partitions and healing, correlated
-failures) that a consumer advances against a live network, moving the
+(crash/recover waves, link flaps) that a consumer advances against a live
+network, moving the
 :class:`FaultPlan` — and therefore the delivery planner's revision — mid-run.
 The builder functions at the bottom of this module generate the standard
 regimes from a graph and a seeded generator.
@@ -28,7 +28,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Optional,
     Set,
     Tuple,
 )
@@ -136,27 +135,8 @@ class FaultTimeline:
     def __init__(self, events: Iterable[FaultEvent] = ()) -> None:
         self._events: List[FaultEvent] = sorted(events, key=lambda e: e.time)
 
-    @property
-    def events(self) -> List[FaultEvent]:
-        """The scheduled events, in execution order."""
-        return list(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
     def __iter__(self) -> Iterator[FaultEvent]:
         return iter(self._events)
-
-    def __bool__(self) -> bool:
-        return bool(self._events)
-
-    def merged(self, other: "FaultTimeline") -> "FaultTimeline":
-        """A new timeline interleaving this one with ``other`` by time."""
-        return FaultTimeline(self._events + other._events)
-
-    def horizon(self) -> float:
-        """The time of the last scheduled event (0.0 when empty)."""
-        return self._events[-1].time if self._events else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultTimeline(events={len(self._events)})"
@@ -232,77 +212,4 @@ def link_flaps(
         u, v = edges[rng.randrange(len(edges))]
         events.append(FaultEvent(at, LINK_DOWN, (u, v)))
         events.append(FaultEvent(at + downtime, LINK_UP, (u, v)))
-    return FaultTimeline(events)
-
-
-def region_partition(
-    graph: Graph,
-    rng: random.Random,
-    at: float,
-    heal_at: float,
-    region_size: int,
-    seed_node: Optional[Hashable] = None,
-) -> FaultTimeline:
-    """Partition a BFS region of ``region_size`` nodes off the network.
-
-    Every link crossing the region boundary goes down at ``at`` and comes
-    back at ``heal_at`` — nodes stay up throughout, so the region keeps
-    serving internally (a classic datacenter partition, not a crash).
-    """
-    if region_size < 1:
-        raise ValueError("region_size must be at least 1")
-    if heal_at <= at:
-        raise ValueError("heal_at must be after at")
-    nodes = sorted(graph.nodes, key=repr)
-    root = seed_node if seed_node is not None else nodes[rng.randrange(len(nodes))]
-    region = set(list(graph.spanning_tree(root))[:region_size])
-    events: List[FaultEvent] = []
-    for u, v in sorted(graph.edges, key=repr):
-        if (u in region) != (v in region):
-            events.append(FaultEvent(at, LINK_DOWN, (u, v)))
-            events.append(FaultEvent(heal_at, LINK_UP, (u, v)))
-    return FaultTimeline(events)
-
-
-def correlated_failures(
-    graph: Graph,
-    rng: random.Random,
-    shots: int,
-    start: float,
-    period: float,
-    downtime: float,
-    blast_radius: int = 3,
-    protected: Iterable[Hashable] = (),
-) -> FaultTimeline:
-    """``shots`` correlated failures: an epicenter and up to
-    ``blast_radius - 1`` of its neighbours crash together (one rack, one
-    power feed), recovering together ``downtime`` later.  Like
-    :func:`crash_recover_waves`, nodes still down from an earlier shot are
-    not re-struck.
-    """
-    if shots < 1 or blast_radius < 1:
-        raise ValueError("shots and blast_radius must be at least 1")
-    protected_set = set(protected)
-    candidates = _eligible_nodes(graph, protected_set)
-    down_until: Dict[Hashable, float] = {}
-    events: List[FaultEvent] = []
-    for shot in range(shots):
-        at = start + shot * period
-        available = [n for n in candidates if down_until.get(n, 0.0) <= at]
-        if not available:
-            continue
-        epicenter = available[rng.randrange(len(available))]
-        blast = [epicenter]
-        neighbours = sorted(
-            (
-                n for n in graph.neighbours(epicenter)
-                if n not in protected_set and down_until.get(n, 0.0) <= at
-            ),
-            key=repr,
-        )
-        blast.extend(rng.sample(neighbours, min(blast_radius - 1, len(neighbours))))
-        for node in blast:
-            events.append(FaultEvent(at, CRASH_NODE, (node,)))
-            events.append(FaultEvent(at + downtime, RECOVER_NODE, (node,)))
-            down_until[node] = at + downtime
     return FaultTimeline(events)

@@ -114,11 +114,6 @@ class Graph:
         """Number of nodes ``n = #U``."""
         return len(self._adjacency)
 
-    @property
-    def edge_count(self) -> int:
-        """Number of edges ``#E``."""
-        return sum(len(nbrs) for nbrs in self._adjacency.values()) // 2
-
     def neighbours(self, node: Hashable) -> FrozenSet[Hashable]:
         """The direct neighbours of ``node``."""
         try:
@@ -161,17 +156,6 @@ class Graph:
             frontier.extend(fresh)
         return frozenset(reached)
 
-    def connected_components(self) -> List[FrozenSet[Hashable]]:
-        """All connected components."""
-        remaining = set(self._adjacency)
-        components = []
-        while remaining:
-            source = next(iter(remaining))
-            component = self.connected_component(source)
-            components.append(component)
-            remaining -= component
-        return components
-
     def is_connected(self) -> bool:
         """Whether the graph is connected (the empty graph counts as
         connected)."""
@@ -184,8 +168,7 @@ class Graph:
         connected."""
         if not self.is_connected():
             raise DisconnectedGraphError(
-                f"graph with {self.node_count} nodes is not connected "
-                f"({len(self.connected_components())} components)"
+                f"graph with {self.node_count} nodes is not connected"
             )
 
     # -- derived graphs ----------------------------------------------------
@@ -224,7 +207,7 @@ class Graph:
         return parent
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
+        return f"Graph(nodes={self.node_count}, edges={len(self.edges)})"
 
 
 def complete_graph(n: int) -> Graph:

@@ -156,11 +156,6 @@ class Network:
         return self._stats
 
     @property
-    def faults(self) -> FaultPlan:
-        """The current fault plan."""
-        return self._faults
-
-    @property
     def delivery_mode(self) -> str:
         """The default delivery mode."""
         return self._delivery_mode
@@ -174,10 +169,6 @@ class Network:
     def postings(self) -> PostingStore:
         """Every node's posting cache: the one store, and its only writer."""
         return self._postings
-
-    def node_ids(self) -> List[Hashable]:
-        """All node identifiers."""
-        return list(self._nodes)
 
     def next_timestamp(self) -> int:
         """A fresh, strictly increasing timestamp for postings."""

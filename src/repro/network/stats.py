@@ -130,11 +130,6 @@ class MessageStats:
         the planner counts an event."""
         self.plan_events[kind] += 1
 
-    def merge(self, other: "MessageStats") -> None:
-        """Add another stats object into this one."""
-        for name, family in self._families():
-            family.merge(getattr(other, name))
-
     @property
     def total_hops(self) -> int:
         """All hops across categories."""
@@ -144,15 +139,6 @@ class MessageStats:
         """An independent copy of the current counters."""
         return MessageStats(
             **{name: family.snapshot() for name, family in self._families()}
-        )
-
-    def diff(self, earlier: "MessageStats") -> "MessageStats":
-        """Counters accumulated since ``earlier`` was snapshotted."""
-        return MessageStats(
-            **{
-                name: family.diff(getattr(earlier, name))
-                for name, family in self._families()
-            }
         )
 
     def restore(self, snapshot: "MessageStats") -> None:

@@ -52,24 +52,6 @@ class PhaseProfile:
         finally:
             self.add(name, time.perf_counter() - started)
 
-    def seconds(self, name: str) -> float:
-        """Wall-clock seconds charged to ``name`` so far."""
-        return self._seconds.get(name, 0.0)
-
-    def count(self, name: str) -> int:
-        """Entries recorded against ``name`` so far."""
-        return self._counts.get(name, 0)
-
-    def merge(self, other: "PhaseProfile") -> None:
-        """Fold another profile's phases into this one."""
-        for name, seconds in other._seconds.items():
-            self._seconds[name] = self._seconds.get(name, 0.0) + seconds
-        for name, count in other._counts.items():
-            self._counts[name] = self._counts.get(name, 0) + count
-
-    def __bool__(self) -> bool:
-        return bool(self._seconds)
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe form: per-phase ``{seconds, count}``, phases sorted."""
         return {

@@ -100,20 +100,16 @@ class Histogram:
         """The fixed bucket upper bounds, or ``None`` for exact mode."""
         return self._buckets
 
-    def _slot(self, value: int) -> int:
-        """The bucket key a sample of ``value`` is counted under."""
-        buckets = self._buckets
-        if not buckets:  # exact mode (or no bounds at all)
-            return value
-        index = bisect_left(buckets, value)
-        # Overflow bucket: one past the last bound marks "beyond all bounds".
-        return buckets[index] if index < len(buckets) else buckets[-1] + 1
-
     def add(self, value: int, count: int = 1) -> None:
-        """Record ``count`` samples of ``value``."""
+        """Record ``count`` samples of ``value`` under its bucket key: the
+        value itself in exact mode, else its bucket's upper bound."""
         if value < 0 or count < 1:
             raise ValueError("value must be >= 0 and count >= 1")
-        slot = self._slot(value) if self._buckets else value
+        slot, buckets = value, self._buckets
+        if buckets:
+            index = bisect_left(buckets, value)
+            # Overflow bucket: one past the last bound marks "beyond all bounds".
+            slot = buckets[index] if index < len(buckets) else buckets[-1] + 1
         self._counts[slot] += count
         self._total += count
         self._sum += value * count
@@ -258,14 +254,6 @@ class CounterMap(dict):
         """Fold another counter map in (associative, commutative)."""
         for key, count in other.items():
             self[key] += count
-
-    def diff(self, earlier: Dict) -> "CounterMap":
-        """Non-zero deltas accumulated since ``earlier`` was snapshotted."""
-        delta = CounterMap()
-        for key, count in self.items():
-            if count - earlier.get(key, 0):
-                delta[key] = count - earlier.get(key, 0)
-        return delta
 
     def snapshot(self) -> "CounterMap":
         """An independent copy of the current counts."""

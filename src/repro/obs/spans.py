@@ -64,11 +64,6 @@ class SpanRecorder:
         """Install the logical time stamped on subsequently begun spans."""
         self._clock = clock
 
-    @property
-    def clock(self) -> float:
-        """The current logical time."""
-        return self._clock
-
     def begin(self, name: str, **attrs: object) -> int:
         """Open a span (child of the innermost open span); returns its id."""
         span = Span(

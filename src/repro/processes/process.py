@@ -16,7 +16,6 @@ import itertools
 from typing import Hashable
 
 from ..core.exceptions import ProcessLifecycleError
-from ..core.types import Address
 
 _process_ids = itertools.count(1)
 
@@ -35,11 +34,6 @@ class Process:
         self.node: Hashable = node
         self.name: str = name or f"process-{self.pid}"
         self.alive: bool = True
-
-    @property
-    def address(self) -> Address:
-        """The process's current address (its node's address)."""
-        return Address(self.node)
 
     def require_alive(self) -> None:
         """Raise :class:`ProcessLifecycleError` if the process has died."""

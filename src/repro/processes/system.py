@@ -196,7 +196,7 @@ class DistributedSystem:
         Returns the number of caches cleared.
         """
         cleared = 0
-        targets = list(nodes) if nodes is not None else self._network.node_ids()
+        targets = list(nodes) if nodes is not None else self._network.graph.nodes
         for node_id in targets:
             if self._network.node_is_up(node_id):
                 self._network.postings.clear(node_id)

@@ -33,9 +33,9 @@ _INFINITY = float("inf")
 class SimKernel:
     """A heap-ordered virtual-time event loop.
 
-    ``now`` is the time of the most recently fired event; it starts at 0
-    and only :meth:`run` advances it.  Scheduling an event in the past of
-    ``now`` is allowed (a later-simulated request may have arrived earlier
+    The clock is the time of the most recently fired event; it starts at 0
+    and only :meth:`run` advances it.  Scheduling an event in the clock's
+    past is allowed (a later-simulated request may have arrived earlier
     in virtual time); resources clamp service starts themselves, so the
     kernel only promises *ordering*: within one :meth:`run`, events fire in
     nondecreasing ``(time, seq)`` order.
@@ -46,20 +46,10 @@ class SimKernel:
         self._seq = 0
         self._now = 0
 
-    @property
-    def now(self) -> int:
-        """Virtual time of the most recently fired event."""
-        return self._now
-
-    @property
-    def pending(self) -> int:
-        """Events scheduled but not yet fired."""
-        return len(self._heap)
-
     def schedule(self, at: int, message: object, hop: int = 0) -> None:
         """Record that ``message`` enters hop ``hop`` of its route at ``at``.
 
-        ``at`` must be finite and non-negative (it may trail :attr:`now`
+        ``at`` must be finite and non-negative (it may trail the clock
         for late-scheduled but early-arriving events).  ``message`` is
         opaque to the kernel: it is stored, never called or compared.
         """

@@ -120,23 +120,6 @@ class TimeModelSpec:
                 if keys.count(key) > 1:
                     raise ValueError(f"{kind} override {key!r} is given twice")
 
-    @property
-    def label(self) -> str:
-        """A compact identity string for matrix-cell names and reports."""
-        link = self.default_link
-        parts = [f"l{link.latency:g}"]
-        if link.jitter:
-            parts.append(f"j{link.jitter:g}")
-        if link.capacity != 1:
-            parts.append(f"c{link.capacity}")
-        if self.node_service:
-            parts.append(f"s{self.node_service:g}")
-        if self.timeout:
-            parts.append(f"to{self.timeout:g}")
-        if self.link_overrides or self.node_overrides:
-            parts.append(f"o{len(self.link_overrides) + len(self.node_overrides)}")
-        return "tm(" + ",".join(parts) + ")"
-
     def link_timing(self, key: str) -> LinkTiming:
         """The timing for the link identified by ``key``."""
         for override_key, timing in self.link_overrides:

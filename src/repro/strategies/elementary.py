@@ -75,11 +75,6 @@ class CentralizedStrategy(UniverseStrategy):
             raise StrategyError(f"centre {centre!r} is not in the universe")
         self._centre = centre
 
-    @property
-    def centre(self) -> Hashable:
-        """The well-known name-server node."""
-        return self._centre
-
     def post_set(self, node: Hashable, port: Optional[Port] = None) -> FrozenSet:
         self._require_member(node)
         return frozenset({self._centre})

@@ -10,7 +10,7 @@ decomposition used by the generic implementation at the start of section 3.
 
 from .base import Topology
 from .ccc import CubeConnectedCyclesTopology
-from .complete import CompleteTopology, RingTopology, StarTopology
+from .complete import CompleteTopology, RingTopology
 from .decomposition import GraphDecomposition, decompose
 from .hierarchical import HierarchicalTopology
 from .hypercube import HypercubeTopology, bit_strings
@@ -37,7 +37,6 @@ __all__ = [
     "MeshTopology",
     "ProjectivePlaneTopology",
     "RingTopology",
-    "StarTopology",
     "Topology",
     "TreeTopology",
     "UUCPNetworkGenerator",

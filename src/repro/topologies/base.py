@@ -15,15 +15,11 @@ from ..network.simulator import Network
 
 
 class Topology:
-    """Base class: a named graph with convenience constructors."""
+    """Base class: a connected graph with convenience constructors."""
 
-    #: Human readable family name, overridden by subclasses.
-    family = "topology"
-
-    def __init__(self, graph: Graph, name: str = "") -> None:
+    def __init__(self, graph: Graph) -> None:
         graph.require_connected()
         self._graph = graph
-        self._name = name or self.family
 
     @property
     def graph(self) -> Graph:
@@ -31,19 +27,9 @@ class Topology:
         return self._graph
 
     @property
-    def name(self) -> str:
-        """A descriptive name (family plus parameters)."""
-        return self._name
-
-    @property
     def node_count(self) -> int:
         """Number of nodes ``n``."""
         return self._graph.node_count
-
-    @property
-    def edge_count(self) -> int:
-        """Number of edges."""
-        return self._graph.edge_count
 
     def nodes(self) -> List[Hashable]:
         """All node identifiers."""
@@ -53,9 +39,3 @@ class Topology:
         """Instantiate a simulator :class:`~repro.network.Network` on this
         topology."""
         return Network(self._graph, **kwargs)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"{type(self).__name__}(n={self.node_count}, "
-            f"edges={self.edge_count}, name={self._name!r})"
-        )

@@ -29,7 +29,6 @@ class CubeConnectedCyclesTopology(Topology):
     neighbours ``(p ± 1 mod d, w)`` and ``(p, w)`` with bit ``p`` of ``w``
     flipped (an XOR of the corner's index)."""
 
-    family = "cube-connected-cycles"
 
     def __init__(self, dimensions: int) -> None:
         if dimensions < 2:
@@ -44,7 +43,7 @@ class CubeConnectedCyclesTopology(Topology):
             for index, corner in enumerate(corners)
             for position in range(dimensions)
         })
-        super().__init__(graph, name=f"ccc-{dimensions}")
+        super().__init__(graph)
         self._dimensions = dimensions
 
     @property

@@ -59,11 +59,6 @@ class GraphDecomposition:
     # -- queries -----------------------------------------------------------
 
     @property
-    def blocks(self) -> List[List[Hashable]]:
-        """The blocks (copy)."""
-        return [list(block) for block in self._blocks]
-
-    @property
     def block_count(self) -> int:
         """Number of blocks."""
         return len(self._blocks)

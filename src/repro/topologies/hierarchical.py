@@ -46,7 +46,6 @@ class HierarchicalTopology(Topology):
         product of all branching factors.
     """
 
-    family = "hierarchical"
 
     def __init__(self, branching: Sequence[int]) -> None:
         branching = tuple(int(b) for b in branching)
@@ -81,15 +80,9 @@ class HierarchicalTopology(Topology):
                 ]
                 _fully_connect(neighbours, gateways)
 
-        name = "hier-" + "x".join(str(b) for b in branching)
-        super().__init__(Graph.from_neighbours(neighbours), name=name)
+        super().__init__(Graph.from_neighbours(neighbours))
 
     # -- structure queries -----------------------------------------------------
-
-    @property
-    def branching(self) -> Tuple[int, ...]:
-        """Branching factor per level, lowest level first."""
-        return self._branching
 
     @property
     def levels(self) -> int:
@@ -152,7 +145,7 @@ class HierarchicalTopology(Topology):
 
     def _validate_node(self, node: HierNode) -> None:
         if node not in self.graph:
-            raise ValueError(f"{node!r} is not a node of {self.name}")
+            raise ValueError(f"{node!r} is not a node of this {type(self).__name__}")
 
     @classmethod
     def uniform(cls, arity: int, levels: int) -> "HierarchicalTopology":

@@ -29,7 +29,6 @@ class HypercubeTopology(Topology):
     """The binary d-cube on ``2**d`` nodes: the node at index ``i`` of
     :func:`bit_strings` neighbours those at ``i XOR 2**b``, one per bit."""
 
-    family = "hypercube"
 
     def __init__(self, dimensions: int) -> None:
         if dimensions < 1:
@@ -39,7 +38,7 @@ class HypercubeTopology(Topology):
         columns = [[nodes[index ^ (1 << bit)] for index in range(len(nodes))]
                    for bit in range(dimensions)]
         graph = Graph.from_neighbours(dict(zip(nodes, map(set, zip(*columns)))))
-        super().__init__(graph, name=f"hypercube-{dimensions}d")
+        super().__init__(graph)
         self._dimensions = dimensions
 
     @property

@@ -59,27 +59,13 @@ class ManhattanTopology(Topology):
     neighbours ``(r ± 1, c)`` and ``(r, c ± 1)``.
     """
 
-    family = "manhattan"
 
     def __init__(self, rows: int, cols: int, wrap: bool = False) -> None:
         if rows < 1 or cols < 1 or rows * cols < 2:
             raise TopologyError("grid must contain at least two nodes")
-        shape = "torus" if wrap else "grid"
-        super().__init__(
-            _grid_graph((rows, cols), wrap), name=f"manhattan-{shape}-{rows}x{cols}"
-        )
+        super().__init__(_grid_graph((rows, cols), wrap))
         self._rows = rows
         self._cols = cols
-
-    @property
-    def rows(self) -> int:
-        """Number of grid rows ``p``."""
-        return self._rows
-
-    @property
-    def cols(self) -> int:
-        """Number of grid columns ``q``."""
-        return self._cols
 
     def row_of(self, node: Coordinate) -> List[Coordinate]:
         """All nodes sharing the row of ``node`` (including itself)."""
@@ -108,7 +94,6 @@ class MeshTopology(Topology):
     neighbours the nodes one step away along each axis.
     """
 
-    family = "mesh"
 
     def __init__(self, sides: Sequence[int], wrap: bool = False) -> None:
         sides = tuple(int(s) for s in sides)
@@ -119,9 +104,7 @@ class MeshTopology(Topology):
             total *= s
         if total < 2:
             raise TopologyError("mesh must contain at least two nodes")
-        shape = "torus" if wrap else "mesh"
-        name = f"{shape}-" + "x".join(str(s) for s in sides)
-        super().__init__(_grid_graph(sides, wrap), name=name)
+        super().__init__(_grid_graph(sides, wrap))
         self._sides = sides
 
     @property

@@ -83,7 +83,6 @@ class ProjectivePlaneTopology(Topology):
         The normalised homogeneous triples naming points and lines.
     """
 
-    family = "projective-plane"
 
     def __init__(self, order: int) -> None:
         points = projective_points(order)
@@ -99,7 +98,7 @@ class ProjectivePlaneTopology(Topology):
                 neighbours[point] |= {
                     members[index - 1], members[(index + 1) % len(members)]
                 }
-        super().__init__(Graph.from_neighbours(neighbours), name=f"pg2-{order}")
+        super().__init__(Graph.from_neighbours(neighbours))
         self._order = order
         self._points = points
         self._line_members = line_members

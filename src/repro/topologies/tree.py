@@ -41,9 +41,8 @@ class TreeTopology(Topology):
     identifiers are paths from the root (the root is the empty tuple).
     """
 
-    family = "tree"
 
-    def __init__(self, branching: Sequence[int], name: str = "") -> None:
+    def __init__(self, branching: Sequence[int]) -> None:
         branching = tuple(int(b) for b in branching)
         if any(b < 1 for b in branching):
             raise TopologyError("branching factors must be at least 1")
@@ -62,33 +61,23 @@ class TreeTopology(Topology):
                 next_frontier += children
             frontier = next_frontier
         graph = Graph.from_neighbours(neighbours)
-        super().__init__(graph, name=name or f"tree-{'x'.join(map(str, branching))}")
+        super().__init__(graph)
         self._branching = branching
         self._parents = parents
 
     # -- structure ----------------------------------------------------------
 
     @property
-    def branching(self) -> Tuple[int, ...]:
-        """Branching factor per depth, root first."""
-        return self._branching
-
-    @property
     def depth(self) -> int:
         """The number of levels below the root (the paper's ``l``)."""
         return len(self._branching)
-
-    @property
-    def root(self) -> TreeNode:
-        """The root node."""
-        return ROOT
 
     def parent(self, node: TreeNode) -> TreeNode:
         """The parent of ``node`` (the root is its own parent)."""
         try:
             return self._parents[node]
         except KeyError:
-            raise ValueError(f"{node!r} is not a node of {self.name}") from None
+            raise ValueError(f"{node!r} is not a node of this {type(self).__name__}") from None
 
     def depth_of(self, node: TreeNode) -> int:
         """Distance of ``node`` from the root: the length of its path."""
@@ -104,10 +93,6 @@ class TreeTopology(Topology):
             path.append(self.parent(path[-1]))
         return path
 
-    def leaves(self) -> List[TreeNode]:
-        """All deepest-level nodes."""
-        return [node for node in self._parents if len(node) == self.depth]
-
     # -- paper degree profiles ------------------------------------------------
 
     @classmethod
@@ -122,7 +107,7 @@ class TreeTopology(Topology):
         branching = [
             max(2, int(round(i ** (1.0 + eps)))) for i in range(levels, 0, -1)
         ]
-        return cls(branching, name=f"tree-factorial-l{levels}-e{eps}")
+        return cls(branching)
 
     @classmethod
     def exponential_profile(cls, levels: int, eps: float = 1.0) -> "TreeTopology":
@@ -132,14 +117,14 @@ class TreeTopology(Topology):
         branching = [
             max(2, int(round(2.0 ** (eps * i)))) for i in range(levels, 0, -1)
         ]
-        return cls(branching, name=f"tree-exponential-l{levels}-e{eps}")
+        return cls(branching)
 
     @classmethod
     def balanced(cls, arity: int, levels: int) -> "TreeTopology":
         """A uniform ``arity``-ary tree of the given depth."""
         if levels < 1:
             raise TopologyError("levels must be at least 1")
-        return cls([arity] * levels, name=f"tree-balanced-{arity}^{levels}")
+        return cls([arity] * levels)
 
 
 def predicted_depth_factorial(n: int, eps: float = 0.0) -> float:

@@ -35,30 +35,10 @@ from .base import Topology
 class UUCPTopology(Topology):
     """A synthetic organically-grown network (tree plus shortcut edges)."""
 
-    family = "uucp"
 
-    def __init__(
-        self,
-        graph: Graph,
-        parent: Dict[int, int],
-        tree_edge_count: int,
-        extra_edge_count: int,
-        name: str = "uucp",
-    ) -> None:
-        super().__init__(graph, name=name)
+    def __init__(self, graph: Graph, parent: Dict[int, int]) -> None:
+        super().__init__(graph)
         self._parent = parent
-        self._tree_edge_count = tree_edge_count
-        self._extra_edge_count = extra_edge_count
-
-    @property
-    def tree_edge_count(self) -> int:
-        """Number of tree edges (``n - 1``)."""
-        return self._tree_edge_count
-
-    @property
-    def extra_edge_count(self) -> int:
-        """Number of non-tree shortcut edges added."""
-        return self._extra_edge_count
 
     @property
     def root(self) -> int:
@@ -71,7 +51,7 @@ class UUCPTopology(Topology):
     def path_to_root(self, node: int) -> List[int]:
         """Tree path from ``node`` to the root, inclusive."""
         if node not in self._parent:
-            raise ValueError(f"{node!r} is not a node of {self.name}")
+            raise ValueError(f"{node!r} is not a node of this {type(self).__name__}")
         path = [node]
         while self._parent[path[-1]] != path[-1]:
             path.append(self._parent[path[-1]])
@@ -129,18 +109,9 @@ class UUCPNetworkGenerator:
             sampler.bump(chosen)
             sampler.bump(new_site)
 
-        tree_edges = n - 1
-        extra_target = int(round(self._extra_fraction * tree_edges))
-        extra_added = self._add_shortcuts(graph, parent, extra_target, rng)
-
-        topology = UUCPTopology(
-            graph,
-            parent,
-            tree_edge_count=tree_edges,
-            extra_edge_count=extra_added,
-            name=f"uucp-{n}-seed{seed}",
-        )
-        return topology
+        extra_target = int(round(self._extra_fraction * (n - 1)))
+        self._add_shortcuts(graph, parent, extra_target, rng)
+        return UUCPTopology(graph, parent)
 
     # -- internals -------------------------------------------------------------
 
@@ -168,8 +139,9 @@ class UUCPNetworkGenerator:
         parent: Dict[int, int],
         target: int,
         rng: random.Random,
-    ) -> int:
-        """Add shortcut edges, preferring well-connected endpoints.
+    ) -> None:
+        """Add up to ``target`` shortcut edges, preferring well-connected
+        endpoints.
 
         Real UUCPnet shortcut links were set up by sites that already ran
         several connections (backbone/feeder sites), which is why the paper's
@@ -197,7 +169,6 @@ class UUCPNetworkGenerator:
             sampler.bump(u)
             sampler.bump(v)
             added += 1
-        return added
 
 
 class _DegreeSampler:

@@ -69,7 +69,6 @@ from .trace import (
     STORM,
     Trace,
     TraceOp,
-    canonical_digest,
 )
 
 
@@ -123,15 +122,6 @@ class WorkloadResult:
             "summary": self.summary(),
             "trace_ops": self.trace.operation_counts(),
         }
-
-    def digest(self) -> str:
-        """SHA-256 over the canonical :meth:`to_dict` JSON.
-
-        Two digests match iff the runs are byte-identical in every
-        deterministic respect — the comparison ``python -m repro replay
-        --expect`` and the cross-process replay tests make.
-        """
-        return canonical_digest(self.to_dict())
 
 
 #: Fault-timeline event kind -> the trace op kind that executes it.
@@ -197,16 +187,6 @@ class WorkloadDriver:
         self._nodes: List[Hashable] = sorted(self._topology.nodes(), key=repr)
         self._node_index = {node: i for i, node in enumerate(self._nodes)}
         self._ports = [Port(f"{spec.name}/svc-{i}") for i in range(spec.ports)]
-
-    @property
-    def topology(self):
-        """The resolved topology."""
-        return self._topology
-
-    @property
-    def strategy(self):
-        """The resolved strategy."""
-        return self._strategy
 
     # -- environment construction ---------------------------------------------
 

@@ -261,16 +261,6 @@ class MatrixReport:
         )
 
     @property
-    def profile(self) -> Optional[Dict[str, object]]:
-        """Per-worker wall-clock phase profiles, when profiling was on.
-
-        Wall-clock data is nondeterministic by nature, so this section is
-        excluded from :meth:`canonical_dict` and therefore from
-        :meth:`digest` — profiling a run never changes its identity.
-        """
-        return dict(self._profile) if self._profile else None
-
-    @property
     def cache_stats(self) -> Optional[Dict[str, int]]:
         """Cell-cache counters, when the cache was enabled.
 

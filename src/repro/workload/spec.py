@@ -35,10 +35,8 @@ from ..core.exceptions import StrategyError
 from ..core.strategy import MatchMakingStrategy
 from ..network.faults import (
     FaultTimeline,
-    correlated_failures,
     crash_recover_waves,
     link_flaps,
-    region_partition,
 )
 from ..network.graph import Graph
 from ..simtime.model import TimeModelSpec
@@ -65,7 +63,6 @@ from ..topologies import (
     ManhattanTopology,
     ProjectivePlaneTopology,
     RingTopology,
-    StarTopology,
     Topology,
     TreeTopology,
     decompose,
@@ -193,13 +190,7 @@ class FaultRegimeSpec:
         recovering ``downtime`` seconds after its wave struck;
     ``flaps``
         ``events`` link flaps — a random link fails and heals ``downtime``
-        later (the same link may flap repeatedly);
-    ``partition``
-        ``events`` region partitions: all links around a BFS region of
-        ``size`` nodes are cut, then healed ``downtime`` later;
-    ``correlated``
-        ``events`` correlated failures: an epicenter plus up to ``size - 1``
-        neighbours crash together and recover together.
+        later (the same link may flap repeatedly).
 
     The first event fires at ``start`` seconds of scenario time; subsequent
     events are ``period`` apart.
@@ -270,14 +261,6 @@ class SloSpec:
             raise ValueError("availability_target must be in (0, 1)")
         if self.window <= 0:
             raise ValueError("window must be positive")
-
-    @property
-    def label(self) -> str:
-        """A compact identity string for reports."""
-        return (
-            f"p{self.latency_target:.4g}<{self.latency_objective:.4g}s"
-            f"@{self.window:.4g}s"
-        )
 
 
 @dataclass(frozen=True)
@@ -360,7 +343,6 @@ def _int_args(spec: str, argument: str, expected: int) -> List[int]:
 TOPOLOGIES: Dict[str, Tuple[Callable[..., Topology], int]] = {
     "complete": (CompleteTopology, 1),
     "ring": (RingTopology, 1),
-    "star": (StarTopology, 1),
     "manhattan": (ManhattanTopology.square, 1),
     "hypercube": (HypercubeTopology, 1),
     "ccc": (CubeConnectedCyclesTopology, 1),
@@ -455,35 +437,12 @@ def _flaps(regime, graph, rng, protected) -> FaultTimeline:
     )
 
 
-def _partitions(regime, graph, rng, protected) -> FaultTimeline:
-    timeline = FaultTimeline()
-    for event in range(regime.events):
-        at = regime.start + event * regime.period
-        timeline = timeline.merged(region_partition(
-            graph, rng,
-            at=at, heal_at=at + regime.downtime,
-            region_size=regime.size,
-        ))
-    return timeline
-
-
-def _correlated(regime, graph, rng, protected) -> FaultTimeline:
-    return correlated_failures(
-        graph, rng,
-        shots=regime.events, start=regime.start,
-        period=regime.period, downtime=regime.downtime,
-        blast_radius=regime.size, protected=protected,
-    )
-
-
 #: Fault-regime kind -> (label template, builder ``(regime, graph, rng,
 #: protected) -> FaultTimeline``).
 FAULT_REGIMES: Dict[str, Tuple[str, Callable[..., FaultTimeline]]] = {
     "none": ("{kind}", lambda regime, graph, rng, protected: FaultTimeline()),
     "waves": ("{kind}(e{events},s{size})", _waves),
     "flaps": ("{kind}(e{events})", _flaps),
-    "partition": ("{kind}(e{events},s{size})", _partitions),
-    "correlated": ("{kind}(e{events},s{size})", _correlated),
 }
 
 
@@ -495,9 +454,8 @@ def build_fault_timeline(
 ) -> FaultTimeline:
     """Materialize a declarative fault regime against a concrete graph.
 
-    All random choices (which nodes a wave fells, which links flap, where a
-    partition sits) come from ``rng``, so the same regime + seed yields the
-    same timeline.  ``protected`` nodes — client hosts, whose death would
+    All random choices (which nodes a wave fells, which links flap) come
+    from ``rng``, so the same regime + seed yields the same timeline.  ``protected`` nodes — client hosts, whose death would
     abort the request stream — are never crashed; links around them may
     still fail, which only costs availability.
     """

@@ -15,7 +15,6 @@ surprising result travels between machines.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 from dataclasses import dataclass
 from typing import Dict, IO, Iterator, List, Optional, Sequence, Tuple
@@ -46,10 +45,9 @@ def canonical_digest(payload) -> str:
     """SHA-256 hex digest of ``payload``'s canonical bytes.
 
     Strings are hashed as-is; anything else is hashed as its sorted-keys
-    JSON.  Every "byte-identical" comparison in the workload layer
-    (``Trace.digest``, ``WorkloadResult.digest``,
-    ``MatrixReport.digest``) funnels through here, so the canonical form
-    cannot drift between artifact types.
+    JSON.  Every "byte-identical" digest in the workload layer
+    (``MatrixReport.digest``, the cell cache's keys) funnels through here,
+    so the canonical form cannot drift between artifact types.
     """
     if not isinstance(payload, str):
         payload = json.dumps(payload, sort_keys=True)
@@ -90,11 +88,6 @@ class Trace:
     def scenario(self) -> Dict[str, object]:
         """The ``ScenarioSpec.to_dict()`` this trace was recorded under."""
         return dict(self._scenario)
-
-    @property
-    def ops(self) -> List[TraceOp]:
-        """The recorded operations, in execution order."""
-        return list(self._ops)
 
     def append(self, op: TraceOp) -> None:
         """Record one executed operation."""
@@ -146,19 +139,6 @@ class Trace:
                 except ValueError as error:
                     raise ValueError(f"trace line {number}: {error}") from error
         return trace
-
-    def digest(self) -> str:
-        """SHA-256 over the serialized stream — trace identity in one
-        string.
-
-        Two traces with equal digests serialize to the same bytes: same
-        scenario header, same operations in the same order.  Used to pin
-        that a trace recorded inside a worker process is exactly the trace
-        the parent merges.
-        """
-        buffer = io.StringIO()
-        self.dump(buffer)
-        return canonical_digest(buffer.getvalue())
 
     def to_path(self, path) -> None:
         """Write the trace to ``path`` as JSON lines."""

@@ -140,6 +140,7 @@ def regenerate():
     sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "tests" / "integration")]
     import test_hashseed_differential as hashseed
     import test_simtime_differential as simtime
+    from trace_text import dumped
 
     entries = {name: grid_entry(name, 1) for name in GRIDS}
     assert all(grid_entry(name, 2) == entries[name] for name in GRIDS)
@@ -149,14 +150,14 @@ def regenerate():
     entries["examples_sha256"] = examples_sha256()
     untimed = run_scenario(simtime.pinned_scenario())
     entries["simtime_untimed"] = {
-        "result_digest": untimed.digest(),
-        "trace_digest": untimed.trace.digest(),
+        "result_digest": canonical_digest(untimed.to_dict()),
+        "trace_digest": canonical_digest(dumped(untimed.trace)),
         "plan_cache": dict(sorted(untimed.plan_cache.items())),
         "report_digest": run_matrix(simtime.pinned_grid())[0].digest(),
     }
     timed = run_scenario(simtime.TestTimedGoldenPins()._golden_spec())
     entries["simtime_timed"] = {
-        "result_digest": timed.digest(),
+        "result_digest": canonical_digest(timed.to_dict()),
         "exemplars_sha256": canonical_digest(timed.exemplars),
         "registry_sha256": canonical_digest(timed.metrics.registry.to_dict()),
         "message_timeouts": timed.metrics.message_timeouts,

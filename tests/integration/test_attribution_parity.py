@@ -141,7 +141,7 @@ class TestExemplarInvariants:
     def test_replay_reproduces_exemplars_and_attribution(self):
         first = run_scenario(burst_scenario())
         replayed = replay_trace(first.trace)
-        assert replayed.digest() == first.digest()
+        assert replayed.to_dict() == first.to_dict()
         assert replayed.exemplars == first.exemplars
         assert (
             dict(replayed.metrics.registry.counter_map("critical_path_us"))

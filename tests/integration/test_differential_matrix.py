@@ -226,10 +226,9 @@ def oracle_view(strategy, topology):
     as plain data for the checkers in ``tests/oracle/``."""
     resolved_topology = build_topology(topology)
     nodes = sorted(resolved_topology.nodes(), key=repr)
-    matrix = RendezvousMatrix.from_strategy(
-        build_strategy(strategy, resolved_topology), nodes, port=Port("diff-oracle")
-    )
-    return (nodes, *read_matrix(matrix))
+    built, port = build_strategy(strategy, resolved_topology), Port("diff-oracle")
+    matrix = RendezvousMatrix.from_strategy(built, nodes, port=port)
+    return (nodes, *read_matrix(matrix, built, port))
 
 
 # -- returned hops versus charged hops ---------------------------------------
@@ -271,7 +270,7 @@ def audited_requests(monkeypatch):
 
     def register_server(self, node, port, server_id=None):
         registration, locate, payload_hops, post = charged_hops(
-            self.network,
+            self._network,  # stands in for the method, so reads its state
             lambda: real_register(self, node, port, server_id=server_id),
         )
         assert (registration.post_hops, locate, payload_hops) == (post, 0, 0)

@@ -33,7 +33,7 @@ PINNED_KEYS = (
 )
 
 WORKLOAD = """
-import json, sys
+import io, json, sys
 from repro.core.matchmaker import MatchMaker
 from repro.core.types import Port
 from repro.strategies import HypercubeStrategy
@@ -41,8 +41,15 @@ from repro.strategies.hash_locate import HashLocateStrategy
 from repro.topologies import HypercubeTopology
 from repro.workload import (
     ArrivalSpec, ChurnSpec, FaultRegimeSpec, PopularitySpec, ScenarioSpec,
-    run_scenario,
+    canonical_digest, run_scenario,
 )
+
+
+def dumped(trace):
+    buffer = io.StringIO()
+    trace.dump(buffer)
+    return buffer.getvalue()
+
 
 spec = ScenarioSpec(
     name="hashseed-diff", topology="manhattan:3", strategy="manhattan",
@@ -76,10 +83,10 @@ for node in (nodes[3], nodes[22]):
     matchmaker.register_server(node, Port("p"))
 records = network.query(nodes[9], Port("p"), matchmaker.query_set(nodes[9])).records
 print(json.dumps({
-    "result_digest": result.digest(),
-    "trace_digest": result.trace.digest(),
-    "faulted_result_digest": faulted.digest(),
-    "faulted_trace_digest": faulted.trace.digest(),
+    "result_digest": canonical_digest(result.to_dict()),
+    "trace_digest": canonical_digest(dumped(result.trace)),
+    "faulted_result_digest": canonical_digest(faulted.to_dict()),
+    "faulted_trace_digest": canonical_digest(dumped(faulted.trace)),
     "faulted_plan_cache": faulted.plan_cache,
     "load": {str(node): count for node, count in sorted(load.items())},
     # The key keeps the name the golden file pins it under.

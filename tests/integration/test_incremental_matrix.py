@@ -131,7 +131,7 @@ class TestPartialInvalidation:
         # The hits were never executed, so they are replayed as warm-ups
         # before the first miss on their topology runs — each one timed.
         assert stats["warmups"] == 6
-        phases = report.profile["sequential"]
+        phases = report.to_dict()["profile"]["sequential"]
         assert phases["cache-warmup"]["count"] == 6
         assert phases["cell-run"]["count"] == len(report) - 6
         assert phases["topology-build"]["count"] == 3
@@ -234,7 +234,7 @@ class TestCallerOwnedExecutor:
             one, workers=3, executor=Refusing(), profile=True
         )
         assert report.digest() == plain.digest()
-        assert list(report.profile) == ["sequential"]
+        assert list(report.to_dict()["profile"]) == ["sequential"]
 
     def test_one_process_runs_every_shard_of_a_three_shard_plan(self, cold):
         assert len(ExecutionPlan.from_matrix(grid(), 3).shards) == 3

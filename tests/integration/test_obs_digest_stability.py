@@ -74,7 +74,7 @@ class TestDigestStability:
         path = tmp_path / "report.json"
         observed.to_path(path)
         written = json.loads(path.read_text())
-        assert written["profile"] == observed.profile
+        assert written["profile"] == observed.to_dict()["profile"]
         del written["profile"]
         for cell in written["cells"]:
             cell["wall_seconds"] = 0.0

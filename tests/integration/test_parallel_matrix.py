@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
+from trace_text import dumped
 
 import repro
 from repro.exec import ExecutionPlan, load_spool
@@ -124,7 +125,7 @@ class TestShardedOrderAndTraces:
         assert len(par_results) == len(seq_results)
         for seq, par in zip(seq_results, par_results):
             assert par.spec == seq.spec
-            assert par.trace.digest() == seq.trace.digest()
+            assert dumped(par.trace) == dumped(seq.trace)
             assert par.to_dict() == seq.to_dict()
 
     def test_trace_spool_files_match_sequential_runs(
@@ -157,9 +158,8 @@ class TestShardedOrderAndTraces:
             and result.metrics.fault_events
         )
         spooled = Trace.from_path(trace_dir / f"cell-{position:04d}.jsonl")
-        assert spooled.digest() == faulted.trace.digest()
+        assert dumped(spooled) == dumped(faulted.trace)
         replayed = replay_trace(spooled)
-        assert replayed.digest() == faulted.digest()
         assert json.dumps(replayed.to_dict(), sort_keys=True) == \
             json.dumps(faulted.to_dict(), sort_keys=True)
 
@@ -187,7 +187,7 @@ class TestProcessBoundaryPayloads:
         restored = pickle.loads(blob)
         assert restored.to_dict() == result.to_dict()
         assert restored.metrics.summary() == result.metrics.summary()
-        assert restored.trace.digest() == result.trace.digest()
+        assert dumped(restored.trace) == dumped(result.trace)
 
     def test_matrix_report_pickles_round_trip(self, sequential):
         report, _ = sequential
@@ -245,7 +245,7 @@ def phase_counts(report) -> dict:
     seconds are the nondeterministic part)."""
     return {
         label: {name: entry["count"] for name, entry in phases.items()}
-        for label, phases in report.profile.items()
+        for label, phases in report.to_dict()["profile"].items()
     }
 
 
@@ -254,7 +254,8 @@ def shard_phases(shard) -> dict:
     per cell and one ``topology-build`` per network it builds.  Artifact
     runs never serve a cell from the cache, so no ``cache-warmup``
     replay happens."""
-    return {"cell-run": len(shard), "topology-build": len(shard.topologies)}
+    topologies = {indexed.cell.topology for indexed in shard.cells}
+    return {"cell-run": len(shard), "topology-build": len(topologies)}
 
 
 def cell_files(root: Path) -> dict:
@@ -287,7 +288,7 @@ class TestExecutionInvarianceContract:
             assert sum(name.startswith(kind) for name in files) == 24
         # Only the timed half of the grid writes exemplar timelines.
         assert sum(b'"kind": "timeline"' in data for data in files.values()) == 12
-        assert list(report.profile) == ["sequential"]
+        assert list(report.to_dict()["profile"]) == ["sequential"]
         (shard,) = ExecutionPlan.from_matrix(contract_matrix(), 1).shards
         assert phase_counts(report) == {"sequential": shard_phases(shard)}
         records = load_export(root / "obs")
@@ -337,8 +338,8 @@ class TestExecutionInvarianceContract:
         # Kept results come back in grid position order.
         assert [result.spec for result in results] == \
             [result.spec for result in reference_results]
-        assert [result.digest() for result in results] == \
-            [result.digest() for result in reference_results]
+        assert [result.to_dict() for result in results] == \
+            [result.to_dict() for result in reference_results]
         # Each shard's spool holds exactly its planned positions; a grid
         # that runs in this process spools nothing.
         plan = ExecutionPlan.from_matrix(matrix, workers)
@@ -348,7 +349,7 @@ class TestExecutionInvarianceContract:
             [indexed.position for indexed in shard.cells]
             for shard in plan.shards
         ])
-        assert list(report.profile) == (
+        assert list(report.to_dict()["profile"]) == (
             ["sequential"] if in_process
             else ["parent"] + [f"shard-{i}" for i in range(workers)]
         )
@@ -384,8 +385,8 @@ class TestExecutionInvarianceContract:
         two, kept_two = run_everything_on(matrix, tmp_path / "two", workers=2)
         assert one.digest() == two.digest()
         assert cell_files(tmp_path / "one") == cell_files(tmp_path / "two")
-        assert [result.digest() for result in kept_one] == \
-            [result.digest() for result in kept_two]
+        assert [result.to_dict() for result in kept_one] == \
+            [result.to_dict() for result in kept_two]
 
     def test_plain_sweeps_stay_in_process_and_file_free(
         self, tmp_path, monkeypatch

@@ -148,7 +148,7 @@ def test_intersection_query_equals_the_walk(strategy, topology, mode):
     change = Twin(strategy, topology, mode,
                   lambda net, *args: net.query(*args))
     walk = Twin(strategy, topology, mode, walk_every_node_query)
-    nodes = sorted(change.net.node_ids(), key=repr)
+    nodes = sorted(change.net.graph.nodes, key=repr)
     edges = sorted(change.net.graph.edges, key=repr)
     ports = [Port("alpha"), Port("beta")]
     answered = several = 0

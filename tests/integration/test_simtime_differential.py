@@ -33,6 +33,7 @@ from repro.workload import (
     run_scenario,
 )
 from repro.workload.trace import canonical_digest
+from trace_text import dumped
 
 #: The pinned digests, in ``tests/golden/parity.json``: ``simtime_untimed``
 #: was first captured on the pre-simtime tree, ``simtime_timed`` pins the
@@ -104,11 +105,11 @@ class TestUntimedBytesNeverMove:
 
     def test_untimed_result_and_trace_digests_are_pinned(self):
         result = run_scenario(pinned_scenario())
-        assert result.digest() == pinned("simtime_untimed")["result_digest"]
-        assert result.trace.digest() == pinned("simtime_untimed")["trace_digest"]
+        assert canonical_digest(result.to_dict()) == pinned("simtime_untimed")["result_digest"]
+        assert canonical_digest(dumped(result.trace)) == pinned("simtime_untimed")["trace_digest"]
 
     def test_untimed_planner_events_are_pinned(self):
-        # WorkloadResult.digest() leaves plan_cache out, so the planner's
+        # WorkloadResult.to_dict() leaves plan_cache out, so the planner's
         # hit/miss events of a scenario run are pinned on their own.
         assert run_scenario(pinned_scenario()).plan_cache == \
             pinned("simtime_untimed")["plan_cache"]
@@ -136,10 +137,10 @@ class TestTimedRunsStayDeterministic:
     def test_rerun_and_replay_are_byte_identical(self):
         first = run_scenario(self._timed_spec())
         second = run_scenario(self._timed_spec())
-        assert first.digest() == second.digest()
+        assert first.to_dict() == second.to_dict()
         replayed = replay_trace(first.trace)
-        assert replayed.digest() == first.digest()
-        assert replayed.trace.digest() == first.trace.digest()
+        assert replayed.to_dict() == first.to_dict()
+        assert dumped(replayed.trace) == dumped(first.trace)
 
     def test_pricing_does_not_change_behavior(self):
         # The overlay observes messages; it must not alter what happens.
@@ -191,7 +192,7 @@ class TestTimedGoldenPins:
         result = run_scenario(self._golden_spec())
         golden = pinned("simtime_timed")
         assert result.metrics.message_timeouts == golden["message_timeouts"]
-        assert result.digest() == golden["result_digest"]
+        assert canonical_digest(result.to_dict()) == golden["result_digest"]
         assert canonical_digest(result.exemplars) == golden["exemplars_sha256"]
         # Every histogram bucket, every timeline window (the explicit
         # ``admitted: 0`` / ``dropped: 0`` keys included), critical_path_us

@@ -13,6 +13,22 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Tuple
 
 
+FAMILIES = ("hops", "messages", "node_load", "plan_events", "delivered", "dropped")
+
+
+def growth(stats, before) -> Dict[str, Dict[str, int]]:
+    """Each counter family's non-zero growth since ``before`` (a snapshot
+    of the same ledger), as plain ``{family: {label: count}}`` dicts."""
+    return {
+        family: {
+            label: count - getattr(before, family).get(label, 0)
+            for label, count in getattr(stats, family).items()
+            if count != getattr(before, family).get(label, 0)
+        }
+        for family in FAMILIES
+    }
+
+
 def read_ledger(stats) -> Tuple[Dict[str, int], Dict[str, int], Dict[str, int]]:
     """``(sent, delivered, dropped)`` of a network's ledger, copied once."""
     return dict(stats.messages), dict(stats.delivered), dict(stats.dropped)

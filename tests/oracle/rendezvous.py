@@ -31,12 +31,12 @@ def read_sets(strategy, nodes: Iterable[Hashable], port=None) -> Tuple[Sets, Set
     )
 
 
-def read_matrix(matrix) -> Tuple[Sets, Sets, Entries]:
-    """``(P, Q, R)`` of a rendezvous matrix, read once and frozen."""
+def read_matrix(matrix, strategy, port=None) -> Tuple[Sets, Sets, Entries]:
+    """``(P, Q, R)``: ``strategy``'s sets over the matrix's nodes and the
+    matrix's entries, read once and frozen."""
     nodes = matrix.nodes
     return (
-        {i: frozenset(matrix.post_set(i)) for i in nodes},
-        {j: frozenset(matrix.query_set(j)) for j in nodes},
+        *read_sets(strategy, nodes, port),
         {(i, j): frozenset(matrix.entry(i, j)) for i in nodes for j in nodes},
     )
 

@@ -36,7 +36,8 @@ GRID = ManhattanTopology.square(SIDE)
 @pytest.fixture
 def manhattan():
     """``(P, Q, R)`` of row-post / column-query on a 4x4 grid."""
-    return read_matrix(RendezvousMatrix.from_strategy(ManhattanStrategy(GRID), GRID.nodes()))
+    strategy = ManhattanStrategy(GRID)
+    return read_matrix(RendezvousMatrix.from_strategy(strategy, GRID.nodes()), strategy)
 
 
 class TestTheM1Checker:
@@ -83,8 +84,9 @@ class TestTheM1Checker:
 class TestWaste:
     def test_row_and_column_unions_equal_to_p_and_q_waste_nothing(self):
         universe = list(range(16))
-        matrix = RendezvousMatrix.from_strategy(CheckerboardStrategy(universe), universe)
-        assert not is_wasteful(*read_matrix(matrix))
+        strategy = CheckerboardStrategy(universe)
+        matrix = RendezvousMatrix.from_strategy(strategy, universe)
+        assert not is_wasteful(*read_matrix(matrix, strategy))
 
     def test_a_posted_node_no_client_queries_is_waste(self, manhattan):
         post, query, entries = manhattan

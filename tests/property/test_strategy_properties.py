@@ -102,7 +102,7 @@ class TestUniversalInvariants:
     def test_m1_and_propositions_hold(self, data):
         universe, strategy = data
         matrix = RendezvousMatrix.from_strategy(strategy, universe)
-        assert verify_m1(*read_matrix(matrix)) == []
+        assert verify_m1(*read_matrix(matrix, strategy)) == []
         measured_product, product_bound = bounds.verify_proposition1(matrix)
         assert measured_product >= product_bound - 1e-9
         measured_cost, cost_bound = bounds.verify_proposition2(matrix)

@@ -30,6 +30,7 @@ from repro.topologies import (
     MeshTopology,
     TreeTopology,
 )
+from repro.topologies.tree import ROOT
 
 
 class TestManhattanProperties:
@@ -108,7 +109,7 @@ class TestTreeProperties:
         server = data.draw(st.sampled_from(tree.nodes()))
         client = data.draw(st.sampled_from(tree.nodes()))
         meeting = strategy.rendezvous_set(server, client)
-        assert tree.root in meeting
+        assert ROOT in meeting
         depth = 0
         while depth < min(len(server), len(client)) and server[depth] == client[depth]:
             depth += 1

@@ -10,7 +10,7 @@ itself: ``tests/unit/test_cache.py`` drives one of these per node and one
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.types import Address, Port, PostRecord
+from repro.core.types import Port, PostRecord
 
 
 def freshness(record: PostRecord) -> Tuple[int, str]:
@@ -48,19 +48,6 @@ class NodeCache:
             if not per_port:
                 del self._records[port]
 
-    def remove_address(self, address: Address) -> None:
-        """Drop every posting that points at ``address``.
-
-        Used when the simulator learns that the node at ``address`` crashed.
-        """
-        for port in list(self._records):
-            per_port = self._records[port]
-            for server_id in list(per_port):
-                if per_port[server_id].address == address:
-                    del per_port[server_id]
-            if not per_port:
-                del self._records[port]
-
     def clear(self) -> None:
         """Drop everything (e.g. the node itself crashed and restarted)."""
         self._records.clear()
@@ -88,10 +75,6 @@ class NodeCache:
         """Number of stored ``(port, server)`` records — the paper's cache
         size measure."""
         return sum(len(per_port) for per_port in self._records.values())
-
-    def ports(self) -> List[Port]:
-        """All ports with at least one posting."""
-        return [port for port, per_port in self._records.items() if per_port]
 
     def records(self) -> Iterator[PostRecord]:
         """Iterate over every stored record."""

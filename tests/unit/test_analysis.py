@@ -19,7 +19,7 @@ from repro.analysis import (
 class TestTradeoff:
     def test_optimal_split_balanced(self):
         split = optimal_split(100, ratio=1.0)
-        assert split.product >= 100
+        assert split.post_size * split.query_size >= 100
         assert split.post_size + split.query_size <= 21
 
     def test_optimal_split_skews_with_ratio(self):
@@ -28,7 +28,7 @@ class TestTradeoff:
         skewed = optimal_split(256, ratio=16.0)
         assert skewed.query_size < balanced.query_size
         assert skewed.post_size > balanced.post_size
-        assert skewed.product >= 256
+        assert skewed.post_size * skewed.query_size >= 256
 
     def test_optimal_split_validation(self):
         with pytest.raises(ValueError):

@@ -88,13 +88,6 @@ class TestPostingStore:
         store.forget_server(Port("p"), "b", ["n"])
         assert not store.holders(Port("p"))
 
-    def test_forget_address(self, store):
-        store.post(record(port="p", node=1, server="a"), ["n"])
-        store.post(record(port="q", node=1, server="b"), ["n"])
-        store.post(record(port="r", node=2, server="c"), ["n"])
-        store.forget_address("n", Address(1))
-        assert store.ports("n") == [Port("r")]
-
     def test_clear_is_one_node_and_reset_is_all(self):
         store = PostingStore("ab")
         store.post(record(), "ab")
@@ -116,7 +109,7 @@ class TestPostingStore:
         store.post(record(port="b", ts=10, server="y"), ["n"])
         assert store.expire("n", cutoff=1) == 0
         assert store.expire("n", cutoff=2) == 1
-        assert store.ports("n") == [Port("b")]
+        assert set(store.holders(Port("b"))) == {"n"}
         assert not store.holders(Port("a"))
 
     def test_fresh_repost_extends_lifetime(self, store):
@@ -142,8 +135,6 @@ def assert_same_reads(network, reference):
             assert store.lookup(node, port) == cache.lookup(port)
             assert lookup_all(store, node, port) == cache.lookup_all(port)
         assert store.size(node) == len(cache) == network.cache_sizes()[node]
-        assert store.ports(node) == cache.ports()
-        assert list(store.records(node)) == list(cache.records())
     for port in PORTS:
         holders = store.holders(port)
         assert set(holders) == {n for n in NODES if port in reference[n]}
@@ -161,7 +152,7 @@ def test_store_agrees_with_one_reference_cache_per_node(seed):
     reference = {node: NodeCache() for node in NODES}
     clock = 10
     kinds = ["post"] * 8 + [
-        "forget_server", "forget_server", "forget_address",
+        "forget_server", "forget_server",
         "crash", "clear", "expire", "reset",
     ]
     for _ in range(300):
@@ -185,10 +176,6 @@ def test_store_agrees_with_one_reference_cache_per_node(seed):
             store.forget_server(port, server, some)
             for target in some:
                 reference[target].remove_server(port, server)
-        elif kind == "forget_address":
-            address = Address(rng.choice(HOSTS))
-            store.forget_address(node, address)
-            reference[node].remove_address(address)
         elif kind == "crash":
             network.crash_node(node)
             network.recover_node(node)

@@ -77,7 +77,6 @@ class TestCentralized:
         strategy = CentralizedStrategy(UNIVERSE, centre=3)
         assert strategy.post_set(7) == frozenset({3})
         assert strategy.query_set(1) == frozenset({3})
-        assert strategy.centre == 3
 
     def test_matrix_matches_paper_example3(self):
         matrix = RendezvousMatrix.from_strategy(

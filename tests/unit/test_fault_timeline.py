@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from repro.core.types import Port
+from repro.network.delivery import PLAN_MISS
 from repro.network.faults import (
     CRASH_NODE,
     LINK_DOWN,
@@ -14,10 +15,8 @@ from repro.network.faults import (
     FaultEvent,
     FaultPlan,
     FaultTimeline,
-    correlated_failures,
     crash_recover_waves,
     link_flaps,
-    region_partition,
 )
 from repro.network.simulator import Network
 from repro.topologies import ManhattanTopology
@@ -43,7 +42,7 @@ def apply(network, event):
 
 
 def up_nodes(network):
-    return [node for node in network.node_ids() if network.node_is_up(node)]
+    return [node for node in network.graph.nodes if network.node_is_up(node)]
 
 
 class TestFaultEvent:
@@ -70,30 +69,20 @@ class TestFaultTimeline:
             FaultEvent(1.0, RECOVER_NODE, (2,)),
         ])
         assert [event.time for event in timeline] == [0.5, 1.0, 2.0]
-        assert len(timeline) == 3
-        assert timeline.horizon() == 2.0
 
     def test_stable_order_for_simultaneous_events(self):
         first = FaultEvent(1.0, CRASH_NODE, (1,))
         second = FaultEvent(1.0, CRASH_NODE, (2,))
         timeline = FaultTimeline([first, second])
-        assert timeline.events == [first, second]
+        assert list(timeline) == [first, second]
 
-    def test_merged_interleaves(self):
-        a = FaultTimeline([FaultEvent(1.0, CRASH_NODE, (1,))])
-        b = FaultTimeline([FaultEvent(0.5, CRASH_NODE, (2,))])
-        merged = a.merged(b)
-        assert [event.time for event in merged] == [0.5, 1.0]
-        assert len(a) == 1 and len(b) == 1  # inputs untouched
-
-    def test_bool(self):
-        assert not FaultTimeline()
+    def test_iterates_every_event(self):
+        assert list(FaultTimeline()) == []
         timeline = FaultTimeline([
             FaultEvent(0.1, LINK_DOWN, (1, 2)),
             FaultEvent(0.2, LINK_UP, (1, 2)),
             FaultEvent(0.3, LINK_DOWN, (1, 2)),
         ])
-        assert timeline
         assert Counter(event.kind for event in timeline) == {LINK_DOWN: 2, LINK_UP: 1}
 
 
@@ -137,18 +126,6 @@ class TestBuilders:
                 assert down_until.get(node, 0.0) <= event.time
                 down_until[node] = event.time + 2.0
 
-    def test_correlated_do_not_restrike_down_nodes(self, grid, rng):
-        timeline = correlated_failures(
-            grid, rng, shots=8, start=0.0, period=0.3, downtime=1.5,
-            blast_radius=4,
-        )
-        down_until = {}
-        for event in timeline:
-            node = event.subject[0]
-            if event.kind == CRASH_NODE:
-                assert down_until.get(node, 0.0) <= event.time
-                down_until[node] = event.time + 1.5
-
     def test_waves_reject_all_protected(self, grid, rng):
         with pytest.raises(ValueError):
             crash_recover_waves(
@@ -165,93 +142,68 @@ class TestBuilders:
             assert grid.has_edge(*event.subject)
         assert Counter(event.kind for event in timeline) == {LINK_DOWN: 5, LINK_UP: 5}
 
-    def test_partition_cuts_exactly_the_boundary(self, grid, rng):
-        timeline = region_partition(
-            grid, rng, at=1.0, heal_at=2.0, region_size=4, seed_node=(0, 0)
-        )
-        region = set(list(grid.spanning_tree((0, 0)))[:4])
-        downs = [e for e in timeline if e.kind == LINK_DOWN]
-        boundary = [
-            (u, v) for u, v in grid.edges if (u in region) != (v in region)
-        ]
-        assert len(downs) == len(boundary)
-        for event in downs:
-            u, v = event.subject
-            assert (u in region) != (v in region)
-        # Every cut heals at heal_at.
-        ups = {e.subject for e in timeline if e.kind == LINK_UP}
-        assert ups == {e.subject for e in downs}
-
-    def test_partition_actually_disconnects(self, grid, rng):
+    def test_partition_actually_disconnects(self, grid):
         network = Network(grid, delivery_mode="unicast")
-        timeline = region_partition(
-            grid, rng, at=1.0, heal_at=2.0, region_size=4, seed_node=(0, 0)
-        )
-        for event in timeline:
-            if event.kind == LINK_DOWN:
-                apply(network, event)
+        region = {(0, 0), (0, 1), (1, 0), (1, 1)}
+        for u, v in grid.edges:
+            if (u in region) != (v in region):
+                apply(network, FaultEvent(1.0, LINK_DOWN, (u, v)))
         outcome = network.deliver(
             (0, 0), frozenset({(3, 3)}), "post", mode="unicast"
         )
         assert outcome.unreachable == {(3, 3)}
 
-    def test_correlated_blast_is_a_neighbourhood(self, grid, rng):
-        timeline = correlated_failures(
-            grid, rng, shots=1, start=0.0, period=1.0, downtime=0.5,
-            blast_radius=3,
-        )
-        crashed = [e.subject[0] for e in timeline if e.kind == CRASH_NODE]
-        assert 1 <= len(crashed) <= 3
-        epicenter = crashed[0]
-        for node in crashed[1:]:
-            assert node in grid.neighbours(epicenter)
-
 
 class TestFaultsOnANetwork:
     def test_each_event_advances_the_revision(self, grid):
+        # A new revision drops the planner's memo: the same plan misses
+        # again after every event.
         network = Network(grid, delivery_mode="unicast")
-        before = network.faults.revision
+        route = ((0, 0), frozenset({(3, 3)}), "unicast")
+        network.planner.plan(*route)
         for event in [
             FaultEvent(0.0, LINK_DOWN, ((0, 0), (0, 1))),
             FaultEvent(1.0, LINK_UP, ((0, 0), (0, 1))),
             FaultEvent(2.0, CRASH_NODE, ((2, 2),)),
         ]:
             apply(network, event)
-        assert network.faults.revision == before + 3
+            network.planner.plan(*route)
+        assert network.stats.plan_events[PLAN_MISS] == 4
 
     def test_a_crash_empties_the_node_and_liveness_is_the_fault_plan(
         self, grid, rng
     ):
-        # There is one liveness record, FaultPlan.crashed_nodes, and one
+        # There is one liveness record, the fault plan, and one
         # posting store: after every crash/recover event the store holds
         # nothing at a node that has been down, and a reset with nodes down
         # brings everything back up and empty.
         network = Network(grid, delivery_mode="unicast")
         port = Port("svc")
-        network.post((0, 0), port, frozenset(network.node_ids()))
+        network.post((0, 0), port, frozenset(network.graph.nodes))
         assert set(network.cache_sizes().values()) == {1}
         timeline = crash_recover_waves(
             grid, rng, waves=4, wave_size=3, start=0.0, period=1.0,
             downtime=2.5,
         )
         assert sum(event.kind == CRASH_NODE for event in timeline) >= 4
-        ever_down = set()
+        crashed, ever_down = set(), set()
         for index, event in enumerate(timeline):
             apply(network, event)
-            crashed = network.faults.crashed_nodes
+            node = event.subject[0]
+            (crashed.add if event.kind == CRASH_NODE else crashed.discard)(node)
             ever_down |= crashed
-            assert set(up_nodes(network)) == set(network.node_ids()) - crashed
+            assert set(up_nodes(network)) == set(network.graph.nodes) - crashed
             assert network.cache_sizes() == {
-                node: int(node not in ever_down) for node in network.node_ids()
+                node: int(node not in ever_down) for node in network.graph.nodes
             }, f"after event {index}: {event}"
             assert set(network.postings.holders(port)) == (
-                set(network.node_ids()) - ever_down
+                set(network.graph.nodes) - ever_down
             )
         assert ever_down
         network.crash_node((0, 0))
         network.crash_node((3, 3))
         network.reset_for_reuse()
-        assert up_nodes(network) == network.node_ids()
+        assert up_nodes(network) == network.graph.nodes
         assert not network.postings.holders(port)
 
 

@@ -14,13 +14,13 @@ class TestConstruction:
     def test_empty_graph(self):
         graph = Graph()
         assert graph.node_count == 0
-        assert graph.edge_count == 0
+        assert len(graph.edges) == 0
         assert graph.is_connected()
 
     def test_nodes_and_edges_from_constructor(self):
         graph = Graph(nodes=[1, 2, 3], edges=[(1, 2), (2, 3)])
         assert graph.node_count == 3
-        assert graph.edge_count == 2
+        assert len(graph.edges) == 2
 
     def test_add_edge_creates_endpoints(self):
         graph = Graph()
@@ -30,11 +30,11 @@ class TestConstruction:
     def test_self_loops_ignored(self):
         graph = Graph(nodes=[1])
         graph.add_edge(1, 1)
-        assert graph.edge_count == 0
+        assert len(graph.edges) == 0
 
     def test_parallel_edges_collapsed(self):
         graph = Graph(edges=[(1, 2), (2, 1), (1, 2)])
-        assert graph.edge_count == 1
+        assert len(graph.edges) == 1
 
     def test_add_node_idempotent(self):
         graph = Graph()
@@ -114,8 +114,9 @@ class TestConnectivity:
 
     def test_connected_components(self):
         graph = Graph(nodes=[1, 2, 3, 4], edges=[(1, 2), (3, 4)])
-        components = graph.connected_components()
-        assert sorted(sorted(c) for c in components) == [[1, 2], [3, 4]]
+        assert graph.connected_component(2) == {1, 2}
+        assert graph.connected_component(3) == {3, 4}
+        assert not graph.is_connected()
 
     def test_bfs_order_starts_at_source(self, path_graph):
         order = list(path_graph.spanning_tree(3))
@@ -140,7 +141,7 @@ class TestDerivedGraphs:
         graph = Graph(edges=[(1, 2), (2, 3), (3, 4), (4, 1)])
         sub = graph.induced_subgraph([1, 2, 3])
         assert sub.node_count == 3
-        assert sub.edge_count == 2
+        assert len(sub.edges) == 2
 
     def test_induced_subgraph_unknown_node(self):
         with pytest.raises(UnknownNodeError):
@@ -165,7 +166,7 @@ class TestCompleteGraph:
     def test_size_and_edges(self):
         graph = complete_graph(10)
         assert graph.node_count == 10
-        assert graph.edge_count == 45
+        assert len(graph.edges) == 45
 
     def test_every_pair_adjacent(self):
         graph = complete_graph(5)

@@ -29,7 +29,7 @@ class TestHypercubeTopology:
         # n = 2^d, #E = d * 2^(d-1) as stated in section 3.2.
         cube = HypercubeTopology(4)
         assert cube.node_count == 16
-        assert cube.edge_count == 4 * 2**3
+        assert len(cube.graph.edges) == 4 * 2**3
 
     def test_every_degree_is_d(self):
         cube = HypercubeTopology(5)

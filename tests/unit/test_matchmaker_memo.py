@@ -36,7 +36,7 @@ def network():
 
 class TestMemoization:
     def test_repeated_locates_hit_the_strategy_once(self, network, port):
-        strategy = CountingStrategy(network.node_ids())
+        strategy = CountingStrategy(network.graph.nodes)
         matchmaker = MatchMaker(network, strategy)
         matchmaker.register_server(3, port)
         for _ in range(10):
@@ -47,7 +47,7 @@ class TestMemoization:
         assert info["misses"] == 2  # one post set, one query set
 
     def test_distinct_nodes_get_distinct_entries(self, network, port):
-        strategy = CountingStrategy(network.node_ids())
+        strategy = CountingStrategy(network.graph.nodes)
         matchmaker = MatchMaker(network, strategy)
         matchmaker.register_server(3, port)
         for client in (1, 2, 1, 2):
@@ -59,7 +59,7 @@ class TestMemoization:
         # A/B): on complete:64 only the 64 distinct query sets plus the one
         # post set are ever computed, however many locates run.
         network = Network(CompleteTopology(64).graph, delivery_mode="ideal")
-        strategy = CountingStrategy(network.node_ids())
+        strategy = CountingStrategy(network.graph.nodes)
         matchmaker = MatchMaker(network, strategy)
         matchmaker.register_server(5, port)
         for i in range(6_000):
@@ -70,7 +70,7 @@ class TestMemoization:
         }
 
     def test_nondeterministic_strategy_never_memoized(self, network, port):
-        universe = network.node_ids()
+        universe = network.graph.nodes
         calls = []
 
         def post(node):
@@ -89,7 +89,7 @@ class TestMemoization:
         assert matchmaker.pq_cache_info()["entries"] == 0
 
     def test_port_dependent_strategy_keyed_by_port(self, network):
-        strategy = HashLocateStrategy(network.node_ids(), replicas=1)
+        strategy = HashLocateStrategy(network.graph.nodes, replicas=1)
         assert strategy.port_dependent
         matchmaker = MatchMaker(network, strategy)
         port_a, port_b = Port("svc-a"), Port("svc-b")
@@ -102,13 +102,13 @@ class TestMemoization:
         assert matchmaker.pq_cache_info()["entries"] == 4
 
     def test_memoized_results_match_strategy(self, network, port):
-        strategy = CheckerboardStrategy(network.node_ids())
+        strategy = CheckerboardStrategy(network.graph.nodes)
         matchmaker = MatchMaker(network, strategy)
-        for node in network.node_ids():
+        for node in network.graph.nodes:
             assert matchmaker.post_set(node, port) == strategy.post_set(node, port)
             assert matchmaker.query_set(node, port) == strategy.query_set(node, port)
         # Second sweep is pure cache hits.
         before = matchmaker.pq_cache_info()["hits"]
-        for node in network.node_ids():
+        for node in network.graph.nodes:
             matchmaker.post_set(node, port)
         assert matchmaker.pq_cache_info()["hits"] == before + network.size

@@ -70,7 +70,6 @@ class TestSpanRecorder:
         tracer.end(second)
         assert tracer.spans[first].clock == 0.0
         assert tracer.spans[second].clock == 2.5
-        assert tracer.clock == 2.5
 
     def test_jsonl_round_trip_is_byte_identical(self, tmp_path):
         tracer = SpanRecorder()
@@ -169,27 +168,22 @@ class TestPhaseProfile:
         profile = PhaseProfile("worker")
         profile.add(CELL_RUN, 0.5)
         profile.add(CELL_RUN, 0.25, count=2)
-        assert profile.seconds(CELL_RUN) == pytest.approx(0.75)
-        assert profile.count(CELL_RUN) == 3
-        assert bool(profile)
-        assert not PhaseProfile("empty")
+        assert profile.to_dict()["phases"] == {
+            CELL_RUN: {"seconds": 0.75, "count": 3}
+        }
+        assert PhaseProfile("empty").to_dict()["phases"] == {}
 
     def test_phase_context_charges_elapsed_time(self):
         profile = PhaseProfile()
         with profile.phase("work"):
             pass
-        assert profile.count("work") == 1
-        assert profile.seconds("work") >= 0.0
+        charged = profile.to_dict()["phases"]["work"]
+        assert charged["count"] == 1 and charged["seconds"] >= 0.0
 
-    def test_merge_adds_and_pickles(self):
+    def test_pickles(self):
         a = PhaseProfile("a")
         a.add("x", 1.0)
-        b = PhaseProfile("b")
-        b.add("x", 0.5, count=2)
-        b.add("y", 0.25)
-        a.merge(b)
-        assert a.seconds("x") == pytest.approx(1.5)
-        assert a.count("x") == 3
+        a.add("y", 0.25, count=2)
         # A worker hands its profile back to the parent by pickling it.
         rebuilt = pickle.loads(pickle.dumps(a))
         assert rebuilt.to_dict() == a.to_dict()
@@ -201,7 +195,7 @@ class TestPhaseProfile:
             pass
         with timed(None, "build"):  # profiling off: charged to nobody
             pass
-        assert profile.count("build") == 1
+        assert profile.to_dict()["phases"]["build"]["count"] == 1
 
 
 def _registry(requests, hop_samples):

@@ -19,10 +19,6 @@ class TestProcess:
     def test_unique_pids(self):
         assert Process(1).pid != Process(1).pid
 
-    def test_address_follows_node(self):
-        process = Process(4)
-        assert process.address == Address(4)
-
     def test_kill_and_require_alive(self):
         process = Process(1)
         process.kill()

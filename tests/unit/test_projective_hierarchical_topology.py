@@ -79,7 +79,7 @@ class TestHierarchicalTopology:
     def test_uniform_factory(self):
         topo = HierarchicalTopology.uniform(3, 3)
         assert topo.node_count == 27
-        assert topo.branching == (3, 3, 3)
+        assert topo.levels == 3
 
     def test_level_members_level1_is_cluster(self):
         topo = HierarchicalTopology([3, 2])

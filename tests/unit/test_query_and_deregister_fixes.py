@@ -13,6 +13,7 @@
 from types import SimpleNamespace
 
 import pytest
+from oracle.ledger import growth
 
 from repro.core.matchmaker import MatchMaker
 from repro.core.types import Port
@@ -39,9 +40,9 @@ class TestEachHolderAnswersOnce:
         assert outcome.responding_nodes == {1, 2, 3}
         # One posting, three holders: one (equal) record and one reply each.
         assert len(outcome.records) == 3 and len(set(outcome.records)) == 1
-        spent = net.stats.diff(before)
-        assert spent.messages["reply"] == spent.delivered["reply"] == 3
-        assert outcome.reply_hops == spent.hops["reply"] == 3
+        spent = growth(net.stats, before)
+        assert spent["messages"]["reply"] == spent["delivered"]["reply"] == 3
+        assert outcome.reply_hops == spent["hops"]["reply"] == 3
 
     def test_reached_nodes_without_the_port_stay_silent(self, net, port):
         net.post(0, port, frozenset({1, 4}))  # 4 holds it but is not asked
@@ -51,7 +52,7 @@ class TestEachHolderAnswersOnce:
         assert outcome.queried_nodes == {1, 2, 3}
         assert outcome.responding_nodes == {1}
         assert len(outcome.records) == 1
-        assert net.stats.diff(before).messages["reply"] == 1
+        assert growth(net.stats, before)["messages"]["reply"] == 1
 
 
 class TestUnreachableReplyEviction:
@@ -105,13 +106,13 @@ class TestUnreachableReplyEviction:
 
 class TestDeregisterDownNode:
     def test_deregister_skips_unpost_when_node_down(self, net, port):
-        matchmaker = MatchMaker(net, CheckerboardStrategy(net.node_ids()))
+        matchmaker = MatchMaker(net, CheckerboardStrategy(net.graph.nodes))
         registration = matchmaker.register_server(0, port)
         net.crash_node(0)
         matchmaker.deregister_server(registration)  # must not raise
 
     def test_migrate_from_down_node_reposts_fresh(self, net, port):
-        matchmaker = MatchMaker(net, CheckerboardStrategy(net.node_ids()))
+        matchmaker = MatchMaker(net, CheckerboardStrategy(net.graph.nodes))
         registration = matchmaker.register_server(0, port)
         net.crash_node(0)
         fresh = matchmaker.migrate_server(registration, 3)
@@ -123,7 +124,7 @@ class TestDeregisterDownNode:
         assert result.address.node == 3
 
     def test_deregister_still_unposts_when_node_up(self, net, port):
-        matchmaker = MatchMaker(net, CheckerboardStrategy(net.node_ids()))
+        matchmaker = MatchMaker(net, CheckerboardStrategy(net.graph.nodes))
         registration = matchmaker.register_server(0, port)
         matchmaker.deregister_server(registration)
         assert not matchmaker.locate(4, port).found

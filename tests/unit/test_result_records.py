@@ -91,7 +91,6 @@ class TestDerivedValues:
     def test_match_result_properties(self):
         result = MatchResult(*CASES[1][2])
         assert result.match_messages == 8
-        assert result.addressed_nodes == 8
 
     def test_query_outcome_found_and_freshest(self):
         older = PostRecord(Port("svc"), Address(9), timestamp=1, server_id="t")

@@ -24,7 +24,9 @@ class TestScheduleValidation:
         kernel = SimKernel()
         with pytest.raises(ValueError):
             kernel.schedule(at, "message")
-        assert kernel.pending == 0
+        fired = []
+        kernel.run(lambda *event: fired.append(event))
+        assert fired == []
 
     def test_zero_is_a_valid_time(self):
         kernel = SimKernel()
@@ -91,7 +93,7 @@ class TestOrdering:
 
 class TestClock:
     def test_now_starts_at_zero(self):
-        assert SimKernel().now == 0.0
+        assert SimKernel().run(ignore) == 0
 
     def test_now_never_moves_backward(self):
         # An event may be scheduled before `now` (late-scheduled but
@@ -106,9 +108,8 @@ class TestClock:
                 kernel.schedule(2.0, "early")
 
         kernel.schedule(5.0, "late")
-        kernel.run(handler)
+        assert kernel.run(handler) == 5.0
         assert seen == [5.0, 2.0]
-        assert kernel.now == 5.0
 
     def test_run_accumulates_across_batches(self):
         kernel = SimKernel()
@@ -117,10 +118,12 @@ class TestClock:
         kernel.schedule(4.0, "message")
         assert kernel.run(ignore) == 4.0
 
-    def test_pending_counter(self):
+    def test_run_drains_what_is_pending(self):
         kernel = SimKernel()
         kernel.schedule(1.0, "message")
         kernel.schedule(2.0, "message")
-        assert kernel.pending == 2
-        kernel.run(ignore)
-        assert kernel.pending == 0
+        fired = []
+        kernel.run(lambda *event: fired.append(event))
+        assert len(fired) == 2
+        kernel.run(lambda *event: fired.append(event))
+        assert len(fired) == 2

@@ -53,19 +53,6 @@ class TestLinkTiming:
 
 
 class TestTimeModelSpec:
-    def test_defaults_and_label(self):
-        model = TimeModelSpec()
-        assert model.label == "tm(l0.001)"
-
-    def test_label_encodes_every_active_knob(self):
-        model = TimeModelSpec(
-            default_link=LinkTiming(latency=0.002, jitter=0.001, capacity=2),
-            link_overrides=(("a<->b", LinkTiming(latency=0.05)),),
-            node_service=0.0005,
-            timeout=0.2,
-        )
-        assert model.label == "tm(l0.002,j0.001,c2,s0.0005,to0.2,o1)"
-
     def test_rejects_negative_service_and_timeout(self):
         with pytest.raises(ValueError):
             TimeModelSpec(node_service=-1.0)

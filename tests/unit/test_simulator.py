@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.exceptions import NodeDownError, UnknownNodeError
 from repro.core.types import Address, Port
+from repro.network.delivery import PLAN_HIT, PLAN_MISS
 from repro.network.routing import RoutingTable
 from repro.network.simulator import DELIVERY_MODES, Network
 from repro.network.stats import PAYLOAD, POST, QUERY, REPLY
@@ -33,7 +34,7 @@ class TestConstruction:
 
     def test_size_and_node_ids(self, complete_net):
         assert complete_net.size == 9
-        assert complete_net.node_ids() == list(range(9))
+        assert complete_net.graph.nodes == list(range(9))
         for ask in (complete_net.node_is_up, complete_net.crash_node,
                     complete_net.recover_node):
             with pytest.raises(UnknownNodeError):
@@ -241,7 +242,7 @@ class TestOneStoreOneRow:
         store = complete_net.postings
         assert set(store.holders(port)) == {3, 4}
         assert store.lookup(3, port).address == Address(1)
-        assert store.ports(4) == [port] and store.ports(5) == []
+        assert store.size(4) == 1 and store.size(5) == 0
         complete_net.unpost(1, port, targets=[3], server_id="s")
         assert set(store.holders(port)) == {4}
 
@@ -273,7 +274,7 @@ class TestFaultsAndPayload:
 
     def test_only_the_crashed_node_is_down(self, complete_net):
         complete_net.crash_node(2)
-        nodes = complete_net.node_ids()
+        nodes = complete_net.graph.nodes
         assert [node for node in nodes if not complete_net.node_is_up(node)] == [2]
 
     def test_cache_sizes_and_max(self, complete_net):
@@ -304,17 +305,17 @@ class TestLinkValidation:
     def test_a_link_that_is_not_an_edge_raises_and_moves_nothing(
         self, net, action, link
     ):
+        route = ((0, 0), frozenset({(3, 3)}), "unicast")
+        net.planner.plan(*route)
         with pytest.raises(UnknownNodeError) as raised:
             getattr(net, action)(*link)
         assert raised.value.args == UnknownNodeError(link).args
-        assert net.faults.revision == net.planner.revision == 0
-        assert not net.faults.failed_links
+        net.planner.plan(*route)  # the revision kept: the memo still serves
+        assert net.stats.plan_events == {PLAN_MISS: 1, PLAN_HIT: 1}
+        assert net.planner.routing_table() is net.routing  # no fault active
 
     def test_restoring_a_failed_edge_moves_the_revision(self, net):
         net.fail_link((0, 0), (0, 1))
-        net.planner.routing_table()
-        assert net.planner.revision == 1
+        assert net.planner.routing_table() is not net.routing
         net.restore_link((0, 1), (0, 0))
-        assert not net.faults.failed_links
-        net.planner.routing_table()
-        assert net.planner.revision == 2
+        assert net.planner.routing_table() is net.routing

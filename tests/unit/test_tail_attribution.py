@@ -125,11 +125,11 @@ class TestTimelineMergeAlgebra:
 
 
 class TestSloSpec:
-    def test_defaults_and_label(self):
+    def test_defaults(self):
         slo = SloSpec()
         assert slo.latency_objective == 0.01
         assert slo.latency_target == 0.99
-        assert "p0.99<0.01s@0.5s" == slo.label
+        assert slo.window == 0.5
 
     def test_validation(self):
         with pytest.raises(ValueError):

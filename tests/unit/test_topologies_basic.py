@@ -1,18 +1,18 @@
-"""Unit tests for complete, ring, star topologies and the Topology base."""
+"""Unit tests for complete and ring topologies and the Topology base."""
 
 import pytest
 from oracle.graph import diameter
 
 from repro.core.exceptions import TopologyError
 from repro.network.simulator import Network
-from repro.topologies import CompleteTopology, RingTopology, StarTopology
+from repro.topologies import CompleteTopology, RingTopology
 
 
 class TestCompleteTopology:
     def test_size_and_edges(self):
         topo = CompleteTopology(7)
         assert topo.node_count == 7
-        assert topo.edge_count == 21
+        assert len(topo.graph.edges) == 21
 
     def test_diameter_one(self):
         assert diameter(CompleteTopology(5).graph) == 1
@@ -26,9 +26,6 @@ class TestCompleteTopology:
         assert isinstance(network, Network)
         assert network.size == 4
 
-    def test_name(self):
-        assert CompleteTopology(5).name == "complete-5"
-
 
 class TestRingTopology:
     def test_every_node_degree_two(self):
@@ -37,7 +34,7 @@ class TestRingTopology:
 
     def test_edge_count_equals_node_count(self):
         ring = RingTopology(8)
-        assert ring.edge_count == 8
+        assert len(ring.graph.edges) == 8
 
     def test_diameter_half_of_n(self):
         assert diameter(RingTopology(10).graph) == 5
@@ -51,34 +48,7 @@ class TestRingTopology:
         assert RingTopology(25).graph.is_connected()
 
 
-class TestStarTopology:
-    def test_hub_degree(self):
-        star = StarTopology(10, hub=0)
-        assert star.graph.degree(0) == 9
-        assert all(star.graph.degree(i) == 1 for i in range(1, 10))
-
-    def test_custom_hub(self):
-        star = StarTopology(5, hub=3)
-        assert star.hub == 3
-        assert star.graph.degree(3) == 4
-
-    def test_invalid_hub(self):
-        with pytest.raises(TopologyError):
-            StarTopology(5, hub=9)
-
-    def test_minimum_size(self):
-        with pytest.raises(TopologyError):
-            StarTopology(1)
-
-    def test_diameter_two(self):
-        assert diameter(StarTopology(6).graph) == 2
-
-
 class TestTopologyBase:
     def test_nodes_listing(self):
         topo = CompleteTopology(3)
         assert sorted(topo.nodes()) == [0, 1, 2]
-
-    def test_repr_contains_counts(self):
-        text = repr(CompleteTopology(3))
-        assert "n=3" in text

@@ -32,6 +32,7 @@ from repro.topologies import (
     UUCPNetworkGenerator,
     decompose,
 )
+from repro.topologies.tree import ROOT
 
 
 class TestManhattanStrategy:
@@ -306,7 +307,7 @@ class TestTreePathStrategy:
         tree = TreeTopology.balanced(2, 3)
         strategy = TreePathStrategy(tree)
         posters_at_root = [
-            node for node in tree.nodes() if tree.root in strategy.post_set(node)
+            node for node in tree.nodes() if ROOT in strategy.post_set(node)
         ]
         assert len(posters_at_root) == tree.node_count
 

@@ -113,7 +113,6 @@ class TestMatchResult:
             nodes_queried=3,
         )
         assert result.match_messages == 8
-        assert result.addressed_nodes == 8
 
     def test_not_found_defaults(self):
         result = MatchResult(found=False)

@@ -86,4 +86,4 @@ def test_growth_matches_the_linear_scan(bias, locality):
         assert {
             node: (topology.path_to_root(node) + [node])[1] for node in parent
         } == parent
-        assert topology.extra_edge_count == added
+        assert len(topology.graph.edges) == 119 + added
