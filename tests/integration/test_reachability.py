@@ -13,8 +13,10 @@ is then live too.  Reach goes by name, not scope: two definitions sharing a
 name are kept together, which errs towards keeping code.  That is its blind
 spot: ``MatchMaker.average_cost``, which only tests called, stayed alive
 through ``RendezvousMatrix.average_cost``.  ``tests/oracle/reach.py`` traces
-calls instead and lists what no user surface runs.  A subpackage's
-``__all__`` roots nothing.  There is no allow-list: a checker only tests
+calls instead and lists what no user surface runs; CI's ``reachability``
+job fails unless that list equals ``tests/oracle/reach_expected.txt``,
+which may only shrink.  A subpackage's ``__all__`` roots nothing.  There
+is no allow-list: a checker only tests
 need lives in ``tests/oracle/``; anything else is deleted, or rooted
 because a user surface needs it.  It reads ``benchmarks/`` and
 ``examples/`` as well as the package, so it runs as a test of the

@@ -10,23 +10,15 @@ per-destination categories are checked by default.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, Mapping, Tuple
-
-
-FAMILIES = ("hops", "messages", "node_load", "plan_events", "delivered", "dropped")
 
 
 def growth(stats, before) -> Dict[str, Dict[str, int]]:
     """Each counter family's non-zero growth since ``before`` (a snapshot
-    of the same ledger), as plain ``{family: {label: count}}`` dicts."""
-    return {
-        family: {
-            label: count - getattr(before, family).get(label, 0)
-            for label, count in getattr(stats, family).items()
-            if count != getattr(before, family).get(label, 0)
-        }
-        for family in FAMILIES
-    }
+    of the same ledger; counters only grow), as plain dicts."""
+    families = ("hops", "messages", "node_load", "plan_events", "delivered", "dropped")
+    return {f: dict(Counter(getattr(stats, f)) - Counter(getattr(before, f))) for f in families}
 
 
 def read_ledger(stats) -> Tuple[Dict[str, int], Dict[str, int], Dict[str, int]]:

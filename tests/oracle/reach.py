@@ -7,9 +7,11 @@ This audit goes by calls: it runs each user surface (every example, ``python
 then ``pytest tests``, under a ``sys.settrace`` hook a ``sitecustomize`` on
 ``PYTHONPATH`` installs (not ``setprofile``: the ledger smoke test's
 ``cProfile`` takes that hook mid-run), and prints every definition no
-surface called: ``tests-only`` if a test did, else ``never``.  A subprocess
+surface called: ``tests-only`` if a test did, else ``never``.  A traced run
+that exits non-zero stops it with an error naming the run.  A subprocess
 that replaces ``PYTHONPATH`` runs untraced.  Run ``python
-tests/oracle/reach.py`` (stdlib only; several minutes).
+tests/oracle/reach.py`` (stdlib only; about two minutes).  CI compares its
+output, line numbers dropped, with ``tests/oracle/reach_expected.txt``.
 """
 
 import ast, os, subprocess, sys, tempfile  # noqa: E401
@@ -41,7 +43,11 @@ TESTS = [["-m", "pytest", "-q", "-p", "no:cacheprovider", "tests"]]
 
 
 def called(hook_dir: str, runs) -> set:
-    """``file:first line`` of every ``src/repro`` code object ``runs`` called."""
+    """``file:first line`` of every ``src/repro`` code object ``runs`` called.
+
+    A run that exits non-zero stops the audit (``SystemExit`` naming it):
+    what a crashed surface never got to call is not unreached.
+    """
     with tempfile.TemporaryDirectory() as out:
         env = dict(os.environ, REACH_SRC=str(SRC), REACH_OUT=out,
                    PYTHONPATH=os.pathsep.join([hook_dir, str(ROOT / "src")]))
@@ -49,6 +55,8 @@ def called(hook_dir: str, runs) -> set:
             code = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
             print(f"# exit {code}: {' '.join(argv)}", file=sys.stderr)
+            if code:
+                raise SystemExit(f"reach.py: traced run exited {code}: {' '.join(argv)}")
         return {line for log in Path(out).iterdir() for line in log.read_text().split()}
 
 

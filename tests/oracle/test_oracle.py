@@ -19,6 +19,7 @@ from repro.strategies import (
 )
 from repro.topologies import ManhattanTopology
 
+from oracle import reach
 from oracle.ledger import conservation_violations
 from oracle.rendezvous import (
     guarantees_match,
@@ -117,3 +118,9 @@ def test_the_checkers_share_no_code_with_what_they_check():
         for alias in node.names
     }
     assert checkers and not any(name.split(".")[0] == "repro" for name in imported)
+
+
+def test_the_reach_audit_stops_at_a_run_that_fails(tmp_path):
+    with pytest.raises(SystemExit) as stopped:
+        reach.called(str(tmp_path), [["-c", "raise SystemExit(3)"]])
+    assert str(stopped.value) == "reach.py: traced run exited 3: -c raise SystemExit(3)"

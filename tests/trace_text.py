@@ -1,10 +1,8 @@
-"""A trace's serialized stream, the bytes that trace identity is."""
-
+"""What ``Trace.dump`` writes: a trace's identity, as text."""
 import io
 
 
 def dumped(trace) -> str:
-    """What ``trace.dump`` writes: the scenario header and one op a line."""
     buffer = io.StringIO()
     trace.dump(buffer)
     return buffer.getvalue()

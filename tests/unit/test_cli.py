@@ -157,6 +157,29 @@ class TestIncremental:
         assert "--no-cache" in capsys.readouterr().err
         assert not (tmp_path / "cache").exists()
 
+    def test_a_poisoned_cache_dir_exits_two_naming_it(self, tmp_path, capsys):
+        grid, cache = tmp_path / "grid.json", tmp_path / "cache"
+        grid.write_text(json.dumps(dataclasses.replace(
+            MATRIX, name="p", topologies=("complete:9",),
+            strategies=("checkerboard", "centralized"),
+        ).to_dict()))
+        args = ["matrix", str(grid), "--digest", "--no-progress",
+                "--cache-dir", str(cache)]
+        assert main(args) == 0
+        # Checkerboard served, centralized recomputed: the warm-up replay tells.
+        for entry in cache.rglob("*.json"):
+            payload = json.loads(entry.read_text())
+            if payload["cell"]["strategy"] == "checkerboard":
+                payload["cell"]["summary"]["requests"] += 1
+                entry.write_text(json.dumps(payload))
+            else:
+                entry.unlink()
+        capsys.readouterr()
+        assert main(args) == 2
+        assert ("error: cache entry for cell 'p/complete:9/checkerboard/none' "
+                "does not match its recomputation — the cache dir "
+                f"{cache} is poisoned") in capsys.readouterr().err
+
     def test_repeat_below_one_exits_two(self, matrix_file):
         assert main([
             "matrix", str(matrix_file), "--no-progress", "--repeat", "0",
@@ -214,7 +237,68 @@ class TestReplay:
         assert main(["replay", str(trace), "--expect", str(out)]) == 1
 
 
+    def test_a_cell_trace_replays_to_its_report_entry(
+        self, matrix_file, tmp_path, capsys
+    ):
+        traces, report = tmp_path / "traces", tmp_path / "report.json"
+        assert main(["matrix", str(matrix_file), "--traces", str(traces),
+                     "--report", str(report), "--no-progress"]) == 0
+        assert sorted(p.name for p in traces.iterdir()) == ["cell-0000.jsonl", "cell-0001.jsonl"]
+        capsys.readouterr()
+        assert main(["replay", str(traces / "cell-0001.jsonl")]) == 0
+        replayed = json.loads(capsys.readouterr().out)
+        cell = json.loads(report.read_text())["cells"][1]
+        assert replayed["summary"] == cell["summary"]
+        assert replayed["spec"]["topology"] == cell["topology"] == "manhattan:3"
+
+
+def timed_export(tmp_path, seed):
+    """``repro run --obs`` of :data:`SPEC` with a time model and ``seed``."""
+    spec_path, obs_dir = tmp_path / f"{seed}.json", tmp_path / f"obs-{seed}"
+    timed = dataclasses.replace(SPEC, seed=seed, time_model=TimeModelSpec())
+    spec_path.write_text(json.dumps(encode(timed)))
+    assert main(["run", str(spec_path), "--obs", str(obs_dir)]) == 0
+    return str(obs_dir)
+
+
 class TestObs:
+    def test_attribute_prints_each_critical_path_table(self, tmp_path, capsys):
+        obs_dir = timed_export(tmp_path, 31)
+        capsys.readouterr()
+        assert main(["obs", "attribute", obs_dir, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert main(["obs", "attribute", obs_dir]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        overall, tail = report["overall"], report["tail"]
+        assert lines[0].startswith(f"latency: count={SPEC.operations}  p50=")
+        assert lines[1] == f"critical path, all requests (total {overall['total_us']:,} us):"
+        top = overall["contributors"][0]
+        assert lines[2].strip().startswith(top["key"])  # keys hold spaces
+        assert lines[2].split()[-3:] == [
+            f"{top['us']:,}", "us", f"{100 * top['share']:.2f}%",
+        ]
+        assert (f"critical path, slowest {tail['exemplars']} exemplars "
+                f"(total {tail['total_us']:,} us):") in lines
+
+    def test_diff_attribute_ranks_what_moved(self, tmp_path, capsys):
+        dirs = [timed_export(tmp_path, seed) for seed in (31, 32)]
+        capsys.readouterr()
+        assert main(["obs", "diff", *dirs, "--attribute", "--json"]) == 0
+        diff = json.loads(capsys.readouterr().out)
+        assert main(["obs", "diff", *dirs, "--attribute"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        latency, moved = diff["latency"], diff["overall"]["contributors"]
+        assert lines[0] == (
+            f"p99: {latency['a']['p99']}us -> {latency['b']['p99']}us"
+            f"  ({latency['delta_p99_us']:+,}us)"
+        )
+        assert moved, "two seeds must price differently"
+        assert lines[2].strip().startswith(moved[0]["key"])
+        assert lines[2].split()[-5:] == [
+            f"{moved[0]['a_us']:,}", "->", f"{moved[0]['b_us']:,}", "us",
+            f"({moved[0]['delta_us']:+,})",
+        ]
+
     def test_run_obs_export_then_summarize(self, spec_file, tmp_path, capsys):
         obs_dir = tmp_path / "obs"
         assert main(["run", str(spec_file), "--obs", str(obs_dir)]) == 0
