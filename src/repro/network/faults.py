@@ -11,8 +11,8 @@ subnetwork is ever copied.
 A static fault *set* only captures one instant.  :class:`FaultTimeline`
 extends the model to time: an ordered program of :class:`FaultEvent`\\ s
 (crash/recover waves, link flaps) that a consumer advances against a live
-network, moving the
-:class:`FaultPlan` — and therefore the delivery planner's revision — mid-run.
+network, moving the :class:`FaultPlan` — and therefore the delivery
+planner's revision — mid-run.
 The builder functions at the bottom of this module generate the standard
 regimes from a graph and a seeded generator.
 """

@@ -12,15 +12,15 @@ like a production service — hop percentiles, cache hit rates, per-node load
 — with byte-exact trace record/replay for reproducibility.
 
 Beyond single scenarios, :class:`FaultRegimeSpec` schedules substrate fault
-timelines (crash/recover waves, link flaps, region partitions, correlated
-failures) that advance the fault-plan revision mid-run, and the
-scenario-matrix engine (:class:`MatrixSpec` / :func:`run_matrix`) expands
-topology × strategy × fault-regime grids into cells that share one network
-per topology and aggregate into a comparable :class:`MatrixReport`.  Every
-cell's random streams derive from a stable hash of its grid coordinates
-(:func:`stable_seed`), so ``run_matrix(..., workers=N)`` can shard the grid
-across worker processes (see :mod:`repro.exec`) and merge a report
-byte-identical to the sequential run.
+timelines (crash/recover waves, link flaps) that advance the fault-plan
+revision mid-run, and the scenario-matrix engine (:class:`MatrixSpec` /
+:func:`run_matrix`) expands topology × strategy × fault-regime grids into
+cells that share one network per topology and aggregate into a comparable
+:class:`MatrixReport`.  Every cell's random streams derive from a stable
+hash of its grid coordinates (:func:`stable_seed`), so
+``run_matrix(..., workers=N)`` can shard the grid across worker processes
+(see :mod:`repro.exec`) and merge a report byte-identical to the
+sequential run.
 
 Quick start::
 

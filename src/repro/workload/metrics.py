@@ -66,7 +66,7 @@ class WorkloadMetrics:
         #: Resolved population-churn events by kind.
         self.churn_events: CounterMap = registry.counter_map("churn_events")
         #: Substrate fault-timeline events executed during the run (crash
-        #: waves, link flaps, partitions...), by trace-op kind.  Separate
+        #: waves, link flaps), by trace-op kind.  Separate
         #: from ``churn_events``, which counts population churn.
         self.fault_events: CounterMap = registry.counter_map("fault_events")
         #: Hops spent on match-making (query + reply) per request.

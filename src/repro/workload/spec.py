@@ -455,8 +455,9 @@ def build_fault_timeline(
     """Materialize a declarative fault regime against a concrete graph.
 
     All random choices (which nodes a wave fells, which links flap) come
-    from ``rng``, so the same regime + seed yields the same timeline.  ``protected`` nodes — client hosts, whose death would
-    abort the request stream — are never crashed; links around them may
-    still fail, which only costs availability.
+    from ``rng``, so the same regime + seed yields the same timeline.
+    ``protected`` nodes — client hosts, whose death would abort the
+    request stream — are never crashed; links around them may still fail,
+    which only costs availability.
     """
     return FAULT_REGIMES[regime.kind][1](regime, graph, rng, protected)

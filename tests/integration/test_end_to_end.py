@@ -127,7 +127,8 @@ class TestHopAccountingConsistency:
         result = matchmaker.match_instance((0, 0), (4, 4), PORT)
         self_posts = 1 if (0, 0) in strategy.post_set((0, 0)) else 0
         self_queries = 1 if (4, 4) in strategy.query_set((4, 4)) else 0
-        assert result.match_messages == result.nodes_posted + result.nodes_queried - self_posts - self_queries
+        addressed = result.nodes_posted + result.nodes_queried
+        assert result.match_messages == addressed - self_posts - self_queries
 
     def test_multicast_mode_never_cheaper_than_spanning_tree(self):
         topo = ManhattanTopology.square(5)
