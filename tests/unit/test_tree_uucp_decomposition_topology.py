@@ -68,12 +68,12 @@ class TestTreeTopology:
     def test_factorial_profile_fanouts(self):
         # d(i) = max(2, round(i)) for i = 4..1 from the root down.
         tree = TreeTopology.factorial_profile(4)
-        assert list(fanouts(tree)) == [4, 3, 2, 2]
+        assert fanouts(tree) == [4, 3, 2, 2]
 
     def test_exponential_profile_fanouts(self):
         # d(i) = max(2, round(2^i)) for i = 3..1 from the root down.
         tree = TreeTopology.exponential_profile(3)
-        assert list(fanouts(tree)) == [8, 4, 2]
+        assert fanouts(tree) == [8, 4, 2]
 
     def test_invalid_branching(self):
         with pytest.raises(TopologyError):
