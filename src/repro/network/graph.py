@@ -167,8 +167,10 @@ class Graph:
         """Raise :class:`DisconnectedGraphError` unless the graph is
         connected."""
         if not self.is_connected():
+            source = next(iter(self._adjacency))
             raise DisconnectedGraphError(
-                f"graph with {self.node_count} nodes is not connected"
+                f"graph with {self.node_count} nodes is not connected: only "
+                f"{len(self.connected_component(source))} are reachable from {source!r}"
             )
 
     # -- derived graphs ----------------------------------------------------

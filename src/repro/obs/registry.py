@@ -100,16 +100,20 @@ class Histogram:
         """The fixed bucket upper bounds, or ``None`` for exact mode."""
         return self._buckets
 
+    def _slot(self, value: int) -> int:
+        """The bucket key a sample of ``value`` is counted under."""
+        buckets = self._buckets
+        if not buckets:  # exact mode (or no bounds at all)
+            return value
+        index = bisect_left(buckets, value)
+        # Overflow bucket: one past the last bound marks "beyond all bounds".
+        return buckets[index] if index < len(buckets) else buckets[-1] + 1
+
     def add(self, value: int, count: int = 1) -> None:
-        """Record ``count`` samples of ``value`` under its bucket key: the
-        value itself in exact mode, else its bucket's upper bound."""
+        """Record ``count`` samples of ``value``."""
         if value < 0 or count < 1:
             raise ValueError("value must be >= 0 and count >= 1")
-        slot, buckets = value, self._buckets
-        if buckets:
-            index = bisect_left(buckets, value)
-            # Overflow bucket: one past the last bound marks "beyond all bounds".
-            slot = buckets[index] if index < len(buckets) else buckets[-1] + 1
+        slot = self._slot(value) if self._buckets else value
         self._counts[slot] += count
         self._total += count
         self._sum += value * count

@@ -67,5 +67,6 @@ class TopologyStrategy(MatchMakingStrategy):
     def _require_member(self, node: Hashable) -> None:
         if node not in self._topology.graph:
             raise StrategyError(
-                f"{self.name}: {node!r} is not a node of its {type(self._topology).__name__}"
+                f"{self.name}: {node!r} is not a node of its "
+                f"{len(self._topology.graph)}-node {type(self._topology).__name__}"
             )

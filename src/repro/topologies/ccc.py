@@ -29,7 +29,6 @@ class CubeConnectedCyclesTopology(Topology):
     neighbours ``(p ± 1 mod d, w)`` and ``(p, w)`` with bit ``p`` of ``w``
     flipped (an XOR of the corner's index)."""
 
-
     def __init__(self, dimensions: int) -> None:
         if dimensions < 2:
             raise TopologyError("CCC needs order at least 2")

@@ -17,7 +17,6 @@ from .base import Topology
 class CompleteTopology(Topology):
     """The complete graph on ``n`` nodes, labelled ``0..n-1``."""
 
-
     def __init__(self, n: int) -> None:
         if n <= 0:
             raise TopologyError("a complete network needs at least one node")
@@ -27,7 +26,6 @@ class CompleteTopology(Topology):
 class RingTopology(Topology):
     """A cycle on ``n`` nodes, labelled ``0..n-1``: node ``i`` neighbours
     ``i ± 1`` modulo ``n``."""
-
 
     def __init__(self, n: int) -> None:
         if n < 3:

@@ -46,7 +46,6 @@ class HierarchicalTopology(Topology):
         product of all branching factors.
     """
 
-
     def __init__(self, branching: Sequence[int]) -> None:
         branching = tuple(int(b) for b in branching)
         if not branching or any(b < 2 for b in branching):
@@ -145,7 +144,9 @@ class HierarchicalTopology(Topology):
 
     def _validate_node(self, node: HierNode) -> None:
         if node not in self.graph:
-            raise ValueError(f"{node!r} is not a node of this {type(self).__name__}")
+            raise ValueError(
+                f"{node!r} is not a node of the hierarchy with branching {self._branching}"
+            )
 
     @classmethod
     def uniform(cls, arity: int, levels: int) -> "HierarchicalTopology":

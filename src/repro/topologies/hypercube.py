@@ -29,7 +29,6 @@ class HypercubeTopology(Topology):
     """The binary d-cube on ``2**d`` nodes: the node at index ``i`` of
     :func:`bit_strings` neighbours those at ``i XOR 2**b``, one per bit."""
 
-
     def __init__(self, dimensions: int) -> None:
         if dimensions < 1:
             raise TopologyError("hypercube needs at least one dimension")

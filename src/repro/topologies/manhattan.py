@@ -59,7 +59,6 @@ class ManhattanTopology(Topology):
     neighbours ``(r ± 1, c)`` and ``(r, c ± 1)``.
     """
 
-
     def __init__(self, rows: int, cols: int, wrap: bool = False) -> None:
         if rows < 1 or cols < 1 or rows * cols < 2:
             raise TopologyError("grid must contain at least two nodes")
@@ -93,7 +92,6 @@ class MeshTopology(Topology):
     paper's "obvious generalization to d-dimensional meshes".  A node
     neighbours the nodes one step away along each axis.
     """
-
 
     def __init__(self, sides: Sequence[int], wrap: bool = False) -> None:
         sides = tuple(int(s) for s in sides)

@@ -83,7 +83,6 @@ class ProjectivePlaneTopology(Topology):
         The normalised homogeneous triples naming points and lines.
     """
 
-
     def __init__(self, order: int) -> None:
         points = projective_points(order)
         lines = list(points)  # PG(2,k) is self-dual: same triples name lines.

@@ -41,7 +41,6 @@ class TreeTopology(Topology):
     identifiers are paths from the root (the root is the empty tuple).
     """
 
-
     def __init__(self, branching: Sequence[int]) -> None:
         branching = tuple(int(b) for b in branching)
         if any(b < 1 for b in branching):
@@ -77,7 +76,9 @@ class TreeTopology(Topology):
         try:
             return self._parents[node]
         except KeyError:
-            raise ValueError(f"{node!r} is not a node of this {type(self).__name__}") from None
+            raise ValueError(
+                f"{node!r} is not a node of the tree with branching {self._branching}"
+            ) from None
 
     def depth_of(self, node: TreeNode) -> int:
         """Distance of ``node`` from the root: the length of its path."""

@@ -35,7 +35,6 @@ from .base import Topology
 class UUCPTopology(Topology):
     """A synthetic organically-grown network (tree plus shortcut edges)."""
 
-
     def __init__(self, graph: Graph, parent: Dict[int, int]) -> None:
         super().__init__(graph)
         self._parent = parent
@@ -51,7 +50,7 @@ class UUCPTopology(Topology):
     def path_to_root(self, node: int) -> List[int]:
         """Tree path from ``node`` to the root, inclusive."""
         if node not in self._parent:
-            raise ValueError(f"{node!r} is not a node of this {type(self).__name__}")
+            raise ValueError(f"{node!r} is not a node of this {len(self.graph)}-node UUCP network")
         path = [node]
         while self._parent[path[-1]] != path[-1]:
             path.append(self._parent[path[-1]])

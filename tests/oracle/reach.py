@@ -8,10 +8,12 @@ then ``pytest tests``, under a ``sys.settrace`` hook a ``sitecustomize`` on
 ``PYTHONPATH`` installs (not ``setprofile``: the ledger smoke test's
 ``cProfile`` takes that hook mid-run), and prints every definition no
 surface called: ``tests-only`` if a test did, else ``never``.  A traced run
-that exits non-zero stops it with an error naming the run.  A subprocess
-that replaces ``PYTHONPATH`` runs untraced.  Run ``python
-tests/oracle/reach.py`` (stdlib only; about two minutes).  CI compares its
-output, line numbers dropped, with ``tests/oracle/reach_expected.txt``.
+that exits non-zero stops it with an error naming the run.  Hypothesis
+runs with a fixed seed, so one interpreter and one set of test tools list
+the same definitions every time.  A subprocess that replaces ``PYTHONPATH``
+runs untraced.  Run ``python tests/oracle/reach.py`` (stdlib only; about
+two minutes).  CI compares its output, line numbers dropped, with
+``tests/oracle/reach_expected.txt``.
 """
 
 import ast, os, subprocess, sys, tempfile  # noqa: E401
@@ -36,10 +38,10 @@ threading.settrace(_trace)
 SURFACES = [
     *([str(example)] for example in sorted((ROOT / "examples").glob("*.py"))),
     ["-m", "repro", "paper"],
-    ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+    ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
      "benchmarks", "tests/golden", "tests/unit/test_cli.py"],
 ]
-TESTS = [["-m", "pytest", "-q", "-p", "no:cacheprovider", "tests"]]
+TESTS = [["-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "tests"]]
 
 
 def called(hook_dir: str, runs) -> set:

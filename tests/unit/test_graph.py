@@ -89,7 +89,7 @@ class TestConnectivity:
     def test_disconnected_detected(self):
         graph = Graph(nodes=[1, 2, 3], edges=[(1, 2)])
         assert not graph.is_connected()
-        with pytest.raises(DisconnectedGraphError):
+        with pytest.raises(DisconnectedGraphError, match="only 2 are reachable from 1"):
             graph.require_connected()
 
     def test_component_is_the_set_bfs_order_reaches(self):

@@ -54,7 +54,7 @@ class TestTreeTopology:
 
     def test_unknown_node_rejected(self):
         tree = TreeTopology([2])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"of the tree with branching \(2,\)"):
             tree.path_to_root((9, 9))
 
     def test_factorial_profile_has_decreasing_fanout(self):
