@@ -2,16 +2,19 @@
 
 ``CLAIMS`` holds one row per result of Mullender & Vitányi this package
 reproduces — Examples 1–6, Propositions 1–4, the 2·sqrt(n) threshold, the
-section-3 closed forms and the Lighthouse/Hash claims of sections 4–5.  A
-row is ``(id, section, statement, measure, expected, relation, tolerance)``.
+section-3 closed forms and the Lighthouse/Hash claims of sections 4–5 —
+then the ``X`` rows: what the workload engine, the fault regimes, the time
+model and two ablations built around the paper find.  A row is
+``(id, section, statement, measure, expected, relation, tolerance)``.
 ``measure`` is ``(experiment, key)``, and the row holds when
 ``experiment()[key]`` stands in ``relation`` (``==``, ``<=``, ``>=``, ``<``,
 ``>``) to ``expected``, within ``tolerance`` where one is given.  Each
 experiment runs once per process however many rows read it, and importing
 this module runs none of them.
 
-``python -m repro paper`` prints :func:`render` and exits 1 when a row
-fails; the tier-1 suite checks the same rows, one test each.
+``python -m repro paper`` prints :func:`render`, the ``X`` rows as a
+section of their own, and exits 1 when a row fails; the tier-1 suite
+checks the same rows, one test each.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import itertools
 import math
 import random
 import statistics
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from ..core import bounds, probabilistic, robustness
@@ -29,6 +33,9 @@ from ..core.rendezvous import RendezvousMatrix
 from ..core.strategy import FunctionalStrategy
 from ..core.types import Port
 from ..network.simulator import Network
+from ..network.stats import POST
+from ..obs.attr import rank_contributors, tail_counts
+from ..simtime import LinkTiming, TimeModelSpec
 from ..strategies import (
     BroadcastStrategy,
     CentralizedStrategy,
@@ -44,6 +51,7 @@ from ..strategies import (
     ProjectivePlaneStrategy,
     RehashingLocator,
     RulerSchedule,
+    ScopedHashStrategy,
     SupervisorHierarchyStrategy,
     SweepStrategy,
     TreePathStrategy,
@@ -61,6 +69,18 @@ from ..topologies import (
     UUCPNetworkGenerator,
     predicted_depth_exponential,
     predicted_depth_factorial,
+)
+from ..workload import (
+    ArrivalSpec,
+    ChurnSpec,
+    FaultRegimeSpec,
+    MatrixSpec,
+    PopularitySpec,
+    ScenarioSpec,
+    SloSpec,
+    compare_under_load,
+    run_matrix,
+    run_scenario,
 )
 from ..workload.spec import STRATEGIES, build_strategy
 from .experiment import fit_power_law, format_table
@@ -632,6 +652,247 @@ def splits() -> Dict[str, Any]:
     }
 
 
+# -- what the extension adds: the workload engine, the time model, two ablations ---
+
+ZIPF = PopularitySpec(kind="zipf", zipf_exponent=1.1)
+#: The three name servers of section 2.3's spectrum, one traffic program.
+SERVERS = ("checkerboard", "hash-locate", "centralized")
+
+
+@functools.cache
+def under_load() -> Dict[str, Any]:
+    """The same Zipf traffic, migrations and all, through three name
+    servers on a complete network of 64, every request a locate; then a
+    cached checkerboard soak under mixed churn."""
+    base = ScenarioSpec(
+        name="x15", topology="complete:64", operations=1000, clients=64,
+        servers=8, ports=8, seed=1234, cache_addresses=False,
+        arrival=ArrivalSpec(kind="poisson", rate=2000.0), popularity=ZIPF,
+        churn=ChurnSpec(kind="migration", rate=1.0),
+    )
+    runs = {result.spec.strategy: result.metrics
+            for result in compare_under_load(base, SERVERS)}
+    imbalance = {name: metrics.load_balance()["imbalance"] for name, metrics in runs.items()}
+    soak = run_scenario(replace(
+        base, name="x15-soak", clients=32, seed=99, cache_addresses=True,
+        arrival=ArrivalSpec(kind="poisson", rate=800.0),
+        popularity=PopularitySpec(kind="hotspot", hotspot_fraction=0.7),
+        churn=ChurnSpec(kind="mixed", rate=2.0),
+    )).metrics
+    return {
+        "locates": sum(metrics.locates for metrics in runs.values()),
+        "centralized_imbalance": imbalance["centralized"],
+        "centralized_over_hash": imbalance["centralized"] / imbalance["hash-locate"],
+        "hash_over_checkerboard": imbalance["hash-locate"] / imbalance["checkerboard"],
+        "checkerboard_imbalance": imbalance["checkerboard"],
+        **{f"{name}_p95": runs[name].locate_hops.percentile(95) for name in SERVERS},
+        "checkerboard_p99": runs["checkerboard"].locate_hops.percentile(99),
+        "soak_hit_rate": soak.cache_hit_rate,
+        "soak_stale_retries": soak.stale_retries,
+        "soak_churn_events": sum(soak.churn_events.values()),
+        "soak_success": soak.success_rate,
+    }
+
+
+@functools.cache
+def faulted_delivery() -> Dict[str, Any]:
+    """Unicast under crashes on an 8×8 grid: a post/query message stream
+    through the delivery planner, and a failover-churn locate workload."""
+    grid = ManhattanTopology.square(8)
+    strategy = ManhattanStrategy(grid)
+    nodes = sorted(grid.nodes())
+    rng = random.Random(16)
+    servers = rng.sample(nodes, 8)
+    network = Network(grid.graph, delivery_mode="unicast")
+    for node in ((3, 3), (6, 1)):
+        network.crash_node(node)
+    sent = 0
+    for i in range(1000):
+        if i % 8 == 0:
+            source = servers[(i // 8) % len(servers)]
+            targets = strategy.post_set(source)
+        else:
+            source = nodes[rng.randrange(len(nodes))]
+            targets = strategy.query_set(source)
+        if network.node_is_up(source):
+            network.deliver(source, targets, POST, mode="unicast")
+            sent += 1
+    stream = network.stats.plan_events
+    workload = run_scenario(ScenarioSpec(
+        name="x16", topology="manhattan:8", strategy="manhattan", operations=2000,
+        clients=32, servers=8, ports=8, seed=616, cache_addresses=False,
+        delivery_mode="unicast", arrival=ArrivalSpec(kind="poisson", rate=1000.0),
+        popularity=ZIPF, churn=ChurnSpec(kind="failover", rate=1.0, downtime=1.5),
+    ))
+    return {
+        "sent": sent,
+        "stream_hits_per_miss": stream["plan_hit"] / stream["plan_miss"],
+        "stream_route_misses": stream["route_miss"],
+        "crashes": workload.metrics.churn_events["crash"],
+        "success": workload.metrics.success_rate,
+        "p95": workload.metrics.locate_hops.percentile(95),
+        "hits_per_miss": workload.plan_cache["plan_hit"] / workload.plan_cache["plan_miss"],
+    }
+
+
+@functools.cache
+def fault_grid() -> Dict[str, Any]:
+    """A 3 topologies × 3 name servers × 3 fault regimes matrix: no
+    faults, crash/recover waves and link flaps, unicast delivery."""
+    operations = 200
+    report, _ = run_matrix(MatrixSpec(
+        name="x17",
+        topologies=("complete:36", "manhattan:6", "hypercube:5"),
+        strategies=SERVERS,
+        fault_regimes=(
+            FaultRegimeSpec(),
+            FaultRegimeSpec(kind="waves", events=3, size=2, start=0.08, period=0.15,
+                            downtime=0.1),
+            FaultRegimeSpec(kind="flaps", events=4, start=0.05, period=0.12, downtime=0.08),
+        ),
+        base=ScenarioSpec(
+            operations=operations, clients=12, servers=8, ports=4, delivery_mode="unicast",
+            seed=1717, arrival=ArrivalSpec(kind="poisson", rate=1500.0), popularity=ZIPF,
+        ),
+    ))
+    regimes = report.by_regime()
+    strategies = report.by_strategy()
+    return {
+        "cells": len(report),
+        "skipped": len(report.skipped),
+        "off_contract": sum(
+            summary["requests"] != operations
+            or summary["successes"] + summary["failures"] != operations
+            or summary["locate_hops"]["p50"] > summary["locate_hops"]["p99"]
+            for summary in (cell.summary for cell in report.cells)
+        ),
+        **{f"{label}_availability": regimes[label]["availability"] for label in regimes},
+        "floor": report.availability_floor(),
+        "p95_ratio": strategies["centralized"]["p95_locate_hops"]
+        / strategies["checkerboard"]["p95_locate_hops"],
+    }
+
+
+#: Half-millisecond links, mild jitter and 0.8 ms of service per message at
+#: every node: the knob that melts whichever node a strategy loads.
+TIME_MODEL = TimeModelSpec(
+    default_link=LinkTiming(latency=0.0005, jitter=0.0001), node_service=0.0008,
+)
+#: An open stream that keeps a lone 0.8 ms server busy, and the same
+#: volume in back-to-back bursts.
+ARRIVALS = {
+    "poisson": ArrivalSpec(kind="poisson", rate=1200.0),
+    "burst": ArrivalSpec(kind="burst", burst_size=80, burst_gap=0.05),
+}
+
+
+@functools.cache
+def latency() -> Dict[str, Any]:
+    """Checkerboard and centralized on a timed complete network of 36,
+    every request a locate, under Poisson and burst arrivals.  The
+    centralized burst run carries the default SLO (10 ms at p99 on 0.5 s
+    windows); an SLO only reads the clock, so its latencies are the same."""
+    runs = {
+        (strategy, arrival): run_scenario(ScenarioSpec(
+            name=f"x20/{strategy}/{arrival}", topology="complete:36", strategy=strategy,
+            operations=1000, clients=36, servers=6, ports=6, seed=2025,
+            cache_addresses=False, arrival=ARRIVALS[arrival], popularity=ZIPF,
+            time_model=TIME_MODEL,
+            slo=SloSpec() if (strategy, arrival) == ("centralized", "burst") else None,
+        ))
+        for strategy in ("checkerboard", "centralized") for arrival in ARRIVALS
+    }
+    summary = {key: result.metrics.summary() for key, result in runs.items()}
+
+    def ratio(arrival: str, *path: str) -> float:
+        central, spread = summary["centralized", arrival], summary["checkerboard", arrival]
+        for step in path:
+            central, spread = central[step], spread[step]
+        return central / spread
+
+    melt = runs["centralized", "burst"]
+    registry = melt.metrics.registry
+    slo = summary["centralized", "burst"]["slo"]
+    tail = rank_contributors(tail_counts(melt.exemplars), top=1)[0]
+    overall = rank_contributors(dict(registry.counter_map("critical_path_us")), top=1)[0]
+    return {
+        "priced": min(s["latency"]["count"] for s in summary.values()),
+        **{f"p99_ratio_{arrival}": ratio(arrival, "latency", "p99") for arrival in ARRIVALS},
+        **{f"wait_ratio_{arrival}": ratio(arrival, "queues", "wait_us", "p99")
+           for arrival in ARRIVALS},
+        **{f"{strategy}_{arrival}_p99": s["latency"]["p99"]
+           for (strategy, arrival), s in summary.items()},
+        "queue_visits": summary["checkerboard", "burst"]["queues"]["depth"]["count"],
+        "timeouts": sum(s["queues"]["message_timeouts"] for s in summary.values()),
+        "hop_ratio": runs["centralized", "poisson"].metrics.locate_hops.percentile(95)
+        / runs["checkerboard", "poisson"].metrics.locate_hops.percentile(95),
+        "tail_top": tail["key"],
+        "tail_share": tail["share"],
+        "overall_top": overall["key"],
+        "overall_share": overall["share"],
+        "untelescoped": sum(
+            sum(segment[3] for segment in exemplar["critical_path"]) != exemplar["latency_us"]
+            for exemplar in melt.exemplars
+        ),
+        "blamed_minus_latency": sum(registry.counter_map("critical_path_us").values())
+        - registry.timeline("timeline", slo["window_us"]).total("latency_sum_us"),
+        "burn_rate": slo["latency_burn_rate"],
+        "first_breach": slo["first_breach_us"],
+        "breached_windows": slo["breached_windows"],
+    }
+
+
+@functools.cache
+def delivery_modes() -> Dict[str, Any]:
+    """Section 2's complete-network count against per-destination unicast
+    and spanning-tree multicast: mean hops of four matches on a 7×7 grid."""
+    grid = ManhattanTopology.square(7)
+    strategy = ManhattanStrategy(grid)
+    pairs = (((0, 0), (6, 6)), ((3, 3), (0, 6)), ((6, 0), (3, 2)), ((2, 5), (5, 1)))
+    hops = {}
+    for mode in ("ideal", "unicast", "multicast"):
+        matchmaker = MatchMaker(Network(grid.graph, delivery_mode=mode), strategy)
+        hops[mode] = statistics.fmean(
+            matchmaker.match_instance(server, client, PORT).match_messages
+            for server, client in pairs
+        )
+    return hops
+
+
+@functools.cache
+def scoped_hashing() -> Dict[str, Any]:
+    """Sections 3.5 and 5 on a 4^3 hierarchy: one network-wide hash for
+    every service, against 16 cluster-local, 3 campus-wide and 1 global
+    service hashed within their scope."""
+    topology = HierarchicalTopology.uniform(4, 3)
+    local = [Port(f"local-{i}") for i in range(16)]
+    campus = [Port(f"campus-{i}") for i in range(3)]
+    everywhere = Port("mail-relay")
+    scopes = {**dict.fromkeys(local, 1), **dict.fromkeys(campus, 2), everywhere: 3}
+    out: Dict[str, Any] = {"lost": 0}
+    for name, strategy in (
+        ("flat", HashLocateStrategy(topology.nodes(), replicas=1)),
+        ("scoped", ScopedHashStrategy(topology, scopes=scopes)),
+    ):
+        network = Network(topology.graph, delivery_mode="unicast")
+        matchmaker = MatchMaker(network, strategy)
+        # Every top-level branch runs its own copy of each local service.
+        matches = [((branch, 0, 1), (branch, 0, 2), port)
+                   for port in local for branch in range(4)]
+        matches += [((0, 1, 1), (0, 2, 3), port) for port in (*campus, everywhere)]
+        hops = []
+        for server, client, port in matches:
+            matchmaker.register_server(server, port, server_id=f"{port.name}@{server}")
+            result = matchmaker.locate(client, port)
+            out["lost"] += not result.found
+            hops.append(result.query_messages + result.reply_messages)
+        caches = network.cache_sizes().values()
+        out[f"{name}_hops"] = statistics.mean(hops)
+        out[f"{name}_fullest"] = max(caches)
+        out[f"{name}_holding"] = sum(size > 0 for size in caches)
+    return out
+
+
 # -- the table ---------------------------------------------------------------------
 
 class Claim(NamedTuple):
@@ -932,6 +1193,131 @@ CLAIMS = (
           (splits, "wrong_way"), 0),
     Claim("A1.3", "§2.3.2", "(M3') a = 1: best #P + a·#Q = 2√n",
           (splits, "balanced"), 32.0),
+    # What the extension adds.  X15: one traffic program, three name servers.
+    Claim("X15.1", "§2.3", "complete:64, 3 × 1000 requests, no address cache: locates",
+          (under_load, "locates"), 3000),
+    Claim("X15.2", "§2.3", "centralized: busiest / mean node load ≈ n",
+          (under_load, "centralized_imbalance"), 64.0),
+    Claim("X15.3", "§2.3", "load imbalance: centralized / Hash Locate",
+          (under_load, "centralized_over_hash"), 1.0, ">"),
+    Claim("X15.4", "§2.3", "load imbalance: Hash Locate / checkerboard",
+          (under_load, "hash_over_checkerboard"), 1.0, ">"),
+    Claim("X15.5", "§2.3", "checkerboard: busiest / mean node load",
+          (under_load, "checkerboard_imbalance"), 1.501),
+    Claim("X15.6", "§2.3", "checkerboard: p95 locate hops",
+          (under_load, "checkerboard_p95"), 9),
+    Claim("X15.7", "§2.3", "Hash Locate: p95 locate hops",
+          (under_load, "hash-locate_p95"), 2),
+    Claim("X15.8", "§2.3", "centralized: p95 locate hops",
+          (under_load, "centralized_p95"), 2),
+    Claim("X15.9", "§2.3", "checkerboard: p99 locate hops",
+          (under_load, "checkerboard_p99"), 9),
+    Claim("X15.10", "§2.3", "cached soak, mixed churn: address-cache hit rate",
+          (under_load, "soak_hit_rate"), 0.801),
+    Claim("X15.11", "§2.3", "cached soak: retries after a stale address",
+          (under_load, "soak_stale_retries"), 6),
+    Claim("X15.12", "§2.3", "cached soak: churn events",
+          (under_load, "soak_churn_events"), 4),
+    Claim("X15.13", "§2.3", "cached soak: requests that succeed",
+          (under_load, "soak_success"), 1.0),
+    # X16: unicast delivery under crashes.
+    Claim("X16.1", "§2.4", "8×8 grid, 2 crashed: stream messages from live nodes",
+          (faulted_delivery, "sent"), 971),
+    Claim("X16.2", "§2.4", "stream: delivery plans served per plan built",
+          (faulted_delivery, "stream_hits_per_miss"), 10.0, ">"),
+    Claim("X16.3", "§2.4", "stream: routing tables built for the fault revision",
+          (faulted_delivery, "stream_route_misses"), 1),
+    Claim("X16.4", "§2.4", "failover churn, 2000 locates: crashes",
+          (faulted_delivery, "crashes"), 3),
+    Claim("X16.5", "§2.4", "failover churn: requests that succeed",
+          (faulted_delivery, "success"), 0.9895),
+    Claim("X16.6", "§2.4", "failover churn: p95 locate hops",
+          (faulted_delivery, "p95"), 34),
+    Claim("X16.7", "§2.4", "failover churn: delivery plans served per plan built",
+          (faulted_delivery, "hits_per_miss"), 1.0, ">"),
+    # X17: a matrix of topologies, name servers and fault regimes.
+    Claim("X17.1", "§2.4", "3 topologies × 3 servers × 3 regimes: cells run",
+          (fault_grid, "cells"), 27),
+    Claim("X17.2", "§2.4", "cells skipped as incompatible",
+          (fault_grid, "skipped"), 0),
+    Claim("X17.3", "§2.4", "cells off the contract (requests, outcomes, p50 ≤ p99)",
+          (fault_grid, "off_contract"), 0),
+    Claim("X17.4", "§2.4", "no faults: requests that succeed",
+          (fault_grid, "none_availability"), 1.0),
+    Claim("X17.5", "§2.4", "crash/recover waves: requests that succeed",
+          (fault_grid, "waves(e3,s2)_availability"), 0.9772),
+    Claim("X17.6", "§2.4", "link flaps: requests that succeed",
+          (fault_grid, "flaps(e4)_availability"), 1.0),
+    Claim("X17.7", "§2.4", "worst cell: requests that succeed",
+          (fault_grid, "floor"), 0.91),
+    Claim("X17.8", "§2.4", "worst p95 locate hops: centralized / checkerboard",
+          (fault_grid, "p95_ratio"), 1.0, "<="),
+    # X20: latency on the virtual clock, where hop counts mislead.
+    Claim("X20.1", "§2.3", "timed complete:36, 4 × 1000 locates: fewest priced",
+          (latency, "priced"), 1000),
+    Claim("X20.2", "§2.3", "Poisson: centralized / checkerboard p99 latency",
+          (latency, "p99_ratio_poisson"), 2.0, ">"),
+    Claim("X20.3", "§2.3", "bursts: centralized / checkerboard p99 latency",
+          (latency, "p99_ratio_burst"), 2.0, ">"),
+    Claim("X20.4", "§2.3", "Poisson: centralized / checkerboard p99 queue wait",
+          (latency, "wait_ratio_poisson"), 1.0, ">"),
+    Claim("X20.5", "§2.3", "bursts: centralized / checkerboard p99 queue wait",
+          (latency, "wait_ratio_burst"), 1.0, ">"),
+    Claim("X20.6", "§2.3", "checkerboard, Poisson: p99 latency µs",
+          (latency, "checkerboard_poisson_p99"), 18876),
+    Claim("X20.7", "§2.3", "checkerboard, bursts: p99 latency µs",
+          (latency, "checkerboard_burst_p99"), 90385),
+    Claim("X20.8", "§2.3", "centralized, Poisson: p99 latency µs",
+          (latency, "centralized_poisson_p99"), 48182),
+    Claim("X20.9", "§2.3", "centralized, bursts: p99 latency µs",
+          (latency, "centralized_burst_p99"), 437500),
+    Claim("X20.10", "§2.3", "checkerboard, bursts: queue stations visited",
+          (latency, "queue_visits"), 17432),
+    Claim("X20.11", "§2.3", "messages timed out in the four runs",
+          (latency, "timeouts"), 0),
+    Claim("X20.12", "§2.3", "yet hops favour it: centralized / checkerboard p95 hops",
+          (latency, "hop_ratio"), 1.0, "<="),
+    # X21: which segment carries the centralized tail (X20.9's run).
+    Claim("X21.1", "§2.3", "centralized, bursts: top contributor to the tail",
+          (latency, "tail_top"), "query:node_wait:0"),
+    Claim("X21.2", "§2.3", "its share of the tail's critical path",
+          (latency, "tail_share"), 0.9694),
+    Claim("X21.3", "§2.3", "top contributor over every request",
+          (latency, "overall_top"), "query:node_wait:0"),
+    Claim("X21.4", "§2.3", "its share of every critical path",
+          (latency, "overall_share"), 0.9415),
+    Claim("X21.5", "§2.3", "exemplars whose critical path does not sum to latency",
+          (latency, "untelescoped"), 0),
+    Claim("X21.6", "§2.3", "blamed µs - summed request latency µs",
+          (latency, "blamed_minus_latency"), 0),
+    Claim("X21.7", "§2.3", "10 ms p99 objective: latency burn rate",
+          (latency, "burn_rate"), 99.5),
+    Claim("X21.8", "§2.3", "10 ms p99 objective: first breach at µs",
+          (latency, "first_breach"), 0),
+    Claim("X21.9", "§2.3", "10 ms p99 objective: 0.5 s windows breached",
+          (latency, "breached_windows"), 2),
+    # XA2: how a fan-out is delivered.
+    Claim("XA2.1", "§2.3.5", "7×7 grid, 4 matches: complete-network hops = 2(side - 1)",
+          (delivery_modes, "ideal"), 12.0),
+    Claim("XA2.2", "§2.3.5", "spanning-tree multicast hops = 2(side - 1)",
+          (delivery_modes, "multicast"), 12.0),
+    Claim("XA2.3", "§2.3.5", "per-destination unicast hops",
+          (delivery_modes, "unicast"), 35.0),
+    # XA3: Hash Locate scoped to the hierarchy level a service lives on.
+    Claim("XA3.1", "§5", "4^3 hierarchy, 20 services: locates that fail",
+          (scoped_hashing, "lost"), 0),
+    Claim("XA3.2", "§5", "one network-wide hash: mean locate hops",
+          (scoped_hashing, "flat_hops"), 6.412, "==", 0.0005),
+    Claim("XA3.3", "§5", "hashed within each service's scope: mean locate hops",
+          (scoped_hashing, "scoped_hops"), 1.853, "==", 0.0005),
+    Claim("XA3.4", "§5", "network-wide hash: hosts holding a posting",
+          (scoped_hashing, "flat_holding"), 18),
+    Claim("XA3.5", "§5", "scoped hash: hosts holding a posting",
+          (scoped_hashing, "scoped_holding"), 19),
+    Claim("XA3.6", "§5", "network-wide hash: fullest cache",
+          (scoped_hashing, "flat_fullest"), 8),
+    Claim("XA3.7", "§5", "scoped hash: fullest cache",
+          (scoped_hashing, "scoped_fullest"), 7),
 )
 
 
@@ -969,11 +1355,12 @@ def _expected(claim: Claim) -> str:
 def render() -> Tuple[str, List[str]]:
     """The paper-vs-measured table, and one line per failing row naming its
     id, measured value and expectation (also the table's last lines)."""
-    rows: List[Dict[str, str]] = []
+    paper_rows: List[Dict[str, str]] = []
+    extension_rows: List[Dict[str, str]] = []
     failures: List[str] = []
     for claim in CLAIMS:
         measured, holds = check(claim)
-        rows.append({
+        (extension_rows if claim.id.startswith("X") else paper_rows).append({
             "id": claim.id, "§": claim.section, "claim": claim.statement,
             "expected": _expected(claim), "measured": _show(measured),
             "ok": "yes" if holds else "NO",
@@ -985,4 +1372,8 @@ def render() -> Tuple[str, List[str]]:
             )
     title = "Mullender & Vitányi (PODC 1985): what the paper states, what we measure"
     summary = f"{len(CLAIMS) - len(failures)} of {len(CLAIMS)} claims hold"
-    return "\n".join([format_table(rows, title=title), "", summary, *failures]), failures
+    return "\n".join([
+        format_table(paper_rows, title=title), "",
+        format_table(extension_rows, title="What the extension adds"), "",
+        summary, *failures,
+    ]), failures

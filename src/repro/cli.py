@@ -227,18 +227,21 @@ def build_parser() -> argparse.ArgumentParser:
     """The full CLI parser (exposed for tests and ``--help`` rendering)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
+        allow_abbrev=False,
         description="Check the paper's claims; run, sweep and replay "
         "match-making workloads.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     paper_p = sub.add_parser(
-        "paper", help="measure every claim of the paper and print the table"
+        "paper", allow_abbrev=False,
+        help="measure every claim of the paper and print the table"
     )
     paper_p.set_defaults(handler=_cmd_paper)
 
     run_p = sub.add_parser(
-        "run", help="run one scenario spec (JSON) and print its result"
+        "run", allow_abbrev=False,
+        help="run one scenario spec (JSON) and print its result"
     )
     run_p.add_argument("spec", help="path to a ScenarioSpec JSON file")
     run_p.add_argument(
@@ -260,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(handler=_cmd_run)
 
     matrix_p = sub.add_parser(
-        "matrix", help="run a scenario-matrix grid (JSON), optionally sharded"
+        "matrix", allow_abbrev=False,
+        help="run a scenario-matrix grid (JSON), optionally sharded"
     )
     matrix_p.add_argument("spec", help="path to a MatrixSpec JSON file")
     matrix_p.add_argument(
@@ -306,11 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_p.set_defaults(handler=_cmd_matrix)
 
     obs_p = sub.add_parser(
-        "obs", help="inspect an observability export written with --obs"
+        "obs", allow_abbrev=False,
+        help="inspect an observability export written with --obs"
     )
     obs_sub = obs_p.add_subparsers(dest="obs_command", required=True)
     summarize_p = obs_sub.add_parser(
-        "summarize",
+        "summarize", allow_abbrev=False,
         help="merged metric totals, span hop breakdowns, phase profiles",
     )
     summarize_p.add_argument("dir", help="export directory (from --obs)")
@@ -319,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     summarize_p.set_defaults(handler=_cmd_obs)
     attribute_p = obs_sub.add_parser(
-        "attribute",
+        "attribute", allow_abbrev=False,
         help="rank critical-path contributors of a timed export — which "
              "queue/link/service segment carries the tail latency",
     )
@@ -333,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     attribute_p.set_defaults(handler=_cmd_obs)
     diff_p = obs_sub.add_parser(
-        "diff", help="numeric metric/span deltas between two exports (b - a)"
+        "diff", allow_abbrev=False,
+        help="numeric metric/span deltas between two exports (b - a)"
     )
     diff_p.add_argument("dir_a", help="baseline export directory")
     diff_p.add_argument("dir_b", help="comparison export directory")
@@ -352,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     diff_p.set_defaults(handler=_cmd_obs)
 
     replay_p = sub.add_parser(
-        "replay", help="re-execute a recorded trace (JSONL)"
+        "replay", allow_abbrev=False,
+        help="re-execute a recorded trace (JSONL)"
     )
     replay_p.add_argument("trace", help="path to a trace .jsonl file")
     replay_p.add_argument(

@@ -17,14 +17,6 @@ from .faults import (
     link_flaps,
 )
 from .graph import Graph, complete_graph
-from .relay import (
-    LoadReport,
-    RelayRoute,
-    compare_direct_vs_relay,
-    direct_route,
-    measure_load,
-    two_phase_route,
-)
 from .routing import RoutingTable
 from .simulator import Network, QueryOutcome
 from .stats import CONTROL, PAYLOAD, POST, QUERY, REPLY, MessageStats
@@ -37,7 +29,6 @@ __all__ = [
     "FaultPlan",
     "FaultTimeline",
     "Graph",
-    "LoadReport",
     "MessageStats",
     "Network",
     "PAYLOAD",
@@ -46,14 +37,9 @@ __all__ = [
     "QUERY",
     "QueryOutcome",
     "REPLY",
-    "RelayRoute",
     "RoutingTable",
-    "compare_direct_vs_relay",
     "complete_graph",
     "crash_recover_waves",
-    "direct_route",
     "link_flaps",
-    "measure_load",
     "plan_hit_rates",
-    "two_phase_route",
 ]

@@ -60,11 +60,6 @@ class RoutingTable:
         self._crashed: FrozenSet[Hashable] = frozenset()
         self._cut: Dict[Hashable, FrozenSet[Hashable]] = {}
 
-    @property
-    def graph(self) -> Graph:
-        """The graph this table routes over (before any mask)."""
-        return self._graph
-
     def masked(self, crashed_nodes: AbstractSet[Hashable],
                failed_links: Iterable[FrozenSet[Hashable]]) -> "RoutingTable":
         """The table over what survives ``crashed_nodes`` and ``failed_links``

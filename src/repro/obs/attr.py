@@ -52,7 +52,7 @@ def rank_contributors(
     ]
 
 
-def _tail_counts(exemplars: List[Dict[str, object]]) -> Dict[str, int]:
+def tail_counts(exemplars: List[Dict[str, object]]) -> Dict[str, int]:
     """Critical-path microseconds per contributor over exemplar requests."""
     counts: Dict[str, int] = {}
     for record in exemplars:
@@ -87,7 +87,7 @@ def attribute_export(
         )
     overall = dict(merged.counter_map("critical_path_us"))
     exemplars = records["timeline"]
-    tail = _tail_counts(exemplars)
+    tail = tail_counts(exemplars)
     out: Dict[str, object] = {
         "overall": {
             "total_us": sum(overall.values()),

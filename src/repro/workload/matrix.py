@@ -288,8 +288,7 @@ class MatrixReport:
     # -- slicing ---------------------------------------------------------------
 
     def _aggregate(self, key: str) -> Dict[str, Dict[str, object]]:
-        """Aggregate cells grouped by one coordinate (strategy/topology/
-        regime)."""
+        """Aggregate cells grouped by one coordinate (strategy or regime)."""
         groups: Dict[str, List[CellResult]] = {}
         for cell in self._cells:
             groups.setdefault(getattr(cell, key), []).append(cell)
@@ -348,10 +347,6 @@ class MatrixReport:
     def by_strategy(self) -> Dict[str, Dict[str, object]]:
         """Aggregates per strategy — the paper's cross-strategy comparison."""
         return self._aggregate("strategy")
-
-    def by_topology(self) -> Dict[str, Dict[str, object]]:
-        """Aggregates per topology."""
-        return self._aggregate("topology")
 
     def by_regime(self) -> Dict[str, Dict[str, object]]:
         """Aggregates per fault regime — robustness under each fault shape."""

@@ -1,8 +1,9 @@
 """The paper table: every claim holds, one test per row.
 
 ``repro.analysis.paper.CLAIMS`` is the one statement of the paper's results
-(``python -m repro paper`` prints the same rows).  Rows that share an
-experiment share one run of it, so the whole table costs one pass.
+and of what the extension adds to them (``python -m repro paper`` prints
+the same rows, the ``X`` rows in a section of their own).  Rows that share
+an experiment share one run of it, so the whole table costs one pass.
 """
 
 import os
@@ -14,7 +15,13 @@ import pytest
 
 from repro.analysis import paper
 
-SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
+ROOT = Path(__file__).resolve().parents[2]
+SRC_DIR = str(ROOT / "src")
+#: The paper's rows, group by group, in table order.
+PAPER_GROUPS = {
+    "E1": 10, "E2": 6, "E3": 10, "E4": 9, "E5": 8, "E6": 8, "E7": 6, "E8": 7,
+    "E9": 9, "E10": 14, "E11": 5, "E12": 9, "E13": 14, "E14": 15, "A1": 3,
+}
 
 
 @pytest.mark.parametrize("claim", paper.CLAIMS, ids=lambda claim: claim.id)
@@ -30,6 +37,25 @@ def test_ids_are_unique_and_relations_known():
     ids = [claim.id for claim in paper.CLAIMS]
     assert len(ids) == len(set(ids))
     assert {claim.relation for claim in paper.CLAIMS} <= {"==", "<=", ">=", "<", ">"}
+
+
+def test_the_paper_rows_come_first_and_the_extension_rows_follow():
+    ids = [claim.id for claim in paper.CLAIMS]
+    paper_ids = [f"{group}.{k}" for group, count in PAPER_GROUPS.items()
+                 for k in range(1, count + 1)]
+    assert len(paper_ids) == 133
+    assert ids[:133] == paper_ids
+    # Unique, as every id is (test_ids_are_unique_and_relations_known).
+    extension = ids[133:]
+    assert extension and all(claim_id.startswith("X") for claim_id in extension)
+
+
+def test_the_benchmarks_hold_only_the_ledger():
+    # The extension's findings are rows here; ``benchmarks/`` measures cost.
+    strays = [path.relative_to(ROOT).as_posix()
+              for path in (ROOT / "benchmarks").rglob("test_*.py")
+              if path.relative_to(ROOT / "benchmarks").parts[0] != "ledger"]
+    assert strays == []
 
 
 def test_importing_repro_computes_no_claim():

@@ -3,9 +3,10 @@
 Every ``def`` and ``class`` in ``src/repro`` (at module level or in a class
 body) must be reached from a root: ``repro.__all__``; all of ``repro.cli``,
 ``repro.__main__`` and any module with a ``__main__`` block; module-level
-statements but imports and ``__all__``; every identifier used in
-``benchmarks/**/*.py`` and ``examples/*.py``; dunder methods, which
-Python calls.
+statements but imports and ``__all__`` (the ``CLAIMS`` table, so every
+experiment behind a paper or ``X`` row); every identifier used in
+``benchmarks/**/*.py`` (the ledger) and ``examples/*.py``; dunder methods,
+which Python calls.
 
 A definition is reached when live code refers to its name — a call, a
 ``Name``, an ``Attribute`` or a string that is an identifier — and its body

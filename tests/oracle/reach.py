@@ -3,12 +3,14 @@
 The reachability gate (``tests/integration/test_reachability.py``) reaches
 by name, so a definition stays alive while another one shares its name.
 This audit goes by calls: it runs each user surface (every example, ``python
--m repro paper``, ``pytest benchmarks tests/golden tests/unit/test_cli.py``),
-then ``pytest tests``, under a ``sys.settrace`` hook a ``sitecustomize`` on
-``PYTHONPATH`` installs (not ``setprofile``: the ledger smoke test's
-``cProfile`` takes that hook mid-run), and prints every definition no
-surface called: ``tests-only`` if a test did, else ``never``.  A traced run
-that exits non-zero stops it with an error naming the run.  Hypothesis
+-m repro paper`` with the extension's ``X`` rows, ``pytest benchmarks
+tests/golden tests/unit/test_cli.py``, where ``benchmarks`` is the ledger's
+smoke test), then ``pytest tests``, under a ``sys.settrace`` hook a
+``sitecustomize`` on ``PYTHONPATH`` installs (not ``setprofile``: the ledger
+smoke test's ``cProfile`` takes that hook mid-run), and prints every
+definition no surface called: ``tests-only`` if a test did, else ``never``.
+A traced run that exits non-zero stops it with an error naming the run.
+Hypothesis
 runs with a fixed seed, so one interpreter and one set of test tools list
 the same definitions every time.  A subprocess that replaces ``PYTHONPATH``
 runs untraced.  Run ``python tests/oracle/reach.py`` (stdlib only; about

@@ -446,6 +446,16 @@ class TestErrors:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "grid.json", "--no-progres"],
+        ["run", "spec.json", "--time-mod", "model.json"],
+    ], ids=["matrix --no-progres", "run --time-mod"])
+    def test_an_abbreviated_flag_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit:
+            main(argv)
+        assert exit.value.code == 2
+        assert f"unrecognized arguments: {argv[2]}" in capsys.readouterr().err
+
     def test_invalid_spec_exits_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"operations": 0}))

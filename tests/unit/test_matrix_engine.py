@@ -301,7 +301,6 @@ class TestMatrixReport:
     def test_aggregations_cover_every_axis(self, report):
         by_strategy = report.by_strategy()
         assert set(by_strategy) == {"checkerboard", "manhattan"}
-        assert set(report.by_topology()) == {"complete:9", "manhattan:3"}
         assert set(report.by_regime()) == {
             "none", "waves(e2,s1)", "flaps(e2)"
         }

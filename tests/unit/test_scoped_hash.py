@@ -1,23 +1,13 @@
-"""Unit tests for the scoped (locality-aware) hash strategy and the
-two-phase random relay."""
-
-import random
+"""Unit tests for the scoped (locality-aware) hash strategy."""
 
 import pytest
 
 from repro.core.exceptions import StrategyError
 from repro.core.matchmaker import MatchMaker
 from repro.core.types import Port
-from repro.network.relay import (
-    compare_direct_vs_relay,
-    direct_route,
-    measure_load,
-    two_phase_route,
-)
-from repro.network.routing import RoutingTable
 from repro.network.simulator import Network
 from repro.strategies import ScopedHashStrategy
-from repro.topologies import CompleteTopology, HierarchicalTopology, HypercubeTopology
+from repro.topologies import CompleteTopology, HierarchicalTopology
 
 LOCAL = Port("os-service")      # meaningful only inside one cluster
 CAMPUS = Port("file-service")   # meaningful inside a level-2 network
@@ -141,58 +131,3 @@ class TestScopedHashStrategy:
         mean_load = sum(load.values()) / len(load)
         assert max(load.values()) <= 2 * mean_load
         assert sum(1 for v in load.values() if v > 0) >= 18
-
-
-@pytest.fixture
-def cube():
-    return HypercubeTopology(5)
-
-
-class TestTwoPhaseRelay:
-    def test_direct_route_is_shortest_path(self, cube):
-        table = RoutingTable(cube.graph)
-        route = direct_route(table, "00000", "11111")
-        assert route.hops == 5
-        assert route.path[0] == "00000" and route.path[-1] == "11111"
-
-    def test_relay_route_visits_relay(self, cube):
-        table = RoutingTable(cube.graph)
-        rng = random.Random(3)
-        route = two_phase_route(table, "00000", "11111", rng)
-        assert route.relay in route.path
-        assert route.path[0] == "00000" and route.path[-1] == "11111"
-        assert route.hops >= 5  # never shorter than the direct route
-
-    def test_relay_route_valid_walk(self, cube):
-        table = RoutingTable(cube.graph)
-        rng = random.Random(9)
-        route = two_phase_route(table, "01010", "10101", rng)
-        for u, v in zip(route.path, route.path[1:]):
-            assert cube.graph.has_edge(u, v)
-
-    def test_relay_pool_restriction(self, cube):
-        table = RoutingTable(cube.graph)
-        rng = random.Random(1)
-        route = two_phase_route(table, "00000", "11111", rng, relay_pool=["00111"])
-        assert route.relay == "00111"
-
-    def test_measure_load_counts_intermediates_only(self, path_graph):
-        table = RoutingTable(path_graph)
-        routes = [direct_route(table, 0, 5)]
-        report = measure_load(path_graph, routes)
-        assert report.total_hops == 5
-        assert report.node_load[0] == 0 and report.node_load[5] == 0
-        assert report.node_load[2] == 1
-
-    def test_relay_reduces_hotspot_on_funnel_traffic(self, cube):
-        # Many sources all talking to the same destination funnel through the
-        # destination's neighbours; random relays spread that traffic.
-        pairs = [(node, "11111") for node in cube.nodes() if node != "11111"]
-        reports = compare_direct_vs_relay(cube.graph, pairs, seed=4)
-        assert reports["relay"].total_hops >= reports["direct"].total_hops
-        assert reports["relay"].hotspot_ratio <= reports["direct"].hotspot_ratio
-
-    def test_relay_costs_at_most_about_double(self, cube):
-        pairs = [(node, "11111") for node in cube.nodes() if node != "11111"]
-        reports = compare_direct_vs_relay(cube.graph, pairs, seed=4)
-        assert reports["relay"].total_hops <= 2.5 * reports["direct"].total_hops
